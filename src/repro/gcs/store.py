@@ -32,10 +32,10 @@ from __future__ import annotations
 import io
 import os
 import pickle
-import queue
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
 from repro.gcs.tables import ActorEntry, ObjectEntry, TaskEntry, shard_of
@@ -137,11 +137,16 @@ class ControlStore:
         self.wal_skipped = 0
 
         # Fire-and-forget writer: hot paths enqueue, one daemon applies.
-        self._async_queue: "queue.Queue" = queue.Queue()
+        # ``_async_cond`` guards the pending list and the count of ops
+        # enqueued but not yet applied (what flush() waits out).
+        self._async_cond = threading.Condition(threading.Lock())
+        self._async_pending: list = []
+        self._async_unapplied = 0
         self._async_backlog_max = 0
-        self._async_applied = 0
         self._async_paused = threading.Event()
         self._async_paused.set()  # set == running
+        #: Per-thread op list while inside :meth:`async_batch`.
+        self._async_batch = threading.local()
         self._writer = threading.Thread(
             target=self._writer_loop, name="gcs-async-writer", daemon=True
         )
@@ -485,44 +490,82 @@ class ControlStore:
         self._enqueue(self.actor_update, actor_id, **kwargs)
 
     def _enqueue(self, fn, *args, **kwargs) -> None:
-        if self._closed:
+        batch = getattr(self._async_batch, "ops", None)
+        if batch is not None:
+            batch.append((fn, args, kwargs))
+        else:
+            self._enqueue_ops([(fn, args, kwargs)])
+
+    def _enqueue_ops(self, ops: list) -> None:
+        with self._async_cond:
+            if self._closed:
+                return
+            self._async_pending.extend(ops)
+            self._async_unapplied += len(ops)
+            if self._async_unapplied > self._async_backlog_max:
+                self._async_backlog_max = self._async_unapplied
+            self._async_cond.notify_all()
+
+    @contextmanager
+    def async_batch(self):
+        """Hand the calling thread's ``async_*`` writes to the writer as
+        one unit when the block exits — one lock round trip and at most
+        one writer wake-up however many ops a burst (a DONE frame, a
+        SUBMIT_LOCAL batch) produces.  Order within the thread is kept;
+        a nested batch joins the outer one."""
+        if getattr(self._async_batch, "ops", None) is not None:
+            yield
             return
-        self._async_queue.put((fn, args, kwargs))
-        depth = self._async_queue.qsize()
-        if depth > self._async_backlog_max:
-            self._async_backlog_max = depth
+        ops = self._async_batch.ops = []
+        try:
+            yield
+        finally:
+            self._async_batch.ops = None
+            if ops:
+                self._enqueue_ops(ops)
 
     def _writer_loop(self) -> None:
+        """Apply the whole backlog per wake-up, in enqueue order."""
+        cond = self._async_cond
         while True:
-            item = self._async_queue.get()
-            if item is None:
-                return
-            self._async_paused.wait()
-            fn, args, kwargs = item
-            try:
-                fn(*args, **kwargs)
-            except Exception:  # never kill the writer; stats expose backlog
-                pass
-            finally:
-                self._async_applied += 1
-                self._async_queue.task_done()
+            with cond:
+                while not self._async_pending:
+                    if self._closed:
+                        return
+                    cond.wait()
+                ops, self._async_pending = self._async_pending, []
+            for fn, args, kwargs in ops:
+                self._async_paused.wait()
+                try:
+                    fn(*args, **kwargs)
+                except Exception:  # never kill the writer; stats expose backlog
+                    pass
+            with cond:
+                self._async_unapplied -= len(ops)
+                cond.notify_all()  # flush() may be waiting for zero
 
     def flush(self, timeout: Optional[float] = None) -> bool:
         """Drain the async write backlog.  Recovery calls this first so the
         tables reflect every write the dead driver managed to enqueue."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while self._async_queue.unfinished_tasks > 0:
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            if not self._async_paused.is_set():
-                return False  # paused writers never drain
-            time.sleep(0.001)
+        with self._async_cond:
+            while self._async_unapplied > 0:
+                if not self._async_paused.is_set():
+                    return False  # paused writers never drain
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                self._async_cond.wait(remaining)
         return True
 
     # Test hooks: freeze/thaw the writer to model a driver dying with
     # async control writes still in flight.
     def pause_async_writes(self) -> None:
         self._async_paused.clear()
+        with self._async_cond:
+            self._async_cond.notify_all()  # a waiting flush() must give up
 
     def resume_async_writes(self) -> None:
         self._async_paused.set()
@@ -589,7 +632,7 @@ class ControlStore:
             "max_shard_queue": max(s.max_waiting for s in self._shards),
             "contended_ops": sum(s.contended for s in self._shards),
             "event_log_len": sum(len(s.event_log) for s in self._shards),
-            "async_backlog": self._async_queue.qsize(),
+            "async_backlog": self._async_unapplied,
             "async_backlog_max": self._async_backlog_max,
             "generation": self._generation,
         }
@@ -651,9 +694,10 @@ class ControlStore:
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        with self._async_cond:
+            self._closed = True  # the writer drains what is pending, then exits
+            self._async_cond.notify_all()
         self._async_paused.set()
-        self._async_queue.put(None)
         self._writer.join(timeout=2.0)
         for shard in self._shards:
             if shard.wal_fd is not None:

@@ -13,7 +13,7 @@ makes the *live* backends equally inspectable:
   serialized or sent at record time.
 * Buffers flush *out-of-band*: workers piggyback their drained buffer
   on messages they already send (the trailing element of ``DONE`` /
-  ``RESULT`` / ``IDLE``, flushed alongside the batched submit notices),
+  ``RESULT``, flushed alongside the batched submit notices),
   agents piggyback on their heartbeat cadence, and an overflowing
   buffer rides a dedicated one-way ``SPANS`` frame.  A disabled
   recorder costs one attribute check per call site.
@@ -44,7 +44,7 @@ from typing import Any, Optional
 from repro.store.event_log import EventLog
 
 #: Per-process recorder buffer bound (spans).  Flushes happen far more
-#: often than this fills (every DONE/RESULT/IDLE/heartbeat), so at the
+#: often than this fills (every DONE/RESULT/heartbeat), so at the
 #: default size ``spans_dropped`` stays 0; the bound is the backstop
 #: that keeps a wedged process from growing without limit.
 DEFAULT_BUFFER_SPANS = 65536

@@ -2,9 +2,10 @@
 
 Each worker owns one duplex pipe.  In ``dispatch_mode="driver"`` traffic
 is strictly alternating from the worker's point of view: the driver
-sends a task; while executing it the worker may issue any number of
-*requests* (fetch an argument, submit a nested task, block in ``get``/
-``wait``, ``put`` a value, create or call an actor), each answered by
+sends a task (a ``TASK`` frame of one entry); while executing it the
+worker may issue any number of *requests* (fetch an argument, submit a
+nested task, block in ``get``/``wait``, ``put`` a value, create or call
+an actor), each answered by
 exactly one reply from the driver's per-worker service thread; the
 exchange ends with the worker's ``RESULT`` message.  Because the worker
 is single-threaded, requests never interleave — the protocol needs no
@@ -12,19 +13,50 @@ sequence numbers.
 
 ``dispatch_mode="bottom_up"`` (the two-level scheduling plane,
 :mod:`repro.sched_plane`) adds **one-way messages** in both directions
-on top of the same request/reply core.  The worker runs *sessions*: one
-driver ``TASK`` starts a session, during which the worker may execute
-any number of tasks from its own local queue, reporting each with a
-one-way ``DONE`` and announcing new locally-born work with one-way
-``SUBMIT_LOCAL`` notices; ``IDLE`` ends the session.  The driver's
-one-way messages (``STEAL_REQUEST``, ``CANCEL_NOTICE``, ``PLACED``) may
-arrive at the worker interleaved with request replies; the worker
-processes them at every pipe touch-point — before dispatching each
-local task, inside its reply-wait loop, and while idle.  Pipe FIFO
-ordering is the protocol's only synchronization: a ``SUBMIT_LOCAL``
-always precedes any ``DONE`` or ``STEAL_GRANT`` that mentions its task,
-so the driver's mirror of each worker queue is maintained in causal
-order.
+on top of the same request/reply core, and moves driver-born work in
+**dispatch frames**:
+
+* ``(TASK, [entry, ...], {function_id: code})`` — the driver ships a
+  *window* of tasks at once.  The worker runs the first entry
+  immediately and pushes the rest onto its own local queue, where they
+  are ordinary queue residents: a ``CANCEL_NOTICE`` drops them, a
+  ``STEAL_REQUEST`` may give them away, a blocked worker self-steals
+  them, and the driver mirrors them for crash re-homing exactly like
+  locally-born tasks.  Entries are the per-task payload dicts; the code
+  of a registered remote function crosses the wire **once per (worker,
+  function)** in the frame's function table and the worker keeps the
+  unpickled callable by ``function_id`` (payloads built elsewhere —
+  worker-born, spilled — still carry their own ``function_bytes``).
+* **The budget rule.**  A frame holds as many stateless tasks as fit
+  :data:`FRAME_BUDGET_S` of *estimated* work.  The estimate is the
+  execution time the worker measures and reports per completion, kept
+  per ``function_id`` (the median of the last few, so one sample that
+  caught a context switch does not shrink the next frames).  A backend
+  may also cap a frame's task count (``dist`` does, for now).  A
+  function with no estimate yet, or one estimated above the
+  budget, ships alone — the one-task-at-a-time exchange is simply the
+  window-of-one case.  Actor tasks always ship alone: their ordering
+  and their pinning leave nothing to window.
+* ``(DONE, [(task_id, [blob, ...], failed, exec_seconds), ...], idle)``
+  — the worker coalesces completions and flushes them at **three
+  points**: when its queue drains (``idle=True``: the session is over
+  and it parks awaiting the next frame), before any rpc request (so the
+  driver never serves a request with stale knowledge, and a blocked
+  worker holds nothing back), and at the first task boundary at least
+  :data:`FRAME_BUDGET_S` after the oldest buffered completion (so a
+  result waits at most one budget plus one task behind its frame
+  mates).  The driver applies a whole frame under one lock hold.
+
+Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices.
+The driver's one-way messages (``STEAL_REQUEST``, ``CANCEL_NOTICE``,
+``PLACED``) may arrive at the worker interleaved with request replies;
+the worker processes them at every pipe touch-point — before
+dispatching each local task, inside its reply-wait loop, and while
+idle.  Pipe FIFO ordering is the protocol's only synchronization: a
+``SUBMIT_LOCAL`` always precedes any ``DONE`` or ``STEAL_GRANT`` that
+mentions its task, and a ``CANCEL_NOTICE`` always follows the ``TASK``
+frame that shipped its task, so the driver's mirror of each worker
+queue is maintained in causal order.
 
 Messages are tuples ``(tag, *payload)``.  Everything crossing the pipe is
 picklable by construction: user *code* is pre-serialized with
@@ -44,8 +76,15 @@ from dataclasses import dataclass
 
 from repro.utils.ids import ObjectID
 
+#: Seconds of *estimated* work one bottom-up TASK frame may carry, and
+#: the longest a buffered completion waits for the next task boundary.
+FRAME_BUDGET_S = 0.001
+
 # -- driver -> worker ---------------------------------------------------
-TASK = "task"          # (TASK, payload_dict): execute one task
+TASK = "task"          # (TASK, [payload_dict, ...], {function_id: code}):
+                       # a dispatch frame — run the first entry now, queue
+                       # the rest; the table carries the code of registered
+                       # functions this worker has not been sent before
 SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
 # -- worker -> driver (task lifecycle) ----------------------------------
@@ -96,11 +135,12 @@ SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [notice, ...]): nested
                                # so the driver registers lineage/mirror
                                # state causally first; it acks the batch
                                # with one PLACED
-DONE = "done"          # (DONE, task_id, [blob, ...], failed): one task
-                       # finished (bottom-up RESULT: sessions run many
-                       # tasks, so the id rides along)
-IDLE = "idle"          # (IDLE,): local queue drained; session over — the
-                       # worker now blocks awaiting the next TASK
+DONE = "done"          # (DONE, [(task_id, [blob, ...], failed, exec_s),
+                       # ...], idle): coalesced completions (the bottom-up
+                       # RESULT).  idle=True: the local queue drained, the
+                       # session is over, the worker parks awaiting the
+                       # next TASK frame; the list may then be empty
+                       # (everything shipped was stolen or cancelled)
 STEAL_GRANT = "steal_grant"  # (STEAL_GRANT, [task_id, ...]): the worker
                              # (sole owner of its queue) gives away the
                              # tail of its local queue; the driver
@@ -109,7 +149,7 @@ STEAL_GRANT = "steal_grant"  # (STEAL_GRANT, [task_id, ...]): the worker
 
 # -- the tracing plane (init(..., tracing=True)) ------------------------
 # Span records normally piggyback on messages the worker already sends:
-# DONE, RESULT, and IDLE each grow one OPTIONAL trailing element — an
+# DONE and RESULT each grow one OPTIONAL trailing element — an
 # "obs blob" (send_monotonic, [(t, kind, payload), ...], dropped_total)
 # appended only when the worker's SpanRecorder has something to flush.
 # Receivers index those messages positionally from the front, so the

@@ -49,7 +49,10 @@ Architecture (one instance = one pool):
   *global tier* — it places driver-born and spilled work with a
   locality-aware :class:`~repro.scheduling.policies.PlacementPolicy`
   (preferring the worker that already holds the largest resident
-  argument bytes), brokers idle-worker work stealing
+  argument bytes), ships it in **dispatch frames** (a window of tasks
+  bounded by estimated service time per ``TASK`` message, completions
+  coalesced per ``DONE`` message — :mod:`repro.proc.messages`), brokers
+  idle-worker work stealing
   (:class:`~repro.scheduling.policies.StealPolicy`; the victim's grant
   is authoritative, so a stolen task provably runs exactly once), and
   re-homes queued or mid-steal tasks when their worker crashes.  Both
@@ -160,6 +163,22 @@ _STEAL_POLL_INTERVAL = 0.02
 _IDLE_WAIT_BACKSTOP = 1.0
 _BLOCKED_WAIT_BACKSTOP = 0.25
 
+#: Floor on a task's estimated cost when sizing a dispatch frame: the
+#: measured execution time of a no-op excludes the per-task dispatch
+#: work around it, and an estimate near zero would let one frame swallow
+#: an entire fan-out.
+_MIN_TASK_ESTIMATE_S = 20e-6
+
+#: How many of a function's latest reported execution times its estimate
+#: is the median of.  Workers time tasks by the wall clock, so on a busy
+#: host a sample now and then includes a context switch and reads ten to
+#: a hundred times too long; the median ignores those, where an estimate
+#: that followed them would shrink the next few frames to one or two
+#: tasks.  It follows a function that really got slower within three
+#: completions — at once when a single run exceeds the whole frame
+#: budget (see ``_finish_done``).
+_ESTIMATE_WINDOW = 5
+
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
 #: budget reserves address space, not resident memory.
@@ -201,16 +220,22 @@ class _WorkerHandle:
     #: Actor tasks pinned to this worker (its actors' constructors and
     #: method calls); drained before the shared queue.
     pinned: deque = field(default_factory=deque)
-    #: Stack of specs executing in the child: the task it was handed plus
-    #: any pinned actor tasks running reentrantly while it blocks.
-    inflight: list = field(default_factory=list)
+    #: Specs the child was handed to *run*, by task id in hand-over
+    #: order (so the values read as its stack): the head of the frame it
+    #: is working through plus any tasks running reentrantly while that
+    #: one blocks.
+    inflight: dict = field(default_factory=dict)
     #: Bottom-up mode: stateless tasks the driver tier placed here
     #: (locality-aware), shipped when the worker next idles.
     placed: deque = field(default_factory=deque)
     #: Bottom-up mode: the driver's mirror of the worker's own local
-    #: queue, built from SUBMIT_LOCAL notices in pipe order — the state
-    #: that makes stolen and crashed local tasks recoverable.
+    #: queue — locally-born tasks (SUBMIT_LOCAL notices, in pipe order)
+    #: and the tails of the TASK frames shipped to it — the state that
+    #: makes stolen and crashed queued tasks recoverable.
     mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
+    #: Registered functions whose code this worker process already
+    #: received in a frame's function table.
+    functions_sent: set = field(default_factory=set)
     #: Serializes driver->worker sends: replies from the service thread
     #: interleave with steal requests and cancel notices sent by *other*
     #: threads on the same pipe.
@@ -219,8 +244,8 @@ class _WorkerHandle:
     #: flushed (in order, ahead of the next message) by the service
     #: thread's next lock-free send.
     outbox: deque = field(default_factory=deque)
-    #: Bottom-up session state: True between shipping a TASK and the
-    #: worker's IDLE.  Only busy workers are steal victims.
+    #: Bottom-up session state: True from claiming a frame for the
+    #: worker until its idle DONE.  Only busy workers are steal victims.
     busy: bool = False
     #: An un-answered STEAL_REQUEST is outstanding for this victim.
     steal_outstanding: bool = False
@@ -231,6 +256,10 @@ class _WorkerHandle:
 
 class ProcRuntime:
     """Multiprocess implementation of the backend protocol."""
+
+    #: The most tasks one dispatch frame carries, whatever the frame
+    #: budget would allow.  The pipe backend leaves it to the budget.
+    _FRAME_MAX_TASKS = 1 << 30
 
     def __init__(
         self,
@@ -331,6 +360,11 @@ class ProcRuntime:
         #: Worker-born task payloads by task id (from SUBMIT_LOCAL
         #: notices): what a thief executes and what crash replay reships.
         self._payloads: dict[Any, dict] = {}
+        #: Estimated execution seconds per registered function — the
+        #: median of the latest times workers reported for it in DONE
+        #: frames: what sizes a frame.
+        self._exec_estimate: dict[FunctionID, float] = {}
+        self._exec_samples: dict[FunctionID, deque] = {}
         self._spawn_count = 0
 
         self._lock = threading.RLock()
@@ -1096,9 +1130,13 @@ class ProcRuntime:
         go first, so a deferred CANCEL_NOTICE still precedes the reply
         of the rpc whose handler queued it."""
         with worker.send_lock:
-            while worker.outbox:
-                worker.conn.send(worker.outbox.popleft())
-            worker.conn.send(message)
+            self._send_held(worker, message)
+
+    def _send_held(self, worker: _WorkerHandle, message: tuple) -> None:
+        """:meth:`_send` for a caller that already holds ``send_lock``."""
+        while worker.outbox:
+            worker.conn.send(worker.outbox.popleft())
+        worker.conn.send(message)
 
     def _send_control(self, worker: _WorkerHandle, message: tuple) -> None:
         """A one-way control send that NEVER blocks — safe under the
@@ -1149,22 +1187,45 @@ class ProcRuntime:
             while True:
                 if self.closed or not worker.alive:
                     return None
-                spec = None
-                if worker.pinned:
-                    spec = worker.pinned.popleft()
-                elif self._queue:
-                    spec = self._queue.popleft()
+                spec = self._pop_runnable(worker)
+                if spec is not None:
+                    return spec
+                self._cond.wait()
+
+    def _pop_runnable(
+        self,
+        worker: _WorkerHandle,
+        *,
+        pinned_only: bool = False,
+        raid: bool = False,
+    ) -> Optional[TaskSpec]:
+        """The next spec this worker may run, or None (lock held): its
+        pinned actor tasks first, then — unless ``pinned_only`` — its
+        placed queue and the global queue, then — ``raid`` — another
+        worker's placed queue.  A task cancelled while queued is dropped
+        here and never shipped; actor tasks pass their pre-dispatch
+        checks."""
+        while True:
+            if worker.pinned:
+                spec = worker.pinned.popleft()
+            elif pinned_only:
+                return None
+            elif worker.placed:
+                spec = worker.placed.popleft()
+            elif self._queue:
+                spec = self._queue.popleft()
+            else:
+                spec = self._steal_placed(worker) if raid else None
                 if spec is None:
-                    self._cond.wait()
+                    return None
+            if self._lifecycle.is_cancelled(spec.task_id):
+                self._payloads.pop(spec.task_id, None)
+                continue
+            if spec.actor_id is not None:
+                spec = self._claim_actor_spec(worker, spec)
+                if spec is None:
                     continue
-                if self._lifecycle.is_cancelled(spec.task_id):
-                    continue  # cancelled while queued: never ship it
-                if spec.actor_id is not None:
-                    spec = self._claim_actor_spec(worker, spec)
-                    if spec is None:
-                        continue
-                worker.inflight.append(spec)
-                return spec
+            return spec
 
     def _claim_actor_spec(
         self, worker: _WorkerHandle, spec: TaskSpec
@@ -1224,69 +1285,95 @@ class ProcRuntime:
 
     def _service_loop_bottom_up(self, worker: _WorkerHandle) -> None:
         """The driver tier's per-worker loop in bottom-up mode: hand the
-        idle worker one task to open a *session*, then serve everything
-        the session produces (rpc requests, SUBMIT_LOCAL notices, DONE
-        reports, steal grants) until the worker reports IDLE."""
+        idle worker one TASK frame to open a *session*, then serve
+        everything the session produces (rpc requests, SUBMIT_LOCAL
+        notices, DONE frames, steal grants) until the worker reports its
+        queue drained."""
         while True:
-            spec = self._next_task_bottom_up(worker)
-            if spec is None:
+            frame = self._next_frame(worker)
+            if frame is None:
                 try:
                     self._send(worker, (msg.SHUTDOWN,))
                 except OSError:
                     pass
                 return
             try:
-                self._run_session(worker, spec)
+                self._run_session(worker, frame)
             except (EOFError, OSError) as exc:
-                # No extra spec here: unlike driver mode, the session
-                # opener may already be DONE (popped from inflight) with
-                # the worker deep in its local queue — the inflight
-                # stack plus the mirror are exactly what died.
+                # No extra spec here: the inflight table plus the mirror
+                # are exactly what died with the worker (a frame that
+                # never reached the pipe was never registered in either).
                 self._handle_worker_crash(worker, None, exc)
                 return  # a replacement thread owns the slot now
 
-    def _next_task_bottom_up(self, worker: _WorkerHandle) -> Optional[TaskSpec]:
-        """Block until this worker has work (or shutdown): its pinned
-        actors first, then its placed queue, then the global spillover
-        queue — and, failing all three, *steal*: raid another worker's
-        placed queue directly, or ask a busy worker to give up the tail
-        of its local queue (answered asynchronously by a STEAL_GRANT)."""
+    def _next_frame(self, worker: _WorkerHandle) -> Optional[list]:
+        """Block until this worker has work (or shutdown) and claim one
+        frame of it: its pinned actors first, then its placed queue,
+        then the global spillover queue — and, failing all three,
+        *steal*: raid another worker's placed queue directly, or ask a
+        busy worker to give up the tail of its local queue (answered
+        asynchronously by a STEAL_GRANT)."""
         with self._cond:
             while True:
                 if self.closed or not worker.alive:
                     return None
-                spec = None
-                if worker.pinned:
-                    spec = worker.pinned.popleft()
-                elif worker.placed:
-                    spec = worker.placed.popleft()
-                elif self._queue:
-                    spec = self._queue.popleft()
-                else:
-                    spec = self._steal_placed(worker)
-                if spec is None:
-                    sent = self._request_remote_steal(worker)
-                    # Grants/submits/arrivals all notify the cond; the
-                    # timeout is a backstop, not the steal clock.  Only a
-                    # freshly-sent steal request warrants a short backstop
-                    # (the grant lands on the victim's pipe, not ours) —
-                    # a truly idle worker can sleep until notified.
-                    self._cond.wait(
-                        timeout=10 * _STEAL_POLL_INTERVAL
-                        if sent
-                        else _IDLE_WAIT_BACKSTOP
-                    )
-                    continue
-                if self._lifecycle.is_cancelled(spec.task_id):
-                    self._payloads.pop(spec.task_id, None)
-                    continue  # cancelled while queued: never ship it
-                if spec.actor_id is not None:
-                    spec = self._claim_actor_spec(worker, spec)
-                    if spec is None:
-                        continue
-                worker.inflight.append(spec)
-                worker.busy = True
-                return spec
+                frame = self._claim_frame(worker)
+                if frame:
+                    worker.busy = True
+                    return frame
+                sent = self._request_remote_steal(worker)
+                # Grants/submits/arrivals all notify the cond; the
+                # timeout is a backstop, not the steal clock.  Only a
+                # freshly-sent steal request warrants a short backstop
+                # (the grant lands on the victim's pipe, not ours) —
+                # a truly idle worker can sleep until notified.
+                self._cond.wait(
+                    timeout=10 * _STEAL_POLL_INTERVAL
+                    if sent
+                    else _IDLE_WAIT_BACKSTOP
+                )
+
+    def _claim_frame(self, worker: _WorkerHandle) -> list:
+        """Pop the specs of this worker's next TASK frame (lock held).
+
+        The head is whatever it would have been handed alone; stateless
+        tasks queued behind it ride along while the frame's *estimated*
+        work stays within ``FRAME_BUDGET_S`` (and the frame within the
+        backend's ``_FRAME_MAX_TASKS``).  An actor task, a function
+        with no estimate yet, or one estimated over the budget therefore
+        ships alone."""
+        head = self._pop_runnable(worker, raid=True)
+        if head is None:
+            return []
+        frame = [head]
+        spent = self._estimate(head)
+        while (
+            spent is not None
+            and spent < msg.FRAME_BUDGET_S
+            and len(frame) < self._FRAME_MAX_TASKS
+        ):
+            source = worker.placed or self._queue
+            if not source:
+                break
+            cost = self._estimate(source[0])
+            if cost is None or spent + cost > msg.FRAME_BUDGET_S:
+                break
+            spec = source.popleft()
+            if not self._lifecycle.is_cancelled(spec.task_id):
+                frame.append(spec)
+                spent += cost
+        return frame
+
+    def _estimate(self, spec: TaskSpec) -> Optional[float]:
+        """Estimated execution seconds of one task for frame sizing, or
+        None when there is nothing to go on (actor tasks, functions not
+        yet seen to complete, worker-born one-off function ids)."""
+        if spec.actor_id is not None:
+            return None
+        estimate = self._exec_estimate.get(spec.function_id)
+        if estimate is None:
+            return None
+        return max(estimate, _MIN_TASK_ESTIMATE_S)
 
     def _steal_placed(self, thief: _WorkerHandle) -> Optional[TaskSpec]:
         """Driver-side steal: move one task from the longest placed
@@ -1362,12 +1449,10 @@ class ProcRuntime:
     def _handle_async_report(self, worker: _WorkerHandle, message: tuple) -> bool:
         """One arm for the one-way worker reports every bottom-up
         serving loop shares; False if the message was something else
-        (an rpc request, or IDLE — the callers' loop-exit conditions)."""
+        (an rpc request)."""
         tag = message[0]
         if tag == msg.DONE:
-            if len(message) > 4:  # optional trailing obs blob
-                self._ingest_worker_obs(worker, message[4])
-            self._finish_done(worker, message[1], message[2], message[3])
+            self._apply_done_frame(worker, message)
         elif tag == msg.SUBMIT_LOCAL:
             self._register_local_submit(worker, message[1])
         elif tag == msg.STEAL_GRANT:
@@ -1393,40 +1478,110 @@ class ProcRuntime:
                 extra=self._obs_worker_extra(worker),
             )
 
-    def _fail_payload(
-        self, worker: _WorkerHandle, spec: TaskSpec, exc: BaseException
-    ) -> None:
+    def _fail_payload(self, spec: TaskSpec, exc: BaseException) -> None:
         """A task whose payload could not be built (lost argument,
         unpicklable code) resolves to an error value in every slot."""
         with self._cond:
-            worker.inflight.remove(spec)
             data = serialize(error_value_from(spec, exc))
             for object_id in spec.all_return_ids():
                 self._store_bytes(object_id, data)
 
-    def _run_session(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Ship one task and serve the whole session it opens."""
+    def _ship_frame(self, worker: _WorkerHandle, specs: list) -> bool:
+        """Build, register and send one TASK frame; False if nothing was
+        left to send.
+
+        Until this point the specs were owned by the calling service
+        thread alone (popped from every queue, registered nowhere).  A
+        payload that cannot be built resolves its task to an error; a
+        task cancelled in the meantime is dropped, unshipped.  The rest
+        become the worker's: the head joins its ``inflight`` table (it
+        runs on arrival), the tail its mirror (queued there, and from
+        now on stealable, cancellable, re-homable).  Registration and
+        taking the pipe's send lock happen under one hold of the runtime
+        lock, so a CANCEL_NOTICE for a mirrored task can only ever
+        follow the frame that carries it."""
+        functions: dict = {}
+        built = []
+        for spec in specs:
+            try:
+                built.append((spec, self._build_payload(spec, worker, functions)))
+            except (TypeError, ReproError) as exc:
+                self._fail_payload(spec, exc)
+        with self._cond:
+            if self.closed:
+                return False
+            if not worker.alive:
+                # The worker died under us (dist: its node's link).
+                # Nothing was sent, so nothing is lost: back to the plane.
+                for spec, _payload in built:
+                    self._enqueue(spec)
+                self._cond.notify_all()
+                return False
+            shipped = []
+            for spec, payload in built:
+                if self._lifecycle.is_cancelled(spec.task_id):
+                    self._payloads.pop(spec.task_id, None)
+                else:
+                    shipped.append((spec, payload))
+            if not shipped:
+                return False
+            head = shipped[0][0]
+            worker.inflight[head.task_id] = head
+            for spec, _payload in shipped[1:]:
+                worker.mirror.push(spec.task_id, spec)
+            if self.dispatch_mode == "bottom_up":
+                self._sched.frames_sent += 1
+                self._sched.tasks_shipped += len(shipped)
+                if self._obs.enabled:
+                    self._obs.record(
+                        "task_frame",
+                        worker=f"worker-{worker.index}",
+                        size=len(shipped),
+                        est_ms=1e3 * sum(
+                            self._estimate(spec) or 0.0 for spec, _ in shipped
+                        ),
+                    )
+            worker.send_lock.acquire()
         try:
-            payload = self._build_payload(spec, worker)
-        except (TypeError, ReproError) as exc:
-            self._fail_payload(worker, spec, exc)
+            worker.functions_sent.update(functions)
+            self._send_held(
+                worker,
+                (msg.TASK, [payload for _spec, payload in shipped], functions),
+            )
+        finally:
+            worker.send_lock.release()
+        return True
+
+    def _run_session(self, worker: _WorkerHandle, frame: list) -> None:
+        """Ship one frame and serve the whole session it opens."""
+        if not self._ship_frame(worker, frame):
             with self._cond:
                 worker.busy = False
+                self._cond.notify_all()
             return
-        self._send(worker, (msg.TASK, payload))
         while True:
             self._flush_outbox(worker)
             message = worker.conn.recv()
-            if self._handle_async_report(worker, message):
-                continue
-            if message[0] == msg.IDLE:
-                if len(message) > 1:  # optional trailing obs blob
-                    self._ingest_worker_obs(worker, message[1])
-                with self._cond:
-                    worker.busy = False
-                    self._cond.notify_all()
-                return
-            self._serve_rpc(worker, message)
+            if not self._handle_async_report(worker, message):
+                self._serve_rpc(worker, message)
+            elif message[0] == msg.DONE and message[2]:
+                return  # the worker's queue drained: session over
+
+    def _apply_done_frame(self, worker: _WorkerHandle, message: tuple) -> None:
+        """One DONE frame: every completion it carries, the session end
+        if it says so, and the control-store writes they cause — under
+        one hold of the runtime lock, with one wake-up of whoever waits
+        on it and one enqueue into the control store's writer."""
+        completions, idle = message[1], message[2]
+        if len(message) > 3:  # optional trailing obs blob
+            self._ingest_worker_obs(worker, message[3])
+        with self._cond, self._control.async_batch():
+            self._sched.done_frames += 1
+            for task_id, blobs, failed, exec_seconds in completions:
+                self._finish_done(worker, task_id, blobs, failed, exec_seconds)
+            if idle:
+                worker.busy = False
+            self._cond.notify_all()
 
     def _register_local_submit(self, worker: _WorkerHandle, notices: list) -> None:
         """A worker kept nested tasks on its own queue (the fast path);
@@ -1435,7 +1590,7 @@ class ProcRuntime:
         Pipe FIFO guarantees this runs before any DONE or STEAL_GRANT
         mentioning any of the tasks."""
         placed_ids = []
-        with self._cond:
+        with self._cond, self._control.async_batch():
             for notice in notices:
                 payload = notice["payload"]
                 spec = TaskSpec(
@@ -1493,17 +1648,19 @@ class ProcRuntime:
             self._cond.notify_all()
 
     def _finish_done(
-        self, worker: _WorkerHandle, task_id: Any, blobs: list, failed: bool
+        self,
+        worker: _WorkerHandle,
+        task_id: Any,
+        blobs: list,
+        failed: bool,
+        exec_seconds: float,
     ) -> None:
-        """One DONE report: resolve the task id against the worker's
-        inflight stack (driver-shipped) or its mirror (locally-born)."""
+        """One completion of a DONE frame: resolve the task id against
+        the worker's inflight table (handed over to run) or its mirror
+        (queued there: locally-born, or shipped ahead in a frame)."""
         with self._cond:
-            spec = next(
-                (s for s in worker.inflight if s.task_id == task_id), None
-            )
-            if spec is not None:
-                worker.inflight.remove(spec)
-            else:
+            spec = worker.inflight.pop(task_id, None)
+            if spec is None:
                 spec = worker.mirror.remove(task_id)
             self._payloads.pop(task_id, None)
             if spec is None:
@@ -1515,6 +1672,20 @@ class ProcRuntime:
                         if isinstance(blob, ShmDescriptor):
                             self._shm.abort(blob.object_id)
                 return
+            if spec.function_id in self._functions:
+                recent = self._exec_samples.get(spec.function_id)
+                if recent is None:
+                    recent = self._exec_samples[spec.function_id] = (
+                        deque(maxlen=_ESTIMATE_WINDOW)
+                    )
+                recent.append(exec_seconds)
+                # The upper median: with an even count it errs high.
+                estimate = sorted(recent)[len(recent) // 2]
+                if exec_seconds >= msg.FRAME_BUDGET_S:
+                    # A run that filled a frame's budget by itself is
+                    # believed at once: the cost may follow the arguments.
+                    estimate = max(estimate, exec_seconds)
+                self._exec_estimate[spec.function_id] = estimate
             self._finish_spec(worker, spec, blobs, failed)
 
     def _drain_worker_messages(self, worker: _WorkerHandle) -> None:
@@ -1546,12 +1717,8 @@ class ProcRuntime:
 
         Pipe failures propagate to the caller (crash handling); anything
         unserializable resolves the task to an error value instead."""
-        try:
-            payload = self._build_payload(spec, worker)
-        except (TypeError, ReproError) as exc:
-            self._fail_payload(worker, spec, exc)
+        if not self._ship_frame(worker, [spec]):
             return
-        self._send(worker, (msg.TASK, payload))
         while True:
             message = worker.conn.recv()
             if message[0] == msg.RESULT:
@@ -1565,34 +1732,36 @@ class ProcRuntime:
             self._serve_rpc(worker, message)
 
     def _dispatch_nested(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Run one pinned actor task *inside* a worker that is currently
-        blocked awaiting an RPC reply (it executes reentrantly there)."""
-        with self._cond:
-            worker.inflight.append(spec)
+        """Run one task *inside* a worker that is currently blocked
+        awaiting an RPC reply (it executes reentrantly there)."""
         if self.dispatch_mode != "bottom_up":
             self._execute_remote(worker, spec)
             return
-        # Bottom-up: same injection, but completions are DONE reports
-        # and the blocked worker may interleave notices and grants.
-        try:
-            payload = self._build_payload(spec, worker)
-        except (TypeError, ReproError) as exc:
-            self._fail_payload(worker, spec, exc)
+        # Bottom-up: a frame of one, reported in a DONE frame the
+        # blocked worker sends at once; it may interleave notices and
+        # grants meanwhile.
+        if not self._ship_frame(worker, [spec]):
             return
-        self._send(worker, (msg.TASK, payload))
         while True:
             self._flush_outbox(worker)
             message = worker.conn.recv()
-            if message[0] == msg.DONE and message[1] == spec.task_id:
-                if len(message) > 4:  # optional trailing obs blob
-                    self._ingest_worker_obs(worker, message[4])
-                self._finish_done(worker, message[1], message[2], message[3])
-                return
             if not self._handle_async_report(worker, message):
                 self._serve_rpc(worker, message)
+            elif message[0] == msg.DONE and any(
+                done[0] == spec.task_id for done in message[1]
+            ):
+                return
 
-    def _build_payload(self, spec: TaskSpec, worker: _WorkerHandle) -> dict:
-        """Resolve ref arguments into inline blobs or store markers.
+    def _build_payload(
+        self, spec: TaskSpec, worker: _WorkerHandle, functions: dict
+    ) -> dict:
+        """One frame entry: resolve ref arguments into inline blobs or
+        store markers, and see to it that the worker has the code.
+
+        A registered remote function's code goes into ``functions`` (the
+        frame's function table) unless this worker was already sent it;
+        anything else — actor constructors, the one-off function ids of
+        spilled submissions — rides in the entry itself.
 
         Worker-born tasks (bottom-up fast path) already carry their
         payload — built by the submitting worker and mirrored here via
@@ -1607,36 +1776,7 @@ class ProcRuntime:
             def slot(value: Any) -> Any:
                 if not isinstance(value, ObjectRef):
                     return value
-                if self._shm is not None:
-                    described = self._shm.describe(value.object_id)
-                    if described is not None:
-                        # Shared-memory resident: the descriptor itself
-                        # rides in the SlotRef — the worker attaches and
-                        # reads zero-copy with no extra round trip.
-                        segment, shm_slot, size = described
-                        self._acct_shm.record_zero_copy(size)
-                        self._residency.record(
-                            worker.index, value.object_id, size
-                        )
-                        return SlotRef(
-                            value.object_id,
-                            shm=ShmDescriptor(
-                                value.object_id, segment, shm_slot, size
-                            ),
-                        )
-                data = self._store.get(value.object_id)
-                if data is None:
-                    raise ObjectLostError(
-                        f"argument object {value.object_id} is no longer in "
-                        "the driver store"
-                    )
-                if should_inline(len(data), self._inline_threshold):
-                    inline[value.object_id] = data
-                    self._acct_inline.record(len(data))
-                else:
-                    self._acct_stored.record(len(data))
-                self._residency.record(worker.index, value.object_id, len(data))
-                return SlotRef(value.object_id)
+                return self._arg_slot(value.object_id, worker, inline)
 
             args_template = tuple(slot(value) for value in spec.args)
             kwargs_template = {
@@ -1662,9 +1802,44 @@ class ProcRuntime:
             payload["resources"] = spec.resources
             if spec.actor_method == CREATION_METHOD:
                 payload["function_bytes"] = self._function_bytes(spec)
-        else:
+        elif spec.function_id not in self._functions:
             payload["function_bytes"] = self._function_bytes(spec)
+        elif spec.function_id not in worker.functions_sent:
+            functions[spec.function_id] = self._function_bytes(spec)
         return payload
+
+    def _arg_slot(
+        self, object_id: ObjectID, worker: _WorkerHandle, inline: dict
+    ) -> SlotRef:
+        """The wire form of one ref argument (lock held): its bytes join
+        ``inline`` when small; large ones stay put for the worker to
+        attach (shm) or fetch."""
+        if self._shm is not None:
+            described = self._shm.describe(object_id)
+            if described is not None:
+                # Shared-memory resident: the descriptor itself rides in
+                # the SlotRef — the worker attaches and reads zero-copy
+                # with no extra round trip.
+                segment, shm_slot, size = described
+                self._acct_shm.record_zero_copy(size)
+                self._residency.record(worker.index, object_id, size)
+                return SlotRef(
+                    object_id,
+                    shm=ShmDescriptor(object_id, segment, shm_slot, size),
+                )
+        data = self._store.get(object_id)
+        if data is None:
+            raise ObjectLostError(
+                f"argument object {object_id} is no longer in "
+                "the driver store"
+            )
+        if should_inline(len(data), self._inline_threshold):
+            inline[object_id] = data
+            self._acct_inline.record(len(data))
+        else:
+            self._acct_stored.record(len(data))
+        self._residency.record(worker.index, object_id, len(data))
+        return SlotRef(object_id)
 
     def _function_bytes(self, spec: TaskSpec) -> bytes:
         cached = self._fn_cache.get(spec.function_id)
@@ -1685,7 +1860,7 @@ class ProcRuntime:
         self, worker: _WorkerHandle, spec: TaskSpec, blobs: list, failed: bool
     ) -> None:
         with self._cond:
-            worker.inflight.remove(spec)
+            worker.inflight.pop(spec.task_id, None)
             self._finish_spec(worker, spec, blobs, failed)
 
     def _finish_spec(
@@ -1990,29 +2165,10 @@ class ProcRuntime:
                 while True:
                     if predicate():
                         return True
-                    if worker.pinned:
-                        claimed = self._claim_actor_spec(
-                            worker, worker.pinned.popleft()
-                        )
-                        if claimed is not None:
-                            nested = claimed
-                            break
-                        continue
-                    if bottom_up and (worker.placed or self._queue):
-                        spec = (
-                            worker.placed.popleft()
-                            if worker.placed
-                            else self._queue.popleft()
-                        )
-                        if self._lifecycle.is_cancelled(spec.task_id):
-                            self._payloads.pop(spec.task_id, None)
-                            continue
-                        if spec.actor_id is not None:
-                            claimed = self._claim_actor_spec(worker, spec)
-                            if claimed is None:
-                                continue
-                            spec = claimed
-                        nested = spec
+                    nested = self._pop_runnable(
+                        worker, pinned_only=not bottom_up
+                    )
+                    if nested is not None:
                         break
                     remaining = None
                     if deadline is not None:
@@ -2202,15 +2358,19 @@ class ProcRuntime:
             worker.alive = False
             # Everything on the reentrant stack died with the process, not
             # just the spec the crashing frame was driving.
-            doomed = list(worker.inflight)
+            doomed = list(worker.inflight.values())
             if inflight is not None and inflight not in doomed:
                 doomed.append(inflight)
             worker.inflight.clear()
             # Bottom-up: the worker's local queue died with it, but the
             # mirror has every task (SUBMIT_LOCAL precedes everything
-            # else on the pipe) and _payloads still holds their shipped
-            # forms — re-home them through the same lineage-replay gate
-            # as the in-flight stack.  This also covers tasks mid-steal:
+            # else on the pipe, frame tails are mirrored before the frame
+            # is sent) and _payloads still holds the worker-born ones'
+            # shipped forms — re-home them through the same
+            # lineage-replay gate as the in-flight stack: a shipped-ahead
+            # task may have run to completion with its report still
+            # buffered in the dead process, so each counts as a replay.
+            # This also covers tasks mid-steal:
             # a grant the victim never delivered leaves them in the
             # mirror, so they are re-homed here instead of lost.
             for _task_id, mirrored in worker.mirror.drain():

@@ -27,16 +27,20 @@ resident here (argument cache, own shared-memory descriptors) builds
 its spec *locally* — the worker allocates task and object ids from its
 own collision-free namespace — enqueues it to itself, and tells the
 driver with a one-way ``SUBMIT_LOCAL`` notice: **zero driver
-round-trips** on the submission path.  The worker drains this queue
-between driver tasks, answers ``STEAL_REQUEST``\\ s by granting the
-tail of the queue (ownership makes the grant race-free: what it gives
-away it provably never runs), and honors ``CANCEL_NOTICE`` tombstones
-before dispatching each local task.
+round-trips** on the submission path.  Driver-born work arrives in
+``TASK`` frames whose tail lands on the same queue (shipped ahead of
+need), and completions go back coalesced in ``DONE`` frames — see
+:mod:`repro.proc.messages` for the frame protocol.  The worker drains
+the queue until it is empty, answers ``STEAL_REQUEST``\\ s by granting
+the tail of the queue (ownership makes the grant race-free: what it
+gives away it provably never runs), and honors ``CANCEL_NOTICE``
+tombstones before dispatching each local task.
 """
 
 from __future__ import annotations
 
 import inspect
+import threading
 import time
 from typing import Any, Optional, Sequence
 
@@ -67,6 +71,10 @@ from repro.proc.transport import ensure_transport
 from repro.scheduling.policies import SpilloverPolicy
 from repro.sched_plane.queues import LocalTaskQueue
 from repro.utils.ids import IDGenerator, NodeID, ObjectID
+
+#: How long a buffered completion may wait for the next task boundary
+#: before the watchdog thread sends it (see ``ProcWorker._watch_done``).
+_DONE_WATCHDOG_S = 0.005
 
 #: Fast-path backpressure: the most locally-born tasks whose lineage
 #: registration (PLACED ack) may be outstanding before new nested
@@ -316,6 +324,21 @@ class ProcWorker:
         self._pending_notices: list = []
         #: Per-callable serialized-code cache for nested submissions.
         self._fn_bytes: dict = {}
+        #: Registered remote functions by ``function_id``: the code a
+        #: TASK frame's function table delivered (once per worker),
+        #: replaced on first use by the callable unpickled from it.
+        self._functions: dict = {}
+        #: Bottom-up completions not yet reported — ``(task_id, blobs,
+        #: failed, exec_seconds)`` — and when the oldest was buffered.
+        self._done: list = []
+        self._done_since = 0.0
+        #: Guards the pipe's send side and the two outbound buffers
+        #: (``_pending_notices``, ``_done``): the watchdog thread flushes
+        #: them while this process's only other thread is inside a task.
+        self._out_lock = threading.RLock()
+        #: Set when completions are held across the start of another
+        #: task: what the watchdog sleeps on.
+        self._done_armed = threading.Event()
         #: Shared-memory descriptors this process has seen (attached
         #: arguments, sealed puts/results).  Sealed objects are pinned
         #: driver-side, so a remembered descriptor stays valid for the
@@ -344,7 +367,7 @@ class ProcWorker:
         self._shm_holds: list[list] = []
         #: The tracing plane's per-process buffer (no-op unless
         #: ``tracing=True`` was threaded down from init).  Flushed as a
-        #: trailing element on DONE/RESULT/IDLE and, when large, as a
+        #: trailing element on DONE/RESULT and, when large, as a
         #: dedicated SPANS frame at the next rpc.
         self.obs = SpanRecorder(enabled=tracing)
         #: Trace context of the innermost executing task (saved/restored
@@ -464,21 +487,20 @@ class ProcWorker:
         only be runnable here.  Those run reentrantly on this stack —
         the process was idle-blocked anyway — and the exchange then
         resumes.  This is the proc analogue of blocked sim workers
-        releasing their resource slots (R3)."""
-        self._flush_notices()
+        releasing their resource slots (R3).
+
+        Buffered completions go out first: the driver must not serve a
+        request — least of all a blocking one — while this worker still
+        holds results it has not reported."""
+        self._flush_done()
         if self.obs.should_flush():
             self._flush_spans()
-        self.conn.send((tag,) + parts)
+        self._send((tag,) + parts)
         while True:
             reply = self.conn.recv()
             if reply[0] == msg.TASK:
-                payload = reply[1]
-                data, failed = self.execute(payload)
-                if self.dispatch_mode == "bottom_up":
-                    self._flush_notices()
-                    self._send_done(payload["task_id"], data, failed)
-                else:
-                    self._send_result(data, failed)
+                self._run_frame(reply)
+                self._flush_done()  # the driver is waiting on this one
                 continue
             if self._handle_control(reply):
                 continue
@@ -489,38 +511,67 @@ class ProcWorker:
     # ------------------------------------------------------------------
     # Tracing-aware sends
     # ------------------------------------------------------------------
-    # The recorder piggybacks on messages the worker sends anyway: DONE /
-    # RESULT / IDLE grow an optional trailing obs blob (receivers index
+    # The recorder piggybacks on messages the worker sends anyway: DONE
+    # and RESULT grow an optional trailing obs blob (receivers index
     # from the front, so tracing-off wire shapes are byte-identical).
     # With tracing off, drain() returns None and these collapse to the
     # plain sends.
 
-    def _send_done(self, task_id, data, failed) -> None:
-        blob = self.obs.drain()
-        if blob is not None:
-            self.conn.send((msg.DONE, task_id, data, failed, blob))
-        else:
-            self.conn.send((msg.DONE, task_id, data, failed))
+    def _send(self, message: tuple) -> None:
+        with self._out_lock:
+            self.conn.send(message)
+
+    def _flush_done(self, idle: bool = False) -> None:
+        """Report buffered completions in one DONE frame (``idle`` also
+        closes the session).  Notices go first, always: by pipe FIFO the
+        driver registers a locally-born task before it can see the
+        task's completion or any request in which its ref could
+        escape."""
+        with self._out_lock:
+            self._flush_notices()
+            if not (self._done or idle):
+                return
+            completions, self._done = self._done, []
+            blob = self.obs.drain()
+            if blob is not None:
+                self.conn.send((msg.DONE, completions, idle, blob))
+            else:
+                self.conn.send((msg.DONE, completions, idle))
+
+    def _watch_done(self) -> None:
+        """The watchdog thread of bottom-up mode.
+
+        Completions are buffered on the expectation that another task
+        boundary follows within the frame budget.  A task that breaks
+        it — mispredicted, blocked, or waiting on something the driver
+        only does once it has seen an earlier result — would otherwise
+        sit on its frame mates' results for as long as it runs.  This
+        thread sends whatever has waited ``_DONE_WATCHDOG_S`` without
+        one, which turns that unbounded wait into a few milliseconds."""
+        while True:
+            self._done_armed.wait()
+            time.sleep(_DONE_WATCHDOG_S)
+            with self._out_lock:
+                if not self._done:
+                    self._done_armed.clear()
+                elif time.monotonic() - self._done_since >= _DONE_WATCHDOG_S:
+                    try:
+                        self._flush_done()
+                    except (EOFError, OSError):
+                        return  # driver gone: the main loop is exiting too
 
     def _send_result(self, data, failed) -> None:
         blob = self.obs.drain()
         if blob is not None:
-            self.conn.send((msg.RESULT, data, failed, blob))
+            self._send((msg.RESULT, data, failed, blob))
         else:
-            self.conn.send((msg.RESULT, data, failed))
-
-    def _send_idle(self) -> None:
-        blob = self.obs.drain()
-        if blob is not None:
-            self.conn.send((msg.IDLE, blob))
-        else:
-            self.conn.send((msg.IDLE,))
+            self._send((msg.RESULT, data, failed))
 
     def _flush_spans(self) -> None:
         """Ship buffered spans on a dedicated one-way SPANS frame."""
         blob = self.obs.drain()
         if blob is not None:
-            self.conn.send((msg.SPANS, blob))
+            self._send((msg.SPANS, blob))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -543,8 +594,7 @@ class ProcWorker:
                     self._flush_spans()  # final flush: nothing else will
                     return
                 if tag == msg.TASK:
-                    data, failed = self.execute(message[1])
-                    self._send_result(data, failed)
+                    self._run_frame(message)
         except (EOFError, OSError, KeyboardInterrupt):
             return  # driver went away (shutdown or crash): just exit
         finally:
@@ -563,42 +613,41 @@ class ProcWorker:
     def _run_bottom_up(self) -> None:
         """The session loop of bottom-up mode.
 
-        One driver ``TASK`` opens a session; the worker then alternates
-        between the task it was handed and its own local queue (which
-        that task probably grew via the fast path), reporting each
-        completion with a one-way ``DONE``.  ``IDLE`` closes the session
-        and parks the worker on the pipe for the next one.  Driver
-        control messages are drained at every dispatch boundary, so a
-        cancellation or steal landing between two local tasks takes
-        effect before the next one runs.
+        One driver ``TASK`` frame opens a session; the worker runs the
+        frame's head, then drains its local queue — the frame's tail
+        plus whatever those tasks grew via the fast path — buffering
+        completions.  The ``DONE`` frame that reports the queue drained
+        (``idle=True``) closes the session and parks the worker on the
+        pipe for the next one.  Driver control messages are drained at
+        every dispatch boundary, so a cancellation or steal landing
+        between two local tasks takes effect before the next one runs
+        (cancellation needs no check at pop time: a CANCEL_NOTICE
+        removes the task from the queue the moment it is handled).
         """
+        threading.Thread(
+            target=self._watch_done, name="repro-worker-done-watchdog", daemon=True
+        ).start()
         # At spawn the driver already counts this worker idle — the
-        # first session opens with a TASK, not with an IDLE announcement
-        # (an unsolicited IDLE would read as a phantom session close).
-        if not self._idle_until_task():
-            return
-        while True:
-            self._drain_control()
-            entry = self._next_local()
-            if entry is not None:
-                task_id, payload = entry
-                data, failed = self.execute(payload)
-                self._flush_notices()
-                self._send_done(task_id, data, failed)
-                continue
-            self._flush_notices()  # nothing runnable, but notices may wait
-            self._send_idle()
-            if not self._idle_until_task():
-                return
+        # first session opens with a TASK, not with an idle announcement.
+        while self._await_frame():
+            while True:
+                self._drain_control()
+                entry = self.local_queue.pop_head()
+                if entry is None:
+                    break
+                payload = entry[1]
+                if "windowed" not in payload:
+                    # Only tasks the driver budgeted may run with
+                    # results held back: a locally-born task can take
+                    # arbitrarily long, or be what a ref just returned
+                    # to the driver is waiting on.
+                    self._flush_done()
+                elif self._done and not self._done_armed.is_set():
+                    self._done_armed.set()  # held across a task: watch it
+                self._run_task(payload)
+            self._flush_done(idle=True)
 
-    def _next_local(self) -> Optional[tuple]:
-        """Pop the next runnable local task.  Cancellation needs no
-        check here: a CANCEL_NOTICE removes the task from the queue the
-        moment it is handled (and _drain_control runs before every
-        pop), so a cancelled task is provably never popped."""
-        return self.local_queue.pop_head()
-
-    def _idle_until_task(self) -> bool:
+    def _await_frame(self) -> bool:
         """Park on the pipe between sessions; False means shutdown."""
         while True:
             message = self.conn.recv()
@@ -607,13 +656,40 @@ class ProcWorker:
                 self._flush_spans()  # final flush: nothing else will
                 return False
             if tag == msg.TASK:
-                payload = message[1]
-                data, failed = self.execute(payload)
-                self._flush_notices()
-                self._send_done(payload["task_id"], data, failed)
+                self._run_frame(message)
                 return True
             if not self._handle_control(message):
                 raise RuntimeError(f"unexpected driver message {tag!r} while idle")
+
+    def _run_frame(self, message: tuple) -> None:
+        """One TASK frame: run its head now, queue its tail.
+
+        The head is what the driver handed this worker to *run*; the
+        tail was shipped ahead of need and stays stealable, cancellable
+        and re-homable until the queue reaches it."""
+        _, entries, functions = message
+        self._functions.update(functions)
+        for payload in entries[1:]:
+            payload["windowed"] = True
+            self.local_queue.push(payload["task_id"], payload)
+        self._run_task(entries[0])
+
+    def _run_task(self, payload: dict) -> None:
+        """Execute one task and report it: a RESULT now in driver mode,
+        a buffered completion in bottom-up mode — flushed here once the
+        oldest buffered one has waited out the frame budget."""
+        started = time.monotonic()
+        data, failed = self.execute(payload)
+        if self.dispatch_mode != "bottom_up":
+            self._send_result(data, failed)
+            return
+        now = time.monotonic()
+        with self._out_lock:
+            if not self._done:
+                self._done_since = now
+            self._done.append((payload["task_id"], data, failed, now - started))
+            if now - self._done_since >= msg.FRAME_BUDGET_S:
+                self._flush_done()
 
     def _drain_control(self) -> None:
         """Process every buffered one-way driver message (non-blocking)."""
@@ -635,7 +711,7 @@ class ProcWorker:
             # tasks from its mirror, which the flush below guarantees
             # already knows every granted id.
             self._flush_notices()
-            self.conn.send((msg.STEAL_GRANT, [task_id for task_id, _ in granted]))
+            self._send((msg.STEAL_GRANT, [task_id for task_id, _ in granted]))
             return True
         if tag == msg.CANCEL_NOTICE:
             # The worker-side dispatch-time drop: gone from the queue,
@@ -643,7 +719,8 @@ class ProcWorker:
             self.local_queue.remove(message[1])
             return True
         if tag == msg.PLACED:
-            self.unacked_local = max(0, self.unacked_local - len(message[1]))
+            with self._out_lock:
+                self.unacked_local = max(0, self.unacked_local - len(message[1]))
             return True
         return False
 
@@ -699,17 +776,17 @@ class ProcWorker:
         # guarantee.  _flush_notices() before every other outbound
         # message is what keeps the mirror causally ahead of any DONE
         # or STEAL_GRANT that could mention the task.
-        self._pending_notices.append(
-            {
-                "payload": payload,
-                "function_name": spec.function_name,
-                "resources": spec.resources,
-                "max_reconstructions": spec.max_reconstructions,
-                "submitted_from": self.node_id,
-                "root_task_id": spec.root_task_id,
-                "parent_task_id": spec.parent_task_id,
-            }
-        )
+        notice = {
+            "payload": payload,
+            "function_name": spec.function_name,
+            "resources": spec.resources,
+            "max_reconstructions": spec.max_reconstructions,
+            "submitted_from": self.node_id,
+            "root_task_id": spec.root_task_id,
+            "parent_task_id": spec.parent_task_id,
+        }
+        with self._out_lock:
+            self._pending_notices.append(notice)
         self.local_queue.push(spec.task_id, payload)
         if self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
@@ -734,15 +811,16 @@ class ProcWorker:
     def _flush_notices(self) -> None:
         """Ship buffered SUBMIT_LOCAL notices (one message for all).
 
-        Called before *every* other outbound pipe message — DONE, IDLE,
+        Called before *every* other outbound pipe message — DONE,
         STEAL_GRANT, and any rpc request — so by pipe FIFO the driver
         registers a locally-born task strictly before it can see the
         task's completion, a grant giving it away, or any value/request
         in which its ref could escape this process."""
-        if self._pending_notices:
-            batch, self._pending_notices = self._pending_notices, []
-            self.conn.send((msg.SUBMIT_LOCAL, batch))
-            self.unacked_local += len(batch)
+        with self._out_lock:
+            if self._pending_notices:
+                batch, self._pending_notices = self._pending_notices, []
+                self.conn.send((msg.SUBMIT_LOCAL, batch))
+                self.unacked_local += len(batch)
 
     def _locally_resident(self, object_id: ObjectID) -> bool:
         """Whether this process can materialize the object without the
@@ -961,8 +1039,15 @@ class ProcWorker:
         return deserialize(data)
 
     def _execute_function(self, spec: TaskSpec, payload: dict, args, kwargs) -> Any:
+        function = payload.get("function_bytes")
+        registered = function is None  # its code came in a frame's table
         try:
-            function = deserialize_portable(payload["function_bytes"])
+            if registered:
+                function = self._functions[spec.function_id]
+            if isinstance(function, bytes):
+                function = deserialize_portable(function)
+                if registered:
+                    self._functions[spec.function_id] = function
         except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
             return error_value_from(spec, exc)
         return self._run_callable(spec, function, args, kwargs)

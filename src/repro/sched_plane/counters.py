@@ -34,6 +34,12 @@ class SchedCounters:
     ``placement_locality_hits``
         Driver-tier placements where the chosen worker already held at
         least one of the task's argument objects.
+    ``frames_sent`` / ``tasks_shipped``
+        TASK frames the driver tier sent to workers and the tasks they
+        carried; their ratio is the mean window per frame (proc/dist
+        bottom-up dispatch; 0 on backends without a wire).
+    ``done_frames``
+        DONE frames received back: how far completions coalesced.
     """
 
     tasks_placed_local: int = 0
@@ -41,6 +47,9 @@ class SchedCounters:
     tasks_placed_global: int = 0
     tasks_stolen: int = 0
     placement_locality_hits: int = 0
+    frames_sent: int = 0
+    tasks_shipped: int = 0
+    done_frames: int = 0
 
     def snapshot(self) -> dict:
         return {
@@ -49,4 +58,7 @@ class SchedCounters:
             "tasks_placed_global": self.tasks_placed_global,
             "tasks_stolen": self.tasks_stolen,
             "placement_locality_hits": self.placement_locality_hits,
+            "frames_sent": self.frames_sent,
+            "tasks_shipped": self.tasks_shipped,
+            "done_frames": self.done_frames,
         }

@@ -388,6 +388,33 @@ def test_control_stats_keys_identical_across_backends():
         assert keys == reference, f"{backend} control stats keys diverge"
 
 
+def test_sched_stats_keys_identical_across_live_backends():
+    """Every backend with a scheduling plane reports the same
+    ``stats()["sched"]`` schema; the dispatch-frame counters read 0 where
+    there is no wire to frame (local) and count frames where there is."""
+    scheds = {}
+    for backend in BACKENDS:
+        if backend == REFERENCE:
+            continue  # the sim models its scheduler; it has no plane
+        repro.init(backend=backend, num_nodes=1, num_cpus=2, seed=3)
+        try:
+            assert repro.get([square.remote(i) for i in range(4)]) == [
+                i * i for i in range(4)
+            ]
+            scheds[backend] = get_runtime().stats()["sched"]
+        finally:
+            repro.shutdown()
+    assert {"local", "proc", "dist"} <= set(scheds)
+    for backend, sched in scheds.items():
+        assert set(sched) == set(scheds["proc"]), backend
+    frame_keys = ("frames_sent", "tasks_shipped", "done_frames")
+    assert all(scheds["local"][key] == 0 for key in frame_keys)
+    for backend in ("proc", "dist"):
+        assert scheds[backend]["tasks_shipped"] >= 4, backend
+        assert 1 <= scheds[backend]["frames_sent"] <= 4, backend
+        assert scheds[backend]["done_frames"] >= 1, backend
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_get_timeout_type_is_shared(backend):
     repro.init(backend=backend, num_nodes=1, num_cpus=1, seed=1)

@@ -8,6 +8,7 @@ recovery planner.
 
 import os
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,53 @@ class TestAsyncWrites:
         store.resume_async_writes()
         assert store.flush(timeout=10.0)
         assert store.task_get(tid).state == "finished"
+        store.close()
+
+    def test_async_batch_hands_over_one_ordered_unit(self):
+        """Ops inside ``async_batch`` reach the writer together, at
+        block exit, in the order they were issued."""
+        store = ControlStore(num_shards=4)
+        tid = make_ids().task_id()
+        store.pause_async_writes()
+        with store.async_batch():
+            store.async_task_put(tid, "spec")
+            store.async_task_update(tid, state="running")
+            with store.async_batch():  # nested: joins the outer batch
+                store.async_task_update(tid, state="finished")
+            assert store.stats()["async_backlog"] == 0  # nothing handed over
+        assert store.stats()["async_backlog"] == 3
+        assert store.task_get(tid) is None
+        store.resume_async_writes()
+        assert store.flush(timeout=10.0)
+        assert store.task_get(tid).state == "finished"
+        assert store.stats()["async_backlog_max"] >= 3
+        store.close()
+
+    def test_flush_gives_up_at_once_when_paused_mid_wait(self):
+        """flush() sleeps on the writer's progress, not on a poll clock;
+        a pause while it waits must still wake it."""
+        store = ControlStore(num_shards=2)
+        tid = make_ids().task_id()
+        gate = threading.Event()
+        apply_update = store.task_update
+
+        def gated_update(*args, **kwargs):
+            gate.wait(10.0)
+            return apply_update(*args, **kwargs)
+
+        store.task_update = gated_update  # the writer parks inside op one
+        store.async_task_update(tid, state="first")
+        store.async_task_update(tid, state="second")
+        pauser = threading.Timer(0.1, store.pause_async_writes)
+        pauser.start()
+        started = time.monotonic()
+        assert store.flush(timeout=30.0) is False
+        assert time.monotonic() - started < 5.0
+        pauser.join()
+        gate.set()
+        store.resume_async_writes()
+        assert store.flush(timeout=10.0)
+        assert store.task_get(tid).state == "second"
         store.close()
 
     def test_concurrent_writers_land_every_op(self):

@@ -658,7 +658,7 @@ class TestBottomUpScheduling:
 
     def test_driver_mode_keeps_zero_plane_counters(self):
         """The ablation baseline really is the old path: no fast-path
-        placements, no steals, no spill accounting."""
+        placements, no steals, no spill accounting, no dispatch frames."""
         runtime = repro.init(
             backend="proc", num_workers=2, dispatch_mode="driver"
         )
@@ -672,6 +672,9 @@ class TestBottomUpScheduling:
                 "tasks_placed_global": 0,
                 "tasks_stolen": 0,
                 "placement_locality_hits": 0,
+                "frames_sent": 0,
+                "tasks_shipped": 0,
+                "done_frames": 0,
             }
         finally:
             repro.shutdown()
