@@ -17,6 +17,8 @@ import time
 import repro
 from _artifacts import emit_bench_json, environment_stamp
 from _tables import print_table
+from repro.proc.messages import TASK
+from repro.proc.transport import encode_message
 
 NUM_SPAWNERS = 16
 PER_SPAWNER = 100
@@ -192,26 +194,56 @@ WAVE_TASKS = 200
 WAVE_ROUNDS = 5
 
 
+class _FrameMeter:
+    """A worker's transport, weighing the TASK frames sent through it."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.frame_bytes = 0
+        self.tasks = 0
+
+    def send(self, message):
+        if message[0] == TASK:
+            self.frame_bytes += len(encode_message(message))
+            self.tasks += len(message[1])
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 def _proc_wave() -> dict:
     runtime = repro.init(backend="proc", num_workers=2)
     try:
         repro.get([storm_noop.remote() for _ in range(WAVE_TASKS)], timeout=120.0)
         before = runtime.stats()["sched"]
-        rates = []
+        rates, submit_us = [], []
         for _ in range(WAVE_ROUNDS):
             start = time.perf_counter()
-            values = repro.get(
-                [storm_noop.remote() for _ in range(WAVE_TASKS)], timeout=120.0
-            )
+            cpu = time.thread_time()
+            refs = [storm_noop.remote() for _ in range(WAVE_TASKS)]
+            submit_us.append((time.thread_time() - cpu) / WAVE_TASKS * 1e6)
+            values = repro.get(refs, timeout=120.0)
             rates.append(WAVE_TASKS / (time.perf_counter() - start))
             assert values == [1] * WAVE_TASKS
         after = runtime.stats()["sched"]
+        # One more wave, untimed (the meters encode every frame a second
+        # time): what the wire carries per task once the code is shipped.
+        with runtime._cond:
+            meters = []
+            for worker in runtime._workers:
+                worker.conn = _FrameMeter(worker.conn)
+                meters.append(worker.conn)
+        repro.get([storm_noop.remote() for _ in range(WAVE_TASKS)], timeout=120.0)
     finally:
         repro.shutdown()
     frames = after["frames_sent"] - before["frames_sent"]
     shipped = after["tasks_shipped"] - before["tasks_shipped"]
     return {
         "tasks_per_s": sorted(rates)[len(rates) // 2],
+        "submit_us_per_call": sorted(submit_us)[len(submit_us) // 2],
+        "task_bytes_per_task": sum(m.frame_bytes for m in meters)
+        / sum(m.tasks for m in meters),
         "tasks_per_frame": shipped / frames,
         "tasks_per_done_frame": shipped
         / (after["done_frames"] - before["done_frames"]),
@@ -221,16 +253,23 @@ def _proc_wave() -> dict:
 def test_e6_proc_driver_born_wave_rides_frames(benchmark):
     """The driver-born hot path: a wave of no-ops submitted from the
     driver must reach the workers in dispatch frames, not one message
-    exchange per task.  Throughput is recorded with the machine it was
-    taken on; the gate is the machine-independent one — the mean window
-    per TASK frame."""
+    exchange per task, and a task must cost the wire its arguments, not
+    its metadata.  Throughput and submit CPU are recorded with the
+    machine they were taken on; the gates are the machine-independent
+    ones — the mean window per TASK frame and the bytes per task in
+    one."""
     wave = benchmark.pedantic(_proc_wave, rounds=1, iterations=1)
     print_table(
         f"E6: proc driver-born waves ({WAVE_ROUNDS} x {WAVE_TASKS} no-ops, "
         "2 workers)",
-        ["median tasks/s", "tasks per TASK frame", "tasks per DONE frame"],
+        [
+            "median tasks/s", "submit CPU us per call", "TASK bytes per task",
+            "tasks per TASK frame", "tasks per DONE frame",
+        ],
         [(
             f"{wave['tasks_per_s']:,.0f}",
+            f"{wave['submit_us_per_call']:.1f}",
+            f"{wave['task_bytes_per_task']:.0f}",
             f"{wave['tasks_per_frame']:.1f}",
             f"{wave['tasks_per_done_frame']:.1f}",
         )],
@@ -238,12 +277,15 @@ def test_e6_proc_driver_born_wave_rides_frames(benchmark):
     benchmark.extra_info.update(
         {
             "proc_wave_tasks_per_s": round(wave["tasks_per_s"]),
+            "proc_submit_us_per_call": round(wave["submit_us_per_call"], 1),
+            "proc_wave_task_bytes_per_task": round(wave["task_bytes_per_task"], 1),
             "proc_wave_tasks_per_frame": round(wave["tasks_per_frame"], 1),
             "proc_wave_env": environment_stamp(),
         }
     )
     emit_bench_json("e6", dict(benchmark.extra_info))
     assert wave["tasks_per_frame"] >= 4.0
+    assert wave["task_bytes_per_task"] <= 130
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,18 @@ Both handles are thin wrappers over the frozen options dataclasses
 form, ``.options(...)`` overrides, and ``Backend.submit_task`` all share
 one validate/merge path, so the accepted option sets cannot drift between
 surfaces and every rejection names the offending option.
+
+**Call templates.**  Nothing about a submission changes from call to
+call except its arguments, so a handle resolves the rest once per
+runtime into a :class:`~repro.core.task.CallTemplate` — the function's
+registration in that runtime's function table, its display name, the
+validated options and the resources they request — and ``.remote()``
+hands the runtime that template plus ``args``/``kwargs``
+(``Backend.submit_call``).  Templates are keyed by the runtime's epoch
+and dropped at its shutdown.  Handles made by ``.options(...)`` share
+the registrations of the handle they came from: one function id per
+runtime however many option variants exist, one template per variant
+(equal option sets get the same variant handle back).
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from typing import Any, Callable, Optional
 from repro.api import runtime_context
 from repro.core.actors import ActorClass, ActorOptions
 from repro.core.backend import next_runtime_epoch
-from repro.core.task import ResourceRequest, TaskOptions
+from repro.core.task import CallTemplate, ResourceRequest, TaskOptions
 
 #: Handles holding per-runtime function registrations, so a runtime
 #: shutdown can clear its epoch's entries from all of them.
@@ -62,11 +74,13 @@ def _runtime_epoch(runtime) -> int:
 
 
 def clear_registrations(epoch: Optional[int]) -> None:
-    """Drop every handle's registration for a shut-down runtime epoch."""
+    """Drop every handle's registration and call template for a
+    shut-down runtime epoch."""
     if epoch is None:
         return
     for handle in list(_live_handles):
         handle._registrations.pop(epoch, None)
+        handle._templates.pop(epoch, None)
 
 
 class RemoteFunction:
@@ -89,8 +103,15 @@ class RemoteFunction:
             raise TypeError(f"@remote expects a callable, got {type(function).__name__}")
         self._function = function
         self._options = (options or TaskOptions()).merged(**overrides)
-        #: function-table registration per runtime epoch.
+        #: function-table registration per runtime epoch — one dict
+        #: shared by every ``.options()`` variant of this function.
         self._registrations: dict[int, Any] = {}
+        #: This option set's call template per runtime epoch.
+        self._templates: dict[int, CallTemplate] = {}
+        #: ``.options()`` variants by their resolved option set (shared
+        #: like the registrations), so a variant re-derived in a loop is
+        #: the same handle with the same template.
+        self._variants: dict[TaskOptions, RemoteFunction] = {}
         functools.update_wrapper(self, function)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -137,18 +158,39 @@ class RemoteFunction:
         """A copy of this handle with overridden submission options.
 
         The original handle is never mutated; unknown or invalid options
-        raise an error naming the offending option.
+        raise an error naming the offending option.  The copy shares this
+        handle's function registrations: it is the same function.
         """
-        return RemoteFunction(self._function, self._options.merged(**overrides))
+        options = self._options.merged(**overrides)
+        try:
+            return self._variants[options]
+        except KeyError:
+            cacheable = True
+        except TypeError:  # an unhashable option value (a duration object)
+            cacheable = False
+        variant = RemoteFunction(self._function, options)
+        variant._registrations = self._registrations
+        variant._variants = self._variants
+        if cacheable:
+            self._variants[options] = variant
+        return variant
 
     def _function_id(self, runtime) -> Any:
         epoch = _runtime_epoch(runtime)
         if epoch not in self._registrations:
             self._registrations[epoch] = runtime.register_function(
-                self._function, self.name
+                self._function,
+                getattr(self._function, "__name__", "anonymous"),
             )
-            _live_handles.add(self)
+        _live_handles.add(self)
         return self._registrations[epoch]
+
+    def _bind(self, runtime) -> CallTemplate:
+        """Build (once per runtime epoch) this option set's template."""
+        template = self._templates[_runtime_epoch(runtime)] = CallTemplate(
+            self._function, self._function_id(runtime), self.name, self._options
+        )
+        return template
 
     def remote(self, *args: Any, **kwargs: Any) -> Any:
         """Submit one invocation; returns its future(s) immediately.
@@ -158,14 +200,10 @@ class RemoteFunction:
         it is a tuple of k refs, each independently gettable/waitable.
         """
         runtime = runtime_context.get_runtime()
-        return runtime.submit_task(
-            function=self._function,
-            function_id=self._function_id(runtime),
-            function_name=self.name,
-            args=args,
-            kwargs=kwargs,
-            options=self._options,
-        )
+        template = self._templates.get(getattr(runtime, "_repro_epoch", None))
+        if template is None:
+            template = self._bind(runtime)
+        return runtime.submit_call(template, args, kwargs)
 
 
 def remote(function: Optional[Callable] = None, **options: Any):

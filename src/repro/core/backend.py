@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.object_ref import ObjectRef
-from repro.core.task import ResourceRequest, TaskOptions
+from repro.core.task import CallTemplate, ResourceRequest, TaskOptions
 from repro.errors import BackendError
 from repro.utils.ids import FunctionID, NodeID
 
@@ -106,6 +106,13 @@ class Backend(Protocol):
     def register_function(self, function: Callable, name: str) -> FunctionID: ...
 
     # -- task protocol --------------------------------------------------
+    def submit_call(
+        self, template: CallTemplate, args: tuple, kwargs: dict
+    ) -> Any: ...
+    # (what ``RemoteFunction.remote`` calls: everything but the arguments
+    # was resolved once into the template; returns one ObjectRef, or a
+    # tuple of num_returns refs)
+
     def submit_task(
         self,
         function: Callable,
@@ -115,9 +122,7 @@ class Backend(Protocol):
         kwargs: dict,
         options: Optional[TaskOptions] = None,
     ) -> Any: ...
-    # (returns one ObjectRef, or a tuple of num_returns refs; the
-    # per-kwarg legacy form every runtime still accepts is a deprecated
-    # shim over options=TaskOptions(...), see core.task.resolve_task_options)
+    # (submit_call from explicit arguments, through a one-off template)
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any: ...
 

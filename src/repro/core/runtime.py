@@ -35,12 +35,11 @@ from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import check_cluster_feasible, unwrap_value
 from repro.core.task import (
+    CallTemplate,
+    ExplicitSubmit,
     ResourceRequest,
     TaskSpec,
     TaskState,
-    _UNSET,
-    build_task_spec,
-    resolve_task_options,
 )
 from repro.core.worker import ErrorValue, Worker, WorkerContext
 from repro.errors import BackendError, ObjectLostError, SchedulingError
@@ -68,7 +67,7 @@ _SCHEDULER_MODES = {
 }
 
 
-class SimRuntime:
+class SimRuntime(ExplicitSubmit):
     """A complete simulated deployment of the proposed architecture."""
 
     def __init__(
@@ -272,42 +271,15 @@ class SimRuntime:
     # Backend protocol (used by repro.api)
     # ------------------------------------------------------------------
 
-    def submit_task(
-        self,
-        function: Callable,
-        function_id: FunctionID,
-        function_name: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        options: Any = None,
-        resources: Optional[ResourceRequest] = None,
-        duration: Any = _UNSET,
-        placement_hint: Any = _UNSET,
-        max_reconstructions: Optional[int] = None,
-    ) -> Any:
-        """Create and submit a task; returns its future(s) immediately.
-
-        All per-invocation configuration rides in ``options``
-        (:class:`~repro.core.task.TaskOptions`); the per-kwarg form is a
-        deprecated shim.  ``num_returns=k`` options make this return a
-        tuple of k refs instead of one.
-        """
+    def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
+        """Create and submit one call of ``template``; returns its
+        future(s) immediately (a tuple of k refs under ``num_returns=k``).
+        This is what ``RemoteFunction.remote`` calls."""
         self._check_open()
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
-        check_cluster_feasible(self.cluster, options.resources, function_name)
+        template.check_feasible(self.cluster)
         context = self.current_worker_context()
-        spec = build_task_spec(
-            self.ids,
-            function=function,
-            function_id=function_id,
-            function_name=function_name,
-            args=args,
-            kwargs=kwargs or {},
-            options=options,
+        spec = template.stamp(
+            self.ids, args, kwargs,
             submitted_from=context.node_id if context else self.head_node_id,
         )
         self._lifecycle.register(spec)

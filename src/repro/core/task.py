@@ -8,16 +8,12 @@ needs to *re*-run the task during lineage replay after a failure (R6).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.object_ref import ObjectRef
+from repro.core.protocol import check_cluster_feasible
 from repro.utils.ids import FunctionID, NodeID, ObjectID, TaskID
-
-#: Sentinel distinguishing "not passed" from an explicit None in the
-#: deprecated per-kwarg submission shim.
-_UNSET = object()
 
 
 class TaskState:
@@ -162,61 +158,21 @@ class TaskOptions(OptionsBase):
             )
 
 
-def resolve_task_options(
-    options: Any = None,
-    *,
-    resources: Optional[ResourceRequest] = None,
-    duration: Any = _UNSET,
-    placement_hint: Any = _UNSET,
-    max_reconstructions: Optional[int] = None,
-) -> TaskOptions:
-    """Normalize a ``submit_task`` call into one :class:`TaskOptions`.
+def resolve_task_options(options: Any = None, **removed: Any) -> TaskOptions:
+    """Validate the ``options`` argument of a ``submit_task`` call.
 
-    The canonical path passes ``options=TaskOptions(...)``.  The legacy
-    per-kwarg form (``resources=``, ``duration=``, ...) — and the even
-    older positional form, where a :class:`ResourceRequest` lands in the
-    ``options`` slot — is accepted as a deprecated shim that builds the
-    equivalent ``TaskOptions`` under a :class:`DeprecationWarning`.
+    ``None`` means the defaults.  The per-kwarg form (``resources=``,
+    ``duration=``, ``placement_hint=``, ``max_reconstructions=``) and the
+    positional :class:`ResourceRequest` were removed; both are rejected
+    with a :class:`TypeError` that says what to pass instead.
     """
-    if isinstance(options, ResourceRequest):  # legacy positional resources
-        resources, options = options, None
-    legacy_used = (
-        resources is not None
-        or duration is not _UNSET
-        or placement_hint is not _UNSET
-        or max_reconstructions is not None
-    )
-    if options is not None:
-        if not isinstance(options, TaskOptions):
-            raise TypeError(
-                f"submit_task options must be a TaskOptions, got "
-                f"{type(options).__name__}"
-            )
-        if legacy_used:
-            raise TypeError(
-                "pass submission options either as options=TaskOptions(...) "
-                "or as legacy kwargs, not both"
-            )
-        return options
-    if legacy_used:
-        warnings.warn(
-            "per-kwarg submit_task options (resources=, duration=, "
-            "placement_hint=, max_reconstructions=) are deprecated; pass "
-            "options=TaskOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
+    if removed or (options is not None and not isinstance(options, TaskOptions)):
+        got = sorted(removed) if removed else type(options).__name__
+        raise TypeError(
+            f"submit_task takes its options as options=TaskOptions(...), "
+            f"got {got}"
         )
-    overrides: dict[str, Any] = {}
-    if resources is not None:
-        overrides["num_cpus"] = resources.num_cpus
-        overrides["num_gpus"] = resources.num_gpus
-    if duration is not _UNSET:
-        overrides["duration"] = duration
-    if placement_hint is not _UNSET:
-        overrides["placement_hint"] = placement_hint
-    if max_reconstructions is not None:
-        overrides["max_reconstructions"] = max_reconstructions
-    return TaskOptions().merged(**overrides)
+    return options if options is not None else TaskOptions()
 
 
 @dataclass
@@ -272,17 +228,29 @@ class TaskSpec:
     #: driver-born tasks.
     root_task_id: Optional[Any] = None
     parent_task_id: Optional[Any] = None
+    #: The top-level :class:`ObjectRef` arguments, found by one scan of
+    #: ``args``/``kwargs`` — at submission for a templated call, else on
+    #: first use (None: not scanned yet).  Dependency gating, placement
+    #: and wire encoding all read this instead of re-scanning.
+    arg_refs: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: The option set the call was submitted under when it is not the
+    #: default one (``duration`` stripped): what crosses the wire so a
+    #: peer can rebuild the call's template.  The flattened fields above
+    #: are what the runtimes read.
+    options: Optional[TaskOptions] = field(default=None, repr=False, compare=False)
 
     def dependencies(self) -> list[ObjectID]:
         """Object IDs gating this task (argument futures + ordering deps)."""
         return [ref.object_id for ref in self.dependency_refs()]
 
     def dependency_refs(self) -> list[ObjectRef]:
-        refs = []
-        for value in list(self.args) + list(self.kwargs.values()):
-            if isinstance(value, ObjectRef):
-                refs.append(value)
-        refs.extend(self.extra_dependencies)
+        return [*self.argument_refs(), *self.extra_dependencies]
+
+    def argument_refs(self) -> tuple:
+        """The top-level ref arguments (scanned at most once)."""
+        refs = self.arg_refs
+        if refs is None:
+            refs = self.arg_refs = scan_arg_refs(self.args, self.kwargs)
         return refs
 
     def sample_duration(self, rng) -> float:
@@ -320,8 +288,165 @@ class TaskSpec:
 
     def public_result(self):
         """What ``.remote()`` hands back: one ref, or a tuple of k refs."""
-        refs = self.result_refs()
-        return refs[0] if self.num_returns == 1 else refs
+        if self.num_returns == 1:
+            return ObjectRef(self.return_object_id, self.task_id)
+        return self.result_refs()
+
+
+def scan_arg_refs(args: tuple, kwargs: dict) -> tuple:
+    """The top-level :class:`ObjectRef` arguments of one call, in order."""
+    refs = [value for value in args if isinstance(value, ObjectRef)]
+    if kwargs:
+        refs += [value for value in kwargs.values() if isinstance(value, ObjectRef)]
+    return tuple(refs)
+
+
+class CallTemplate:
+    """Everything about a submission that is the same for every call.
+
+    One template stands for one remote function under one resolved
+    option set: function id and display name, the validated
+    :class:`TaskOptions`, the resources they request (with the verdict
+    of the cluster-feasibility check once a runtime has made it), the
+    number of returns and the replay budget.  ``RemoteFunction`` builds
+    one per runtime and reuses it for every ``.remote()``; a call then
+    costs its arguments and two fresh ids, not a re-validation and a
+    twenty-argument constructor.
+
+    :meth:`stamp` is the submitting side (allocates ids, scans the
+    arguments once); :meth:`instantiate` is the receiving side of the
+    wire, where the ids arrive in the message.
+    """
+
+    __slots__ = (
+        "function", "function_id", "function_name", "options", "resources",
+        "feasible", "wire_options",
+    )
+
+    def __init__(
+        self,
+        function: Optional[Callable],
+        function_id: FunctionID,
+        function_name: str,
+        options: TaskOptions,
+    ) -> None:
+        self.function = function
+        self.function_id = function_id
+        #: The display name: ``options.name`` overrides the function's own.
+        self.function_name = options.name or function_name
+        self.options = options
+        self.resources = options.resources
+        #: Whether a runtime already checked ``resources`` against its
+        #: cluster (see :meth:`check_feasible`).
+        self.feasible = False
+        #: ``TaskSpec.options`` of every call: None for the default
+        #: option set (``duration`` is a sim-only concept and may be a
+        #: closure, so it never crosses the wire).
+        self.wire_options = (
+            None if options == _DEFAULT_OPTIONS else options.merged(duration=None)
+        )
+
+    def check_feasible(self, cluster) -> None:
+        """Reject a task no node of ``cluster`` could ever run — once per
+        template; an infeasible one raises on every call."""
+        if not self.feasible:
+            check_cluster_feasible(cluster, self.resources, self.function_name)
+            self.feasible = True
+
+    def stamp(
+        self,
+        ids,
+        args: tuple,
+        kwargs: dict,
+        submitted_from: Optional[NodeID] = None,
+        root_task_id: Optional[Any] = None,
+        parent_task_id: Optional[Any] = None,
+    ) -> TaskSpec:
+        """The spec of one call: fresh return and task ids (allocated in
+        that order) plus the arguments, scanned once for refs.  A task
+        submitted outside any running task (``root_task_id=None``) roots
+        its own trace: its trace context is its own id."""
+        if self.options.num_returns == 1:
+            return_ids = (ids.object_id(),)
+        else:
+            return_ids = tuple(
+                ids.object_id() for _ in range(self.options.num_returns)
+            )
+        if type(args) is not tuple:
+            args = tuple(args)
+        return self.instantiate(
+            ids.task_id(), return_ids, submitted_from, root_task_id,
+            parent_task_id, args, kwargs, scan_arg_refs(args, kwargs),
+        )
+
+    def instantiate(
+        self,
+        task_id: TaskID,
+        return_ids: tuple,
+        submitted_from: Optional[NodeID] = None,
+        root_task_id: Optional[Any] = None,
+        parent_task_id: Optional[Any] = None,
+        args: tuple = (),
+        kwargs: Optional[dict] = None,
+        arg_refs: Optional[tuple] = None,
+    ) -> TaskSpec:
+        """A spec with the given ids — and, on the executing and the
+        lineage-mirroring side of the wire, no arguments: they never
+        read them.  Positional, in :class:`TaskSpec` field order: a third
+        of the cost of the keyword call, on the hottest path there is."""
+        options = self.options
+        return TaskSpec(
+            task_id,
+            self.function_id,
+            self.function_name,
+            self.function,
+            args,
+            {} if kwargs is None else kwargs,
+            return_ids[0],                # return_object_id
+            return_ids,                   # return_object_ids
+            options.num_returns,
+            self.resources,
+            options.duration,
+            submitted_from,
+            options.placement_hint,
+            options.max_reconstructions,
+            (),                           # extra_dependencies
+            None,                         # actor_id
+            None,                         # actor_method
+            root_task_id if root_task_id is not None else task_id,
+            parent_task_id,
+            arg_refs,
+            self.wire_options,            # options
+        )
+
+
+_DEFAULT_OPTIONS = TaskOptions()
+
+
+class ExplicitSubmit:
+    """``submit_task`` for a runtime that has ``submit_call``: the
+    explicit-argument form of the backend protocol, as a one-off template
+    (``RemoteFunction`` keeps its templates and calls ``submit_call``)."""
+
+    def submit_task(
+        self,
+        function: Optional[Callable],
+        function_id: FunctionID,
+        function_name: str,
+        args: tuple = (),
+        kwargs: Optional[dict] = None,
+        options: Any = None,
+        **removed: Any,
+    ) -> Any:
+        """Create and submit a task; returns its future(s) immediately.
+        All per-invocation configuration rides in ``options``
+        (:class:`TaskOptions`; ``num_returns=k`` makes this return a
+        tuple of k refs instead of one)."""
+        template = CallTemplate(
+            function, function_id, function_name,
+            resolve_task_options(options, **removed),
+        )
+        return self.submit_call(template, args, dict(kwargs or {}))
 
 
 def build_task_spec(
@@ -337,31 +462,9 @@ def build_task_spec(
     root_task_id: Optional[Any] = None,
     parent_task_id: Optional[Any] = None,
 ) -> TaskSpec:
-    """The one spec builder every backend's ``submit_task`` shares.
-
-    Allocates the task id and all ``num_returns`` return object ids and
-    applies the option set (including the ``name`` display override), so
-    a new submission knob lands here once instead of in three runtimes.
-    A task submitted outside any running task (``root_task_id=None``)
-    roots its own trace: its trace context is its own id.
-    """
-    return_ids = tuple(ids.object_id() for _ in range(options.num_returns))
-    task_id = ids.task_id()
-    return TaskSpec(
-        task_id=task_id,
-        function_id=function_id,
-        function_name=options.name or function_name,
-        function=function,
-        args=tuple(args),
-        kwargs=dict(kwargs),
-        return_object_id=return_ids[0],
-        return_object_ids=return_ids,
-        num_returns=options.num_returns,
-        resources=options.resources,
-        duration=options.duration,
-        submitted_from=submitted_from,
-        placement_hint=options.placement_hint,
-        max_reconstructions=options.max_reconstructions,
-        root_task_id=root_task_id if root_task_id is not None else task_id,
-        parent_task_id=parent_task_id,
+    """One spec from explicit arguments: a one-off :class:`CallTemplate`
+    stamped once.  Repeated submissions of one function keep the
+    template instead (``RemoteFunction`` does)."""
+    return CallTemplate(function, function_id, function_name, options).stamp(
+        ids, args, dict(kwargs), submitted_from, root_task_id, parent_task_id
     )

@@ -249,7 +249,7 @@ class NodeAgent:
             # of driver-stored bytes, so later FETCHes on this node (any
             # worker) short-circuit here.
             for entry in message[1]:
-                for object_id, data in entry.get("inline", {}).items():
+                for object_id, data in (entry[msg.ENTRY_INLINE] or {}).items():
                     self._cache_bytes(object_id, data)
         elif tag in (msg.OK, msg.ERR) and slot.pending:
             self._note_reply(slot.pending.pop(), tag, message[1])
@@ -433,14 +433,10 @@ class NodeAgent:
             return
         elif tag == msg.GET:
             slot.pending.append((tag, list(message[1])))
-        elif tag == msg.RESULT:
-            message = (
-                (tag, self._seal_result_blobs(message[1])) + message[2:]
-            )
         elif tag == msg.DONE and self.shm is not None:
             completions = [
-                (task_id, self._seal_result_blobs(blobs), failed, exec_seconds)
-                for task_id, blobs, failed, exec_seconds in message[1]
+                (task_hex, self._seal_result_blobs(blobs), failed, exec_seconds)
+                for task_hex, blobs, failed, exec_seconds in message[1]
             ]
             message = (tag, completions) + message[2:]
         elif tag in _REQUEST_TAGS:

@@ -72,7 +72,7 @@ class NodeBlob:
     of :class:`~repro.proc.messages.ShmDescriptor` one tier up.
 
     When a worker returns a large result, its node agent seals it into
-    the *node's* store and rewrites the DONE/RESULT blob into one of
+    the *node's* store and rewrites the DONE blob into one of
     these ~100-byte records — the payload never leaves the node until a
     consumer elsewhere actually needs it (descriptor-first, pull on
     demand).  The driver records residency (for locality-aware placement

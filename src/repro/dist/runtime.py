@@ -405,9 +405,10 @@ class DistRuntime(ProcRuntime):
         self._node_resident: dict[Any, tuple] = {}
         #: object_id -> producing TaskSpec, for node-loss reconstruction.
         self._node_producers: dict[Any, Any] = {}
-        #: Worker-born payloads whose results went node-resident: normally
-        #: dropped at DONE, retained here so node loss can replay them.
-        self._retained_payloads: dict[Any, dict] = {}
+        #: Worker-born entries (by raw task id) whose results went
+        #: node-resident: normally dropped at DONE, retained here so node
+        #: loss can replay them.
+        self._retained_payloads: dict[str, tuple] = {}
         #: Return ids of replays in flight after node loss — readers of
         #: these wait instead of erroring while lineage re-executes.
         self._reconstructing: set = set()
@@ -665,28 +666,13 @@ class DistRuntime(ProcRuntime):
         )
         self._spawn_count += 1
         worker.process = None  # the agent owns the OS process
-        self._workers[index] = worker
-        self._by_node[worker.node_id] = worker
         try:
             link.enqueue(
                 (ctl.CTRL, (ctl.SPAWN_WORKER, channel, index, self._spawn_count))
             )
         except OSError:
             inbound.put(_EOF)  # dead node: service thread sees EOF at once
-        loop = (
-            self._service_loop_bottom_up
-            if self.dispatch_mode == "bottom_up"
-            else self._service_loop
-        )
-        thread = threading.Thread(
-            target=loop,
-            args=(worker,),
-            name=f"repro-dist-service-{index}",
-            daemon=True,
-        )
-        worker.thread = thread
-        thread.start()
-        return worker
+        return self._serve_worker(worker)
 
     def kill_worker(self, index: int) -> None:
         """Fault injection: SIGKILL one worker process (via its agent)."""
@@ -747,23 +733,23 @@ class DistRuntime(ProcRuntime):
     # Results: NodeBlob residency
     # ------------------------------------------------------------------
 
-    def _finish_done(self, worker, task_id, blobs, failed, exec_seconds) -> None:
-        with self._cond:
-            node_blobs = [b for b in blobs if isinstance(b, ctl.NodeBlob)]
-            if node_blobs and self._lifecycle.is_cancelled(task_id):
-                # Cancelled mid-run: the marker owns the result slots and
-                # the base class drops the blobs — reclaim their arena
-                # space on the producing node too.
-                for blob in node_blobs:
-                    self._delete_remote(blob)
-            elif node_blobs:
-                payload = self._payloads.get(task_id)
-                if payload is not None:
-                    # Worker-born producer: _finish_done drops the live
-                    # payload, but node loss needs it to replay (the spec
-                    # alone carries no code/args for worker-born tasks).
-                    self._retained_payloads[task_id] = payload
-            super()._finish_done(worker, task_id, blobs, failed, exec_seconds)
+    def _finish_done(self, worker, task_hex, blobs, failed):
+        node_blobs = [b for b in blobs if isinstance(b, ctl.NodeBlob)]
+        if node_blobs:
+            payload = self._payloads.get(task_hex)
+            if payload is not None:
+                # Worker-born producer: _finish_done drops the live
+                # entry, but node loss needs it to replay (the spec
+                # alone carries no arguments for worker-born tasks).
+                self._retained_payloads[task_hex] = payload
+        spec = super()._finish_done(worker, task_hex, blobs, failed)
+        if spec is None:
+            # Cancelled with its queue entry already dropped: nobody
+            # owns the blobs — reclaim their arena space on the node.
+            for blob in node_blobs:
+                self._delete_remote(blob)
+            self._retained_payloads.pop(task_hex, None)
+        return spec
 
     def _finish_spec(self, worker, spec, blobs, failed) -> None:
         """Copy of the proc version with a NodeBlob arm: a node-resident
@@ -784,7 +770,7 @@ class DistRuntime(ProcRuntime):
             for blob in blobs:
                 if isinstance(blob, ctl.NodeBlob):
                     self._delete_remote(blob)  # cancelled: drop arena space
-            self._retained_payloads.pop(spec.task_id, None)
+            self._retained_payloads.pop(spec.task_id.hex, None)
             return
         node_worker_base = None
         for object_id, data in zip(spec.all_return_ids(), blobs):
@@ -1049,24 +1035,9 @@ class DistRuntime(ProcRuntime):
     def _fail_node_worker(self, worker, inflight, link) -> None:
         """One dead worker on a dead node (lock held): the proc crash
         cleanup without a respawn — there is no node to respawn into."""
-        worker.alive = False
-        doomed = list(worker.inflight.values())
-        if inflight is not None and inflight not in doomed:
-            doomed.append(inflight)
-        worker.inflight.clear()
-        for _task_id, mirrored in worker.mirror.drain():
-            if mirrored not in doomed:
-                doomed.append(mirrored)
-        replaced = list(worker.placed)
-        worker.placed.clear()
-        worker.busy = False
-        worker.steal_outstanding = False
-        self._residency.forget_holder(worker.index)
-        self._workers_crashed += 1
-        self._by_node.pop(worker.node_id, None)
-        self.actors.mark_dead_on_node(worker.node_id)
+        doomed, replaced = self._retire_worker(worker, inflight)
         for spec in doomed:
-            self._resolve_node_lost_task(spec, link.node_index)
+            self._resolve_crashed_task(spec, link.node_index)
         survivor = self._any_live_worker()
         while worker.pinned:
             spec = worker.pinned.popleft()
@@ -1096,8 +1067,6 @@ class DistRuntime(ProcRuntime):
             else:
                 record.dead = True
         for spec in replaced:
-            if spec.placement_hint == worker.node_id:
-                spec.placement_hint = None
             self._enqueue(spec)
 
     def _any_live_worker(self) -> Optional[_WorkerHandle]:
@@ -1108,52 +1077,6 @@ class DistRuntime(ProcRuntime):
         if not alive:
             return None
         return min(alive, key=lambda w: (w.actors_bound, w.index))
-
-    def _resolve_node_lost_task(self, spec, node_index: int) -> None:
-        """Fate of a task in flight or queued on a lost node (lock held):
-        the proc crash resolution with ``node_lost`` error semantics."""
-        if spec.actor_id is not None:
-            record = self.actors.get(spec.actor_id)
-            if record is not None:
-                if not record.dead:
-                    record.dead = True
-                    record.instance = None
-                self._store_error_all_returns(
-                    spec, actor_lost_error_value(spec, record)
-                )
-            return
-        if self._lifecycle.is_cancelled(spec.task_id):
-            self._payloads.pop(spec.task_id, None)
-            return
-        attempts = self._replays.get(spec.task_id, 0)
-        if self._crash_policy == "replace" and attempts < spec.max_reconstructions:
-            self._replays[spec.task_id] = attempts + 1
-            self._lineage_replays += 1
-            self._queue.append(spec)
-            return
-        self._payloads.pop(spec.task_id, None)
-        if self._crash_policy == "fail":
-            detail = (
-                f"node {node_index} was lost and worker_crash_policy="
-                "'fail' disables lineage replay"
-            )
-        else:
-            detail = (
-                f"node {node_index} was lost; lineage replay budget "
-                f"exhausted ({attempts}/{spec.max_reconstructions} "
-                "reconstructions)"
-            )
-        error = ErrorValue(
-            task_id=spec.task_id,
-            function_name=spec.function_name,
-            cause_repr=detail,
-            chain=(spec.function_name,),
-            kind="node_lost",
-            node_index=node_index,
-        )
-        data = serialize(error)
-        for object_id in spec.all_return_ids():
-            self._store_bytes(object_id, data)
 
     def _reclaim_node_state(self, link: AgentLink) -> None:
         """Once per lost node (lock held): sweep its resident objects —
@@ -1206,9 +1129,9 @@ class DistRuntime(ProcRuntime):
             requeued.add(spec.task_id)
             self._replays[spec.task_id] = attempts + 1
             self._lineage_replays += 1
-            retained = self._retained_payloads.get(spec.task_id)
+            retained = self._retained_payloads.get(spec.task_id.hex)
             if retained is not None:
-                self._payloads[spec.task_id] = retained
+                self._payloads[spec.task_id.hex] = retained
             self._enqueue(spec)
             return
         detail = f"object {object_id} was resident only on lost node {node_index}"

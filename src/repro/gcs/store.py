@@ -48,6 +48,35 @@ except Exception:  # pragma: no cover - cloudpickle is a baked-in dep
 
 _LEN = struct.Struct(">I")
 
+#: Argument names of each write-ahead-logged mutation, in the order its
+#: mutator takes them after the key: what a WAL record's kwargs are
+#: zipped from, and what :meth:`ControlStore._replay_op` feeds back to
+#: the public method of the same name.
+_WAL_ARGS = {
+    "task_put": ("spec", "state", "node"),
+    "task_update": ("state", "node", "attempt"),
+    "object_put": (
+        "size", "location", "drop_location", "ready", "producer_task", "payload",
+    ),
+    "actor_register": ("spec", "name", "node", "state"),
+    "actor_update": ("state", "node", "method_inc"),
+    "generation": ("generation",),
+}
+
+
+def _snapshot_of(shard: "ControlShard", key, table: str):
+    """Read mutator: a copy of one table row, or None."""
+    entry = getattr(shard, table).get(key)
+    return entry.snapshot() if entry is not None else None
+
+
+def _named_actor(shard: "ControlShard", name):
+    return shard.names.get(name)
+
+
+def _no_mutation(shard: "ControlShard", key, *args) -> None:
+    """Mutator of a record that exists only in the log (generations)."""
+
 
 class ControlShard:
     """One lock-striped partition of the control state."""
@@ -167,16 +196,20 @@ class ControlStore:
         key: Any,
         kind: str,
         mutate,
-        *,
-        log: bool = True,
-        wal: Optional[tuple] = None,
-        **payload,
+        args: tuple = (),
+        event: Optional[dict] = None,
+        wal: Optional[str] = None,
     ):
-        """Run one mutation under the owning shard's lock (+ event + WAL).
+        """Run ``mutate(shard, key, *args)`` under the owning shard's
+        lock (+ event + WAL).
 
-        ``wal`` is ``(op_name, kwargs)`` — the full public-API mutation, so
-        :meth:`open` can replay it verbatim.  ``None`` skips the WAL (reads,
-        derived index writes).
+        ``event`` is the payload of the event-log record (``None``: the
+        op is not logged — reads, derived index writes).  ``wal`` names
+        the public mutation; its record is built from ``args`` by
+        :data:`_WAL_ARGS`, so :meth:`open` can replay it verbatim, and
+        only when a WAL is attached — a memory-only store pays nothing
+        for it.  Mutators are plain methods taking positional arguments:
+        the hot ops (three per task) make no closure and no kwargs dict.
 
         Durable mode group-commits: the WAL append happens under the shard
         lock (so the on-disk record order matches the apply order) but the
@@ -186,14 +219,14 @@ class ControlStore:
         the classic group-commit batching, and the reason colliding
         submitters don't serialize behind each other's disk flushes.
         """
-        shard = self._shard(key)
+        shard = self._shards[shard_of(key, self.num_shards)]
         # Encode the WAL record before taking the lock: it depends only on
         # the arguments, and pickling is the priciest CPU step — doing it
         # inside the critical section would serialize colliding writers
         # behind it on top of the append itself.
         blob = None
         if wal is not None and shard.wal_fd is not None and not self._replaying:
-            blob = self._wal_encode((wal[0], key, wal[1]))
+            blob = self._wal_encode((wal, key, dict(zip(_WAL_ARGS[wal], args))))
             if blob is None:
                 self.wal_skipped += 1
         lock = shard.lock
@@ -207,9 +240,14 @@ class ControlStore:
         wal_seq = None
         try:
             shard.ops += 1
-            result = mutate(shard)
-            if log:
-                shard.event_log.append(self._clock(), kind, key=str(key), **payload)
+            result = mutate(shard, key, *args)
+            if event is not None:
+                # An id is logged as its hex: free to take (no str() of
+                # the key three times per task), and a payload of plain
+                # strings is a dict the cyclic GC does not track.
+                shard.event_log.append(
+                    self._clock(), kind, key=getattr(key, "hex", key), **event
+                )
             if blob is not None and shard.wal_fd is not None:
                 wal_seq = self._wal_append(shard, blob)
         finally:
@@ -270,29 +308,21 @@ class ControlStore:
     def task_put(self, task_id, spec, *, state: str = "submitted", node=None) -> None:
         """Write-ahead lineage record.  SYNCHRONOUS by contract: runtimes
         call this before dispatching, so a crash can always replay."""
-
-        def mutate(shard: ControlShard):
-            entry = shard.tasks.get(task_id)
-            if entry is None:
-                shard.tasks[task_id] = TaskEntry(
-                    task_id=task_id,
-                    spec=spec,
-                    state=state,
-                    node=node,
-                    timestamps={"submitted": self._clock()},
-                )
-            else:  # resubmission after recovery keeps the attempt count
-                entry.spec = spec
-                entry.state = state
-                entry.node = node
-
         self._apply(
-            task_id,
-            "task_submitted",
-            mutate,
-            state=state,
-            wal=("task_put", {"spec": spec, "state": state, "node": node}),
+            task_id, "task_submitted", self._put_task, (spec, state, node),
+            {"state": state}, "task_put",
         )
+
+    def _put_task(self, shard: ControlShard, task_id, spec, state, node) -> None:
+        entry = shard.tasks.get(task_id)
+        if entry is None:
+            shard.tasks[task_id] = TaskEntry(
+                task_id, spec, state, node, {"submitted": self._clock()}
+            )
+        else:  # resubmission after recovery keeps the attempt count
+            entry.spec = spec
+            entry.state = state
+            entry.node = node
 
     def task_update(
         self,
@@ -302,32 +332,25 @@ class ControlStore:
         node=None,
         attempt: bool = False,
     ) -> None:
-        def mutate(shard: ControlShard):
-            entry = shard.tasks.get(task_id)
-            if entry is None:
-                entry = shard.tasks[task_id] = TaskEntry(task_id=task_id, spec=None)
-            if state is not None:
-                entry.state = state
-                entry.timestamps[state] = self._clock()
-            if node is not None:
-                entry.node = node
-            if attempt:
-                entry.attempts += 1
-
         self._apply(
-            task_id,
-            "task_state",
-            mutate,
-            state=state or "",
-            wal=("task_update", {"state": state, "node": node, "attempt": attempt}),
+            task_id, "task_state", self._update_task, (state, node, attempt),
+            {"state": state or ""}, "task_update",
         )
 
-    def task_get(self, task_id) -> Optional[TaskEntry]:
-        def read(shard: ControlShard):
-            entry = shard.tasks.get(task_id)
-            return entry.snapshot() if entry is not None else None
+    def _update_task(self, shard: ControlShard, task_id, state, node, attempt) -> None:
+        entry = shard.tasks.get(task_id)
+        if entry is None:
+            entry = shard.tasks[task_id] = TaskEntry(task_id=task_id, spec=None)
+        if state is not None:
+            entry.state = state
+            entry.timestamps[state] = self._clock()
+        if node is not None:
+            entry.node = node
+        if attempt:
+            entry.attempts += 1
 
-        return self._apply(task_id, "task_lookup", read, log=False)
+    def task_get(self, task_id) -> Optional[TaskEntry]:
+        return self._apply(task_id, "task_lookup", _snapshot_of, ("tasks",))
 
     def tasks(self) -> list:
         return self._scan(lambda shard: [e.snapshot() for e in shard.tasks.values()])
@@ -347,47 +370,37 @@ class ControlStore:
         producer_task=None,
         payload: Optional[bytes] = None,
     ) -> None:
-        def mutate(shard: ControlShard):
-            entry = shard.objects.get(object_id)
-            if entry is None:
-                entry = shard.objects[object_id] = ObjectEntry(object_id=object_id)
-            if size is not None:
-                entry.size = size
-            if location is not None:
-                entry.locations.add(location)
-            if drop_location is not None:
-                entry.locations.discard(drop_location)
-            if producer_task is not None:
-                entry.producer_task = producer_task
-            if payload is not None:
-                entry.payload = payload
-            if ready is not None:
-                entry.ready = ready
-
         self._apply(
             object_id,
             "object_update",
-            mutate,
-            ready=bool(ready),
-            wal=(
-                "object_put",
-                {
-                    "size": size,
-                    "location": location,
-                    "drop_location": drop_location,
-                    "ready": ready,
-                    "producer_task": producer_task,
-                    "payload": payload,
-                },
-            ),
+            self._put_object,
+            (size, location, drop_location, ready, producer_task, payload),
+            {"ready": bool(ready)},
+            "object_put",
         )
 
-    def object_get(self, object_id) -> Optional[ObjectEntry]:
-        def read(shard: ControlShard):
-            entry = shard.objects.get(object_id)
-            return entry.snapshot() if entry is not None else None
+    def _put_object(
+        self, shard: ControlShard, object_id, size, location, drop_location,
+        ready, producer_task, payload,
+    ) -> None:
+        entry = shard.objects.get(object_id)
+        if entry is None:
+            entry = shard.objects[object_id] = ObjectEntry(object_id=object_id)
+        if size is not None:
+            entry.size = size
+        if location is not None:
+            entry.locations.add(location)
+        if drop_location is not None:
+            entry.locations.discard(drop_location)
+        if producer_task is not None:
+            entry.producer_task = producer_task
+        if payload is not None:
+            entry.payload = payload
+        if ready is not None:
+            entry.ready = ready
 
-        return self._apply(object_id, "object_lookup", read, log=False)
+    def object_get(self, object_id) -> Optional[ObjectEntry]:
+        return self._apply(object_id, "object_lookup", _snapshot_of, ("objects",))
 
     def object_drop_location(self, object_id, location) -> None:
         self.object_put(object_id, drop_location=location)
@@ -408,64 +421,45 @@ class ControlStore:
         node=None,
         state: str = "alive",
     ) -> None:
-        def mutate(shard: ControlShard):
-            shard.actors[actor_id] = ActorEntry(
-                actor_id=actor_id, spec=spec, name=name, node=node, state=state
-            )
-
         self._apply(
-            actor_id,
-            "actor_registered",
-            mutate,
-            name=name or "",
-            wal=(
-                "actor_register",
-                {"spec": spec, "name": name, "node": node, "state": state},
-            ),
+            actor_id, "actor_registered", self._register_actor,
+            (spec, name, node, state), {"name": name or ""}, "actor_register",
         )
         if name is not None:
-            def index(shard: ControlShard):
-                shard.names[name] = actor_id
+            self._apply(name, "actor_named", self._index_name, (actor_id,), {"name": name})
 
-            self._apply(name, "actor_named", index, name=name)
+    def _register_actor(self, shard: ControlShard, actor_id, spec, name, node, state) -> None:
+        shard.actors[actor_id] = ActorEntry(
+            actor_id=actor_id, spec=spec, name=name, node=node, state=state
+        )
+
+    def _index_name(self, shard: ControlShard, name, actor_id) -> None:
+        shard.names[name] = actor_id
 
     def actor_update(
         self, actor_id, *, state: Optional[str] = None, node=None, method_inc: bool = False
     ) -> None:
-        def mutate(shard: ControlShard):
-            entry = shard.actors.get(actor_id)
-            if entry is None:
-                entry = shard.actors[actor_id] = ActorEntry(actor_id=actor_id)
-            if state is not None:
-                entry.state = state
-            if node is not None:
-                entry.node = node
-            if method_inc:
-                entry.methods_submitted += 1
-
         self._apply(
-            actor_id,
-            "actor_state",
-            mutate,
-            state=state or "",
-            wal=(
-                "actor_update",
-                {"state": state, "node": node, "method_inc": method_inc},
-            ),
+            actor_id, "actor_state", self._update_actor, (state, node, method_inc),
+            {"state": state or ""}, "actor_update",
         )
 
-    def actor_get(self, actor_id) -> Optional[ActorEntry]:
-        def read(shard: ControlShard):
-            entry = shard.actors.get(actor_id)
-            return entry.snapshot() if entry is not None else None
+    def _update_actor(self, shard: ControlShard, actor_id, state, node, method_inc) -> None:
+        entry = shard.actors.get(actor_id)
+        if entry is None:
+            entry = shard.actors[actor_id] = ActorEntry(actor_id=actor_id)
+        if state is not None:
+            entry.state = state
+        if node is not None:
+            entry.node = node
+        if method_inc:
+            entry.methods_submitted += 1
 
-        return self._apply(actor_id, "actor_lookup", read, log=False)
+    def actor_get(self, actor_id) -> Optional[ActorEntry]:
+        return self._apply(actor_id, "actor_lookup", _snapshot_of, ("actors",))
 
     def actor_by_name(self, name: str):
-        def read(shard: ControlShard):
-            return shard.names.get(name)
-
-        return self._apply(name, "actor_name_lookup", read, log=False)
+        return self._apply(name, "actor_name_lookup", _named_actor)
 
     def actors(self) -> list:
         return self._scan(lambda shard: [e.snapshot() for e in shard.actors.values()])
@@ -581,15 +575,9 @@ class ControlStore:
             self._generation += 1
             generation = self._generation
 
-        def mutate(shard: ControlShard):
-            return None
-
         self._apply(
-            f"generation/{generation}",
-            "driver_generation",
-            mutate,
-            generation=generation,
-            wal=("generation", {"generation": generation}),
+            f"generation/{generation}", "driver_generation", _no_mutation,
+            (generation,), {"generation": generation}, "generation",
         )
         return generation
 

@@ -17,7 +17,7 @@ from typing import Any, Optional
 from repro.utils.ids import BaseID, NodeID, ObjectID, TaskID
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectEntry:
     """Object-table row: where an object lives and who produced it.
 
@@ -44,14 +44,19 @@ class ObjectEntry:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskEntry:
     """Task-table row: the full spec (= lineage) plus execution state.
 
     ``spec`` is a :class:`~repro.core.task.TaskSpec` for driver-born tasks;
-    for worker-born (bottom-up) tasks it is the wire payload dict the worker
-    shipped with its SUBMIT_LOCAL notice — either form is enough to replay
-    the task after a crash.
+    for worker-born (bottom-up) tasks it is ``{"spec": ..., "payload":
+    (entry, function_name, code)}`` — the wire entry the worker announced
+    in its SUBMIT_LOCAL notice plus the function it names — either form
+    is enough to replay the task after a crash, with nothing else in hand.
+
+    Rows are ``slots`` dataclasses: the tables hold one per task and per
+    object for the life of the runtime, and an instance without a
+    ``__dict__`` is one object, not two, for the cyclic GC to walk.
     """
 
     task_id: TaskID
@@ -72,7 +77,7 @@ class TaskEntry:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ActorEntry:
     """Actor-table row: registry entry plus the name index payload."""
 

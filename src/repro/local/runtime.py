@@ -49,11 +49,10 @@ from repro.core.protocol import (
     validate_wait_args,
 )
 from repro.core.task import (
+    CallTemplate,
+    ExplicitSubmit,
     ResourceRequest,
     TaskSpec,
-    _UNSET,
-    build_task_spec,
-    resolve_task_options,
 )
 from repro.core.worker import (
     ErrorValue,
@@ -122,7 +121,7 @@ class _LocalEffectHandler(EffectHandler):
         return call_from_effect(self.runtime, item)
 
 
-class LocalRuntime:
+class LocalRuntime(ExplicitSubmit):
     """Thread-pool implementation of the backend protocol."""
 
     def __init__(
@@ -219,38 +218,15 @@ class LocalRuntime:
             self._functions[function_id] = function
         return function_id
 
-    def submit_task(
-        self,
-        function: Callable,
-        function_id: FunctionID,
-        function_name: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        options: Any = None,
-        resources: Optional[ResourceRequest] = None,
-        duration: Any = _UNSET,        # modeled durations are a sim concept
-        placement_hint: Any = _UNSET,
-        max_reconstructions: Optional[int] = None,
-    ) -> Any:
+    def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
+        """Submit one call of ``template`` (what ``.remote()`` calls)."""
         self._check_open()
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
-        check_cluster_feasible(self.cluster, options.resources, function_name)
-        parent_task_id = getattr(self._tls, "cur_task", None)
-        spec = build_task_spec(
-            self.ids,
-            function=function,
-            function_id=function_id,
-            function_name=function_name,
-            args=args,
-            kwargs=kwargs or {},
-            options=options,
+        template.check_feasible(self.cluster)
+        spec = template.stamp(
+            self.ids, args, kwargs,
             submitted_from=self._current_node_id(),
             root_task_id=getattr(self._tls, "cur_root", None),
-            parent_task_id=parent_task_id,
+            parent_task_id=getattr(self._tls, "cur_task", None),
         )
         self._submit_spec(spec)
         return spec.public_result()

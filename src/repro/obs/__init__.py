@@ -12,8 +12,8 @@ makes the *live* backends equally inspectable:
   tuples.  Recording is append-to-a-list off the hot path; nothing is
   serialized or sent at record time.
 * Buffers flush *out-of-band*: workers piggyback their drained buffer
-  on messages they already send (the trailing element of ``DONE`` /
-  ``RESULT``, flushed alongside the batched submit notices),
+  on a message they already send (the trailing element of ``DONE``,
+  flushed alongside the batched submit notices),
   agents piggyback on their heartbeat cadence, and an overflowing
   buffer rides a dedicated one-way ``SPANS`` frame.  A disabled
   recorder costs one attribute check per call site.
@@ -44,7 +44,7 @@ from typing import Any, Optional
 from repro.store.event_log import EventLog
 
 #: Per-process recorder buffer bound (spans).  Flushes happen far more
-#: often than this fills (every DONE/RESULT/heartbeat), so at the
+#: often than this fills (every DONE/heartbeat), so at the
 #: default size ``spans_dropped`` stays 0; the bound is the backstop
 #: that keeps a wedged process from growing without limit.
 DEFAULT_BUFFER_SPANS = 65536

@@ -1,71 +1,103 @@
 """Wire protocol between the proc driver and its worker processes.
 
-Each worker owns one duplex pipe.  In ``dispatch_mode="driver"`` traffic
-is strictly alternating from the worker's point of view: the driver
-sends a task (a ``TASK`` frame of one entry); while executing it the
-worker may issue any number of *requests* (fetch an argument, submit a
-nested task, block in ``get``/``wait``, ``put`` a value, create or call
-an actor), each answered by
-exactly one reply from the driver's per-worker service thread; the
-exchange ends with the worker's ``RESULT`` message.  Because the worker
-is single-threaded, requests never interleave — the protocol needs no
-sequence numbers.
+Each worker owns one duplex pipe carrying tuples ``(tag, *payload)``.
+The core is request/reply: while a task runs, the worker may issue any
+number of *requests* (fetch an argument, submit a nested task, block in
+``get``/``wait``, ``put`` a value, create or call an actor), each
+answered by exactly one reply from the driver's per-worker service
+thread.  The worker is single-threaded, so requests never interleave and
+the protocol needs no sequence numbers.  Around that core, tasks go down
+in ``TASK`` frames and completions come back in ``DONE`` frames, in both
+dispatch modes: ``dispatch_mode="driver"`` ships one task per frame and
+gets one ``DONE`` per task; ``dispatch_mode="bottom_up"`` (the two-level
+scheduling plane, :mod:`repro.sched_plane`) windows and coalesces them
+and adds **one-way messages** in both directions.
 
-``dispatch_mode="bottom_up"`` (the two-level scheduling plane,
-:mod:`repro.sched_plane`) adds **one-way messages** in both directions
-on top of the same request/reply core, and moves driver-born work in
-**dispatch frames**:
+**What crosses the wire per task** is one *entry* — every task, however
+it was born, is this one positional tuple, written by
+:func:`encode_entry` and read by :func:`decode_entry`::
 
-* ``(TASK, [entry, ...], {function_id: code})`` — the driver ships a
-  *window* of tasks at once.  The worker runs the first entry
+    (task_hex, function_hex, (return_hex, ...), call_bytes, inline, extras)
+
+* Ids are their hex strings: a tuple of strings pickles at a fraction
+  of the cost of id objects, and a frame's repeated ``function_hex`` is
+  one memoized reference after its first use.
+* ``call_bytes`` is the pickled ``(args, kwargs)`` with every top-level
+  ref argument replaced by a :class:`SlotRef`; ``inline`` maps the small
+  ones' object ids to their bytes, and is ``None`` when the call has no
+  ref argument at all (the worker then skips slot resolution).
+* ``extras`` is ``None`` for a plain top-level call of a function under
+  its default options; otherwise a dict with only the keys that apply:
+  ``"options"`` (a non-default :class:`~repro.core.task.TaskOptions`:
+  display name, ``num_returns``, replay budget), ``"root"``/``"parent"``
+  (trace context of a nested task), ``"actor"`` (``(actor_id, method,
+  class_name, resources)``) and ``"code"`` (an actor constructor's
+  class — the one piece of code that is not a registered function).
+
+**What crosses once per (worker, function)** is the function table that
+rides beside the entries of a ``TASK`` frame (driver to worker) or a
+``SUBMIT_LOCAL`` notice (worker to driver): ``{function_hex:
+(registered name, code)}`` for the functions the receiver has not been
+told about.  From a row the receiver rebuilds the function's call
+template (:class:`~repro.core.task.CallTemplate`), and from the
+template, per entry, a spec — so nothing that is the same for every
+call of a function is sent, or computed, per call.  A driver-born
+function reaches a worker with the first frame that needs it; a
+worker-born one reaches the driver with the first notice that names it,
+keeps the id its worker gave it, and from then on is shipped to other
+workers (steals, crash replay) like any registered function.
+
+**Dispatch frames** (bottom-up mode):
+
+* ``(TASK, [entry, ...], table)`` — the worker runs the first entry
   immediately and pushes the rest onto its own local queue, where they
   are ordinary queue residents: a ``CANCEL_NOTICE`` drops them, a
   ``STEAL_REQUEST`` may give them away, a blocked worker self-steals
   them, and the driver mirrors them for crash re-homing exactly like
-  locally-born tasks.  Entries are the per-task payload dicts; the code
-  of a registered remote function crosses the wire **once per (worker,
-  function)** in the frame's function table and the worker keeps the
-  unpickled callable by ``function_id`` (payloads built elsewhere —
-  worker-born, spilled — still carry their own ``function_bytes``).
+  locally-born tasks.
 * **The budget rule.**  A frame holds as many stateless tasks as fit
   :data:`FRAME_BUDGET_S` of *estimated* work.  The estimate is the
   execution time the worker measures and reports per completion, kept
-  per ``function_id`` (the median of the last few, so one sample that
-  caught a context switch does not shrink the next frames).  A backend
-  may also cap a frame's task count (``dist`` does, for now).  A
-  function with no estimate yet, or one estimated above the
-  budget, ships alone — the one-task-at-a-time exchange is simply the
-  window-of-one case.  Actor tasks always ship alone: their ordering
-  and their pinning leave nothing to window.
-* ``(DONE, [(task_id, [blob, ...], failed, exec_seconds), ...], idle)``
-  — the worker coalesces completions and flushes them at **three
+  per function (the median of the last few, so one sample that caught a
+  context switch does not shrink the next frames; folded in once per
+  ``DONE`` frame).  A backend may also cap a frame's task count
+  (``dist`` does, for now).  A function with no estimate yet, or one
+  estimated above the budget, ships alone.  Actor tasks always ship
+  alone: their ordering and their pinning leave nothing to window.
+* ``(DONE, [(task_hex, [blob, ...], failed, exec_seconds), ...], idle)``
+  — what DONE carries per task is the raw id the entry came with, one
+  blob per return slot (result bytes, or a :class:`ShmDescriptor` the
+  worker already filled and the driver seals on receipt), the failure
+  flag the driver needs for actor bookkeeping, and the measured time.
+  The worker coalesces completions and flushes them at **three
   points**: when its queue drains (``idle=True``: the session is over
-  and it parks awaiting the next frame), before any rpc request (so the
-  driver never serves a request with stale knowledge, and a blocked
-  worker holds nothing back), and at the first task boundary at least
-  :data:`FRAME_BUDGET_S` after the oldest buffered completion (so a
-  result waits at most one budget plus one task behind its frame
-  mates).  The driver applies a whole frame under one lock hold.
+  and it parks awaiting the next frame; the list may then be empty —
+  everything shipped was stolen or cancelled), before any rpc request
+  (so the driver never serves a request with stale knowledge, and a
+  blocked worker holds nothing back), and at the first task boundary at
+  least :data:`FRAME_BUDGET_S` after the oldest buffered completion.
+  The driver applies a whole frame under one lock hold.
 
-Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices.
-The driver's one-way messages (``STEAL_REQUEST``, ``CANCEL_NOTICE``,
-``PLACED``) may arrive at the worker interleaved with request replies;
-the worker processes them at every pipe touch-point — before
-dispatching each local task, inside its reply-wait loop, and while
-idle.  Pipe FIFO ordering is the protocol's only synchronization: a
-``SUBMIT_LOCAL`` always precedes any ``DONE`` or ``STEAL_GRANT`` that
-mentions its task, and a ``CANCEL_NOTICE`` always follows the ``TASK``
-frame that shipped its task, so the driver's mirror of each worker
-queue is maintained in causal order.
+Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
+batched and flushed before any other outbound message, so the driver
+registers lineage and mirror state causally first; it acks a batch with
+one ``PLACED``.  The driver's one-way messages (``STEAL_REQUEST``,
+``CANCEL_NOTICE``, ``PLACED``) may arrive at the worker interleaved
+with request replies; the worker processes them at every pipe
+touch-point — before dispatching each local task, inside its reply-wait
+loop, and while idle.  Pipe FIFO ordering is the protocol's only
+synchronization: a ``SUBMIT_LOCAL`` always precedes any ``DONE`` or
+``STEAL_GRANT`` that mentions its task, and a ``CANCEL_NOTICE`` always
+follows the ``TASK`` frame that shipped its task, so the driver's
+mirror of each worker queue is maintained in causal order.
 
-Messages are tuples ``(tag, *payload)``.  Everything crossing the pipe is
-picklable by construction: user *code* is pre-serialized with
-:func:`~repro.utils.serialization.serialize_portable`, user *values* with
-plain pickle, and framework objects (ids, refs, resource requests,
-:class:`~repro.core.worker.ErrorValue`) are simple dataclasses.
-
-Large user values do not cross the pipe at all when the shared-memory
-data plane is on: FETCH/GET replies and RESULT blobs carry a
+Everything crossing the pipe is picklable by construction: user *code*
+is pre-serialized with
+:func:`~repro.utils.serialization.serialize_portable`, user *values*
+with plain pickle, and framework objects (refs, resource requests,
+:class:`~repro.core.worker.ErrorValue`) are simple dataclasses.  Large
+user values do not cross the pipe at all when the shared-memory data
+plane is on: FETCH/GET replies and DONE blobs carry a
 :class:`ShmDescriptor` (segment name + slot + size) instead of bytes,
 and the payload moves through :mod:`repro.shm` zero-copy.
 """
@@ -73,25 +105,20 @@ and the payload moves through :mod:`repro.shm` zero-copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
-from repro.utils.ids import ObjectID
+from repro.core.object_ref import ObjectRef
+from repro.core.task import CallTemplate, TaskOptions, TaskSpec
+from repro.utils.ids import FunctionID, NodeID, ObjectID, TaskID
+from repro.utils.serialization import serialize_call
 
 #: Seconds of *estimated* work one bottom-up TASK frame may carry, and
 #: the longest a buffered completion waits for the next task boundary.
 FRAME_BUDGET_S = 0.001
 
 # -- driver -> worker ---------------------------------------------------
-TASK = "task"          # (TASK, [payload_dict, ...], {function_id: code}):
-                       # a dispatch frame — run the first entry now, queue
-                       # the rest; the table carries the code of registered
-                       # functions this worker has not been sent before
+TASK = "task"          # (TASK, [entry, ...], {function_hex: (name, code)})
 SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
-
-# -- worker -> driver (task lifecycle) ----------------------------------
-RESULT = "result"      # (RESULT, [blob, ...], failed): the task finished;
-                       # one entry per return slot (num_returns), each
-                       # either result bytes or a ShmDescriptor the worker
-                       # already filled (the driver seals it on receipt)
 
 # -- worker -> driver (requests while a task runs) ----------------------
 FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
@@ -105,10 +132,10 @@ CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, ObjectRef)
 GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
 
 # -- worker -> driver (the shared-memory data plane) --------------------
-# Metadata-only variants of FETCH/PUT/RESULT: large objects cross the
-# pipe as ~100-byte ShmDescriptors; only small ones ship as bytes.
-# Argument descriptors ship embedded in SlotRef (no round trip);
-# SHM_ATTACH is the explicit metadata refetch for everything else.
+# Metadata-only variants of FETCH/PUT: large objects cross the pipe as
+# ~100-byte ShmDescriptors; only small ones ship as bytes.  Argument
+# descriptors ship embedded in SlotRef (no round trip); SHM_ATTACH is
+# the explicit metadata refetch for everything else.
 SHM_ATTACH = "shm_attach"  # (SHM_ATTACH, object_id) -> (OK, ShmDescriptor | bytes)
                            # descriptor when shm-resident; bytes fallback
 SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
@@ -118,58 +145,41 @@ SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
                            # pipe); object_id=None allocates a fresh id
 SHM_SEAL = "shm_seal"      # (SHM_SEAL, object_id) -> (OK, ObjectRef):
                            # publish a worker-filled allocation (put path;
-                           # result blobs seal implicitly on RESULT)
+                           # result blobs seal implicitly on DONE)
 SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
                            # a granted-but-unwritable allocation to the
                            # arena (the worker is falling back to bytes)
 
-# -- the bottom-up scheduling plane (dispatch_mode="bottom_up") ---------
-# One-way messages; no tag below ever gets a reply.
-
+# -- one-way messages: no tag below ever gets a reply --------------------
 # worker -> driver:
-SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [notice, ...]): nested
-                               # tasks were enqueued on the worker's own
-                               # local queue with zero round-trips.  The
-                               # worker batches notices and flushes the
-                               # batch before any other outbound message,
-                               # so the driver registers lineage/mirror
-                               # state causally first; it acks the batch
-                               # with one PLACED
-DONE = "done"          # (DONE, [(task_id, [blob, ...], failed, exec_s),
-                       # ...], idle): coalesced completions (the bottom-up
-                       # RESULT).  idle=True: the local queue drained, the
-                       # session is over, the worker parks awaiting the
-                       # next TASK frame; the list may then be empty
-                       # (everything shipped was stolen or cancelled)
-STEAL_GRANT = "steal_grant"  # (STEAL_GRANT, [task_id, ...]): the worker
-                             # (sole owner of its queue) gives away the
-                             # tail of its local queue; the driver
-                             # re-homes the tasks from its mirror.  May
-                             # be empty (nothing left to give).
-
-# -- the tracing plane (init(..., tracing=True)) ------------------------
-# Span records normally piggyback on messages the worker already sends:
-# DONE and RESULT each grow one OPTIONAL trailing element — an
-# "obs blob" (send_monotonic, [(t, kind, payload), ...], dropped_total)
-# appended only when the worker's SpanRecorder has something to flush.
-# Receivers index those messages positionally from the front, so the
-# trailing element is invisible to tracing-unaware paths (including the
-# dist agent's blob rewrite, which preserves trailing elements).  A
+DONE = "done"                  # (DONE, [(task_hex, blobs, failed, exec_s), ...], idle)
+SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [entry, ...], {function_hex:
+                               # (name, code)}): nested tasks enqueued on
+                               # the worker's own queue, zero round-trips
+STEAL_GRANT = "steal_grant"    # (STEAL_GRANT, [task_hex, ...]): the worker
+                               # (sole owner of its queue) gives away its
+                               # tail; the driver re-homes the tasks from
+                               # its mirror.  May be empty.
+# Span records (init(..., tracing=True)) piggyback on DONE, which grows
+# one OPTIONAL trailing element — an "obs blob" (send_monotonic,
+# [(t, kind, payload), ...], dropped_total) — only when the worker's
+# SpanRecorder has something to flush.  Receivers index DONE from the
+# front, so the element is invisible to tracing-unaware paths (including
+# the dist agent's blob rewrite, which preserves trailing elements).  A
 # buffer that grows large mid-session (or the final flush at SHUTDOWN)
-# rides this dedicated one-way frame instead:
-SPANS = "spans"  # (SPANS, obs_blob): worker -> driver, never replied to
+# rides this dedicated frame instead:
+SPANS = "spans"                # (SPANS, obs_blob)
 
 # driver -> worker:
 STEAL_REQUEST = "steal_request"  # (STEAL_REQUEST, max_count): an idle
                                  # worker wants work; answer with a
                                  # STEAL_GRANT of up to max_count tasks
-CANCEL_NOTICE = "cancel_notice"  # (CANCEL_NOTICE, task_id): the task was
-                                 # cancelled; drop it from the local
-                                 # queue — it must never execute
-PLACED = "placed"      # (PLACED, [task_id, ...]): the placement ack —
-                       # the driver has registered a SUBMIT_LOCAL batch
-                       # for lineage (crash replay covers those tasks
-                       # from here on)
+CANCEL_NOTICE = "cancel_notice"  # (CANCEL_NOTICE, task_hex): drop the task
+                                 # from the local queue — it must never
+                                 # execute
+PLACED = "placed"      # (PLACED, count): a SUBMIT_LOCAL batch of that many
+                       # tasks is registered for lineage (crash replay
+                       # covers them from here on)
 
 # -- driver -> worker (replies) -----------------------------------------
 OK = "ok"    # (OK, value)
@@ -202,10 +212,111 @@ class ShmDescriptor:
     This is what crosses the pipe in place of the payload: the receiver
     attaches ``segment`` lazily (cached per segment), takes its refcount
     cell for ``slot``, and reads ``size`` framed bytes zero-copy.  Sent
-    in FETCH/GET replies, RESULT blobs, and SHM_CREATE grants.
+    in FETCH/GET replies, DONE blobs, and SHM_CREATE grants.
     """
 
     object_id: ObjectID
     segment: str
     slot: int
     size: int
+
+
+# -- TASK / SUBMIT_LOCAL entries ------------------------------------------
+
+#: Position of the inline-object table in an entry (the dist agent
+#: caches what passes through it).
+ENTRY_INLINE = 4
+
+def encode_entry(spec: TaskSpec, slot_for: Callable, **extras: Any) -> tuple:
+    """The wire form of one task (module docstring, "Entries").
+
+    ``slot_for(object_id, inline)`` turns one ref argument into its
+    :class:`SlotRef`, adding the object's bytes to ``inline`` if they
+    should ride along — the one thing the driver (its stores) and a
+    submitting worker (its local residency) do differently.  It is not
+    called for a call without ref arguments: that one is its pickled
+    arguments and no slot table.  ``extras`` are the caller's
+    (``actor=``, ``code=``); the option set and the trace context are
+    read off the spec."""
+    args, kwargs, inline = spec.args, spec.kwargs, None
+    if spec.argument_refs():
+        inline = {}
+
+        def slot(value: Any) -> Any:
+            if isinstance(value, ObjectRef):
+                return slot_for(value.object_id, inline)
+            return value
+
+        args = tuple([slot(value) for value in args])
+        kwargs = {key: slot(value) for key, value in kwargs.items()}
+    task_id = spec.task_id
+    if spec.options is not None:
+        extras["options"] = spec.options
+    root = spec.root_task_id
+    if root is not None and root is not task_id and root != task_id:
+        extras["root"] = root.hex
+    if spec.parent_task_id is not None:
+        extras["parent"] = spec.parent_task_id.hex
+    return (
+        task_id.hex,
+        spec.function_id.hex,
+        tuple([object_id.hex for object_id in spec.all_return_ids()]),
+        serialize_call(args, kwargs),
+        inline,
+        extras or None,
+    )
+
+
+def register_functions(templates: dict, table: dict) -> None:
+    """Make a received function table decodable: one default-options
+    call template per function, keyed ``(function_hex, None)``."""
+    for function_hex, (name, _code) in table.items():
+        if (function_hex, None) not in templates:
+            templates[function_hex, None] = CallTemplate(
+                None, FunctionID(function_hex), name, TaskOptions()
+            )
+
+
+def decode_entry(
+    entry: tuple, templates: dict, submitted_from: Optional[NodeID] = None
+) -> TaskSpec:
+    """The spec of a received entry, without its arguments (they stay in
+    ``call_bytes`` until the task runs; the lineage mirror never reads
+    them).  ``templates`` is the receiver's cache, seeded by
+    :func:`register_functions` from the tables that preceded the entry."""
+    task_hex, function_hex, return_hexes, _call, _inline, extras = entry
+    task_id = TaskID(task_hex)
+    return_ids = tuple([ObjectID(return_hex) for return_hex in return_hexes])
+    if extras is None:
+        return templates[function_hex, None].instantiate(
+            task_id, return_ids, submitted_from
+        )
+    root = extras.get("root")
+    parent = extras.get("parent")
+    root = TaskID(root) if root is not None else None
+    parent = TaskID(parent) if parent is not None else None
+    actor = extras.get("actor")
+    if actor is not None:
+        actor_id, method, class_name, resources = actor
+        return TaskSpec(
+            task_id=task_id,
+            function_id=FunctionID(function_hex),
+            function_name=f"{class_name}.{method}",
+            return_object_id=return_ids[0],
+            return_object_ids=return_ids,
+            num_returns=len(return_ids),
+            resources=resources,
+            submitted_from=submitted_from,
+            actor_id=actor_id,
+            actor_method=method,
+            root_task_id=root if root is not None else task_id,
+            parent_task_id=parent,
+        )
+    options = extras.get("options")
+    template = templates.get((function_hex, options))
+    if template is None:
+        base = templates[function_hex, None]
+        template = templates[function_hex, options] = CallTemplate(
+            None, base.function_id, base.function_name, options
+        )
+    return template.instantiate(task_id, return_ids, submitted_from, root, parent)

@@ -27,7 +27,7 @@ Architecture (one instance = one pool):
   ``shm_capacity`` and host support): payloads are written once into a
   sealed shm arena — by the driver on ``put``, by the *worker itself*
   for large results (``SHM_CREATE`` grant, then a descriptor in
-  ``RESULT``) — and every subsequent hop (argument attach, driver get,
+  ``DONE``) — and every subsequent hop (argument attach, driver get,
   broadcast) moves only a descriptor while readers reconstruct views
   aliasing the arena.  The coordinator's reaper reclaims refcounts held
   by crashed workers, and shutdown unlinks every segment.
@@ -98,11 +98,10 @@ from repro.core.protocol import (
     validate_wait_args,
 )
 from repro.core.task import (
+    CallTemplate,
+    ExplicitSubmit,
     ResourceRequest,
     TaskSpec,
-    _UNSET,
-    build_task_spec,
-    resolve_task_options,
 )
 from repro.core.worker import ErrorValue, error_value_from
 from repro.errors import (
@@ -220,10 +219,10 @@ class _WorkerHandle:
     #: Actor tasks pinned to this worker (its actors' constructors and
     #: method calls); drained before the shared queue.
     pinned: deque = field(default_factory=deque)
-    #: Specs the child was handed to *run*, by task id in hand-over
-    #: order (so the values read as its stack): the head of the frame it
-    #: is working through plus any tasks running reentrantly while that
-    #: one blocks.
+    #: Specs the child was handed to *run*, by raw task id (the hex the
+    #: wire carries) in hand-over order, so the values read as its
+    #: stack: the head of the frame it is working through plus any tasks
+    #: running reentrantly while that one blocks.
     inflight: dict = field(default_factory=dict)
     #: Bottom-up mode: stateless tasks the driver tier placed here
     #: (locality-aware), shipped when the worker next idles.
@@ -231,10 +230,11 @@ class _WorkerHandle:
     #: Bottom-up mode: the driver's mirror of the worker's own local
     #: queue — locally-born tasks (SUBMIT_LOCAL notices, in pipe order)
     #: and the tails of the TASK frames shipped to it — the state that
-    #: makes stolen and crashed queued tasks recoverable.
+    #: makes stolen and crashed queued tasks recoverable.  Keyed by raw
+    #: task id, like ``inflight``.
     mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
-    #: Registered functions whose code this worker process already
-    #: received in a frame's function table.
+    #: Functions this worker process already has: sent to it in a
+    #: frame's function table, or announced by it in a SUBMIT_LOCAL one.
     functions_sent: set = field(default_factory=set)
     #: Serializes driver->worker sends: replies from the service thread
     #: interleave with steal requests and cancel notices sent by *other*
@@ -254,7 +254,40 @@ class _WorkerHandle:
     actors_bound: int = 0
 
 
-class ProcRuntime:
+def _queue_length(worker: _WorkerHandle) -> int:
+    return len(worker.placed) + len(worker.mirror) + len(worker.pinned)
+
+
+def place_without_locality(
+    workers: list, resources: ResourceRequest
+) -> Optional[_WorkerHandle]:
+    """:meth:`PlacementPolicy.choose` for a task with no argument objects
+    and no placement hint, read straight off the worker handles.
+
+    With nothing to be local to, every candidate's locality score is
+    zero, and the driver tier estimates an idle worker at one free CPU
+    and a busy one at none — so the policy's ordering (capacity fit,
+    locality, free CPUs, shortest queue, greatest node id) reduces to:
+    among the idle workers, the shortest queue, ties to the greatest node
+    id.  None means what it means there: queue globally."""
+    if resources.num_cpus > 1 or resources.num_gpus > 0:
+        return None
+    best = None
+    best_length = 0
+    for worker in workers:
+        if worker is None or not worker.alive or worker.busy or worker.inflight:
+            continue
+        length = _queue_length(worker)
+        if (
+            best is None
+            or length < best_length
+            or (length == best_length and worker.node_id.hex > best.node_id.hex)
+        ):
+            best, best_length = worker, length
+    return best
+
+
+class ProcRuntime(ExplicitSubmit):
     """Multiprocess implementation of the backend protocol."""
 
     #: The most tasks one dispatch frame carries, whatever the frame
@@ -357,9 +390,13 @@ class ProcRuntime:
         #: the R7 tools consume through the ``event_log`` property.
         self.tracing = bool(tracing)
         self._obs = SpanCollector(enabled=self.tracing)
-        #: Worker-born task payloads by task id (from SUBMIT_LOCAL
-        #: notices): what a thief executes and what crash replay reships.
-        self._payloads: dict[Any, dict] = {}
+        #: Worker-born tasks' wire entries by raw task id (from
+        #: SUBMIT_LOCAL notices): what a thief executes and what crash
+        #: replay reships, verbatim.
+        self._payloads: dict[str, tuple] = {}
+        #: Call templates rebuilt from workers' function tables, for
+        #: decoding those entries (see ``messages.decode_entry``).
+        self._peer_templates: dict = {}
         #: Estimated execution seconds per registered function — the
         #: median of the latest times workers reported for it in DONE
         #: frames: what sizes a frame.
@@ -399,7 +436,11 @@ class ProcRuntime:
                 seed=seed,
             )
         self._deps = DependencyTracker()
-        self._functions: dict[FunctionID, Callable] = {}
+        #: The function table: ``(registered name, callable)`` by
+        #: function id — the callable is None for a function a worker
+        #: registered (its code is in ``_fn_cache``; the driver never
+        #: calls it).
+        self._functions: dict[FunctionID, tuple] = {}
         self.actors = ActorRegistry()
         self._lifecycle = LifecycleIndex()
 
@@ -438,48 +479,31 @@ class ProcRuntime:
     def register_function(self, function: Callable, name: str) -> FunctionID:
         function_id = self.ids.function_id()
         with self._cond:
-            self._functions[function_id] = function
+            self._functions[function_id] = (name, function)
         return function_id
 
-    def submit_task(
+    def submit_call(
         self,
-        function: Callable,
-        function_id: FunctionID,
-        function_name: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        options: Any = None,
-        resources: Optional[ResourceRequest] = None,
-        duration: Any = _UNSET,        # modeled durations are a sim concept
-        placement_hint: Any = _UNSET,
-        max_reconstructions: Optional[int] = None,
+        template: CallTemplate,
+        args: tuple,
+        kwargs: dict,
         root_task_id: Any = None,
         parent_task_id: Any = None,
     ) -> Any:
+        """Submit one call of ``template`` (what ``.remote()`` calls):
+        per call, two fresh ids, one argument scan, the write-ahead
+        record and a placement."""
         self._check_open()
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
-        check_cluster_feasible(self.cluster, options.resources, function_name)
+        template.check_feasible(self.cluster)
         with self._cond:
-            spec = build_task_spec(
-                self.ids,
-                function=function,
-                function_id=function_id,
-                function_name=function_name,
-                args=args,
-                kwargs=kwargs or {},
-                options=options,
-                submitted_from=self.head_node_id,
-                root_task_id=root_task_id,
-                parent_task_id=parent_task_id,
+            spec = template.stamp(
+                self.ids, args, kwargs, self.head_node_id,
+                root_task_id, parent_task_id,
             )
             self._submit_spec(spec)
             return spec.public_result()
 
-    def _submit_spec(self, spec: TaskSpec) -> ObjectRef:
+    def _submit_spec(self, spec: TaskSpec) -> None:
         """Gate on unproduced dependencies, else enqueue (lock held).
 
         The control write is the write-ahead lineage record: synchronous,
@@ -501,22 +525,23 @@ class ProcRuntime:
                 worker_born=False,
             )
         self._lifecycle.register(spec)
-        missing = {
-            dep for dep in spec.dependencies() if not self._has_object(dep)
-        }
+        missing = None
+        if spec.argument_refs() or spec.extra_dependencies:
+            missing = {
+                dep for dep in spec.dependencies() if not self._has_object(dep)
+            }
         if missing:
             self._deps.add(spec, missing)
         else:
             self._enqueue(spec)
         self._cond.notify_all()
-        return spec.result_ref()
 
     def _enqueue(self, spec: TaskSpec) -> None:
         """Route a runnable spec to its queue (lock held)."""
         if self._lifecycle.is_cancelled(spec.task_id):
             # Dispatch-time drop: the marker already owns its slots (and
-            # a worker-born payload mirrored for this task is dead too).
-            self._payloads.pop(spec.task_id, None)
+            # a worker-born entry mirrored for this task is dead too).
+            self._payloads.pop(spec.task_id.hex, None)
             return
         if spec.actor_id is not None:
             record = self.actors.get(spec.actor_id)
@@ -551,33 +576,37 @@ class ProcRuntime:
         live worker through the shared :class:`PlacementPolicy` — idle
         workers have estimated capacity, and residency supplies the
         locality bytes — or fall back to the global spillover queue,
-        drained by whichever worker idles first."""
-        candidates = []
-        dependencies = None
-        for worker in self._workers:
-            if worker is None or not worker.alive:
-                continue
-            if dependencies is None:
-                dependencies = spec.dependencies()
-            candidates.append(
+        drained by whichever worker idles first.  A task with no ref
+        argument and no hint has no locality to score and takes
+        :func:`place_without_locality`: same choice, no candidates."""
+        if (
+            not spec.argument_refs()
+            and not spec.extra_dependencies
+            and spec.placement_hint is None
+        ):
+            home = place_without_locality(self._workers, spec.resources)
+            if home is not None:
+                self._sched.tasks_placed_global += 1
+        else:
+            dependencies = spec.dependencies()
+            max_lookups = self._placement_policy.max_locality_lookups
+            candidates = [
                 WorkerCandidate(
                     node_id=worker.node_id,
                     est_cpus=0 if (worker.busy or worker.inflight) else 1,
                     est_gpus=0,
-                    queue_length=(
-                        len(worker.placed) + len(worker.mirror) + len(worker.pinned)
-                    ),
+                    queue_length=_queue_length(worker),
                     locality_bytes=self._residency.locality_bytes(
-                        worker.index,
-                        dependencies,
-                        self._placement_policy.max_locality_lookups,
+                        worker.index, dependencies, max_lookups
                     ),
                 )
+                for worker in self._workers
+                if worker is not None and worker.alive
+            ]
+            chosen = plan_placement(
+                spec, candidates, self._placement_policy, self._sched
             )
-        chosen = plan_placement(
-            spec, candidates, self._placement_policy, self._sched
-        )
-        home = self._by_node.get(chosen) if chosen is not None else None
+            home = self._by_node.get(chosen) if chosen is not None else None
         if home is None or not home.alive:
             self._queue.append(spec)
             self._obs_placed(spec, None)
@@ -796,14 +825,15 @@ class ProcRuntime:
         worker itself is fully race-free: the notice is queued on its
         pipe before the CANCEL rpc's reply, so the tombstone is local by
         the time ``cancel()`` returns in the task body."""
+        task_hex = spec.task_id.hex
         for worker in self._workers:
             if worker is None or not worker.alive:
                 continue
-            if spec.task_id in worker.mirror:
-                worker.mirror.remove(spec.task_id)
-                self._payloads.pop(spec.task_id, None)
+            if task_hex in worker.mirror:
+                worker.mirror.remove(task_hex)
+                self._payloads.pop(task_hex, None)
                 try:
-                    self._send_control(worker, (msg.CANCEL_NOTICE, spec.task_id))
+                    self._send_control(worker, (msg.CANCEL_NOTICE, task_hex))
                 except OSError:
                     pass  # dying worker: the crash handler owns cleanup
                 break
@@ -940,7 +970,15 @@ class ProcRuntime:
         # Busy children may be deep in user code (even sleeping forever):
         # kill them; idle ones get a graceful shutdown from their service
         # thread, which wakes on ``closed`` and owns the pipe's send side.
-        for worker in busy:
+        self._reap_pool(workers, kill=busy)
+        if self._owns_control:
+            self._control.close()
+
+    def _reap_pool(self, workers: list, kill: list) -> None:
+        """End of the pool (``closed`` is set): kill ``kill``, wait for
+        every service thread and process, release what the driver owns
+        beside the control store."""
+        for worker in kill:
             worker.process.kill()
         for worker in workers:
             if worker.thread is not None:
@@ -961,8 +999,6 @@ class ProcRuntime:
             # — even after worker crashes.
             self._shm.shutdown()
         self._completions.stop()
-        if self._owns_control:
-            self._control.close()
 
     def fail_driver(self) -> None:
         """Fault injection: die like a crashed driver process.
@@ -980,27 +1016,11 @@ class ProcRuntime:
             workers = [w for w in self._workers if w is not None]
             self._cond.notify_all()
         # A crashing driver does not say goodbye: hard-kill the pool.
-        for worker in workers:
-            if worker.process is not None and worker.alive:
-                worker.process.kill()
-        for worker in workers:
-            if worker.thread is not None:
-                worker.thread.join(timeout=5.0)
-        for worker in workers:
-            if worker.process is not None:
-                worker.process.join(timeout=2.0)
-                if worker.process.is_alive():
-                    worker.process.kill()
-                    worker.process.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        if self._shm is not None:
-            self._shm.shutdown()
-        self._completions.stop()
-        # Not ours to close even when _owns_control: the test of HA is
-        # that the store keeps working after the driver is gone.
+        # The control store is not ours to close even when _owns_control:
+        # the test of HA is that it keeps working after the driver is gone.
+        self._reap_pool(
+            workers, kill=[w for w in workers if w.process is not None and w.alive]
+        )
 
     def _recover_from_control(self) -> None:
         """Execute the dead driver's :func:`plan_recovery` plan (end of
@@ -1061,19 +1081,18 @@ class ProcRuntime:
                 else:
                     self._submit_spec(spec)
             for spec, payload in plan.pending_payloads:
+                # Worker-born: the record carries the wire entry and the
+                # function it names, so nothing of the dead driver's
+                # function table is needed to run it again.
+                entry, name, code = payload
                 self._control.task_put(
                     spec.task_id, {"spec": spec, "payload": payload}
                 )
-                self._payloads[spec.task_id] = payload
+                self._functions.setdefault(spec.function_id, (name, None))
+                self._fn_cache.setdefault(spec.function_id, code)
+                self._payloads[spec.task_id.hex] = entry
                 self._lifecycle.register(spec)
-                missing = {
-                    dep for dep in spec.dependencies()
-                    if not self._has_object(dep)
-                }
-                if missing:
-                    self._deps.add(spec, missing)
-                else:
-                    self._enqueue(spec)
+                self._enqueue(spec)
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -1106,21 +1125,24 @@ class ProcRuntime:
         process.start()
         child_conn.close()  # the parent keeps only its own end
         worker.process = process
-        self._workers[index] = worker
+        return self._serve_worker(worker)
+
+    def _serve_worker(self, worker: _WorkerHandle) -> _WorkerHandle:
+        """Enter a spawned worker into the pool and start the service
+        thread that feeds it (lock held)."""
+        self._workers[worker.index] = worker
         self._by_node[worker.node_id] = worker
-        loop = (
-            self._service_loop_bottom_up
-            if self.dispatch_mode == "bottom_up"
-            else self._service_loop
-        )
-        thread = threading.Thread(
-            target=loop,
+        worker.thread = threading.Thread(
+            target=(
+                self._service_loop_bottom_up
+                if self.dispatch_mode == "bottom_up"
+                else self._service_loop
+            ),
             args=(worker,),
-            name=f"repro-proc-service-{index}",
+            name=f"repro-service-{worker.index}",
             daemon=True,
         )
-        worker.thread = thread
-        thread.start()
+        worker.thread.start()
         return worker
 
     def _send(self, worker: _WorkerHandle, message: tuple) -> None:
@@ -1219,7 +1241,7 @@ class ProcRuntime:
                 if spec is None:
                     return None
             if self._lifecycle.is_cancelled(spec.task_id):
-                self._payloads.pop(spec.task_id, None)
+                self._payloads.pop(spec.task_id.hex, None)
                 continue
             if spec.actor_id is not None:
                 spec = self._claim_actor_spec(worker, spec)
@@ -1454,7 +1476,7 @@ class ProcRuntime:
         if tag == msg.DONE:
             self._apply_done_frame(worker, message)
         elif tag == msg.SUBMIT_LOCAL:
-            self._register_local_submit(worker, message[1])
+            self._register_local_submit(worker, message[1], message[2])
         elif tag == msg.STEAL_GRANT:
             self._apply_steal_grant(worker, message[1])
         elif tag == msg.SPANS:
@@ -1487,24 +1509,29 @@ class ProcRuntime:
                 self._store_bytes(object_id, data)
 
     def _ship_frame(self, worker: _WorkerHandle, specs: list) -> bool:
-        """Build, register and send one TASK frame; False if nothing was
+        """Encode, register and send one TASK frame; False if nothing was
         left to send.
 
         Until this point the specs were owned by the calling service
         thread alone (popped from every queue, registered nowhere).  A
-        payload that cannot be built resolves its task to an error; a
-        task cancelled in the meantime is dropped, unshipped.  The rest
+        task that cannot be encoded resolves to an error; a task
+        cancelled in the meantime is dropped, unshipped.  The rest
         become the worker's: the head joins its ``inflight`` table (it
         runs on arrival), the tail its mirror (queued there, and from
         now on stealable, cancellable, re-homable).  Registration and
         taking the pipe's send lock happen under one hold of the runtime
         lock, so a CANCEL_NOTICE for a mirrored task can only ever
         follow the frame that carries it."""
+        def slot_for(object_id: ObjectID, inline: dict) -> SlotRef:
+            with self._cond:
+                return self._arg_slot(object_id, worker, inline)
+
         functions: dict = {}
-        built = []
+        encoded = []
         for spec in specs:
             try:
-                built.append((spec, self._build_payload(spec, worker, functions)))
+                entry = self._encode_task(spec, worker, functions, slot_for)
+                encoded.append((spec, entry))
             except (TypeError, ReproError) as exc:
                 self._fail_payload(spec, exc)
         with self._cond:
@@ -1513,22 +1540,22 @@ class ProcRuntime:
             if not worker.alive:
                 # The worker died under us (dist: its node's link).
                 # Nothing was sent, so nothing is lost: back to the plane.
-                for spec, _payload in built:
+                for spec, _entry in encoded:
                     self._enqueue(spec)
                 self._cond.notify_all()
                 return False
             shipped = []
-            for spec, payload in built:
+            for spec, entry in encoded:
                 if self._lifecycle.is_cancelled(spec.task_id):
-                    self._payloads.pop(spec.task_id, None)
+                    self._payloads.pop(entry[0], None)
                 else:
-                    shipped.append((spec, payload))
+                    shipped.append((spec, entry))
             if not shipped:
                 return False
-            head = shipped[0][0]
-            worker.inflight[head.task_id] = head
-            for spec, _payload in shipped[1:]:
-                worker.mirror.push(spec.task_id, spec)
+            head, head_entry = shipped[0]
+            worker.inflight[head_entry[0]] = head
+            for spec, entry in shipped[1:]:
+                worker.mirror.push(entry[0], spec)
             if self.dispatch_mode == "bottom_up":
                 self._sched.frames_sent += 1
                 self._sched.tasks_shipped += len(shipped)
@@ -1546,7 +1573,11 @@ class ProcRuntime:
             worker.functions_sent.update(functions)
             self._send_held(
                 worker,
-                (msg.TASK, [payload for _spec, payload in shipped], functions),
+                (
+                    msg.TASK,
+                    [entry for _spec, entry in shipped],
+                    {fid.hex: row for fid, row in functions.items()},
+                ),
             )
         finally:
             worker.send_lock.release()
@@ -1571,58 +1602,88 @@ class ProcRuntime:
         """One DONE frame: every completion it carries, the session end
         if it says so, and the control-store writes they cause — under
         one hold of the runtime lock, with one wake-up of whoever waits
-        on it and one enqueue into the control store's writer."""
+        on it, one enqueue into the control store's writer and one
+        update of each function's execution-time estimate."""
         completions, idle = message[1], message[2]
         if len(message) > 3:  # optional trailing obs blob
             self._ingest_worker_obs(worker, message[3])
         with self._cond, self._control.async_batch():
-            self._sched.done_frames += 1
-            for task_id, blobs, failed, exec_seconds in completions:
-                self._finish_done(worker, task_id, blobs, failed, exec_seconds)
+            if self.dispatch_mode == "bottom_up":
+                self._sched.done_frames += 1
+            times: dict = {}
+            for task_hex, blobs, failed, exec_seconds in completions:
+                spec = self._finish_done(worker, task_hex, blobs, failed)
+                if spec is not None and spec.function_id in self._functions:
+                    times.setdefault(spec.function_id, []).append(exec_seconds)
+            for function_id, samples in times.items():
+                self._note_exec_times(function_id, samples)
             if idle:
                 worker.busy = False
             self._cond.notify_all()
 
-    def _register_local_submit(self, worker: _WorkerHandle, notices: list) -> None:
+    def _note_exec_times(self, function_id: FunctionID, samples: list) -> None:
+        """Fold one DONE frame's execution times of one function into
+        its estimate (lock held): the upper median of the latest few —
+        with an even count it errs high."""
+        recent = self._exec_samples.get(function_id)
+        if recent is None:
+            recent = self._exec_samples[function_id] = deque(
+                maxlen=_ESTIMATE_WINDOW
+            )
+        recent.extend(samples)
+        estimate = sorted(recent)[len(recent) // 2]
+        slowest = max(samples)
+        if slowest >= msg.FRAME_BUDGET_S:
+            # A run that filled a frame's budget by itself is believed
+            # at once: the cost may follow the arguments.
+            estimate = max(estimate, slowest)
+        self._exec_estimate[function_id] = estimate
+
+    def _register_local_submit(
+        self, worker: _WorkerHandle, entries: list, table: dict
+    ) -> None:
         """A worker kept nested tasks on its own queue (the fast path);
         register lineage/lifecycle state from the one-way notice batch,
         mirror the queue entries, and ack the batch with one PLACED.
-        Pipe FIFO guarantees this runs before any DONE or STEAL_GRANT
-        mentioning any of the tasks."""
-        placed_ids = []
+        ``table`` names the functions the worker submits here for the
+        first time.  Pipe FIFO guarantees this runs before any DONE or
+        STEAL_GRANT mentioning any of the tasks."""
         with self._cond, self._control.async_batch():
-            for notice in notices:
-                payload = notice["payload"]
-                spec = TaskSpec(
-                    task_id=payload["task_id"],
-                    function_id=payload["function_id"],
-                    function_name=notice["function_name"],
-                    return_object_id=payload["return_object_id"],
-                    return_object_ids=tuple(payload["return_object_ids"]),
-                    num_returns=payload["num_returns"],
-                    resources=notice["resources"],
-                    submitted_from=notice["submitted_from"],
-                    max_reconstructions=notice["max_reconstructions"],
-                    root_task_id=notice.get("root_task_id"),
-                    parent_task_id=notice.get("parent_task_id"),
+            for function_hex, (name, code) in table.items():
+                function_id = FunctionID(function_hex)
+                self._functions.setdefault(function_id, (name, None))
+                self._fn_cache.setdefault(function_id, code)
+                worker.functions_sent.add(function_id)
+            msg.register_functions(self._peer_templates, table)
+            for entry in entries:
+                spec = msg.decode_entry(
+                    entry, self._peer_templates, submitted_from=worker.node_id
                 )
                 self._lifecycle.register(spec)
-                worker.mirror.push(spec.task_id, spec)
-                self._payloads[spec.task_id] = payload
+                worker.mirror.push(entry[0], spec)
+                self._payloads[entry[0]] = entry
                 # Worker-born lineage: async by design (the fast path is
-                # already acked one-way); the wire payload is the replay
-                # form, the spec the bookkeeping form.
+                # already acked one-way).  The record is self-contained:
+                # the wire entry is the replay form, the function row
+                # what a driver that never saw this table needs with it,
+                # the spec the bookkeeping form.
                 self._control.async_task_put(
                     spec.task_id,
-                    {"spec": spec, "payload": payload},
+                    {
+                        "spec": spec,
+                        "payload": (
+                            entry,
+                            self._functions[spec.function_id][0],
+                            self._fn_cache[spec.function_id],
+                        ),
+                    },
                     node=worker.node_id,
                 )
                 self._sched.tasks_placed_local += 1
-                placed_ids.append(spec.task_id)
             self._cond.notify_all()  # idle thieves may now see a victim
-        self._send(worker, (msg.PLACED, placed_ids))
+        self._send(worker, (msg.PLACED, len(entries)))
 
-    def _apply_steal_grant(self, victim: _WorkerHandle, task_ids: list) -> None:
+    def _apply_steal_grant(self, victim: _WorkerHandle, task_hexes: list) -> None:
         """The victim gave up the tail of its local queue: re-home those
         tasks through the global queue.  The victim is the queue's only
         executor, so everything granted is provably not running there;
@@ -1630,63 +1691,47 @@ class ProcRuntime:
         stay dropped."""
         with self._cond:
             victim.steal_outstanding = False
-            for task_id in task_ids:
-                spec = victim.mirror.remove(task_id)
-                if spec is None or self._lifecycle.is_cancelled(task_id):
-                    self._payloads.pop(task_id, None)
+            for task_hex in task_hexes:
+                spec = victim.mirror.remove(task_hex)
+                if spec is None or self._lifecycle.is_cancelled(spec.task_id):
+                    self._payloads.pop(task_hex, None)
                     continue
                 self._sched.tasks_stolen += 1
                 if self._obs.enabled:
                     self._obs.record(
                         "task_stolen",
-                        task_id=str(task_id),
+                        task_id=str(spec.task_id),
                         victim=f"worker-{victim.index}",
                         wire=True,
                     )
-                self._control.async_task_update(task_id, state="stolen")
+                self._control.async_task_update(spec.task_id, state="stolen")
                 self._queue.append(spec)
             self._cond.notify_all()
 
     def _finish_done(
-        self,
-        worker: _WorkerHandle,
-        task_id: Any,
-        blobs: list,
-        failed: bool,
-        exec_seconds: float,
-    ) -> None:
-        """One completion of a DONE frame: resolve the task id against
-        the worker's inflight table (handed over to run) or its mirror
-        (queued there: locally-born, or shipped ahead in a frame)."""
-        with self._cond:
-            spec = worker.inflight.pop(task_id, None)
-            if spec is None:
-                spec = worker.mirror.remove(task_id)
-            self._payloads.pop(task_id, None)
-            if spec is None:
-                # Cancelled while mid-run on the worker: the marker owns
-                # the result slots; drop the blobs (and any arena space
-                # the worker filled for them).
-                if self._shm is not None:
-                    for blob in blobs:
-                        if isinstance(blob, ShmDescriptor):
-                            self._shm.abort(blob.object_id)
-                return
-            if spec.function_id in self._functions:
-                recent = self._exec_samples.get(spec.function_id)
-                if recent is None:
-                    recent = self._exec_samples[spec.function_id] = (
-                        deque(maxlen=_ESTIMATE_WINDOW)
-                    )
-                recent.append(exec_seconds)
-                # The upper median: with an even count it errs high.
-                estimate = sorted(recent)[len(recent) // 2]
-                if exec_seconds >= msg.FRAME_BUDGET_S:
-                    # A run that filled a frame's budget by itself is
-                    # believed at once: the cost may follow the arguments.
-                    estimate = max(estimate, exec_seconds)
-                self._exec_estimate[spec.function_id] = estimate
-            self._finish_spec(worker, spec, blobs, failed)
+        self, worker: _WorkerHandle, task_hex: str, blobs: list, failed: bool
+    ) -> Optional[TaskSpec]:
+        """One completion of a DONE frame (lock held): resolve the raw
+        task id against the worker's inflight table (handed over to run)
+        or its mirror (queued there: locally-born, or shipped ahead in a
+        frame), record the task finished and return its spec — None for
+        a task cancelled while it ran."""
+        spec = worker.inflight.pop(task_hex, None)
+        if spec is None:
+            spec = worker.mirror.remove(task_hex)
+        if spec is None:
+            # Cancelled while mid-run on the worker: the marker owns
+            # the result slots; drop the blobs (and any arena space
+            # the worker filled for them).
+            if self._shm is not None:
+                for blob in blobs:
+                    if isinstance(blob, ShmDescriptor):
+                        self._shm.abort(blob.object_id)
+            return None
+        if self._payloads:
+            self._payloads.pop(task_hex, None)
+        self._finish_spec(worker, spec, blobs, failed)
+        return spec
 
     def _drain_worker_messages(self, worker: _WorkerHandle) -> None:
         """Pump buffered worker messages while the worker is blocked in
@@ -1713,100 +1758,68 @@ class ProcRuntime:
     # ------------------------------------------------------------------
 
     def _execute_remote(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Ship a task, serve the worker's requests, store the result.
+        """Ship one task as a frame of one and serve the worker until
+        the DONE frame that reports it: the whole exchange of driver
+        mode, and how either mode runs a task *inside* a worker that is
+        blocked awaiting an RPC reply (it executes reentrantly there; in
+        bottom-up mode notices and grants may interleave meanwhile).
 
         Pipe failures propagate to the caller (crash handling); anything
         unserializable resolves the task to an error value instead."""
         if not self._ship_frame(worker, [spec]):
             return
-        while True:
-            message = worker.conn.recv()
-            if message[0] == msg.RESULT:
-                if len(message) > 3:  # optional trailing obs blob
-                    self._ingest_worker_obs(worker, message[3])
-                self._finish_task(worker, spec, message[1], failed=message[2])
-                return
-            if message[0] == msg.SPANS:
-                self._ingest_worker_obs(worker, message[1])
-                continue
-            self._serve_rpc(worker, message)
-
-    def _dispatch_nested(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Run one task *inside* a worker that is currently blocked
-        awaiting an RPC reply (it executes reentrantly there)."""
-        if self.dispatch_mode != "bottom_up":
-            self._execute_remote(worker, spec)
-            return
-        # Bottom-up: a frame of one, reported in a DONE frame the
-        # blocked worker sends at once; it may interleave notices and
-        # grants meanwhile.
-        if not self._ship_frame(worker, [spec]):
-            return
+        task_hex = spec.task_id.hex
         while True:
             self._flush_outbox(worker)
             message = worker.conn.recv()
             if not self._handle_async_report(worker, message):
                 self._serve_rpc(worker, message)
             elif message[0] == msg.DONE and any(
-                done[0] == spec.task_id for done in message[1]
+                done[0] == task_hex for done in message[1]
             ):
                 return
 
-    def _build_payload(
-        self, spec: TaskSpec, worker: _WorkerHandle, functions: dict
-    ) -> dict:
-        """One frame entry: resolve ref arguments into inline blobs or
-        store markers, and see to it that the worker has the code.
+    def _encode_task(
+        self, spec: TaskSpec, worker: _WorkerHandle, functions: dict, slot_for
+    ) -> tuple:
+        """One frame entry (``messages.encode_entry``, with the frame's
+        ``slot_for`` resolving ref arguments against this driver's
+        stores), and the task's function into ``functions`` — the
+        frame's function table — unless this worker already has it.
 
-        A registered remote function's code goes into ``functions`` (the
-        frame's function table) unless this worker was already sent it;
-        anything else — actor constructors, the one-off function ids of
-        spilled submissions — rides in the entry itself.
-
-        Worker-born tasks (bottom-up fast path) already carry their
-        payload — built by the submitting worker and mirrored here via
+        Worker-born tasks (bottom-up fast path) already have their
+        entry — built by the submitting worker and mirrored here via
         SUBMIT_LOCAL — so steal and crash-replay dispatches reuse it
         verbatim; ref slots resolve through FETCH/shm on the executing
-        worker."""
-        existing = self._payloads.get(spec.task_id)
-        if existing is not None:
-            return existing
-        inline: dict[ObjectID, bytes] = {}
-        with self._cond:
-            def slot(value: Any) -> Any:
-                if not isinstance(value, ObjectRef):
-                    return value
-                return self._arg_slot(value.object_id, worker, inline)
-
-            args_template = tuple(slot(value) for value in spec.args)
-            kwargs_template = {
-                key: slot(value) for key, value in spec.kwargs.items()
-            }
-        payload = {
-            "task_id": spec.task_id,
-            "function_id": spec.function_id,
-            "function_name": spec.function_name,
-            "return_object_id": spec.return_object_id,
-            "return_object_ids": spec.all_return_ids(),
-            "num_returns": spec.num_returns,
-            "root_task_id": spec.root_task_id,
-            "parent_task_id": spec.parent_task_id,
-            "call_bytes": serialize_portable((args_template, kwargs_template)),
-            "inline": inline,
-        }
+        worker.  Actor tasks name no registered function: what they run
+        lives on the worker already, except a constructor's class, which
+        rides in the entry."""
         if spec.actor_id is not None:
             record = self.actors.get(spec.actor_id)
-            payload["actor_id"] = spec.actor_id
-            payload["method"] = spec.actor_method
-            payload["class_name"] = record.class_name if record else spec.function_name
-            payload["resources"] = spec.resources
+            extras = {
+                "actor": (
+                    spec.actor_id,
+                    spec.actor_method,
+                    record.class_name if record else spec.function_name,
+                    spec.resources,
+                )
+            }
             if spec.actor_method == CREATION_METHOD:
-                payload["function_bytes"] = self._function_bytes(spec)
-        elif spec.function_id not in self._functions:
-            payload["function_bytes"] = self._function_bytes(spec)
-        elif spec.function_id not in worker.functions_sent:
-            functions[spec.function_id] = self._function_bytes(spec)
-        return payload
+                extras["code"] = self._function_bytes(spec)
+            return msg.encode_entry(spec, slot_for, **extras)
+        entry = self._payloads.get(spec.task_id.hex) if self._payloads else None
+        if entry is None:
+            entry = msg.encode_entry(spec, slot_for)
+        if spec.function_id not in worker.functions_sent:
+            with self._cond:
+                # A spec that outlived its registration (replayed by a
+                # recovered driver) or was submitted with an id of the
+                # caller's own is registered by what it carries.
+                name = self._functions.setdefault(
+                    spec.function_id, (spec.function_name, spec.function)
+                )[0]
+            functions[spec.function_id] = (name, self._function_bytes(spec))
+        return entry
 
     def _arg_slot(
         self, object_id: ObjectID, worker: _WorkerHandle, inline: dict
@@ -1847,7 +1860,7 @@ class ProcRuntime:
             function = spec.function
             if function is None:
                 with self._cond:
-                    function = self._functions.get(spec.function_id)
+                    function = self._functions.get(spec.function_id, (None, None))[1]
             if function is None:
                 raise BackendError(
                     f"function {spec.function_name!r} not registered"
@@ -1855,13 +1868,6 @@ class ProcRuntime:
             cached = serialize_portable(function)
             self._fn_cache[spec.function_id] = cached
         return cached
-
-    def _finish_task(
-        self, worker: _WorkerHandle, spec: TaskSpec, blobs: list, failed: bool
-    ) -> None:
-        with self._cond:
-            worker.inflight.pop(spec.task_id, None)
-            self._finish_spec(worker, spec, blobs, failed)
 
     def _finish_spec(
         self, worker: _WorkerHandle, spec: TaskSpec, blobs: list, failed: bool
@@ -2197,7 +2203,7 @@ class ProcRuntime:
                         break
                     self._cond.wait(timeout=remaining)
             if nested is not None:
-                self._dispatch_nested(worker, nested)
+                self._execute_remote(worker, nested)
             elif drain:
                 self._drain_worker_messages(worker)
 
@@ -2210,27 +2216,29 @@ class ProcRuntime:
         return ObjectRef(object_id)
 
     def _submit_from_worker(self, payload: dict) -> Any:
-        function = deserialize_portable(payload["function_bytes"])
+        """A worker-born task that could not take the fast path
+        (unresolved/non-resident deps, misfit resources, backlog): the
+        paper's spillover stream into the driver tier.  The function
+        keeps the id its worker gave it, so its code is registered (and
+        later shipped, and its execution time learned) once."""
+        function_id = FunctionID(payload["function_hex"])
         args, kwargs = deserialize_portable(payload["call_bytes"])
-        if self.dispatch_mode == "bottom_up":
-            # A worker-born task that could not take the fast path
-            # (unresolved/non-resident deps, misfit resources, backlog):
-            # the paper's spillover stream into the driver tier.
-            with self._cond:
+        with self._cond:
+            if function_id not in self._functions:
+                self._functions[function_id] = (payload["function_name"], None)
+                self._fn_cache[function_id] = payload["function_bytes"]
+            if self.dispatch_mode == "bottom_up":
                 self._sched.tasks_spilled += 1
                 if self._obs.enabled:
                     self._obs.record(
                         "task_spilled", function=payload["function_name"]
                     )
-        return self.submit_task(
-            function=function,
-            function_id=self.ids.function_id(),
-            function_name=payload["function_name"],
-            args=args,
-            kwargs=kwargs,
-            options=payload["options"],
-            root_task_id=payload.get("root_task_id"),
-            parent_task_id=payload.get("parent_task_id"),
+        template = CallTemplate(
+            None, function_id, payload["function_name"], payload["options"]
+        )
+        return self.submit_call(
+            template, args, kwargs,
+            payload.get("root_task_id"), payload.get("parent_task_id"),
         )
 
     def _create_actor_from_worker(self, payload: dict) -> ActorHandle:
@@ -2267,7 +2275,7 @@ class ProcRuntime:
         (e.g. a cancellation marker racing a worker's result write): the
         granted slot may be mid-``write_frame`` in the worker, so its
         space is only reclaimed once the writer is provably done (its
-        RESULT arrived, its SHM_ABORT arrived, or it crashed)."""
+        DONE arrived, its SHM_ABORT arrived, or it crashed)."""
         self._store.put(object_id, data)
         self._store.pin(object_id)
         self._object_arrived(object_id)
@@ -2355,35 +2363,7 @@ class ProcRuntime:
         with self._cond:
             if self.closed or not worker.alive:
                 return
-            worker.alive = False
-            # Everything on the reentrant stack died with the process, not
-            # just the spec the crashing frame was driving.
-            doomed = list(worker.inflight.values())
-            if inflight is not None and inflight not in doomed:
-                doomed.append(inflight)
-            worker.inflight.clear()
-            # Bottom-up: the worker's local queue died with it, but the
-            # mirror has every task (SUBMIT_LOCAL precedes everything
-            # else on the pipe, frame tails are mirrored before the frame
-            # is sent) and _payloads still holds the worker-born ones'
-            # shipped forms — re-home them through the same
-            # lineage-replay gate as the in-flight stack: a shipped-ahead
-            # task may have run to completion with its report still
-            # buffered in the dead process, so each counts as a replay.
-            # This also covers tasks mid-steal:
-            # a grant the victim never delivered leaves them in the
-            # mirror, so they are re-homed here instead of lost.
-            for _task_id, mirrored in worker.mirror.drain():
-                if mirrored not in doomed:
-                    doomed.append(mirrored)
-            # Driver-placed tasks never reached the worker: re-place
-            # them on the survivors (no replay budget consumed).
-            replaced = list(worker.placed)
-            worker.placed.clear()
-            worker.busy = False
-            worker.steal_outstanding = False
-            self._residency.forget_holder(worker.index)
-            self._workers_crashed += 1
+            doomed, replaced = self._retire_worker(worker, inflight)
             if self._obs.enabled:
                 self._obs.record(
                     "failure_detected",
@@ -2391,7 +2371,6 @@ class ProcRuntime:
                     node=str(worker.node_id),
                     reason="worker_crashed",
                 )
-            self._by_node.pop(worker.node_id, None)
             try:
                 worker.conn.close()
             except OSError:
@@ -2402,7 +2381,6 @@ class ProcRuntime:
                 # reading mid-crash become reclaimable and half-written
                 # results never become readable.
                 self._shm.reclaim_client(worker.index + 1)
-            self.actors.mark_dead_on_node(worker.node_id)
             for spec in doomed:
                 self._resolve_crashed_task(spec)
             rehome: list[TaskSpec] = []
@@ -2432,16 +2410,59 @@ class ProcRuntime:
                 spec.placement_hint = replacement.node_id
                 replacement.pinned.append(spec)
             for spec in replaced:
-                # Placement re-runs against the healed pool; a stale
-                # placement_hint pointing at the dead node must not pin
-                # the task to a queue nobody drains.
-                if spec.placement_hint == worker.node_id:
-                    spec.placement_hint = None
                 self._enqueue(spec)
             self._cond.notify_all()
 
-    def _resolve_crashed_task(self, spec: TaskSpec) -> None:
-        """Decide the fate of the task in flight on a dead worker (lock held)."""
+    def _retire_worker(
+        self, worker: _WorkerHandle, inflight: Optional[TaskSpec]
+    ) -> tuple:
+        """What every way of losing a worker starts with (lock held):
+        mark it dead, empty its tables, kill the actors whose state lived
+        there.  Returns ``(doomed, replaced)``: the tasks that died with
+        it, to go through :meth:`_resolve_crashed_task`, and the ones the
+        driver had only placed on it, to be placed again (no replay
+        budget consumed: they never reached the worker)."""
+        worker.alive = False
+        # Everything on the reentrant stack died with the process, not
+        # just the spec the crashing frame was driving.
+        doomed = list(worker.inflight.values())
+        if inflight is not None and inflight not in doomed:
+            doomed.append(inflight)
+        worker.inflight.clear()
+        # Bottom-up: the worker's local queue died with it, but the
+        # mirror has every task (SUBMIT_LOCAL precedes everything else
+        # on the pipe, frame tails are mirrored before the frame is
+        # sent) and _payloads still holds the worker-born ones' entries
+        # — they go through the same lineage-replay gate as the
+        # in-flight stack: a shipped-ahead task may have run to
+        # completion with its report still buffered in the dead
+        # process, so each counts as a replay.  This also covers tasks
+        # mid-steal: a grant the victim never delivered leaves them in
+        # the mirror.
+        for _task_hex, mirrored in worker.mirror.drain():
+            if mirrored not in doomed:
+                doomed.append(mirrored)
+        replaced = list(worker.placed)
+        worker.placed.clear()
+        for spec in replaced:
+            # Placement re-runs against the surviving pool; a stale
+            # placement_hint pointing at the dead node must not pin the
+            # task to a queue nobody drains.
+            if spec.placement_hint == worker.node_id:
+                spec.placement_hint = None
+        worker.busy = False
+        worker.steal_outstanding = False
+        self._residency.forget_holder(worker.index)
+        self._workers_crashed += 1
+        self._by_node.pop(worker.node_id, None)
+        self.actors.mark_dead_on_node(worker.node_id)
+        return doomed, replaced
+
+    def _resolve_crashed_task(
+        self, spec: TaskSpec, lost_node: Optional[int] = None
+    ) -> None:
+        """Decide the fate of a task that died with its worker — or, on
+        the dist backend, with the whole node ``lost_node`` (lock held)."""
         if spec.actor_id is not None:
             record = self.actors.get(spec.actor_id)
             if record is not None:
@@ -2455,7 +2476,7 @@ class ProcRuntime:
                 )
             return
         if self._lifecycle.is_cancelled(spec.task_id):
-            self._payloads.pop(spec.task_id, None)
+            self._payloads.pop(spec.task_id.hex, None)
             return  # the cancellation marker already owns its slots
         attempts = self._replays.get(spec.task_id, 0)
         if self._crash_policy == "replace" and attempts < spec.max_reconstructions:
@@ -2475,7 +2496,7 @@ class ProcRuntime:
             # dispatch reships the exact payload the dead worker built.
             self._queue.append(spec)
             return
-        self._payloads.pop(spec.task_id, None)
+        self._payloads.pop(spec.task_id.hex, None)
         if self._crash_policy == "fail":
             detail = "worker_crash_policy='fail' disables lineage replay"
         else:
@@ -2483,13 +2504,14 @@ class ProcRuntime:
                 f"lineage replay budget exhausted "
                 f"({attempts}/{spec.max_reconstructions} reconstructions)"
             )
+        if lost_node is not None:
+            detail = f"node {lost_node} was lost; {detail}"
         error = ErrorValue(
             task_id=spec.task_id,
             function_name=spec.function_name,
             cause_repr=detail,
             chain=(spec.function_name,),
-            kind="worker_crashed",
+            kind="worker_crashed" if lost_node is None else "node_lost",
+            node_index=lost_node,
         )
-        data = serialize(error)
-        for object_id in spec.all_return_ids():
-            self._store_bytes(object_id, data)
+        self._store_error_all_returns(spec, error)

@@ -55,7 +55,7 @@ from repro.core.actors import (
 from repro.core.effect_driver import EffectHandler, run_effect_loop_sync
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import normalize_get_refs, unwrap_loaded, validate_wait_args
-from repro.core.task import TaskSpec, _UNSET, build_task_spec, resolve_task_options
+from repro.core.task import CallTemplate, ExplicitSubmit, TaskSpec
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
@@ -88,6 +88,7 @@ from repro.utils.serialization import (
     deserialize_portable,
     serialize,
     serialize_buffers,
+    serialize_call,
     serialize_portable,
     should_inline,
     write_frame,
@@ -124,7 +125,7 @@ class _ProcEffectHandler(EffectHandler):
         return call_from_effect(self.worker.proxy, item)
 
 
-class WorkerRuntime:
+class WorkerRuntime(ExplicitSubmit):
     """The backend surface visible to user code inside a worker process.
 
     Mirrors the driver-side :class:`~repro.proc.runtime.ProcRuntime`
@@ -144,42 +145,29 @@ class WorkerRuntime:
     def register_function(self, function, name: str):
         return self.ids.function_id()
 
-    def submit_task(
-        self,
-        function,
-        function_id,
-        function_name: str,
-        args: tuple = (),
-        kwargs: dict = None,
-        options: Any = None,
-        resources=None,
-        duration: Any = _UNSET,
-        placement_hint: Any = _UNSET,
-        max_reconstructions=None,
-    ) -> Any:
-        options = resolve_task_options(
-            options, resources=resources, duration=duration,
-            placement_hint=placement_hint,
-            max_reconstructions=max_reconstructions,
-        )
-        result = self._worker.try_submit_local(
-            function, function_name, tuple(args), dict(kwargs or {}), options
-        )
+    def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
+        """A nested ``.remote()``: kept on this worker when the fast
+        path allows, else spilled to the driver tier — under the
+        function id this worker registered, so the driver learns the
+        function once."""
+        worker = self._worker
+        result = worker.try_submit_local(template, args, kwargs)
         if result is not None:
             return result
         payload = {
-            "function_bytes": self._worker.function_bytes(function),
-            "function_name": function_name,
-            "call_bytes": serialize_portable((tuple(args), dict(kwargs or {}))),
+            "function_hex": template.function_id.hex,
+            "function_bytes": worker.function_bytes(template.function),
+            "function_name": template.function_name,
+            "call_bytes": serialize_call(tuple(args), kwargs),
             # ``duration`` may be a closure (a sim-only concept anyway):
             # strip it so the payload stays plain-picklable on the pipe.
-            "options": options.merged(duration=None),
+            "options": template.options.merged(duration=None),
             # Trace context rides along so the spill path keeps the
             # nested submission inside its driver-born request's tree.
-            "root_task_id": self._worker._cur_root,
-            "parent_task_id": self._worker._cur_task,
+            "root_task_id": worker._cur_root,
+            "parent_task_id": worker._cur_task,
         }
-        return self._worker.rpc(msg.SUBMIT, payload)
+        return worker.rpc(msg.SUBMIT, payload)
 
     def cancel(self, ref: ObjectRef, recursive: bool = False) -> bool:
         return self._worker.rpc(msg.CANCEL, ref, recursive)
@@ -232,7 +220,7 @@ class WorkerRuntime:
         payload = {
             "class_bytes": serialize_portable(actor_class),
             "class_name": class_name,
-            "call_bytes": serialize_portable((tuple(args), dict(kwargs))),
+            "call_bytes": serialize_call(tuple(args), dict(kwargs)),
             "resources": resources,
             "placement_hint": placement_hint,
             "name": name,
@@ -245,7 +233,7 @@ class WorkerRuntime:
         payload = {
             "actor_id": actor_id,
             "method": method_name,
-            "call_bytes": serialize_portable((tuple(args), dict(kwargs))),
+            "call_bytes": serialize_call(tuple(args), dict(kwargs)),
             "num_returns": num_returns,
         }
         return self._worker.rpc(msg.CALL_ACTOR, payload)
@@ -316,19 +304,26 @@ class ProcWorker:
         #: window hits MAX_UNACKED_LOCAL, bounding how much work could
         #: need rebuilding from the submitting task's own replay.
         self.unacked_local = 0
-        #: Fast-path notices buffered for the next pipe touch: batching
-        #: turns a K-task fan-out's control traffic into one send.  The
+        #: Fast-path notices buffered for the next pipe touch — the
+        #: tasks' wire entries, and the function table naming functions
+        #: this worker submits for the first time: batching turns a
+        #: K-task fan-out's control traffic into one send.  The
         #: flush-before-every-outbound-message discipline (see
         #: :meth:`_flush_notices`) keeps the causal order the mirror
         #: depends on.
         self._pending_notices: list = []
+        self._pending_functions: dict = {}
         #: Per-callable serialized-code cache for nested submissions.
         self._fn_bytes: dict = {}
-        #: Registered remote functions by ``function_id``: the code a
-        #: TASK frame's function table delivered (once per worker),
-        #: replaced on first use by the callable unpickled from it.
+        #: Remote functions by raw function id: the code a TASK frame's
+        #: function table delivered (once per worker), replaced on first
+        #: use by the callable unpickled from it — or the callable
+        #: itself, for a function this worker submitted.
         self._functions: dict = {}
-        #: Bottom-up completions not yet reported — ``(task_id, blobs,
+        #: The call templates rebuilt from those tables (and registered
+        #: for this worker's own submissions): what decodes an entry.
+        self._templates: dict = {}
+        #: Bottom-up completions not yet reported — ``(task_hex, blobs,
         #: failed, exec_seconds)`` — and when the oldest was buffered.
         self._done: list = []
         self._done_since = 0.0
@@ -367,7 +362,7 @@ class ProcWorker:
         self._shm_holds: list[list] = []
         #: The tracing plane's per-process buffer (no-op unless
         #: ``tracing=True`` was threaded down from init).  Flushed as a
-        #: trailing element on DONE/RESULT and, when large, as a
+        #: trailing element on DONE and, when large, as a
         #: dedicated SPANS frame at the next rpc.
         self.obs = SpanRecorder(enabled=tracing)
         #: Trace context of the innermost executing task (saved/restored
@@ -511,9 +506,9 @@ class ProcWorker:
     # ------------------------------------------------------------------
     # Tracing-aware sends
     # ------------------------------------------------------------------
-    # The recorder piggybacks on messages the worker sends anyway: DONE
-    # and RESULT grow an optional trailing obs blob (receivers index
-    # from the front, so tracing-off wire shapes are byte-identical).
+    # The recorder piggybacks on a message the worker sends anyway: DONE
+    # grows an optional trailing obs blob (receivers index from the
+    # front, so tracing-off wire shapes are byte-identical).
     # With tracing off, drain() returns None and these collapse to the
     # plain sends.
 
@@ -559,13 +554,6 @@ class ProcWorker:
                         self._flush_done()
                     except (EOFError, OSError):
                         return  # driver gone: the main loop is exiting too
-
-    def _send_result(self, data, failed) -> None:
-        blob = self.obs.drain()
-        if blob is not None:
-            self._send((msg.RESULT, data, failed, blob))
-        else:
-            self._send((msg.RESULT, data, failed))
 
     def _flush_spans(self) -> None:
         """Ship buffered spans on a dedicated one-way SPANS frame."""
@@ -632,11 +620,11 @@ class ProcWorker:
         while self._await_frame():
             while True:
                 self._drain_control()
-                entry = self.local_queue.pop_head()
-                if entry is None:
+                queued = self.local_queue.pop_head()
+                if queued is None:
                     break
-                payload = entry[1]
-                if "windowed" not in payload:
+                entry, windowed = queued[1]
+                if not windowed:
                     # Only tasks the driver budgeted may run with
                     # results held back: a locally-born task can take
                     # arbitrarily long, or be what a ref just returned
@@ -644,7 +632,7 @@ class ProcWorker:
                     self._flush_done()
                 elif self._done and not self._done_armed.is_set():
                     self._done_armed.set()  # held across a task: watch it
-                self._run_task(payload)
+                self._run_task(entry)
             self._flush_done(idle=True)
 
     def _await_frame(self) -> bool:
@@ -668,27 +656,29 @@ class ProcWorker:
         tail was shipped ahead of need and stays stealable, cancellable
         and re-homable until the queue reaches it."""
         _, entries, functions = message
-        self._functions.update(functions)
-        for payload in entries[1:]:
-            payload["windowed"] = True
-            self.local_queue.push(payload["task_id"], payload)
+        if functions:
+            msg.register_functions(self._templates, functions)
+            for function_hex, (_name, code) in functions.items():
+                self._functions[function_hex] = code
+        for entry in entries[1:]:
+            self.local_queue.push(entry[0], (entry, True))
         self._run_task(entries[0])
 
-    def _run_task(self, payload: dict) -> None:
-        """Execute one task and report it: a RESULT now in driver mode,
-        a buffered completion in bottom-up mode — flushed here once the
-        oldest buffered one has waited out the frame budget."""
+    def _run_task(self, entry: tuple) -> None:
+        """Execute one task and buffer its completion — flushed here at
+        once in driver mode (one task, one DONE), and in bottom-up mode
+        once the oldest buffered one has waited out the frame budget."""
         started = time.monotonic()
-        data, failed = self.execute(payload)
-        if self.dispatch_mode != "bottom_up":
-            self._send_result(data, failed)
-            return
+        data, failed = self.execute(entry)
         now = time.monotonic()
         with self._out_lock:
             if not self._done:
                 self._done_since = now
-            self._done.append((payload["task_id"], data, failed, now - started))
-            if now - self._done_since >= msg.FRAME_BUDGET_S:
+            self._done.append((entry[0], data, failed, now - started))
+            if (
+                self.dispatch_mode != "bottom_up"
+                or now - self._done_since >= msg.FRAME_BUDGET_S
+            ):
                 self._flush_done()
 
     def _drain_control(self) -> None:
@@ -711,7 +701,7 @@ class ProcWorker:
             # tasks from its mirror, which the flush below guarantees
             # already knows every granted id.
             self._flush_notices()
-            self._send((msg.STEAL_GRANT, [task_id for task_id, _ in granted]))
+            self._send((msg.STEAL_GRANT, [task_hex for task_hex, _ in granted]))
             return True
         if tag == msg.CANCEL_NOTICE:
             # The worker-side dispatch-time drop: gone from the queue,
@@ -720,13 +710,11 @@ class ProcWorker:
             return True
         if tag == msg.PLACED:
             with self._out_lock:
-                self.unacked_local = max(0, self.unacked_local - len(message[1]))
+                self.unacked_local = max(0, self.unacked_local - message[1])
             return True
         return False
 
-    def try_submit_local(
-        self, function, function_name: str, args: tuple, kwargs: dict, options
-    ) -> Any:
+    def try_submit_local(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
         """The bottom-up fast path: keep a nested submission on this
         worker when every dependency is already resident here.
 
@@ -741,25 +729,12 @@ class ProcWorker:
             return None
         if self.unacked_local + len(self._pending_notices) >= MAX_UNACKED_LOCAL:
             return None  # lineage-ack backpressure: spill instead
-        refs = [
-            value
-            for value in list(args) + list(kwargs.values())
-            if isinstance(value, ObjectRef)
-        ]
-        if not all(self._locally_resident(ref.object_id) for ref in refs):
-            return None
-        spec = build_task_spec(
-            self.ids,
-            function=function,
-            function_id=self.ids.function_id(),
-            function_name=function_name,
-            args=args,
-            kwargs=kwargs,
-            options=options.merged(duration=None),
-            submitted_from=self.node_id,
-            root_task_id=self._cur_root,
-            parent_task_id=self._cur_task,
+        spec = template.stamp(
+            self.ids, args, kwargs, self.node_id, self._cur_root, self._cur_task
         )
+        for ref in spec.arg_refs:
+            if not self._locally_resident(ref.object_id):
+                return None
         if self.spillover.should_spill(
             spec,
             node_cpus=1,
@@ -768,7 +743,8 @@ class ProcWorker:
             this_node=self.node_id,
         ):
             return None
-        payload = self._build_local_payload(spec, function)
+        function_hex = spec.function_id.hex
+        entry = msg.encode_entry(spec, self._local_slot)
         # The notice is one-way and *buffered* — this is the zero
         # round-trip path: a fan-out's notices coalesce into a single
         # send at the next pipe touch, and the driver's (batched)
@@ -776,18 +752,22 @@ class ProcWorker:
         # guarantee.  _flush_notices() before every other outbound
         # message is what keeps the mirror causally ahead of any DONE
         # or STEAL_GRANT that could mention the task.
-        notice = {
-            "payload": payload,
-            "function_name": spec.function_name,
-            "resources": spec.resources,
-            "max_reconstructions": spec.max_reconstructions,
-            "submitted_from": self.node_id,
-            "root_task_id": spec.root_task_id,
-            "parent_task_id": spec.parent_task_id,
-        }
         with self._out_lock:
-            self._pending_notices.append(notice)
-        self.local_queue.push(spec.task_id, payload)
+            if function_hex not in self._functions:
+                # First submission of this function from here: it goes
+                # into this worker's own table and, once, to the driver.
+                function = template.function
+                row = {
+                    function_hex: (
+                        getattr(function, "__name__", spec.function_name),
+                        self.function_bytes(function),
+                    )
+                }
+                msg.register_functions(self._templates, row)
+                self._functions[function_hex] = function
+                self._pending_functions.update(row)
+            self._pending_notices.append(entry)
+        self.local_queue.push(entry[0], (entry, False))
         if self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,
@@ -819,7 +799,8 @@ class ProcWorker:
         with self._out_lock:
             if self._pending_notices:
                 batch, self._pending_notices = self._pending_notices, []
-                self.conn.send((msg.SUBMIT_LOCAL, batch))
+                functions, self._pending_functions = self._pending_functions, {}
+                self.conn.send((msg.SUBMIT_LOCAL, batch, functions))
                 self.unacked_local += len(batch)
 
     def _locally_resident(self, object_id: ObjectID) -> bool:
@@ -827,65 +808,28 @@ class ProcWorker:
         driver: cached bytes or an attachable shm descriptor."""
         return self.cache.contains(object_id) or object_id in self._known_shm
 
-    def _build_local_payload(self, spec: TaskSpec, function) -> dict:
-        """The worker-side twin of the driver's ``_build_payload``: same
-        wire shape, but ref slots resolve from local residency (known
-        shm descriptors embedded; cached bytes left for dispatch-time
-        resolution, with a FETCH fallback if the cache evicts them)."""
-
-        def slot(value: Any) -> Any:
-            if not isinstance(value, ObjectRef):
-                return value
-            return SlotRef(
-                value.object_id, shm=self._known_shm.get(value.object_id)
-            )
-
-        return {
-            "task_id": spec.task_id,
-            "function_id": spec.function_id,
-            "function_name": spec.function_name,
-            "return_object_id": spec.return_object_id,
-            "return_object_ids": spec.all_return_ids(),
-            "num_returns": spec.num_returns,
-            "call_bytes": serialize_portable(
-                (
-                    tuple(slot(value) for value in spec.args),
-                    {key: slot(value) for key, value in spec.kwargs.items()},
-                )
-            ),
-            "inline": {},
-            "function_bytes": self.function_bytes(function),
-            "root_task_id": spec.root_task_id,
-            "parent_task_id": spec.parent_task_id,
-        }
+    def _local_slot(self, object_id: ObjectID, inline: dict) -> SlotRef:
+        """A locally-born entry's ref argument, resolved from local
+        residency: a known shm descriptor rides embedded; cached bytes
+        are left for dispatch-time resolution (with a FETCH fallback if
+        the cache evicts them)."""
+        return SlotRef(object_id, shm=self._known_shm.get(object_id))
 
     # ------------------------------------------------------------------
     # Task execution
     # ------------------------------------------------------------------
 
-    def execute(self, payload: dict) -> tuple:
-        """Run one task message to completion.
+    def execute(self, entry: tuple) -> tuple:
+        """Run one task entry to completion.
 
         Returns ``([result_bytes, ...], failed)``: one serialized blob
         per return slot (an :class:`ErrorValue` when anything went wrong)
         plus the flag the driver needs for actor bookkeeping — shipped
         alongside so the driver never has to deserialize the payload to
         learn it."""
-        spec = TaskSpec(
-            task_id=payload["task_id"],
-            function_id=payload["function_id"],
-            function_name=payload["function_name"],
-            return_object_id=payload["return_object_id"],
-            return_object_ids=tuple(payload.get("return_object_ids", ())),
-            num_returns=payload.get("num_returns", 1),
-            actor_id=payload.get("actor_id"),
-            actor_method=payload.get("method"),
-            root_task_id=payload.get("root_task_id"),
-            parent_task_id=payload.get("parent_task_id"),
-        )
-        root_id = (
-            spec.root_task_id if spec.root_task_id is not None else spec.task_id
-        )
+        spec = msg.decode_entry(entry, self._templates, self.node_id)
+        _task, _function, _returns, call_bytes, inline, extras = entry
+        root_id = spec.root_task_id
         t_start = time.monotonic()
         if self.obs.enabled:
             self.obs.record(
@@ -909,7 +853,9 @@ class ProcWorker:
         self._cur_task, self._cur_root = spec.task_id, root_id
         try:
             try:
-                args, kwargs, upstream = self._resolve_call(payload, pinned)
+                args, kwargs, upstream = self._resolve_call(
+                    call_bytes, inline, pinned
+                )
             except ReproError as exc:
                 # An argument could not be materialized (e.g. lost in the
                 # driver store): the task must still produce a result.
@@ -919,9 +865,9 @@ class ProcWorker:
             if upstream is not None:
                 result = propagate_error(upstream, spec)
             elif spec.actor_id is not None:
-                result = self._execute_actor(spec, payload, args, kwargs)
+                result = self._execute_actor(spec, extras, args, kwargs)
             else:
-                result = self._execute_function(spec, payload, args, kwargs)
+                result = self._execute_function(spec, args, kwargs)
             self.tasks_executed += 1
             return self._finish_obs(spec, t_start, self._pack(spec, result))
         finally:
@@ -986,15 +932,17 @@ class ProcWorker:
             return serialized.in_band_bytes() or serialize(value)
         return serialize(value)
 
-    def _resolve_call(self, payload: dict, pinned: list):
+    def _resolve_call(self, call_bytes: bytes, inline: Optional[dict], pinned: list):
         """Materialize argument slots into values (inline, cache, or fetch).
 
         Returns ``(args, kwargs, upstream_error)`` exactly like the other
         backends' workers: an upstream :class:`ErrorValue` skips execution
-        and propagates as this task's result.
+        and propagates as this task's result.  ``inline=None`` says the
+        call had no ref argument: what unpickles is what runs.
         """
-        args_template, kwargs_template = deserialize_portable(payload["call_bytes"])
-        inline: dict = payload["inline"]
+        args_template, kwargs_template = deserialize_portable(call_bytes)
+        if inline is None:
+            return args_template, kwargs_template, None
         upstream: Optional[ErrorValue] = None
 
         def resolve(value: Any) -> Any:
@@ -1038,31 +986,26 @@ class ProcWorker:
             self.remember_bytes(object_id, data)
         return deserialize(data)
 
-    def _execute_function(self, spec: TaskSpec, payload: dict, args, kwargs) -> Any:
-        function = payload.get("function_bytes")
-        registered = function is None  # its code came in a frame's table
-        try:
-            if registered:
-                function = self._functions[spec.function_id]
-            if isinstance(function, bytes):
+    def _execute_function(self, spec: TaskSpec, args, kwargs) -> Any:
+        function_hex = spec.function_id.hex
+        function = self._functions[function_hex]
+        if isinstance(function, bytes):  # first use of a table's code
+            try:
                 function = deserialize_portable(function)
-                if registered:
-                    self._functions[spec.function_id] = function
-        except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
-            return error_value_from(spec, exc)
+            except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
+                return error_value_from(spec, exc)
+            self._functions[function_hex] = function
         return self._run_callable(spec, function, args, kwargs)
 
-    def _execute_actor(self, spec: TaskSpec, payload: dict, args, kwargs) -> Any:
+    def _execute_actor(self, spec: TaskSpec, extras: dict, args, kwargs) -> Any:
         if (
             spec.actor_method == CREATION_METHOD
             and self.actors.get(spec.actor_id) is None
         ):
-            self.actors.create(
-                spec.actor_id, payload["class_name"], payload["resources"],
-                self.node_id,
-            )
+            _actor_id, _method, class_name, resources = extras["actor"]
+            self.actors.create(spec.actor_id, class_name, resources, self.node_id)
             try:
-                spec.function = deserialize_portable(payload["function_bytes"])
+                spec.function = deserialize_portable(extras["code"])
             except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
                 return error_value_from(spec, exc)
         function, record, error = resolve_actor_callable(self.actors, spec)

@@ -9,7 +9,7 @@ and everything the proc runtime needs around it:
   instead of payloads;
 * **two-phase worker writes** — a worker asks for an allocation
   (``SHM_CREATE``), fills it through its own mapping, and the driver
-  seals on ``SHM_SEAL``/``RESULT``; the coordinator tracks which client
+  seals on ``SHM_SEAL``/``DONE``; the coordinator tracks which client
   owns each unsealed allocation so a crash can abort it;
 * the **reaper** — reclaims arena space whose refcount row has drained,
   and (on worker crash) zeroes the dead client's refcount column and

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
-    """One logged state transition."""
+    """One logged state transition (``slots``: a log holds millions)."""
 
     timestamp: float
     kind: str

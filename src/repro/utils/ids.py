@@ -26,6 +26,17 @@ class BaseID:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.hex[:10]})"
 
+    # An id is its hex string: it hashes as the string (CPython caches a
+    # str's hash, the generated dataclass hash rebuilt a tuple per call)
+    # and pickles as the string (the generated ``__getstate__`` of a
+    # slots dataclass runs in Python, several times the cost).  Equality
+    # stays type-aware: ids of different kinds with equal hex differ.
+    def __hash__(self) -> int:
+        return hash(self.hex)
+
+    def __reduce__(self):
+        return type(self), (self.hex,)
+
     def __str__(self) -> str:
         return f"{self._tag}:{self.hex[:10]}"
 

@@ -103,6 +103,20 @@ def serialize_portable(value: Any) -> bytes:
         ) from exc
 
 
+def serialize_call(args: tuple, kwargs: dict) -> bytes:
+    """Serialize one call's ``(args, kwargs)`` for a worker.
+
+    Arguments are *values*, so plain pickle — several times cheaper than
+    building a cloudpickler per call — is tried first; what it refuses
+    (a lambda, a locally defined class among the arguments) goes by
+    value through :func:`serialize_portable`.  Either output loads with
+    :func:`deserialize_portable`."""
+    try:
+        return pickle.dumps((args, kwargs), protocol=_PROTOCOL)
+    except Exception:  # noqa: BLE001 - any pickling refusal takes the slow way
+        return serialize_portable((args, kwargs))
+
+
 def deserialize_portable(data: bytes) -> Any:
     """Inverse of :func:`serialize_portable` (cloudpickle output is plain
     pickle-loadable as long as cloudpickle is importable at load time)."""

@@ -7,13 +7,11 @@ across every registered backend where submission is involved — plus the
 decorator/options symmetry fixes and the runtime-epoch registration fix.
 """
 
-import warnings
-
 import pytest
 
 import repro
 from repro.core.backend import registered_backends
-from repro.core.task import TaskOptions, resolve_task_options
+from repro.core.task import ResourceRequest, TaskOptions, resolve_task_options
 from repro.core.actors import ActorOptions
 
 BACKENDS = tuple(sorted(registered_backends()))
@@ -85,14 +83,25 @@ class TestOptionsDataclasses:
         opts = TaskOptions(num_cpus=2)
         assert resolve_task_options(opts) is opts
 
-    def test_resolve_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            opts = resolve_task_options(None, duration=0.5)
-        assert opts.duration == 0.5
+    def test_resolve_defaults(self):
+        assert resolve_task_options(None) == TaskOptions()
 
-    def test_resolve_rejects_mixing(self):
-        with pytest.raises(TypeError, match="not both"):
+    def test_resolve_rejects_removed_kwargs(self):
+        """The per-kwarg form is gone; the error says what to pass."""
+        for removed in (
+            {"duration": 0.5},
+            {"resources": ResourceRequest(num_cpus=1)},
+            {"placement_hint": None},
+            {"max_reconstructions": 1},
+        ):
+            with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
+                resolve_task_options(None, **removed)
+        with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
             resolve_task_options(TaskOptions(), duration=0.5)
+
+    def test_resolve_rejects_positional_resources(self):
+        with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
+            resolve_task_options(ResourceRequest(num_cpus=1))
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +196,7 @@ class TestOptionsAcrossBackends:
         finally:
             repro.shutdown()
 
-    def test_legacy_submit_task_kwargs_still_work(self, backend):
+    def test_submit_task_rejects_the_removed_kwarg_form(self, backend):
         repro.init(backend=backend, num_nodes=1, num_cpus=1, seed=5)
         try:
             runtime = repro.get_runtime()
@@ -196,17 +205,16 @@ class TestOptionsAcrossBackends:
                 return 2 * x
 
             function_id = runtime.register_function(double, "double")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # fail on anything BUT the
-                warnings.simplefilter("always", DeprecationWarning)
-                ref = runtime.submit_task(
-                    function=double,
-                    function_id=function_id,
-                    function_name="double",
-                    args=(21,),
-                    kwargs={},
-                    placement_hint=None,
-                )
+            call = dict(
+                function=double, function_id=function_id,
+                function_name="double", args=(21,), kwargs={},
+            )
+            with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
+                runtime.submit_task(**call, placement_hint=None)
+            with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
+                runtime.submit_task(**call, options=ResourceRequest(num_cpus=1))
+            # The explicit-argument form itself stays.
+            ref = runtime.submit_task(**call, options=TaskOptions(name="twice"))
             assert repro.get(ref) == 42
         finally:
             repro.shutdown()
