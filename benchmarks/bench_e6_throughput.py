@@ -395,6 +395,16 @@ def nested_timed_spawner(count):
     return refs, _time.perf_counter() - start
 
 
+@repro.remote
+def nested_spawn_and_get():
+    """One worker-born child, waited for inside the task: the round
+    trip the bottom-up scheduler exists for."""
+    return repro.get(nested_noop.remote(), timeout=60.0)
+
+
+NESTED_ROUND_TRIPS = 50
+
+
 def _nested_storm(dispatch_mode: str) -> dict:
     repro.init(backend="proc", num_workers=2, dispatch_mode=dispatch_mode)
     try:
@@ -414,6 +424,11 @@ def _nested_storm(dispatch_mode: str) -> dict:
         total = NESTED_SPAWNERS * NESTED_PER_SPAWNER
         submit_latency = sum(spent for _, spent in results) / total
         sched = repro.get_runtime().stats()["sched"]
+        round_trips = []
+        for _ in range(1 + NESTED_ROUND_TRIPS):  # the first one warms
+            t0 = time.perf_counter()
+            assert repro.get(nested_spawn_and_get.remote(), timeout=60.0) == 1
+            round_trips.append(time.perf_counter() - t0)
     finally:
         repro.shutdown()
     return {
@@ -422,6 +437,7 @@ def _nested_storm(dispatch_mode: str) -> dict:
         "throughput": total / elapsed,
         "submit_latency": submit_latency,
         "sched": sched,
+        "rtt": sorted(round_trips[1:])[NESTED_ROUND_TRIPS // 2],
     }
 
 
@@ -442,6 +458,7 @@ def test_e6_proc_nested_bottom_up_beats_driver_dispatch(benchmark):
             rounds = [_nested_storm(name) for _ in range(2)]
             chosen = dict(min(rounds, key=lambda r: r["elapsed"]))
             chosen["submit_latency"] = min(r["submit_latency"] for r in rounds)
+            chosen["rtt"] = min(r["rtt"] for r in rounds)
             best[name] = chosen
         return best
 
@@ -454,6 +471,7 @@ def test_e6_proc_nested_bottom_up_beats_driver_dispatch(benchmark):
             f"{result['elapsed'] * 1e3:.1f} ms",
             f"{result['throughput']:,.0f} tasks/s",
             f"{result['submit_latency'] * 1e6:.0f} us",
+            f"{result['rtt'] * 1e3:.2f} ms",
             result["sched"]["tasks_placed_local"],
             result["sched"]["tasks_stolen"],
         )
@@ -463,7 +481,7 @@ def test_e6_proc_nested_bottom_up_beats_driver_dispatch(benchmark):
         f"E6: nested-task storm ({NESTED_SPAWNERS} spawners x "
         f"{NESTED_PER_SPAWNER} children), dispatch-mode ablation",
         ["dispatch", "tasks", "makespan", "throughput", "submit latency",
-         "placed local", "stolen"],
+         "spawn+get rtt", "placed local", "stolen"],
         rows,
     )
     throughput_gain = (
@@ -478,6 +496,11 @@ def test_e6_proc_nested_bottom_up_beats_driver_dispatch(benchmark):
         {
             "throughput_gain": round(throughput_gain, 2),
             "submit_latency_gain": round(latency_gain, 2),
+            # Median of 50 sequential spawn-one-and-get round trips: the
+            # machine-independent "no timer on this path" gate (it read
+            # 22 ms, one steal-poll tick, until the poll was deleted).
+            "proc_nested_rtt_ms": round(sweep["bottom_up"]["rtt"] * 1e3, 3),
+            "proc_nested_env": environment_stamp(),
         }
     )
     emit_bench_json("e6", dict(benchmark.extra_info))

@@ -117,6 +117,12 @@ class RemoteFunction:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteFunction({self.name})"
 
+    def __reduce__(self):
+        # A handle pickled by value (a ``__main__`` function calling
+        # itself) arrives in another process, whose runtime epochs are
+        # its own: this process's registrations must not travel.
+        return RemoteFunction, (self._function, self._options)
+
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
         raise TypeError(
             f"remote function {self.name!r} cannot be called directly; "

@@ -119,9 +119,13 @@ class ChannelTransport(Transport):
         return item
 
     def poll(self, timeout: float = 0.0) -> bool:
-        # The runtime only ever polls non-blockingly on the driver side
-        # (_drain_worker_messages); a bounded timeout is not needed.
-        return not self._inbound.empty()
+        """Whether ``recv`` would return (or raise EOF) without blocking,
+        waiting up to ``timeout`` seconds for that to become true."""
+        inbound = self._inbound
+        with inbound.not_empty:
+            return bool(
+                inbound.not_empty.wait_for(lambda: len(inbound.queue), timeout)
+            )
 
     def writable(self) -> bool:
         # Sends enqueue to an unbounded in-memory queue: always "ready".

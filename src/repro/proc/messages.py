@@ -52,9 +52,21 @@ workers (steals, crash replay) like any registered function.
 * ``(TASK, [entry, ...], table)`` — the worker runs the first entry
   immediately and pushes the rest onto its own local queue, where they
   are ordinary queue residents: a ``CANCEL_NOTICE`` drops them, a
-  ``STEAL_REQUEST`` may give them away, a blocked worker self-steals
-  them, and the driver mirrors them for crash re-homing exactly like
-  locally-born tasks.
+  ``STEAL_REQUEST`` may give them away, a task that blocks on one runs
+  it inline, and the driver mirrors them for crash re-homing exactly
+  like locally-born tasks.
+* **What a blocked worker does with its own queue.**  Before a task
+  sends ``GET``/``WAIT``, its worker runs inline — on the blocked task's
+  stack, control drained and the caller's deadline checked before each
+  — every queued task that *produces* a ref it is about to wait for:
+  no message at all.  Work it waits for only *indirectly* (the inputs
+  of a spilled ``combine(*refs)``) it cannot find that way: the driver
+  thread serving the rpc then sends ``STEAL_REQUEST`` to the blocked
+  worker *itself*, the child answers from its reply-wait loop, and that
+  thread — the pipe's only reader — reads the ``STEAL_GRANT`` off it at
+  once (as it does for a grant owed to an idle peer's request), re-homes
+  the tasks through the global queue and injects them back as ``TASK``
+  frames the child runs reentrantly.
 * **The budget rule.**  A frame holds as many stateless tasks as fit
   :data:`FRAME_BUDGET_S` of *estimated* work.  The estimate is the
   execution time the worker measures and reports per completion, kept

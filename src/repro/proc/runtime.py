@@ -146,19 +146,11 @@ CRASH_POLICIES = ("replace", "fail")
 #: Valid values of the ``dispatch_mode`` init option.
 DISPATCH_MODES = ("bottom_up", "driver")
 
-#: How long an idle service thread sleeps between steal-opportunity
-#: re-checks, and how often a driver thread serving a blocked worker
-#: polls that worker's pipe for steal grants.  Wire steals have no
-#: condition-variable edge to wake on, so these bound steal latency —
-#: but only while a steal is actually outstanding.
-_STEAL_POLL_INTERVAL = 0.02
-
-#: Condition-wait backstops used when *no* wire steal is in flight:
-#: submissions, arrivals, grants, and shutdown all ``notify_all`` the
-#: runtime cond, so an idle/blocked thread needs only a safety-net
-#: timeout, not a poll clock.  Replacing the 20 ms busy-poll with these
-#: cuts idle wakeups from ~50/s to ~1-4/s per thread — measurable p99
-#: noise at high QPS.
+#: Condition-wait backstops of an idle or blocked service thread.
+#: Submissions, arrivals, steal requests, grants and shutdown all
+#: ``notify_all`` the runtime cond, and a grant owed to a thread's own
+#: pipe is read there (:meth:`ProcRuntime._read_steal_grant`), so these
+#: are safety nets, not clocks: nothing on a task's path waits one out.
 _IDLE_WAIT_BACKSTOP = 1.0
 _BLOCKED_WAIT_BACKSTOP = 0.25
 
@@ -249,6 +241,9 @@ class _WorkerHandle:
     busy: bool = False
     #: An un-answered STEAL_REQUEST is outstanding for this victim.
     steal_outstanding: bool = False
+    #: Its service thread is waiting on the runtime cond for the blocked
+    #: child (``_wait_serving``): a thief must wake it to read the grant.
+    parked: bool = False
     alive: bool = True
     tasks_done: int = 0
     actors_bound: int = 0
@@ -1173,6 +1168,7 @@ class ProcRuntime(ExplicitSubmit):
                 worker.conn.send(message)
                 return
             worker.outbox.append(message)
+        self._cond.notify_all()  # a thread blocked for the worker delivers it
 
     def _flush_outbox(self, worker: _WorkerHandle) -> None:
         """Deliver parked control messages (service thread only, runtime
@@ -1343,17 +1339,11 @@ class ProcRuntime(ExplicitSubmit):
                 if frame:
                     worker.busy = True
                     return frame
-                sent = self._request_remote_steal(worker)
-                # Grants/submits/arrivals all notify the cond; the
-                # timeout is a backstop, not the steal clock.  Only a
-                # freshly-sent steal request warrants a short backstop
-                # (the grant lands on the victim's pipe, not ours) —
-                # a truly idle worker can sleep until notified.
-                self._cond.wait(
-                    timeout=10 * _STEAL_POLL_INTERVAL
-                    if sent
-                    else _IDLE_WAIT_BACKSTOP
-                )
+                self._request_remote_steal(worker)
+                # The grant lands on the victim's pipe and is applied by
+                # the victim's thread; that, like a submit or an
+                # arrival, notifies the cond.
+                self._cond.wait(timeout=_IDLE_WAIT_BACKSTOP)
 
     def _claim_frame(self, worker: _WorkerHandle) -> list:
         """Pop the specs of this worker's next TASK frame (lock held).
@@ -1427,20 +1417,22 @@ class ProcRuntime(ExplicitSubmit):
 
     def _request_remote_steal(
         self, thief: _WorkerHandle, include_self: bool = False
-    ) -> bool:
+    ) -> None:
         """Ask the most-backlogged busy worker for the tail of its local
-        queue (lock held); True iff a request actually went out on the
-        wire.  At most one request per victim is in flight; the grant
-        comes back on the victim's pipe and is applied by the victim's
-        own service thread.
+        queue (lock held).  At most one request per victim is in flight;
+        the grant comes back on the victim's pipe and is applied by the
+        victim's own service thread, woken here if it is parked on the
+        cond in :meth:`_wait_serving` instead of reading that pipe.
 
         ``include_self`` lets a *blocked* worker raid its own queue: the
         child answers the request from its reply-wait loop, the grant
         re-homes the tasks through the global queue, and the service
         thread can then inject them back reentrantly — which is how a
-        worker blocked on its own locally-born tasks unwedges itself."""
+        worker blocked on work that its own queue holds, but that it
+        could not run inline itself (a task that is not the producer of
+        what it waits for, only upstream of it), unwedges itself."""
         if not self._steal_policy.enabled:
-            return False
+            return
         victim = None
         for worker in self._workers:
             if worker is None or not worker.alive:
@@ -1454,7 +1446,7 @@ class ProcRuntime(ExplicitSubmit):
             if victim is None or len(worker.mirror) > len(victim.mirror):
                 victim = worker
         if victim is None:
-            return False
+            return
         victim.steal_outstanding = True
         try:
             self._send_control(
@@ -1465,8 +1457,9 @@ class ProcRuntime(ExplicitSubmit):
                 ),
             )
         except OSError:
-            return False  # victim died; its crash handler owns the cleanup
-        return True
+            return  # victim died; its crash handler owns the cleanup
+        if victim.parked:
+            self._cond.notify_all()
 
     def _handle_async_report(self, worker: _WorkerHandle, message: tuple) -> bool:
         """One arm for the one-way worker reports every bottom-up
@@ -1733,17 +1726,18 @@ class ProcRuntime(ExplicitSubmit):
         self._finish_spec(worker, spec, blobs, failed)
         return spec
 
-    def _drain_worker_messages(self, worker: _WorkerHandle) -> None:
-        """Pump buffered worker messages while the worker is blocked in
-        a get/wait rpc (bottom-up only; called by its service thread).
+    def _read_steal_grant(self, worker: _WorkerHandle) -> None:
+        """Read a blocked worker's pipe until the STEAL_GRANT it owes
+        arrives (bottom-up only; its service thread, lock not held).
 
-        A blocked worker still answers steal requests inside its
-        reply-wait loop, but this service thread is parked on the
-        condition variable, not the pipe — without this drain a grant
-        would sit unread and the stolen tasks (possibly the very tasks
-        the blocked worker is waiting on) would never be re-homed."""
+        The child is parked in the reply-wait loop of its get/wait rpc
+        and answers a STEAL_REQUEST from there at once, so this is one
+        bounded exchange on a pipe only this thread reads — not a wait:
+        the grant (possibly the very tasks the worker is blocked on) is
+        re-homed the moment it lands, and a dead child raises into the
+        crash path like any other ``recv``."""
         self._flush_outbox(worker)
-        while worker.conn.poll():
+        while worker.steal_outstanding:
             message = worker.conn.recv()
             if not self._handle_async_report(worker, message):
                 # The blocked child is awaiting OUR reply: it cannot have
@@ -2156,17 +2150,22 @@ class ProcRuntime(ExplicitSubmit):
 
         * runnable stateless work — its placed queue, the global queue —
           is injected reentrantly exactly like pinned tasks;
-        * its own local queue is recovered by *self-steal*: the blocked
-          child answers STEAL_REQUESTs from its reply-wait loop, the
-          grant re-homes the tasks into the global queue, and they come
-          back through the injection path above;
-        * the pipe is polled for those grants (this thread is their only
-          reader), and busy peers are raided on this worker's behalf.
+        * what it waits for and holds in its own local queue it has
+          already run inline (``ProcWorker.run_producers``); what is
+          left there — work only upstream of what it waits for — is
+          recovered by *self-steal*: the blocked child answers
+          STEAL_REQUESTs from its reply-wait loop, the grant re-homes
+          the tasks into the global queue, and they come back through
+          the injection path above;
+        * a grant owed to this worker's pipe — to that self-steal, or to
+          an idle peer's request — is read off it at once (this thread
+          is the pipe's only reader; :meth:`_read_steal_grant`), and
+          busy peers are raided on this worker's behalf.  Everything
+          else that can end the wait notifies the cond.
         """
         bottom_up = self.dispatch_mode == "bottom_up"
         while True:
             nested: Optional[TaskSpec] = None
-            drain = False
             with self._cond:
                 while True:
                     if predicate():
@@ -2183,29 +2182,20 @@ class ProcRuntime(ExplicitSubmit):
                             return False
                     if bottom_up:
                         self._request_remote_steal(worker, include_self=True)
-                        # Steal grants land on *this worker's* pipe, which
-                        # only this thread reads — so poll fast exactly
-                        # while a grant (or queued outbox push) may be
-                        # sitting there, and otherwise rely on the cond
-                        # edges with a coarse backstop.
-                        pipe_work = worker.steal_outstanding or worker.outbox
-                        interval = (
-                            _STEAL_POLL_INTERVAL
-                            if pipe_work
-                            else _BLOCKED_WAIT_BACKSTOP
-                        )
-                        self._cond.wait(
-                            timeout=interval
+                        if worker.steal_outstanding or worker.outbox:
+                            break
+                        remaining = (
+                            _BLOCKED_WAIT_BACKSTOP
                             if remaining is None
-                            else min(remaining, interval)
+                            else min(remaining, _BLOCKED_WAIT_BACKSTOP)
                         )
-                        drain = True
-                        break
+                    worker.parked = True
                     self._cond.wait(timeout=remaining)
+                    worker.parked = False
             if nested is not None:
                 self._execute_remote(worker, nested)
-            elif drain:
-                self._drain_worker_messages(worker)
+            else:
+                self._read_steal_grant(worker)
 
     def _put_bytes(self, worker: _WorkerHandle, data: bytes) -> ObjectRef:
         with self._cond:
@@ -2227,6 +2217,12 @@ class ProcRuntime(ExplicitSubmit):
             if function_id not in self._functions:
                 self._functions[function_id] = (payload["function_name"], None)
                 self._fn_cache[function_id] = payload["function_bytes"]
+                # Its worker may get the function back in a frame's table
+                # and then submit it on the fast path without a row.
+                msg.register_functions(
+                    self._peer_templates,
+                    {payload["function_hex"]: (payload["function_name"], None)},
+                )
             if self.dispatch_mode == "bottom_up":
                 self._sched.tasks_spilled += 1
                 if self._obs.enabled:

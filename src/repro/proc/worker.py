@@ -177,6 +177,7 @@ class WorkerRuntime(ExplicitSubmit):
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any:
         ref_list, single = normalize_get_refs(refs)
+        timeout = self._worker.run_producers(ref_list, timeout, len(ref_list))
         blobs = self._worker.rpc(
             msg.GET, [ref.object_id for ref in ref_list], timeout
         )
@@ -191,6 +192,7 @@ class WorkerRuntime(ExplicitSubmit):
     ) -> tuple:
         ref_list = list(refs)
         validate_wait_args(ref_list, num_returns)
+        timeout = self._worker.run_producers(ref_list, timeout, num_returns)
         return self._worker.rpc(msg.WAIT, ref_list, num_returns, timeout)
 
     def put(self, value: Any) -> ObjectRef:
@@ -623,17 +625,58 @@ class ProcWorker:
                 queued = self.local_queue.pop_head()
                 if queued is None:
                     break
-                entry, windowed = queued[1]
-                if not windowed:
-                    # Only tasks the driver budgeted may run with
-                    # results held back: a locally-born task can take
-                    # arbitrarily long, or be what a ref just returned
-                    # to the driver is waiting on.
-                    self._flush_done()
-                elif self._done and not self._done_armed.is_set():
-                    self._done_armed.set()  # held across a task: watch it
-                self._run_task(entry)
+                self._run_queued(queued[1])
             self._flush_done(idle=True)
+
+    def _run_queued(self, item: tuple, inline_run: bool = False) -> None:
+        """Run one task taken off the local queue — by the session loop
+        from its head, or (``inline_run``) by :meth:`run_producers`
+        from wherever it stood."""
+        entry, windowed = item
+        if not windowed:
+            # Only tasks the driver budgeted may run with results held
+            # back: a locally-born task can take arbitrarily long, or be
+            # what a ref just returned to the driver is waiting on.
+            self._flush_done()
+        elif self._done and not self._done_armed.is_set():
+            self._done_armed.set()  # held across a task: watch it
+        self._run_task(entry, inline_run)
+
+    def run_producers(
+        self, refs: list, timeout: Optional[float], limit: int
+    ) -> Optional[float]:
+        """Work-first ``get``/``wait``: before this worker blocks on
+        ``refs``, run — here, now, on the blocked task's stack — up to
+        ``limit`` of the tasks in its own queue that produce them, and
+        return what is left of ``timeout`` for the rpc that follows.
+
+        The queue's owner is still its only executor, so the rules are
+        the session loop's: control is drained before each task (a
+        CANCEL_NOTICE still wins, an idle peer's STEAL_REQUEST still
+        gets the tail — a task granted away is no longer here and is
+        waited for through the driver like any other), and no task
+        starts once the caller's deadline has passed."""
+        queue = self.local_queue
+        if not queue:
+            return timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for ref in refs:
+            if limit <= 0:
+                break
+            return_hex = ref.object_id.hex
+            if queue.producer_of(return_hex) is None:
+                continue
+            self._drain_control()
+            task_hex = queue.producer_of(return_hex)
+            if task_hex is None:
+                continue  # cancelled or granted away just now
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            self._run_queued(queue.remove(task_hex), inline_run=True)
+            limit -= 1
+        if deadline is None:
+            return None
+        return max(0.0, deadline - time.monotonic())
 
     def _await_frame(self) -> bool:
         """Park on the pipe between sessions; False means shutdown."""
@@ -661,15 +704,15 @@ class ProcWorker:
             for function_hex, (_name, code) in functions.items():
                 self._functions[function_hex] = code
         for entry in entries[1:]:
-            self.local_queue.push(entry[0], (entry, True))
+            self.local_queue.push(entry[0], (entry, True), entry[2])
         self._run_task(entries[0])
 
-    def _run_task(self, entry: tuple) -> None:
+    def _run_task(self, entry: tuple, inline_run: bool = False) -> None:
         """Execute one task and buffer its completion — flushed here at
         once in driver mode (one task, one DONE), and in bottom-up mode
         once the oldest buffered one has waited out the frame budget."""
         started = time.monotonic()
-        data, failed = self.execute(entry)
+        data, failed = self.execute(entry, inline_run)
         now = time.monotonic()
         with self._out_lock:
             if not self._done:
@@ -767,7 +810,7 @@ class ProcWorker:
                 self._functions[function_hex] = function
                 self._pending_functions.update(row)
             self._pending_notices.append(entry)
-        self.local_queue.push(entry[0], (entry, False))
+        self.local_queue.push(entry[0], (entry, False), entry[2])
         if self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,
@@ -819,8 +862,9 @@ class ProcWorker:
     # Task execution
     # ------------------------------------------------------------------
 
-    def execute(self, entry: tuple) -> tuple:
-        """Run one task entry to completion.
+    def execute(self, entry: tuple, inline_run: bool = False) -> tuple:
+        """Run one task entry to completion (``inline_run``: inside its
+        blocked parent's ``get``, which only the trace needs to know).
 
         Returns ``([result_bytes, ...], failed)``: one serialized blob
         per return slot (an :class:`ErrorValue` when anything went wrong)
@@ -843,6 +887,7 @@ class ProcWorker:
                     if spec.parent_task_id is not None
                     else None
                 ),
+                inline=inline_run,
             )
         pinned: list = []
         holds: list = []

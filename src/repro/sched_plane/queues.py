@@ -30,10 +30,18 @@ class LocalTaskQueue:
     local runtime and in the driver-side mirrors).  All operations are
     O(1) amortized; the class is unsynchronized — owners are
     single-threaded, mirrors are touched under the runtime lock.
+
+    A task pushed with ``produces=`` (the ids of the objects it will
+    return) is also findable by any of them through :meth:`producer_of`:
+    what lets an owner blocked on an object run the queued task that
+    makes it.  Every way out of the queue retires the task's index
+    entries with it, so the index is exactly the queue's contents.
     """
 
     def __init__(self) -> None:
         self._items: dict[Any, Any] = {}  # insertion-ordered (py3.7+)
+        self._produces: dict[Any, tuple] = {}  # task id -> its return ids
+        self._producer: dict[Any, Any] = {}  # return id -> task id
 
     def __len__(self) -> int:
         return len(self._items)
@@ -41,14 +49,27 @@ class LocalTaskQueue:
     def __contains__(self, task_id: Any) -> bool:
         return task_id in self._items
 
-    def push(self, task_id: Any, item: Any) -> None:
+    def push(self, task_id: Any, item: Any, produces: tuple = ()) -> None:
         if task_id in self._items:
             raise ValueError(f"task {task_id} is already queued")
         self._items[task_id] = item
+        if produces:
+            self._produces[task_id] = produces
+            for return_id in produces:
+                self._producer[return_id] = task_id
+
+    def producer_of(self, return_id: Any) -> Optional[Any]:
+        """The id of the queued task that returns ``return_id``, if any."""
+        return self._producer.get(return_id)
+
+    def _unindex(self, task_id: Any) -> None:
+        for return_id in self._produces.pop(task_id, ()):
+            del self._producer[return_id]
 
     def pop_head(self) -> Optional[tuple]:
         """The next task to run, oldest first (owner only)."""
         for task_id in self._items:
+            self._unindex(task_id)
             return task_id, self._items.pop(task_id)
         return None
 
@@ -63,6 +84,7 @@ class LocalTaskQueue:
         for task_id in reversed(list(self._items)):
             if len(grabbed) >= max_count:
                 break
+            self._unindex(task_id)
             grabbed.append((task_id, self._items.pop(task_id)))
         grabbed.reverse()  # preserve submission order at the new home
         return grabbed
@@ -70,12 +92,15 @@ class LocalTaskQueue:
     def remove(self, task_id: Any) -> Optional[Any]:
         """Drop one task by id (cancellation, mirror sync on grant/done);
         returns its item, or None if it was not queued."""
+        self._unindex(task_id)
         return self._items.pop(task_id, None)
 
     def drain(self) -> list:
         """Remove and return everything, oldest first (crash re-homing)."""
         drained = list(self._items.items())
         self._items.clear()
+        self._produces.clear()
+        self._producer.clear()
         return drained
 
     def task_ids(self) -> Iterable[Any]:

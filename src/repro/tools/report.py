@@ -52,6 +52,11 @@ def run_report(runtime, include_gantt: bool = False, gantt_width: int = 72) -> s
 
     sections.append("\n== task profile ==")
     sections.append(TaskProfiler(log).report())
+    inline = sum(
+        1 for record in log.filter(kind="task_started") if record.get("inline")
+    )
+    if inline:
+        sections.append(f"  {inline} task(s) ran inline, inside their parent's get")
 
     profile = utilization(log, num_bins=20)
     sections.append("\n== utilization (mean busy workers per node) ==")

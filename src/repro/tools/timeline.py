@@ -20,6 +20,10 @@ class TaskSpan:
     start: float
     end: float
     failed: bool = False
+    #: Ran inside its blocked parent's ``get``, on the parent's worker:
+    #: its interval nests in the parent's and is not a second task
+    #: overlapping it.
+    inline: bool = False
 
     @property
     def duration(self) -> float:
@@ -37,6 +41,7 @@ def task_spans(event_log: EventLog) -> list:
                 "start": record.timestamp,
                 "node": str(record.get("node")),
                 "function": record.get("function", "?"),
+                "inline": bool(record.get("inline", False)),
             }
         elif record.kind == "task_finished":
             key = (str(record.get("task_id")), str(record.get("worker")))
@@ -52,6 +57,7 @@ def task_spans(event_log: EventLog) -> list:
                     start=info["start"],
                     end=record.timestamp,
                     failed=bool(record.get("failed", False)),
+                    inline=info["inline"],
                 )
             )
     return spans
@@ -76,7 +82,11 @@ def export_chrome_trace(event_log: EventLog, path: Optional[str] = None) -> list
                 "dur": span.duration * 1e6,
                 "pid": span.node,
                 "tid": span.worker,
-                "args": {"task_id": span.task_id, "failed": span.failed},
+                "args": {
+                    "task_id": span.task_id,
+                    "failed": span.failed,
+                    "inline": span.inline,
+                },
             }
         )
     for record in event_log.filter(kind="node_killed"):

@@ -600,8 +600,8 @@ class TestBottomUpScheduling:
     def test_blocked_single_worker_self_recovers(self):
         """driver mode's known limit: a worker blocked in get() on its
         own nested tasks starves without spare workers.  The bottom-up
-        plane unwedges it — self-steal re-homes the local queue and the
-        service thread injects the tasks back reentrantly."""
+        plane has nothing to unwedge — the worker finds the producers
+        in its own queue and runs them inline before it blocks."""
         repro.init(backend="proc", num_workers=1)
         try:
             @repro.remote

@@ -116,8 +116,8 @@ def test_proc_nested_random_spawns_match_across_modes():
     for dispatch_mode in ("driver", "bottom_up"):
         # 4 workers: driver mode needs spare workers while the spawners
         # block in Get (it only pumps pinned tasks into blocked workers);
-        # bottom_up unblocks even without spares (reentrant injection +
-        # self-steal), which test_proc_backend proves separately.
+        # bottom_up unblocks even without spares (inline runs, reentrant
+        # injection, self-steal), which test_proc_backend proves separately.
         repro.init(
             backend="proc", num_nodes=1, num_cpus=4, dispatch_mode=dispatch_mode
         )

@@ -5,6 +5,8 @@ Integration behavior is covered by test_proc_backend (TestBottomUp-
 Scheduling), the parity matrix, and test_fault_tolerance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.task import TaskSpec
 from repro.scheduling.policies import PlacementPolicy, StealPolicy
@@ -73,6 +75,52 @@ class TestLocalTaskQueue:
         assert q.remove("t1") is None  # idempotent
         assert q.drain() == [("t0", 0), ("t2", 2)]
         assert len(q) == 0
+
+    def test_producer_index_finds_a_queued_task_by_any_return_id(self):
+        q = LocalTaskQueue()
+        q.push("t0", 0, ("a", "b"))
+        q.push("t1", 1)  # no return ids given: not findable, still queued
+        assert q.producer_of("a") == "t0" and q.producer_of("b") == "t0"
+        assert q.producer_of("t1") is None
+        assert q.remove("t0") == 0
+        assert q.producer_of("a") is None and q.producer_of("b") is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["push", "pop_head", "steal_tail", "remove", "drain"]),
+                st.integers(0, 11),
+            ),
+            max_size=60,
+        )
+    )
+    def test_producer_index_is_exactly_the_queue_contents(self, ops):
+        """Whatever door tasks leave through, in whatever order, the
+        return-id index names the queued tasks and nothing else — it
+        neither goes stale nor grows."""
+        q = LocalTaskQueue()
+        produces = {f"t{i}": tuple(f"r{i}.{k}" for k in range(i % 3)) for i in range(12)}
+        for op, n in ops:
+            task_id = f"t{n}"
+            if op == "push":
+                if task_id not in q:
+                    q.push(task_id, n, produces[task_id])
+            elif op == "pop_head":
+                q.pop_head()
+            elif op == "steal_tail":
+                q.steal_tail(n % 4)
+            elif op == "remove":
+                q.remove(task_id)
+            else:
+                q.drain()
+            queued = set(q.task_ids())
+            expected = {r: t for t in queued for r in produces[t]}
+            assert q._producer == expected
+            assert set(q._produces) == {t for t in queued if produces[t]}
+            for task, returns in produces.items():
+                for return_id in returns:
+                    assert q.producer_of(return_id) == (task if task in queued else None)
 
 
 # ----------------------------------------------------------------------
