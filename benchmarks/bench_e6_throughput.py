@@ -318,11 +318,43 @@ def _heavy_storm(shm_capacity: int) -> dict:
     elapsed = time.perf_counter() - start
     assert all(arrays[i][0] == float(i) for i in range(HEAVY_TASKS))
     volume = HEAVY_TASKS * HEAVY_ELEMS * 8
-    repro.shutdown()
-    return {
+    result = {
         "elapsed": elapsed,
         "throughput": HEAVY_TASKS / elapsed,
         "bandwidth": volume / elapsed,
+    }
+    if shm_capacity:
+        del refs, arrays
+        result.update(_large_object_steady_state())
+    repro.shutdown()
+    return result
+
+
+#: Sequential 1 MiB put+get operations timed after the storm: more than
+#: the 255 a 256 MiB arena holds at once, so an arena that never gave
+#: space back would show in the late ones.
+STEADY_OBJECTS = 300
+
+
+def _large_object_steady_state() -> dict:
+    """One object at a time, each dead before the next: the late ones
+    (200-300) must cost what a write into warm, reused arena space costs,
+    and no more than the early ones (3-13)."""
+    import statistics
+
+    import numpy
+
+    times = []
+    for index in range(STEADY_OBJECTS):
+        array = numpy.full(HEAVY_ELEMS, float(index))
+        start = time.perf_counter()
+        value = repro.get(repro.put(array), timeout=60.0)
+        times.append(time.perf_counter() - start)
+        assert value[0] == index and value[-1] == index
+    steady = statistics.median(times[200:300])
+    return {
+        "steady_ms": steady * 1e3,
+        "cold_ratio": steady / statistics.median(times[3:13]),
     }
 
 
@@ -361,6 +393,13 @@ def test_e6_proc_shm_heavy_payload_throughput(benchmark):
     )
     benchmark.extra_info.update(
         {f"{name}_mb_s": round(r["bandwidth"] / 1e6) for name, r in sweep.items()}
+    )
+    benchmark.extra_info.update(
+        {
+            "proc_large_object_steady_ms": round(sweep["shm"]["steady_ms"], 3),
+            "proc_large_object_cold_ratio": round(sweep["shm"]["cold_ratio"], 2),
+            "proc_large_object_env": environment_stamp(),
+        }
     )
     emit_bench_json("e6", dict(benchmark.extra_info))
     assert sweep["shm"]["throughput"] > sweep["pipe"]["throughput"], (

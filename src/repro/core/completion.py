@@ -101,6 +101,10 @@ class CompletionPump:
                     callback(object_id)
                 except BaseException:  # noqa: BLE001 - a watcher must
                     pass  # never take down the shared dispatcher
+                # A watcher holds the ref it resolves (that is what keeps
+                # the object until it is read): let go of it now, not
+                # when the next completion happens to arrive.
+                callback = None
             if self._stopped and not self._fired:
                 return
 

@@ -238,6 +238,10 @@ class TaskSpec:
     #: peer can rebuild the call's template.  The flattened fields above
     #: are what the runtimes read.
     options: Optional[TaskOptions] = field(default=None, repr=False, compare=False)
+    #: Object ids this task keeps alive (its dependencies, pinned by a
+    #: runtime that releases dead objects) until no replay of it can
+    #: need them; empty once unpinned, and on runtimes that never free.
+    pins: tuple = field(default=(), repr=False, compare=False)
 
     def dependencies(self) -> list[ObjectID]:
         """Object IDs gating this task (argument futures + ordering deps)."""

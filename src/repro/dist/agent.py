@@ -295,14 +295,13 @@ class NodeAgent:
                 (ctl.CTRL, (ctl.OBJECT_DATA, message[1], data))
             )
         elif tag == ctl.DELETE_OBJECT:
-            object_id = message[1]
-            self.cache.delete(object_id)
-            if self.shm is not None and self.shm.contains(object_id):
-                try:
-                    self.shm.store.unpin(object_id)
-                    self.shm.store.delete(object_id)
-                except Exception:  # noqa: BLE001 - best-effort reclaim
-                    pass
+            # The driver released these: cached bytes go, and an arena
+            # slot goes back to the arena — at once, or through the
+            # zombie list while a local worker still leases it.
+            for object_id in message[1]:
+                self.cache.delete(object_id)
+                if self.shm is not None and self.shm.contains(object_id):
+                    self.shm.release(object_id)
         elif tag == ctl.SHUTDOWN_NODE:
             raise EOFError("shutdown requested")  # run() tears down
 

@@ -60,8 +60,10 @@ KILL_WORKER = "kill_worker"      # (KILL_WORKER, channel): SIGKILL that
 FETCH_OBJECT = "fetch_object"    # (FETCH_OBJECT, req_id, object_id) ->
                                  # (OBJECT_DATA, req_id, ...): pull one
                                  # node-resident object's bytes
-DELETE_OBJECT = "delete_object"  # (DELETE_OBJECT, object_id): drop a
-                                 # node-resident object (cancelled result)
+DELETE_OBJECT = "delete_object"  # (DELETE_OBJECT, [object_id, ...]): the
+                                 # driver released these objects (or
+                                 # cancelled their task): drop the node's
+                                 # arena slots and cached bytes of them
 SHUTDOWN_NODE = "shutdown_node"  # (SHUTDOWN_NODE,): kill workers, unlink
                                  # the node store, exit
 

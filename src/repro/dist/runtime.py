@@ -29,6 +29,13 @@ changes the *plumbing* but none of the semantics:
   *objects* are re-produced the same way), actors on the node die with
   :class:`~repro.errors.ActorLostError`, and anything unrecoverable
   resolves to :class:`~repro.errors.NodeLostError`.
+* **Object lifetime** is the proc runtime's, with two additions.  A
+  task whose result stays node-resident keeps its argument pins after
+  its completion is applied — losing the node would replay it — until
+  every such result is released or has a driver copy.  And a release
+  reaches the nodes: the owning node's arena slot and any agent's
+  cached bytes go with one ``DELETE_OBJECT`` per link for everything
+  released in one drain.
 
 Simplifications (documented, deliberate): node-to-node transfer is
 routed *through the driver* (pull-once-per-node still holds — the agent
@@ -173,6 +180,9 @@ class AgentLink:
         #: shm segment names the agent reported; unlinked at shutdown if
         #: the agent was killed before its own teardown could run.
         self.segments: list[str] = []
+        #: Released objects this node may hold (arena slot or cached
+        #: bytes), awaiting the next coalesced DELETE_OBJECT.
+        self.doomed: list = []
         #: The node-loss sweep ran for this link (once, on first EOF).
         self.reclaimed = False
         self._lock = threading.Lock()
@@ -600,6 +610,7 @@ class DistRuntime(ProcRuntime):
         # agent registered (spawned children share the driver's tracker
         # daemon) is dropped too, silencing its at-exit leak warning.
         self._unlink_dead_segments()
+        self._retire_ledger()
         self._completions.stop()
         if self._owns_control:
             self._control.close()
@@ -645,6 +656,7 @@ class DistRuntime(ProcRuntime):
         for link in self._links:
             link.join_threads()
         self._unlink_dead_segments()
+        self._retire_ledger()
         self._completions.stop()
 
     # ------------------------------------------------------------------
@@ -755,6 +767,10 @@ class DistRuntime(ProcRuntime):
             self._retained_payloads.pop(task_hex, None)
         return spec
 
+    def _apply_done_frame(self, worker, message) -> None:
+        super()._apply_done_frame(worker, message)
+        self._flush_deletes()
+
     def _finish_spec(self, worker, spec, blobs, failed) -> None:
         """Copy of the proc version with a NodeBlob arm: a node-resident
         result registers residency instead of storing bytes (lock held)."""
@@ -778,6 +794,13 @@ class DistRuntime(ProcRuntime):
             return
         node_worker_base = None
         for object_id, data in zip(spec.all_return_ids(), blobs):
+            if (
+                not isinstance(data, ctl.NodeBlob)
+                and len(data) > self._inline_threshold
+                and self._link_of(worker.index).shm_on
+            ):
+                # The node arena refused a large result: it came as bytes.
+                self._note_pipe_fallback(len(data))
             if isinstance(data, ctl.NodeBlob):
                 self._node_resident[object_id] = (data.node_index, data.size)
                 self._node_producers[object_id] = spec
@@ -787,7 +810,7 @@ class DistRuntime(ProcRuntime):
                 node_worker_base = data.node_index * self._workers_per_node
                 for channel in range(self._workers_per_node):
                     self._residency.record(
-                        node_worker_base + channel, object_id, data.size
+                        node_worker_base + channel, object_id.hex, data.size
                     )
                 self._object_arrived(object_id)
                 continue
@@ -797,14 +820,75 @@ class DistRuntime(ProcRuntime):
                 self._store_bytes(
                     object_id, serialize(error_value_from(spec, exc))
                 )
+        self._unpin_if_settled(spec)
+
+    def _unpin_if_settled(self, spec) -> None:
+        """Unpin a completed task's arguments once no replay of it can
+        happen (lock held): every return that went node-resident has
+        been released or has a copy in the driver store.  Until then
+        losing the node re-runs the task, arguments and all."""
+        if not spec.pins and spec.task_id.hex not in self._retained_payloads:
+            return
+        for object_id in spec.all_return_ids():
+            if object_id in self._node_resident and not self._store.contains(
+                object_id
+            ):
+                return
+        self._retained_payloads.pop(spec.task_id.hex, None)
+        self._unpin_task(spec)
 
     def _delete_remote(self, blob: ctl.NodeBlob) -> None:
-        try:
-            self._links[blob.node_index].enqueue(
-                (ctl.CTRL, (ctl.DELETE_OBJECT, blob.object_id))
-            )
-        except OSError:
-            pass  # dead node holds nothing worth deleting
+        self._links[blob.node_index].doomed.append(blob.object_id)
+        self._flush_deletes()
+
+    def _flush_deletes(self) -> None:
+        """One DELETE_OBJECT per link for everything released since the
+        last flush (called wherever releases batch up: a drain, a DONE
+        frame).  ``doomed`` lists are only touched under the lock."""
+        for link in self._links:
+            if link.doomed:
+                with self._cond:
+                    doomed, link.doomed = link.doomed, []
+                try:
+                    link.enqueue((ctl.CTRL, (ctl.DELETE_OBJECT, doomed)))
+                except OSError:
+                    pass  # dead node holds nothing worth deleting
+
+    def _drain_refs(self) -> None:
+        super()._drain_refs()
+        self._flush_deletes()
+
+    def _release(self, object_id) -> bool:
+        entry = self._node_resident.pop(object_id, None)
+        if not self._drop_stored(object_id) and entry is None:
+            return False  # has not arrived anywhere yet
+        self._objects_released += 1
+        nodes = {
+            holder // self._workers_per_node
+            for holder in self._residency.forget_object(object_id.hex)
+        }
+        if entry is not None:
+            nodes.add(entry[0])
+        for node_index in nodes:
+            self._links[node_index].doomed.append(object_id)
+        spec = self._node_producers.pop(object_id, None)
+        if spec is not None:
+            self._unpin_if_settled(spec)
+        return True
+
+    def _object_stats(self, shm) -> dict:
+        stats = super()._object_stats(shm)
+        stats["live"] += sum(
+            1 for object_id in self._node_resident
+            if not self._store.contains(object_id)
+        )
+        return stats
+
+    def _arena_occupancy(self) -> str:
+        return (
+            f"{len(self._node_resident)} node-resident objects / "
+            f"{sum(size for _node, size in self._node_resident.values())} bytes"
+        )
 
     def _has_object(self, object_id) -> bool:
         return super()._has_object(object_id) or object_id in self._node_resident
@@ -889,6 +973,9 @@ class DistRuntime(ProcRuntime):
                             self._store_bytes(object_id, data)
                         except ReproError:
                             return False  # store full: caller surfaces it
+                        spec = self._node_producers.get(object_id)
+                        if spec is not None:
+                            self._unpin_if_settled(spec)
                 return True
             with self._cond:
                 still = self._node_resident.get(object_id)
@@ -991,7 +1078,7 @@ class DistRuntime(ProcRuntime):
         driver once and caches)."""
         entry = self._node_resident.get(object_id)
         if entry is not None and not self._store.contains(object_id):
-            self._residency.record(worker.index, object_id, entry[1])
+            self._residency.record(worker.index, object_id.hex, entry[1])
             return SlotRef(object_id)
         return super()._arg_slot(object_id, worker, inline)
 

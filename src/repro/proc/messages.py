@@ -31,8 +31,10 @@ it was born, is this one positional tuple, written by
   ``"options"`` (a non-default :class:`~repro.core.task.TaskOptions`:
   display name, ``num_returns``, replay budget), ``"root"``/``"parent"``
   (trace context of a nested task), ``"actor"`` (``(actor_id, method,
-  class_name, resources)``) and ``"code"`` (an actor constructor's
-  class — the one piece of code that is not a registered function).
+  class_name, resources)``), ``"code"`` (an actor constructor's
+  class — the one piece of code that is not a registered function) and
+  ``"deps"`` (a worker-born entry's ref arguments, by id: the driver
+  never unpickles ``call_bytes``, and pins what a task depends on).
 
 **What crosses once per (worker, function)** is the function table that
 rides beside the entries of a ``TASK`` frame (driver to worker) or a
@@ -103,6 +105,27 @@ synchronization: a ``SUBMIT_LOCAL`` always precedes any ``DONE`` or
 follows the ``TASK`` frame that shipped its task, so the driver's
 mirror of each worker queue is maintained in causal order.
 
+**Object lifetime on the wire.**  The driver releases an object when
+nothing it can see still needs it (``proc/runtime.py``, "Object
+lifetime"), so the protocol keeps three promises.  (1) Its own fields
+name objects by id, never by a pickled :class:`ObjectRef`: ``GET``,
+``WAIT`` and ``CANCEL`` carry object ids, ``SUBMIT``/``PUT``/
+``CALL_ACTOR``/``SHM_SEAL`` are answered with ids the worker wraps in
+refs of its own, and the top-level ref arguments of every call are
+bare :class:`SlotRef` placeholders (:func:`strip_refs`) — a ref that *is* pickled (nested
+in an argument, in a stored value, captured by a shipped closure) marks
+its object escaped, which pins it until shutdown.  (2) Every request
+that makes the driver mint an id for a worker says which task asked
+(``parent``), and a locally-born entry that has ref arguments names
+them (``extras["deps"]``): the driver holds ids born in a task until
+that task's ``DONE`` is applied, and pins a task's arguments until its
+own.  (3) A worker reports the ids that escaped through it — refs it
+pickled, and refs it still holds an instance of when the task that
+received or created them ends (actor state) — as a trailing element of
+the ``SUBMIT_LOCAL`` notice, which already goes out ahead of every other
+outbound message: the mark is applied no later than the bytes that
+carry the ref.
+
 Everything crossing the pipe is picklable by construction: user *code*
 is pre-serialized with
 :func:`~repro.utils.serialization.serialize_portable`, user *values*
@@ -134,13 +157,14 @@ SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
 # -- worker -> driver (requests while a task runs) ----------------------
 FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
-SUBMIT = "submit"              # (SUBMIT, payload) -> (OK, ObjectRef | tuple)
+SUBMIT = "submit"              # (SUBMIT, payload) -> (OK, (task_id, [object_id, ...]))
 GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | ShmDescriptor])
-WAIT = "wait"                  # (WAIT, [refs], num_returns, timeout) -> (OK, (ready, pending))
-PUT = "put"                    # (PUT, bytes) -> (OK, ObjectRef)
-CANCEL = "cancel"              # (CANCEL, ref, recursive) -> (OK, bool)
+WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
+                               #   -> (OK, [the ready object_ids])
+PUT = "put"                    # (PUT, bytes, parent) -> (OK, object_id)
+CANCEL = "cancel"              # (CANCEL, object_id, recursive) -> (OK, bool)
 CREATE_ACTOR = "create_actor"  # (CREATE_ACTOR, payload) -> (OK, ActorHandle)
-CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, ObjectRef)
+CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, (task_id, [object_id, ...]))
 GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
 
 # -- worker -> driver (the shared-memory data plane) --------------------
@@ -155,7 +179,7 @@ SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
                            # unsealed allocation the worker fills through
                            # its own mapping (None: budget full, take the
                            # pipe); object_id=None allocates a fresh id
-SHM_SEAL = "shm_seal"      # (SHM_SEAL, object_id) -> (OK, ObjectRef):
+SHM_SEAL = "shm_seal"      # (SHM_SEAL, object_id, parent) -> (OK, None):
                            # publish a worker-filled allocation (put path;
                            # result blobs seal implicitly on DONE)
 SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
@@ -166,8 +190,11 @@ SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
 # worker -> driver:
 DONE = "done"                  # (DONE, [(task_hex, blobs, failed, exec_s), ...], idle)
 SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [entry, ...], {function_hex:
-                               # (name, code)}): nested tasks enqueued on
-                               # the worker's own queue, zero round-trips
+                               # (name, code)}[, [escaped object_hex, ...]]):
+                               # nested tasks enqueued on the worker's own
+                               # queue, zero round-trips; the optional tail
+                               # reports escaped objects (and may be all the
+                               # notice carries: no entries, no PLACED)
 STEAL_GRANT = "steal_grant"    # (STEAL_GRANT, [task_hex, ...]): the worker
                                # (sole owner of its queue) gives away its
                                # tail; the driver re-homes the tasks from
@@ -209,8 +236,10 @@ class SlotRef:
     inline-vs-store threshold of :mod:`repro.utils.serialization`).
     Shared-memory-resident objects ship their :class:`ShmDescriptor`
     *embedded* in ``shm`` — the worker attaches and reads zero-copy with
-    no extra driver round trip (descriptors stay valid for the object's
-    lifetime: stored objects are pinned).
+    no extra driver round trip (the descriptor stays valid until the
+    task is reported done: a task pins its arguments).  A bare one is
+    also how a worker's request names a call's top-level ref arguments
+    (:func:`strip_refs`).
     """
 
     object_id: ObjectID
@@ -231,6 +260,36 @@ class ShmDescriptor:
     segment: str
     slot: int
     size: int
+
+
+def strip_refs(args: tuple, kwargs: dict) -> tuple:
+    """``(args, kwargs)`` with every top-level ref replaced by a bare
+    :class:`SlotRef`: how a worker's SUBMIT / CALL_ACTOR / CREATE_ACTOR
+    request carries a call, so that naming an argument is not pickling a
+    ref (which would mark the object escaped)."""
+
+    def strip(value: Any) -> Any:
+        return SlotRef(value.object_id) if isinstance(value, ObjectRef) else value
+
+    return (
+        tuple([strip(value) for value in args]),
+        {key: strip(value) for key, value in kwargs.items()},
+    )
+
+
+def restore_refs(args: tuple, kwargs: dict) -> tuple:
+    """The driver-side inverse of :func:`strip_refs`.  The refs are
+    uncounted: the submission that follows pins what they name."""
+
+    def restore(value: Any) -> Any:
+        if isinstance(value, SlotRef):
+            return ObjectRef._uncounted(value.object_id)
+        return value
+
+    return (
+        tuple([restore(value) for value in args]),
+        {key: restore(value) for key, value in kwargs.items()},
+    )
 
 
 # -- TASK / SUBMIT_LOCAL entries ------------------------------------------

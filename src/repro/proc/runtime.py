@@ -31,6 +31,24 @@ Architecture (one instance = one pool):
   broadcast) moves only a descriptor while readers reconstruct views
   aliasing the arena.  The coordinator's reaper reclaims refcounts held
   by crashed workers, and shutdown unlinks every segment.
+* **Object lifetime.**  An object lives exactly as long as something
+  the driver can see still needs it, and then gives its memory back —
+  the pipe store's bytes, the arena slot (which the next large object
+  lands on, warm).  What holds an object, and nothing else does: a live
+  :class:`~repro.core.object_ref.ObjectRef` *handle* in this process
+  (counted by a :class:`~repro.core.object_ref.RefLedger`); a *task
+  pin* — a submitted task pins its arguments and ordering dependencies
+  until its completion is applied (or it is cancelled or resolved to an
+  error), so any replay finds them; a *born-in-task hold* — an id born
+  inside a task on a worker is held until that task's ``DONE`` is
+  applied or its crash resolved; a *buffer lease* — a zero-copy value
+  keeps its arena slot, not its object, until its last buffer dies; and
+  *escape* — an id whose ref was pickled into bytes, or that a worker
+  still holds after the task that got it ended, is pinned until
+  shutdown and counted.  Handles and leases end in finalizers, which
+  only append to a deque; :meth:`ProcRuntime._drain_refs` applies them
+  at the runtime's next lock hold and :meth:`ProcRuntime._release`
+  is the one place an object is forgotten.
 * **Crash recovery**: a dead worker process is detected by its service
   thread (EOF on the pipe).  Stateless in-flight tasks are replayed from
   their spec — lineage replay, up to ``max_reconstructions`` — while
@@ -66,6 +84,7 @@ import multiprocessing
 import os
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -88,7 +107,8 @@ from repro.core.actors import (
 from repro.core.completion import CompletionPump, serve_stats
 from repro.core.dependencies import DependencyTracker
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
-from repro.core.object_ref import ObjectRef
+from repro.core import object_ref
+from repro.core.object_ref import ObjectRef, RefLedger
 from repro.core.protocol import (
     check_cluster_feasible,
     normalize_get_refs,
@@ -169,6 +189,13 @@ _MIN_TASK_ESTIMATE_S = 20e-6
 #: completions — at once when a single run exceeds the whole frame
 #: budget (see ``_finish_done``).
 _ESTIMATE_WINDOW = 5
+
+#: Dead handles that make the per-task paths (submit, get, wait, a DONE
+#: frame) stop and drain.  A drain has a fixed cost several times what
+#: one more object adds to it, and a one-call-at-a-time loop would pay
+#: it on every call; what needs the memory at once — ``put``, a worker's
+#: shm grant, ``stats()`` — does not wait for a batch.
+_DRAIN_BATCH = 16
 
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
@@ -280,6 +307,20 @@ def place_without_locality(
         ):
             best, best_length = worker, length
     return best
+
+
+def _bare(value: Any) -> Any:
+    """A counted ref argument as an uncounted one (anything else as it
+    is): what a spec keeps once its task is pinned."""
+    if isinstance(value, ObjectRef) and value._ledger is not None:
+        return ObjectRef._uncounted(value.object_id, value.producer_task)
+    return value
+
+
+def _wire_ids(spec: TaskSpec) -> tuple:
+    """What answers a worker's SUBMIT / CALL_ACTOR: the new task's id
+    and return ids — the worker wraps them in refs of its own."""
+    return spec.task_id, list(spec.all_return_ids())
 
 
 class ProcRuntime(ExplicitSubmit):
@@ -430,6 +471,22 @@ class ProcRuntime(ExplicitSubmit):
                 num_workers=num_workers,
                 seed=seed,
             )
+        #: Object lifetime (module docstring); every table is keyed by
+        #: the object's raw id, its hex (a ``str`` hashes in C, and each
+        #: release asks all of them).  Handles: the ledger's counts.
+        #: Task pins: object -> tasks pinning it (each task's own list
+        #: is ``TaskSpec.pins``).  Born-in-task holds: the held objects,
+        #: and by raw task id the ids born inside it.  Escaped objects
+        #: stay until shutdown.  One whose holders are all gone before
+        #: its value exists is released when it arrives.
+        self._ledger = RefLedger()
+        self._pins: dict[str, int] = {}
+        self._held: set = set()
+        self._born_in: dict[str, list] = {}
+        self._escaped: set = set()
+        self._release_on_arrival: set = set()
+        self._objects_released = 0
+        self._fallback_warned = False
         self._deps = DependencyTracker()
         #: The function table: ``(registered name, callable)`` by
         #: function id — the callable is None for a function a worker
@@ -464,6 +521,7 @@ class ProcRuntime(ExplicitSubmit):
                 self._workers.append(None)  # type: ignore[arg-type]
                 self._spawn_worker(index)
         self.node_ids = [self.head_node_id]
+        object_ref.install_ledger(self._ledger)
         if self._recover_requested:
             self._recover_from_control()
 
@@ -491,6 +549,8 @@ class ProcRuntime(ExplicitSubmit):
         self._check_open()
         template.check_feasible(self.cluster)
         with self._cond:
+            if len(self._ledger.died) >= _DRAIN_BATCH:
+                self._drain_refs()
             spec = template.stamp(
                 self.ids, args, kwargs, self.head_node_id,
                 root_task_id, parent_task_id,
@@ -504,7 +564,11 @@ class ProcRuntime(ExplicitSubmit):
         The control write is the write-ahead lineage record: synchronous,
         and strictly before the task can reach any worker, so a crash at
         any later point finds the spec in the task table and can replay.
+        The task's pins come first: the record (and everything else
+        that keeps the spec) names its arguments without holding them.
         """
+        if spec.argument_refs() or spec.extra_dependencies:
+            self._pin_task(spec)
         self._control.task_put(spec.task_id, spec, node=self.head_node_id)
         if self._obs.enabled:
             self._obs.record(
@@ -521,10 +585,8 @@ class ProcRuntime(ExplicitSubmit):
             )
         self._lifecycle.register(spec)
         missing = None
-        if spec.argument_refs() or spec.extra_dependencies:
-            missing = {
-                dep for dep in spec.dependencies() if not self._has_object(dep)
-            }
+        if spec.pins:
+            missing = {dep for dep in spec.pins if not self._has_object(dep)}
         if missing:
             self._deps.add(spec, missing)
         else:
@@ -583,7 +645,7 @@ class ProcRuntime(ExplicitSubmit):
             if home is not None:
                 self._sched.tasks_placed_global += 1
         else:
-            dependencies = spec.dependencies()
+            dependencies = [dep.hex for dep in spec.dependencies()]
             max_lookups = self._placement_policy.max_locality_lookups
             candidates = [
                 WorkerCandidate(
@@ -680,19 +742,36 @@ class ProcRuntime(ExplicitSubmit):
         what serializes the actor's methods — no per-actor lock exists,
         and the pinned queue only routes, never orders.
         """
-        self._check_open()
         with self._cond:
-            record = self.actors.get(actor_id)
-            if record is None:
-                raise BackendError(f"unknown actor {actor_id}")
-            spec = build_call_spec(
-                self.ids, record, method_name, args, kwargs,
-                self.head_node_id, num_returns=num_returns,
-            )
-            chain_submission(record, spec)
-            self._control.async_actor_update(actor_id, method_inc=True)
-            self._submit_spec(spec)
-            return spec.public_result()
+            return self._call_actor(
+                actor_id, method_name, args, kwargs, num_returns
+            ).public_result()
+
+    def _call_actor(
+        self,
+        actor_id: ActorID,
+        method_name: str,
+        args: tuple,
+        kwargs: dict,
+        num_returns: int,
+        born_in: Optional[str] = None,
+    ) -> TaskSpec:
+        """Build, chain and submit one actor call (lock held);
+        ``born_in`` is the raw id of the worker task that made it."""
+        self._check_open()
+        record = self.actors.get(actor_id)
+        if record is None:
+            raise BackendError(f"unknown actor {actor_id}")
+        spec = build_call_spec(
+            self.ids, record, method_name, args, kwargs,
+            self.head_node_id, num_returns=num_returns,
+        )
+        chain_submission(record, spec)
+        self._control.async_actor_update(actor_id, method_inc=True)
+        if born_in is not None:
+            self._hold_born(born_in, spec.all_return_ids())
+        self._submit_spec(spec)
+        return spec
 
     def _choose_worker_for_actor(
         self, placement_hint: Optional[NodeID]
@@ -731,6 +810,8 @@ class ProcRuntime(ExplicitSubmit):
         validate_wait_args(ref_list, num_returns)
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
+            if len(self._ledger.died) >= _DRAIN_BATCH:
+                self._drain_refs()
             while True:
                 ready = [r for r in ref_list if self._has_object(r.object_id)]
                 if len(ready) >= num_returns:
@@ -756,15 +837,19 @@ class ProcRuntime(ExplicitSubmit):
         else:
             data = serialize(value)
         with self._cond:
-            object_id = self.ids.object_id()
-            self._store_bytes(object_id, data)
-        return ObjectRef(object_id)
+            self._drain_refs()
+            ref = ObjectRef(self.ids.object_id())
+            self._store_bytes(ref.object_id, data)
+        return ref
 
     def _put_large(self, value: Any, serialized) -> ObjectRef:
         """A large driver-side put: two-phase shm write so the multi-MB
         frame copy never runs under the runtime lock (the allocation is
-        pending+pinned meanwhile), with pipe fallback on a full budget."""
+        pending+pinned meanwhile), with pipe fallback on a full budget.
+        What died since the last drain gives its space back first, so
+        the write lands on it."""
         with self._cond:
+            self._drain_refs()
             object_id = self.ids.object_id()
             window = self._shm.begin_put(object_id, serialized.frame_bytes)
         if window is not None:
@@ -783,7 +868,7 @@ class ProcRuntime(ExplicitSubmit):
         # also happens outside the lock.
         data = serialized.in_band_bytes() or serialize(value)
         with self._cond:
-            self._acct_shm.record_pipe_fallback(serialized.total_bytes)
+            self._note_pipe_fallback(serialized.total_bytes)
             self._store_bytes(object_id, data)
         return ObjectRef(object_id)
 
@@ -807,6 +892,7 @@ class ProcRuntime(ExplicitSubmit):
         for object_id in spec.all_return_ids():
             if not self._has_object(object_id):
                 self._store_bytes(object_id, data)
+        self._unpin_task(spec)
         if self.dispatch_mode == "bottom_up":
             self._drop_cancelled_from_plane(spec)
 
@@ -853,6 +939,8 @@ class ProcRuntime(ExplicitSubmit):
 
     def stats(self) -> dict:
         with self._cond:
+            self._drain_refs()
+            shm_store = None if self._shm is None else self._shm.stats()
             return {
                 "tasks_executed": self._tasks_executed,
                 "objects_stored": self._store.num_objects,
@@ -869,7 +957,8 @@ class ProcRuntime(ExplicitSubmit):
                 "results_shipped": self._acct_results.snapshot(),
                 "shm_enabled": self._shm is not None,
                 "shm": self._acct_shm.snapshot(),
-                "shm_store": None if self._shm is None else self._shm.stats(),
+                "shm_store": shm_store,
+                "objects": self._object_stats(shm_store),
                 "dispatch_mode": self.dispatch_mode,
                 "sched": self._sched.snapshot(),
                 "obs": self._obs.stats(),
@@ -993,7 +1082,14 @@ class ProcRuntime(ExplicitSubmit):
             # detached by now, so no shm segment name survives shutdown
             # — even after worker crashes.
             self._shm.shutdown()
+        self._retire_ledger()
         self._completions.stop()
+
+    def _retire_ledger(self) -> None:
+        """This runtime counts no more handles (refs that outlive it
+        keep appending to its ledger, which nobody drains or needs)."""
+        if object_ref._ledger is self._ledger:
+            object_ref.install_ledger(None)
 
     def fail_driver(self) -> None:
         """Fault injection: die like a crashed driver process.
@@ -1022,6 +1118,14 @@ class ProcRuntime(ExplicitSubmit):
         ``__init__``: workers are up, nothing is in flight yet)."""
         plan = plan_recovery(self._control)
         with self._cond:
+            # The handles on everything the dead driver knew died with
+            # it, uncounted by this one's ledger: all of it is escaped.
+            restored = [*plan.ready_payloads, *plan.unrecoverable]
+            for spec in plan.pending_specs:
+                restored += spec.all_return_ids()
+            for spec, _payload in plan.pending_payloads:
+                restored += spec.all_return_ids()
+            self._escaped.update([object_id.hex for object_id in restored])
             for object_id, payload in plan.ready_payloads.items():
                 if not self._has_object(object_id):
                     self._store_bytes(object_id, payload)
@@ -1087,6 +1191,7 @@ class ProcRuntime(ExplicitSubmit):
                 self._fn_cache.setdefault(spec.function_id, code)
                 self._payloads[spec.task_id.hex] = entry
                 self._lifecycle.register(spec)
+                self._pin(spec, list(spec.pins))  # the dead driver's, again
                 self._enqueue(spec)
             self._cond.notify_all()
 
@@ -1270,6 +1375,7 @@ class ProcRuntime(ExplicitSubmit):
         data = serialize(error)
         for object_id in spec.all_return_ids():
             self._store_bytes(object_id, data)
+        self._unpin_task(spec)
 
     def _actor_predispatch_error(self, spec: TaskSpec) -> Optional[ErrorValue]:
         """Driver-side half of ``resolve_actor_callable`` (lock held):
@@ -1469,7 +1575,7 @@ class ProcRuntime(ExplicitSubmit):
         if tag == msg.DONE:
             self._apply_done_frame(worker, message)
         elif tag == msg.SUBMIT_LOCAL:
-            self._register_local_submit(worker, message[1], message[2])
+            self._register_local_submit(worker, *message[1:])
         elif tag == msg.STEAL_GRANT:
             self._apply_steal_grant(worker, message[1])
         elif tag == msg.SPANS:
@@ -1497,9 +1603,7 @@ class ProcRuntime(ExplicitSubmit):
         """A task whose payload could not be built (lost argument,
         unpicklable code) resolves to an error value in every slot."""
         with self._cond:
-            data = serialize(error_value_from(spec, exc))
-            for object_id in spec.all_return_ids():
-                self._store_bytes(object_id, data)
+            self._store_error_all_returns(spec, error_value_from(spec, exc))
 
     def _ship_frame(self, worker: _WorkerHandle, specs: list) -> bool:
         """Encode, register and send one TASK frame; False if nothing was
@@ -1601,6 +1705,8 @@ class ProcRuntime(ExplicitSubmit):
         if len(message) > 3:  # optional trailing obs blob
             self._ingest_worker_obs(worker, message[3])
         with self._cond, self._control.async_batch():
+            if len(self._ledger.died) >= _DRAIN_BATCH:
+                self._drain_refs()
             if self.dispatch_mode == "bottom_up":
                 self._sched.done_frames += 1
             times: dict = {}
@@ -1633,15 +1739,19 @@ class ProcRuntime(ExplicitSubmit):
         self._exec_estimate[function_id] = estimate
 
     def _register_local_submit(
-        self, worker: _WorkerHandle, entries: list, table: dict
+        self, worker: _WorkerHandle, entries: list, table: dict, escaped=()
     ) -> None:
         """A worker kept nested tasks on its own queue (the fast path);
         register lineage/lifecycle state from the one-way notice batch,
         mirror the queue entries, and ack the batch with one PLACED.
         ``table`` names the functions the worker submits here for the
-        first time.  Pipe FIFO guarantees this runs before any DONE or
-        STEAL_GRANT mentioning any of the tasks."""
+        first time, ``escaped`` the objects whose refs the worker
+        pickled or kept past their task (a notice may carry nothing
+        else).  Pipe FIFO guarantees this runs before any DONE or
+        STEAL_GRANT mentioning any of the tasks, and before any bytes
+        that carry one of those refs."""
         with self._cond, self._control.async_batch():
+            self._escaped.update(escaped)
             for function_hex, (name, code) in table.items():
                 function_id = FunctionID(function_hex)
                 self._functions.setdefault(function_id, (name, None))
@@ -1653,6 +1763,10 @@ class ProcRuntime(ExplicitSubmit):
                     entry, self._peer_templates, submitted_from=worker.node_id
                 )
                 self._lifecycle.register(spec)
+                self._hold_born(entry[5].get("parent"), spec.all_return_ids())
+                deps = entry[5].get("deps")
+                if deps:
+                    self._pin(spec, [ObjectID(dep) for dep in deps])
                 worker.mirror.push(entry[0], spec)
                 self._payloads[entry[0]] = entry
                 # Worker-born lineage: async by design (the fast path is
@@ -1674,7 +1788,8 @@ class ProcRuntime(ExplicitSubmit):
                 )
                 self._sched.tasks_placed_local += 1
             self._cond.notify_all()  # idle thieves may now see a victim
-        self._send(worker, (msg.PLACED, len(entries)))
+        if entries:
+            self._send(worker, (msg.PLACED, len(entries)))
 
     def _apply_steal_grant(self, victim: _WorkerHandle, task_hexes: list) -> None:
         """The victim gave up the tail of its local queue: re-home those
@@ -1720,10 +1835,12 @@ class ProcRuntime(ExplicitSubmit):
                 for blob in blobs:
                     if isinstance(blob, ShmDescriptor):
                         self._shm.abort(blob.object_id)
-            return None
-        if self._payloads:
-            self._payloads.pop(task_hex, None)
-        self._finish_spec(worker, spec, blobs, failed)
+        else:
+            if self._payloads:
+                self._payloads.pop(task_hex, None)
+            self._finish_spec(worker, spec, blobs, failed)
+        if self._born_in:
+            self._drop_born(task_hex)
         return spec
 
     def _read_steal_grant(self, worker: _WorkerHandle) -> None:
@@ -1829,7 +1946,7 @@ class ProcRuntime(ExplicitSubmit):
                 # with no extra round trip.
                 segment, shm_slot, size = described
                 self._acct_shm.record_zero_copy(size)
-                self._residency.record(worker.index, object_id, size)
+                self._residency.record(worker.index, object_id.hex, size)
                 return SlotRef(
                     object_id,
                     shm=ShmDescriptor(object_id, segment, shm_slot, size),
@@ -1845,7 +1962,7 @@ class ProcRuntime(ExplicitSubmit):
             self._acct_inline.record(len(data))
         else:
             self._acct_stored.record(len(data))
-        self._residency.record(worker.index, object_id, len(data))
+        self._residency.record(worker.index, object_id.hex, len(data))
         return SlotRef(object_id)
 
     def _function_bytes(self, spec: TaskSpec) -> bytes:
@@ -1917,6 +2034,10 @@ class ProcRuntime(ExplicitSubmit):
                 self._store_bytes(
                     object_id, serialize(error_value_from(spec, exc))
                 )
+        # Every return is in the driver's own stores: no replay of this
+        # task can happen, so none can need its arguments.
+        if spec.pins:
+            self._unpin_task(spec)
         if self._obs.enabled:
             self._obs.record(
                 "result_stored",
@@ -1945,31 +2066,36 @@ class ProcRuntime(ExplicitSubmit):
                     worker, message[1], message[2], message[3]
                 )
             elif tag == msg.PUT:
-                reply = self._put_bytes(worker, message[1])
+                reply = self._put_bytes(worker, message[1], message[2])
             elif tag == msg.SHM_ATTACH:
                 reply = self._shm_attach(worker, message[1])
             elif tag == msg.SHM_CREATE:
                 reply = self._shm_create(worker, message[1], message[2])
             elif tag == msg.SHM_SEAL:
-                reply = self._shm_seal(worker, message[1])
+                reply = self._shm_seal(worker, message[1], message[2])
             elif tag == msg.SHM_ABORT:
                 reply = self._shm_abort(message[1])
             elif tag == msg.CANCEL:
-                reply = self.cancel(message[1], recursive=message[2])
+                reply = self.cancel(
+                    ObjectRef._uncounted(message[1]), recursive=message[2]
+                )
             elif tag == msg.GET_ACTOR:
                 reply = self.get_actor(message[1])
             elif tag == msg.CREATE_ACTOR:
                 reply = self._create_actor_from_worker(message[1])
             elif tag == msg.CALL_ACTOR:
                 payload = message[1]
-                args, kwargs = deserialize_portable(payload["call_bytes"])
-                reply = self.call_actor(
-                    payload["actor_id"],
-                    payload["method"],
-                    args,
-                    kwargs,
-                    num_returns=payload.get("num_returns", 1),
+                args, kwargs = msg.restore_refs(
+                    *deserialize_portable(payload["call_bytes"])
                 )
+                with self._cond:
+                    reply = _wire_ids(
+                        self._call_actor(
+                            payload["actor_id"], payload["method"], args,
+                            kwargs, payload.get("num_returns", 1),
+                            born_in=payload["parent"],
+                        )
+                    )
             else:
                 raise BackendError(f"unknown worker message {tag!r}")
         except (EOFError, OSError):
@@ -2007,7 +2133,7 @@ class ProcRuntime(ExplicitSubmit):
                 )
             # The worker caches what it fetches: from here on the object
             # is locality-resident there.
-            self._residency.record(worker.index, object_id, len(data))
+            self._residency.record(worker.index, object_id.hex, len(data))
             return data
 
     def _blob_for(self, object_id: ObjectID) -> Any:
@@ -2031,7 +2157,7 @@ class ProcRuntime(ExplicitSubmit):
                     f"object {object_id} is not resident in the driver store"
                 )
             if isinstance(blob, ShmDescriptor):
-                self._residency.record(worker.index, object_id, blob.size)
+                self._residency.record(worker.index, object_id.hex, blob.size)
             else:
                 self._acct_fetched.record(len(blob))
             return blob
@@ -2052,18 +2178,21 @@ class ProcRuntime(ExplicitSubmit):
         with self._cond:
             if self._shm is None:
                 return None
+            self._drain_refs()  # dead objects first: the grant reuses them
             if object_id is None:
                 object_id = self.ids.object_id()
             granted = self._shm.create_for_client(
                 object_id, nbytes, client=worker.index + 1
             )
             if granted is None:
-                self._acct_shm.record_pipe_fallback(nbytes)
+                self._note_pipe_fallback(nbytes)
                 return None
             segment, slot, size = granted
             return ShmDescriptor(object_id, segment, slot, size)
 
-    def _shm_seal(self, worker: _WorkerHandle, object_id: ObjectID) -> ObjectRef:
+    def _shm_seal(
+        self, worker: _WorkerHandle, object_id: ObjectID, born_in: str
+    ) -> None:
         """Publish a worker-filled allocation (the put path's second
         phase) and wake anything parked on the object."""
         with self._cond:
@@ -2071,6 +2200,7 @@ class ProcRuntime(ExplicitSubmit):
                 raise ObjectLostError(
                     f"shm allocation for {object_id} no longer exists"
                 )
+            self._hold_born(born_in, (object_id,))
             size = self._shm.size_of(object_id) or 0
             self._acct_shm.record_zero_copy(size)
             if self._obs.enabled:
@@ -2080,9 +2210,8 @@ class ProcRuntime(ExplicitSubmit):
                     size=size,
                     worker=f"worker-{worker.index}",
                 )
-            self._residency.record(worker.index, object_id, size)
+            self._residency.record(worker.index, object_id.hex, size)
             self._object_arrived(object_id)
-        return ObjectRef(object_id)
 
     def _serve_get(
         self, worker: _WorkerHandle, object_ids: list, timeout: Optional[float]
@@ -2108,26 +2237,26 @@ class ProcRuntime(ExplicitSubmit):
     def _serve_wait(
         self,
         worker: _WorkerHandle,
-        refs: Sequence[ObjectRef],
+        object_ids: list,
         num_returns: int,
         timeout: Optional[float],
-    ) -> tuple:
-        """A worker-side ``wait``; same pinned-queue service as get."""
-        ref_list = list(refs)
-        validate_wait_args(ref_list, num_returns)
+    ) -> list:
+        """A worker-side ``wait`` (the worker validated its arguments
+        and partitions its own refs): the ready ids, after the same
+        pinned-queue service as get."""
         deadline = None if timeout is None else time.monotonic() + timeout
         self._wait_serving(
             worker,
             lambda: sum(
-                1 for r in ref_list if self._has_object(r.object_id)
+                1 for object_id in object_ids if self._has_object(object_id)
             ) >= num_returns,
             deadline,
         )
         with self._cond:
-            ready_ids = {
-                r.object_id for r in ref_list if self._has_object(r.object_id)
-            }
-        return partition_by_ready(ref_list, lambda r: r.object_id in ready_ids)
+            return [
+                object_id for object_id in object_ids
+                if self._has_object(object_id)
+            ]
 
     def _wait_serving(
         self,
@@ -2197,13 +2326,16 @@ class ProcRuntime(ExplicitSubmit):
             else:
                 self._read_steal_grant(worker)
 
-    def _put_bytes(self, worker: _WorkerHandle, data: bytes) -> ObjectRef:
+    def _put_bytes(
+        self, worker: _WorkerHandle, data: bytes, born_in: str
+    ) -> ObjectID:
         with self._cond:
             object_id = self.ids.object_id()
+            self._hold_born(born_in, (object_id,))
             self._store_bytes(object_id, data)
             # The putting worker keeps a copy in its cache.
-            self._residency.record(worker.index, object_id, len(data))
-        return ObjectRef(object_id)
+            self._residency.record(worker.index, object_id.hex, len(data))
+        return object_id
 
     def _submit_from_worker(self, payload: dict) -> Any:
         """A worker-born task that could not take the fast path
@@ -2212,7 +2344,9 @@ class ProcRuntime(ExplicitSubmit):
         keeps the id its worker gave it, so its code is registered (and
         later shipped, and its execution time learned) once."""
         function_id = FunctionID(payload["function_hex"])
-        args, kwargs = deserialize_portable(payload["call_bytes"])
+        args, kwargs = msg.restore_refs(
+            *deserialize_portable(payload["call_bytes"])
+        )
         with self._cond:
             if function_id not in self._functions:
                 self._functions[function_id] = (payload["function_name"], None)
@@ -2232,14 +2366,25 @@ class ProcRuntime(ExplicitSubmit):
         template = CallTemplate(
             None, function_id, payload["function_name"], payload["options"]
         )
-        return self.submit_call(
-            template, args, kwargs,
-            payload.get("root_task_id"), payload.get("parent_task_id"),
-        )
+        self._check_open()
+        template.check_feasible(self.cluster)
+        parent = payload["parent_task_id"]
+        with self._cond:
+            spec = template.stamp(
+                self.ids, args, kwargs, self.head_node_id,
+                payload["root_task_id"], parent,
+            )
+            self._hold_born(
+                None if parent is None else parent.hex, spec.all_return_ids()
+            )
+            self._submit_spec(spec)
+        return _wire_ids(spec)
 
     def _create_actor_from_worker(self, payload: dict) -> ActorHandle:
         actor_class = deserialize_portable(payload["class_bytes"])
-        args, kwargs = deserialize_portable(payload["call_bytes"])
+        args, kwargs = msg.restore_refs(
+            *deserialize_portable(payload["call_bytes"])
+        )
         return self.create_actor(
             actor_class=actor_class,
             class_name=payload["class_name"],
@@ -2284,6 +2429,11 @@ class ProcRuntime(ExplicitSubmit):
             self._enqueue(spec)
         self._completions.notify(object_id)
         self._cond.notify_all()
+        if self._release_on_arrival and object_id.hex in self._release_on_arrival:
+            # Everything that held it was gone before it existed (a
+            # fire-and-forget task's result): it goes as it comes.
+            self._release_on_arrival.discard(object_id.hex)
+            self._maybe_release(object_id)
 
     def _control_note_arrival(self, object_id: ObjectID) -> None:
         """Async residency update into the object table (lock held).
@@ -2318,12 +2468,15 @@ class ProcRuntime(ExplicitSubmit):
 
     def _wait_for_value(self, object_id: ObjectID, deadline: Optional[float]) -> Any:
         """Block until an object is resident, then load and unwrap it —
-        zero-copy from shm (reconstructed buffers alias the arena),
-        deserialized from bytes on the pipe plane.  Deserialization of
-        either plane happens outside the lock (the object is pinned, so
-        neither the window nor the bytes can move)."""
+        zero-copy from shm (reconstructed buffers alias the arena, which
+        their lease keeps for as long as any of them lives, whatever
+        becomes of the ref), deserialized from bytes on the pipe plane.
+        Deserialization of either plane happens outside the lock (the
+        lease holds the window, this frame the bytes)."""
         view = data = None
         with self._cond:
+            if len(self._ledger.died) >= _DRAIN_BATCH:
+                self._drain_refs()
             while not self._has_object(object_id):
                 remaining = None
                 if deadline is not None:
@@ -2334,7 +2487,7 @@ class ProcRuntime(ExplicitSubmit):
                         )
                 self._cond.wait(timeout=remaining)
             if self._shm is not None:
-                view = self._shm.view(object_id)
+                view = self._shm.lease(object_id)
             if view is not None:
                 self._acct_shm.record_zero_copy(view.nbytes)
             else:
@@ -2342,6 +2495,154 @@ class ProcRuntime(ExplicitSubmit):
         if view is not None:
             return unwrap_loaded(deserialize_frame(view))
         return unwrap_value(data)
+
+    # ------------------------------------------------------------------
+    # Object lifetime (module docstring): pins, holds, drain, release
+    # ------------------------------------------------------------------
+
+    def _pin_task(self, spec: TaskSpec) -> None:
+        """Pin a task's dependencies from submission (lock held), and
+        make the spec name them without holding them: a spec lives in
+        the lifecycle index, the control store and the WAL for good, and
+        must not keep its arguments alive with it."""
+        self._pin(spec, spec.dependencies())
+        if spec.arg_refs:
+            spec.args = tuple([_bare(value) for value in spec.args])
+            spec.kwargs = {key: _bare(value) for key, value in spec.kwargs.items()}
+            spec.arg_refs = tuple([_bare(ref) for ref in spec.arg_refs])
+        spec.extra_dependencies = tuple(
+            [_bare(ref) for ref in spec.extra_dependencies]
+        )
+
+    def _pin(self, spec: TaskSpec, object_ids: list) -> None:
+        pins = self._pins
+        for object_id in object_ids:
+            pins[object_id.hex] = pins.get(object_id.hex, 0) + 1
+        spec.pins = tuple(object_ids)
+
+    def _unpin_task(self, spec: TaskSpec) -> None:
+        """No replay of this task can need its arguments any more — it
+        completed into the driver's stores, was cancelled, or resolved
+        to an error (lock held; the one way a pin ends)."""
+        pinned, spec.pins = spec.pins, ()
+        pins = self._pins
+        for object_id in pinned:
+            left = pins[object_id.hex] - 1
+            if left:
+                pins[object_id.hex] = left
+            else:
+                del pins[object_id.hex]
+                self._maybe_release(object_id)
+
+    def _hold_born(self, task_hex: Optional[str], object_ids: tuple) -> None:
+        """Ids born inside a task running on a worker — which holds
+        refs to them this process cannot see — stay until that task's
+        DONE is applied or its crash resolved (lock held)."""
+        # Born outside any task (None): nothing would end the hold.
+        held = self._escaped if task_hex is None else self._held
+        for object_id in object_ids:
+            held.add(object_id.hex)
+        if task_hex is not None:
+            born = self._born_in.get(task_hex)
+            if born is None:
+                self._born_in[task_hex] = list(object_ids)
+            else:
+                born.extend(object_ids)
+
+    def _drop_born(self, task_hex: str) -> None:
+        """The task is over, and what its worker still holds of what
+        was born in it has been reported escaped (lock held)."""
+        for object_id in self._born_in.pop(task_hex, ()):
+            self._held.discard(object_id.hex)
+            self._maybe_release(object_id)
+
+    def _drain_refs(self) -> None:
+        """Apply what finalizers buffered since the last call — ended
+        buffer leases, then handle births, escapes and deaths — and
+        release what that leaves unheld (lock held).  Cheap when nothing
+        happened; the per-task paths still wait for ``_DRAIN_BATCH`` dead
+        handles, everything that allocates or reports drains at once."""
+        if self._shm is not None:
+            self._shm.settle_leases()
+        for object_id in self._ledger.drain(self._escaped):
+            self._maybe_release(object_id)
+
+    def _maybe_release(self, object_id: ObjectID) -> None:
+        """Release the object unless something still holds it (lock
+        held).  Called whenever one holder of it ends."""
+        key = object_id.hex
+        if key in self._pins or key in self._held:
+            return
+        ledger = self._ledger
+        if ledger.born or ledger.escaped:
+            # A handle counts from its construction and an escape from
+            # the pickling, not from the next drain.
+            ledger.drain(self._escaped, died=False)
+        if key in ledger.counts or key in self._escaped:
+            return
+        if not self._release(object_id):
+            self._release_on_arrival.add(key)
+
+    def _release(self, object_id: ObjectID) -> bool:
+        """Forget an object no one can ask for again (lock held): out
+        of every per-object map the driver keeps, its memory given back
+        — unless it has not arrived yet (False).  Nothing is written to
+        the control store: retiring object rows is task-metadata
+        retirement's job."""
+        if not self._drop_stored(object_id):
+            return False
+        self._objects_released += 1
+        self._residency.forget_object(object_id.hex)
+        return True
+
+    def _drop_stored(self, object_id: ObjectID) -> bool:
+        """Give back the object's memory in the driver's own stores;
+        False if neither has it (lock held)."""
+        if self._store.delete(object_id):  # the store's pin goes with it
+            return True
+        if self._shm is not None and self._shm.contains(object_id):
+            self._shm.release(object_id)
+            return True
+        return False
+
+    def _object_stats(self, shm: Optional[dict]) -> dict:
+        """``stats()["objects"]`` from ``stats()["shm_store"]`` and the
+        lifetime tables (lock held, refs drained)."""
+        return {
+            "live": self._store.num_objects + (shm["num_objects"] if shm else 0),
+            "released": self._objects_released,
+            "escaped": len(self._escaped),
+            "leased": shm["leased_objects"] if shm else 0,
+            "zombies": shm["zombie_objects"] if shm else 0,
+            "pinned_by_tasks": len(self._pins),
+        }
+
+    def _note_pipe_fallback(self, nbytes: int) -> None:
+        """A large object is taking the pipe because its arena refused
+        it (lock held): counted, and the first one of a session warns,
+        naming what occupies the arena."""
+        self._acct_shm.record_pipe_fallback(nbytes)
+        if self._fallback_warned:
+            return
+        self._fallback_warned = True
+        warnings.warn(
+            f"a {nbytes}-byte object did not fit the shared-memory arena and "
+            "takes the pipe (slower; later ones may too): "
+            f"{self._arena_occupancy()}, {len(self._escaped)} escaped objects "
+            "pinned until shutdown.  Drop refs and values that are no longer "
+            "needed, or raise shm_capacity.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    def _arena_occupancy(self) -> str:
+        shm = self._shm.stats()
+        return (
+            f"{shm['num_objects']} resident objects / {shm['used_bytes']} of "
+            f"{shm['capacity']} bytes, {shm['leased_objects']} leased / "
+            f"{shm['leased_bytes']} bytes, {shm['zombie_objects']} zombies / "
+            f"{shm['deferred_bytes']} bytes"
+        )
 
     # ------------------------------------------------------------------
     # Crash handling
@@ -2459,6 +2760,9 @@ class ProcRuntime(ExplicitSubmit):
     ) -> None:
         """Decide the fate of a task that died with its worker — or, on
         the dist backend, with the whole node ``lost_node`` (lock held)."""
+        if self._born_in:
+            # The refs its process held to what was born in it are gone.
+            self._drop_born(spec.task_id.hex)
         if spec.actor_id is not None:
             record = self.actors.get(spec.actor_id)
             if record is not None:

@@ -53,8 +53,14 @@ from repro.core.actors import (
     resolve_actor_callable,
 )
 from repro.core.effect_driver import EffectHandler, run_effect_loop_sync
-from repro.core.object_ref import ObjectRef
-from repro.core.protocol import normalize_get_refs, unwrap_loaded, validate_wait_args
+from repro.core import object_ref
+from repro.core.object_ref import ObjectRef, RefLedger
+from repro.core.protocol import (
+    normalize_get_refs,
+    partition_by_ready,
+    unwrap_loaded,
+    validate_wait_args,
+)
 from repro.core.task import CallTemplate, ExplicitSubmit, TaskSpec
 from repro.core.worker import (
     ErrorValue,
@@ -75,6 +81,9 @@ from repro.utils.ids import IDGenerator, NodeID, ObjectID
 #: How long a buffered completion may wait for the next task boundary
 #: before the watchdog thread sends it (see ``ProcWorker._watch_done``).
 _DONE_WATCHDOG_S = 0.005
+
+#: Descriptors a worker remembers (``ProcWorker._known_shm``).
+_KNOWN_SHM_CAP = 1024
 
 #: Fast-path backpressure: the most locally-born tasks whose lineage
 #: registration (PLACED ack) may be outstanding before new nested
@@ -158,7 +167,7 @@ class WorkerRuntime(ExplicitSubmit):
             "function_hex": template.function_id.hex,
             "function_bytes": worker.function_bytes(template.function),
             "function_name": template.function_name,
-            "call_bytes": serialize_call(tuple(args), kwargs),
+            "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
             # ``duration`` may be a closure (a sim-only concept anyway):
             # strip it so the payload stays plain-picklable on the pipe.
             "options": template.options.merged(duration=None),
@@ -167,10 +176,14 @@ class WorkerRuntime(ExplicitSubmit):
             "root_task_id": worker._cur_root,
             "parent_task_id": worker._cur_task,
         }
-        return worker.rpc(msg.SUBMIT, payload)
+        return _refs_of(worker.rpc(msg.SUBMIT, payload))
 
     def cancel(self, ref: ObjectRef, recursive: bool = False) -> bool:
-        return self._worker.rpc(msg.CANCEL, ref, recursive)
+        if not isinstance(ref, ObjectRef):
+            raise TypeError(
+                f"cancel expects an ObjectRef, got {type(ref).__name__}"
+            )
+        return self._worker.rpc(msg.CANCEL, ref.object_id, recursive)
 
     def get_actor(self, name: str):
         return self._worker.rpc(msg.GET_ACTOR, name)
@@ -193,7 +206,13 @@ class WorkerRuntime(ExplicitSubmit):
         ref_list = list(refs)
         validate_wait_args(ref_list, num_returns)
         timeout = self._worker.run_producers(ref_list, timeout, num_returns)
-        return self._worker.rpc(msg.WAIT, ref_list, num_returns, timeout)
+        ready = set(
+            self._worker.rpc(
+                msg.WAIT, [ref.object_id for ref in ref_list], num_returns,
+                timeout,
+            )
+        )
+        return partition_by_ready(ref_list, lambda ref: ref.object_id in ready)
 
     def put(self, value: Any) -> ObjectRef:
         worker = self._worker
@@ -202,18 +221,15 @@ class WorkerRuntime(ExplicitSubmit):
             if not should_inline(serialized.total_bytes, worker.inline_threshold):
                 granted = worker._ship_value(None, serialized)
                 if granted is not None:
-                    ref = worker.rpc(msg.SHM_SEAL, granted.object_id)
+                    worker.rpc(msg.SHM_SEAL, granted.object_id, worker.cur_hex())
                     worker.note_shm(granted)
-                    return ref
-            data = serialized.in_band_bytes()
-            if data is not None:
-                ref = worker.rpc(msg.PUT, data)
-                worker.remember_bytes(ref.object_id, data)
-                return ref
-        data = serialize(value)
-        ref = worker.rpc(msg.PUT, data)
-        worker.remember_bytes(ref.object_id, data)
-        return ref
+                    return ObjectRef(granted.object_id)
+            data = serialized.in_band_bytes() or serialize(value)
+        else:
+            data = serialize(value)
+        object_id = worker.rpc(msg.PUT, data, worker.cur_hex())
+        worker.remember_bytes(object_id, data)
+        return ObjectRef(object_id)
 
     def create_actor(
         self, actor_class, class_name, args, kwargs, resources,
@@ -222,7 +238,7 @@ class WorkerRuntime(ExplicitSubmit):
         payload = {
             "class_bytes": serialize_portable(actor_class),
             "class_name": class_name,
-            "call_bytes": serialize_call(tuple(args), dict(kwargs)),
+            "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
             "resources": resources,
             "placement_hint": placement_hint,
             "name": name,
@@ -235,10 +251,11 @@ class WorkerRuntime(ExplicitSubmit):
         payload = {
             "actor_id": actor_id,
             "method": method_name,
-            "call_bytes": serialize_call(tuple(args), dict(kwargs)),
+            "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
             "num_returns": num_returns,
+            "parent": self._worker.cur_hex(),
         }
-        return self._worker.rpc(msg.CALL_ACTOR, payload)
+        return _refs_of(self._worker.rpc(msg.CALL_ACTOR, payload))
 
     def sleep(self, duration: float) -> None:
         time.sleep(duration)
@@ -252,6 +269,14 @@ class WorkerRuntime(ExplicitSubmit):
 
     def shutdown(self) -> None:  # the driver owns the lifecycle
         pass
+
+
+def _refs_of(reply: tuple) -> Any:
+    """The driver's answer to SUBMIT / CALL_ACTOR — a task id and its
+    return ids — as what ``.remote()`` hands back: refs made here."""
+    task_id, return_ids = reply
+    refs = tuple([ObjectRef(object_id, task_id) for object_id in return_ids])
+    return refs[0] if len(refs) == 1 else refs
 
 
 class ProcWorker:
@@ -337,10 +362,15 @@ class ProcWorker:
         #: task: what the watchdog sleeps on.
         self._done_armed = threading.Event()
         #: Shared-memory descriptors this process has seen (attached
-        #: arguments, sealed puts/results).  Sealed objects are pinned
-        #: driver-side, so a remembered descriptor stays valid for the
-        #: runtime's lifetime; used for residency checks and to embed
-        #: descriptors in locally-built payloads.
+        #: arguments, sealed puts), used for residency checks and to
+        #: embed descriptors in locally-built payloads; the latest
+        #: ``_KNOWN_SHM_CAP`` of them, or the dict would grow by one
+        #: entry per large object this worker ever saw.  An entry can
+        #: outlive its object, harmlessly: object ids are never reused,
+        #: and a descriptor is only looked up for an id some task here
+        #: still holds a ref to — which is what keeps the object alive —
+        #: so a stale entry is unreachable rather than wrong.  A dropped
+        #: one only makes the next nested submit on that object spill.
         self._known_shm: dict = {}
         #: The shared-memory data plane (lazy segment attach; refcount
         #: cell column = worker index + 1, 0 being the driver's).
@@ -357,11 +387,15 @@ class ProcWorker:
                 self.shm = ShmClient(client_index=index + 1)
             except Exception:  # pragma: no cover - shm-less host
                 self.shm_enabled = False
-        #: Stack of per-task lists of (segment, slot) refcount holds; one
-        #: frame per (reentrant) execute() invocation, released in its
-        #: ``finally`` so zero-copy views stay valid for the task's
-        #: whole lifetime.
-        self._shm_holds: list[list] = []
+        #: This process's ref instances (installed by :meth:`run`).  The
+        #: driver cannot see them, so the worker answers for them: what
+        #: a task received or created and still holds when it ends, and
+        #: every id whose ref was pickled here, is reported escaped —
+        #: ``_escaped`` until the next SUBMIT_LOCAL notice carries it,
+        #: ``_reported`` from then on (each id goes once).
+        self._refs = RefLedger(track_touched=True)
+        self._escaped: set = set()
+        self._reported: set = set()
         #: The tracing plane's per-process buffer (no-op unless
         #: ``tracing=True`` was threaded down from init).  Flushed as a
         #: trailing element on DONE and, when large, as a
@@ -378,28 +412,22 @@ class ProcWorker:
     # Shared-memory plumbing
     # ------------------------------------------------------------------
 
-    def _hold_descriptor(self, descriptor: ShmDescriptor) -> None:
-        """Take this worker's refcount on a descriptor's slot, scoped to
-        the innermost executing task (released in execute()'s finally)."""
-        self.shm.hold(descriptor.segment, descriptor.slot)
-        if self._shm_holds:
-            self._shm_holds[-1].append((descriptor.segment, descriptor.slot))
-        else:  # outside any task (cannot happen in practice): release now
-            self.shm.release(descriptor.segment, descriptor.slot)
-
     def materialize(self, blob: Any) -> Any:
         """Turn a pipe blob — bytes or ShmDescriptor — into a value.
 
         Descriptors deserialize zero-copy: reconstructed buffers (numpy
-        arrays) alias the shared segment, valid at least for the
-        enclosing task.  If the segment cannot be mapped here (exotic
-        namespaces, a client that failed to construct), the driver still
-        has the object — fall back to a one-off byte FETCH."""
+        arrays) alias the shared segment and lease its slot, so they
+        stay valid for as long as any of them is alive — in actor state
+        long after the task, if the program keeps one.  If the segment
+        cannot be mapped here (exotic namespaces, a client that failed
+        to construct), the driver still has the object — fall back to a
+        one-off byte FETCH."""
         if isinstance(blob, ShmDescriptor):
             if self.shm is not None:
                 try:
-                    self._hold_descriptor(blob)
-                    value = deserialize_frame(self.shm.read(blob.segment, blob.slot))
+                    value = deserialize_frame(
+                        self.shm.lease(blob.segment, blob.slot)
+                    )
                     self.note_shm(blob)
                     if self.obs.enabled:
                         self.obs.record(
@@ -416,7 +444,11 @@ class ProcWorker:
     def note_shm(self, descriptor: ShmDescriptor) -> None:
         """Remember a descriptor this process can re-attach (residency)."""
         if self.shm is not None:
-            self._known_shm[descriptor.object_id] = descriptor
+            known = self._known_shm
+            known.pop(descriptor.object_id, None)  # re-insert at the fresh end
+            known[descriptor.object_id] = descriptor
+            if len(known) > _KNOWN_SHM_CAP:
+                del known[next(iter(known))]
 
     def remember_bytes(self, object_id: ObjectID, data: bytes) -> None:
         """Opportunistically cache bytes known to equal the driver-stored
@@ -573,6 +605,7 @@ class ProcWorker:
         # Nested .remote()/get/put calls inside task bodies resolve the
         # current runtime; in this process that is the driver proxy.
         runtime_context._current_runtime = self.proxy
+        object_ref.install_ledger(self._refs)
         try:
             if self.dispatch_mode == "bottom_up":
                 self._run_bottom_up()
@@ -589,6 +622,7 @@ class ProcWorker:
             return  # driver went away (shutdown or crash): just exit
         finally:
             runtime_context._current_runtime = None
+            object_ref.install_ledger(None)
             if self.shm is not None:
                 self.shm.detach_all()
             try:
@@ -711,9 +745,18 @@ class ProcWorker:
         """Execute one task and buffer its completion — flushed here at
         once in driver mode (one task, one DONE), and in bottom-up mode
         once the oldest buffered one has waited out the frame budget."""
+        refs = self._refs
+        if refs.born:
+            with self._out_lock:
+                refs.drain(self._escaped, died=False)
+        mark = len(refs.touched)
         started = time.monotonic()
         data, failed = self.execute(entry, inline_run)
         now = time.monotonic()
+        if refs.born or refs.died or len(refs.touched) > mark:
+            self._report_survivors(mark)
+        if self.shm is not None:
+            self.shm.settle_leases()
         with self._out_lock:
             if not self._done:
                 self._done_since = now
@@ -723,6 +766,28 @@ class ProcWorker:
                 or now - self._done_since >= msg.FRAME_BUDGET_S
             ):
                 self._flush_done()
+
+    def _report_survivors(self, mark: int) -> None:
+        """A task ended: every ref instance it received or created
+        (``touched`` since ``mark``) that is still alive now — kept in
+        actor state, a global, a cycle the collector has not met — is
+        one the driver will never hear of again, so its object escapes
+        (reported ahead of the task's DONE, which is what ends the
+        driver's hold on the ids born in it)."""
+        with self._out_lock:
+            refs = self._refs
+            refs.drain(self._escaped)
+            touched = refs.touched
+            counts = refs.counts
+            for object_hex in touched[mark:]:
+                if object_hex in counts:
+                    self._escaped.add(object_hex)
+            del touched[mark:]
+
+    def cur_hex(self) -> Optional[str]:
+        """Raw id of the innermost running task: what the driver holds
+        ids born on this worker's behalf against."""
+        return None if self._cur_task is None else self._cur_task.hex
 
     def _drain_control(self) -> None:
         """Process every buffered one-way driver message (non-blocking)."""
@@ -787,7 +852,13 @@ class ProcWorker:
         ):
             return None
         function_hex = spec.function_id.hex
-        entry = msg.encode_entry(spec, self._local_slot)
+        if spec.arg_refs:
+            entry = msg.encode_entry(
+                spec, self._local_slot,
+                deps=tuple([ref.object_id.hex for ref in spec.arg_refs]),
+            )
+        else:
+            entry = msg.encode_entry(spec, self._local_slot)
         # The notice is one-way and *buffered* — this is the zero
         # round-trip path: a fan-out's notices coalesce into a single
         # send at the next pipe touch, and the driver's (batched)
@@ -840,10 +911,24 @@ class ProcWorker:
         task's completion, a grant giving it away, or any value/request
         in which its ref could escape this process."""
         with self._out_lock:
-            if self._pending_notices:
+            refs = self._refs
+            if refs.escaped:
+                refs.drain(self._escaped, died=False)
+            escaped: Any = ()
+            if self._escaped:
+                escaped = self._escaped - self._reported
+                self._escaped.clear()
+            if self._pending_notices or escaped:
                 batch, self._pending_notices = self._pending_notices, []
                 functions, self._pending_functions = self._pending_functions, {}
-                self.conn.send((msg.SUBMIT_LOCAL, batch, functions))
+                notice = (msg.SUBMIT_LOCAL, batch, functions)
+                if escaped:
+                    # Each id is reported once, on a notice that may
+                    # carry nothing else: the mark must not arrive after
+                    # the bytes that carry the ref.
+                    self._reported |= escaped
+                    notice += (list(escaped),)
+                self.conn.send(notice)
                 self.unacked_local += len(batch)
 
     def _locally_resident(self, object_id: ObjectID) -> bool:
@@ -890,8 +975,6 @@ class ProcWorker:
                 inline=inline_run,
             )
         pinned: list = []
-        holds: list = []
-        self._shm_holds.append(holds)
         # Reentrant execute() (an actor task injected while this task is
         # blocked in rpc) must not inherit the outer task's context.
         prev_ctx = (self._cur_task, self._cur_root)
@@ -919,9 +1002,6 @@ class ProcWorker:
             self._cur_task, self._cur_root = prev_ctx
             for object_id in pinned:
                 self.cache.unpin(object_id)
-            self._shm_holds.pop()
-            for segment, slot in holds:
-                self.shm.release(segment, slot)
 
     def _finish_obs(self, spec: TaskSpec, t_start: float, packed: tuple) -> tuple:
         if self.obs.enabled:

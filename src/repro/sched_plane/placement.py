@@ -29,6 +29,9 @@ class ResidencyTracker:
     Purely advisory: a stale entry costs one refetch on the worker, never
     correctness, so eviction on the worker side is not mirrored — the
     tracker just forgets oldest-first past ``cap`` entries per worker.
+    Objects are keyed by whatever the caller names them with; the live
+    runtimes use the id's hex string (hashed in C — every release looks
+    its object up here).
     """
 
     def __init__(self, cap: int = DEFAULT_RESIDENCY_CAP) -> None:
@@ -45,6 +48,15 @@ class ResidencyTracker:
     def forget_holder(self, holder: Any) -> None:
         """A worker died or was replaced: nothing is resident there."""
         self._held.pop(holder, None)
+
+    def forget_object(self, object_id: Any) -> list:
+        """The object was released: it is resident nowhere.  Returns the
+        holders that had it (the dist driver tells their nodes)."""
+        return [
+            holder
+            for holder, held in self._held.items()
+            if held.pop(object_id, None) is not None
+        ]
 
     def holds(self, holder: Any, object_id: Any) -> bool:
         return object_id in self._held.get(holder, ())

@@ -210,7 +210,9 @@ class ActorPool:
         self._inflight_total = 0
         self._dead_error: Optional[BaseException] = None
         #: Event-driven mode: object_id -> (future, replica, generation,
-        #: unwrap-index or None).
+        #: unwrap-index or None, start time, the call's ref — kept until
+        #: the value is read: a runtime that frees dead objects frees
+        #: one whose every ref is gone).
         self._inflight_map: dict = {}
         #: Sim mirror: accepted-but-unresolved futures, oldest first.
         self._order: deque = deque()
@@ -467,7 +469,7 @@ class ActorPool:
         if self._event_driven:
             for future in futures:
                 self._inflight_map[ref.object_id] = (
-                    future, replica, replica.generation, unwrap, started,
+                    future, replica, replica.generation, unwrap, started, ref,
                 )
             self._runtime.watch_object(ref.object_id, self._on_ready)
         else:
@@ -488,12 +490,12 @@ class ActorPool:
             entry = self._inflight_map.pop(object_id, None)
             if entry is None:
                 return
-            future, replica, generation, unwrap, started = entry
+            future, replica, generation, unwrap, started, ref = entry
             if replica.generation == generation:
                 replica.inflight -= 1
             self._inflight_total -= 1
             try:
-                value = self._runtime.get(ObjectRef(object_id), timeout=0)
+                value = self._runtime.get(ref, timeout=0)
             except ActorLostError as exc:
                 self._finish_locked(future, exc=exc)
                 self._replica_lost(replica, generation, exc)

@@ -11,6 +11,10 @@ and everything the proc runtime needs around it:
   (``SHM_CREATE``), fills it through its own mapping, and the driver
   seals on ``SHM_SEAL``/``DONE``; the coordinator tracks which client
   owns each unsealed allocation so a crash can abort it;
+* **release and leases** — :meth:`release` gives a dead object's space
+  back (at once, or through the zombie list while some process still
+  holds a value aliasing it); the driver's own zero-copy reads take a
+  :meth:`lease` against its refcount cell, settled here;
 * the **reaper** — reclaims arena space whose refcount row has drained,
   and (on worker crash) zeroes the dead client's refcount column and
   aborts its unsealed allocations, so a killed worker can never strand
@@ -27,6 +31,7 @@ themselves.
 from __future__ import annotations
 
 import os
+from collections import deque
 from typing import Any, Optional
 
 from repro.objectstore.store import ObjectStoreFullError
@@ -65,6 +70,11 @@ class ShmCoordinator:
         )
         #: Unsealed allocations: object_id -> owning client index.
         self._pending: dict[ObjectID, int] = {}
+        #: The driver's own outstanding leases, ``(segment name, slot) ->
+        #: [windows out, bytes]``, and the ones whose last buffer died
+        #: since the last :meth:`settle_leases` (appended by finalizers).
+        self._leased: dict[tuple, list] = {}
+        self._dropped: deque = deque()
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -139,6 +149,43 @@ class ShmCoordinator:
         if not self.contains(object_id):
             return None
         return self.store.get(object_id)
+
+    def lease(self, object_id: ObjectID) -> Optional[memoryview]:
+        """Like :meth:`view`, for a value that is handed to user code:
+        the window keeps the object's slot — through the driver's own
+        refcount cell — until the last buffer derived from it is gone,
+        whatever happens to the object meanwhile."""
+        if not self.contains(object_id):
+            return None
+        window, held, size = self.store.lease(
+            object_id, DRIVER_CLIENT, self._dropped.append
+        )
+        self._leased.setdefault(held, [0, size])[0] += 1
+        return window
+
+    def settle_leases(self) -> bool:
+        """Drop the driver's references of leases that ended since the
+        last call (under the lock); True if there were any."""
+        dropped = self._dropped
+        if not dropped:
+            return False
+        while dropped:
+            segment, slot = dropped.popleft()
+            segment.decref(slot, DRIVER_CLIENT)
+            key = (segment.name, slot)
+            out = self._leased[key]
+            out[0] -= 1
+            if not out[0]:
+                del self._leased[key]
+        self.store.reap()  # a released object may have waited on these
+        return True
+
+    def release(self, object_id: ObjectID) -> None:
+        """Nothing can ask for this sealed object again: give its space
+        back — now, or once the last process holding a value that
+        aliases it lets go (the zombie list)."""
+        self.store.unpin(object_id)
+        self.store.delete(object_id)
 
     def load(self, object_id: ObjectID) -> Any:
         """Zero-copy reconstruction of a sealed object's value."""
@@ -230,4 +277,6 @@ class ShmCoordinator:
     def stats(self) -> dict:
         stats = self.store.stats()
         stats["pending_creates"] = len(self._pending)
+        stats["leased_objects"] = len(self._leased)
+        stats["leased_bytes"] = sum(size for _out, size in self._leased.values())
         return stats

@@ -22,29 +22,38 @@ The lifecycle discipline that makes the sum safe:
 * only the **creator process** (the driver) allocates, seals, and
   releases — workers never mutate slot state, only their refcount cell;
 * a reader increments its cell *after* receiving a descriptor from the
-  creator and decrements when done; the creator keeps its own hold (the
-  store's pin) for as long as the object must stay readable, so a
-  reader's first increment always happens while the row is provably
-  non-zero — there is no window in which space could be recycled under
-  a reader that has been handed a descriptor;
+  creator and decrements when the last buffer it derived from the slot
+  is gone (a **lease**, :meth:`SharedSegment.lease`).  The creator does
+  not release the object while anything it can see still needs it — a
+  handle, a task that was handed the descriptor and has not reported
+  done — so a reader's first increment always happens while the object
+  is provably live: there is no window in which space could be recycled
+  under a reader that has been handed a descriptor;
 * space whose row is non-zero is never reused (the store defers it to
-  the reaper instead), so a crashed reader can strand bytes but never
-  corrupt a live object.
+  the reaper instead), so a value kept past its task, or a crashed
+  reader, can strand bytes but never corrupt a live object.
 
 The arena itself is a bump allocator with a coalescing free list:
 release returns ``(offset, size)`` to the free list, merging adjacent
 holes; when the segment empties completely the bump pointer resets.
-Allocation is creator-only and single-threaded by construction (the
-driver holds its runtime lock), so the free list needs no
-synchronization either.
+Space that was just freed is handed out again first: its pages are
+already backed and already mapped in every process that touched them,
+and a copy into such pages runs several times faster than one into
+pages the kernel has yet to provide, so uniform traffic cycles over a
+few warm MiB instead of walking the whole arena.  Free slot-table rows
+are kept on a creator-side stack.  Allocation is creator-only and
+single-threaded by construction (the driver holds its runtime lock), so
+none of this needs synchronization either.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import secrets
 import struct
-from typing import Optional
+import weakref
+from typing import Callable, Optional
 
 from repro.errors import ReproError
 
@@ -162,7 +171,14 @@ class SharedSegment:
             #: sorted (offset, size) plus the bump high-water mark.
             self._free: list[tuple[int, int]] = []
             self._bump = self._data_offset
-            self._allocated = 0
+            #: Offset of the space most recently given back (a hole's
+            #: start, or the bump mark it lowered): the warm candidate.
+            self._last_freed: Optional[int] = None
+            #: Slot-table rows: the free ones as a stack (lowest on
+            #: top), the occupied ones as a set — no allocation and no
+            #: crash sweep ever scans the table.
+            self._free_slots = list(range(max_objects - 1, -1, -1))
+            self._live_slots: set[int] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -290,7 +306,7 @@ class SharedSegment:
         dead process).  Returns the slots that held non-zero counts."""
         self._require_owner("clear_client")
         reclaimed = []
-        for slot in range(self.max_objects):
+        for slot in sorted(self._live_slots):
             if self.client_refcount(slot, client) > 0:
                 _CELL.pack_into(self._shm.buf, self._cell_offset(slot, client), 0)
                 reclaimed.append(slot)
@@ -311,35 +327,46 @@ class SharedSegment:
         self._require_owner("allocate")
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
-        slot = self._find_free_slot()
-        if slot is None:
+        if not self._free_slots:
             return None
         offset = self._carve(_align(size))
         if offset is None:
             return None
+        slot = self._free_slots.pop()
+        self._live_slots.add(slot)
         self._write_slot(slot, ALLOCATED, offset, size)
-        self._allocated += 1
         return slot
 
-    def _find_free_slot(self) -> Optional[int]:
-        for slot in range(self.max_objects):
-            if self.state_of(slot) == FREE:
-                return slot
-        return None
+    @property
+    def _allocated(self) -> int:
+        return len(self._live_slots)
 
     def _carve(self, aligned: int) -> Optional[int]:
-        # Best-fit from the free list first, then the bump region.
+        # The space freed last if it fits (warm pages), else best-fit
+        # from the free list, else the bump region.
+        end = self._data_offset + self.capacity
+        warm = self._last_freed
+        if warm == self._bump and warm + aligned <= end:
+            self._bump += aligned
+            self._last_freed = None
+            return warm
         best = None
         for index, (offset, size) in enumerate(self._free):
-            if size >= aligned and (best is None or size < self._free[best][1]):
+            if size < aligned:
+                continue
+            if offset == warm:
+                best = index
+                break
+            if best is None or size < self._free[best][1]:
                 best = index
         if best is not None:
             offset, size = self._free.pop(best)
             if size > aligned:
                 self._free.append((offset + aligned, size - aligned))
                 self._free.sort()
+                if offset == warm:
+                    self._last_freed = offset + aligned
             return offset
-        end = self._data_offset + self.capacity
         if self._bump + aligned <= end:
             offset = self._bump
             self._bump += aligned
@@ -371,11 +398,12 @@ class SharedSegment:
             )
         self._write_slot(slot, FREE, 0, 0)
         self._free_space(offset, _align(size))
-        self._allocated -= 1
-        if self._allocated == 0:
+        self._live_slots.discard(slot)
+        self._free_slots.append(slot)
+        if not self._live_slots:
             # The arena emptied: forget fragmentation entirely.
             self._free.clear()
-            self._bump = self._data_offset
+            self._bump = self._last_freed = self._data_offset
         return size
 
     def _free_space(self, offset: int, aligned: int) -> None:
@@ -384,6 +412,7 @@ class SharedSegment:
             while self._free and sum(self._free[-1]) == self._bump:
                 off, size = self._free.pop()
                 self._bump = off         # ...swallowing adjacent holes
+            self._last_freed = self._bump
             return
         self._free.append((offset, aligned))
         self._free.sort()
@@ -394,6 +423,8 @@ class SharedSegment:
                 merged.append((prev_off, prev_size + size))
             else:
                 merged.append((off, size))
+            if merged[-1][0] <= offset < sum(merged[-1]):
+                self._last_freed = merged[-1][0]
         self._free = merged
 
     # ------------------------------------------------------------------
@@ -419,6 +450,28 @@ class SharedSegment:
         if not writable and state != SEALED:
             raise SegmentError(f"read of unsealed slot {slot}")
         return self.view(offset, size, writable=writable)
+
+    def lease(
+        self, slot: int, client: int, dropped: Callable[[tuple], None]
+    ) -> memoryview:
+        """A read-only window over a sealed slot that keeps the slot for
+        as long as any buffer derived from it is alive.
+
+        Takes ``client``'s reference now.  The window is exported by an
+        object of its own, so every slice of it — the buffers a
+        zero-copy ``deserialize_frame`` hands to numpy — keeps that
+        object alive, and when the last of them dies its finalizer calls
+        ``dropped((segment, slot))``.  That can happen on any thread, in
+        the middle of anything, so ``dropped`` must be a bare
+        ``deque.append``: the owner of the deque does the matching
+        :meth:`decref` at a moment of its own choosing."""
+        state, offset, size = self._read_slot(slot)
+        if state != SEALED:
+            raise SegmentError(f"lease of unsealed slot {slot} (state={state})")
+        self.incref(slot, client)
+        window = (ctypes.c_char * size).from_buffer(self._shm.buf, offset)
+        weakref.finalize(window, dropped, (self, slot)).atexit = False
+        return memoryview(window).cast("B").toreadonly()
 
     # ------------------------------------------------------------------
     # Teardown
@@ -459,9 +512,7 @@ class SharedSegment:
             pass
 
     def stats(self) -> dict:
-        live = 0
-        if self.owner:
-            live = self._allocated
+        live = self._allocated if self.owner else 0
         return {
             "name": self.name,
             "capacity": self.capacity,

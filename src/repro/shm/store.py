@@ -19,22 +19,23 @@ match for the local store's executable model (see
 ``tests/test_objectstore.py``).
 
 Cross-process refcounts add one twist the local store does not have:
-space whose refcount row is non-zero (a worker is mid-read, or a worker
-died holding a reference) cannot be recycled at eviction time.  Such
-entries become **zombies** — gone from the directory, their bytes no
-longer counted against capacity, their arena space parked until the
-reaper (:meth:`SharedObjectStore.reap`, driven by the coordinator) sees
-the row hit zero and releases it.
+space whose refcount row is non-zero (some process still holds a value
+that aliases it — a lease — or died holding a reference) cannot be
+recycled when the object is deleted or evicted.  Such entries become
+**zombies** — gone from the directory, their bytes no longer counted
+against capacity, their arena space parked until the reaper
+(:meth:`SharedObjectStore.reap`, run before every allocation that finds
+zombies) sees the row hit zero and releases it.
 
 :class:`ShmClient` is the other side: a worker-process helper that
-attaches segments lazily (caching attachments by name), holds/releases
-its own refcount cells, and reads or writes payloads through descriptor
-metadata received over the pipe.
+attaches segments lazily (caching attachments by name), leases slots
+against its own refcount cells, and reads or writes payloads through
+descriptor metadata received over the pipe.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -231,6 +232,16 @@ class SharedObjectStore:
         self.hits += 1
         return entry.segment.name, entry.slot, entry.size
 
+    def lease(self, object_id: ObjectID, client: int, dropped) -> tuple:
+        """A leased zero-copy window over a sealed resident object
+        (:meth:`SharedSegment.lease`; touches LRU order like a read),
+        with the ``(segment name, slot)`` it holds and the object's size."""
+        entry = self._entries[object_id]
+        self._entries.move_to_end(object_id)
+        self.hits += 1
+        window = entry.segment.lease(entry.slot, client, dropped)
+        return window, (entry.segment.name, entry.slot), entry.size
+
     def refcount(self, object_id: ObjectID) -> int:
         """Sum of all clients' refcount cells for a resident object."""
         entry = self._entries.get(object_id)
@@ -310,17 +321,15 @@ class SharedObjectStore:
             )
 
     def _allocate(self, size: int) -> _Entry:
-        """Find contiguous arena space: any existing segment, reaped
-        zombies, then a dedicated overflow segment."""
+        """Find contiguous arena space: zombies whose readers are done
+        first (their space is warm), then any existing segment, then a
+        dedicated overflow segment."""
+        if self._zombies:
+            self.reap()
         for segment in self._segments:
             slot = segment.allocate(size)
             if slot is not None:
                 return _Entry(segment, slot, size)
-        if self.reap() > 0:  # zombie space may unblock a hole
-            for segment in self._segments:
-                slot = segment.allocate(size)
-                if slot is not None:
-                    return _Entry(segment, slot, size)
         # Fragmentation (or slot exhaustion): the byte budget says this
         # fits, so honor the contract with a dedicated overflow segment.
         try:
@@ -425,6 +434,9 @@ class ShmClient:
         self.client_index = client_index
         self._untrack = untrack
         self._segments: dict[str, SharedSegment] = {}
+        #: ``(segment, slot)`` of leases whose last buffer died, appended
+        #: by their finalizers; :meth:`settle_leases` drops the cells.
+        self._dropped: deque = deque()
 
     def _segment(self, name: str) -> SharedSegment:
         segment = self._segments.get(name)
@@ -444,6 +456,23 @@ class ShmClient:
     def read(self, segment_name: str, slot: int) -> memoryview:
         """Zero-copy read-only view of a sealed slot's payload."""
         return self._segment(segment_name).slot_view(slot)
+
+    def lease(self, segment_name: str, slot: int) -> memoryview:
+        """Zero-copy read-only view that holds this client's reference
+        on the slot until the last buffer derived from it is gone (and
+        :meth:`settle_leases` has run): a value may outlive the task
+        that read it."""
+        return self._segment(segment_name).lease(
+            slot, self.client_index, self._dropped.append
+        )
+
+    def settle_leases(self) -> None:
+        """Drop the references of leases that ended since the last call
+        (the one writer of this client's cells; call between tasks)."""
+        dropped = self._dropped
+        while dropped:
+            segment, slot = dropped.popleft()
+            segment.decref(slot, self.client_index)
 
     def write_view(self, segment_name: str, slot: int) -> memoryview:
         """Writable view of an ALLOCATED (not yet sealed) slot — the

@@ -12,6 +12,25 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "timeout(seconds): per-test deadline (pytest-timeout)"
     )
+    config.addinivalue_line(
+        "markers", "slow: minutes-long soak; runs only under --runslow"
+    )
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--runslow", action="store_true", default=False,
+        help="also run the tests marked slow (long soaks)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow: pass --runslow to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(autouse=True)

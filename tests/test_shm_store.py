@@ -127,6 +127,70 @@ class TestSegmentLifecycle:
         assert segment.stats()["bump_bytes"] == 0
         assert segment.stats()["free_holes"] == 0
 
+    def test_just_freed_space_is_handed_out_again_first(self):
+        seg = SharedSegment.create(1 << 16, max_objects=16, max_clients=1)
+        try:
+            def offset_of(slot):
+                return seg._read_slot(slot)[1]
+
+            small, _a, big, _b = (seg.allocate(n) for n in (64, 64, 256, 64))
+            small_at, big_at = offset_of(small), offset_of(big)
+            seg.release(small)               # an older, better-fitting hole
+            seg.release(big)                 # the space freed last
+            again = seg.allocate(64)
+            assert offset_of(again) == big_at          # warm, not best-fit
+            assert offset_of(seg.allocate(64)) == big_at + 64  # its remainder
+            seg.release(again)
+            assert offset_of(seg.allocate(64)) == big_at
+            # Uniform traffic cycles over the same space: write, free, write.
+            top = seg.allocate(512)
+            top_at = offset_of(top)
+            for _ in range(5):
+                seg.release(top)
+                top = seg.allocate(512)
+                assert offset_of(top) == top_at
+            assert offset_of(seg.allocate(32)) == small_at  # holes still serve
+        finally:
+            seg.close()
+            seg.unlink()
+
+    def test_allocation_does_not_scan_the_slot_table(self, monkeypatch):
+        """Allocating with 4000 resident objects reads no more slot-table
+        rows than allocating with one (it used to unpack every row from 0
+        up to the first free one, on every allocation), and a crash sweep
+        visits occupied rows only."""
+        seg = SharedSegment.create(1 << 20, max_objects=4096, max_clients=2)
+        reads = []
+        read_slot = SharedSegment._read_slot
+        monkeypatch.setattr(
+            SharedSegment, "_read_slot",
+            lambda self, slot: reads.append(slot) or read_slot(self, slot),
+        )
+        try:
+            first = seg.allocate(64)
+            with_one = len(reads)
+            for _ in range(3999):
+                seg.allocate(64)
+            del reads[:]
+            seg.allocate(64)
+            assert len(reads) <= with_one
+            # Freed rows are reused, lowest index first.
+            seg.release(first)
+            assert seg.allocate(64) == first
+            cells = []
+            client_refcount = SharedSegment.client_refcount
+            monkeypatch.setattr(
+                SharedSegment, "client_refcount",
+                lambda self, slot, client: cells.append(slot)
+                or client_refcount(self, slot, client),
+            )
+            seg.incref(7, 1)
+            assert seg.clear_client(1) == [7]
+            assert len(cells) == 4001          # the occupied rows, not 4096
+        finally:
+            seg.close()
+            seg.unlink()
+
     def test_attach_sees_creators_writes(self, segment):
         slot = segment.allocate(32)
         segment.slot_view(slot, writable=True)[:] = bytes(range(32))
@@ -173,6 +237,29 @@ class TestRefcounts:
             segment.release(slot)
         segment.decref(slot, 3)
         segment.release(slot)                      # zero ⇒ reclaimable
+
+    def test_lease_holds_the_slot_until_the_last_derived_buffer_dies(self, segment):
+        from collections import deque
+
+        slot = segment.allocate(64)
+        segment.slot_view(slot, writable=True)[:] = bytes(range(64))
+        with pytest.raises(SegmentError, match="unsealed"):
+            segment.lease(slot, 1, print)
+        segment.seal(slot)
+        dropped = deque()
+        window = segment.lease(slot, 1, dropped.append)
+        assert window.readonly and bytes(window[:4]) == bytes(range(4))
+        piece = window[10:20]                      # what numpy would keep
+        del window
+        assert segment.client_refcount(slot, 1) == 1 and not dropped
+        with pytest.raises(SegmentError, match="live reference"):
+            segment.release(slot)
+        del piece
+        # The finalizer only reports; the cell's one writer lets go.
+        assert list(dropped) == [(segment, slot)]
+        assert segment.client_refcount(slot, 1) == 1
+        segment.decref(slot, 1)
+        segment.release(slot)
 
     def test_clear_client_reaps_only_that_column(self, segment):
         slot = segment.allocate(8)
@@ -324,6 +411,39 @@ class TestCoordinator:
         assert not co.contains(oid)                # unsealed: not readable
         assert co.seal(oid)
         assert co.contains(oid)
+
+    def test_released_object_waits_for_both_sides_leases(self, coordinator):
+        """A release while values still alias the slot parks it as a
+        zombie; the driver's lease and a worker's each end when their
+        last buffer dies and the owner settles, and only then is the
+        space handed out again — to the very next allocation."""
+        import numpy as np
+
+        co, gen = coordinator
+        oid = gen.object_id()
+        array = np.arange(4096, dtype=np.float64)
+        assert co.put_serialized(oid, serialize_buffers(array))
+        name, slot, _size = co.describe(oid)
+        worker = ShmClient(client_index=1)
+        ours = deserialize_frame(co.lease(oid))
+        theirs = deserialize_frame(worker.lease(name, slot))
+        co.release(oid)
+        assert not co.contains(oid)
+        stats = co.stats()
+        assert (stats["zombie_objects"], stats["leased_objects"]) == (1, 1)
+        assert stats["used_bytes"] == 0 and stats["leased_bytes"] > 32768
+        del ours
+        assert co.settle_leases() and not co.settle_leases()
+        assert co.stats()["leased_objects"] == 0
+        assert co.stats()["zombie_objects"] == 1     # the worker still reads
+        assert bool(np.all(theirs == array))
+        del theirs
+        worker.settle_leases()
+        other = gen.object_id()
+        assert co.put_serialized(other, serialize_buffers(array + 1.0))
+        assert co.stats()["zombie_objects"] == 0     # reaped by the allocation
+        assert co.describe(other)[:2] == (name, slot)  # on the same warm slot
+        worker.detach_all()
 
     def test_crash_aborts_pending_and_clears_refcounts(self, coordinator):
         co, gen = coordinator
