@@ -408,8 +408,7 @@ def test_e6_proc_shm_heavy_payload_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Proc mode, nested tasks: the bottom-up scheduling plane vs the
-# driver-funneled dispatch loop (the acceptance microbenchmark)
+# Proc mode, nested tasks: what the bottom-up scheduling plane is for
 # ----------------------------------------------------------------------
 
 NESTED_SPAWNERS = 2
@@ -425,8 +424,7 @@ def nested_noop():
 def nested_timed_spawner(count):
     """Worker-born fan-out that measures its own submission cost: the
     time per nested ``.remote()`` as seen from inside the task body —
-    one driver round trip each in driver mode, a local enqueue plus a
-    one-way notice in bottom-up mode."""
+    a local enqueue plus a one-way notice on the fast path."""
     import time as _time
 
     start = _time.perf_counter()
@@ -444,8 +442,8 @@ def nested_spawn_and_get():
 NESTED_ROUND_TRIPS = 50
 
 
-def _nested_storm(dispatch_mode: str) -> dict:
-    repro.init(backend="proc", num_workers=2, dispatch_mode=dispatch_mode)
+def _nested_storm() -> dict:
+    repro.init(backend="proc", num_workers=2)
     try:
         # Warm the pool and both sides' per-function code caches.
         repro.get(
@@ -480,79 +478,53 @@ def _nested_storm(dispatch_mode: str) -> dict:
     }
 
 
-def test_e6_proc_nested_bottom_up_beats_driver_dispatch(benchmark):
-    """The scheduling-plane acceptance gate: worker-born tasks with
-    locally resident args must be >= 2x better under bottom-up dispatch
-    than under driver dispatch, in submission latency or end-to-end
-    nested throughput (typically both: the fast path deletes one driver
-    round trip per submission and local execution deletes another per
-    dispatch)."""
+def test_e6_proc_nested_storm(benchmark):
+    """Worker-born tasks with locally resident args ride the fast path
+    (no driver round trip per submission), and a task that spawns one
+    child and waits for it pays no timer."""
 
-    def run_sweep():
-        # Best of two rounds per mode: single-core CI runners schedule
-        # the driver and both workers on one CPU, which makes a single
+    def run_rounds():
+        # Best of two rounds: single-core CI runners schedule the
+        # driver and both workers on one CPU, which makes a single
         # round noisy in either direction.
-        best = {}
-        for name in ("driver", "bottom_up"):
-            rounds = [_nested_storm(name) for _ in range(2)]
-            chosen = dict(min(rounds, key=lambda r: r["elapsed"]))
-            chosen["submit_latency"] = min(r["submit_latency"] for r in rounds)
-            chosen["rtt"] = min(r["rtt"] for r in rounds)
-            best[name] = chosen
+        rounds = [_nested_storm() for _ in range(2)]
+        best = dict(min(rounds, key=lambda r: r["elapsed"]))
+        best["submit_latency"] = min(r["submit_latency"] for r in rounds)
+        best["rtt"] = min(r["rtt"] for r in rounds)
         return best
 
-    sweep = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    storm = benchmark.pedantic(run_rounds, rounds=1, iterations=1)
 
-    rows = [
-        (
-            name,
-            result["tasks"],
-            f"{result['elapsed'] * 1e3:.1f} ms",
-            f"{result['throughput']:,.0f} tasks/s",
-            f"{result['submit_latency'] * 1e6:.0f} us",
-            f"{result['rtt'] * 1e3:.2f} ms",
-            result["sched"]["tasks_placed_local"],
-            result["sched"]["tasks_stolen"],
-        )
-        for name, result in sweep.items()
-    ]
     print_table(
         f"E6: nested-task storm ({NESTED_SPAWNERS} spawners x "
-        f"{NESTED_PER_SPAWNER} children), dispatch-mode ablation",
-        ["dispatch", "tasks", "makespan", "throughput", "submit latency",
+        f"{NESTED_PER_SPAWNER} children)",
+        ["tasks", "makespan", "throughput", "submit latency",
          "spawn+get rtt", "placed local", "stolen"],
-        rows,
+        [
+            (
+                storm["tasks"],
+                f"{storm['elapsed'] * 1e3:.1f} ms",
+                f"{storm['throughput']:,.0f} tasks/s",
+                f"{storm['submit_latency'] * 1e6:.0f} us",
+                f"{storm['rtt'] * 1e3:.2f} ms",
+                storm["sched"]["tasks_placed_local"],
+                storm["sched"]["tasks_stolen"],
+            )
+        ],
     )
-    throughput_gain = (
-        sweep["bottom_up"]["throughput"] / sweep["driver"]["throughput"]
-    )
-    latency_gain = (
-        sweep["driver"]["submit_latency"] / sweep["bottom_up"]["submit_latency"]
-    )
-    print(f"bottom_up vs driver: {throughput_gain:.2f}x throughput, "
-          f"{latency_gain:.2f}x submission latency")
     benchmark.extra_info.update(
         {
-            "throughput_gain": round(throughput_gain, 2),
-            "submit_latency_gain": round(latency_gain, 2),
             # Median of 50 sequential spawn-one-and-get round trips: the
             # machine-independent "no timer on this path" gate (it read
             # 22 ms, one steal-poll tick, until the poll was deleted).
-            "proc_nested_rtt_ms": round(sweep["bottom_up"]["rtt"] * 1e3, 3),
+            "proc_nested_rtt_ms": round(storm["rtt"] * 1e3, 3),
             "proc_nested_env": environment_stamp(),
         }
     )
     emit_bench_json("e6", dict(benchmark.extra_info))
     # The fast path really ran (zero driver round-trips per child; the
-    # warm-up fan-outs ride it too, hence >=)...
+    # warm-up fan-outs ride it too, hence >=).
     assert (
-        sweep["bottom_up"]["sched"]["tasks_placed_local"]
+        storm["sched"]["tasks_placed_local"]
         >= NESTED_SPAWNERS * NESTED_PER_SPAWNER
-    )
-    # ...and nested-task performance must not regress in either axis...
-    assert throughput_gain >= 1.0 and latency_gain >= 1.0
-    # ...with the acceptance bar (>= 2x) cleared on at least one.
-    assert max(throughput_gain, latency_gain) >= 2.0, (
-        f"expected >= 2x on a nested-task axis, got {throughput_gain:.2f}x "
-        f"throughput / {latency_gain:.2f}x submission latency"
     )

@@ -177,112 +177,3 @@ def test_e9_scheduler_ablation(benchmark):
     assert locality_on["bytes"] < 0.5 * locality_off["bytes"]
     assert locality_on["elapsed"] < locality_off["elapsed"]
 
-
-# ----------------------------------------------------------------------
-# The same ablation on real processes: the proc backend's two dispatch
-# modes on the nested-task fan-out workload (smoke-sized for CI).
-# ----------------------------------------------------------------------
-
-PROC_SPAWNERS = 2
-PROC_PER_SPAWNER = 50
-
-
-@repro.remote
-def proc_leaf():
-    return 1
-
-
-@repro.remote
-def proc_spawner(count):
-    return [proc_leaf.remote() for _ in range(count)]
-
-
-def _measure_proc(dispatch_mode: str) -> dict:
-    import time
-
-    repro.init(backend="proc", num_workers=2, dispatch_mode=dispatch_mode)
-    try:
-        repro.get([proc_spawner.remote(2) for _ in range(2)], timeout=120.0)
-
-        # Latency probe (R1): one empty task end-to-end on an idle pool.
-        t0 = time.perf_counter()
-        repro.get(proc_leaf.remote(), timeout=120.0)
-        idle_latency = time.perf_counter() - t0
-
-        # Throughput probe (R2): nested fan-out born on the workers.
-        t0 = time.perf_counter()
-        spawner_refs = [
-            proc_spawner.remote(PROC_PER_SPAWNER) for _ in range(PROC_SPAWNERS)
-        ]
-        leaf_refs = [
-            r for refs in repro.get(spawner_refs, timeout=300.0) for r in refs
-        ]
-        repro.wait(leaf_refs, num_returns=len(leaf_refs), timeout=300.0)
-        storm = time.perf_counter() - t0
-        sched = repro.get_runtime().stats()["sched"]
-    finally:
-        repro.shutdown()
-    return {"idle_latency": idle_latency, "storm": storm, "sched": sched}
-
-
-def test_e9_proc_dispatch_mode_ablation(benchmark):
-    """Section 3.2.2 on hardware: driver-funneled dispatch vs the
-    bottom-up scheduling plane, same nested fan-out.  The counters must
-    tell the architectural story (fast-path placements and steals only
-    in bottom-up mode) and bottom-up must not lose on the storm."""
-
-    def run_all():
-        return {
-            "driver": _measure_proc("driver"),
-            "bottom_up": _measure_proc("bottom_up"),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    total = PROC_SPAWNERS * PROC_PER_SPAWNER
-    rows = [
-        (
-            name,
-            ms(result["idle_latency"]),
-            ms(result["storm"]),
-            f"{total / result['storm']:,.0f} tasks/s",
-            result["sched"]["tasks_placed_local"],
-            result["sched"]["tasks_spilled"],
-            result["sched"]["tasks_stolen"],
-        )
-        for name, result in results.items()
-    ]
-    print_table(
-        "E9c: proc dispatch-mode ablation "
-        f"({PROC_SPAWNERS} spawners x {PROC_PER_SPAWNER} nested tasks, "
-        "2 workers)",
-        ["dispatch", "idle task latency", "storm makespan", "throughput",
-         "placed local", "spilled", "stolen"],
-        rows,
-    )
-    benchmark.extra_info.update(
-        {
-            name: {
-                "idle_latency_ms": round(r["idle_latency"] * 1e3, 2),
-                "storm_ms": round(r["storm"] * 1e3, 1),
-            }
-            for name, r in results.items()
-        }
-    )
-
-    driver, bottom_up = results["driver"], results["bottom_up"]
-    # The ablation is real: only the bottom-up plane places locally or
-    # steals; driver mode's counters stay untouched.
-    assert driver["sched"]["tasks_placed_local"] == 0
-    assert driver["sched"]["tasks_stolen"] == 0
-    # >= total: the warm-up fan-outs ride the fast path too.
-    assert bottom_up["sched"]["tasks_placed_local"] >= total
-    # The paper's frontier claim, proc edition: the two-level plane must
-    # not lose the worker-born storm (15% tolerance — this is a one-round
-    # smoke; bench_e6's best-of-two nested storm is the hard >=2x gate)
-    # and concedes nothing on idle latency beyond noise (both modes run
-    # one driver round trip for a driver-born task).
-    assert bottom_up["storm"] < driver["storm"] * 1.15
-    assert bottom_up["idle_latency"] < max(
-        5 * driver["idle_latency"], 0.05
-    ), "bottom-up must not regress idle single-task latency materially"

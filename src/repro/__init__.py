@@ -83,7 +83,6 @@ from repro.errors import (
     SchedulingError,
     TaskCancelledError,
     TaskError,
-    TimeoutError_,
     WorkerCrashedError,
 )
 
@@ -126,7 +125,6 @@ __all__ = [
     "ObjectLostError",
     "SchedulingError",
     "GetTimeoutError",
-    "TimeoutError_",
     "TaskCancelledError",
     "ActorLostError",
     "WorkerCrashedError",

@@ -53,7 +53,7 @@ successor systems' extensions (6–8):
    ``WorkerCrashedError`` when replay is off or exhausted).
 8. tasks have a **first-class lifecycle** beyond completion, configured
    through one options layer (``TaskOptions`` / ``ActorOptions``, shared
-   by ``@remote(...)``, ``.options(...)``, and ``submit_task``):
+   by ``@remote(...)`` and ``.options(...)``):
    ``num_returns=k`` makes ``.remote()`` return a tuple of k
    independently consumable refs; ``cancel(ref)`` revokes a task — never
    executed if it had not started, result discarded (and
@@ -93,9 +93,8 @@ successor systems' extensions (6–8):
    >>> repro.shutdown()                 # unlinks every shm segment
 
 10. scheduling is **hybrid and bottom-up** (:mod:`repro.sched_plane`,
-    the paper's Section 3.2.2 on real processes): with
-    ``dispatch_mode="bottom_up"`` (the ``proc`` default; ``"driver"``
-    keeps the fully driver-mediated loop selectable for ablation) every
+    the paper's Section 3.2.2 on real processes; the one dispatch path
+    of ``proc`` and ``dist``): every
     worker owns a local task queue — a nested ``.remote()`` whose
     dependencies are already resident on the submitting worker enqueues
     *to that worker itself* with zero driver round-trips, acked
@@ -103,13 +102,14 @@ successor systems' extensions (6–8):
     it places driver-born and spilled work with locality-aware scoring
     (prefer the worker already holding the argument bytes) and brokers
     idle-worker work stealing, so a fan-out born on one worker still
-    spreads across the pool.  Cancellation, ``num_returns``, named
-    actors, fault tolerance, and the whole parity matrix are identical
-    in both modes; ``stats()["sched"]`` counts where tasks went:
+    spreads across the pool, and a worker blocked in ``get`` on its
+    own children runs them itself.  (``local`` keeps one runtime-wide
+    ready list and starts a task on whichever node has room for it;
+    the policies are ablated on ``sim``, ``scheduler_mode=``.)
+    ``stats()["sched"]`` counts where tasks went:
 
     >>> import repro
-    >>> runtime = repro.init(backend="proc", num_workers=2,
-    ...                      dispatch_mode="bottom_up")
+    >>> runtime = repro.init(backend="proc", num_workers=2)
     >>> @repro.remote
     ... def leaf(x):
     ...     return x + 1

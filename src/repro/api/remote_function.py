@@ -9,7 +9,7 @@ the sixth element of the programming model.
 Both handles are thin wrappers over the frozen options dataclasses
 (:class:`~repro.core.task.TaskOptions` /
 :class:`~repro.core.actors.ActorOptions`): the decorator's configured
-form, ``.options(...)`` overrides, and ``Backend.submit_task`` all share
+form and ``.options(...)`` overrides share
 one validate/merge path, so the accepted option sets cannot drift between
 surfaces and every rejection names the offending option.
 

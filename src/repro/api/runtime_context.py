@@ -41,14 +41,12 @@ def init(backend: str = "sim", **kwargs: Any):
         ``shm_capacity`` (byte budget of the zero-copy shared-memory
         data plane for large objects — default 256 MiB, ``0`` disables
         it and every object takes the pipe; hosts without POSIX shared
-        memory fall back automatically).  Both real backends accept the
-        scheduling-plane options (see :mod:`repro.sched_plane`):
-        ``dispatch_mode`` (``"bottom_up"`` — worker-local fast path,
-        locality-aware spillover placement, work stealing; the proc
-        default — or ``"driver"``, the fully driver-mediated ablation
-        baseline and the local default) plus ``placement_policy``,
-        ``spillover_policy``, and ``steal_policy`` objects from
-        :mod:`repro.scheduling.policies`; scheduler counters surface in
+        memory fall back automatically).  No live backend has a
+        scheduling option: ``proc`` and ``dist`` dispatch through the
+        bottom-up plane (:mod:`repro.sched_plane`), ``local`` from one
+        ready list, and the policies of :mod:`repro.scheduling.policies`
+        are varied on ``sim`` (``scheduler_mode``, ``spillover_policy``,
+        ``placement_policy``); scheduler counters surface in
         ``get_runtime().stats()["sched"]``.  All live backends accept
         ``tracing=True`` to collect a wall-clock event log across every
         process (see :mod:`repro.obs`); the sim's log is always on.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.object_ref import ObjectRef
-from repro.core.task import CallTemplate, ResourceRequest, TaskOptions
+from repro.core.task import CallTemplate, ResourceRequest
 from repro.errors import BackendError
 from repro.utils.ids import FunctionID, NodeID
 
@@ -67,13 +67,11 @@ class BackendCapabilities:
         back to its byte path on hosts without POSIX shm or when
         initialized with ``shm_capacity=0``.
     ``bottom_up_scheduling``
-        The backend implements the real two-level scheduling plane
-        (:mod:`repro.sched_plane`): ``init(dispatch_mode="bottom_up")``
-        gives workers local task queues with a zero-round-trip nested
-        submission fast path, locality-aware driver-tier spillover
-        placement, and idle-worker work stealing;
-        ``dispatch_mode="driver"`` keeps the fully driver-mediated
-        dispatch loop selectable for ablation.
+        The backend dispatches through the real two-level scheduling
+        plane (:mod:`repro.sched_plane`): workers own local task queues
+        with a zero-round-trip nested submission fast path, the driver
+        tier places spillover locality-aware, and idle workers steal.
+        It is the backend's only dispatch path, not a mode.
     """
 
     true_parallelism: bool = False
@@ -112,17 +110,6 @@ class Backend(Protocol):
     # (what ``RemoteFunction.remote`` calls: everything but the arguments
     # was resolved once into the template; returns one ObjectRef, or a
     # tuple of num_returns refs)
-
-    def submit_task(
-        self,
-        function: Callable,
-        function_id: FunctionID,
-        function_name: str,
-        args: tuple,
-        kwargs: dict,
-        options: Optional[TaskOptions] = None,
-    ) -> Any: ...
-    # (submit_call from explicit arguments, through a one-off template)
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any: ...
 
@@ -293,9 +280,7 @@ register_backend(
     _load_sim,
     BackendCapabilities(virtual_time=True, fault_injection=True),
 )
-register_backend(
-    "local", _load_local, BackendCapabilities(bottom_up_scheduling=True)
-)
+register_backend("local", _load_local, BackendCapabilities())
 register_backend(
     "proc",
     _load_proc,

@@ -18,9 +18,11 @@ see :func:`run_effect_loop_sync`.
 
 from __future__ import annotations
 
+import time
 import types
 from typing import Any, Generator, Optional
 
+from repro.core.actors import call_from_effect, create_from_effect
 from repro.core.effects import ActorCall, ActorCreate, Cancel, Compute, Get, Put, Wait
 from repro.core.task import TaskSpec
 from repro.errors import ReproError
@@ -66,6 +68,39 @@ class EffectHandler:
 
     def on_actor_call(self, effect: ActorCall) -> Any:
         raise NotImplementedError
+
+
+class BlockingEffectHandler(EffectHandler):
+    """The effect vocabulary as real blocking calls on ``runtime``: the
+    threaded runtime itself, or a worker process's proxy to its driver."""
+
+    def __init__(self, runtime: Any) -> None:
+        self.runtime = runtime
+
+    def on_compute(self, effect: Compute) -> None:
+        time.sleep(effect.duration)
+
+    def on_get(self, effect: Get) -> Any:
+        return self.runtime.get(effect.refs)
+
+    def on_wait(self, effect: Wait) -> tuple:
+        return self.runtime.wait(
+            list(effect.refs),
+            num_returns=effect.num_returns,
+            timeout=effect.timeout,
+        )
+
+    def on_put(self, effect: Put) -> Any:
+        return self.runtime.put(effect.value)
+
+    def on_cancel(self, effect: Cancel) -> bool:
+        return self.runtime.cancel(effect.ref, recursive=effect.recursive)
+
+    def on_actor_create(self, effect: ActorCreate) -> Any:
+        return create_from_effect(self.runtime, effect)
+
+    def on_actor_call(self, effect: ActorCall) -> Any:
+        return call_from_effect(self.runtime, effect)
 
 
 _DISPATCH = (

@@ -36,7 +36,6 @@ from repro.core.object_ref import ObjectRef
 from repro.core.protocol import check_cluster_feasible, unwrap_value
 from repro.core.task import (
     CallTemplate,
-    ExplicitSubmit,
     ResourceRequest,
     TaskSpec,
     TaskState,
@@ -67,7 +66,7 @@ _SCHEDULER_MODES = {
 }
 
 
-class SimRuntime(ExplicitSubmit):
+class SimRuntime:
     """A complete simulated deployment of the proposed architecture."""
 
     def __init__(

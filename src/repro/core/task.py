@@ -60,10 +60,10 @@ class ResourceRequest:
 class OptionsBase:
     """Shared validate/merge machinery for the frozen options dataclasses.
 
-    Every submission surface — ``@remote(...)``, ``.options(...)`` on
-    functions *and* actor classes, and ``Backend.submit_task`` — goes
-    through exactly this path, so the accepted option sets cannot drift
-    between surfaces and every rejection names the offending option.
+    Every submission surface — ``@remote(...)`` and ``.options(...)``,
+    on functions *and* actor classes — goes through exactly this path,
+    so the accepted option sets cannot drift between surfaces and every
+    rejection names the offending option.
     """
 
     def merged(self, **overrides: Any):
@@ -116,9 +116,7 @@ class TaskOptions(OptionsBase):
 
     One frozen value object carries the whole configuration from the
     ``@remote`` decorator through ``.options(...)`` overrides down to
-    ``Backend.submit_task`` — replacing the former kwarg-per-knob
-    plumbing that had to be threaded through three signatures and three
-    backends by hand.
+    the :class:`CallTemplate` a backend stamps specs from.
 
     ``name``
         Display-name override recorded as the spec's ``function_name``.
@@ -156,23 +154,6 @@ class TaskOptions(OptionsBase):
                 f"invalid option duration={self.duration!r}: must be None, "
                 "a number of seconds, or a callable (rng, args) -> float"
             )
-
-
-def resolve_task_options(options: Any = None, **removed: Any) -> TaskOptions:
-    """Validate the ``options`` argument of a ``submit_task`` call.
-
-    ``None`` means the defaults.  The per-kwarg form (``resources=``,
-    ``duration=``, ``placement_hint=``, ``max_reconstructions=``) and the
-    positional :class:`ResourceRequest` were removed; both are rejected
-    with a :class:`TypeError` that says what to pass instead.
-    """
-    if removed or (options is not None and not isinstance(options, TaskOptions)):
-        got = sorted(removed) if removed else type(options).__name__
-        raise TypeError(
-            f"submit_task takes its options as options=TaskOptions(...), "
-            f"got {got}"
-        )
-    return options if options is not None else TaskOptions()
 
 
 @dataclass
@@ -425,32 +406,6 @@ class CallTemplate:
 
 
 _DEFAULT_OPTIONS = TaskOptions()
-
-
-class ExplicitSubmit:
-    """``submit_task`` for a runtime that has ``submit_call``: the
-    explicit-argument form of the backend protocol, as a one-off template
-    (``RemoteFunction`` keeps its templates and calls ``submit_call``)."""
-
-    def submit_task(
-        self,
-        function: Optional[Callable],
-        function_id: FunctionID,
-        function_name: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        options: Any = None,
-        **removed: Any,
-    ) -> Any:
-        """Create and submit a task; returns its future(s) immediately.
-        All per-invocation configuration rides in ``options``
-        (:class:`TaskOptions`; ``num_returns=k`` makes this return a
-        tuple of k refs instead of one)."""
-        template = CallTemplate(
-            function, function_id, function_name,
-            resolve_task_options(options, **removed),
-        )
-        return self.submit_call(template, args, dict(kwargs or {}))
 
 
 def build_task_spec(

@@ -321,8 +321,7 @@ class NodeAgent:
             args=(
                 child_conn, global_index, config["seed"],
                 config["worker_cache_bytes"], self.shm is not None,
-                config["inline_threshold"], config["dispatch_mode"],
-                spawn_token, config["spillover_policy"],
+                config["inline_threshold"], spawn_token,
                 config.get("tracing", False),
             ),
             name=f"repro-dist-worker-{self.node_index}-{channel}",

@@ -381,10 +381,6 @@ class DistRuntime(ProcRuntime):
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
-        dispatch_mode: str = "bottom_up",
-        placement_policy: Any = None,
-        spillover_policy: Any = None,
-        steal_policy: Any = None,
         control_shards: int = 8,
         control_store: Any = None,
         recover: bool = False,
@@ -444,8 +440,6 @@ class DistRuntime(ProcRuntime):
             "worker_cache_bytes": worker_cache_bytes,
             "shm_capacity": per_node_shm,
             "inline_threshold": inline_threshold,
-            "dispatch_mode": dispatch_mode,
-            "spillover_policy": spillover_policy,
             "total_workers": num_nodes * workers_per_node,
             "store_capacity": cluster.nodes[0].object_store_capacity,
             "heartbeat_interval": self._heartbeat_interval,
@@ -461,10 +455,6 @@ class DistRuntime(ProcRuntime):
                 inline_threshold=inline_threshold,
                 worker_cache_bytes=worker_cache_bytes,
                 shm_capacity=0,  # no driver arena: data lives on the nodes
-                dispatch_mode=dispatch_mode,
-                placement_policy=placement_policy,
-                spillover_policy=spillover_policy,
-                steal_policy=steal_policy,
                 control_shards=control_shards,
                 control_store=control_store,
                 recover=recover,
@@ -1104,29 +1094,29 @@ class DistRuntime(ProcRuntime):
             for index in range(lo, lo + self._workers_per_node):
                 worker = workers[index] if index < len(workers) else None
                 if worker is not None and worker.alive:
-                    self._fail_node_worker(worker, None, link)
+                    self._fail_node_worker(worker, link)
             self._reclaim_node_state(link)
             self._cond.notify_all()
 
-    def _handle_worker_crash(self, worker, inflight, exc) -> None:
+    def _handle_worker_crash(self, worker, exc) -> None:
         link = self._link_of(worker.index)
         if link.alive:
             # Worker died, node survives: identical to a proc crash —
             # the inherited handler replays/fails and respawns through
             # _spawn_worker, which routes the replacement via the agent.
-            super()._handle_worker_crash(worker, inflight, exc)
+            super()._handle_worker_crash(worker, exc)
             return
         with self._cond:
             if self.closed or not worker.alive:
                 return
-            self._fail_node_worker(worker, inflight, link)
+            self._fail_node_worker(worker, link)
             self._reclaim_node_state(link)
             self._cond.notify_all()
 
-    def _fail_node_worker(self, worker, inflight, link) -> None:
+    def _fail_node_worker(self, worker, link) -> None:
         """One dead worker on a dead node (lock held): the proc crash
         cleanup without a respawn — there is no node to respawn into."""
-        doomed, replaced = self._retire_worker(worker, inflight)
+        doomed, replaced = self._retire_worker(worker)
         for spec in doomed:
             self._resolve_crashed_task(spec, link.node_index)
         survivor = self._any_live_worker()

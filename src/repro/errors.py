@@ -50,10 +50,6 @@ class GetTimeoutError(ReproError):
     """A blocking ``get`` exceeded its timeout."""
 
 
-#: Deprecated alias for :class:`GetTimeoutError` (the pre-0.2 name).
-TimeoutError_ = GetTimeoutError
-
-
 class SchedulingError(ReproError):
     """A task can never be scheduled (e.g. requests more GPUs than any node has)."""
 

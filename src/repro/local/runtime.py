@@ -13,7 +13,6 @@ must differ: threads, locks, and wall-clock time.
 from __future__ import annotations
 
 import inspect
-import os
 import queue
 import threading
 import time
@@ -28,17 +27,19 @@ from repro.core.actors import (
     ActorRegistry,
     build_call_spec,
     build_creation_spec,
-    call_from_effect,
     chain_submission,
-    create_from_effect,
     get_actor_handle,
     handle_for,
     register_instance,
     resolve_actor_callable,
 )
-from repro.core.completion import CompletionPump, serve_stats
+from repro.core.completion import (
+    CompletionPump,
+    one_host_cluster_stats,
+    serve_stats,
+)
 from repro.core.dependencies import DependencyTracker
-from repro.core.effect_driver import EffectHandler, run_effect_loop_sync
+from repro.core.effect_driver import BlockingEffectHandler, run_effect_loop_sync
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import (
@@ -48,12 +49,7 @@ from repro.core.protocol import (
     unwrap_value,
     validate_wait_args,
 )
-from repro.core.task import (
-    CallTemplate,
-    ExplicitSubmit,
-    ResourceRequest,
-    TaskSpec,
-)
+from repro.core.task import CallTemplate, ResourceRequest, TaskSpec
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
@@ -63,17 +59,11 @@ from repro.core.worker import (
 from repro.errors import BackendError, GetTimeoutError
 from repro.gcs import ControlStore
 from repro.obs import SpanCollector
-from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy, StealPolicy
-from repro.sched_plane import SchedCounters, WorkerCandidate, plan_placement
+from repro.sched_plane import SchedCounters
 from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID
-from repro.utils.serialization import ByteAccountant, deserialize, serialize
+from repro.utils.serialization import deserialize, serialize
 
 _POISON = object()
-
-#: Valid values of the ``dispatch_mode`` init option (same contract as
-#: the proc backend; "driver" — the historical always-global placement —
-#: stays selectable for ablation).
-DISPATCH_MODES = ("bottom_up", "driver")
 
 
 @dataclass
@@ -87,51 +77,21 @@ class _Node:
     available_gpus: int
     task_queue: "queue.Queue" = field(default_factory=queue.Queue)
     threads: list = field(default_factory=list)
-    pending: list = field(default_factory=list)  # runnable, awaiting slots
     tasks_executed: int = 0
 
 
-class _LocalEffectHandler(EffectHandler):
-    """Bind the effect vocabulary to real blocking calls."""
-
-    def __init__(self, runtime: "LocalRuntime") -> None:
-        self.runtime = runtime
-
-    def on_compute(self, item) -> None:
-        time.sleep(item.duration)
-
-    def on_get(self, item) -> Any:
-        return self.runtime.get(item.refs)
-
-    def on_wait(self, item) -> tuple:
-        return self.runtime.wait(
-            list(item.refs), num_returns=item.num_returns, timeout=item.timeout
-        )
-
-    def on_put(self, item) -> ObjectRef:
-        return self.runtime.put(item.value)
-
-    def on_cancel(self, item) -> bool:
-        return self.runtime.cancel(item.ref, recursive=item.recursive)
-
-    def on_actor_create(self, item) -> ActorHandle:
-        return create_from_effect(self.runtime, item)
-
-    def on_actor_call(self, item) -> ObjectRef:
-        return call_from_effect(self.runtime, item)
+def _free_slots(node: _Node) -> tuple:
+    """Most free slots first; stable tie-break by node id."""
+    return node.available_cpus + node.available_gpus, node.node_id.hex
 
 
-class LocalRuntime(ExplicitSubmit):
+class LocalRuntime:
     """Thread-pool implementation of the backend protocol."""
 
     def __init__(
         self,
         cluster: Optional[ClusterSpec] = None,
         seed: int = 0,
-        dispatch_mode: str = "driver",
-        placement_policy: Optional[PlacementPolicy] = None,
-        spillover_policy: Optional[SpilloverPolicy] = None,
-        steal_policy: Optional[StealPolicy] = None,
         control_shards: int = 8,
         tracing: bool = False,
     ) -> None:
@@ -141,22 +101,8 @@ class LocalRuntime(ExplicitSubmit):
                 f"invalid init option control_shards={control_shards!r} for "
                 "backend 'local'; must be a positive integer"
             )
-        if dispatch_mode not in DISPATCH_MODES:
-            raise BackendError(
-                f"invalid init option dispatch_mode={dispatch_mode!r} for "
-                f"backend 'local'; valid values: {list(DISPATCH_MODES)}"
-            )
-        #: The scheduling plane (repro.sched_plane) over threads: in
-        #: bottom_up mode a worker thread's nested submissions stay on
-        #: its own node while the backlog allows (the fast path — here
-        #: "zero round-trips" means zero extra placement work under the
-        #: global view), spillover is placed through the shared
-        #: PlacementPolicy, and threads that would go idle steal from
-        #: the tails of other nodes' pending queues.
-        self.dispatch_mode = dispatch_mode
-        self._placement_policy = placement_policy or PlacementPolicy()
-        self._spillover_policy = spillover_policy or SpilloverPolicy()
-        self._steal_policy = steal_policy or StealPolicy()
+        #: ``stats()["sched"]`` with the proc/dist plane's keys; threads
+        #: have one placement path, counted as ``tasks_placed_global``.
         self._sched = SchedCounters()
         #: The tracing plane (repro.obs).  Single process: every worker
         #: thread records straight into the driver collector (one clock,
@@ -174,11 +120,17 @@ class LocalRuntime(ExplicitSubmit):
         self._objects: dict[ObjectID, bytes] = {}
         #: Tasks whose dependencies are not all ready yet (shared core).
         self._deps = DependencyTracker()
+        #: Runnable tasks no node has room for yet, oldest first.  A task
+        #: is bound to a node only when that node can start it (see
+        #: :meth:`_dispatch`): a thread blocked in ``get`` keeps its slot,
+        #: so work queued behind a busy node would wait for as long as
+        #: that node stays blocked — possibly on that very work.
+        self._ready: list[TaskSpec] = []
         self._functions: dict[FunctionID, Callable] = {}
         self.actors = ActorRegistry()
         self._lifecycle = LifecycleIndex()
         self._tls = threading.local()
-        self._effect_handler = _LocalEffectHandler(self)
+        self._effect_handler = BlockingEffectHandler(self)
         #: Event-driven completion notifications (repro.serve): watchers
         #: registered under the lock, callbacks dispatched outside it.
         self._completions = CompletionPump("repro-local-completions")
@@ -277,10 +229,10 @@ class LocalRuntime(ExplicitSubmit):
     ) -> ActorHandle:
         """Create a stateful actor; returns its handle immediately.
 
-        Placement reuses this backend's scheduler: the constructor task
-        is pinned to the node the most-free-slots policy picks, and every
-        method call follows it there.  ``name`` registers the actor for
-        :meth:`get_actor` lookup (collisions with a live holder raise).
+        The constructor task is pinned to the node :meth:`_choose_node`
+        picks, and every method call follows it there.  ``name``
+        registers the actor for :meth:`get_actor` lookup (collisions
+        with a live holder raise).
         """
         self._check_open()
         check_cluster_feasible(
@@ -434,43 +386,20 @@ class LocalRuntime(ExplicitSubmit):
                 "tasks_waiting": len(self._deps),
                 "actors_created": len(self.actors),
                 "tasks_cancelled": self._lifecycle.cancelled_count,
-                "dispatch_mode": self.dispatch_mode,
                 "sched": self._sched.snapshot(),
                 "obs": self._obs.stats(),
                 "serve": serve_stats(self._serve_pools, self._completions),
                 "control": self._control.stats(),
-                # Cluster view with the dist backend's keys.  Threads share
-                # one address space, so no object is ever *node*-resident
-                # and nothing can cross a node boundary; nodes here are
-                # scheduling domains, not failure domains (no membership
-                # plane, nodes cannot be lost).
-                "cluster": {
-                    "num_nodes": len(self._nodes),
-                    "workers_per_node": (
-                        sum(len(n.threads) for n in self._nodes.values())
-                        // max(1, len(self._nodes))
-                    ),
-                    "nodes_alive": len(self._nodes),
-                    "nodes_lost": 0,
-                    "heartbeat_timeouts": 0,
-                    "heartbeat_interval": None,
-                    "heartbeat_timeout": None,
-                    "objects_node_resident": 0,
-                    "internode": ByteAccountant().snapshot(),
-                    "per_node": [
-                        {
-                            "node_index": index,
-                            "alive": True,
-                            "agent_pid": os.getpid(),
-                            "shm_enabled": False,
-                            "heartbeat_age": 0.0,
-                            "workers_alive": len(node.threads),
-                            "objects_resident": 0,
-                            "bytes_resident": 0,
-                        }
-                        for index, node in enumerate(self._nodes.values())
+                # Threads share one address space: nodes here are
+                # scheduling domains, and no object is *node*-resident.
+                "cluster": one_host_cluster_stats(
+                    sum(len(n.threads) for n in self._nodes.values())
+                    // len(self._nodes),
+                    [
+                        (len(node.threads), False, 0, 0)
+                        for node in self._nodes.values()
                     ],
-                },
+                ),
             }
 
     def replica_targets(self) -> list:
@@ -512,86 +441,59 @@ class LocalRuntime(ExplicitSubmit):
         return node.node_id if node is not None else self.head_node_id
 
     def _enqueue_runnable(self, spec: TaskSpec) -> None:
-        """Place a dependency-free task on a node (lock held)."""
-        if self.dispatch_mode == "bottom_up":
-            node = self._place_bottom_up(spec)
-        else:
-            node = self._choose_node(spec)
-        if self._obs.enabled:
-            self._obs.record(
-                "task_placed",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                node=str(node.node_id),
-            )
-        node.pending.append(spec)
-        self._dispatch(node)
-
-    def _place_bottom_up(self, spec: TaskSpec) -> "_Node":
-        """Two-level placement (lock held): keep locally-generated work
-        on the generating node while its backlog allows (the fast path),
-        spill the rest to the driver tier's shared PlacementPolicy."""
-        here = getattr(self._tls, "node", None)
-        if (
-            here is not None
-            and spec.actor_id is None
-            and not self._spillover_policy.should_spill(
-                spec,
-                node_cpus=here.num_cpus,
-                node_gpus=here.num_gpus,
-                backlog=len(here.pending),
-                this_node=here.node_id,
-            )
-        ):
-            self._sched.tasks_placed_local += 1
-            return here
-        if here is not None and spec.actor_id is None:
-            self._sched.tasks_spilled += 1
-        candidates = [
-            WorkerCandidate(
-                node_id=node.node_id,
-                est_cpus=node.available_cpus,
-                est_gpus=node.available_gpus,
-                queue_length=len(node.pending),
-            )
-            for node in self._nodes.values()
-            if spec.resources.fits_node(node.num_cpus, node.num_gpus)
-        ]
-        chosen = plan_placement(
-            spec, candidates, self._placement_policy, self._sched
-        )
-        if chosen is not None:
-            return self._nodes[chosen]
-        # Every feasible node is saturated: queue at the least loaded
-        # (the driver-mode choice), to be drained — or stolen — later.
-        return self._choose_node(spec)
+        """A task's dependencies are all stored (lock held)."""
+        self._ready.append(spec)
+        self._dispatch()
 
     def _choose_node(self, spec: TaskSpec) -> _Node:
+        """An actor's home (lock held): where its creation is hinted,
+        else the node with the most free slots that could ever hold it."""
         if spec.placement_hint is not None and spec.placement_hint in self._nodes:
             return self._nodes[spec.placement_hint]
-        candidates = [
-            node
-            for node in self._nodes.values()
-            if spec.resources.fits_node(node.num_cpus, node.num_gpus)
-        ]
-        # Most free slots first; stable tie-break by node id.
         return max(
-            candidates,
-            key=lambda n: (n.available_cpus + n.available_gpus, n.node_id.hex),
+            (
+                node
+                for node in self._nodes.values()
+                if spec.resources.fits_node(node.num_cpus, node.num_gpus)
+            ),
+            key=_free_slots,
         )
 
-    def _dispatch(self, node: _Node) -> None:
-        """Move pending tasks into the worker queue while slots allow."""
-        index = 0
-        while index < len(node.pending):
-            spec = node.pending[index]
-            if spec.resources.fits(node.available_cpus, node.available_gpus):
-                node.pending.pop(index)
-                node.available_cpus -= spec.resources.num_cpus
-                node.available_gpus -= spec.resources.num_gpus
-                node.task_queue.put(spec)
-            else:
-                index += 1
+    def _dispatch(self) -> None:
+        """Start every ready task some node has room for now, oldest
+        first (lock held; run whenever a task becomes runnable or a slot
+        frees).  A hinted task — every actor task is one — goes to its
+        node or waits for it; any other goes to the node with the most
+        free slots among those it fits on now."""
+        nodes = list(self._nodes.values())
+        ready = self._ready
+        kept = 0  # ready[:kept]: looked at, and still waiting
+        for index, spec in enumerate(ready):
+            if not any(n.available_cpus or n.available_gpus for n in nodes):
+                del ready[kept:index]  # no slot anywhere: the rest waits too
+                return
+            hinted = self._nodes.get(spec.placement_hint)
+            fitting = [
+                n for n in (nodes if hinted is None else (hinted,))
+                if spec.resources.fits(n.available_cpus, n.available_gpus)
+            ]
+            if not fitting:
+                ready[kept] = spec
+                kept += 1
+                continue
+            node = max(fitting, key=_free_slots)
+            node.available_cpus -= spec.resources.num_cpus
+            node.available_gpus -= spec.resources.num_gpus
+            self._sched.tasks_placed_global += 1
+            if self._obs.enabled:
+                self._obs.record(
+                    "task_placed",
+                    task_id=str(spec.task_id),
+                    function=spec.function_name,
+                    node=str(node.node_id),
+                )
+            node.task_queue.put(spec)
+        del ready[kept:]
 
     def _store_object(self, object_id: ObjectID, data: bytes) -> None:
         """Insert an object and wake dependents/waiters/watchers."""
@@ -640,61 +542,7 @@ class LocalRuntime(ExplicitSubmit):
                 node.available_cpus += item.resources.num_cpus
                 node.available_gpus += item.resources.num_gpus
                 node.tasks_executed += 1
-                self._dispatch(node)
-                if self.dispatch_mode == "bottom_up":
-                    self._steal_into(node)
-
-    def _steal_into(self, thief: _Node) -> None:
-        """Work stealing (lock held): a thread that just freed slots and
-        found its own node empty raids the tail of the most-backlogged
-        other node.  Placement-hinted specs (actor pinning, explicit
-        hints) are never stolen.
-
-        Completion-triggered only: threads parked in ``task_queue.get``
-        never wake to steal, so a node that has run nothing yet cannot
-        raid (unlike the proc plane's idle-loop polling).  The exposure
-        is bounded, not a liveness hole — the fast path keeps at most
-        ``queue_threshold x cpus`` tasks on the birth node before
-        spilling to global placement, which targets idle nodes."""
-        if not self._steal_policy.enabled or thief.pending:
-            return
-        if not thief.task_queue.empty():
-            return
-        victim = None
-        for node in self._nodes.values():
-            if node is thief:
-                continue
-            if not self._steal_policy.should_steal(len(node.pending)):
-                continue
-            if victim is None or len(node.pending) > len(victim.pending):
-                victim = node
-        if victim is None:
-            return
-        budget = self._steal_policy.batch_size(len(victim.pending))
-        stolen = []
-        for index in range(len(victim.pending) - 1, -1, -1):
-            if len(stolen) >= budget:
-                break
-            spec = victim.pending[index]
-            if spec.placement_hint is not None:
-                continue
-            if not spec.resources.fits_node(thief.num_cpus, thief.num_gpus):
-                continue
-            stolen.append(victim.pending.pop(index))
-        if not stolen:
-            return
-        stolen.reverse()  # preserve submission order at the new home
-        self._sched.tasks_stolen += len(stolen)
-        if self._obs.enabled:
-            for spec in stolen:
-                self._obs.record(
-                    "task_stolen",
-                    task_id=str(spec.task_id),
-                    thief=str(thief.node_id),
-                    victim=str(victim.node_id),
-                )
-        thief.pending.extend(stolen)
-        self._dispatch(thief)
+                self._dispatch()
 
     def _run_task(self, node: _Node, spec: TaskSpec) -> None:
         with self._lock:

@@ -7,11 +7,9 @@ number of *requests* (fetch an argument, submit a nested task, block in
 answered by exactly one reply from the driver's per-worker service
 thread.  The worker is single-threaded, so requests never interleave and
 the protocol needs no sequence numbers.  Around that core, tasks go down
-in ``TASK`` frames and completions come back in ``DONE`` frames, in both
-dispatch modes: ``dispatch_mode="driver"`` ships one task per frame and
-gets one ``DONE`` per task; ``dispatch_mode="bottom_up"`` (the two-level
-scheduling plane, :mod:`repro.sched_plane`) windows and coalesces them
-and adds **one-way messages** in both directions.
+in ``TASK`` frames and completions come back in ``DONE`` frames, which
+the two-level scheduling plane (:mod:`repro.sched_plane`) windows and
+coalesces, and **one-way messages** flow in both directions.
 
 **What crosses the wire per task** is one *entry* — every task, however
 it was born, is this one positional tuple, written by
@@ -49,7 +47,7 @@ worker-born one reaches the driver with the first notice that names it,
 keeps the id its worker gave it, and from then on is shipped to other
 workers (steals, crash replay) like any registered function.
 
-**Dispatch frames** (bottom-up mode):
+**Dispatch frames**:
 
 * ``(TASK, [entry, ...], table)`` — the worker runs the first entry
   immediately and pushes the rest onto its own local queue, where they
@@ -147,7 +145,7 @@ from repro.core.task import CallTemplate, TaskOptions, TaskSpec
 from repro.utils.ids import FunctionID, NodeID, ObjectID, TaskID
 from repro.utils.serialization import serialize_call
 
-#: Seconds of *estimated* work one bottom-up TASK frame may carry, and
+#: Seconds of *estimated* work one TASK frame may carry, and
 #: the longest a buffered completion waits for the next task boundary.
 FRAME_BUDGET_S = 0.001
 

@@ -6,14 +6,16 @@ Architecture (one instance = one pool):
   **spawn** method and connected by one duplex pipe.  Spawn (not fork)
   keeps children free of inherited locks/threads and mirrors how real
   cluster workers boot from nothing.
-* One **service thread** per worker on the driver side.  It pulls runnable
-  tasks (from the shared queue, or the worker's pinned queue for actor
-  tasks), ships them over the pipe, and then *serves* the worker's
+* One **service thread** per worker on the driver side.  It claims a
+  frame of runnable tasks for its idle worker (the worker's pinned actor
+  tasks, what the driver tier placed on it, the global queue, or a
+  steal), ships it over the pipe, and then *serves* the worker's
   requests — argument fetches, nested submissions, blocking ``get``/
-  ``wait``, ``put``, actor operations — until the result message arrives.
-  Service threads mostly sleep in ``recv``; user compute happens in the
-  children, outside the GIL, which is what makes this the first backend
-  where CPU-bound work actually scales with workers.
+  ``wait``, ``put``, actor operations — and reports until the worker says
+  its queue is drained.  Service threads mostly sleep in ``recv``; user
+  compute happens in the children, outside the GIL, which is what makes
+  this the first backend where CPU-bound work actually scales with
+  workers.
 * The shared core from the other backends does the semantics:
   :class:`~repro.core.dependencies.DependencyTracker` gates readiness,
   :mod:`repro.core.protocol` validates and unwraps, the actor-table
@@ -56,15 +58,13 @@ Architecture (one instance = one pool):
   the sim backend's node-death semantics; a replacement worker is spawned
   either way.  ``worker_crash_policy="fail"`` turns replay off and
   surfaces :class:`~repro.errors.WorkerCrashedError` instead.
-* **Two dispatch modes** (``dispatch_mode`` init option).  ``"driver"``
-  is the fully centralized loop described above: every submission —
-  including nested ``.remote()`` calls born on workers — funnels through
-  the driver.  ``"bottom_up"`` (default) is the paper's hybrid two-level
-  scheduler realized on real processes (:mod:`repro.sched_plane`): each
-  worker owns a local task queue it feeds with a zero-round-trip nested
-  submission fast path (the driver learns via one-way ``SUBMIT_LOCAL``
-  notices and mirrors every queue for lineage), while the driver is the
-  *global tier* — it places driver-born and spilled work with a
+* **Dispatch** is the paper's hybrid two-level scheduler realized on
+  real processes (:mod:`repro.sched_plane`), and the only path a task
+  can take: each worker owns a local task queue it feeds with a
+  zero-round-trip nested submission fast path (the driver learns via
+  one-way ``SUBMIT_LOCAL`` notices and mirrors every queue for
+  lineage), while the driver is the *global tier* — it places
+  driver-born and spilled work with a
   locality-aware :class:`~repro.scheduling.policies.PlacementPolicy`
   (preferring the worker that already holds the largest resident
   argument bytes), ships it in **dispatch frames** (a window of tasks
@@ -73,15 +73,17 @@ Architecture (one instance = one pool):
   idle-worker work stealing
   (:class:`~repro.scheduling.policies.StealPolicy`; the victim's grant
   is authoritative, so a stolen task provably runs exactly once), and
-  re-homes queued or mid-steal tasks when their worker crashes.  Both
-  modes keep every observable — parity workloads, cancellation,
-  ``num_returns``, named actors, fault tolerance — identical.
+  re-homes queued or mid-steal tasks when their worker crashes.  A worker
+  blocked in ``get``/``wait`` stays a full execution resource
+  (:meth:`ProcRuntime._wait_serving`), so a pool of any size finishes a
+  task that waits for its own children.  The placement and steal
+  policies are constants here; the sim backend is where they are varied
+  (``scheduler_mode``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 import warnings
@@ -104,7 +106,11 @@ from repro.core.actors import (
     handle_for,
     register_instance,
 )
-from repro.core.completion import CompletionPump, serve_stats
+from repro.core.completion import (
+    CompletionPump,
+    one_host_cluster_stats,
+    serve_stats,
+)
 from repro.core.dependencies import DependencyTracker
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core import object_ref
@@ -117,12 +123,7 @@ from repro.core.protocol import (
     unwrap_value,
     validate_wait_args,
 )
-from repro.core.task import (
-    CallTemplate,
-    ExplicitSubmit,
-    ResourceRequest,
-    TaskSpec,
-)
+from repro.core.task import CallTemplate, ResourceRequest, TaskSpec
 from repro.core.worker import ErrorValue, error_value_from
 from repro.errors import (
     BackendError,
@@ -137,7 +138,7 @@ from repro.proc import messages as msg
 from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
-from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy, StealPolicy
+from repro.scheduling.policies import PlacementPolicy, StealPolicy
 from repro.sched_plane import (
     LocalTaskQueue,
     ResidencyTracker,
@@ -163,8 +164,10 @@ from repro.utils.serialization import (
 #: Valid values of the ``worker_crash_policy`` init option.
 CRASH_POLICIES = ("replace", "fail")
 
-#: Valid values of the ``dispatch_mode`` init option.
-DISPATCH_MODES = ("bottom_up", "driver")
+#: The driver tier's policies: how it scores workers for a task with
+#: arguments, and when and how much an idle worker steals.
+_PLACEMENT = PlacementPolicy()
+_STEAL = StealPolicy()
 
 #: Condition-wait backstops of an idle or blocked service thread.
 #: Submissions, arrivals, steal requests, grants and shutdown all
@@ -243,11 +246,11 @@ class _WorkerHandle:
     #: stack: the head of the frame it is working through plus any tasks
     #: running reentrantly while that one blocks.
     inflight: dict = field(default_factory=dict)
-    #: Bottom-up mode: stateless tasks the driver tier placed here
-    #: (locality-aware), shipped when the worker next idles.
+    #: Stateless tasks the driver tier placed here (locality-aware),
+    #: shipped when the worker next idles.
     placed: deque = field(default_factory=deque)
-    #: Bottom-up mode: the driver's mirror of the worker's own local
-    #: queue — locally-born tasks (SUBMIT_LOCAL notices, in pipe order)
+    #: The driver's mirror of the worker's own local queue —
+    #: locally-born tasks (SUBMIT_LOCAL notices, in pipe order)
     #: and the tails of the TASK frames shipped to it — the state that
     #: makes stolen and crashed queued tasks recoverable.  Keyed by raw
     #: task id, like ``inflight``.
@@ -263,8 +266,8 @@ class _WorkerHandle:
     #: flushed (in order, ahead of the next message) by the service
     #: thread's next lock-free send.
     outbox: deque = field(default_factory=deque)
-    #: Bottom-up session state: True from claiming a frame for the
-    #: worker until its idle DONE.  Only busy workers are steal victims.
+    #: Session state: True from claiming a frame for the worker until
+    #: its idle DONE.  Only busy workers are steal victims.
     busy: bool = False
     #: An un-answered STEAL_REQUEST is outstanding for this victim.
     steal_outstanding: bool = False
@@ -323,7 +326,7 @@ def _wire_ids(spec: TaskSpec) -> tuple:
     return spec.task_id, list(spec.all_return_ids())
 
 
-class ProcRuntime(ExplicitSubmit):
+class ProcRuntime:
     """Multiprocess implementation of the backend protocol."""
 
     #: The most tasks one dispatch frame carries, whatever the frame
@@ -340,19 +343,21 @@ class ProcRuntime(ExplicitSubmit):
         worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
         dispatch_mode: str = "bottom_up",
-        placement_policy: Optional[PlacementPolicy] = None,
-        spillover_policy: Optional[SpilloverPolicy] = None,
-        steal_policy: Optional[StealPolicy] = None,
         control_shards: int = 8,
         control_store: Optional[ControlStore] = None,
         recover: bool = False,
         tracing: bool = False,
     ) -> None:
         self.cluster = cluster or ClusterSpec.uniform(num_nodes=1, num_cpus=4)
-        if dispatch_mode not in DISPATCH_MODES:
+        # Not an option: the benchmark's ``nested_fanout`` workload passes
+        # this literal and the benchmark is not edited with the program,
+        # so the parameter outlives the mode it used to select.  Nothing
+        # reads it past this check.
+        if dispatch_mode != "bottom_up":
             raise BackendError(
-                f"invalid init option dispatch_mode={dispatch_mode!r} for "
-                f"backend 'proc'; valid values: {list(DISPATCH_MODES)}"
+                f"init option dispatch_mode={dispatch_mode!r} for backend "
+                "'proc' was removed: the bottom-up scheduling plane is the "
+                "only dispatch path (drop the option)"
             )
         if num_workers is None:
             num_workers = self.cluster.total_cpus
@@ -411,14 +416,8 @@ class ProcRuntime(ExplicitSubmit):
         self._crash_policy = worker_crash_policy
         self._inline_threshold = inline_threshold
         self._worker_cache_bytes = worker_cache_bytes
-        #: The scheduling plane (see repro.sched_plane): dispatch mode,
-        #: the driver tier's placement/steal policies, the worker tier's
-        #: spillover policy (shipped to every worker at spawn), residency
-        #: for locality scoring, and the stats()["sched"] counters.
-        self.dispatch_mode = dispatch_mode
-        self._placement_policy = placement_policy or PlacementPolicy()
-        self._spillover_policy = spillover_policy
-        self._steal_policy = steal_policy or StealPolicy()
+        #: The scheduling plane (see repro.sched_plane): residency for
+        #: locality scoring, and the stats()["sched"] counters.
         self._residency = ResidencyTracker()
         self._sched = SchedCounters()
         #: The tracing plane (repro.obs): driver-local spans plus every
@@ -600,18 +599,17 @@ class ProcRuntime(ExplicitSubmit):
             # a worker-born entry mirrored for this task is dead too).
             self._payloads.pop(spec.task_id.hex, None)
             return
-        if spec.actor_id is not None:
-            record = self.actors.get(spec.actor_id)
-            home = self._by_node.get(record.node_id) if record is not None else None
-            if record is not None and not record.dead and home is not None and home.alive:
-                home.pinned.append(spec)
-                self._obs_placed(spec, home)
-                return
-            # Dead/unknown actor: any service thread may resolve it to an
-            # error through the pre-dispatch check.
-        elif self.dispatch_mode == "bottom_up":
+        if spec.actor_id is None:
             self._place_bottom_up(spec)
             return
+        record = self.actors.get(spec.actor_id)
+        home = self._by_node.get(record.node_id) if record is not None else None
+        if record is not None and not record.dead and home is not None and home.alive:
+            home.pinned.append(spec)
+            self._obs_placed(spec, home)
+            return
+        # Dead/unknown actor: any service thread may resolve it to an
+        # error through the pre-dispatch check.
         self._queue.append(spec)
         self._obs_placed(spec, None)
 
@@ -646,7 +644,7 @@ class ProcRuntime(ExplicitSubmit):
                 self._sched.tasks_placed_global += 1
         else:
             dependencies = [dep.hex for dep in spec.dependencies()]
-            max_lookups = self._placement_policy.max_locality_lookups
+            max_lookups = _PLACEMENT.max_locality_lookups
             candidates = [
                 WorkerCandidate(
                     node_id=worker.node_id,
@@ -660,9 +658,7 @@ class ProcRuntime(ExplicitSubmit):
                 for worker in self._workers
                 if worker is not None and worker.alive
             ]
-            chosen = plan_placement(
-                spec, candidates, self._placement_policy, self._sched
-            )
+            chosen = plan_placement(spec, candidates, _PLACEMENT, self._sched)
             home = self._by_node.get(chosen) if chosen is not None else None
         if home is None or not home.alive:
             self._queue.append(spec)
@@ -893,8 +889,7 @@ class ProcRuntime(ExplicitSubmit):
             if not self._has_object(object_id):
                 self._store_bytes(object_id, data)
         self._unpin_task(spec)
-        if self.dispatch_mode == "bottom_up":
-            self._drop_cancelled_from_plane(spec)
+        self._drop_cancelled_from_plane(spec)
 
     def _drop_cancelled_from_plane(self, spec: TaskSpec) -> None:
         """Evict a cancelled task from wherever the scheduling plane
@@ -959,40 +954,22 @@ class ProcRuntime(ExplicitSubmit):
                 "shm": self._acct_shm.snapshot(),
                 "shm_store": shm_store,
                 "objects": self._object_stats(shm_store),
-                "dispatch_mode": self.dispatch_mode,
                 "sched": self._sched.snapshot(),
                 "obs": self._obs.stats(),
                 "serve": serve_stats(self._serve_pools, self._completions),
                 "control": self._control.stats(),
-                # Degenerate one-node cluster view: same keys as the dist
-                # backend (which overrides this section), so harnesses can
-                # branch on stats()["cluster"] without caring which real
-                # backend is live.  No membership plane -> no heartbeats.
-                "cluster": {
-                    "num_nodes": 1,
-                    "workers_per_node": len(self._workers),
-                    "nodes_alive": 1,
-                    "nodes_lost": 0,
-                    "heartbeat_timeouts": 0,
-                    "heartbeat_interval": None,
-                    "heartbeat_timeout": None,
-                    "objects_node_resident": 0,
-                    "internode": ByteAccountant().snapshot(),
-                    "per_node": [
-                        {
-                            "node_index": 0,
-                            "alive": True,
-                            "agent_pid": os.getpid(),
-                            "shm_enabled": self._shm is not None,
-                            "heartbeat_age": 0.0,
-                            "workers_alive": sum(
-                                1 for w in self._workers if w.alive
-                            ),
-                            "objects_resident": self._store.num_objects,
-                            "bytes_resident": self._store.used_bytes,
-                        }
+                # One node (the dist backend overrides this section).
+                "cluster": one_host_cluster_stats(
+                    len(self._workers),
+                    [
+                        (
+                            sum(1 for w in self._workers if w.alive),
+                            self._shm is not None,
+                            self._store.num_objects,
+                            self._store.used_bytes,
+                        )
                     ],
-                },
+                ),
             }
 
     # ------------------------------------------------------------------
@@ -1216,8 +1193,7 @@ class ProcRuntime(ExplicitSubmit):
             args=(
                 child_conn, index, self.seed, self._worker_cache_bytes,
                 self._shm is not None, self._inline_threshold,
-                self.dispatch_mode, self._spawn_count, self._spillover_policy,
-                self.tracing,
+                self._spawn_count, self.tracing,
             ),
             name=f"repro-proc-worker-{index}",
             daemon=True,
@@ -1233,11 +1209,7 @@ class ProcRuntime(ExplicitSubmit):
         self._workers[worker.index] = worker
         self._by_node[worker.node_id] = worker
         worker.thread = threading.Thread(
-            target=(
-                self._service_loop_bottom_up
-                if self.dispatch_mode == "bottom_up"
-                else self._service_loop
-            ),
+            target=self._service_loop,
             args=(worker,),
             name=f"repro-service-{worker.index}",
             daemon=True,
@@ -1288,51 +1260,17 @@ class ProcRuntime(ExplicitSubmit):
             while worker.outbox:
                 worker.conn.send(worker.outbox.popleft())
 
-    def _service_loop(self, worker: _WorkerHandle) -> None:
-        """Feed one worker process and serve its requests until shutdown."""
-        while True:
-            spec = self._next_task(worker)
-            if spec is None:
-                try:
-                    self._send(worker, (msg.SHUTDOWN,))
-                except OSError:
-                    pass
-                return
-            try:
-                self._execute_remote(worker, spec)
-            except (EOFError, OSError) as exc:
-                self._handle_worker_crash(worker, spec, exc)
-                return  # a replacement thread owns the slot now
-
-    def _next_task(self, worker: _WorkerHandle) -> Optional[TaskSpec]:
-        """Block until a task is available for this worker (or shutdown)."""
-        with self._cond:
-            while True:
-                if self.closed or not worker.alive:
-                    return None
-                spec = self._pop_runnable(worker)
-                if spec is not None:
-                    return spec
-                self._cond.wait()
-
     def _pop_runnable(
-        self,
-        worker: _WorkerHandle,
-        *,
-        pinned_only: bool = False,
-        raid: bool = False,
+        self, worker: _WorkerHandle, *, raid: bool = False
     ) -> Optional[TaskSpec]:
         """The next spec this worker may run, or None (lock held): its
-        pinned actor tasks first, then — unless ``pinned_only`` — its
-        placed queue and the global queue, then — ``raid`` — another
-        worker's placed queue.  A task cancelled while queued is dropped
-        here and never shipped; actor tasks pass their pre-dispatch
-        checks."""
+        pinned actor tasks first, then its placed queue and the global
+        queue, then — ``raid`` — another worker's placed queue.  A task
+        cancelled while queued is dropped here and never shipped; actor
+        tasks pass their pre-dispatch checks."""
         while True:
             if worker.pinned:
                 spec = worker.pinned.popleft()
-            elif pinned_only:
-                return None
             elif worker.placed:
                 spec = worker.placed.popleft()
             elif self._queue:
@@ -1404,12 +1342,12 @@ class ProcRuntime(ExplicitSubmit):
         return None
 
     # ------------------------------------------------------------------
-    # Bottom-up mode: sessions, the mirror, and the steal broker
+    # Sessions, the mirror, and the steal broker
     # ------------------------------------------------------------------
 
-    def _service_loop_bottom_up(self, worker: _WorkerHandle) -> None:
-        """The driver tier's per-worker loop in bottom-up mode: hand the
-        idle worker one TASK frame to open a *session*, then serve
+    def _service_loop(self, worker: _WorkerHandle) -> None:
+        """The driver tier's per-worker loop: hand the idle worker one
+        TASK frame to open a *session*, then serve
         everything the session produces (rpc requests, SUBMIT_LOCAL
         notices, DONE frames, steal grants) until the worker reports its
         queue drained."""
@@ -1424,10 +1362,10 @@ class ProcRuntime(ExplicitSubmit):
             try:
                 self._run_session(worker, frame)
             except (EOFError, OSError) as exc:
-                # No extra spec here: the inflight table plus the mirror
-                # are exactly what died with the worker (a frame that
-                # never reached the pipe was never registered in either).
-                self._handle_worker_crash(worker, None, exc)
+                # The inflight table plus the mirror are exactly what
+                # died with the worker (a frame that never reached the
+                # pipe was never registered in either).
+                self._handle_worker_crash(worker, exc)
                 return  # a replacement thread owns the slot now
 
     def _next_frame(self, worker: _WorkerHandle) -> Optional[list]:
@@ -1497,8 +1435,6 @@ class ProcRuntime(ExplicitSubmit):
         """Driver-side steal: move one task from the longest placed
         queue of another live worker (lock held).  No wire protocol —
         placed queues live on the driver, so the raid is a deque pop."""
-        if not self._steal_policy.enabled:
-            return None
         victim = None
         for worker in self._workers:
             if worker is None or worker is thief or not worker.alive:
@@ -1537,8 +1473,6 @@ class ProcRuntime(ExplicitSubmit):
         worker blocked on work that its own queue holds, but that it
         could not run inline itself (a task that is not the producer of
         what it waits for, only upstream of it), unwedges itself."""
-        if not self._steal_policy.enabled:
-            return
         victim = None
         for worker in self._workers:
             if worker is None or not worker.alive:
@@ -1547,7 +1481,7 @@ class ProcRuntime(ExplicitSubmit):
                 continue
             if not worker.busy or worker.steal_outstanding:
                 continue
-            if not self._steal_policy.should_steal(len(worker.mirror)):
+            if not _STEAL.should_steal(len(worker.mirror)):
                 continue
             if victim is None or len(worker.mirror) > len(victim.mirror):
                 victim = worker
@@ -1557,10 +1491,7 @@ class ProcRuntime(ExplicitSubmit):
         try:
             self._send_control(
                 victim,
-                (
-                    msg.STEAL_REQUEST,
-                    self._steal_policy.batch_size(len(victim.mirror)),
-                ),
+                (msg.STEAL_REQUEST, _STEAL.batch_size(len(victim.mirror))),
             )
         except OSError:
             return  # victim died; its crash handler owns the cleanup
@@ -1568,9 +1499,9 @@ class ProcRuntime(ExplicitSubmit):
             self._cond.notify_all()
 
     def _handle_async_report(self, worker: _WorkerHandle, message: tuple) -> bool:
-        """One arm for the one-way worker reports every bottom-up
-        serving loop shares; False if the message was something else
-        (an rpc request)."""
+        """One arm for the one-way worker reports every serving loop
+        shares; False if the message was something else (an rpc
+        request)."""
         tag = message[0]
         if tag == msg.DONE:
             self._apply_done_frame(worker, message)
@@ -1653,18 +1584,17 @@ class ProcRuntime(ExplicitSubmit):
             worker.inflight[head_entry[0]] = head
             for spec, entry in shipped[1:]:
                 worker.mirror.push(entry[0], spec)
-            if self.dispatch_mode == "bottom_up":
-                self._sched.frames_sent += 1
-                self._sched.tasks_shipped += len(shipped)
-                if self._obs.enabled:
-                    self._obs.record(
-                        "task_frame",
-                        worker=f"worker-{worker.index}",
-                        size=len(shipped),
-                        est_ms=1e3 * sum(
-                            self._estimate(spec) or 0.0 for spec, _ in shipped
-                        ),
-                    )
+            self._sched.frames_sent += 1
+            self._sched.tasks_shipped += len(shipped)
+            if self._obs.enabled:
+                self._obs.record(
+                    "task_frame",
+                    worker=f"worker-{worker.index}",
+                    size=len(shipped),
+                    est_ms=1e3 * sum(
+                        self._estimate(spec) or 0.0 for spec, _ in shipped
+                    ),
+                )
             worker.send_lock.acquire()
         try:
             worker.functions_sent.update(functions)
@@ -1707,8 +1637,7 @@ class ProcRuntime(ExplicitSubmit):
         with self._cond, self._control.async_batch():
             if len(self._ledger.died) >= _DRAIN_BATCH:
                 self._drain_refs()
-            if self.dispatch_mode == "bottom_up":
-                self._sched.done_frames += 1
+            self._sched.done_frames += 1
             times: dict = {}
             for task_hex, blobs, failed, exec_seconds in completions:
                 spec = self._finish_done(worker, task_hex, blobs, failed)
@@ -1845,7 +1774,7 @@ class ProcRuntime(ExplicitSubmit):
 
     def _read_steal_grant(self, worker: _WorkerHandle) -> None:
         """Read a blocked worker's pipe until the STEAL_GRANT it owes
-        arrives (bottom-up only; its service thread, lock not held).
+        arrives (its service thread, lock not held).
 
         The child is parked in the reply-wait loop of its get/wait rpc
         and answers a STEAL_REQUEST from there at once, so this is one
@@ -1870,10 +1799,9 @@ class ProcRuntime(ExplicitSubmit):
 
     def _execute_remote(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
         """Ship one task as a frame of one and serve the worker until
-        the DONE frame that reports it: the whole exchange of driver
-        mode, and how either mode runs a task *inside* a worker that is
-        blocked awaiting an RPC reply (it executes reentrantly there; in
-        bottom-up mode notices and grants may interleave meanwhile).
+        the DONE frame that reports it: how a task runs *inside* a
+        worker that is blocked awaiting an RPC reply (it executes
+        reentrantly there; notices and grants may interleave meanwhile).
 
         Pipe failures propagate to the caller (crash handling); anything
         unserializable resolves the task to an error value instead."""
@@ -1898,7 +1826,7 @@ class ProcRuntime(ExplicitSubmit):
         stores), and the task's function into ``functions`` — the
         frame's function table — unless this worker already has it.
 
-        Worker-born tasks (bottom-up fast path) already have their
+        Worker-born tasks (the fast path) already have their
         entry — built by the submitting worker and mirrored here via
         SUBMIT_LOCAL — so steal and crash-replay dispatches reuse it
         verbatim; ref slots resolve through FETCH/shm on the executing
@@ -2273,9 +2201,8 @@ class ProcRuntime(ExplicitSubmit):
         task is getting — can only run if we feed them to it now; the
         child executes them reentrantly (see ``ProcWorker.rpc``).
 
-        In bottom-up mode a blocked worker stays a full execution
-        resource, which is what makes a fully-blocked pool deadlock-free
-        (driver mode, the ablation baseline, pumps only pinned tasks):
+        A blocked worker stays a full execution resource, which is
+        what makes a fully-blocked pool deadlock-free:
 
         * runnable stateless work — its placed queue, the global queue —
           is injected reentrantly exactly like pinned tasks;
@@ -2292,32 +2219,23 @@ class ProcRuntime(ExplicitSubmit):
           busy peers are raided on this worker's behalf.  Everything
           else that can end the wait notifies the cond.
         """
-        bottom_up = self.dispatch_mode == "bottom_up"
         while True:
             nested: Optional[TaskSpec] = None
             with self._cond:
                 while True:
                     if predicate():
                         return True
-                    nested = self._pop_runnable(
-                        worker, pinned_only=not bottom_up
-                    )
+                    nested = self._pop_runnable(worker)
                     if nested is not None:
                         break
-                    remaining = None
+                    remaining = _BLOCKED_WAIT_BACKSTOP
                     if deadline is not None:
-                        remaining = deadline - time.monotonic()
+                        remaining = min(remaining, deadline - time.monotonic())
                         if remaining <= 0:
                             return False
-                    if bottom_up:
-                        self._request_remote_steal(worker, include_self=True)
-                        if worker.steal_outstanding or worker.outbox:
-                            break
-                        remaining = (
-                            _BLOCKED_WAIT_BACKSTOP
-                            if remaining is None
-                            else min(remaining, _BLOCKED_WAIT_BACKSTOP)
-                        )
+                    self._request_remote_steal(worker, include_self=True)
+                    if worker.steal_outstanding or worker.outbox:
+                        break
                     worker.parked = True
                     self._cond.wait(timeout=remaining)
                     worker.parked = False
@@ -2357,12 +2275,11 @@ class ProcRuntime(ExplicitSubmit):
                     self._peer_templates,
                     {payload["function_hex"]: (payload["function_name"], None)},
                 )
-            if self.dispatch_mode == "bottom_up":
-                self._sched.tasks_spilled += 1
-                if self._obs.enabled:
-                    self._obs.record(
-                        "task_spilled", function=payload["function_name"]
-                    )
+            self._sched.tasks_spilled += 1
+            if self._obs.enabled:
+                self._obs.record(
+                    "task_spilled", function=payload["function_name"]
+                )
         template = CallTemplate(
             None, function_id, payload["function_name"], payload["options"]
         )
@@ -2649,7 +2566,7 @@ class ProcRuntime(ExplicitSubmit):
     # ------------------------------------------------------------------
 
     def _handle_worker_crash(
-        self, worker: _WorkerHandle, inflight: Optional[TaskSpec], exc: BaseException
+        self, worker: _WorkerHandle, exc: BaseException
     ) -> None:
         """A worker process died (EOF/error on its pipe).
 
@@ -2660,7 +2577,7 @@ class ProcRuntime(ExplicitSubmit):
         with self._cond:
             if self.closed or not worker.alive:
                 return
-            doomed, replaced = self._retire_worker(worker, inflight)
+            doomed, replaced = self._retire_worker(worker)
             if self._obs.enabled:
                 self._obs.record(
                     "failure_detected",
@@ -2710,9 +2627,7 @@ class ProcRuntime(ExplicitSubmit):
                 self._enqueue(spec)
             self._cond.notify_all()
 
-    def _retire_worker(
-        self, worker: _WorkerHandle, inflight: Optional[TaskSpec]
-    ) -> tuple:
+    def _retire_worker(self, worker: _WorkerHandle) -> tuple:
         """What every way of losing a worker starts with (lock held):
         mark it dead, empty its tables, kill the actors whose state lived
         there.  Returns ``(doomed, replaced)``: the tasks that died with
@@ -2720,13 +2635,10 @@ class ProcRuntime(ExplicitSubmit):
         driver had only placed on it, to be placed again (no replay
         budget consumed: they never reached the worker)."""
         worker.alive = False
-        # Everything on the reentrant stack died with the process, not
-        # just the spec the crashing frame was driving.
+        # Everything on the reentrant stack died with the process.
         doomed = list(worker.inflight.values())
-        if inflight is not None and inflight not in doomed:
-            doomed.append(inflight)
         worker.inflight.clear()
-        # Bottom-up: the worker's local queue died with it, but the
+        # The worker's local queue died with it, but the
         # mirror has every task (SUBMIT_LOCAL precedes everything else
         # on the pipe, frame tails are mirrored before the frame is
         # sent) and _payloads still holds the worker-born ones' entries

@@ -19,8 +19,8 @@ simulated worker would.  Large arguments are cached in a per-worker
 byte-store used on every node of the simulated cluster), pinned while the
 task runs.
 
-In ``dispatch_mode="bottom_up"`` the worker additionally owns the
-bottom tier of the scheduling plane (:mod:`repro.sched_plane`): a
+The worker also owns the bottom tier of the scheduling plane
+(:mod:`repro.sched_plane`): a
 :class:`~repro.sched_plane.queues.LocalTaskQueue` it is the sole
 executor of.  A nested ``.remote()`` whose dependencies are already
 resident here (argument cache, own shared-memory descriptors) builds
@@ -47,12 +47,10 @@ from typing import Any, Optional, Sequence
 from repro.core.actors import (
     CREATION_METHOD,
     ActorRegistry,
-    call_from_effect,
-    create_from_effect,
     register_instance,
     resolve_actor_callable,
 )
-from repro.core.effect_driver import EffectHandler, run_effect_loop_sync
+from repro.core.effect_driver import BlockingEffectHandler, run_effect_loop_sync
 from repro.core import object_ref
 from repro.core.object_ref import ObjectRef, RefLedger
 from repro.core.protocol import (
@@ -61,7 +59,7 @@ from repro.core.protocol import (
     unwrap_loaded,
     validate_wait_args,
 )
-from repro.core.task import CallTemplate, ExplicitSubmit, TaskSpec
+from repro.core.task import CallTemplate, TaskSpec
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
@@ -90,6 +88,13 @@ _KNOWN_SHM_CAP = 1024
 #: submissions spill to the driver instead.  Bounds the work that only
 #: the submitting task's own replay could rebuild after a crash.
 MAX_UNACKED_LOCAL = 4096
+
+#: The keep-or-spill decision of the fast path.  The threshold is
+#: deliberately high: on this plane the primary rebalancer is work
+#: stealing (idle workers pull), so spillover only guards against a
+#: worker hoarding an enormous fan-out the pool provably cannot drain
+#: behind it.
+_SPILLOVER = SpilloverPolicy(mode="hybrid", queue_threshold=512.0)
 from repro.utils.serialization import (
     DEFAULT_INLINE_THRESHOLD,
     deserialize,
@@ -104,37 +109,7 @@ from repro.utils.serialization import (
 )
 
 
-class _ProcEffectHandler(EffectHandler):
-    """Bind the effect vocabulary to driver round-trips (blocking, real)."""
-
-    def __init__(self, worker: "ProcWorker") -> None:
-        self.worker = worker
-
-    def on_compute(self, item) -> None:
-        time.sleep(item.duration)
-
-    def on_get(self, item) -> Any:
-        return self.worker.proxy.get(item.refs)
-
-    def on_wait(self, item) -> tuple:
-        return self.worker.proxy.wait(
-            list(item.refs), num_returns=item.num_returns, timeout=item.timeout
-        )
-
-    def on_put(self, item) -> ObjectRef:
-        return self.worker.proxy.put(item.value)
-
-    def on_cancel(self, item) -> bool:
-        return self.worker.proxy.cancel(item.ref, recursive=item.recursive)
-
-    def on_actor_create(self, item):
-        return create_from_effect(self.worker.proxy, item)
-
-    def on_actor_call(self, item) -> ObjectRef:
-        return call_from_effect(self.worker.proxy, item)
-
-
-class WorkerRuntime(ExplicitSubmit):
+class WorkerRuntime:
     """The backend surface visible to user code inside a worker process.
 
     Mirrors the driver-side :class:`~repro.proc.runtime.ProcRuntime`
@@ -290,9 +265,7 @@ class ProcWorker:
         cache_capacity: int,
         shm_enabled: bool = False,
         inline_threshold: Optional[int] = None,
-        dispatch_mode: str = "driver",
         spawn_token: int = 0,
-        spillover_policy: Optional[SpilloverPolicy] = None,
         tracing: bool = False,
     ) -> None:
         # Spawn ships a raw pipe Connection (the only picklable channel);
@@ -312,18 +285,11 @@ class ProcWorker:
         #: Actors whose state lives in this process.
         self.actors = ActorRegistry()
         self.proxy = WorkerRuntime(self)
-        self._effect_handler = _ProcEffectHandler(self)
+        #: Effects in a task body here are driver round-trips (blocking, real).
+        self._effect_handler = BlockingEffectHandler(self.proxy)
         self.tasks_executed = 0
-        #: The bottom tier of the scheduling plane (bottom_up mode): the
-        #: run queue this process is the sole executor of.
-        self.dispatch_mode = dispatch_mode
-        # The default threshold is deliberately high: on this plane the
-        # primary rebalancer is work stealing (idle workers pull), so
-        # spillover only guards against a worker hoarding an enormous
-        # fan-out the pool provably cannot drain behind it.
-        self.spillover = spillover_policy or SpilloverPolicy(
-            mode="hybrid", queue_threshold=512.0
-        )
+        #: The bottom tier of the scheduling plane: the run queue this
+        #: process is the sole executor of.
         self.local_queue = LocalTaskQueue()
         #: SUBMIT_LOCAL notices not yet PLACED-acked by the driver: the
         #: window of locally-born tasks whose lineage registration is
@@ -350,7 +316,7 @@ class ProcWorker:
         #: The call templates rebuilt from those tables (and registered
         #: for this worker's own submissions): what decodes an entry.
         self._templates: dict = {}
-        #: Bottom-up completions not yet reported — ``(task_hex, blobs,
+        #: Completions not yet reported — ``(task_hex, blobs,
         #: failed, exec_seconds)`` — and when the oldest was buffered.
         self._done: list = []
         self._done_since = 0.0
@@ -568,7 +534,7 @@ class ProcWorker:
                 self.conn.send((msg.DONE, completions, idle))
 
     def _watch_done(self) -> None:
-        """The watchdog thread of bottom-up mode.
+        """The watchdog thread.
 
         Completions are buffered on the expectation that another task
         boundary follows within the frame budget.  A task that breaks
@@ -607,17 +573,7 @@ class ProcWorker:
         runtime_context._current_runtime = self.proxy
         object_ref.install_ledger(self._refs)
         try:
-            if self.dispatch_mode == "bottom_up":
-                self._run_bottom_up()
-                return
-            while True:
-                message = self.conn.recv()
-                tag = message[0]
-                if tag == msg.SHUTDOWN:
-                    self._flush_spans()  # final flush: nothing else will
-                    return
-                if tag == msg.TASK:
-                    self._run_frame(message)
+            self._run_sessions()
         except (EOFError, OSError, KeyboardInterrupt):
             return  # driver went away (shutdown or crash): just exit
         finally:
@@ -631,11 +587,11 @@ class ProcWorker:
                 pass
 
     # ------------------------------------------------------------------
-    # Bottom-up mode: local queue, steal grants, cancellation tombstones
+    # Local queue, steal grants, cancellation tombstones
     # ------------------------------------------------------------------
 
-    def _run_bottom_up(self) -> None:
-        """The session loop of bottom-up mode.
+    def _run_sessions(self) -> None:
+        """The session loop.
 
         One driver ``TASK`` frame opens a session; the worker runs the
         frame's head, then drains its local queue — the frame's tail
@@ -742,8 +698,7 @@ class ProcWorker:
         self._run_task(entries[0])
 
     def _run_task(self, entry: tuple, inline_run: bool = False) -> None:
-        """Execute one task and buffer its completion — flushed here at
-        once in driver mode (one task, one DONE), and in bottom-up mode
+        """Execute one task and buffer its completion — flushed here
         once the oldest buffered one has waited out the frame budget."""
         refs = self._refs
         if refs.born:
@@ -761,10 +716,7 @@ class ProcWorker:
             if not self._done:
                 self._done_since = now
             self._done.append((entry[0], data, failed, now - started))
-            if (
-                self.dispatch_mode != "bottom_up"
-                or now - self._done_since >= msg.FRAME_BUDGET_S
-            ):
+            if now - self._done_since >= msg.FRAME_BUDGET_S:
                 self._flush_done()
 
     def _report_survivors(self, mark: int) -> None:
@@ -823,8 +775,8 @@ class ProcWorker:
         return False
 
     def try_submit_local(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
-        """The bottom-up fast path: keep a nested submission on this
-        worker when every dependency is already resident here.
+        """The fast path: keep a nested submission on this worker when
+        every dependency is already resident here.
 
         Returns the refs (``public_result`` shape) on success, or None
         when the task must spill to the driver instead — unresolved or
@@ -833,8 +785,6 @@ class ProcWorker:
         local backlog past the spillover threshold (all but the first
         decided by the shared :class:`SpilloverPolicy`).
         """
-        if self.dispatch_mode != "bottom_up":
-            return None
         if self.unacked_local + len(self._pending_notices) >= MAX_UNACKED_LOCAL:
             return None  # lineage-ack backpressure: spill instead
         spec = template.stamp(
@@ -843,7 +793,7 @@ class ProcWorker:
         for ref in spec.arg_refs:
             if not self._locally_resident(ref.object_id):
                 return None
-        if self.spillover.should_spill(
+        if _SPILLOVER.should_spill(
             spec,
             node_cpus=1,
             node_gpus=0,
@@ -1107,7 +1057,7 @@ class ProcWorker:
                 pinned.append(object_id)
         elif not self.cache.contains(object_id):
             # Inline args are tiny; caching them makes the object count
-            # as locally resident for the bottom-up fast path.
+            # as locally resident for the fast path.
             self.remember_bytes(object_id, data)
         return deserialize(data)
 
@@ -1167,9 +1117,7 @@ def worker_main(
     cache_capacity: int,
     shm_enabled: bool = False,
     inline_threshold: Optional[int] = None,
-    dispatch_mode: str = "driver",
     spawn_token: int = 0,
-    spillover_policy: Optional[SpilloverPolicy] = None,
     tracing: bool = False,
 ) -> None:
     """Entry point of a worker child process (importable for spawn)."""
@@ -1180,8 +1128,6 @@ def worker_main(
         cache_capacity=cache_capacity,
         shm_enabled=shm_enabled,
         inline_threshold=inline_threshold,
-        dispatch_mode=dispatch_mode,
         spawn_token=spawn_token,
-        spillover_policy=spillover_policy,
         tracing=tracing,
     ).run()

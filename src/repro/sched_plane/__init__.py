@@ -2,9 +2,11 @@
 
 The paper's hybrid bottom-up scheduler exists twice in this repo: once as
 a *model* inside the virtual-time simulator (:mod:`repro.scheduling`) and
-— since this package — once as a *mechanism* shared by the backends that
-execute on real hardware (``local`` threads, ``proc`` processes).  Both
-runtimes assemble the same parts into the same two tiers:
+— since this package — once as the *mechanism* by which the backends
+that execute on real processes dispatch (``proc``, and ``dist`` on top
+of it; the threaded ``local`` backend shares memory between its nodes
+and needs one ready list, not two tiers — it reports the same
+counters).  Two tiers:
 
 * **Worker tier** — every worker owns a :class:`LocalTaskQueue`.  Work
   born on a worker whose dependencies are already resident there is
@@ -12,7 +14,7 @@ runtimes assemble the same parts into the same two tiers:
   bottom-up fast path); the driver learns about it asynchronously, for
   lineage only.
 * **Driver tier** — everything else (driver-born work, worker spillover,
-  crash re-homing) is placed by the driver through the *same* pluggable
+  crash re-homing) is placed by the driver through the *same*
   policies the simulator ablates (:class:`~repro.scheduling.policies.
   SpilloverPolicy`, :class:`~repro.scheduling.policies.PlacementPolicy`),
   with locality scores computed from a :class:`ResidencyTracker` of which

@@ -36,8 +36,8 @@ class SchedCounters:
         least one of the task's argument objects.
     ``frames_sent`` / ``tasks_shipped``
         TASK frames the driver tier sent to workers and the tasks they
-        carried; their ratio is the mean window per frame (proc/dist
-        bottom-up dispatch; 0 on backends without a wire).
+        carried; their ratio is the mean window per frame (proc/dist;
+        0 on backends without a wire).
     ``done_frames``
         DONE frames received back: how far completions coalesced.
     """

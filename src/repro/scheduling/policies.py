@@ -3,10 +3,11 @@
 These encode the design choices DESIGN.md calls out for ablation:
 spillover thresholds for local schedulers, locality-aware placement for
 global schedulers, and steal sizing for idle workers.  The same frozen
-policy objects are consumed by both scheduling implementations — the
-virtual-time simulator (:mod:`repro.scheduling`) and the real two-level
-plane of the local/proc backends (:mod:`repro.sched_plane`) — so an
-ablation toggles one knob, not two code paths.
+policy objects are consumed by both scheduling implementations: the
+virtual-time simulator (:mod:`repro.scheduling`), where they are init
+options and the ablations run, and the real two-level plane of the
+proc/dist backends (:mod:`repro.sched_plane`), which holds one fixed
+instance of each.
 """
 
 from __future__ import annotations

@@ -15,9 +15,6 @@ both answer the same entry shapes (shared dataclasses in
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional
-
 from repro.errors import TaskError
 
 
@@ -55,29 +52,6 @@ def task_events(runtime, task_id) -> list:
             predicate=lambda r: str(r.get("task_id")) == str(task_id)
         )
     return []
-
-
-def debug_task(runtime, task_id):
-    """Deprecated: use :func:`lookup_task` (reads the shard API)."""
-    warnings.warn(
-        "repro.tools.diagnosis.debug_task is deprecated; use lookup_task(), "
-        "which reads through the sharded control-store API on every backend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return lookup_task(runtime, task_id)
-
-
-def debug_object(runtime, object_id):
-    """Deprecated: use :func:`lookup_object` (reads the shard API)."""
-    warnings.warn(
-        "repro.tools.diagnosis.debug_object is deprecated; use "
-        "lookup_object(), which reads through the sharded control-store API "
-        "on every backend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return lookup_object(runtime, object_id)
 
 
 def diagnose(error: TaskError, runtime) -> str:

@@ -23,17 +23,13 @@ BACKENDS = tuple(sorted(registered_backends()))
 #: The reference implementation the others are compared against.
 REFERENCE = "sim"
 
-#: The full matrix: every backend x every scheduling-plane dispatch mode
-#: of the real backends.  "driver" funnels all dispatch through the
-#: driver; "bottom_up" is the two-level plane (worker-local fast path,
-#: locality-aware spillover, work stealing).  The parity program must be
+#: The full matrix: every backend (each has one dispatch path), plus a
+#: non-default control-store layout.  The parity program must be
 #: observably identical across all of them.
 CONFIGS = {
     "sim": ("sim", {}),
-    "local+driver": ("local", {"dispatch_mode": "driver"}),
-    "local+bottom_up": ("local", {"dispatch_mode": "bottom_up"}),
-    "proc+driver": ("proc", {"dispatch_mode": "driver"}),
-    "proc+bottom_up": ("proc", {"dispatch_mode": "bottom_up"}),
+    "local": ("local", {}),
+    "proc": ("proc", {}),
     # Multi-node: two node agents over TCP, one worker per cpu.  The
     # parity program must not be able to tell it is running across
     # process *and* node boundaries.
@@ -43,8 +39,8 @@ CONFIGS = {
     "proc+sharded_control": ("proc", {"control_shards": 3}),
 }
 
-#: Configs whose cancellation/lifecycle proofs are re-run per dispatch
-#: mode (the bottom-up plane moves dispatch-time drops into workers).
+#: Configs the cancellation/lifecycle proofs run on (the bottom-up
+#: plane moves dispatch-time drops into workers).
 LIFECYCLE_CONFIGS = tuple(CONFIGS)
 
 
@@ -357,7 +353,7 @@ def program_outcomes():
 
 def test_matrix_covers_all_shipped_backends():
     assert {"sim", "local", "proc", "dist"} <= set(BACKENDS)
-    assert {"proc+driver", "proc+bottom_up", "dist"} <= set(CONFIGS)
+    assert {"sim", "local", "proc", "dist"} <= set(CONFIGS)
 
 
 @pytest.mark.parametrize(
@@ -454,7 +450,7 @@ def test_wait_validation_is_shared(backend):
 def test_cancel_unscheduled_provably_never_runs(tmp_path, config):
     """A task cancelled before its dependencies resolve never executes:
     the side-effect sentinel file it would write must not exist — on any
-    backend and in any dispatch mode, including the multiprocess one
+    backend, including the multiprocess ones
     (the file is the only channel a child process could leak evidence
     through)."""
     backend, init_kwargs = CONFIGS[config]

@@ -9,6 +9,7 @@ behaviour: blocked workers release resources; replacements backfill).
 import pytest
 
 import repro
+from repro.errors import BackendError
 
 
 @repro.remote(duration=0.01)
@@ -29,6 +30,61 @@ def test_nested_get_on_single_cpu_node():
     repro.init(backend="sim", num_nodes=1, num_cpus=1)
     assert repro.get(parent_waits_for_children.remote(3)) == 1 + 2 + 3
     repro.shutdown()
+
+
+#: The smallest pool of each backend that has a second slot to give a
+#: blocked parent's children: sim releases the blocked worker's CPU,
+#: proc and dist run the children inside the blocked worker, local
+#: starts them on the node that has room.
+SMALLEST_POOLS = {
+    "sim": dict(num_nodes=1, num_cpus=1),
+    "local": dict(num_nodes=2, num_cpus=1),
+    "proc": dict(num_workers=1),
+    "dist": dict(num_nodes=1, num_cpus=1, workers_per_node=1),
+}
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("backend", SMALLEST_POOLS)
+def test_parent_waiting_for_its_children_finishes_on_the_smallest_pool(backend, n):
+    """No backend has a dispatch path on which a task that spawns
+    children and blocks on them starves them."""
+    repro.init(backend=backend, **SMALLEST_POOLS[backend])
+    try:
+        result = repro.get(parent_waits_for_children.remote(n), timeout=60.0)
+    finally:
+        repro.shutdown()
+    assert result == sum(range(1, n + 1))
+
+
+def test_removed_dispatch_mode_is_refused_by_name():
+    with pytest.raises(BackendError, match="dispatch_mode='driver'.*removed"):
+        repro.init(backend="proc", num_workers=1, dispatch_mode="driver")
+    assert not repro.is_initialized()
+    # The one literal the benchmark's nested_fanout workload still passes.
+    runtime = repro.init(backend="proc", num_workers=1, dispatch_mode="bottom_up")
+    try:
+        assert "dispatch_mode" not in runtime.stats()
+    finally:
+        repro.shutdown()
+
+
+@pytest.mark.parametrize(
+    "backend,option",
+    [
+        (backend, option)
+        for backend in ("local", "proc", "dist")
+        for option in (
+            "dispatch_mode", "placement_policy", "spillover_policy", "steal_policy"
+        )
+        if (backend, option) != ("proc", "dispatch_mode")  # the literal above
+    ],
+)
+def test_live_backends_have_no_scheduler_options(backend, option):
+    with pytest.raises(BackendError, match=rf"unknown init option\(s\) \['{option}'\]"):
+        repro.init(backend=backend, **{option: None})
+    assert not repro.is_initialized()
 
 
 def test_deep_nesting_on_small_cluster():

@@ -302,20 +302,6 @@ class TestProcWorkerCrash:
         runtime.kill_worker(0)
         assert repro.get(holder.get_value.remote(), timeout=60.0) == "recovered"
 
-    def test_dispatch_modes_share_crash_semantics(self, tmp_path):
-        """The scheduling plane must not change what a crash means: the
-        driver-dispatch ablation mode replays stateless work from
-        lineage exactly like the default bottom-up mode does."""
-        runtime = repro.init(
-            backend="proc", num_workers=1, dispatch_mode="driver"
-        )
-        marker = str(tmp_path / "started")
-        ref = hang_once.remote(marker)
-        _await_marker(marker)
-        runtime.kill_worker(0)
-        assert repro.get(ref, timeout=60.0) == "recovered"
-        assert runtime.stats()["lineage_replays"] == 1
-
     def test_actor_loss_propagates_through_dependents(self, tmp_path):
         """A task consuming a lost actor call's future sees ActorLostError
         too, exactly like downstream TaskError propagation."""

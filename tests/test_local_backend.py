@@ -6,7 +6,7 @@ import time
 import pytest
 
 import repro
-from repro.errors import TaskError, TimeoutError_
+from repro.errors import GetTimeoutError, TaskError
 
 
 @repro.remote
@@ -74,7 +74,7 @@ def test_error_propagates(local_runtime):
 
 def test_get_timeout(local_runtime):
     ref = slow_identity.remote(1, delay=2.0)
-    with pytest.raises(TimeoutError_):
+    with pytest.raises(GetTimeoutError):
         repro.get(ref, timeout=0.05)
 
 

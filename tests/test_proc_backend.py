@@ -61,6 +61,8 @@ def test_capability_flags():
     assert not sim.true_parallelism
     local = backend_capabilities("local")
     assert not local.true_parallelism       # threads share one GIL
+    # The two-level plane dispatches proc; threads need one ready list.
+    assert proc.bottom_up_scheduling and not local.bottom_up_scheduling
     with pytest.raises(BackendError, match="unknown backend"):
         backend_capabilities("does-not-exist")
 
@@ -480,7 +482,7 @@ def test_stats_shape():
 
 
 # ----------------------------------------------------------------------
-# The bottom-up scheduling plane (dispatch_mode="bottom_up")
+# The bottom-up scheduling plane
 # ----------------------------------------------------------------------
 
 
@@ -530,19 +532,6 @@ def gated_fan(count, gate_path, evidence_dir):
         for i in range(count)
     )
     return refs
-
-
-def test_dispatch_mode_validated_and_reported():
-    with pytest.raises(BackendError, match="dispatch_mode"):
-        repro.init(backend="proc", num_workers=1, dispatch_mode="sideways")
-    assert backend_capabilities("proc").bottom_up_scheduling
-    assert backend_capabilities("local").bottom_up_scheduling
-    for mode in ("driver", "bottom_up"):
-        runtime = repro.init(backend="proc", num_workers=1, dispatch_mode=mode)
-        try:
-            assert runtime.stats()["dispatch_mode"] == mode
-        finally:
-            repro.shutdown()
 
 
 class TestBottomUpScheduling:
@@ -598,10 +587,9 @@ class TestBottomUpScheduling:
             repro.shutdown()
 
     def test_blocked_single_worker_self_recovers(self):
-        """driver mode's known limit: a worker blocked in get() on its
-        own nested tasks starves without spare workers.  The bottom-up
-        plane has nothing to unwedge — the worker finds the producers
-        in its own queue and runs them inline before it blocks."""
+        """A worker blocked in get() on its own nested tasks needs no
+        spare worker: it finds the producers in its own queue and runs
+        them inline before it blocks."""
         repro.init(backend="proc", num_workers=1)
         try:
             @repro.remote
@@ -656,25 +644,3 @@ class TestBottomUpScheduling:
         finally:
             repro.shutdown()
 
-    def test_driver_mode_keeps_zero_plane_counters(self):
-        """The ablation baseline really is the old path: no fast-path
-        placements, no steals, no spill accounting, no dispatch frames."""
-        runtime = repro.init(
-            backend="proc", num_workers=2, dispatch_mode="driver"
-        )
-        try:
-            refs = repro.get(sched_fan.remote(8), timeout=60.0)
-            repro.get(refs, timeout=60.0)
-            sched = runtime.stats()["sched"]
-            assert sched == {
-                "tasks_placed_local": 0,
-                "tasks_spilled": 0,
-                "tasks_placed_global": 0,
-                "tasks_stolen": 0,
-                "placement_locality_hits": 0,
-                "frames_sent": 0,
-                "tasks_shipped": 0,
-                "done_frames": 0,
-            }
-        finally:
-            repro.shutdown()

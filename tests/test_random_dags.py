@@ -65,7 +65,7 @@ def test_sim_backend_matches_inline(seed):
     assert actual == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("seed", [0, 5, 9])
 def test_threaded_backend_matches_inline(seed):
     dag = _random_dag(seed, num_nodes=25)
     expected = _eval_inline(dag)
@@ -73,35 +73,20 @@ def test_threaded_backend_matches_inline(seed):
     assert actual == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("dispatch_mode", ["driver", "bottom_up"])
-def test_threaded_backend_dispatch_modes_match_inline(dispatch_mode):
-    """The scheduling plane is a placement change, not a semantics
-    change: both dispatch modes reproduce exact inline values."""
-    dag = _random_dag(9, num_nodes=25)
-    expected = _eval_inline(dag)
-    actual = _eval_on_backend(
-        dag, "local", num_nodes=2, num_cpus=4, dispatch_mode=dispatch_mode
-    )
-    assert actual == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("dispatch_mode", ["driver", "bottom_up"])
-def test_proc_backend_dispatch_modes_match_inline(dispatch_mode):
-    """Random DAGs on real worker processes: driver-funneled dispatch
-    and the bottom-up plane (fast path + spillover + stealing) must
-    produce identical values — mixed fan-in keeps most submissions on
-    the spillover path while sibling-free chains ride the fast path."""
+def test_proc_backend_matches_inline():
+    """Random DAGs on real worker processes, through the bottom-up plane
+    (fast path + spillover + stealing): mixed fan-in keeps most
+    submissions on the spillover path while sibling-free chains ride
+    the fast path."""
     dag = _random_dag(3, num_nodes=24)
     expected = _eval_inline(dag)
-    actual = _eval_on_backend(
-        dag, "proc", num_nodes=1, num_cpus=2, dispatch_mode=dispatch_mode
-    )
+    actual = _eval_on_backend(dag, "proc", num_nodes=1, num_cpus=2)
     assert actual == pytest.approx(expected, rel=1e-12)
 
 
-def test_proc_nested_random_spawns_match_across_modes():
+def test_proc_nested_random_spawns_match():
     """Tasks that spawn random sub-DAGs (R3) — the workload the fast
-    path exists for — return exact values in both dispatch modes."""
+    path exists for — return exact values."""
 
     @repro.remote
     def spawner(seed):
@@ -113,21 +98,14 @@ def test_proc_nested_random_spawns_match_across_modes():
         return sum(values)
 
     expected = [sum(_eval_inline(_random_dag(s, num_nodes=10))) for s in (30, 31)]
-    for dispatch_mode in ("driver", "bottom_up"):
-        # 4 workers: driver mode needs spare workers while the spawners
-        # block in Get (it only pumps pinned tasks into blocked workers);
-        # bottom_up unblocks even without spares (inline runs, reentrant
-        # injection, self-steal), which test_proc_backend proves separately.
-        repro.init(
-            backend="proc", num_nodes=1, num_cpus=4, dispatch_mode=dispatch_mode
+    repro.init(backend="proc", num_nodes=1, num_cpus=2)
+    try:
+        actual = repro.get(
+            [spawner.remote(30), spawner.remote(31)], timeout=120.0
         )
-        try:
-            actual = repro.get(
-                [spawner.remote(30), spawner.remote(31)], timeout=120.0
-            )
-        finally:
-            repro.shutdown()
-        assert actual == pytest.approx(expected, rel=1e-12)
+    finally:
+        repro.shutdown()
+    assert actual == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["hybrid", "centralized", "local_only"])

@@ -15,7 +15,7 @@ call streams:
   ``max_queue_depth``, and ``"block"`` delays the submitter instead.
 
 Run on sim (deterministic mirror, hypothesis-driven) and on the real
-backends in both dispatch modes.
+backends.
 """
 
 import os
@@ -32,10 +32,8 @@ pytestmark = pytest.mark.timeout(120)
 
 #: Real-backend configurations the stream properties must hold on.
 CONFIGS = {
-    "local+driver": ("local", {"dispatch_mode": "driver"}),
-    "local+bottom_up": ("local", {"dispatch_mode": "bottom_up"}),
-    "proc+driver": ("proc", {"dispatch_mode": "driver", "num_workers": 2}),
-    "proc+bottom_up": ("proc", {"dispatch_mode": "bottom_up", "num_workers": 2}),
+    "local": ("local", {}),
+    "proc": ("proc", {"num_workers": 2}),
 }
 
 
@@ -228,7 +226,7 @@ def _gated_echo_class(gate_path):
 
 
 class TestAdmissionControl:
-    @pytest.mark.parametrize("config", ["local+driver", "proc+bottom_up"])
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_shed_counts_exact_under_gated_replicas(self, config, tmp_path):
         backend, kwargs = CONFIGS[config]
         gate = tmp_path / "gate"
@@ -344,7 +342,7 @@ class TestAdmissionControl:
 
 
 class TestAsyncMultiplexing:
-    @pytest.mark.parametrize("config", ["local+driver", "proc+bottom_up"])
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_many_inflight_awaits_one_thread(self, config):
         import asyncio
 

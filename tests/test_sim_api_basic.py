@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.errors import BackendError, TaskError, TimeoutError_
+from repro.errors import BackendError, GetTimeoutError, TaskError
 
 
 @repro.remote
@@ -98,7 +98,7 @@ def test_error_propagates_through_dependents(sim_runtime):
 def test_get_timeout(sim_runtime):
     slow = square.options(duration=10.0)
     ref = slow.remote(2)
-    with pytest.raises(TimeoutError_):
+    with pytest.raises(GetTimeoutError):
         repro.get(ref, timeout=0.5)
     # The value still arrives later.
     assert repro.get(ref) == 4

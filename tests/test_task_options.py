@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.core.backend import registered_backends
-from repro.core.task import ResourceRequest, TaskOptions, resolve_task_options
+from repro.core.task import TaskOptions
 from repro.core.actors import ActorOptions
 
 BACKENDS = tuple(sorted(registered_backends()))
@@ -78,30 +78,6 @@ class TestOptionsDataclasses:
             ActorOptions(num_cpus=-1)
         with pytest.raises(ValueError, match="name"):
             ActorOptions(name="")
-
-    def test_resolve_accepts_canonical_options(self):
-        opts = TaskOptions(num_cpus=2)
-        assert resolve_task_options(opts) is opts
-
-    def test_resolve_defaults(self):
-        assert resolve_task_options(None) == TaskOptions()
-
-    def test_resolve_rejects_removed_kwargs(self):
-        """The per-kwarg form is gone; the error says what to pass."""
-        for removed in (
-            {"duration": 0.5},
-            {"resources": ResourceRequest(num_cpus=1)},
-            {"placement_hint": None},
-            {"max_reconstructions": 1},
-        ):
-            with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
-                resolve_task_options(None, **removed)
-        with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
-            resolve_task_options(TaskOptions(), duration=0.5)
-
-    def test_resolve_rejects_positional_resources(self):
-        with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
-            resolve_task_options(ResourceRequest(num_cpus=1))
 
 
 # ----------------------------------------------------------------------
@@ -193,29 +169,6 @@ class TestOptionsAcrossBackends:
             with pytest.raises(repro.TaskError) as err:
                 repro.get(renamed.remote())
             assert err.value.function_name == "renamed_boom"
-        finally:
-            repro.shutdown()
-
-    def test_submit_task_rejects_the_removed_kwarg_form(self, backend):
-        repro.init(backend=backend, num_nodes=1, num_cpus=1, seed=5)
-        try:
-            runtime = repro.get_runtime()
-
-            def double(x):
-                return 2 * x
-
-            function_id = runtime.register_function(double, "double")
-            call = dict(
-                function=double, function_id=function_id,
-                function_name="double", args=(21,), kwargs={},
-            )
-            with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
-                runtime.submit_task(**call, placement_hint=None)
-            with pytest.raises(TypeError, match=r"options=TaskOptions\(\.\.\.\)"):
-                runtime.submit_task(**call, options=ResourceRequest(num_cpus=1))
-            # The explicit-argument form itself stays.
-            ref = runtime.submit_task(**call, options=TaskOptions(name="twice"))
-            assert repro.get(ref) == 42
         finally:
             repro.shutdown()
 

@@ -307,7 +307,7 @@ def test_worker_grants_the_tail_between_inline_runs_and_never_runs_it():
     STEAL_REQUEST arrives while the first producer runs inline."""
     conn = _ScriptedTransport()
     worker = ProcWorker(
-        conn, index=0, seed=1, cache_capacity=1 << 20, dispatch_mode="bottom_up"
+        conn, index=0, seed=1, cache_capacity=1 << 20
     )
     ran = []
 
