@@ -1,7 +1,7 @@
 """E11 — cluster data plane: descriptor-first transfer and node scaling.
 
 The dist backend's claim is that crossing a *node* boundary should cost
-bytes only when somebody actually reads them.  Two measurements:
+bytes only when somebody actually reads them.  Three measurements:
 
 * **descriptor-first vs naive re-ship** — the same workload run twice
   on a 2-node cluster: a multi-stage pipeline whose every result is
@@ -20,7 +20,12 @@ bytes only when somebody actually reads them.  Two measurements:
   same per-node worker count; doubling nodes must actually shorten the
   makespan (true parallelism across node agents, not just processes).
 
-Both tests emit into ``BENCH_e11.json`` (repo root) for
+* **driver-born waves** — ``bench_e6``'s waves of no-ops on 2 nodes x
+  1 worker: a frame on ``dist`` is sized by the same budget as on
+  ``proc`` (tasks per TASK frame is the machine-independent gate; the
+  rate is recorded with the machine it was taken on).
+
+All three emit into ``BENCH_e11.json`` (repo root) for
 ``check_regression.py`` to diff against ``benchmarks/baselines.json``.
 """
 
@@ -28,8 +33,9 @@ import os
 import time
 
 import repro
-from _artifacts import emit_bench_json
+from _artifacts import emit_bench_json, environment_stamp
 from _tables import print_table
+from bench_e6_throughput import WAVE_ROUNDS, WAVE_TASKS, driver_born_wave
 
 MiB = 1024 * 1024
 
@@ -221,3 +227,34 @@ def test_e11_two_node_cpu_scaling(benchmark):
     }
     benchmark.extra_info.update(emitted)
     emit_bench_json("e11", emitted)
+
+
+def test_e11_dist_driver_born_wave_rides_budget_sized_frames(benchmark):
+    """The dist twin of ``bench_e6``'s wave gate.  Frames to a node used
+    to be held to 4 tasks whatever the budget allowed; now that a worker
+    gives a frame's tail back while its head runs, the budget is the
+    only rule — a floor of 8 tasks per frame is one no capped build can
+    meet, on any machine."""
+    wave = benchmark.pedantic(
+        driver_born_wave,
+        kwargs={"backend": "dist", "num_nodes": 2, "num_cpus": 1},
+        rounds=1, iterations=1,
+    )
+    print_table(
+        f"E11: dist driver-born waves ({WAVE_ROUNDS} x {WAVE_TASKS} no-ops, "
+        "2 nodes x 1 worker)",
+        ["median tasks/s", "tasks per TASK frame", "tasks per DONE frame"],
+        [(
+            f"{wave['tasks_per_s']:,.0f}",
+            f"{wave['tasks_per_frame']:.1f}",
+            f"{wave['tasks_per_done_frame']:.1f}",
+        )],
+    )
+    emitted = {
+        "dist_wave_tasks_per_s": round(wave["tasks_per_s"]),
+        "dist_wave_tasks_per_frame": round(wave["tasks_per_frame"], 1),
+        "dist_wave_env": environment_stamp(),
+    }
+    benchmark.extra_info.update(emitted)
+    emit_bench_json("e11", emitted)
+    assert wave["tasks_per_frame"] >= 8.0

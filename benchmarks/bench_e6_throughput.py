@@ -11,6 +11,7 @@ the control plane, not the driver, is the contended resource.  We sweep
 shard counts and compare against the centralized-scheduler architecture.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -118,14 +119,16 @@ def test_e6_throughput_scaling(benchmark):
 # ----------------------------------------------------------------------
 
 
-@repro.remote
-def cpu_burn(iterations):
+def _burn(iterations):
     """Pure-Python arithmetic: holds the GIL, so only real processes can
     overlap it.  This is the workload threads cannot speed up."""
     total = 0
     for i in range(iterations):
         total += i * i
     return total
+
+
+cpu_burn = repro.remote(_burn)
 
 
 def _proc_storm(num_workers: int) -> dict:
@@ -144,21 +147,48 @@ def _proc_storm(num_workers: int) -> dict:
     }
 
 
+def _bare_storm(processes: int) -> float:
+    """The storm's makespan on ``processes`` bare ``multiprocessing``
+    children — no ``repro`` anywhere."""
+    with multiprocessing.get_context("spawn").Pool(processes) as pool:
+        pool.map(_burn, [10] * processes, chunksize=1)  # children are up
+        start = time.perf_counter()
+        pool.map(_burn, [PROC_BURN_ITERS] * PROC_TASKS, chunksize=1)
+        return time.perf_counter() - start
+
+
+def _host_yardstick(processes: int) -> float:
+    """What this host, right now, lets ``processes`` processes overlap:
+    the bare storm's speedup over one process."""
+    return _bare_storm(1) / _bare_storm(processes)
+
+
 def test_e6_proc_true_parallelism(benchmark):
     """R2 on hardware instead of a model: CPU-bound task throughput must
-    scale with worker *processes*.  On a multi-core host the multi-worker
-    configuration must beat one worker by >1.5x; on a single-core host
-    (some CI runners) the sweep still runs but only reports."""
+    scale with worker *processes* — as far as the host lets processes
+    scale at all.  ``os.cpu_count()`` does not say: a runner that shows
+    two cores and is sharing them reads anywhere from 0.9x to 2.2x on
+    one commit, and changes its mind within seconds.  So the same storm
+    is also run on bare processes, right before and right after, as a
+    yardstick (the lower reading counts): when *that* overlaps
+    (>= 1.5x), ``repro`` must keep 0.8 of it; when it does not, the
+    speedup is reported as not measured, with the reason — the runner's
+    doing is not a result."""
     cores = os.cpu_count() or 1
     wide = min(4, max(2, cores))
+    yardsticks = []
 
     def run_sweep():
-        return {
+        yardsticks.append(_host_yardstick(wide))
+        sweep = {
             "workers/1": _proc_storm(1),
             f"workers/{wide}": _proc_storm(wide),
         }
+        yardsticks.append(_host_yardstick(wide))
+        return sweep
 
     sweep = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    yardstick = min(yardsticks)
 
     rows = [
         (name, result["tasks"], f"{result['elapsed'] * 1e3:.1f} ms",
@@ -170,19 +200,34 @@ def test_e6_proc_true_parallelism(benchmark):
         ["config", "tasks", "makespan", "throughput"],
         rows,
     )
-    benchmark.extra_info.update(
-        {name: round(r["throughput"], 2) for name, r in sweep.items()}
-    )
-    emit_bench_json("e6", dict(benchmark.extra_info))
-
     speedup = (
         sweep[f"workers/{wide}"]["throughput"] / sweep["workers/1"]["throughput"]
     )
-    print(f"speedup {wide} workers vs 1: {speedup:.2f}x")
-    if cores >= 2:
-        assert speedup > 1.5, (
-            f"expected >1.5x speedup from true parallelism on {cores} cores, "
-            f"got {speedup:.2f}x"
+    print(
+        f"speedup {wide} workers vs 1: {speedup:.2f}x "
+        f"(bare processes on this host: {yardstick:.2f}x)"
+    )
+    measured = yardstick >= 1.5
+    benchmark.extra_info.update(
+        {name: round(r["throughput"], 2) for name, r in sweep.items()}
+    )
+    benchmark.extra_info.update(
+        {
+            "proc_parallel_speedup": round(speedup, 2) if measured else None,
+            "proc_parallel_yardstick": round(yardstick, 2),
+            "proc_parallel_reason": None if measured else (
+                f"not measured: {wide} bare processes only reached "
+                f"{yardstick:.2f}x of one on this host (need 1.5x; repro read "
+                f"{speedup:.2f}x)"
+            ),
+            "proc_parallel_env": environment_stamp(),
+        }
+    )
+    emit_bench_json("e6", dict(benchmark.extra_info))
+    if measured:
+        assert speedup >= 0.8 * yardstick, (
+            f"{wide} bare processes reach {yardstick:.2f}x of one on this "
+            f"host, {wide} workers only {speedup:.2f}x (need 0.8 of it)"
         )
 
 
@@ -212,8 +257,11 @@ class _FrameMeter:
         return getattr(self._conn, name)
 
 
-def _proc_wave() -> dict:
-    runtime = repro.init(backend="proc", num_workers=2)
+def driver_born_wave(**pool) -> dict:
+    """Waves of no-ops from the driver on ``repro.init(**pool)`` — a
+    wire backend, two workers: what a task costs in time, submit CPU,
+    frames and bytes (``bench_e11`` runs the same waves on ``dist``)."""
+    runtime = repro.init(**pool)
     try:
         repro.get([storm_noop.remote() for _ in range(WAVE_TASKS)], timeout=120.0)
         before = runtime.stats()["sched"]
@@ -258,7 +306,10 @@ def test_e6_proc_driver_born_wave_rides_frames(benchmark):
     machine they were taken on; the gates are the machine-independent
     ones — the mean window per TASK frame and the bytes per task in
     one."""
-    wave = benchmark.pedantic(_proc_wave, rounds=1, iterations=1)
+    wave = benchmark.pedantic(
+        driver_born_wave, kwargs={"backend": "proc", "num_workers": 2},
+        rounds=1, iterations=1,
+    )
     print_table(
         f"E6: proc driver-born waves ({WAVE_ROUNDS} x {WAVE_TASKS} no-ops, "
         "2 workers)",

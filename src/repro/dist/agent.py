@@ -11,7 +11,12 @@ workers:
   without re-interpreting anything it does not care about.  Dispatch
   frames are relayed whole and inspected entry-wise: each ``TASK``
   entry's inline arguments feed the node cache, each ``DONE``
-  completion's blobs pass through the node-arena rewrite.
+  completion's blobs pass through the node-arena rewrite.  Optional
+  trailing elements (``DONE``'s obs blob, ``STEAL_GRANT``'s mid-task
+  mark) ride through untouched, and control messages are forwarded the
+  moment they arrive in either direction — a worker's watchdog answers
+  a ``STEAL_REQUEST`` while its main thread is inside a task, which is
+  what lets frames to a node be as large as the budget allows.
 * **Node data plane.**  The object-plane requests it *does* care about
   are served locally when possible: a worker's ``SHM_CREATE`` for a
   result is granted from the **node's** arena (the driver never sees the

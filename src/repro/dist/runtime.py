@@ -355,20 +355,13 @@ class AgentLink:
 
 
 class DistRuntime(ProcRuntime):
-    """Multi-node implementation of the backend protocol (TCP agents)."""
+    """Multi-node implementation of the backend protocol (TCP agents).
 
-    #: Frames stay small on the networked backend for now.  What is
-    #: shipped ahead to a node can only be taken back over TCP, and a
-    #: lost node charges every shipped-ahead task a lineage replay
-    #: (ROADMAP item 3), so the first release of frames here commits
-    #: little at a time.  The other half of the reason is the
-    #: repository's benchmark: it judges the run-to-run spread of a
-    #: change against a quarter of the *previous* commit's median, and
-    #: on its host spread is a fixed ~7 % share of throughput — budget-
-    #: sized frames lift ``dist_mixed`` 5x (CHANGES.md, PR 14), which
-    #: that rule cannot pass in one step.  Raising this is a one-line
-    #: follow-up.
-    _FRAME_MAX_TASKS = 4
+    Dispatch frames are the proc runtime's, budget-sized like its own:
+    what is shipped ahead to a node stays recallable over TCP at any
+    moment (``ProcWorker._watch_done`` answers for a worker that is
+    inside a task), and a lost node charges each shipped-ahead task one
+    lineage replay of its own budget — never one task more of them."""
 
     def __init__(
         self,

@@ -9,7 +9,9 @@ thread.  The worker is single-threaded, so requests never interleave and
 the protocol needs no sequence numbers.  Around that core, tasks go down
 in ``TASK`` frames and completions come back in ``DONE`` frames, which
 the two-level scheduling plane (:mod:`repro.sched_plane`) windows and
-coalesces, and **one-way messages** flow in both directions.
+coalesces, and **one-way messages** flow in both directions.  (The
+worker has one helper thread, its watchdog; who may read the pipe when
+is said below, under "who reads the worker's end".)
 
 **What crosses the wire per task** is one *entry* — every task, however
 it was born, is this one positional tuple, written by
@@ -72,8 +74,10 @@ workers (steals, crash replay) like any registered function.
   execution time the worker measures and reports per completion, kept
   per function (the median of the last few, so one sample that caught a
   context switch does not shrink the next frames; folded in once per
-  ``DONE`` frame).  A backend may also cap a frame's task count
-  (``dist`` does, for now).  A function with no estimate yet, or one
+  ``DONE`` frame).  The budget is the only rule, on every backend: an
+  estimate can be wrong by any factor, and what it gets wrong the
+  worker gives back — it answers ``STEAL_REQUEST``/``CANCEL_NOTICE``
+  while a task runs (below).  A function with no estimate yet, or one
   estimated above the budget, ships alone.  Actor tasks always ship
   alone: their ordering and their pinning leave nothing to window.
 * ``(DONE, [(task_hex, [blob, ...], failed, exec_seconds), ...], idle)``
@@ -97,11 +101,32 @@ one ``PLACED``.  The driver's one-way messages (``STEAL_REQUEST``,
 ``CANCEL_NOTICE``, ``PLACED``) may arrive at the worker interleaved
 with request replies; the worker processes them at every pipe
 touch-point — before dispatching each local task, inside its reply-wait
-loop, and while idle.  Pipe FIFO ordering is the protocol's only
+loop, and while idle — and *during* a task that outlasts a watchdog
+tick.  Pipe FIFO ordering is the protocol's only
 synchronization: a ``SUBMIT_LOCAL`` always precedes any ``DONE`` or
 ``STEAL_GRANT`` that mentions its task, and a ``CANCEL_NOTICE`` always
 follows the ``TASK`` frame that shipped its task, so the driver's
 mirror of each worker queue is maintained in causal order.
+
+**Who reads the worker's end.**  One thread at a time, the holder of
+the worker's read-side lock.  The main thread holds it wherever it
+reads: draining control between tasks, parked for the next frame, and
+from the moment an rpc request goes out until its reply is in
+(reentrant frames included).  The watchdog thread — awake while
+completions are held or a frame's tail is queued — takes it only when it
+is free *and* the main thread has been inside one task for a whole tick
+— then the main thread awaits no reply and has not reported the task,
+so the driver has nothing to send but control messages, which the
+watchdog handles exactly as the main thread would (the local queue is
+touched under the worker's send lock on both threads: a task leaves it
+through one door).  A ``STEAL_GRANT`` made this way carries a trailing
+``True`` (the driver counts its tasks as *recalled*).  This is what
+makes a frame's tail recallable while its head runs; the idle peer's
+edge-triggered ``STEAL_REQUEST`` is the recall, and the driver times
+nothing.  The answer being prompt, an empty one must be final: the
+mirror still counts tasks the worker is running or has not reported, so
+the driver does not ask a victim that granted nothing again until
+something new was pushed to its mirror.
 
 **Object lifetime on the wire.**  The driver releases an object when
 nothing it can see still needs it (``proc/runtime.py``, "Object
@@ -193,10 +218,11 @@ SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [entry, ...], {function_hex:
                                # queue, zero round-trips; the optional tail
                                # reports escaped objects (and may be all the
                                # notice carries: no entries, no PLACED)
-STEAL_GRANT = "steal_grant"    # (STEAL_GRANT, [task_hex, ...]): the worker
-                               # (sole owner of its queue) gives away its
-                               # tail; the driver re-homes the tasks from
-                               # its mirror.  May be empty.
+STEAL_GRANT = "steal_grant"    # (STEAL_GRANT, [task_hex, ...][, True]): the
+                               # worker (sole owner of its queue) gives away
+                               # its tail; the driver re-homes the tasks from
+                               # its mirror.  May be empty.  The optional
+                               # tail marks a grant made while a task ran.
 # Span records (init(..., tracing=True)) piggyback on DONE, which grows
 # one OPTIONAL trailing element — an "obs blob" (send_monotonic,
 # [(t, kind, payload), ...], dropped_total) — only when the worker's

@@ -72,7 +72,9 @@ Architecture (one instance = one pool):
   coalesced per ``DONE`` message — :mod:`repro.proc.messages`), brokers
   idle-worker work stealing
   (:class:`~repro.scheduling.policies.StealPolicy`; the victim's grant
-  is authoritative, so a stolen task provably runs exactly once), and
+  is authoritative, so a stolen task provably runs exactly once; a
+  victim answers while a task runs, so a frame's tail can be taken back
+  from behind a head that outran its estimate), and
   re-homes queued or mid-steal tasks when their worker crashes.  A worker
   blocked in ``get``/``wait`` stays a full execution resource
   (:meth:`ProcRuntime._wait_serving`), so a pool of any size finishes a
@@ -271,6 +273,11 @@ class _WorkerHandle:
     busy: bool = False
     #: An un-answered STEAL_REQUEST is outstanding for this victim.
     steal_outstanding: bool = False
+    #: ``mirror.pushed`` when this victim was last asked, until a grant
+    #: that carries tasks resets it: while the two are equal the worker
+    #: granted nothing and nothing has reached its queue since, whatever
+    #: the mirror's length says (see :class:`LocalTaskQueue`).
+    steal_dry_at: int = -1
     #: Its service thread is waiting on the runtime cond for the blocked
     #: child (``_wait_serving``): a thief must wake it to read the grant.
     parked: bool = False
@@ -328,10 +335,6 @@ def _wire_ids(spec: TaskSpec) -> tuple:
 
 class ProcRuntime:
     """Multiprocess implementation of the backend protocol."""
-
-    #: The most tasks one dispatch frame carries, whatever the frame
-    #: budget would allow.  The pipe backend leaves it to the budget.
-    _FRAME_MAX_TASKS = 1 << 30
 
     def __init__(
         self,
@@ -594,10 +597,7 @@ class ProcRuntime:
 
     def _enqueue(self, spec: TaskSpec) -> None:
         """Route a runnable spec to its queue (lock held)."""
-        if self._lifecycle.is_cancelled(spec.task_id):
-            # Dispatch-time drop: the marker already owns its slots (and
-            # a worker-born entry mirrored for this task is dead too).
-            self._payloads.pop(spec.task_id.hex, None)
+        if self._dropped_cancelled(spec):
             return
         if spec.actor_id is None:
             self._place_bottom_up(spec)
@@ -1235,8 +1235,9 @@ class ProcRuntime:
     def _send_control(self, worker: _WorkerHandle, message: tuple) -> None:
         """A one-way control send that NEVER blocks — safe under the
         runtime lock.  ``Connection.send`` blocks when the OS pipe
-        buffer is full (a busy worker drains control only at dispatch
-        boundaries), and blocking here would freeze the whole runtime;
+        buffer is full (a busy worker drains control at dispatch
+        boundaries and watchdog ticks), and blocking here would freeze
+        the whole runtime;
         a congested message parks in the outbox instead, delivered by
         the worker's own service thread (:meth:`_flush_outbox`, called
         lock-free at every serving point) or ahead of its next reply."""
@@ -1279,14 +1280,24 @@ class ProcRuntime:
                 spec = self._steal_placed(worker) if raid else None
                 if spec is None:
                     return None
-            if self._lifecycle.is_cancelled(spec.task_id):
-                self._payloads.pop(spec.task_id.hex, None)
+            if self._dropped_cancelled(spec):
                 continue
             if spec.actor_id is not None:
                 spec = self._claim_actor_spec(worker, spec)
                 if spec is None:
                     continue
             return spec
+
+    def _dropped_cancelled(self, spec: TaskSpec) -> bool:
+        """The dispatch-time drop (lock held): whether ``spec``, on its
+        way to a queue or a worker, was cancelled in the meantime and
+        goes nowhere.  The marker already owns its return slots; what
+        goes with the task is the wire entry kept for a worker-born
+        one."""
+        if not self._lifecycle.is_cancelled(spec.task_id):
+            return False
+        self._payloads.pop(spec.task_id.hex, None)
+        return True
 
     def _claim_actor_spec(
         self, worker: _WorkerHandle, spec: TaskSpec
@@ -1394,20 +1405,17 @@ class ProcRuntime:
 
         The head is whatever it would have been handed alone; stateless
         tasks queued behind it ride along while the frame's *estimated*
-        work stays within ``FRAME_BUDGET_S`` (and the frame within the
-        backend's ``_FRAME_MAX_TASKS``).  An actor task, a function
-        with no estimate yet, or one estimated over the budget therefore
-        ships alone."""
+        work stays within ``FRAME_BUDGET_S`` — the one frame rule, on
+        every wire backend: what the estimate gets wrong the worker
+        gives back (``ProcWorker._watch_done``).  An actor task, a
+        function with no estimate yet, or one estimated over the budget
+        therefore ships alone."""
         head = self._pop_runnable(worker, raid=True)
         if head is None:
             return []
         frame = [head]
         spent = self._estimate(head)
-        while (
-            spent is not None
-            and spent < msg.FRAME_BUDGET_S
-            and len(frame) < self._FRAME_MAX_TASKS
-        ):
+        while spent is not None and spent < msg.FRAME_BUDGET_S:
             source = worker.placed or self._queue
             if not source:
                 break
@@ -1415,7 +1423,7 @@ class ProcRuntime:
             if cost is None or spent + cost > msg.FRAME_BUDGET_S:
                 break
             spec = source.popleft()
-            if not self._lifecycle.is_cancelled(spec.task_id):
+            if not self._dropped_cancelled(spec):
                 frame.append(spec)
                 spent += cost
         return frame
@@ -1462,9 +1470,19 @@ class ProcRuntime:
     ) -> None:
         """Ask the most-backlogged busy worker for the tail of its local
         queue (lock held).  At most one request per victim is in flight;
-        the grant comes back on the victim's pipe and is applied by the
-        victim's own service thread, woken here if it is parked on the
-        cond in :meth:`_wait_serving` instead of reading that pipe.
+        the victim answers within a watchdog tick or two whatever it is
+        doing — between tasks, from an rpc's reply loop, or from its
+        watchdog thread while a task runs, which is what takes a
+        frame's tail back from behind a head that outran its estimate —
+        and the grant comes back on the victim's pipe and is applied by
+        the victim's own service thread, woken here if it is parked on
+        the cond in :meth:`_wait_serving` instead of reading that pipe.
+
+        A prompt answer must not become a request loop.  The mirror
+        counts tasks the victim is running or has not reported yet, so
+        its length can promise a tail that is not there: a victim that
+        granted nothing is not asked again until something new was
+        pushed to its mirror (a frame's tail, a SUBMIT_LOCAL).
 
         ``include_self`` lets a *blocked* worker raid its own queue: the
         child answers the request from its reply-wait loop, the grant
@@ -1481,6 +1499,8 @@ class ProcRuntime:
                 continue
             if not worker.busy or worker.steal_outstanding:
                 continue
+            if worker.steal_dry_at == worker.mirror.pushed:
+                continue
             if not _STEAL.should_steal(len(worker.mirror)):
                 continue
             if victim is None or len(worker.mirror) > len(victim.mirror):
@@ -1488,6 +1508,7 @@ class ProcRuntime:
         if victim is None:
             return
         victim.steal_outstanding = True
+        victim.steal_dry_at = victim.mirror.pushed
         try:
             self._send_control(
                 victim,
@@ -1508,7 +1529,7 @@ class ProcRuntime:
         elif tag == msg.SUBMIT_LOCAL:
             self._register_local_submit(worker, *message[1:])
         elif tag == msg.STEAL_GRANT:
-            self._apply_steal_grant(worker, message[1])
+            self._apply_steal_grant(worker, *message[1:])
         elif tag == msg.SPANS:
             self._ingest_worker_obs(worker, message[1])
         else:
@@ -1572,12 +1593,10 @@ class ProcRuntime:
                     self._enqueue(spec)
                 self._cond.notify_all()
                 return False
-            shipped = []
-            for spec, entry in encoded:
-                if self._lifecycle.is_cancelled(spec.task_id):
-                    self._payloads.pop(entry[0], None)
-                else:
-                    shipped.append((spec, entry))
+            shipped = [
+                (spec, entry) for spec, entry in encoded
+                if not self._dropped_cancelled(spec)
+            ]
             if not shipped:
                 return False
             head, head_entry = shipped[0]
@@ -1720,26 +1739,33 @@ class ProcRuntime:
         if entries:
             self._send(worker, (msg.PLACED, len(entries)))
 
-    def _apply_steal_grant(self, victim: _WorkerHandle, task_hexes: list) -> None:
+    def _apply_steal_grant(
+        self, victim: _WorkerHandle, task_hexes: list, midtask: bool = False
+    ) -> None:
         """The victim gave up the tail of its local queue: re-home those
         tasks through the global queue.  The victim is the queue's only
         executor, so everything granted is provably not running there;
         ids missing from the mirror were cancelled in the meantime and
-        stay dropped."""
+        stay dropped.  ``midtask``: the victim was inside a task (its
+        watchdog answered) — these tasks were recalled from behind it."""
         with self._cond:
             victim.steal_outstanding = False
+            if task_hexes:
+                victim.steal_dry_at = -1  # it may have more to give
             for task_hex in task_hexes:
                 spec = victim.mirror.remove(task_hex)
-                if spec is None or self._lifecycle.is_cancelled(spec.task_id):
-                    self._payloads.pop(task_hex, None)
+                if spec is None or self._dropped_cancelled(spec):
                     continue
                 self._sched.tasks_stolen += 1
+                if midtask:
+                    self._sched.tasks_recalled += 1
                 if self._obs.enabled:
                     self._obs.record(
                         "task_stolen",
                         task_id=str(spec.task_id),
                         victim=f"worker-{victim.index}",
                         wire=True,
+                        midtask=midtask,
                     )
                 self._control.async_task_update(spec.task_id, state="stolen")
                 self._queue.append(spec)
@@ -2687,9 +2713,8 @@ class ProcRuntime:
                     spec, actor_lost_error_value(spec, record)
                 )
             return
-        if self._lifecycle.is_cancelled(spec.task_id):
-            self._payloads.pop(spec.task_id.hex, None)
-            return  # the cancellation marker already owns its slots
+        if self._dropped_cancelled(spec):
+            return
         attempts = self._replays.get(spec.task_id, 0)
         if self._crash_policy == "replace" and attempts < spec.max_reconstructions:
             self._replays[spec.task_id] = attempts + 1

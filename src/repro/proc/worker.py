@@ -34,7 +34,9 @@ need), and completions go back coalesced in ``DONE`` frames — see
 the queue until it is empty, answers ``STEAL_REQUEST``\\ s by granting
 the tail of the queue (ownership makes the grant race-free: what it
 gives away it provably never runs), and honors ``CANCEL_NOTICE``
-tombstones before dispatching each local task.
+tombstones before dispatching each local task — and, through its
+watchdog thread, *while* a task runs: a frame's tail can be taken back
+at any moment, not only at the next dispatch boundary.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ from repro.scheduling.policies import SpilloverPolicy
 from repro.sched_plane.queues import LocalTaskQueue
 from repro.utils.ids import IDGenerator, NodeID, ObjectID
 
-#: How long a buffered completion may wait for the next task boundary
-#: before the watchdog thread sends it (see ``ProcWorker._watch_done``).
+#: The watchdog thread's tick (see ``ProcWorker._watch_done``): how long
+#: a buffered completion may wait for the next task boundary before it
+#: is sent anyway, and how long a task runs before the watchdog starts
+#: answering the driver's control messages in the main thread's place.
 _DONE_WATCHDOG_S = 0.005
 
 #: Descriptors a worker remembers (``ProcWorker._known_shm``).
@@ -320,13 +324,24 @@ class ProcWorker:
         #: failed, exec_seconds)`` — and when the oldest was buffered.
         self._done: list = []
         self._done_since = 0.0
-        #: Guards the pipe's send side and the two outbound buffers
-        #: (``_pending_notices``, ``_done``): the watchdog thread flushes
-        #: them while this process's only other thread is inside a task.
+        #: Guards the pipe's send side, the two outbound buffers
+        #: (``_pending_notices``, ``_done``) and ``local_queue``: the
+        #: watchdog thread flushes the former and grants from the latter
+        #: while this process's only other thread is inside a task.
         self._out_lock = threading.RLock()
-        #: Set when completions are held across the start of another
-        #: task: what the watchdog sleeps on.
-        self._done_armed = threading.Event()
+        #: The pipe's read side: held wherever the main thread reads
+        #: (between tasks, parked idle, and from an rpc's request to its
+        #: reply — reentrant runs included), so whoever else gets it
+        #: knows the main thread awaits no reply.  Taken before
+        #: ``_out_lock``, never after.
+        self._in_lock = threading.RLock()
+        #: Set while there is something for the watchdog to watch over —
+        #: completions held across the start of another task, or a
+        #: frame's tail queued behind a task the driver only estimated:
+        #: what it sleeps on (a tick is a thread hand-off, and a worker
+        #: running one short task after another should not pay 200 a
+        #: second for nothing).
+        self._armed = threading.Event()
         #: Shared-memory descriptors this process has seen (attached
         #: arguments, sealed puts), used for residency checks and to
         #: embed descriptors in locally-built payloads; the latest
@@ -373,6 +388,10 @@ class ProcWorker:
         #: request, worker-born fast-path tasks included.
         self._cur_task: Any = None
         self._cur_root: Any = None
+        #: When the latest task here started (never restored: after an
+        #: inline or reentrant run the outer task reads younger than it
+        #: is, which only makes the watchdog wait a little longer).
+        self._cur_since = 0.0
 
     # ------------------------------------------------------------------
     # Shared-memory plumbing
@@ -486,22 +505,26 @@ class ProcWorker:
 
         Buffered completions go out first: the driver must not serve a
         request — least of all a blocking one — while this worker still
-        holds results it has not reported."""
+        holds results it has not reported.  The pipe's read side is
+        taken before the request goes out and kept until its reply is
+        in: the watchdog stays off the pipe for as long as anything but
+        a control message can arrive on it."""
         self._flush_done()
         if self.obs.should_flush():
             self._flush_spans()
-        self._send((tag,) + parts)
-        while True:
-            reply = self.conn.recv()
-            if reply[0] == msg.TASK:
-                self._run_frame(reply)
-                self._flush_done()  # the driver is waiting on this one
-                continue
-            if self._handle_control(reply):
-                continue
-            if reply[0] == msg.ERR:
-                raise reply[1]
-            return reply[1]
+        with self._in_lock:
+            self._send((tag,) + parts)
+            while True:
+                reply = self.conn.recv()
+                if reply[0] == msg.TASK:
+                    self._run_frame(reply)
+                    self._flush_done()  # the driver is waiting on this one
+                    continue
+                if self._handle_control(reply):
+                    continue
+                if reply[0] == msg.ERR:
+                    raise reply[1]
+                return reply[1]
 
     # ------------------------------------------------------------------
     # Tracing-aware sends
@@ -534,26 +557,54 @@ class ProcWorker:
                 self.conn.send((msg.DONE, completions, idle))
 
     def _watch_done(self) -> None:
-        """The watchdog thread.
+        """The watchdog thread: what a task that breaks its estimate —
+        mispredicted, blocked, or waiting on something the driver only
+        does once it has seen an earlier result — cannot hold up.  It
+        ticks every ``_DONE_WATCHDOG_S`` while armed: from the moment
+        completions are held across a task start, or a frame's tail is
+        queued, until nothing is held and the queue is empty.
 
-        Completions are buffered on the expectation that another task
-        boundary follows within the frame budget.  A task that breaks
-        it — mispredicted, blocked, or waiting on something the driver
-        only does once it has seen an earlier result — would otherwise
-        sit on its frame mates' results for as long as it runs.  This
-        thread sends whatever has waited ``_DONE_WATCHDOG_S`` without
-        one, which turns that unbounded wait into a few milliseconds."""
+        *Completions* are buffered on the expectation that another task
+        boundary follows within the frame budget; such a task would sit
+        on its frame mates' results for as long as it runs.  Whatever
+        has waited a tick without a boundary is sent from here.
+
+        *Control messages* are read between tasks, so such a task would
+        also sit on the queue behind it: an idle peer's STEAL_REQUEST
+        and a CANCEL_NOTICE would wait for it to end.  Once the main
+        thread has been inside one task for a whole tick, this thread
+        serves the pipe in its place (:meth:`_drain_control`) — if it
+        gets the read side without waiting.  It does not while the main
+        thread is in an rpc, which answers control itself, and it
+        rechecks the task under the send lock: a task that has not
+        ended has reported nothing the driver would answer with a frame
+        or a reply, so control messages are all there is to read.  (A
+        task inside a C call that keeps the GIL stops this thread too.)
+        """
         while True:
-            self._done_armed.wait()
+            self._armed.wait()
             time.sleep(_DONE_WATCHDOG_S)
-            with self._out_lock:
-                if not self._done:
-                    self._done_armed.clear()
-                elif time.monotonic() - self._done_since >= _DONE_WATCHDOG_S:
+            running = self._cur_task
+            try:
+                if (
+                    running is not None
+                    and time.monotonic() - self._cur_since >= _DONE_WATCHDOG_S
+                    and self._in_lock.acquire(blocking=False)
+                ):
                     try:
-                        self._flush_done()
-                    except (EOFError, OSError):
-                        return  # driver gone: the main loop is exiting too
+                        with self._out_lock:
+                            if self._cur_task is running:
+                                self._drain_control(midtask=True)
+                    finally:
+                        self._in_lock.release()
+                with self._out_lock:
+                    if self._done:
+                        if time.monotonic() - self._done_since >= _DONE_WATCHDOG_S:
+                            self._flush_done()
+                    elif not self.local_queue:
+                        self._armed.clear()
+            except (EOFError, OSError):
+                return  # driver gone: the main loop is exiting too
 
     def _flush_spans(self) -> None:
         """Ship buffered spans on a dedicated one-way SPANS frame."""
@@ -602,7 +653,8 @@ class ProcWorker:
         every dispatch boundary, so a cancellation or steal landing
         between two local tasks takes effect before the next one runs
         (cancellation needs no check at pop time: a CANCEL_NOTICE
-        removes the task from the queue the moment it is handled).
+        removes the task from the queue the moment it is handled), and
+        by the watchdog during a task that outlasts its tick.
         """
         threading.Thread(
             target=self._watch_done, name="repro-worker-done-watchdog", daemon=True
@@ -612,7 +664,8 @@ class ProcWorker:
         while self._await_frame():
             while True:
                 self._drain_control()
-                queued = self.local_queue.pop_head()
+                with self._out_lock:
+                    queued = self.local_queue.pop_head()
                 if queued is None:
                     break
                 self._run_queued(queued[1])
@@ -628,8 +681,8 @@ class ProcWorker:
             # back: a locally-born task can take arbitrarily long, or be
             # what a ref just returned to the driver is waiting on.
             self._flush_done()
-        elif self._done and not self._done_armed.is_set():
-            self._done_armed.set()  # held across a task: watch it
+        elif self._done and not self._armed.is_set():
+            self._armed.set()  # held across a task: watch it
         self._run_task(entry, inline_run)
 
     def run_producers(
@@ -657,12 +710,13 @@ class ProcWorker:
             if queue.producer_of(return_hex) is None:
                 continue
             self._drain_control()
-            task_hex = queue.producer_of(return_hex)
-            if task_hex is None:
-                continue  # cancelled or granted away just now
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            self._run_queued(queue.remove(task_hex), inline_run=True)
+            with self._out_lock:
+                item = queue.remove(queue.producer_of(return_hex))
+            if item is None:
+                continue  # cancelled or granted away just now
+            self._run_queued(item, inline_run=True)
             limit -= 1
         if deadline is None:
             return None
@@ -671,7 +725,8 @@ class ProcWorker:
     def _await_frame(self) -> bool:
         """Park on the pipe between sessions; False means shutdown."""
         while True:
-            message = self.conn.recv()
+            with self._in_lock:
+                message = self.conn.recv()
             tag = message[0]
             if tag == msg.SHUTDOWN:
                 self._flush_spans()  # final flush: nothing else will
@@ -693,8 +748,13 @@ class ProcWorker:
             msg.register_functions(self._templates, functions)
             for function_hex, (_name, code) in functions.items():
                 self._functions[function_hex] = code
-        for entry in entries[1:]:
-            self.local_queue.push(entry[0], (entry, True), entry[2])
+        if len(entries) > 1:
+            with self._out_lock:
+                for entry in entries[1:]:
+                    self.local_queue.push(entry[0], (entry, True), entry[2])
+                # Shipped on an estimate, behind a head that may break
+                # it: watched until the queue is empty again.
+                self._armed.set()
         self._run_task(entries[0])
 
     def _run_task(self, entry: tuple, inline_run: bool = False) -> None:
@@ -741,32 +801,45 @@ class ProcWorker:
         ids born on this worker's behalf against."""
         return None if self._cur_task is None else self._cur_task.hex
 
-    def _drain_control(self) -> None:
-        """Process every buffered one-way driver message (non-blocking)."""
-        while self.conn.poll():
-            message = self.conn.recv()
-            if not self._handle_control(message):
-                raise RuntimeError(
-                    f"unexpected driver message {message[0]!r} between tasks"
-                )
+    def _drain_control(self, midtask: bool = False) -> None:
+        """Process every buffered one-way driver message (non-blocking);
+        ``midtask`` when the watchdog does it during a task."""
+        with self._in_lock:
+            while self.conn.poll():
+                message = self.conn.recv()
+                if not self._handle_control(message, midtask):
+                    raise RuntimeError(
+                        f"unexpected driver message {message[0]!r} between tasks"
+                    )
 
-    def _handle_control(self, message: tuple) -> bool:
-        """Handle a one-way driver message; False if it was not one."""
+    def _handle_control(self, message: tuple, midtask: bool = False) -> bool:
+        """Handle a one-way driver message; False if it was not one.
+
+        Runs on whichever thread holds the pipe's read side: the main
+        thread between tasks and in an rpc's reply loop, the watchdog
+        (``midtask``) during a task.  Every touch of the local queue is
+        under ``_out_lock``, which the main thread takes to pop, push
+        and remove: a task leaves the queue through exactly one door."""
         tag = message[0]
         if tag == msg.STEAL_REQUEST:
-            granted = self.local_queue.steal_tail(message[1])
-            # The grant is authoritative: this process is the queue's
-            # only executor, so a task id it sends away can never also
-            # run here.  Payloads are dropped — the driver re-homes the
-            # tasks from its mirror, which the flush below guarantees
-            # already knows every granted id.
-            self._flush_notices()
-            self._send((msg.STEAL_GRANT, [task_hex for task_hex, _ in granted]))
+            with self._out_lock:
+                granted = self.local_queue.steal_tail(message[1])
+                # The grant is authoritative: whoever takes a task off
+                # the queue does so under this lock, so a task id sent
+                # away can never also run here.  Payloads are dropped —
+                # the driver re-homes the tasks from its mirror, which
+                # the flush below guarantees already knows every granted
+                # id.  A grant made during a task says so (a trailing
+                # element, like DONE's): its tasks were *recalled*.
+                self._flush_notices()
+                grant = (msg.STEAL_GRANT, [task_hex for task_hex, _ in granted])
+                self.conn.send(grant + (True,) if midtask else grant)
             return True
         if tag == msg.CANCEL_NOTICE:
             # The worker-side dispatch-time drop: gone from the queue,
             # the task can never be popped, so it never executes.
-            self.local_queue.remove(message[1])
+            with self._out_lock:
+                self.local_queue.remove(message[1])
             return True
         if tag == msg.PLACED:
             with self._out_lock:
@@ -831,7 +904,7 @@ class ProcWorker:
                 self._functions[function_hex] = function
                 self._pending_functions.update(row)
             self._pending_notices.append(entry)
-        self.local_queue.push(entry[0], (entry, False), entry[2])
+            self.local_queue.push(entry[0], (entry, False), entry[2])
         if self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,
@@ -928,6 +1001,7 @@ class ProcWorker:
         # Reentrant execute() (an actor task injected while this task is
         # blocked in rpc) must not inherit the outer task's context.
         prev_ctx = (self._cur_task, self._cur_root)
+        self._cur_since = t_start
         self._cur_task, self._cur_root = spec.task_id, root_id
         try:
             try:

@@ -31,6 +31,12 @@ class SchedCounters:
     ``tasks_stolen``
         Tasks moved from one worker's queue to another by work stealing
         (both driver-side queue raids and the wire steal protocol).
+    ``tasks_recalled``
+        Of the wire-stolen tasks, those their worker gave up *while it
+        was inside a task* (its watchdog answered the steal request):
+        frame mates taken back from behind a head that outran its
+        estimate, instead of waiting for it (proc/dist; 0 on backends
+        without a wire).
     ``placement_locality_hits``
         Driver-tier placements where the chosen worker already held at
         least one of the task's argument objects.
@@ -46,6 +52,7 @@ class SchedCounters:
     tasks_spilled: int = 0
     tasks_placed_global: int = 0
     tasks_stolen: int = 0
+    tasks_recalled: int = 0
     placement_locality_hits: int = 0
     frames_sent: int = 0
     tasks_shipped: int = 0
@@ -57,6 +64,7 @@ class SchedCounters:
             "tasks_spilled": self.tasks_spilled,
             "tasks_placed_global": self.tasks_placed_global,
             "tasks_stolen": self.tasks_stolen,
+            "tasks_recalled": self.tasks_recalled,
             "placement_locality_hits": self.placement_locality_hits,
             "frames_sent": self.frames_sent,
             "tasks_shipped": self.tasks_shipped,

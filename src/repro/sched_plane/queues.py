@@ -28,20 +28,29 @@ class LocalTaskQueue:
     Entries are ``(task_id, item)`` pairs; ``item`` is whatever the
     owner runs (a payload dict in the proc worker, a TaskSpec in the
     local runtime and in the driver-side mirrors).  All operations are
-    O(1) amortized; the class is unsynchronized — owners are
-    single-threaded, mirrors are touched under the runtime lock.
+    O(1) amortized; the class is unsynchronized — a proc worker touches
+    its queue under its send lock (the main thread runs from it, the
+    watchdog thread grants from it), mirrors are touched under the
+    runtime lock.
 
     A task pushed with ``produces=`` (the ids of the objects it will
     return) is also findable by any of them through :meth:`producer_of`:
     what lets an owner blocked on an object run the queued task that
     makes it.  Every way out of the queue retires the task's index
     entries with it, so the index is exactly the queue's contents.
+
+    ``pushed`` counts every task ever pushed.  A mirror's length
+    overstates what its worker could still give away (a task the worker
+    is running, or has run and not yet reported, is still mirrored), so
+    the steal broker remembers the count at which a victim granted
+    nothing and does not ask again until it has moved.
     """
 
     def __init__(self) -> None:
         self._items: dict[Any, Any] = {}  # insertion-ordered (py3.7+)
         self._produces: dict[Any, tuple] = {}  # task id -> its return ids
         self._producer: dict[Any, Any] = {}  # return id -> task id
+        self.pushed = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -53,6 +62,7 @@ class LocalTaskQueue:
         if task_id in self._items:
             raise ValueError(f"task {task_id} is already queued")
         self._items[task_id] = item
+        self.pushed += 1
         if produces:
             self._produces[task_id] = produces
             for return_id in produces:

@@ -57,6 +57,14 @@ def run_report(runtime, include_gantt: bool = False, gantt_width: int = 72) -> s
     )
     if inline:
         sections.append(f"  {inline} task(s) ran inline, inside their parent's get")
+    recalled = sum(
+        1 for record in log.filter(kind="task_stolen") if record.get("midtask")
+    )
+    if recalled:
+        sections.append(
+            f"  {recalled} task(s) were recalled: stolen from behind a task "
+            "their worker was still inside"
+        )
 
     profile = utilization(log, num_bins=20)
     sections.append("\n== utilization (mean busy workers per node) ==")
