@@ -11,7 +11,12 @@ proc backend and asserts the PR's acceptance bar directly:
 * micro-batching delivers >= 2x closed-loop throughput over an unbatched
   pool at equal replica count.
 
-Both tests emit their numbers into ``BENCH_e10.json`` (repo root) via
+Under both sits the actor call itself: a third test sends bare bursts
+of calls to one warm actor, on ``proc`` and on ``dist``, and gates how
+many of them ride one ``TASK`` frame — the structural half of "a burst
+pays no round trip per call", which no timing on a shared host can hold.
+
+The tests emit their numbers into ``BENCH_e10.json`` (repo root) via
 ``emit_bench_json`` so CI can diff them against
 ``benchmarks/baselines.json``.
 """
@@ -19,8 +24,9 @@ Both tests emit their numbers into ``BENCH_e10.json`` (repo root) via
 import time
 
 import repro
-from _artifacts import emit_bench_json
+from _artifacts import emit_bench_json, environment_stamp
 from _tables import print_table
+from bench_e6_throughput import _FrameMeter
 
 #: Open-loop SLO probe: pace requests faster than the bar we must clear.
 SLO_REQUESTS = 4000
@@ -36,11 +42,27 @@ SPEEDUP_BATCH = 16
 SPEEDUP_MIN = 2.0
 
 
+#: Bare actor calls: bursts to one warm actor, timed, then metered.
+BURSTS = 5
+BURST_CALLS = 400
+MIN_CALLS_PER_FRAME = 4.0
+
+
 class Echo:
     """The smallest useful replica: identity over a batch or a scalar."""
 
     def __call__(self, value):
         return value
+
+
+@repro.remote
+class Tally:
+    def __init__(self):
+        self.total = 0
+
+    def add(self, value):
+        self.total += value
+        return self.total
 
 
 def _percentile(sorted_values, q):
@@ -197,3 +219,75 @@ def test_e10_batching_speedup(benchmark):
     }
     benchmark.extra_info.update(emitted)
     emit_bench_json("e10", emitted)
+
+
+def _actor_bursts(**pool) -> dict:
+    """Bursts of ``add`` to one warm actor on ``repro.init(**pool)``:
+    calls/s over the timed bursts, then — the meters encode every frame
+    a second time — calls per ``TASK`` frame as counted on the wire over
+    as many untimed ones."""
+    runtime = repro.init(**pool)
+    try:
+        tally = Tally.remote()
+        expected = 0
+
+        def burst():
+            nonlocal expected
+            refs = [tally.add.remote(1) for _ in range(BURST_CALLS)]
+            values = repro.get(refs, timeout=120.0)
+            assert values == list(range(expected + 1, expected + BURST_CALLS + 1))
+            expected += BURST_CALLS
+
+        burst()  # constructor, code, and the method's first timings
+        rates = []
+        for _ in range(BURSTS):
+            start = time.perf_counter()
+            burst()
+            rates.append(BURST_CALLS / (time.perf_counter() - start))
+        with runtime._cond:
+            meters = []
+            for worker in runtime._workers:
+                worker.conn = _FrameMeter(worker.conn)
+                meters.append(worker.conn)
+        for _ in range(BURSTS):
+            burst()
+    finally:
+        repro.shutdown()
+    assert sum(m.tasks for m in meters) == BURSTS * BURST_CALLS
+    return {
+        "calls_per_s": sorted(rates)[len(rates) // 2],
+        "calls_per_frame": BURSTS * BURST_CALLS / sum(m.frames for m in meters),
+    }
+
+
+def test_e10_actor_calls_ride_frames(benchmark):
+    """An actor's calls leave in its lane's order inside dispatch
+    frames: a burst must not cost one frame (one driver round trip) per
+    call, on either wire backend.  The rates are recorded with the
+    machine they were taken on; the gate is calls per frame."""
+    def _both():
+        return {
+            "proc": _actor_bursts(backend="proc", num_workers=2),
+            "dist": _actor_bursts(backend="dist", num_nodes=2, workers_per_node=1),
+        }
+
+    runs = benchmark.pedantic(_both, rounds=1, iterations=1)
+    print_table(
+        f"E10: bare actor calls ({BURSTS} bursts x {BURST_CALLS} to one warm actor)",
+        ["backend", "median calls/s", "calls per TASK frame"],
+        [
+            (name, f"{run['calls_per_s']:,.0f}", f"{run['calls_per_frame']:.1f}")
+            for name, run in runs.items()
+        ],
+    )
+    emitted = {
+        "actor_calls_per_frame": round(runs["proc"]["calls_per_frame"], 1),
+        "actor_calls_per_s": round(runs["proc"]["calls_per_s"]),
+        "dist_actor_calls_per_frame": round(runs["dist"]["calls_per_frame"], 1),
+        "dist_actor_calls_per_s": round(runs["dist"]["calls_per_s"]),
+        "serve_env": environment_stamp(),
+    }
+    benchmark.extra_info.update(emitted)
+    emit_bench_json("e10", emitted)
+    for name, run in runs.items():
+        assert run["calls_per_frame"] >= MIN_CALLS_PER_FRAME, (name, run)

@@ -244,11 +244,13 @@ class _FrameMeter:
 
     def __init__(self, conn):
         self._conn = conn
+        self.frames = 0
         self.frame_bytes = 0
         self.tasks = 0
 
     def send(self, message):
         if message[0] == TASK:
+            self.frames += 1
             self.frame_bytes += len(encode_message(message))
             self.tasks += len(message[1])
         self._conn.send(message)

@@ -7,16 +7,23 @@ half: the ``@remote``-on-a-class front end (:class:`ActorClass`,
 :class:`ActorHandle`), the actor table (:class:`ActorRegistry`), and the
 execution-side resolution both runtimes share.
 
-The runtime-side contract is small and identical on both backends:
+The runtime-side contract is small and identical on every backend:
 
 * ``create_actor`` picks a node with the existing placement machinery,
   registers an :class:`ActorRecord`, and submits the constructor as a
   placed task.  Creation is non-blocking; the handle returns immediately.
-* ``call_actor`` submits one task per method call.  Ordered execution
-  falls out of the dataflow graph: every call carries an *ordering
-  dependency* on the previous call's result object (and the first on the
-  creation object), so no two method tasks of one actor can ever overlap,
-  on any backend, without any per-actor lock.
+* ``call_actor`` submits one task per method call, and the calls of one
+  actor execute in submission order, never overlapping, without any
+  per-actor lock.  Where the order comes from is the backend's choice.
+  On ``sim`` and ``local`` it falls out of the dataflow graph: every
+  call carries an *ordering dependency* on the previous call's result
+  object (and the first on the creation object) —
+  :func:`chain_submission`.  On ``proc`` and ``dist`` it is the actor's
+  *queue*: a call enters its actor's FIFO lane at submission, waits
+  there for its own arguments only, and leaves in lane order inside a
+  dispatch frame for the one process that runs the actor, one call at a
+  time — so a burst of calls costs no driver round trip per call (those
+  runtimes never chain: ``last_call_ref`` stays ``None`` there).
 * Node failure (sim backend) marks every actor whose constructed instance
   lived there as dead; orphaned and future method calls resolve to an
   :class:`~repro.errors.ActorLostError` at ``get`` time, because actor
@@ -26,7 +33,7 @@ The runtime-side contract is small and identical on both backends:
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.object_ref import ObjectRef
@@ -100,8 +107,12 @@ class ActorRecord:
     instance: Any = None
     dead: bool = False
     #: Result ref of the most recent submission (creation or method call);
-    #: the next call's ordering dependency.
+    #: the next call's ordering dependency — on the runtimes that order
+    #: by dataflow (:func:`chain_submission`); None on those that do not.
     last_call_ref: Optional[ObjectRef] = None
+    #: One function id per method, minted at its first call: what a
+    #: runtime keys a method's measured execution time on.
+    method_ids: dict = field(default_factory=dict)
     num_calls: int = 0
     methods_executed: int = 0
     #: Runtime-wide name (``ActorOptions.name``); None for anonymous actors.
@@ -109,6 +120,11 @@ class ActorRecord:
     #: The user-facing handle, kept so ``get_actor(name)`` can return an
     #: identical handle (same method surface) as the creating call did.
     handle: Any = None
+    #: The actor's tasks in submission order, on the runtimes where that
+    #: queue is the actor's order (``proc``/``dist``: set by
+    #: ``create_actor``, so every live record there has one); None on
+    #: those that order by dataflow.
+    lane: Any = field(default=None, repr=False)
 
 
 class ActorRegistry:
@@ -173,12 +189,11 @@ class ActorRegistry:
                 lost.append(record)
         return lost
 
+    def on_node(self, node_id: NodeID) -> list[ActorRecord]:
+        return [r for r in self._records.values() if r.node_id == node_id]
+
     def alive_on_node(self, node_id: NodeID) -> list[ActorRecord]:
-        return [
-            r
-            for r in self._records.values()
-            if r.node_id == node_id and not r.dead
-        ]
+        return [r for r in self.on_node(node_id) if not r.dead]
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +238,8 @@ def build_call_spec(
     submitted_from: Optional[NodeID],
     num_returns: int = 1,
 ) -> TaskSpec:
-    """One method-call task, chained on the actor's previous submission.
+    """One method-call task, chained on the actor's previous submission
+    if the runtime chains them (``record.last_call_ref``).
 
     ``num_returns=k`` allocates k return objects exactly like stateless
     multi-return tasks: the method must return a sequence of k values,
@@ -238,10 +254,13 @@ def build_call_spec(
             f"{record.class_name}.{method_name}: must be an int >= 1"
         )
     extra = (record.last_call_ref,) if record.last_call_ref is not None else ()
+    function_id = record.method_ids.get(method_name)
+    if function_id is None:
+        function_id = record.method_ids[method_name] = ids.function_id()
     return_ids = tuple(ids.object_id() for _ in range(num_returns))
     return TaskSpec(
         task_id=ids.task_id(),
-        function_id=ids.function_id(),
+        function_id=function_id,
         function_name=f"{record.class_name}.{method_name}",
         args=tuple(args),
         kwargs=dict(kwargs),

@@ -60,7 +60,6 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.actors import (
     CREATION_METHOD,
     REMOTE_INSTANCE,
-    actor_lost_error_value,
     register_instance,
 )
 from repro.core.worker import ErrorValue, error_value_from
@@ -1113,33 +1112,15 @@ class DistRuntime(ProcRuntime):
         for spec in doomed:
             self._resolve_crashed_task(spec, link.node_index)
         survivor = self._any_live_worker()
-        while worker.pinned:
-            spec = worker.pinned.popleft()
-            record = self.actors.get(spec.actor_id) if spec.actor_id else None
-            if record is None:
-                self._queue.append(spec)
-            elif record.dead:
-                self._store_error_all_returns(
-                    spec, actor_lost_error_value(spec, record)
-                )
-            elif survivor is not None:
-                # Unconstructed actor: its creation never ran, so it can
-                # re-home to a surviving worker with no state lost.
-                record.node_id = survivor.node_id
-                survivor.actors_bound += 1
-                spec.placement_hint = survivor.node_id
-                survivor.pinned.append(spec)
-            else:
+        if survivor is None:
+            for record in self.actors.alive_on_node(worker.node_id):
                 record.dead = True
-                self._store_error_all_returns(
-                    spec, actor_lost_error_value(spec, record)
-                )
-        for record in self.actors.alive_on_node(worker.node_id):
-            if survivor is not None:
-                record.node_id = survivor.node_id
-                survivor.actors_bound += 1
-            else:
-                record.dead = True
+        for lane in self._fail_lanes_on(worker):
+            # Unconstructed actor: its creation never ran, so it can
+            # re-home to a surviving worker with no state lost.
+            lane.record.node_id = survivor.node_id
+            survivor.actors_bound += 1
+            self._wake_lane(lane)
         for spec in replaced:
             self._enqueue(spec)
 

@@ -31,7 +31,10 @@ it was born, is this one positional tuple, written by
   ``"options"`` (a non-default :class:`~repro.core.task.TaskOptions`:
   display name, ``num_returns``, replay budget), ``"root"``/``"parent"``
   (trace context of a nested task), ``"actor"`` (``(actor_id, method,
-  class_name, resources)``), ``"code"`` (an actor constructor's
+  class_name, resources)`` — on a frame's first entry it also says the
+  frame is that actor's *window*, below; an actor entry's
+  ``function_hex`` is its method's stable id, which only the driver's
+  estimates read), ``"code"`` (an actor constructor's
   class — the one piece of code that is not a registered function) and
   ``"deps"`` (a worker-born entry's ref arguments, by id: the driver
   never unpickles ``call_bytes``, and pins what a task depends on).
@@ -57,6 +60,15 @@ workers (steals, crash replay) like any registered function.
   ``STEAL_REQUEST`` may give them away, a task that blocks on one runs
   it inline, and the driver mirrors them for crash re-homing exactly
   like locally-born tasks.
+* **An actor's window** is the exception.  A frame whose first entry is
+  an actor call carries calls of that one actor, in the order they were
+  submitted, and the worker runs them through back to back without
+  queueing them: the order of the entries is the actor's order.  The
+  driver registers all of them as handed over to *run* — committed to
+  that worker, nothing a ``STEAL_REQUEST`` can reach, lost with the
+  actor if the worker dies — and ships no further call of that actor
+  until every one is reported (a call dispatched onto a worker blocked
+  in an earlier call of the same actor would run on top of it).
 * **What a blocked worker does with its own queue.**  Before a task
   sends ``GET``/``WAIT``, its worker runs inline — on the blocked task's
   stack, control drained and the caller's deadline checked before each
@@ -78,8 +90,9 @@ workers (steals, crash replay) like any registered function.
   estimate can be wrong by any factor, and what it gets wrong the
   worker gives back — it answers ``STEAL_REQUEST``/``CANCEL_NOTICE``
   while a task runs (below).  A function with no estimate yet, or one
-  estimated above the budget, ships alone.  Actor tasks always ship
-  alone: their ordering and their pinning leave nothing to window.
+  estimated above the budget, ships alone.  An actor's methods are
+  estimated the same way (per actor and method), and its window is
+  filled from its own calls only; a constructor always ships alone.
 * ``(DONE, [(task_hex, [blob, ...], failed, exec_seconds), ...], idle)``
   — what DONE carries per task is the raw id the entry came with, one
   blob per return slot (result bytes, or a :class:`ShmDescriptor` the

@@ -7,9 +7,9 @@ Architecture (one instance = one pool):
   keeps children free of inherited locks/threads and mirrors how real
   cluster workers boot from nothing.
 * One **service thread** per worker on the driver side.  It claims a
-  frame of runnable tasks for its idle worker (the worker's pinned actor
-  tasks, what the driver tier placed on it, the global queue, or a
-  steal), ships it over the pipe, and then *serves* the worker's
+  frame of runnable tasks for its idle worker (a window of one of its
+  pinned actors' calls, what the driver tier placed on it, the global
+  queue, or a steal), ships it over the pipe, and then *serves* the worker's
   requests — argument fetches, nested submissions, blocking ``get``/
   ``wait``, ``put``, actor operations — and reports until the worker says
   its queue is drained.  Service threads mostly sleep in ``recv``; user
@@ -18,8 +18,10 @@ Architecture (one instance = one pool):
   workers.
 * The shared core from the other backends does the semantics:
   :class:`~repro.core.dependencies.DependencyTracker` gates readiness,
-  :mod:`repro.core.protocol` validates and unwraps, the actor-table
-  helpers in :mod:`repro.core.actors` chain ordered method delivery, and
+  :mod:`repro.core.protocol` validates and unwraps, the actor table
+  is :mod:`repro.core.actors`' (ordered method delivery is this
+  module's: an actor's calls queue in its :class:`_ActorLane` and leave
+  in that order, a window per dispatch frame), and
   results/arguments live as bytes in a
   :class:`~repro.objectstore.store.LocalObjectStore` (results pinned —
   they are the only replica).
@@ -39,7 +41,7 @@ Architecture (one instance = one pool):
   lands on, warm).  What holds an object, and nothing else does: a live
   :class:`~repro.core.object_ref.ObjectRef` *handle* in this process
   (counted by a :class:`~repro.core.object_ref.RefLedger`); a *task
-  pin* — a submitted task pins its arguments and ordering dependencies
+  pin* — a submitted task pins its arguments
   until its completion is applied (or it is cancelled or resolved to an
   error), so any replay finds them; a *born-in-task hold* — an id born
   inside a task on a worker is held until that task's ``DONE`` is
@@ -98,12 +100,12 @@ from repro.core import lifecycle
 from repro.core.actors import (
     CREATION_METHOD,
     ActorHandle,
+    ActorRecord,
     ActorRegistry,
     REMOTE_INSTANCE,
     actor_lost_error_value,
     build_call_spec,
     build_creation_spec,
-    chain_submission,
     get_actor_handle,
     handle_for,
     register_instance,
@@ -240,13 +242,14 @@ class _WorkerHandle:
     conn: Any = None
     process: Any = None
     thread: Optional[threading.Thread] = None
-    #: Actor tasks pinned to this worker (its actors' constructors and
-    #: method calls); drained before the shared queue.
+    #: The lanes (:class:`_ActorLane`) of actors pinned to this worker
+    #: that have a call to dispatch; drained before the shared queue.
     pinned: deque = field(default_factory=deque)
     #: Specs the child was handed to *run*, by raw task id (the hex the
     #: wire carries) in hand-over order, so the values read as its
-    #: stack: the head of the frame it is working through plus any tasks
-    #: running reentrantly while that one blocks.
+    #: stack: the head of the frame it is working through — every call
+    #: of an actor's window — plus any tasks running reentrantly while
+    #: that one blocks.
     inflight: dict = field(default_factory=dict)
     #: Stateless tasks the driver tier placed here (locality-aware),
     #: shipped when the worker next idles.
@@ -284,6 +287,30 @@ class _WorkerHandle:
     alive: bool = True
     tasks_done: int = 0
     actors_bound: int = 0
+
+
+@dataclass
+class _ActorLane:
+    """One actor's tasks in submission order — the constructor, then
+    every method call: where the actor's order comes from.  It hangs off
+    the actor's record (``ActorRecord.lane``, set by ``create_actor``).
+
+    A task enters at submission, waits for its own arguments only, and
+    leaves from the head, in a dispatch frame for the actor's worker.
+    That worker runs a frame's calls back to back, so FIFO here plus one
+    executor there is the actor's total order — provided the worker
+    never holds two frames of one actor at once, which a blocked call
+    would let the second overtake (it runs reentrantly, on top of the
+    blocked one): while any dispatched call is unreported (``open``),
+    the lane dispatches nothing more."""
+
+    record: ActorRecord
+    #: Submitted, not dispatched yet.
+    calls: deque = field(default_factory=deque)
+    #: Dispatched (claimed for a frame) and not reported yet.
+    open: int = 0
+    #: On its worker's ``pinned`` deque (once, however often it is woken).
+    queued: bool = False
 
 
 def _queue_length(worker: _WorkerHandle) -> int:
@@ -603,15 +630,33 @@ class ProcRuntime:
             self._place_bottom_up(spec)
             return
         record = self.actors.get(spec.actor_id)
-        home = self._by_node.get(record.node_id) if record is not None else None
-        if record is not None and not record.dead and home is not None and home.alive:
-            home.pinned.append(spec)
-            self._obs_placed(spec, home)
+        if record is None or record.dead:
+            # Dead/unknown actor: any service thread resolves it to an
+            # error through the pre-dispatch check.
+            self._queue.append(spec)
+            self._obs_placed(spec, None)
             return
-        # Dead/unknown actor: any service thread may resolve it to an
-        # error through the pre-dispatch check.
-        self._queue.append(spec)
-        self._obs_placed(spec, None)
+        # It has stood in its actor's lane since submission; being
+        # runnable, it may be what the lane's head was waiting for.
+        self._obs_placed(spec, self._wake_lane(record.lane))
+
+    def _wake_lane(self, lane: _ActorLane) -> Optional[_WorkerHandle]:
+        """Put the lane before its actor's worker if it has something to
+        dispatch (lock held): a head whose arguments are in, and no call
+        still out.  Called wherever one of the two may have become true;
+        returns the worker (None while the actor is between homes: the
+        crash path wakes its lane again once it has one)."""
+        home = self._by_node.get(lane.record.node_id)
+        if (
+            home is not None
+            and not lane.queued
+            and not lane.open
+            and lane.calls
+            and not self._deps.is_waiting(lane.calls[0].task_id)
+        ):
+            lane.queued = True
+            home.pinned.append(lane)
+        return home
 
     def _obs_placed(
         self, spec: TaskSpec, home: Optional[_WorkerHandle]
@@ -684,8 +729,10 @@ class ProcRuntime:
         """Create a process-pinned actor; returns its handle immediately.
 
         The constructor runs on the chosen worker process and the live
-        instance stays there; every method call follows it (ordered by the
-        dataflow chain, like every other backend).  ``name`` registers the
+        instance stays there; every method call follows it through the
+        actor's lane (:class:`_ActorLane`), which the constructor heads:
+        it ships alone (nothing estimates it) and no call leaves before
+        it is reported.  ``name`` registers the
         actor for :meth:`get_actor` lookup (collisions with a live holder
         raise).
         """
@@ -711,7 +758,7 @@ class ProcRuntime:
                 node=home.node_id,
             )
             home.actors_bound += 1
-            chain_submission(record, spec)
+            record.lane = _ActorLane(record, deque([spec]))
             handle = handle_for(record, actor_class)
             record.handle = handle
             self._submit_spec(spec)
@@ -734,9 +781,10 @@ class ProcRuntime:
         """Submit one actor method invocation; returns its future
         (a tuple of ``num_returns`` futures when more than one).
 
-        The ordering dependency on the previous call's result object is
-        what serializes the actor's methods — no per-actor lock exists,
-        and the pinned queue only routes, never orders.
+        The call joins its actor's lane (:class:`_ActorLane`) here, and
+        the lane's order is what serializes the actor's methods — there
+        is no per-actor lock, and no dependency on the previous call's
+        result: a call waits for its own arguments and for nothing else.
         """
         with self._cond:
             return self._call_actor(
@@ -752,8 +800,9 @@ class ProcRuntime:
         num_returns: int,
         born_in: Optional[str] = None,
     ) -> TaskSpec:
-        """Build, chain and submit one actor call (lock held);
-        ``born_in`` is the raw id of the worker task that made it."""
+        """Build one actor call, stand it in its actor's lane and submit
+        it (lock held); ``born_in`` is the raw id of the worker task
+        that made it."""
         self._check_open()
         record = self.actors.get(actor_id)
         if record is None:
@@ -762,10 +811,12 @@ class ProcRuntime:
             self.ids, record, method_name, args, kwargs,
             self.head_node_id, num_returns=num_returns,
         )
-        chain_submission(record, spec)
+        record.num_calls += 1
         self._control.async_actor_update(actor_id, method_inc=True)
         if born_in is not None:
             self._hold_born(born_in, spec.all_return_ids())
+        if not record.dead:
+            record.lane.calls.append(spec)
         self._submit_spec(spec)
         return spec
 
@@ -828,8 +879,8 @@ class ProcRuntime:
         if self._shm is not None:
             serialized = serialize_buffers(value)
             if not should_inline(serialized.total_bytes, self._inline_threshold):
-                return self._put_large(value, serialized)
-            data = serialized.in_band_bytes() or serialize(value)
+                return self._put_large(serialized)
+            data = serialized.joined()
         else:
             data = serialize(value)
         with self._cond:
@@ -838,7 +889,7 @@ class ProcRuntime:
             self._store_bytes(ref.object_id, data)
         return ref
 
-    def _put_large(self, value: Any, serialized) -> ObjectRef:
+    def _put_large(self, serialized) -> ObjectRef:
         """A large driver-side put: two-phase shm write so the multi-MB
         frame copy never runs under the runtime lock (the allocation is
         pending+pinned meanwhile), with pipe fallback on a full budget.
@@ -860,9 +911,9 @@ class ProcRuntime:
                 self._acct_shm.record_zero_copy(serialized.frame_bytes)
                 self._object_arrived(object_id)
             return ObjectRef(object_id)
-        # Budget full: the pipe store still works.  The re-join pickle
-        # also happens outside the lock.
-        data = serialized.in_band_bytes() or serialize(value)
+        # Budget full: the pipe store still works.  The join (one copy
+        # of the payload) also happens outside the lock.
+        data = serialized.joined()
         with self._cond:
             self._note_pipe_fallback(serialized.total_bytes)
             self._store_bytes(object_id, data)
@@ -1264,15 +1315,20 @@ class ProcRuntime:
     def _pop_runnable(
         self, worker: _WorkerHandle, *, raid: bool = False
     ) -> Optional[TaskSpec]:
-        """The next spec this worker may run, or None (lock held): its
-        pinned actor tasks first, then its placed queue and the global
-        queue, then — ``raid`` — another worker's placed queue.  A task
-        cancelled while queued is dropped here and never shipped; actor
-        tasks pass their pre-dispatch checks."""
+        """The next spec this worker may run, or None (lock held): the
+        head of a pinned actor's lane first, then its placed queue and
+        the global queue, then — ``raid`` — another worker's placed
+        queue.  A task cancelled while queued is dropped here and never
+        shipped; actor tasks pass their pre-dispatch checks."""
         while True:
             if worker.pinned:
-                spec = worker.pinned.popleft()
-            elif worker.placed:
+                lane = worker.pinned.popleft()
+                lane.queued = False
+                spec = self._claim_lane_head(worker, lane)
+                if spec is None:
+                    continue
+                return spec
+            if worker.placed:
                 spec = worker.placed.popleft()
             elif self._queue:
                 spec = self._queue.popleft()
@@ -1283,9 +1339,12 @@ class ProcRuntime:
             if self._dropped_cancelled(spec):
                 continue
             if spec.actor_id is not None:
-                spec = self._claim_actor_spec(worker, spec)
-                if spec is None:
-                    continue
+                # Only a dead or unknown actor's tasks take the global
+                # queue (``_enqueue``): here they become its error.
+                self._store_error_all_returns(
+                    spec, self._actor_predispatch_error(spec)
+                )
+                continue
             return spec
 
     def _dropped_cancelled(self, spec: TaskSpec) -> bool:
@@ -1299,22 +1358,38 @@ class ProcRuntime:
         self._payloads.pop(spec.task_id.hex, None)
         return True
 
-    def _claim_actor_spec(
-        self, worker: _WorkerHandle, spec: TaskSpec
+    def _claim_lane_head(
+        self, worker: _WorkerHandle, lane: _ActorLane
     ) -> Optional[TaskSpec]:
-        """Pre-dispatch checks for an actor task (lock held): resolve it
-        to an error if its actor is dead/unbound, bounce it to its own
-        worker if it was re-homed, else claim it for ``worker``."""
-        error = self._actor_predispatch_error(spec)
-        if error is not None:
-            self._store_error_all_returns(spec, error)
-            return None
-        record = self.actors.get(spec.actor_id)
-        if record.node_id != worker.node_id:
-            self._enqueue(spec)
+        """Open a window on ``lane`` for ``worker``: its head task, or
+        None if it has nothing to dispatch after all (lock held).  Tasks
+        that fail their pre-dispatch checks (the constructor failed)
+        resolve to that error on the way; a lane whose actor was
+        re-homed since it was queued goes before its new worker."""
+        if lane.record.node_id != worker.node_id:
+            self._wake_lane(lane)
             self._cond.notify_all()
             return None
-        return spec
+        while lane.calls:
+            spec = lane.calls[0]
+            if self._deps.is_waiting(spec.task_id):
+                break
+            lane.calls.popleft()
+            error = self._actor_predispatch_error(spec)
+            if error is None:
+                lane.open = 1
+                return spec
+            self._store_error_all_returns(spec, error)
+        return None
+
+    def _settle_call(self, spec: TaskSpec) -> None:
+        """One dispatched task of an actor is accounted for — reported
+        done, or resolved to an error unsent (lock held); the last one
+        of a window lets the lane dispatch again."""
+        lane = self.actors.get(spec.actor_id).lane
+        lane.open -= 1
+        if not lane.open:
+            self._wake_lane(lane)
 
     def _store_error_all_returns(self, spec: TaskSpec, error: ErrorValue) -> None:
         """Store one error value into *every* return slot of a spec
@@ -1403,22 +1478,42 @@ class ProcRuntime:
     def _claim_frame(self, worker: _WorkerHandle) -> list:
         """Pop the specs of this worker's next TASK frame (lock held).
 
-        The head is whatever it would have been handed alone; stateless
-        tasks queued behind it ride along while the frame's *estimated*
-        work stays within ``FRAME_BUDGET_S`` — the one frame rule, on
-        every wire backend: what the estimate gets wrong the worker
-        gives back (``ProcWorker._watch_done``).  An actor task, a
-        function with no estimate yet, or one estimated over the budget
-        therefore ships alone."""
+        The head is whatever it would have been handed alone; what is
+        queued behind it rides along while the frame's *estimated* work
+        stays within ``FRAME_BUDGET_S`` — the one frame rule, on every
+        wire backend.  Behind a stateless head that is stateless tasks
+        (what the estimate gets wrong the worker gives back,
+        ``ProcWorker._watch_done``); behind an actor call, the following
+        calls of the *same* actor's lane whose arguments are in — a
+        window never mixes actors, and all of it counts against the lane
+        as dispatched (``_ActorLane.open``).  A function or method with
+        no estimate yet (so every constructor), or one estimated over
+        the budget, therefore ships alone."""
         head = self._pop_runnable(worker, raid=True)
         if head is None:
             return []
         frame = [head]
         spent = self._estimate(head)
+        if head.actor_id is not None:
+            lane = self.actors.get(head.actor_id).lane
+            calls = lane.calls
+            while (
+                spent is not None
+                and spent < msg.FRAME_BUDGET_S
+                and calls
+                and not self._deps.is_waiting(calls[0].task_id)
+            ):
+                cost = self._estimate(calls[0])
+                if cost is None or spent + cost > msg.FRAME_BUDGET_S:
+                    break
+                frame.append(calls.popleft())
+                spent += cost
+            lane.open = len(frame)
+            return frame
         while spent is not None and spent < msg.FRAME_BUDGET_S:
             source = worker.placed or self._queue
-            if not source:
-                break
+            if not source or source[0].actor_id is not None:
+                break  # nothing, or a dead actor's call on its way to its error
             cost = self._estimate(source[0])
             if cost is None or spent + cost > msg.FRAME_BUDGET_S:
                 break
@@ -1430,10 +1525,9 @@ class ProcRuntime:
 
     def _estimate(self, spec: TaskSpec) -> Optional[float]:
         """Estimated execution seconds of one task for frame sizing, or
-        None when there is nothing to go on (actor tasks, functions not
-        yet seen to complete, worker-born one-off function ids)."""
-        if spec.actor_id is not None:
-            return None
+        None when there is nothing to go on (functions and actor methods
+        not yet seen to complete, constructors, worker-born one-off
+        function ids)."""
         estimate = self._exec_estimate.get(spec.function_id)
         if estimate is None:
             return None
@@ -1556,6 +1650,25 @@ class ProcRuntime:
         unpicklable code) resolves to an error value in every slot."""
         with self._cond:
             self._store_error_all_returns(spec, error_value_from(spec, exc))
+            if spec.actor_id is not None:
+                self._settle_call(spec)
+
+    def _return_unshipped(self, specs: list) -> None:
+        """A claimed frame whose worker died before it was sent goes
+        back where it was claimed from (lock held): stateless tasks to
+        the plane, an actor's to the front of its lane, in order — or,
+        the actor having died with the worker, to their error."""
+        for spec in reversed(specs):
+            if spec.actor_id is None:
+                self._enqueue(spec)
+                continue
+            lane = self.actors.get(spec.actor_id).lane
+            lane.open -= 1
+            if lane.record.dead:
+                self._queue.append(spec)
+            else:
+                lane.calls.appendleft(spec)
+                self._wake_lane(lane)
 
     def _ship_frame(self, worker: _WorkerHandle, specs: list) -> bool:
         """Encode, register and send one TASK frame; False if nothing was
@@ -1567,7 +1680,11 @@ class ProcRuntime:
         cancelled in the meantime is dropped, unshipped.  The rest
         become the worker's: the head joins its ``inflight`` table (it
         runs on arrival), the tail its mirror (queued there, and from
-        now on stealable, cancellable, re-homable).  Registration and
+        now on stealable, cancellable, re-homable) — unless the frame is
+        an actor's window, which is ``inflight`` whole: the worker runs
+        it through without queueing it, so it is committed there — not
+        stealable, not re-homable, and lost with the actor if the
+        worker dies.  Registration and
         taking the pipe's send lock happen under one hold of the runtime
         lock, so a CANCEL_NOTICE for a mirrored task can only ever
         follow the frame that carries it."""
@@ -1589,8 +1706,7 @@ class ProcRuntime:
             if not worker.alive:
                 # The worker died under us (dist: its node's link).
                 # Nothing was sent, so nothing is lost: back to the plane.
-                for spec, _entry in encoded:
-                    self._enqueue(spec)
+                self._return_unshipped([spec for spec, _entry in encoded])
                 self._cond.notify_all()
                 return False
             shipped = [
@@ -1601,19 +1717,25 @@ class ProcRuntime:
                 return False
             head, head_entry = shipped[0]
             worker.inflight[head_entry[0]] = head
-            for spec, entry in shipped[1:]:
-                worker.mirror.push(entry[0], spec)
+            if head.actor_id is None:
+                for spec, entry in shipped[1:]:
+                    worker.mirror.push(entry[0], spec)
+            else:
+                for spec, entry in shipped[1:]:
+                    worker.inflight[entry[0]] = spec
             self._sched.frames_sent += 1
             self._sched.tasks_shipped += len(shipped)
             if self._obs.enabled:
-                self._obs.record(
-                    "task_frame",
-                    worker=f"worker-{worker.index}",
-                    size=len(shipped),
-                    est_ms=1e3 * sum(
+                span = {
+                    "worker": f"worker-{worker.index}",
+                    "size": len(shipped),
+                    "est_ms": 1e3 * sum(
                         self._estimate(spec) or 0.0 for spec, _ in shipped
                     ),
-                )
+                }
+                if head.actor_method not in (None, CREATION_METHOD):
+                    span["actor"] = str(head.actor_id)
+                self._obs.record("task_frame", **span)
             worker.send_lock.acquire()
         try:
             worker.functions_sent.update(functions)
@@ -1660,7 +1782,10 @@ class ProcRuntime:
             times: dict = {}
             for task_hex, blobs, failed, exec_seconds in completions:
                 spec = self._finish_done(worker, task_hex, blobs, failed)
-                if spec is not None and spec.function_id in self._functions:
+                if spec is not None and (
+                    spec.function_id in self._functions
+                    or spec.actor_method not in (None, CREATION_METHOD)
+                ):
                     times.setdefault(spec.function_id, []).append(exec_seconds)
             for function_id, samples in times.items():
                 self._note_exec_times(function_id, samples)
@@ -1794,6 +1919,8 @@ class ProcRuntime:
             if self._payloads:
                 self._payloads.pop(task_hex, None)
             self._finish_spec(worker, spec, blobs, failed)
+            if spec.actor_id is not None:
+                self._settle_call(spec)
         if self._born_in:
             self._drop_born(task_hex)
         return spec
@@ -2171,7 +2298,7 @@ class ProcRuntime:
         self, worker: _WorkerHandle, object_ids: list, timeout: Optional[float]
     ) -> list:
         """A worker-side ``get``: like the driver's, but while blocked it
-        keeps the worker's pinned actor queue moving (see
+        keeps the worker's pinned actors' lanes moving (see
         :meth:`_wait_serving`) so an actor task cannot deadlock against
         the very worker that must run it."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -2197,7 +2324,7 @@ class ProcRuntime:
     ) -> list:
         """A worker-side ``wait`` (the worker validated its arguments
         and partitions its own refs): the ready ids, after the same
-        pinned-queue service as get."""
+        lane service as get."""
         deadline = None if timeout is None else time.monotonic() + timeout
         self._wait_serving(
             worker,
@@ -2219,13 +2346,17 @@ class ProcRuntime:
         deadline: Optional[float],
     ) -> bool:
         """Block until ``predicate()`` holds (True) or the deadline passes
-        (False), dispatching the worker's pinned actor tasks in the
+        (False), dispatching the worker's pinned actors' calls in the
         meantime.
 
         ``worker``'s child process is parked in ``recv`` awaiting our
         reply, so tasks pinned to it — possibly the very ones the blocked
-        task is getting — can only run if we feed them to it now; the
-        child executes them reentrantly (see ``ProcWorker.rpc``).
+        task is getting — can only run if we feed them to it now, one
+        at a time; the child executes them reentrantly, on top of the
+        blocked task (see ``ProcWorker.rpc``).  Which is why a lane with
+        a call still out dispatches nothing (``_ActorLane.open``): the
+        blocked task may *be* that call, and its successor, run on top
+        of it, would overtake it.  Other actors' lanes keep moving.
 
         A blocked worker stays a full execution resource, which is
         what makes a fully-blocked pool deadlock-free:
@@ -2623,35 +2754,41 @@ class ProcRuntime:
                 self._shm.reclaim_client(worker.index + 1)
             for spec in doomed:
                 self._resolve_crashed_task(spec)
-            rehome: list[TaskSpec] = []
-            while worker.pinned:
-                spec = worker.pinned.popleft()
-                record = self.actors.get(spec.actor_id) if spec.actor_id else None
-                if record is not None and record.dead:
-                    self._store_error_all_returns(
-                        spec, actor_lost_error_value(spec, record)
-                    )
-                elif record is not None:
-                    rehome.append(spec)  # constructor never ran: recoverable
-                else:
-                    self._queue.append(spec)
+            survivors = self._fail_lanes_on(worker)
             replacement = self._spawn_worker(worker.index)
-            # Every surviving actor record still homed on the dead node is
-            # an unconstructed actor (mark_dead_on_node killed the rest) —
-            # re-point them all at the replacement, including those whose
-            # creation spec is still *parked* in the DependencyTracker:
-            # when it becomes runnable, _enqueue routes by record.node_id,
-            # and a stale pointer would make it bounce between service
-            # threads forever.
-            for record in self.actors.alive_on_node(worker.node_id):
-                record.node_id = replacement.node_id
+            # Every surviving actor still homed on the dead node is an
+            # unconstructed one (mark_dead_on_node killed the rest; its
+            # constructor never ran, so nothing is lost): re-point them
+            # all at the replacement — a lane goes where its record
+            # points, whether its constructor is runnable yet or not.
+            for lane in survivors:
+                lane.record.node_id = replacement.node_id
                 replacement.actors_bound += 1
-            for spec in rehome:
-                spec.placement_hint = replacement.node_id
-                replacement.pinned.append(spec)
+                self._wake_lane(lane)
             for spec in replaced:
                 self._enqueue(spec)
             self._cond.notify_all()
+
+    def _fail_lanes_on(self, worker: _WorkerHandle) -> list:
+        """The actors homed on a lost worker, after its in-flight tasks
+        were resolved (lock held).  A dead actor's lane is emptied into
+        :class:`~repro.errors.ActorLostError` — the calls whose
+        arguments are in, now; one still parked on an argument, through
+        the global queue when that arrives — and stays empty.  Returns
+        the lanes of the live ones (unconstructed), to be re-homed."""
+        survivors = []
+        for record in self.actors.on_node(worker.node_id):
+            lane = record.lane
+            if not record.dead:
+                survivors.append(lane)
+                continue
+            calls, lane.calls = lane.calls, deque()
+            for spec in calls:
+                if not self._deps.is_waiting(spec.task_id):
+                    self._store_error_all_returns(
+                        spec, actor_lost_error_value(spec, record)
+                    )
+        return survivors
 
     def _retire_worker(self, worker: _WorkerHandle) -> tuple:
         """What every way of losing a worker starts with (lock held):
@@ -2677,6 +2814,11 @@ class ProcRuntime:
         for _task_hex, mirrored in worker.mirror.drain():
             if mirrored not in doomed:
                 doomed.append(mirrored)
+        # Lanes waiting here for dispatch go back to standing nowhere:
+        # the crash path fails or re-homes them (``_fail_lanes_on``).
+        for lane in worker.pinned:
+            lane.queued = False
+        worker.pinned.clear()
         replaced = list(worker.placed)
         worker.placed.clear()
         for spec in replaced:

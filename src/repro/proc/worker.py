@@ -29,7 +29,9 @@ own collision-free namespace — enqueues it to itself, and tells the
 driver with a one-way ``SUBMIT_LOCAL`` notice: **zero driver
 round-trips** on the submission path.  Driver-born work arrives in
 ``TASK`` frames whose tail lands on the same queue (shipped ahead of
-need), and completions go back coalesced in ``DONE`` frames — see
+need) — except an actor's window, which is run through in frame order
+without being queued (``_run_frame``) — and completions go back
+coalesced in ``DONE`` frames — see
 :mod:`repro.proc.messages` for the frame protocol.  The worker drains
 the queue until it is empty, answers ``STEAL_REQUEST``\\ s by granting
 the tail of the queue (ownership makes the grant race-free: what it
@@ -203,7 +205,7 @@ class WorkerRuntime:
                     worker.rpc(msg.SHM_SEAL, granted.object_id, worker.cur_hex())
                     worker.note_shm(granted)
                     return ObjectRef(granted.object_id)
-            data = serialized.in_band_bytes() or serialize(value)
+            data = serialized.joined()
         else:
             data = serialize(value)
         object_id = worker.rpc(msg.PUT, data, worker.cur_hex())
@@ -742,12 +744,25 @@ class ProcWorker:
 
         The head is what the driver handed this worker to *run*; the
         tail was shipped ahead of need and stays stealable, cancellable
-        and re-homable until the queue reaches it."""
+        and re-homable until the queue reaches it.
+
+        An actor's window (a frame headed by an actor call holds calls
+        of that one actor and nothing else) is not queued: its order is
+        the actor's order, and the driver keeps every call of it
+        in-flight here, so it runs through, back to back, wherever the
+        frame arrived — a session's start or a blocked task's rpc.  Its
+        completions are held like a stateless tail's, under the same
+        flush points (a call that blocks reports its predecessors first:
+        ``rpc``), with the watchdog armed for a call that computes on."""
         _, entries, functions = message
         if functions:
             msg.register_functions(self._templates, functions)
             for function_hex, (_name, code) in functions.items():
                 self._functions[function_hex] = code
+        if len(entries) > 1 and "actor" in (entries[0][5] or ()):
+            for entry in entries:
+                self._run_queued((entry, True))
+            return
         if len(entries) > 1:
             with self._out_lock:
                 for entry in entries[1:]:
@@ -1075,10 +1090,9 @@ class ProcWorker:
                     # the task was cancelled mid-run — a remembered
                     # descriptor could alias a reused slot.
                     return granted
-            # Small (or shm refused): the plain pipe path — reusing the
-            # in-band stream unless buffers went out-of-band, in which
-            # case the value must be re-pickled joined.
-            return serialized.in_band_bytes() or serialize(value)
+            # Small (or shm refused): the plain pipe path, from the
+            # parts already pickled.
+            return serialized.joined()
         return serialize(value)
 
     def _resolve_call(self, call_bytes: bytes, inline: Optional[dict], pinned: list):

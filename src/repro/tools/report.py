@@ -66,6 +66,15 @@ def run_report(runtime, include_gantt: bool = False, gantt_width: int = 72) -> s
             "their worker was still inside"
         )
 
+    windows = [
+        record for record in log.filter(kind="task_frame") if record.get("actor")
+    ]
+    if windows:
+        sections.append(
+            f"  {sum(record.get('size') for record in windows)} actor call(s) "
+            f"rode {len(windows)} frame(s)"
+        )
+
     profile = utilization(log, num_bins=20)
     sections.append("\n== utilization (mean busy workers per node) ==")
     if profile.per_node:

@@ -205,6 +205,19 @@ def _frame_align(n: int) -> int:
     return (n + _FRAME_ALIGN - 1) // _FRAME_ALIGN * _FRAME_ALIGN
 
 
+def _load_joined(inband: bytes, buffers: list) -> Any:
+    """What a :meth:`SerializedBuffers.joined` pickle reduces to."""
+    return pickle.loads(inband, buffers=buffers)
+
+
+#: Pickle opcodes of :meth:`SerializedBuffers.joined`: PROTO 5 and the
+#: GLOBAL that names :func:`_load_joined`; a length-prefixed (u64)
+#: ``bytes`` / ``bytearray``.
+_JOINED_HEAD = b"\x80\x05c" + f"{__name__}\n_load_joined\n".encode()
+_BINBYTES8 = b"\x8e"
+_BYTEARRAY8 = b"\x96"
+
+
 @dataclass
 class SerializedBuffers:
     """A value split into a small in-band pickle stream plus the raw
@@ -224,12 +237,26 @@ class SerializedBuffers:
         """Payload bytes this value needs (excluding frame framing)."""
         return len(self.inband) + sum(b.nbytes for b in self.buffers)
 
-    def in_band_bytes(self):
-        """The in-band stream *is* a complete ordinary pickle when
-        nothing went out-of-band — callers on the byte path reuse it
-        instead of pickling the value a second time.  ``None`` when
-        out-of-band buffers exist (the stream alone is not loadable)."""
-        return self.inband if not self.buffers else None
+    def joined(self) -> bytes:
+        """The value as one ordinary pickle (:func:`deserialize` loads
+        it), for a value that takes the byte path after all — found
+        small, or refused by the arena — without pickling it a second
+        time.  The in-band stream *is* that pickle when nothing went
+        out-of-band.  Otherwise the parts are wrapped, by hand, in the
+        few opcodes that call :func:`_load_joined` on them: the stream
+        as ``bytes``, each buffer as ``bytes`` or — a writable one, as
+        in-band pickling would have it — ``bytearray``."""
+        if not self.buffers:
+            return self.inband
+        parts = [_JOINED_HEAD, _BINBYTES8, _U64.pack(len(self.inband)), self.inband, b"]("]
+        for buffer in self.buffers:
+            parts += (
+                _BINBYTES8 if buffer.readonly else _BYTEARRAY8,
+                _U64.pack(buffer.nbytes),
+                buffer,
+            )
+        parts.append(b"e\x86R.")  # APPENDS, TUPLE2, REDUCE, STOP
+        return b"".join(parts)
 
     @property
     def frame_bytes(self) -> int:

@@ -1,0 +1,307 @@
+"""A seeded actor-program generator with the sim as its oracle.
+
+ROADMAP item 1(a), scoped to actors: a random program — a few actors on
+two workers, a few hundred calls that append, raise, take the result of
+an earlier task or call as an argument, block on one from inside the
+method, or call another actor and wait for it, with plain tasks in
+between — is run on ``proc`` and ``dist`` and compared with the
+fault-free ``sim`` run of the same program: every ref resolves to the
+oracle's value or the oracle's error, and every actor's log (its
+observed execution order) is the oracle's.  Every blocking call has a
+deadline, so a hang is a failure that names its seed, not a stuck run.
+
+Programs cannot deadlock by construction.  Everything an operation on
+actor ``j`` waits for — an argument, a boxed ref it blocks on — was
+submitted before it and has *level* ``>= j`` (an actor call's level is
+its actor's index, a plain task's the lowest level among its inputs),
+and a method of actor ``i`` calls only actors ``j > i``: waits point to
+earlier calls of the same actor or to strictly higher levels.  What a
+method does to *another* actor (``touch``) changes no compared order:
+its position in that actor's lane depends on when the calling method
+ran, which no backend promises.
+
+They also stay clear of one thing the wire backends cannot do, which
+this generator found on its first run (on the parent commit too): a
+task that a blocked worker runs *reentrantly* sits on the blocked
+task's stack, so if it waits in turn for something queued behind the
+blocked task — a later call of that actor, a ``touch`` in its lane —
+neither can ever finish, where the sim (a blocked worker gives up its
+slot, nothing is stacked) finishes.  So only actors 0 and 1 have
+methods that block, and they are pinned to different workers: whatever
+is injected on top of a blocked method runs to completion.
+
+The fixed seeds must be able to see the bug this plane is one check
+away from (ROADMAP item 1(d)): a call dispatched while its predecessor
+is blocked runs reentrantly on top of it and overtakes it.  The last
+test re-introduces that by monkeypatch and requires the same seeds to
+catch it.
+"""
+
+import functools
+import random
+import time
+
+import pytest
+
+import repro
+from repro.api import runtime_context
+from repro.errors import GetTimeoutError, ReproError
+from repro.proc import runtime as proc_runtime
+
+pytestmark = pytest.mark.timeout(300)
+
+POOLS = {
+    "proc": {"backend": "proc", "num_workers": 2},
+    "dist": {"backend": "dist", "num_nodes": 2, "num_cpus": 1},
+}
+
+FIXED_SEEDS = tuple(range(20))
+SLOW_SEEDS = tuple(range(100, 220))
+
+#: Actors 0 and 1 may block inside a method (module docstring).
+BLOCKERS = 2
+
+#: Wall-clock seconds one program may take on a live backend before it
+#: counts as hung (they take a few hundred milliseconds).
+PROGRAM_DEADLINE_S = 30.0
+
+
+@repro.remote
+class Log:
+    """The log is the actor's observed order; every method returns an int."""
+
+    def __init__(self):
+        self.items = []
+        self.side = []
+
+    def add(self, x):
+        self.items.append(x)
+        return len(self.items)
+
+    def boom(self, x):
+        raise ValueError(x)
+
+    def add_after(self, dep, x):
+        self.items.append((x, dep))
+        return len(self.items)
+
+    def block_on(self, boxed, x):
+        value = yield repro.Get(boxed[0])
+        self.items.append((x, value))
+        return len(self.items)
+
+    def call_other(self, other, x):
+        ref = yield repro.ActorCall(other, "touch", (x,))
+        value = yield repro.Get(ref)
+        self.items.append((x, value))
+        return len(self.items)
+
+    def touch(self, x):
+        self.side.append(x)
+        return x + 1000
+
+    def dump(self):
+        return list(self.items), sorted(self.side)
+
+
+@repro.remote
+def work(delay, x, *deps):
+    yield repro.Compute(delay)
+    return x + sum(deps)
+
+
+def generate(seed):
+    """``(number of actors, [op, ...])``; op ``i`` produces ref ``i``.
+
+    Ops: ``("task", delay, [dep, ...])``, ``("add", a)``, ``("boom", a)``,
+    ``("add_after", a, dep)``, ``("block_on", a, dep)``,
+    ``("call_other", a, b)`` — ``dep`` indexes an earlier op."""
+    rng = random.Random(seed)
+    actors = rng.randint(1, 4)
+    calls = rng.randint(50, 300)
+    ops, levels = [], []
+
+    def emit(op, level):
+        ops.append(op)
+        levels.append(level)
+        return len(ops) - 1
+
+    def task(delay, deps):
+        return emit(
+            ("task", delay, deps), min([levels[d] for d in deps], default=actors)
+        )
+
+    def eligible(actor):
+        recent = range(max(0, len(ops) - 40), len(ops))
+        return [d for d in recent if levels[d] >= actor]
+
+    made = 0
+    while made < calls:
+        if rng.random() < 0.25:
+            pool = eligible(0)
+            task(
+                rng.choice((0.0, 0.0, 0.002)),
+                rng.sample(pool, k=min(len(pool), rng.randint(0, 2))),
+            )
+            continue
+        actor = rng.randrange(actors)
+        kind = rng.choices(
+            ("add", "boom", "add_after", "block_on", "call_other"),
+            weights=(50, 5, 20, 12, 13),
+        )[0]
+        if actor >= BLOCKERS and kind in ("block_on", "call_other"):
+            kind = "add_after"
+        if kind == "call_other" and actor == actors - 1:
+            kind = "add"
+        if kind in ("add_after", "block_on"):
+            if rng.random() < 0.7:
+                # Something that is provably not there yet.
+                dep = task(rng.uniform(0.003, 0.008), [])
+            else:
+                dep = rng.choice(eligible(actor) or [task(0.0, [])])
+            emit((kind, actor, dep), actor)
+        elif kind == "call_other":
+            emit((kind, actor, rng.randrange(actor + 1, actors)), actor)
+        else:
+            emit((kind, actor), actor)
+        made += 1
+    return actors, ops
+
+
+def run_program(program, deadline_s):
+    """Run one generated program on the live runtime: every ref's
+    outcome — its value, or the type and origin of its error — and every
+    actor's dump.  A ref not resolved by the deadline is ``"hung"``."""
+    actors, ops = program
+    # Consecutive actors on different workers, whatever earlier programs
+    # left on the pool.
+    homes = runtime_context.get_runtime().replica_targets()
+    handles = [
+        Log.options(placement_hint=homes[index % len(homes)]).remote()
+        for index in range(actors)
+    ]
+    refs = []
+    for x, op in enumerate(ops):
+        kind = op[0]
+        if kind == "task":
+            ref = work.remote(op[1], x, *[refs[d] for d in op[2]])
+        elif kind in ("add", "boom"):
+            ref = getattr(handles[op[1]], kind).remote(x)
+        elif kind == "add_after":
+            ref = handles[op[1]].add_after.remote(refs[op[2]], x)
+        elif kind == "block_on":
+            ref = handles[op[1]].block_on.remote([refs[op[2]]], x)
+        else:
+            ref = handles[op[1]].call_other.remote(handles[op[2]], x)
+        refs.append(ref)
+    deadline = time.monotonic() + deadline_s
+
+    def outcome(ref):
+        try:
+            return repro.get(ref, timeout=max(0.0, deadline - time.monotonic()))
+        except GetTimeoutError:
+            return "hung"
+        except ReproError as exc:
+            return type(exc).__name__, getattr(exc, "function_name", None)
+
+    outcomes = [outcome(ref) for ref in refs]
+    # Dumped once every call is in: a ``touch`` joins its lane when the
+    # method that makes it runs, which may be after everything above.
+    return outcomes, [outcome(handle.dump.remote()) for handle in handles]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle(seed):
+    """The fault-free sim run of program ``seed``."""
+    program = generate(seed)
+    repro.init(backend="sim", num_nodes=1, num_cpus=2, seed=seed)
+    try:
+        return program, run_program(program, deadline_s=3600.0)  # virtual
+    finally:
+        repro.shutdown()
+
+
+def mismatches(seeds, backend, deadline_s=PROGRAM_DEADLINE_S, first_only=False):
+    """Run the seeds on one ``backend`` pool; those whose run differs
+    from the oracle's (``first_only``: stop at one), with the first
+    difference."""
+    expected = {seed: oracle(seed) for seed in seeds}
+    repro.init(seed=31, **POOLS[backend])
+    differing = {}
+    try:
+        for seed in seeds:
+            program, (want_refs, want_dumps) = expected[seed]
+            got_refs, got_dumps = run_program(program, deadline_s)
+            if got_dumps != want_dumps:
+                differing[seed] = ("dump", got_dumps, want_dumps)
+            elif got_refs != want_refs:
+                differing[seed] = next(
+                    (i, program[1][i], got, want)
+                    for i, (got, want) in enumerate(zip(got_refs, want_refs))
+                    if got != want
+                )
+            if differing and first_only:
+                break
+    finally:
+        repro.shutdown()
+    return differing
+
+
+def test_the_generator_keeps_its_promises():
+    """Sizes in range, every dependency earlier and of a level its
+    consumer may wait for, ``call_other`` strictly upward — and the
+    fixed seeds do contain what the mutant test needs: a blocking call
+    on something slow with a successor on the same actor."""
+    blocked_with_successor = 0
+    for seed in FIXED_SEEDS:
+        actors, ops = generate(seed)
+        assert 1 <= actors <= 4
+        calls = [op for op in ops if op[0] != "task"]
+        assert 50 <= len(calls) <= 300
+        levels = []
+        for index, op in enumerate(ops):
+            if op[0] == "task":
+                assert all(d < index for d in op[2])
+                levels.append(min([levels[d] for d in op[2]], default=actors))
+                continue
+            if op[0] in ("add_after", "block_on"):
+                assert op[2] < index and levels[op[2]] >= op[1]
+            if op[0] == "call_other":
+                assert op[1] < op[2] < actors
+            if op[0] in ("block_on", "call_other"):
+                assert op[1] < BLOCKERS
+            levels.append(op[1])
+        for index, op in enumerate(ops):
+            if op[0] == "block_on" and ops[op[2]][0] == "task" and ops[op[2]][1] > 0:
+                blocked_with_successor += any(
+                    later[0] != "task" and later[1] == op[1]
+                    for later in ops[index + 1: index + 6]
+                )
+    assert blocked_with_successor >= 20
+    assert generate(7) == generate(7)
+
+
+@pytest.mark.parametrize("backend", tuple(POOLS))
+def test_fixed_seeds_match_the_sim_oracle(backend):
+    assert mismatches(FIXED_SEEDS, backend) == {}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", tuple(POOLS))
+def test_more_seeds_match_the_sim_oracle(backend):
+    assert mismatches(SLOW_SEEDS, backend) == {}
+
+
+def test_dropping_the_one_open_window_rule_is_caught(monkeypatch):
+    """The mutant: a lane that never counts a dispatched call as out, so
+    a blocked call's successor is injected on top of it.  (It can also
+    deadlock — the successor may block on the call it sits on — hence
+    the short deadline: a hang counts as caught.)"""
+
+    class NeverOpen(proc_runtime._ActorLane):
+        open = property(lambda self: 0, lambda self, value: None)
+
+    monkeypatch.setattr(proc_runtime, "_ActorLane", NeverOpen)
+    # (Seed 0's mutant run is one of those: it costs its deadline and a
+    # slow shutdown, so the search starts behind it.)
+    assert mismatches(FIXED_SEEDS[1:], "proc", deadline_s=2.0, first_only=True)

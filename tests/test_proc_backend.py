@@ -375,6 +375,66 @@ class TestShmDataPlane:
 # ----------------------------------------------------------------------
 
 
+@repro.remote
+class PickleCounter:
+    """Counts, in its own worker process, how often the serializer
+    pickles an ndarray: ``arm`` swaps the ``pickle`` name the
+    serialization module calls for a counting stand-in."""
+
+    def arm(self):
+        import pickle
+        import types
+
+        import numpy as np
+
+        from repro.utils import serialization
+
+        self.dumps = 0
+
+        def dumps(value, *args, **kwargs):
+            self.dumps += isinstance(value, np.ndarray)
+            return pickle.dumps(value, *args, **kwargs)
+
+        serialization.pickle = types.SimpleNamespace(
+            dumps=dumps, loads=pickle.loads, PickleBuffer=pickle.PickleBuffer
+        )
+
+    def small_array(self):
+        import numpy as np
+
+        return np.arange(8, dtype=np.float64)  # 64 bytes of payload
+
+    def put_small_array(self):
+        return [repro.put(self.small_array())]
+
+    def count(self):
+        return self.dumps
+
+
+@pytest.mark.parametrize(
+    "init",
+    [dict(backend="proc", num_workers=1),
+     dict(backend="dist", num_nodes=1, num_cpus=1)],
+    ids=["proc", "dist"],
+)
+def test_small_buffer_bearing_value_is_pickled_once(init):
+    """A small ndarray result (or worker-side put) on a shm-enabled
+    worker is split to learn its size, found under the inline threshold,
+    and goes by pipe — joined from the parts, not pickled again."""
+    import numpy as np
+
+    repro.init(**init)
+    counter = PickleCounter.remote()
+    repro.get(counter.arm.remote(), timeout=60.0)
+    result = repro.get(counter.small_array.remote(), timeout=60.0)
+    assert np.array_equal(result, np.arange(8, dtype=np.float64))
+    assert result.dtype == np.float64
+    assert repro.get(counter.count.remote(), timeout=60.0) == 1
+    (ref,) = repro.get(counter.put_small_array.remote(), timeout=60.0)
+    assert np.array_equal(repro.get(ref, timeout=60.0), result)
+    assert repro.get(counter.count.remote(), timeout=60.0) == 2
+
+
 def test_unknown_init_option_is_rejected_not_ignored():
     with pytest.raises(BackendError) as excinfo:
         repro.init(backend="proc", num_wrkers=4)

@@ -5,7 +5,12 @@ import pytest
 
 from repro.utils.ids import IDGenerator, NodeID, ObjectID, TaskID
 from repro.utils.rng import RNGRegistry
-from repro.utils.serialization import deserialize, serialize, serialized_size
+from repro.utils.serialization import (
+    deserialize,
+    serialize,
+    serialize_buffers,
+    serialized_size,
+)
 
 
 class TestIDs:
@@ -112,3 +117,24 @@ class TestSerialization:
     def test_generator_not_serializable(self):
         with pytest.raises(TypeError):
             serialize((i for i in range(3)))
+
+    def test_joined_is_an_ordinary_pickle_of_the_split_value(self):
+        """``SerializedBuffers.joined()``: the in-band stream itself when
+        nothing went out-of-band, else the parts wrapped without pickling
+        the value again — loadable by plain ``deserialize``, buffers
+        writable exactly where in-band pickling leaves them writable."""
+        plain = serialize_buffers({"a": (1, 2)})
+        assert plain.joined() is plain.inband
+        frozen = np.arange(6)
+        frozen.flags.writeable = False
+        value = {"x": np.arange(8.0), "y": [np.ones((2, 3), dtype=np.int32), "s"],
+                 "z": frozen}
+        split = serialize_buffers(value)
+        assert len(split.buffers) == 3
+        loaded = deserialize(split.joined())
+        reference = deserialize(serialize(value))
+        assert np.array_equal(loaded["x"], value["x"])
+        assert np.array_equal(loaded["y"][0], value["y"][0]) and loaded["y"][1] == "s"
+        assert loaded["y"][0].dtype == np.int32 and loaded["y"][0].shape == (2, 3)
+        for key in ("x", "z"):
+            assert loaded[key].flags.writeable == reference[key].flags.writeable
