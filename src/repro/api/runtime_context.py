@@ -37,7 +37,7 @@ def init(backend: str = "sim", **kwargs: Any):
         from lineage after a worker crash, ``"fail"`` surfaces
         ``WorkerCrashedError`` immediately), ``inline_threshold`` (bytes;
         serialized objects at or below it ship inline in pipe messages,
-        larger ones take the data plane), ``worker_cache_bytes``, and
+        larger ones take the data plane) and
         ``shm_capacity`` (byte budget of the zero-copy shared-memory
         data plane for large objects — default 256 MiB, ``0`` disables
         it and every object takes the pipe; hosts without POSIX shared

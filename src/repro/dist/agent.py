@@ -47,15 +47,12 @@ import sys
 import threading
 from typing import Any, Optional
 
-from repro.objectstore.store import LocalObjectStore
 from repro.obs import SpanRecorder
 from repro.proc import messages as msg
+from repro.proc.objects import ObjectStores
 from repro.proc.transport import PipeTransport, TcpTransport, Transport
 from repro.proc.worker import worker_main
-from repro.shm.coordinator import ShmCoordinator
-from repro.shm.segment import shm_available, usable_shm_budget
 from repro.utils.ids import NodeID
-from repro.utils.serialization import serialize
 from repro.dist import protocol as ctl
 
 #: Request tags the agent may forward upstream and must pair with the
@@ -108,26 +105,22 @@ class NodeAgent:
         self.link = TcpTransport(sock)
         self._mp_ctx = None  # created lazily on first spawn
         self.slots: dict[int, _WorkerSlot] = {}
-        #: Byte LRU of objects that crossed this node's boundary (pulled
-        #: fetch replies, inline args): the fetch-once-per-node cache.
-        self.cache = LocalObjectStore(
-            self.node_id, capacity=config["store_capacity"]
+        #: The node's object stores, the same pair the driver keeps:
+        #: ``cache``, a byte LRU of objects that crossed this node's
+        #: boundary (pulled fetch replies, inline args — the
+        #: fetch-once-per-node cache), and ``shm``, the node's arena
+        #: (None on shm-less hosts or when disabled), the authority for
+        #: every grant on this node.  The arena's name prefix includes
+        #: this process's pid, so N agents on one host never collide.
+        self.stores = ObjectStores(
+            self.node_id,
+            config["store_capacity"],
+            config.get("shm_capacity", 0),
+            config["total_workers"],
+            config["seed"],
         )
-        #: The node's shared-memory arena (None on shm-less hosts or
-        #: when disabled): the authority for every grant on this node.
-        self.shm: Optional[ShmCoordinator] = None
-        shm_capacity = config.get("shm_capacity", 0)
-        if shm_capacity > 0 and shm_available():
-            shm_capacity = usable_shm_budget(shm_capacity)
-            if shm_capacity > 0:
-                # The coordinator's name prefix includes this process's
-                # pid, so N agents on one host never collide.
-                self.shm = ShmCoordinator(
-                    self.node_id,
-                    capacity=shm_capacity,
-                    num_workers=config["total_workers"],
-                    seed=config["seed"],
-                )
+        self.cache = self.stores.store
+        self.shm = self.stores.shm
         self._known_segments: set = set()
         #: The tracing plane's agent-side buffer: node-tier events
         #: (seals, inter-node fetch serves, worker deaths), flushed on
@@ -169,8 +162,7 @@ class NodeAgent:
                     os.kill(slot.pid, signal.SIGKILL)
                 except (OSError, ProcessLookupError):
                     pass
-        if self.shm is not None:
-            self.shm.shutdown()
+        self.stores.shutdown()
         self.link.close()
 
     def _loop(self) -> None:
@@ -213,8 +205,7 @@ class NodeAgent:
             slot.conn.close()
         except OSError:
             pass
-        if self.shm is not None:
-            self.shm.reclaim_client(slot.global_index + 1)
+        self.stores.reclaim(slot.global_index)
         self.obs.record(
             "worker_down", channel=slot.channel, index=slot.global_index
         )
@@ -301,12 +292,9 @@ class NodeAgent:
             )
         elif tag == ctl.DELETE_OBJECT:
             # The driver released these: cached bytes go, and an arena
-            # slot goes back to the arena — at once, or through the
-            # zombie list while a local worker still leases it.
+            # slot goes back to the arena.
             for object_id in message[1]:
-                self.cache.delete(object_id)
-                if self.shm is not None and self.shm.contains(object_id):
-                    self.shm.release(object_id)
+                self.stores.drop(object_id)
         elif tag == ctl.SHUTDOWN_NODE:
             raise EOFError("shutdown requested")  # run() tears down
 
@@ -324,8 +312,7 @@ class NodeAgent:
         process = self._mp_ctx.Process(
             target=worker_main,
             args=(
-                child_conn, global_index, config["seed"],
-                config["worker_cache_bytes"], self.shm is not None,
+                child_conn, global_index, config["seed"], self.shm is not None,
                 config["inline_threshold"], spawn_token,
                 config.get("tracing", False),
             ),
@@ -354,18 +341,13 @@ class NodeAgent:
             pass
 
     def _local_bytes(self, object_id) -> Optional[bytes]:
-        """This node's copy of an object as plain serialized bytes, or
-        None.  A shm-resident value is re-joined in-band (one copy) —
-        the representation FETCH replies and inter-node pulls expect."""
-        data = self.cache.get(object_id)
-        if data is not None:
-            return data
-        if self.shm is not None and self.shm.contains(object_id):
-            try:
-                return serialize(self.shm.load(object_id))
-            except Exception:  # noqa: BLE001 - hostile user __reduce__
-                return None
-        return None
+        """This node's copy of an object as plain serialized bytes (the
+        representation FETCH replies and inter-node pulls expect), or
+        None."""
+        try:
+            return self.stores.bytes_of(object_id)
+        except Exception:  # noqa: BLE001 - hostile user __reduce__
+            return None
 
     def _announce_segments(self) -> None:
         """Tell the driver about newly created shm segments, so it can
@@ -387,41 +369,21 @@ class NodeAgent:
                 return
             slot.pending.append((tag, message[1]))
         elif tag == msg.SHM_ATTACH:
-            object_id = message[1]
-            if self.shm is not None:
-                described = self.shm.describe(object_id)
-                if described is not None:
-                    segment, shm_slot, size = described
-                    slot.conn.send(
-                        (msg.OK,
-                         msg.ShmDescriptor(object_id, segment, shm_slot, size))
-                    )
-                    return
-            data = self.cache.get(object_id)
-            if data is not None:
-                slot.conn.send((msg.OK, data))
+            blob = self.stores.blob_for(message[1])
+            if blob is not None:
+                slot.conn.send((msg.OK, blob))
                 return
-            slot.pending.append((tag, object_id))
+            slot.pending.append((tag, message[1]))
         elif tag == msg.SHM_CREATE:
             object_id, nbytes = message[1], message[2]
             if object_id is not None:
                 # A result write: granted from the NODE arena — the
                 # driver is not consulted and the bytes never leave the
                 # node until someone pulls them.
-                granted = None
-                if self.shm is not None:
-                    granted = self.shm.create_for_client(
-                        object_id, nbytes, client=slot.global_index + 1
-                    )
-                if granted is None:
-                    slot.conn.send((msg.OK, None))  # pipe-bytes fallback
-                    return
-                segment, shm_slot, size = granted
-                slot.conn.send(
-                    (msg.OK,
-                     msg.ShmDescriptor(object_id, segment, shm_slot, size))
-                )
-                self._announce_segments()
+                granted = self.stores.grant(object_id, nbytes, slot.global_index)
+                slot.conn.send((msg.OK, granted))  # None: pipe-bytes fallback
+                if granted is not None:
+                    self._announce_segments()
                 return
             # object_id=None is the put path: the driver owns put ids,
             # and it answers None (no driver arena on dist) — the put
@@ -430,8 +392,7 @@ class NodeAgent:
         elif tag == msg.SHM_ABORT:
             # Every grant on this node came from this agent; hand the
             # space back and answer locally.
-            if self.shm is not None:
-                self.shm.abort_if_pending(message[1])
+            self.stores.abort_grant(message[1])
             slot.conn.send((msg.OK, None))
             return
         elif tag == msg.GET:

@@ -29,13 +29,13 @@ changes the *plumbing* but none of the semantics:
   *objects* are re-produced the same way), actors on the node die with
   :class:`~repro.errors.ActorLostError`, and anything unrecoverable
   resolves to :class:`~repro.errors.NodeLostError`.
-* **Object lifetime** is the proc runtime's, with two additions.  A
-  task whose result stays node-resident keeps its argument pins after
-  its completion is applied — losing the node would replay it — until
-  every such result is released or has a driver copy.  And a release
-  reaches the nodes: the owning node's arena slot and any agent's
-  cached bytes go with one ``DELETE_OBJECT`` per link for everything
-  released in one drain.
+* **Objects** are the proc runtime's :class:`~repro.proc.objects.ObjectPlane`,
+  to which this backend adds *residence on a node* through three hooks:
+  pull one copy to the driver (:meth:`AgentLink.fetch_object`), delete a
+  released object on the nodes that hold it
+  (:meth:`AgentLink.delete_objects`), and — :meth:`DistRuntime._on_link_dead`
+  — sweep what a lost node took with it through the one replay-or-error
+  verdict.
 
 Simplifications (documented, deliberate): node-to-node transfer is
 routed *through the driver* (pull-once-per-node still holds — the agent
@@ -57,16 +57,10 @@ import time
 from typing import Any, Optional
 
 from repro.cluster.spec import ClusterSpec
-from repro.core.actors import (
-    CREATION_METHOD,
-    REMOTE_INSTANCE,
-    register_instance,
-)
-from repro.core.worker import ErrorValue, error_value_from
 from repro.dist import protocol as ctl
 from repro.dist.agent import agent_main
-from repro.errors import BackendError, GetTimeoutError, ReproError
-from repro.proc.messages import SlotRef
+from repro.errors import BackendError
+from repro.proc.objects import PULL_TIMEOUT
 from repro.proc.runtime import (
     DEFAULT_SHM_CAPACITY,
     ProcRuntime,
@@ -74,11 +68,7 @@ from repro.proc.runtime import (
 )
 from repro.proc.transport import TcpTransport, Transport
 from repro.shm.segment import shm_available
-from repro.utils.serialization import (
-    ByteAccountant,
-    DEFAULT_INLINE_THRESHOLD,
-    serialize,
-)
+from repro.utils.serialization import DEFAULT_INLINE_THRESHOLD
 
 #: Sentinel queued into a channel to signal EOF (worker or node died).
 _EOF = object()
@@ -91,11 +81,6 @@ _TIMEOUT_INTERVALS = 10
 
 #: How long the driver waits for all agents to connect and say HELLO.
 _HANDSHAKE_TIMEOUT = 20.0
-
-#: Bound on how long an object pull (or a wait on a racing pull /
-#: in-flight reconstruction) may take before the caller gives up and
-#: surfaces a lost-object error.
-_PULL_TIMEOUT = 30.0
 
 
 class ChannelTransport(Transport):
@@ -179,9 +164,6 @@ class AgentLink:
         #: shm segment names the agent reported; unlinked at shutdown if
         #: the agent was killed before its own teardown could run.
         self.segments: list[str] = []
-        #: Released objects this node may hold (arena slot or cached
-        #: bytes), awaiting the next coalesced DELETE_OBJECT.
-        self.doomed: list = []
         #: The node-loss sweep ran for this link (once, on first EOF).
         self.reclaimed = False
         self._lock = threading.Lock()
@@ -331,7 +313,7 @@ class AgentLink:
     # -- inter-node object transfer -------------------------------------
 
     def fetch_object(
-        self, object_id: Any, timeout: float = _PULL_TIMEOUT
+        self, object_id: Any, timeout: float = PULL_TIMEOUT
     ) -> Optional[bytes]:
         """Pull one node-resident object's serialized bytes (None if the
         node is dead, no longer holds it, or the pull timed out)."""
@@ -352,6 +334,14 @@ class AgentLink:
             self._fetches.pop(req, None)
         return entry[1]
 
+    def delete_objects(self, object_ids: list) -> None:
+        """The driver released these: drop the node's arena slots and
+        cached bytes of them."""
+        try:
+            self.enqueue((ctl.CTRL, (ctl.DELETE_OBJECT, object_ids)))
+        except OSError:
+            pass  # dead node holds nothing worth deleting
+
 
 class DistRuntime(ProcRuntime):
     """Multi-node implementation of the backend protocol (TCP agents).
@@ -371,9 +361,7 @@ class DistRuntime(ProcRuntime):
         heartbeat_timeout: Optional[float] = None,
         worker_crash_policy: str = "replace",
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
-        worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
-        control_shards: int = 8,
         control_store: Any = None,
         recover: bool = False,
         tracing: bool = False,
@@ -402,21 +390,6 @@ class DistRuntime(ProcRuntime):
         self._links: list[AgentLink] = []
         self._agent_procs: list = []
         self._listener: Optional[socket.socket] = None
-        #: object_id -> (node_index, size): results living only in a node
-        #: arena (the driver holds the descriptor, not the bytes).
-        self._node_resident: dict[Any, tuple] = {}
-        #: object_id -> producing TaskSpec, for node-loss reconstruction.
-        self._node_producers: dict[Any, Any] = {}
-        #: Worker-born entries (by raw task id) whose results went
-        #: node-resident: normally dropped at DONE, retained here so node
-        #: loss can replay them.
-        self._retained_payloads: dict[str, tuple] = {}
-        #: Return ids of replays in flight after node loss — readers of
-        #: these wait instead of erroring while lineage re-executes.
-        self._reconstructing: set = set()
-        #: Objects with a pull in flight (dedup: one pull per object).
-        self._pulling: set = set()
-        self._acct_internode = ByteAccountant()
         self._nodes_lost = 0
         self._heartbeat_timeouts = 0
         self._monitor_stop = threading.Event()
@@ -429,7 +402,6 @@ class DistRuntime(ProcRuntime):
             per_node_shm = max(0, int(shm_capacity) // num_nodes)
         config = {
             "seed": seed,
-            "worker_cache_bytes": worker_cache_bytes,
             "shm_capacity": per_node_shm,
             "inline_threshold": inline_threshold,
             "total_workers": num_nodes * workers_per_node,
@@ -445,9 +417,7 @@ class DistRuntime(ProcRuntime):
                 num_workers=num_nodes * workers_per_node,
                 worker_crash_policy=worker_crash_policy,
                 inline_threshold=inline_threshold,
-                worker_cache_bytes=worker_cache_bytes,
                 shm_capacity=0,  # no driver arena: data lives on the nodes
-                control_shards=control_shards,
                 control_store=control_store,
                 recover=recover,
                 tracing=tracing,
@@ -557,27 +527,27 @@ class DistRuntime(ProcRuntime):
                     )
                     link.kill()  # collapse silence onto the crash path
 
-    def shutdown(self) -> None:
-        if self.closed:
-            return
-        for pool in list(self._serve_pools):
-            pool.close()
+    def _end_pool(self, crashed: bool) -> None:
+        """The proc runtime's, for a pool the agents own: ``shutdown``
+        asks them to go first; a crashing driver just vanishes and they
+        die on link EOF."""
         with self._cond:
             self.closed = True
             self._cond.notify_all()
         self._monitor_stop.set()
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=2.0)
-        # Graceful first: agents SIGKILL their workers, unlink their
-        # arenas, and exit; the joins below give them a moment.
-        for link in self._links:
-            if link.alive:
-                try:
-                    link.enqueue((ctl.CTRL, (ctl.SHUTDOWN_NODE,)))
-                except OSError:
-                    pass
-        for process in self._agent_procs:
-            process.join(timeout=2.0)
+        if not crashed:
+            # Graceful first: agents SIGKILL their workers, unlink their
+            # arenas, and exit; the joins below give them a moment.
+            for link in self._links:
+                if link.alive:
+                    try:
+                        link.enqueue((ctl.CTRL, (ctl.SHUTDOWN_NODE,)))
+                    except OSError:
+                        pass
+            for process in self._agent_procs:
+                process.join(timeout=2.0)
         self._teardown_links()  # EOF sentinels wake every service thread
         for worker in self._workers:
             if worker is not None and worker.thread is not None:
@@ -592,10 +562,8 @@ class DistRuntime(ProcRuntime):
         # agent registered (spawned children share the driver's tracker
         # daemon) is dropped too, silencing its at-exit leak warning.
         self._unlink_dead_segments()
-        self._retire_ledger()
+        self._objects.shutdown()
         self._completions.stop()
-        if self._owns_control:
-            self._control.close()
 
     def _unlink_dead_segments(self) -> None:
         for link in self._links:
@@ -612,34 +580,6 @@ class DistRuntime(ProcRuntime):
                     )
                 except Exception:  # noqa: BLE001 - tracker impl detail
                     pass
-
-    def fail_driver(self) -> None:
-        """Fault injection: die like a crashed driver (dist flavor).
-
-        Kills the node agents and every driver-side thread, but NEVER the
-        control store — by design it outlives the driver so a fresh
-        runtime can recover the workload from it (``control_store=store,
-        recover=True``).
-        """
-        if self.closed:
-            return
-        with self._cond:
-            self.closed = True
-            self._cond.notify_all()
-        self._monitor_stop.set()
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=2.0)
-        # No graceful SHUTDOWN_NODE round: a crashing driver just vanishes
-        # and the agents die on link EOF.
-        self._teardown_links()
-        for worker in self._workers:
-            if worker is not None and worker.thread is not None:
-                worker.thread.join(timeout=5.0)
-        for link in self._links:
-            link.join_threads()
-        self._unlink_dead_segments()
-        self._retire_ledger()
-        self._completions.stop()
 
     # ------------------------------------------------------------------
     # Worker pool plumbing (channels instead of pipes)
@@ -727,342 +667,8 @@ class DistRuntime(ProcRuntime):
             "node": f"node-{worker.index // self._workers_per_node}",
         }
 
-    # ------------------------------------------------------------------
-    # Results: NodeBlob residency
-    # ------------------------------------------------------------------
-
-    def _finish_done(self, worker, task_hex, blobs, failed):
-        node_blobs = [b for b in blobs if isinstance(b, ctl.NodeBlob)]
-        if node_blobs:
-            payload = self._payloads.get(task_hex)
-            if payload is not None:
-                # Worker-born producer: _finish_done drops the live
-                # entry, but node loss needs it to replay (the spec
-                # alone carries no arguments for worker-born tasks).
-                self._retained_payloads[task_hex] = payload
-        spec = super()._finish_done(worker, task_hex, blobs, failed)
-        if spec is None:
-            # Cancelled with its queue entry already dropped: nobody
-            # owns the blobs — reclaim their arena space on the node.
-            for blob in node_blobs:
-                self._delete_remote(blob)
-            self._retained_payloads.pop(task_hex, None)
-        return spec
-
-    def _apply_done_frame(self, worker, message) -> None:
-        super()._apply_done_frame(worker, message)
-        self._flush_deletes()
-
-    def _finish_spec(self, worker, spec, blobs, failed) -> None:
-        """Copy of the proc version with a NodeBlob arm: a node-resident
-        result registers residency instead of storing bytes (lock held)."""
-        worker.tasks_done += 1
-        self._tasks_executed += 1
-        self._acct_results.record(
-            sum(len(d) for d in blobs if isinstance(d, (bytes, bytearray)))
-        )
-        if spec.actor_id is not None:
-            record = self.actors.get(spec.actor_id)
-            if record is not None and not record.dead and not failed:
-                if spec.actor_method == CREATION_METHOD:
-                    register_instance(record, REMOTE_INSTANCE, worker.node_id)
-                else:
-                    record.methods_executed += 1
-        if self._lifecycle.is_cancelled(spec.task_id):
-            for blob in blobs:
-                if isinstance(blob, ctl.NodeBlob):
-                    self._delete_remote(blob)  # cancelled: drop arena space
-            self._retained_payloads.pop(spec.task_id.hex, None)
-            return
-        node_worker_base = None
-        for object_id, data in zip(spec.all_return_ids(), blobs):
-            if (
-                not isinstance(data, ctl.NodeBlob)
-                and len(data) > self._inline_threshold
-                and self._link_of(worker.index).shm_on
-            ):
-                # The node arena refused a large result: it came as bytes.
-                self._note_pipe_fallback(len(data))
-            if isinstance(data, ctl.NodeBlob):
-                self._node_resident[object_id] = (data.node_index, data.size)
-                self._node_producers[object_id] = spec
-                self._acct_shm.record_zero_copy(data.size)
-                # Locality: every worker of the producing node can read
-                # the object from the node arena without a transfer.
-                node_worker_base = data.node_index * self._workers_per_node
-                for channel in range(self._workers_per_node):
-                    self._residency.record(
-                        node_worker_base + channel, object_id.hex, data.size
-                    )
-                self._object_arrived(object_id)
-                continue
-            try:
-                self._store_bytes(object_id, data)
-            except ReproError as exc:
-                self._store_bytes(
-                    object_id, serialize(error_value_from(spec, exc))
-                )
-        self._unpin_if_settled(spec)
-
-    def _unpin_if_settled(self, spec) -> None:
-        """Unpin a completed task's arguments once no replay of it can
-        happen (lock held): every return that went node-resident has
-        been released or has a copy in the driver store.  Until then
-        losing the node re-runs the task, arguments and all."""
-        if not spec.pins and spec.task_id.hex not in self._retained_payloads:
-            return
-        for object_id in spec.all_return_ids():
-            if object_id in self._node_resident and not self._store.contains(
-                object_id
-            ):
-                return
-        self._retained_payloads.pop(spec.task_id.hex, None)
-        self._unpin_task(spec)
-
-    def _delete_remote(self, blob: ctl.NodeBlob) -> None:
-        self._links[blob.node_index].doomed.append(blob.object_id)
-        self._flush_deletes()
-
-    def _flush_deletes(self) -> None:
-        """One DELETE_OBJECT per link for everything released since the
-        last flush (called wherever releases batch up: a drain, a DONE
-        frame).  ``doomed`` lists are only touched under the lock."""
-        for link in self._links:
-            if link.doomed:
-                with self._cond:
-                    doomed, link.doomed = link.doomed, []
-                try:
-                    link.enqueue((ctl.CTRL, (ctl.DELETE_OBJECT, doomed)))
-                except OSError:
-                    pass  # dead node holds nothing worth deleting
-
-    def _drain_refs(self) -> None:
-        super()._drain_refs()
-        self._flush_deletes()
-
-    def _release(self, object_id) -> bool:
-        entry = self._node_resident.pop(object_id, None)
-        if not self._drop_stored(object_id) and entry is None:
-            return False  # has not arrived anywhere yet
-        self._objects_released += 1
-        nodes = {
-            holder // self._workers_per_node
-            for holder in self._residency.forget_object(object_id.hex)
-        }
-        if entry is not None:
-            nodes.add(entry[0])
-        for node_index in nodes:
-            self._links[node_index].doomed.append(object_id)
-        spec = self._node_producers.pop(object_id, None)
-        if spec is not None:
-            self._unpin_if_settled(spec)
-        return True
-
-    def _object_stats(self, shm) -> dict:
-        stats = super()._object_stats(shm)
-        stats["live"] += sum(
-            1 for object_id in self._node_resident
-            if not self._store.contains(object_id)
-        )
-        return stats
-
-    def _arena_occupancy(self) -> str:
-        return (
-            f"{len(self._node_resident)} node-resident objects / "
-            f"{sum(size for _node, size in self._node_resident.values())} bytes"
-        )
-
-    def _has_object(self, object_id) -> bool:
-        return super()._has_object(object_id) or object_id in self._node_resident
-
-    def _object_arrived(self, object_id) -> None:
-        self._reconstructing.discard(object_id)
-        super()._object_arrived(object_id)
-
-    def _control_note_arrival(self, object_id) -> None:
-        entry = self._node_resident.get(object_id)
-        if entry is not None:
-            # Descriptor-only residency: the control store records where
-            # the bytes live, not the bytes — a recovered driver re-runs
-            # the producer (the arena died with the node agents).
-            node_index, size = entry
-            spec = self._node_producers.get(object_id)
-            self._control.async_object_put(
-                object_id,
-                size=size,
-                location=f"node-{node_index}",
-                ready=True,
-                producer_task=spec.task_id if spec is not None else None,
-            )
-            return
-        super()._control_note_arrival(object_id)
-
-    # ------------------------------------------------------------------
-    # Inter-node transfer: descriptor-first, pull on demand
-    # ------------------------------------------------------------------
-
-    def _pull_node_resident(
-        self, object_id, timeout: float = _PULL_TIMEOUT
-    ) -> bool:
-        """Ensure a node-resident object's bytes are in the driver store.
-
-        Returns True once the store holds the object.  Dedups concurrent
-        pulls (one TCP transfer per object), waits out an in-flight
-        reconstruction after node loss, and converts an object a *live*
-        node no longer holds (arena reclaim) into reconstruction-or-error
-        on the spot.  Returns False when the object is simply not
-        node-resident (nothing to pull) or the wait timed out."""
-        deadline = time.monotonic() + timeout
-        while True:
-            claimed = None
-            with self._cond:
-                if self._store.contains(object_id):
-                    return True
-                if object_id in self._pulling:
-                    self._cond.wait(timeout=0.05)
-                elif object_id in self._reconstructing:
-                    self._cond.wait(timeout=0.1)
-                else:
-                    entry = self._node_resident.get(object_id)
-                    if entry is None:
-                        return self._store.contains(object_id)
-                    self._pulling.add(object_id)
-                    claimed = entry
-            if claimed is None:
-                if time.monotonic() > deadline:
-                    return False
-                continue
-            node_index, _size = claimed
-            link = self._links[node_index]
-            try:
-                data = link.fetch_object(object_id)
-            finally:
-                with self._cond:
-                    self._pulling.discard(object_id)
-                    self._cond.notify_all()
-            if data is not None:
-                with self._cond:
-                    if not self._store.contains(object_id):
-                        self._acct_internode.record_internode(len(data))
-                        self._obs.record(
-                            "internode_fetch",
-                            object_id=str(object_id),
-                            size=len(data),
-                            node=f"node-{node_index}",
-                            path="driver_pull",
-                        )
-                        try:
-                            self._store_bytes(object_id, data)
-                        except ReproError:
-                            return False  # store full: caller surfaces it
-                        spec = self._node_producers.get(object_id)
-                        if spec is not None:
-                            self._unpin_if_settled(spec)
-                return True
-            with self._cond:
-                still = self._node_resident.get(object_id)
-                if still is not None and still[0] == node_index and link.alive:
-                    # The live node dropped it (arena pressure):
-                    # reconstruct through lineage, or resolve to an error.
-                    self._node_resident.pop(object_id, None)
-                    self._object_lost_on_node(object_id, node_index, set())
-            if time.monotonic() > deadline:
-                return False
-            # Node died mid-pull: loop — the loss sweep either started a
-            # reconstruction (we wait on it) or stored an error marker.
-
-    def _fetch_bytes(self, worker, object_id) -> bytes:
-        self._pull_node_resident(object_id)
-        data = super()._fetch_bytes(worker, object_id)
-        # The reply crosses TCP into the consuming node (whose agent
-        # caches it — this is the at-most-once-per-node transfer).
-        self._acct_internode.record_internode(len(data))
-        self._obs.record(
-            "internode_fetch",
-            object_id=str(object_id),
-            size=len(data),
-            node=f"node-{worker.index // self._workers_per_node}",
-            path="worker_fetch",
-        )
-        return data
-
-    def _shm_attach(self, worker, object_id):
-        # Only reaches the driver when the consuming node missed locally.
-        self._pull_node_resident(object_id)
-        blob = super()._shm_attach(worker, object_id)
-        if isinstance(blob, (bytes, bytearray)):
-            self._acct_internode.record_internode(len(blob))
-        return blob
-
-    def _serve_get(self, worker, object_ids, timeout):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        blobs = []
-        for object_id in object_ids:
-            while True:
-                arrived = self._wait_serving(
-                    worker,
-                    lambda oid=object_id: self._has_object(oid),
-                    deadline,
-                )
-                if not arrived:
-                    raise GetTimeoutError(
-                        f"get timed out waiting for {object_id}"
-                    )
-                self._pull_node_resident(object_id)
-                with self._cond:
-                    blob = self._blob_for(object_id)
-                if blob is not None:
-                    if isinstance(blob, (bytes, bytearray)):
-                        self._acct_internode.record_internode(len(blob))
-                    blobs.append(blob)
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise GetTimeoutError(
-                        f"get timed out waiting for {object_id}"
-                    )
-                # Residency changed under us (node loss mid-pull): wait
-                # for the reconstruction (or its error marker) to land.
-        return blobs
-
-    def _wait_for_value(self, object_id, deadline):
-        while True:
-            with self._cond:
-                while not self._has_object(object_id):
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise GetTimeoutError(
-                                f"get timed out waiting for {object_id}"
-                            )
-                    self._cond.wait(timeout=remaining)
-                needs_pull = (
-                    not self._store.contains(object_id)
-                    and object_id in self._node_resident
-                )
-            if not needs_pull:
-                return super()._wait_for_value(object_id, deadline)
-            self._pull_node_resident(object_id)
-            with self._cond:
-                pulled = self._store.contains(object_id)
-            if pulled:
-                return super()._wait_for_value(object_id, deadline)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise GetTimeoutError(f"get timed out waiting for {object_id}")
-            # else: lost mid-pull; loop back to waiting (reconstruction
-            # or the node-lost error marker will wake us).
-
-    def _arg_slot(self, object_id, worker, inline) -> SlotRef:
-        """The proc version plus the descriptor-first arm: a
-        node-resident argument ships as a bare ``SlotRef`` — the
-        executing worker resolves it through its node agent (arena hit
-        on the producing node; elsewhere the agent pulls through the
-        driver once and caches)."""
-        entry = self._node_resident.get(object_id)
-        if entry is not None and not self._store.contains(object_id):
-            self._residency.record(worker.index, object_id.hex, entry[1])
-            return SlotRef(object_id)
-        return super()._arg_slot(object_id, worker, inline)
+    def _node_hooks(self) -> tuple:
+        return self._links, self._workers_per_node
 
     # ------------------------------------------------------------------
     # Node loss
@@ -1087,7 +693,12 @@ class DistRuntime(ProcRuntime):
                 worker = workers[index] if index < len(workers) else None
                 if worker is not None and worker.alive:
                     self._fail_node_worker(worker, link)
-            self._reclaim_node_state(link)
+            if not link.reclaimed:
+                # Once per lost node: what lived only there is re-produced
+                # or resolved to an error by the object plane.
+                link.reclaimed = True
+                self._nodes_lost += 1
+                self._objects.node_lost(link.node_index)
             self._cond.notify_all()
 
     def _handle_worker_crash(self, worker, exc) -> None:
@@ -1097,13 +708,8 @@ class DistRuntime(ProcRuntime):
             # the inherited handler replays/fails and respawns through
             # _spawn_worker, which routes the replacement via the agent.
             super()._handle_worker_crash(worker, exc)
-            return
-        with self._cond:
-            if self.closed or not worker.alive:
-                return
-            self._fail_node_worker(worker, link)
-            self._reclaim_node_state(link)
-            self._cond.notify_all()
+        else:
+            self._on_link_dead(link)
 
     def _fail_node_worker(self, worker, link) -> None:
         """One dead worker on a dead node (lock held): the proc crash
@@ -1111,7 +717,11 @@ class DistRuntime(ProcRuntime):
         doomed, replaced = self._retire_worker(worker)
         for spec in doomed:
             self._resolve_crashed_task(spec, link.node_index)
-        survivor = self._any_live_worker()
+        survivor = min(
+            (w for w in self._workers if w is not None and w.alive),
+            key=lambda w: (w.actors_bound, w.index),
+            default=None,
+        )
         if survivor is None:
             for record in self.actors.alive_on_node(worker.node_id):
                 record.dead = True
@@ -1123,97 +733,6 @@ class DistRuntime(ProcRuntime):
             self._wake_lane(lane)
         for spec in replaced:
             self._enqueue(spec)
-
-    def _any_live_worker(self) -> Optional[_WorkerHandle]:
-        alive = [
-            w for w in self._workers
-            if w is not None and w.alive
-        ]
-        if not alive:
-            return None
-        return min(alive, key=lambda w: (w.actors_bound, w.index))
-
-    def _reclaim_node_state(self, link: AgentLink) -> None:
-        """Once per lost node (lock held): sweep its resident objects —
-        each one either already has a driver copy, or is re-produced by
-        replaying its producer through the lineage gate, or resolves to a
-        ``node_lost`` error marker."""
-        if link.reclaimed:
-            return
-        link.reclaimed = True
-        self._nodes_lost += 1
-        lost = [
-            object_id
-            for object_id, (node_index, _size) in self._node_resident.items()
-            if node_index == link.node_index
-        ]
-        requeued: set = set()
-        for object_id in lost:
-            self._node_resident.pop(object_id, None)
-            survived = self._has_object(object_id)
-            self._control.async_object_put(
-                object_id,
-                drop_location=f"node-{link.node_index}",
-                ready=True if survived else False,
-            )
-            if survived:
-                continue  # a pulled copy survives in the driver store
-            self._object_lost_on_node(object_id, link.node_index, requeued)
-
-    def _object_lost_on_node(
-        self, object_id, node_index: int, requeued: set
-    ) -> None:
-        """Reconstruct-or-error for one object whose only replica died
-        (lock held).  ``requeued`` dedups producer re-submission when
-        several of its return objects were lost together."""
-        spec = self._node_producers.get(object_id)
-        attempts = 0 if spec is None else self._replays.get(spec.task_id, 0)
-        can_replay = (
-            spec is not None
-            and spec.actor_id is None
-            and self._crash_policy == "replace"
-            and not self._lifecycle.is_cancelled(spec.task_id)
-            and attempts < spec.max_reconstructions
-        )
-        if can_replay:
-            for return_id in spec.all_return_ids():
-                if not self._has_object(return_id):
-                    self._reconstructing.add(return_id)
-            if spec.task_id in requeued:
-                return
-            requeued.add(spec.task_id)
-            self._replays[spec.task_id] = attempts + 1
-            self._lineage_replays += 1
-            retained = self._retained_payloads.get(spec.task_id.hex)
-            if retained is not None:
-                self._payloads[spec.task_id.hex] = retained
-            self._enqueue(spec)
-            return
-        detail = f"object {object_id} was resident only on lost node {node_index}"
-        if spec is not None and spec.actor_id is not None:
-            detail += " (produced by an actor method: not replayable)"
-        elif spec is not None and self._crash_policy == "replace":
-            detail += (
-                f"; lineage replay budget exhausted "
-                f"({attempts}/{spec.max_reconstructions} reconstructions)"
-            )
-        error = ErrorValue(
-            task_id=spec.task_id if spec is not None else None,
-            function_name=(
-                spec.function_name if spec is not None else "<lost object>"
-            ),
-            cause_repr=detail,
-            chain=(spec.function_name,) if spec is not None else (),
-            kind="node_lost",
-            node_index=node_index,
-        )
-        data = serialize(error)
-        if spec is not None:
-            for return_id in spec.all_return_ids():
-                if not self._has_object(return_id):
-                    self._store_bytes(return_id, data)
-        else:
-            self._store_bytes(object_id, data)
 
     # ------------------------------------------------------------------
     # Stats
@@ -1227,6 +746,7 @@ class DistRuntime(ProcRuntime):
             for node_index, link in enumerate(self._links):
                 lo = node_index * self._workers_per_node
                 hi = lo + self._workers_per_node
+                objects, nbytes = self._objects.node_usage(node_index)
                 per_node.append(
                     {
                         "node_index": node_index,
@@ -1241,16 +761,8 @@ class DistRuntime(ProcRuntime):
                             for w in self._workers[lo:hi]
                             if w is not None and w.alive
                         ),
-                        "objects_resident": sum(
-                            1
-                            for (n, _s) in self._node_resident.values()
-                            if n == node_index
-                        ),
-                        "bytes_resident": sum(
-                            s
-                            for (n, s) in self._node_resident.values()
-                            if n == node_index
-                        ),
+                        "objects_resident": objects,
+                        "bytes_resident": nbytes,
                     }
                 )
             base["cluster"] = {
@@ -1261,8 +773,8 @@ class DistRuntime(ProcRuntime):
                 "heartbeat_timeouts": self._heartbeat_timeouts,
                 "heartbeat_interval": self._heartbeat_interval,
                 "heartbeat_timeout": self._heartbeat_timeout,
-                "objects_node_resident": len(self._node_resident),
-                "internode": self._acct_internode.snapshot(),
+                "objects_node_resident": self._objects.node_usage()[0],
+                "internode": self._objects.acct_internode.snapshot(),
                 "per_node": per_node,
             }
         return base

@@ -92,15 +92,9 @@ class LocalRuntime:
         self,
         cluster: Optional[ClusterSpec] = None,
         seed: int = 0,
-        control_shards: int = 8,
         tracing: bool = False,
     ) -> None:
         self.cluster = cluster or ClusterSpec.uniform(num_nodes=1, num_cpus=4)
-        if not isinstance(control_shards, int) or control_shards < 1:
-            raise BackendError(
-                f"invalid init option control_shards={control_shards!r} for "
-                "backend 'local'; must be a positive integer"
-            )
         #: ``stats()["sched"]`` with the proc/dist plane's keys; threads
         #: have one placement path, counted as ``tasks_placed_global``.
         self._sched = SchedCounters()
@@ -111,7 +105,7 @@ class LocalRuntime:
         self._obs = SpanCollector(enabled=self.tracing)
         self.ids = IDGenerator(namespace=f"repro-local/{seed}")
         self.closed = False
-        self._control = ControlStore(num_shards=control_shards)
+        self._control = ControlStore(num_shards=1)
         self._control.register_generation()
 
         self._lock = threading.RLock()

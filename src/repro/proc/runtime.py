@@ -25,34 +25,11 @@ Architecture (one instance = one pool):
   results/arguments live as bytes in a
   :class:`~repro.objectstore.store.LocalObjectStore` (results pinned —
   they are the only replica).
-* **Two data planes.**  Small objects (≤ ``inline_threshold``) ride the
-  pipes as bytes, exactly as above.  Large ones take the zero-copy
-  shared-memory plane (:mod:`repro.shm`, capability-gated by
-  ``shm_capacity`` and host support): payloads are written once into a
-  sealed shm arena — by the driver on ``put``, by the *worker itself*
-  for large results (``SHM_CREATE`` grant, then a descriptor in
-  ``DONE``) — and every subsequent hop (argument attach, driver get,
-  broadcast) moves only a descriptor while readers reconstruct views
-  aliasing the arena.  The coordinator's reaper reclaims refcounts held
-  by crashed workers, and shutdown unlinks every segment.
-* **Object lifetime.**  An object lives exactly as long as something
-  the driver can see still needs it, and then gives its memory back —
-  the pipe store's bytes, the arena slot (which the next large object
-  lands on, warm).  What holds an object, and nothing else does: a live
-  :class:`~repro.core.object_ref.ObjectRef` *handle* in this process
-  (counted by a :class:`~repro.core.object_ref.RefLedger`); a *task
-  pin* — a submitted task pins its arguments
-  until its completion is applied (or it is cancelled or resolved to an
-  error), so any replay finds them; a *born-in-task hold* — an id born
-  inside a task on a worker is held until that task's ``DONE`` is
-  applied or its crash resolved; a *buffer lease* — a zero-copy value
-  keeps its arena slot, not its object, until its last buffer dies; and
-  *escape* — an id whose ref was pickled into bytes, or that a worker
-  still holds after the task that got it ended, is pinned until
-  shutdown and counted.  Handles and leases end in finalizers, which
-  only append to a deque; :meth:`ProcRuntime._drain_refs` applies them
-  at the runtime's next lock hold and :meth:`ProcRuntime._release`
-  is the one place an object is forgotten.
+* **Objects** are the :class:`~repro.proc.objects.ObjectPlane`'s
+  (``self._objects``), asked under this runtime's lock: the two data
+  planes (small objects ride the pipes as bytes, large ones a zero-copy
+  shared-memory arena), where each object lives, and what still holds
+  it — so that a dead object gives its memory back.
 * **Crash recovery**: a dead worker process is detected by its service
   thread (EOF on the pipe).  Stateless in-flight tasks are replayed from
   their spec — lineage replay, up to ``max_reconstructions`` — while
@@ -90,7 +67,6 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -117,8 +93,7 @@ from repro.core.completion import (
 )
 from repro.core.dependencies import DependencyTracker
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
-from repro.core import object_ref
-from repro.core.object_ref import ObjectRef, RefLedger
+from repro.core.object_ref import ObjectRef
 from repro.core.protocol import (
     check_cluster_feasible,
     normalize_get_refs,
@@ -136,25 +111,21 @@ from repro.errors import (
     ReproError,
 )
 from repro.gcs import ControlStore, plan_recovery
-from repro.objectstore.store import LocalObjectStore
 from repro.obs import SpanCollector
 from repro.proc import messages as msg
 from repro.proc.messages import ShmDescriptor, SlotRef
+from repro.proc.objects import ObjectPlane
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
 from repro.scheduling.policies import PlacementPolicy, StealPolicy
 from repro.sched_plane import (
     LocalTaskQueue,
-    ResidencyTracker,
     SchedCounters,
     WorkerCandidate,
     plan_placement,
 )
-from repro.shm.coordinator import ShmCoordinator
-from repro.shm.segment import shm_available, usable_shm_budget
 from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID
 from repro.utils.serialization import (
-    ByteAccountant,
     DEFAULT_INLINE_THRESHOLD,
     deserialize_frame,
     deserialize_portable,
@@ -162,7 +133,6 @@ from repro.utils.serialization import (
     serialize_buffers,
     serialize_portable,
     should_inline,
-    write_frame,
 )
 
 #: Valid values of the ``worker_crash_policy`` init option.
@@ -196,13 +166,6 @@ _MIN_TASK_ESTIMATE_S = 20e-6
 #: completions — at once when a single run exceeds the whole frame
 #: budget (see ``_finish_done``).
 _ESTIMATE_WINDOW = 5
-
-#: Dead handles that make the per-task paths (submit, get, wait, a DONE
-#: frame) stop and drain.  A drain has a fixed cost several times what
-#: one more object adds to it, and a one-call-at-a-time loop would pay
-#: it on every call; what needs the memory at once — ``put``, a worker's
-#: shm grant, ``stats()`` — does not wait for a batch.
-_DRAIN_BATCH = 16
 
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
@@ -346,12 +309,15 @@ def place_without_locality(
     return best
 
 
-def _bare(value: Any) -> Any:
-    """A counted ref argument as an uncounted one (anything else as it
-    is): what a spec keeps once its task is pinned."""
-    if isinstance(value, ObjectRef) and value._ledger is not None:
-        return ObjectRef._uncounted(value.object_id, value.producer_task)
-    return value
+def _time_left(deadline: Optional[float], object_id: ObjectID) -> Optional[float]:
+    """Seconds until a ``get``'s deadline (None: it has none); past it,
+    the ``get`` times out."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise GetTimeoutError(f"get timed out waiting for {object_id}")
+    return left
 
 
 def _wire_ids(spec: TaskSpec) -> tuple:
@@ -370,10 +336,8 @@ class ProcRuntime:
         num_workers: Optional[int] = None,
         worker_crash_policy: str = "replace",
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
-        worker_cache_bytes: int = 64 * 1024**2,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
         dispatch_mode: str = "bottom_up",
-        control_shards: int = 8,
         control_store: Optional[ControlStore] = None,
         recover: bool = False,
         tracing: bool = False,
@@ -402,10 +366,10 @@ class ProcRuntime:
                 f"{worker_crash_policy!r} for backend 'proc'; valid values: "
                 f"{list(CRASH_POLICIES)}"
             )
-        if inline_threshold < 0 or worker_cache_bytes <= 0:
+        if inline_threshold < 0:
             raise BackendError(
-                "invalid init option for backend 'proc': inline_threshold "
-                "must be >= 0 and worker_cache_bytes > 0"
+                f"invalid init option inline_threshold={inline_threshold!r} "
+                "for backend 'proc'; must be >= 0"
             )
         if not isinstance(shm_capacity, int) or shm_capacity < 0:
             raise BackendError(
@@ -414,24 +378,20 @@ class ProcRuntime:
                 "the shared-memory data plane)"
             )
         #: The control plane (the paper's GCS): lineage, object directory,
-        #: actor registry, scheduler-visible state — hash-sharded behind
-        #: striped locks instead of hanging off the driver lock.  A store
-        #: passed in from outside outlives this runtime (driver HA).
+        #: actor registry, scheduler-visible state — behind its own lock
+        #: instead of hanging off the driver lock (one shard: eight never
+        #: measured reliably faster).  A store passed in from outside
+        #: outlives this runtime (driver HA).
         if control_store is not None:
             self._control = control_store
             self._owns_control = False
         else:
-            if not isinstance(control_shards, int) or control_shards < 1:
-                raise BackendError(
-                    f"invalid init option control_shards={control_shards!r} "
-                    "for backend 'proc'; must be a positive integer"
-                )
             if recover:
                 raise BackendError(
                     "recover=True requires control_store= (the store that "
                     "outlived the failed driver)"
                 )
-            self._control = ControlStore(num_shards=control_shards)
+            self._control = ControlStore(num_shards=1)
             self._owns_control = True
         self._recover_requested = recover
         #: Generation salt: a recovered driver must never mint an id the
@@ -443,12 +403,8 @@ class ProcRuntime:
             namespace = f"{namespace}/gen{self._generation}"
         self.ids = IDGenerator(namespace=namespace)
         self.closed = False
-        self._crash_policy = worker_crash_policy
         self._inline_threshold = inline_threshold
-        self._worker_cache_bytes = worker_cache_bytes
-        #: The scheduling plane (see repro.sched_plane): residency for
-        #: locality scoring, and the stats()["sched"] counters.
-        self._residency = ResidencyTracker()
+        #: The scheduling plane's stats()["sched"] counters.
         self._sched = SchedCounters()
         #: The tracing plane (repro.obs): driver-local spans plus every
         #: worker's flushed buffers, merged onto one wall-clock timeline
@@ -476,46 +432,27 @@ class ProcRuntime:
         self._completions = CompletionPump("repro-proc-completions")
         self._serve_pools: list = []
 
-        #: Driver object store: the single home of every produced object,
-        #: bytes-first, shared with the workers through fetch/inline.
         self.head_node_id = self.ids.node_id()
-        self._store = LocalObjectStore(
+        self._lifecycle = LifecycleIndex()
+        nodes, workers_per_node = self._node_hooks()
+        #: Where every object lives and what holds it (repro.proc.objects).
+        self._objects = ObjectPlane(
             self.head_node_id,
-            capacity=sum(n.object_store_capacity for n in self.cluster.nodes),
+            self._cond,
+            self._control,
+            self._obs,
+            store_capacity=sum(n.object_store_capacity for n in self.cluster.nodes),
+            shm_capacity=shm_capacity,
+            num_workers=num_workers,
+            seed=seed,
+            inline_threshold=inline_threshold,
+            crash_policy=worker_crash_policy,
+            is_cancelled=self._lifecycle.is_cancelled,
+            arrived=self._object_arrived,
+            requeue=self._requeue_lost,
+            nodes=nodes,
+            workers_per_node=workers_per_node,
         )
-        #: The zero-copy data plane: large objects live in shared-memory
-        #: arenas and cross the pipe as descriptors.  Capability-gated —
-        #: a host without POSIX shm (or ``shm_capacity=0``) falls back
-        #: to the pipe path transparently.
-        self._shm: Optional[ShmCoordinator] = None
-        if shm_capacity > 0 and shm_available():
-            # Clamp to what the host's shm filesystem can actually back
-            # (Docker defaults /dev/shm to 64 MB; overrunning it is a
-            # SIGBUS, not an exception).  Too small ⇒ pipe-only.
-            shm_capacity = usable_shm_budget(shm_capacity)
-        if shm_capacity > 0 and shm_available():
-            self._shm = ShmCoordinator(
-                self.head_node_id,
-                capacity=shm_capacity,
-                num_workers=num_workers,
-                seed=seed,
-            )
-        #: Object lifetime (module docstring); every table is keyed by
-        #: the object's raw id, its hex (a ``str`` hashes in C, and each
-        #: release asks all of them).  Handles: the ledger's counts.
-        #: Task pins: object -> tasks pinning it (each task's own list
-        #: is ``TaskSpec.pins``).  Born-in-task holds: the held objects,
-        #: and by raw task id the ids born inside it.  Escaped objects
-        #: stay until shutdown.  One whose holders are all gone before
-        #: its value exists is released when it arrives.
-        self._ledger = RefLedger()
-        self._pins: dict[str, int] = {}
-        self._held: set = set()
-        self._born_in: dict[str, list] = {}
-        self._escaped: set = set()
-        self._release_on_arrival: set = set()
-        self._objects_released = 0
-        self._fallback_warned = False
         self._deps = DependencyTracker()
         #: The function table: ``(registered name, callable)`` by
         #: function id — the callable is None for a function a worker
@@ -523,26 +460,15 @@ class ProcRuntime:
         #: calls it).
         self._functions: dict[FunctionID, tuple] = {}
         self.actors = ActorRegistry()
-        self._lifecycle = LifecycleIndex()
 
         #: Stateless runnable tasks, drained by whichever worker idles first.
         self._queue: deque = deque()
         self._workers: list[_WorkerHandle] = []
         self._by_node: dict[NodeID, _WorkerHandle] = {}
         self._fn_cache: dict[FunctionID, bytes] = {}
-        self._replays: dict[Any, int] = {}
 
         self._tasks_executed = 0
         self._workers_crashed = 0
-        self._lineage_replays = 0
-        self._acct_inline = ByteAccountant()
-        self._acct_stored = ByteAccountant()
-        self._acct_fetched = ByteAccountant()
-        self._acct_results = ByteAccountant()
-        #: The data-plane ledger: zero_copy_bytes/shm_hits count objects
-        #: served as descriptors, pipe_fallbacks the large objects that
-        #: crossed the pipe anyway.
-        self._acct_shm = ByteAccountant()
 
         self._mp = multiprocessing.get_context("spawn")
         with self._cond:
@@ -550,7 +476,7 @@ class ProcRuntime:
                 self._workers.append(None)  # type: ignore[arg-type]
                 self._spawn_worker(index)
         self.node_ids = [self.head_node_id]
-        object_ref.install_ledger(self._ledger)
+        self._objects.count_handles()
         if self._recover_requested:
             self._recover_from_control()
 
@@ -578,8 +504,7 @@ class ProcRuntime:
         self._check_open()
         template.check_feasible(self.cluster)
         with self._cond:
-            if len(self._ledger.died) >= _DRAIN_BATCH:
-                self._drain_refs()
+            self._objects.drain(batched=True)
             spec = template.stamp(
                 self.ids, args, kwargs, self.head_node_id,
                 root_task_id, parent_task_id,
@@ -597,7 +522,7 @@ class ProcRuntime:
         that keeps the spec) names its arguments without holding them.
         """
         if spec.argument_refs() or spec.extra_dependencies:
-            self._pin_task(spec)
+            self._objects.pin_task(spec)
         self._control.task_put(spec.task_id, spec, node=self.head_node_id)
         if self._obs.enabled:
             self._obs.record(
@@ -615,7 +540,8 @@ class ProcRuntime:
         self._lifecycle.register(spec)
         missing = None
         if spec.pins:
-            missing = {dep for dep in spec.pins if not self._has_object(dep)}
+            has = self._objects.has
+            missing = {dep for dep in spec.pins if not has(dep)}
         if missing:
             self._deps.add(spec, missing)
         else:
@@ -696,7 +622,7 @@ class ProcRuntime:
                     est_cpus=0 if (worker.busy or worker.inflight) else 1,
                     est_gpus=0,
                     queue_length=_queue_length(worker),
-                    locality_bytes=self._residency.locality_bytes(
+                    locality_bytes=self._objects.residency.locality_bytes(
                         worker.index, dependencies, max_lookups
                     ),
                 )
@@ -814,7 +740,7 @@ class ProcRuntime:
         record.num_calls += 1
         self._control.async_actor_update(actor_id, method_inc=True)
         if born_in is not None:
-            self._hold_born(born_in, spec.all_return_ids())
+            self._objects.hold_born(born_in, spec.all_return_ids())
         if not record.dead:
             record.lane.calls.append(spec)
         self._submit_spec(spec)
@@ -856,11 +782,11 @@ class ProcRuntime:
         ref_list = list(refs)
         validate_wait_args(ref_list, num_returns)
         deadline = None if timeout is None else time.monotonic() + timeout
+        has = self._objects.has
         with self._cond:
-            if len(self._ledger.died) >= _DRAIN_BATCH:
-                self._drain_refs()
+            self._objects.drain(batched=True)
             while True:
-                ready = [r for r in ref_list if self._has_object(r.object_id)]
+                ready = [r for r in ref_list if has(r.object_id)]
                 if len(ready) >= num_returns:
                     break
                 remaining = None
@@ -869,55 +795,26 @@ class ProcRuntime:
                     if remaining <= 0:
                         break
                 self._cond.wait(timeout=remaining)
-            ready_ids = {
-                r.object_id for r in ref_list if self._has_object(r.object_id)
-            }
+            ready_ids = {r.object_id for r in ref_list if has(r.object_id)}
         return partition_by_ready(ref_list, lambda r: r.object_id in ready_ids)
 
     def put(self, value: Any) -> ObjectRef:
         self._check_open()
-        if self._shm is not None:
+        plane = self._objects
+        if plane.shm is not None:
             serialized = serialize_buffers(value)
             if not should_inline(serialized.total_bytes, self._inline_threshold):
-                return self._put_large(serialized)
+                object_id = self.ids.object_id()
+                plane.put_large(object_id, serialized)
+                return ObjectRef(object_id)
             data = serialized.joined()
         else:
             data = serialize(value)
         with self._cond:
-            self._drain_refs()
+            plane.drain()
             ref = ObjectRef(self.ids.object_id())
-            self._store_bytes(ref.object_id, data)
+            plane.store_bytes(ref.object_id, data)
         return ref
-
-    def _put_large(self, serialized) -> ObjectRef:
-        """A large driver-side put: two-phase shm write so the multi-MB
-        frame copy never runs under the runtime lock (the allocation is
-        pending+pinned meanwhile), with pipe fallback on a full budget.
-        What died since the last drain gives its space back first, so
-        the write lands on it."""
-        with self._cond:
-            self._drain_refs()
-            object_id = self.ids.object_id()
-            window = self._shm.begin_put(object_id, serialized.frame_bytes)
-        if window is not None:
-            try:
-                write_frame(window, serialized)
-            except BaseException:
-                with self._cond:
-                    self._shm.abort(object_id)
-                raise
-            with self._cond:
-                self._shm.finish_put(object_id)
-                self._acct_shm.record_zero_copy(serialized.frame_bytes)
-                self._object_arrived(object_id)
-            return ObjectRef(object_id)
-        # Budget full: the pipe store still works.  The join (one copy
-        # of the payload) also happens outside the lock.
-        data = serialized.joined()
-        with self._cond:
-            self._note_pipe_fallback(serialized.total_bytes)
-            self._store_bytes(object_id, data)
-        return ObjectRef(object_id)
 
     def cancel(self, ref: ObjectRef, recursive: bool = False) -> bool:
         """Cancel the task producing ``ref`` (shared core semantics)."""
@@ -930,16 +827,13 @@ class ProcRuntime:
         return self._cond
 
     def _result_ready(self, object_id: ObjectID) -> bool:
-        return self._has_object(object_id)
+        return self._objects.has(object_id)
 
     def _store_cancelled(self, spec: TaskSpec) -> None:
-        data = serialize(
-            cancelled_error_value(spec, "cancelled before a result was produced")
+        self._objects.store_error(
+            spec,
+            cancelled_error_value(spec, "cancelled before a result was produced"),
         )
-        for object_id in spec.all_return_ids():
-            if not self._has_object(object_id):
-                self._store_bytes(object_id, data)
-        self._unpin_task(spec)
         self._drop_cancelled_from_plane(spec)
 
     def _drop_cancelled_from_plane(self, spec: TaskSpec) -> None:
@@ -985,26 +879,16 @@ class ProcRuntime:
 
     def stats(self) -> dict:
         with self._cond:
-            self._drain_refs()
-            shm_store = None if self._shm is None else self._shm.stats()
+            objects = self._objects.stats()
+            alive = sum(1 for w in self._workers if w.alive)
             return {
                 "tasks_executed": self._tasks_executed,
-                "objects_stored": self._store.num_objects,
-                "object_store_bytes": self._store.used_bytes,
                 "tasks_waiting": len(self._deps),
                 "actors_created": len(self.actors),
-                "num_workers": sum(1 for w in self._workers if w.alive),
+                "num_workers": alive,
                 "workers_crashed": self._workers_crashed,
                 "tasks_cancelled": self._lifecycle.cancelled_count,
-                "lineage_replays": self._lineage_replays,
-                "args_inlined": self._acct_inline.snapshot(),
-                "args_stored": self._acct_stored.snapshot(),
-                "args_fetched": self._acct_fetched.snapshot(),
-                "results_shipped": self._acct_results.snapshot(),
-                "shm_enabled": self._shm is not None,
-                "shm": self._acct_shm.snapshot(),
-                "shm_store": shm_store,
-                "objects": self._object_stats(shm_store),
+                **objects,
                 "sched": self._sched.snapshot(),
                 "obs": self._obs.stats(),
                 "serve": serve_stats(self._serve_pools, self._completions),
@@ -1014,10 +898,10 @@ class ProcRuntime:
                     len(self._workers),
                     [
                         (
-                            sum(1 for w in self._workers if w.alive),
-                            self._shm is not None,
-                            self._store.num_objects,
-                            self._store.used_bytes,
+                            alive,
+                            objects["shm_enabled"],
+                            objects["objects_stored"],
+                            objects["object_store_bytes"],
                         )
                     ],
                 ),
@@ -1074,22 +958,40 @@ class ProcRuntime:
             return
         for pool in list(self._serve_pools):
             pool.close()
-        with self._cond:
-            self.closed = True
-            workers = [w for w in self._workers if w is not None]
-            busy = [w for w in workers if w.alive and (w.inflight or w.busy)]
-            self._cond.notify_all()
-        # Busy children may be deep in user code (even sleeping forever):
-        # kill them; idle ones get a graceful shutdown from their service
-        # thread, which wakes on ``closed`` and owns the pipe's send side.
-        self._reap_pool(workers, kill=busy)
+        self._end_pool(crashed=False)
         if self._owns_control:
             self._control.close()
 
-    def _reap_pool(self, workers: list, kill: list) -> None:
-        """End of the pool (``closed`` is set): kill ``kill``, wait for
-        every service thread and process, release what the driver owns
-        beside the control store."""
+    def fail_driver(self) -> None:
+        """Fault injection: die like a crashed driver process.
+
+        Tears down everything the driver owns — worker pool, service
+        threads, shm segments — but NEVER the control store, which by
+        design outlives the driver (even when ``_owns_control``: the
+        test of HA is that it keeps working after the driver is gone).
+        A fresh runtime constructed with ``control_store=<same store>,
+        recover=True`` picks up the workload (see
+        :mod:`repro.gcs.recovery`).
+        """
+        if not self.closed:
+            self._end_pool(crashed=True)
+
+    def _end_pool(self, crashed: bool) -> None:
+        """Close the runtime and end its pool: wait for every service
+        thread and process, release what the driver owns beside the
+        control store.  Busy children may be deep in user code (even
+        sleeping forever) and are killed; idle ones get a graceful
+        shutdown from their service thread, which wakes on ``closed``
+        and owns the pipe's send side.  A crashing driver does not say
+        goodbye: it hard-kills them all."""
+        with self._cond:
+            self.closed = True
+            workers = [w for w in self._workers if w is not None]
+            kill = [
+                w for w in workers
+                if w.alive and (crashed or w.inflight or w.busy)
+            ]
+            self._cond.notify_all()
         for worker in kill:
             worker.process.kill()
         for worker in workers:
@@ -1105,41 +1007,8 @@ class ProcRuntime:
                 worker.conn.close()
             except OSError:
                 pass
-        if self._shm is not None:
-            # Guaranteed unlinking: every worker process is dead or
-            # detached by now, so no shm segment name survives shutdown
-            # — even after worker crashes.
-            self._shm.shutdown()
-        self._retire_ledger()
+        self._objects.shutdown()
         self._completions.stop()
-
-    def _retire_ledger(self) -> None:
-        """This runtime counts no more handles (refs that outlive it
-        keep appending to its ledger, which nobody drains or needs)."""
-        if object_ref._ledger is self._ledger:
-            object_ref.install_ledger(None)
-
-    def fail_driver(self) -> None:
-        """Fault injection: die like a crashed driver process.
-
-        Tears down everything the driver owns — worker pool, service
-        threads, shm segments — but NEVER the control store, which by
-        design outlives the driver.  A fresh runtime constructed with
-        ``control_store=<same store>, recover=True`` picks up the
-        workload (see :mod:`repro.gcs.recovery`).
-        """
-        if self.closed:
-            return
-        with self._cond:
-            self.closed = True
-            workers = [w for w in self._workers if w is not None]
-            self._cond.notify_all()
-        # A crashing driver does not say goodbye: hard-kill the pool.
-        # The control store is not ours to close even when _owns_control:
-        # the test of HA is that it keeps working after the driver is gone.
-        self._reap_pool(
-            workers, kill=[w for w in workers if w.process is not None and w.alive]
-        )
 
     def _recover_from_control(self) -> None:
         """Execute the dead driver's :func:`plan_recovery` plan (end of
@@ -1153,14 +1022,15 @@ class ProcRuntime:
                 restored += spec.all_return_ids()
             for spec, _payload in plan.pending_payloads:
                 restored += spec.all_return_ids()
-            self._escaped.update([object_id.hex for object_id in restored])
+            plane = self._objects
+            plane.escape([object_id.hex for object_id in restored])
             for object_id, payload in plan.ready_payloads.items():
-                if not self._has_object(object_id):
-                    self._store_bytes(object_id, payload)
+                if not plane.has(object_id):
+                    plane.store_bytes(object_id, payload)
             for object_id in plan.unrecoverable:
                 # A large driver ``put`` has no lineage to replay: an
                 # error marker beats a ``get`` that hangs forever.
-                self._store_bytes(
+                plane.store_bytes(
                     object_id,
                     serialize(
                         ErrorValue(
@@ -1204,7 +1074,7 @@ class ProcRuntime:
                             actor_id=spec.actor_id,
                         )
                     )
-                    self._store_error_all_returns(spec, error)
+                    plane.store_error(spec, error)
                 else:
                     self._submit_spec(spec)
             for spec, payload in plan.pending_payloads:
@@ -1219,7 +1089,7 @@ class ProcRuntime:
                 self._fn_cache.setdefault(spec.function_id, code)
                 self._payloads[spec.task_id.hex] = entry
                 self._lifecycle.register(spec)
-                self._pin(spec, list(spec.pins))  # the dead driver's, again
+                plane.pin(spec, list(spec.pins))  # the dead driver's, again
                 self._enqueue(spec)
             self._cond.notify_all()
 
@@ -1242,9 +1112,8 @@ class ProcRuntime:
         process = self._mp.Process(
             target=worker_main,
             args=(
-                child_conn, index, self.seed, self._worker_cache_bytes,
-                self._shm is not None, self._inline_threshold,
-                self._spawn_count, self.tracing,
+                child_conn, index, self.seed, self._objects.shm is not None,
+                self._inline_threshold, self._spawn_count, self.tracing,
             ),
             name=f"repro-proc-worker-{index}",
             daemon=True,
@@ -1341,7 +1210,7 @@ class ProcRuntime:
             if spec.actor_id is not None:
                 # Only a dead or unknown actor's tasks take the global
                 # queue (``_enqueue``): here they become its error.
-                self._store_error_all_returns(
+                self._objects.store_error(
                     spec, self._actor_predispatch_error(spec)
                 )
                 continue
@@ -1379,7 +1248,7 @@ class ProcRuntime:
             if error is None:
                 lane.open = 1
                 return spec
-            self._store_error_all_returns(spec, error)
+            self._objects.store_error(spec, error)
         return None
 
     def _settle_call(self, spec: TaskSpec) -> None:
@@ -1390,16 +1259,6 @@ class ProcRuntime:
         lane.open -= 1
         if not lane.open:
             self._wake_lane(lane)
-
-    def _store_error_all_returns(self, spec: TaskSpec, error: ErrorValue) -> None:
-        """Store one error value into *every* return slot of a spec
-        (lock held).  A batched serving call has ``num_returns > 1``;
-        filling only the primary slot would leave the other callers'
-        watchers waiting forever."""
-        data = serialize(error)
-        for object_id in spec.all_return_ids():
-            self._store_bytes(object_id, data)
-        self._unpin_task(spec)
 
     def _actor_predispatch_error(self, spec: TaskSpec) -> Optional[ErrorValue]:
         """Driver-side half of ``resolve_actor_callable`` (lock held):
@@ -1649,7 +1508,7 @@ class ProcRuntime:
         """A task whose payload could not be built (lost argument,
         unpicklable code) resolves to an error value in every slot."""
         with self._cond:
-            self._store_error_all_returns(spec, error_value_from(spec, exc))
+            self._objects.store_error(spec, error_value_from(spec, exc))
             if spec.actor_id is not None:
                 self._settle_call(spec)
 
@@ -1690,7 +1549,7 @@ class ProcRuntime:
         follow the frame that carries it."""
         def slot_for(object_id: ObjectID, inline: dict) -> SlotRef:
             with self._cond:
-                return self._arg_slot(object_id, worker, inline)
+                return self._objects.arg_slot(object_id, worker.index, inline)
 
         functions: dict = {}
         encoded = []
@@ -1776,8 +1635,7 @@ class ProcRuntime:
         if len(message) > 3:  # optional trailing obs blob
             self._ingest_worker_obs(worker, message[3])
         with self._cond, self._control.async_batch():
-            if len(self._ledger.died) >= _DRAIN_BATCH:
-                self._drain_refs()
+            self._objects.drain(batched=True)
             self._sched.done_frames += 1
             times: dict = {}
             for task_hex, blobs, failed, exec_seconds in completions:
@@ -1791,6 +1649,7 @@ class ProcRuntime:
                 self._note_exec_times(function_id, samples)
             if idle:
                 worker.busy = False
+            self._objects.flush_deletes()
             self._cond.notify_all()
 
     def _note_exec_times(self, function_id: FunctionID, samples: list) -> None:
@@ -1824,7 +1683,8 @@ class ProcRuntime:
         STEAL_GRANT mentioning any of the tasks, and before any bytes
         that carry one of those refs."""
         with self._cond, self._control.async_batch():
-            self._escaped.update(escaped)
+            plane = self._objects
+            plane.escape(escaped)
             for function_hex, (name, code) in table.items():
                 function_id = FunctionID(function_hex)
                 self._functions.setdefault(function_id, (name, None))
@@ -1836,10 +1696,10 @@ class ProcRuntime:
                     entry, self._peer_templates, submitted_from=worker.node_id
                 )
                 self._lifecycle.register(spec)
-                self._hold_born(entry[5].get("parent"), spec.all_return_ids())
+                plane.hold_born(entry[5].get("parent"), spec.all_return_ids())
                 deps = entry[5].get("deps")
                 if deps:
-                    self._pin(spec, [ObjectID(dep) for dep in deps])
+                    plane.pin(spec, [ObjectID(dep) for dep in deps])
                 worker.mirror.push(entry[0], spec)
                 self._payloads[entry[0]] = entry
                 # Worker-born lineage: async by design (the fast path is
@@ -1907,22 +1767,16 @@ class ProcRuntime:
         spec = worker.inflight.pop(task_hex, None)
         if spec is None:
             spec = worker.mirror.remove(task_hex)
+        payload = self._payloads.pop(task_hex, None) if self._payloads else None
         if spec is None:
             # Cancelled while mid-run on the worker: the marker owns
-            # the result slots; drop the blobs (and any arena space
-            # the worker filled for them).
-            if self._shm is not None:
-                for blob in blobs:
-                    if isinstance(blob, ShmDescriptor):
-                        self._shm.abort(blob.object_id)
+            # the result slots; drop the blobs.
+            self._objects.discard(blobs)
         else:
-            if self._payloads:
-                self._payloads.pop(task_hex, None)
-            self._finish_spec(worker, spec, blobs, failed)
+            self._finish_spec(worker, spec, blobs, failed, payload)
             if spec.actor_id is not None:
                 self._settle_call(spec)
-        if self._born_in:
-            self._drop_born(task_hex)
+        self._objects.drop_born(task_hex)
         return spec
 
     def _read_steal_grant(self, worker: _WorkerHandle) -> None:
@@ -2013,39 +1867,6 @@ class ProcRuntime:
             functions[spec.function_id] = (name, self._function_bytes(spec))
         return entry
 
-    def _arg_slot(
-        self, object_id: ObjectID, worker: _WorkerHandle, inline: dict
-    ) -> SlotRef:
-        """The wire form of one ref argument (lock held): its bytes join
-        ``inline`` when small; large ones stay put for the worker to
-        attach (shm) or fetch."""
-        if self._shm is not None:
-            described = self._shm.describe(object_id)
-            if described is not None:
-                # Shared-memory resident: the descriptor itself rides in
-                # the SlotRef — the worker attaches and reads zero-copy
-                # with no extra round trip.
-                segment, shm_slot, size = described
-                self._acct_shm.record_zero_copy(size)
-                self._residency.record(worker.index, object_id.hex, size)
-                return SlotRef(
-                    object_id,
-                    shm=ShmDescriptor(object_id, segment, shm_slot, size),
-                )
-        data = self._store.get(object_id)
-        if data is None:
-            raise ObjectLostError(
-                f"argument object {object_id} is no longer in "
-                "the driver store"
-            )
-        if should_inline(len(data), self._inline_threshold):
-            inline[object_id] = data
-            self._acct_inline.record(len(data))
-        else:
-            self._acct_stored.record(len(data))
-        self._residency.record(worker.index, object_id.hex, len(data))
-        return SlotRef(object_id)
-
     def _function_bytes(self, spec: TaskSpec) -> bytes:
         cached = self._fn_cache.get(spec.function_id)
         if cached is None:
@@ -2062,19 +1883,23 @@ class ProcRuntime:
         return cached
 
     def _finish_spec(
-        self, worker: _WorkerHandle, spec: TaskSpec, blobs: list, failed: bool
+        self,
+        worker: _WorkerHandle,
+        spec: TaskSpec,
+        blobs: list,
+        failed: bool,
+        payload: Optional[tuple] = None,
     ) -> None:
         """Record one completed task and publish its results (lock held;
-        the spec is already off the inflight stack / mirror)."""
+        the spec is already off the inflight stack / mirror).  ``payload``
+        is a worker-born task's wire entry, which the object plane keeps
+        while a lost node could still make the task run again."""
         worker.tasks_done += 1
         self._tasks_executed += 1
         self._control.async_task_update(
             spec.task_id,
             state="failed" if failed else "finished",
             node=worker.node_id,
-        )
-        self._acct_results.record(
-            sum(len(data) for data in blobs if not isinstance(data, ShmDescriptor))
         )
         if spec.actor_id is not None:
             record = self.actors.get(spec.actor_id)
@@ -2089,36 +1914,10 @@ class ProcRuntime:
                 else:
                     record.methods_executed += 1
         if self._lifecycle.is_cancelled(spec.task_id):
-            # Cancelled mid-run: the marker owns the slots; shm
-            # allocations the worker filled are dropped unsealed.
-            if self._shm is not None:
-                for blob in blobs:
-                    if isinstance(blob, ShmDescriptor):
-                        self._shm.abort(blob.object_id)
+            # Cancelled mid-run: the marker owns the slots.
+            self._objects.discard(blobs)
             return
-        for object_id, data in zip(spec.all_return_ids(), blobs):
-            if isinstance(data, ShmDescriptor):
-                # The payload is already in shared memory (the worker
-                # wrote it through its own mapping): publish it.
-                self._shm.seal(object_id)
-                self._acct_shm.record_zero_copy(data.size)
-                if self._obs.enabled:
-                    self._obs.record(
-                        "shm_seal", object_id=str(object_id), size=data.size
-                    )
-                self._object_arrived(object_id)
-                continue
-            try:
-                self._store_bytes(object_id, data)
-            except ReproError as exc:
-                # Store full: keep consumers unblocked with a tiny marker.
-                self._store_bytes(
-                    object_id, serialize(error_value_from(spec, exc))
-                )
-        # Every return is in the driver's own stores: no replay of this
-        # task can happen, so none can need its arguments.
-        if spec.pins:
-            self._unpin_task(spec)
+        self._objects.finish(spec, blobs, worker.index, payload)
         if self._obs.enabled:
             self._obs.record(
                 "result_stored",
@@ -2136,8 +1935,11 @@ class ProcRuntime:
     def _serve_rpc(self, worker: _WorkerHandle, message: tuple) -> None:
         tag = message[0]
         try:
+            plane = self._objects
             if tag == msg.FETCH:
-                reply = self._fetch_bytes(worker, message[1])
+                plane.pull(message[1])  # a node-resident one comes here first
+                with self._cond:
+                    reply = plane.fetch_bytes(message[1], worker.index)
             elif tag == msg.SUBMIT:
                 reply = self._submit_from_worker(message[1])
             elif tag == msg.GET:
@@ -2147,15 +1949,29 @@ class ProcRuntime:
                     worker, message[1], message[2], message[3]
                 )
             elif tag == msg.PUT:
-                reply = self._put_bytes(worker, message[1], message[2])
+                data, born_in = message[1], message[2]
+                with self._cond:
+                    reply = self.ids.object_id()
+                    plane.hold_born(born_in, (reply,))
+                    plane.store_bytes(reply, data)
+                    # The putting worker keeps a copy in its cache.
+                    plane.residency.record(worker.index, reply.hex, len(data))
             elif tag == msg.SHM_ATTACH:
-                reply = self._shm_attach(worker, message[1])
+                plane.pull(message[1])
+                with self._cond:
+                    reply = plane.attach(message[1], worker.index)
             elif tag == msg.SHM_CREATE:
-                reply = self._shm_create(worker, message[1], message[2])
+                # No id named: a put, which gets a fresh one.
+                with self._cond:
+                    reply = plane.grant(
+                        message[1] or self.ids.object_id(), message[2], worker.index
+                    )
             elif tag == msg.SHM_SEAL:
-                reply = self._shm_seal(worker, message[1], message[2])
+                with self._cond:
+                    reply = plane.seal_put(message[1], worker.index, message[2])
             elif tag == msg.SHM_ABORT:
-                reply = self._shm_abort(message[1])
+                with self._cond:
+                    reply = plane.abort_grant(message[1])
             elif tag == msg.CANCEL:
                 reply = self.cancel(
                     ObjectRef._uncounted(message[1]), recursive=message[2]
@@ -2189,111 +2005,6 @@ class ProcRuntime:
         else:
             self._send(worker, (msg.OK, reply))
 
-    def _fetch_bytes(self, worker: _WorkerHandle, object_id: ObjectID) -> bytes:
-        with self._cond:
-            data = self._store.get(object_id)
-            if data is None and self._shm is not None and self._shm.contains(
-                object_id
-            ):
-                # A worker that cannot map the segment asked for bytes:
-                # re-join the shm payload in-band (the one copy the data
-                # plane normally avoids).
-                data = serialize(self._shm.load(object_id))
-                self._acct_shm.record_pipe_fallback(len(data))
-            if data is None:
-                raise ObjectLostError(
-                    f"object {object_id} is not resident in the driver store"
-                )
-            self._acct_fetched.record(len(data))
-            if self._obs.enabled:
-                self._obs.record(
-                    "object_fetch",
-                    object_id=str(object_id),
-                    size=len(data),
-                    worker=f"worker-{worker.index}",
-                )
-            # The worker caches what it fetches: from here on the object
-            # is locality-resident there.
-            self._residency.record(worker.index, object_id.hex, len(data))
-            return data
-
-    def _blob_for(self, object_id: ObjectID) -> Any:
-        """The pipe representation of a resident object: a descriptor
-        when it lives in shared memory, its bytes otherwise (lock held)."""
-        if self._shm is not None:
-            described = self._shm.describe(object_id)
-            if described is not None:
-                segment, slot, size = described
-                self._acct_shm.record_zero_copy(size)
-                return ShmDescriptor(object_id, segment, slot, size)
-        return self._store.get(object_id)
-
-    def _shm_attach(self, worker: _WorkerHandle, object_id: ObjectID) -> Any:
-        """Serve a worker's metadata-only fetch: descriptor when the
-        object is shm-resident, bytes fallback otherwise."""
-        with self._cond:
-            blob = self._blob_for(object_id)
-            if blob is None:
-                raise ObjectLostError(
-                    f"object {object_id} is not resident in the driver store"
-                )
-            if isinstance(blob, ShmDescriptor):
-                self._residency.record(worker.index, object_id.hex, blob.size)
-            else:
-                self._acct_fetched.record(len(blob))
-            return blob
-
-    def _shm_abort(self, object_id: ObjectID) -> None:
-        """A worker hands back a granted allocation it could not write
-        (it is falling back to the pipe): return the space at once."""
-        with self._cond:
-            if self._shm is not None:
-                self._shm.abort_if_pending(object_id)
-
-    def _shm_create(
-        self, worker: _WorkerHandle, object_id: Optional[ObjectID], nbytes: int
-    ) -> Optional[ShmDescriptor]:
-        """Grant (or refuse) a worker's request to write ``nbytes``
-        directly into shared memory.  ``object_id=None`` allocates a
-        fresh id (the put path)."""
-        with self._cond:
-            if self._shm is None:
-                return None
-            self._drain_refs()  # dead objects first: the grant reuses them
-            if object_id is None:
-                object_id = self.ids.object_id()
-            granted = self._shm.create_for_client(
-                object_id, nbytes, client=worker.index + 1
-            )
-            if granted is None:
-                self._note_pipe_fallback(nbytes)
-                return None
-            segment, slot, size = granted
-            return ShmDescriptor(object_id, segment, slot, size)
-
-    def _shm_seal(
-        self, worker: _WorkerHandle, object_id: ObjectID, born_in: str
-    ) -> None:
-        """Publish a worker-filled allocation (the put path's second
-        phase) and wake anything parked on the object."""
-        with self._cond:
-            if self._shm is None or not self._shm.seal(object_id):
-                raise ObjectLostError(
-                    f"shm allocation for {object_id} no longer exists"
-                )
-            self._hold_born(born_in, (object_id,))
-            size = self._shm.size_of(object_id) or 0
-            self._acct_shm.record_zero_copy(size)
-            if self._obs.enabled:
-                self._obs.record(
-                    "shm_seal",
-                    object_id=str(object_id),
-                    size=size,
-                    worker=f"worker-{worker.index}",
-                )
-            self._residency.record(worker.index, object_id.hex, size)
-            self._object_arrived(object_id)
-
     def _serve_get(
         self, worker: _WorkerHandle, object_ids: list, timeout: Optional[float]
     ) -> list:
@@ -2302,17 +2013,25 @@ class ProcRuntime:
         :meth:`_wait_serving`) so an actor task cannot deadlock against
         the very worker that must run it."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        plane = self._objects
         blobs = []
         for object_id in object_ids:
-            arrived = self._wait_serving(
-                worker,
-                lambda oid=object_id: self._has_object(oid),
-                deadline,
-            )
-            if not arrived:
-                raise GetTimeoutError(f"get timed out waiting for {object_id}")
-            with self._cond:
-                blobs.append(self._blob_for(object_id))
+            while True:
+                arrived = self._wait_serving(
+                    worker, lambda oid=object_id: plane.has(oid), deadline
+                )
+                if not arrived:
+                    raise GetTimeoutError(f"get timed out waiting for {object_id}")
+                with self._cond:
+                    blob = plane.blob_for(object_id)
+                if blob is not None:
+                    blobs.append(blob)
+                    break
+                # It lives on a node alone: bring a copy here.  A pull
+                # that fails (the node was lost under it) leaves a
+                # reconstruction, or its error marker, to wait for.
+                if not plane.pull(object_id):
+                    _time_left(deadline, object_id)
         return blobs
 
     def _serve_wait(
@@ -2326,18 +2045,15 @@ class ProcRuntime:
         and partitions its own refs): the ready ids, after the same
         lane service as get."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        has = self._objects.has
         self._wait_serving(
             worker,
-            lambda: sum(
-                1 for object_id in object_ids if self._has_object(object_id)
-            ) >= num_returns,
+            lambda: sum(1 for object_id in object_ids if has(object_id))
+            >= num_returns,
             deadline,
         )
         with self._cond:
-            return [
-                object_id for object_id in object_ids
-                if self._has_object(object_id)
-            ]
+            return [object_id for object_id in object_ids if has(object_id)]
 
     def _wait_serving(
         self,
@@ -2380,6 +2096,7 @@ class ProcRuntime:
             nested: Optional[TaskSpec] = None
             with self._cond:
                 while True:
+                    self._check_open()  # the wait ends with the pool
                     if predicate():
                         return True
                     nested = self._pop_runnable(worker)
@@ -2400,17 +2117,6 @@ class ProcRuntime:
                 self._execute_remote(worker, nested)
             else:
                 self._read_steal_grant(worker)
-
-    def _put_bytes(
-        self, worker: _WorkerHandle, data: bytes, born_in: str
-    ) -> ObjectID:
-        with self._cond:
-            object_id = self.ids.object_id()
-            self._hold_born(born_in, (object_id,))
-            self._store_bytes(object_id, data)
-            # The putting worker keeps a copy in its cache.
-            self._residency.record(worker.index, object_id.hex, len(data))
-        return object_id
 
     def _submit_from_worker(self, payload: dict) -> Any:
         """A worker-born task that could not take the fast path
@@ -2448,7 +2154,7 @@ class ProcRuntime:
                 self.ids, args, kwargs, self.head_node_id,
                 payload["root_task_id"], parent,
             )
-            self._hold_born(
+            self._objects.hold_born(
                 None if parent is None else parent.hex, spec.all_return_ids()
             )
             self._submit_spec(spec)
@@ -2470,66 +2176,30 @@ class ProcRuntime:
         )
 
     # ------------------------------------------------------------------
-    # Object store plumbing
+    # The object plane's callbacks, and the driver's own reads
     # ------------------------------------------------------------------
 
-    def _has_object(self, object_id: ObjectID) -> bool:
-        """Residency across both planes: pipe store or shm (lock held)."""
-        if self._store.contains(object_id):
-            return True
-        return self._shm is not None and self._shm.contains(object_id)
-
-    def _store_bytes(self, object_id: ObjectID, data: bytes) -> None:
-        """Insert a result object and wake dependents/waiters (lock held).
-
-        Results are pinned: the driver store is their only replica, so
-        LRU pressure must evict nothing (capacity overflow surfaces as
-        ObjectStoreFullError instead of a silent loss).
-
-        Deliberately does NOT touch a pending shm grant for the same id
-        (e.g. a cancellation marker racing a worker's result write): the
-        granted slot may be mid-``write_frame`` in the worker, so its
-        space is only reclaimed once the writer is provably done (its
-        DONE arrived, its SHM_ABORT arrived, or it crashed)."""
-        self._store.put(object_id, data)
-        self._store.pin(object_id)
-        self._object_arrived(object_id)
+    def _node_hooks(self) -> tuple:
+        """The nodes results can live on, and how many workers each has
+        (see :mod:`repro.proc.objects`); one host has none."""
+        return (), 1
 
     def _object_arrived(self, object_id: ObjectID) -> None:
         """Wake dependents, waiters, and watchers of a newly resident
         object, whichever plane it landed in (lock held)."""
-        self._control_note_arrival(object_id)
         for spec in self._deps.mark_ready(object_id):
             self._enqueue(spec)
         self._completions.notify(object_id)
         self._cond.notify_all()
-        if self._release_on_arrival and object_id.hex in self._release_on_arrival:
-            # Everything that held it was gone before it existed (a
-            # fire-and-forget task's result): it goes as it comes.
-            self._release_on_arrival.discard(object_id.hex)
-            self._maybe_release(object_id)
 
-    def _control_note_arrival(self, object_id: ObjectID) -> None:
-        """Async residency update into the object table (lock held).
-        Small payloads ride along inline — that is what a recovered
-        driver restores without re-executing producers."""
-        data = self._store.get(object_id)
-        if data is not None:
-            payload = bytes(data) if len(data) <= self._inline_threshold else None
-            self._control.async_object_put(
-                object_id,
-                size=len(data),
-                location="driver",
-                ready=True,
-                payload=payload,
-            )
-            return
-        if self._shm is not None:
-            size = self._shm.size_of(object_id)
-            if size:
-                self._control.async_object_put(
-                    object_id, size=size, location="driver-shm", ready=True
-                )
+    def _requeue_lost(self, spec: TaskSpec, payload: Optional[tuple]) -> None:
+        """A task whose results were lost runs again, through the global
+        queue (lock held).  A worker-born one is reshipped as the exact
+        entry its worker built: still in ``_payloads`` if it died
+        unreported, handed back here if it had completed."""
+        if payload is not None:
+            self._payloads[spec.task_id.hex] = payload
+        self._queue.append(spec)
 
     def watch_object(self, object_id: ObjectID, callback) -> None:
         """Event-driven completion: ``callback(object_id)`` fires exactly
@@ -2537,186 +2207,31 @@ class ProcRuntime:
         resident — the serving plane's alternative to a blocked ``get``."""
         with self._cond:
             self._completions.add_watch(
-                object_id, callback, ready=self._has_object(object_id)
+                object_id, callback, ready=self._objects.has(object_id)
             )
 
     def _wait_for_value(self, object_id: ObjectID, deadline: Optional[float]) -> Any:
         """Block until an object is resident, then load and unwrap it —
-        zero-copy from shm (reconstructed buffers alias the arena, which
-        their lease keeps for as long as any of them lives, whatever
-        becomes of the ref), deserialized from bytes on the pipe plane.
+        zero-copy from shm, deserialized from bytes on the pipe plane,
+        pulled into the pipe store first when it lives on a node alone.
         Deserialization of either plane happens outside the lock (the
         lease holds the window, this frame the bytes)."""
-        view = data = None
-        with self._cond:
-            if len(self._ledger.died) >= _DRAIN_BATCH:
-                self._drain_refs()
-            while not self._has_object(object_id):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise GetTimeoutError(
-                            f"get timed out waiting for {object_id}"
-                        )
-                self._cond.wait(timeout=remaining)
-            if self._shm is not None:
-                view = self._shm.lease(object_id)
-            if view is not None:
-                self._acct_shm.record_zero_copy(view.nbytes)
-            else:
-                data = self._store.get(object_id)
+        plane = self._objects
+        while True:
+            with self._cond:
+                plane.drain(batched=True)
+                while not plane.has(object_id):
+                    self._cond.wait(timeout=_time_left(deadline, object_id))
+                if not plane.only_on_node(object_id):
+                    view, data = plane.read(object_id)
+                    break
+            # A pull that fails (the node was lost under it) leaves a
+            # reconstruction, or its error marker, to wait for.
+            if not plane.pull(object_id):
+                _time_left(deadline, object_id)
         if view is not None:
             return unwrap_loaded(deserialize_frame(view))
         return unwrap_value(data)
-
-    # ------------------------------------------------------------------
-    # Object lifetime (module docstring): pins, holds, drain, release
-    # ------------------------------------------------------------------
-
-    def _pin_task(self, spec: TaskSpec) -> None:
-        """Pin a task's dependencies from submission (lock held), and
-        make the spec name them without holding them: a spec lives in
-        the lifecycle index, the control store and the WAL for good, and
-        must not keep its arguments alive with it."""
-        self._pin(spec, spec.dependencies())
-        if spec.arg_refs:
-            spec.args = tuple([_bare(value) for value in spec.args])
-            spec.kwargs = {key: _bare(value) for key, value in spec.kwargs.items()}
-            spec.arg_refs = tuple([_bare(ref) for ref in spec.arg_refs])
-        spec.extra_dependencies = tuple(
-            [_bare(ref) for ref in spec.extra_dependencies]
-        )
-
-    def _pin(self, spec: TaskSpec, object_ids: list) -> None:
-        pins = self._pins
-        for object_id in object_ids:
-            pins[object_id.hex] = pins.get(object_id.hex, 0) + 1
-        spec.pins = tuple(object_ids)
-
-    def _unpin_task(self, spec: TaskSpec) -> None:
-        """No replay of this task can need its arguments any more — it
-        completed into the driver's stores, was cancelled, or resolved
-        to an error (lock held; the one way a pin ends)."""
-        pinned, spec.pins = spec.pins, ()
-        pins = self._pins
-        for object_id in pinned:
-            left = pins[object_id.hex] - 1
-            if left:
-                pins[object_id.hex] = left
-            else:
-                del pins[object_id.hex]
-                self._maybe_release(object_id)
-
-    def _hold_born(self, task_hex: Optional[str], object_ids: tuple) -> None:
-        """Ids born inside a task running on a worker — which holds
-        refs to them this process cannot see — stay until that task's
-        DONE is applied or its crash resolved (lock held)."""
-        # Born outside any task (None): nothing would end the hold.
-        held = self._escaped if task_hex is None else self._held
-        for object_id in object_ids:
-            held.add(object_id.hex)
-        if task_hex is not None:
-            born = self._born_in.get(task_hex)
-            if born is None:
-                self._born_in[task_hex] = list(object_ids)
-            else:
-                born.extend(object_ids)
-
-    def _drop_born(self, task_hex: str) -> None:
-        """The task is over, and what its worker still holds of what
-        was born in it has been reported escaped (lock held)."""
-        for object_id in self._born_in.pop(task_hex, ()):
-            self._held.discard(object_id.hex)
-            self._maybe_release(object_id)
-
-    def _drain_refs(self) -> None:
-        """Apply what finalizers buffered since the last call — ended
-        buffer leases, then handle births, escapes and deaths — and
-        release what that leaves unheld (lock held).  Cheap when nothing
-        happened; the per-task paths still wait for ``_DRAIN_BATCH`` dead
-        handles, everything that allocates or reports drains at once."""
-        if self._shm is not None:
-            self._shm.settle_leases()
-        for object_id in self._ledger.drain(self._escaped):
-            self._maybe_release(object_id)
-
-    def _maybe_release(self, object_id: ObjectID) -> None:
-        """Release the object unless something still holds it (lock
-        held).  Called whenever one holder of it ends."""
-        key = object_id.hex
-        if key in self._pins or key in self._held:
-            return
-        ledger = self._ledger
-        if ledger.born or ledger.escaped:
-            # A handle counts from its construction and an escape from
-            # the pickling, not from the next drain.
-            ledger.drain(self._escaped, died=False)
-        if key in ledger.counts or key in self._escaped:
-            return
-        if not self._release(object_id):
-            self._release_on_arrival.add(key)
-
-    def _release(self, object_id: ObjectID) -> bool:
-        """Forget an object no one can ask for again (lock held): out
-        of every per-object map the driver keeps, its memory given back
-        — unless it has not arrived yet (False).  Nothing is written to
-        the control store: retiring object rows is task-metadata
-        retirement's job."""
-        if not self._drop_stored(object_id):
-            return False
-        self._objects_released += 1
-        self._residency.forget_object(object_id.hex)
-        return True
-
-    def _drop_stored(self, object_id: ObjectID) -> bool:
-        """Give back the object's memory in the driver's own stores;
-        False if neither has it (lock held)."""
-        if self._store.delete(object_id):  # the store's pin goes with it
-            return True
-        if self._shm is not None and self._shm.contains(object_id):
-            self._shm.release(object_id)
-            return True
-        return False
-
-    def _object_stats(self, shm: Optional[dict]) -> dict:
-        """``stats()["objects"]`` from ``stats()["shm_store"]`` and the
-        lifetime tables (lock held, refs drained)."""
-        return {
-            "live": self._store.num_objects + (shm["num_objects"] if shm else 0),
-            "released": self._objects_released,
-            "escaped": len(self._escaped),
-            "leased": shm["leased_objects"] if shm else 0,
-            "zombies": shm["zombie_objects"] if shm else 0,
-            "pinned_by_tasks": len(self._pins),
-        }
-
-    def _note_pipe_fallback(self, nbytes: int) -> None:
-        """A large object is taking the pipe because its arena refused
-        it (lock held): counted, and the first one of a session warns,
-        naming what occupies the arena."""
-        self._acct_shm.record_pipe_fallback(nbytes)
-        if self._fallback_warned:
-            return
-        self._fallback_warned = True
-        warnings.warn(
-            f"a {nbytes}-byte object did not fit the shared-memory arena and "
-            "takes the pipe (slower; later ones may too): "
-            f"{self._arena_occupancy()}, {len(self._escaped)} escaped objects "
-            "pinned until shutdown.  Drop refs and values that are no longer "
-            "needed, or raise shm_capacity.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    def _arena_occupancy(self) -> str:
-        shm = self._shm.stats()
-        return (
-            f"{shm['num_objects']} resident objects / {shm['used_bytes']} of "
-            f"{shm['capacity']} bytes, {shm['leased_objects']} leased / "
-            f"{shm['leased_bytes']} bytes, {shm['zombie_objects']} zombies / "
-            f"{shm['deferred_bytes']} bytes"
-        )
 
     # ------------------------------------------------------------------
     # Crash handling
@@ -2746,12 +2261,6 @@ class ProcRuntime:
                 worker.conn.close()
             except OSError:
                 pass
-            if self._shm is not None:
-                # The reaper: zero the dead worker's refcount column and
-                # abort its unsealed allocations, so objects it was
-                # reading mid-crash become reclaimable and half-written
-                # results never become readable.
-                self._shm.reclaim_client(worker.index + 1)
             for spec in doomed:
                 self._resolve_crashed_task(spec)
             survivors = self._fail_lanes_on(worker)
@@ -2785,7 +2294,7 @@ class ProcRuntime:
             calls, lane.calls = lane.calls, deque()
             for spec in calls:
                 if not self._deps.is_waiting(spec.task_id):
-                    self._store_error_all_returns(
+                    self._objects.store_error(
                         spec, actor_lost_error_value(spec, record)
                     )
         return survivors
@@ -2829,7 +2338,7 @@ class ProcRuntime:
                 spec.placement_hint = None
         worker.busy = False
         worker.steal_outstanding = False
-        self._residency.forget_holder(worker.index)
+        self._objects.worker_lost(worker.index)
         self._workers_crashed += 1
         self._by_node.pop(worker.node_id, None)
         self.actors.mark_dead_on_node(worker.node_id)
@@ -2840,9 +2349,8 @@ class ProcRuntime:
     ) -> None:
         """Decide the fate of a task that died with its worker — or, on
         the dist backend, with the whole node ``lost_node`` (lock held)."""
-        if self._born_in:
-            # The refs its process held to what was born in it are gone.
-            self._drop_born(spec.task_id.hex)
+        # The refs its process held to what was born in it are gone.
+        self._objects.drop_born(spec.task_id.hex)
         if spec.actor_id is not None:
             record = self.actors.get(spec.actor_id)
             if record is not None:
@@ -2851,46 +2359,12 @@ class ProcRuntime:
                     # died with the process.
                     record.dead = True
                     record.instance = None
-                self._store_error_all_returns(
+                self._objects.store_error(
                     spec, actor_lost_error_value(spec, record)
                 )
             return
-        if self._dropped_cancelled(spec):
-            return
-        attempts = self._replays.get(spec.task_id, 0)
-        if self._crash_policy == "replace" and attempts < spec.max_reconstructions:
-            self._replays[spec.task_id] = attempts + 1
-            self._lineage_replays += 1
-            if self._obs.enabled:
-                self._obs.record(
-                    "lineage_replay",
-                    task_id=str(spec.task_id),
-                    function=spec.function_name,
-                    attempt=attempts + 1,
-                )
-            self._control.async_task_update(
-                spec.task_id, state="replaying", attempt=True
-            )
-            # Worker-born tasks keep their _payloads entry: the replay
-            # dispatch reships the exact payload the dead worker built.
-            self._queue.append(spec)
-            return
-        self._payloads.pop(spec.task_id.hex, None)
-        if self._crash_policy == "fail":
-            detail = "worker_crash_policy='fail' disables lineage replay"
-        else:
-            detail = (
-                f"lineage replay budget exhausted "
-                f"({attempts}/{spec.max_reconstructions} reconstructions)"
-            )
-        if lost_node is not None:
-            detail = f"node {lost_node} was lost; {detail}"
-        error = ErrorValue(
-            task_id=spec.task_id,
-            function_name=spec.function_name,
-            cause_repr=detail,
-            chain=(spec.function_name,),
-            kind="worker_crashed" if lost_node is None else "node_lost",
-            node_index=lost_node,
-        )
-        self._store_error_all_returns(spec, error)
+        # Worker-born tasks keep their _payloads entry while they can run
+        # again: the replay dispatch reships the exact payload the dead
+        # worker built.
+        if not self._objects.replay_or_fail(spec, lost_node):
+            self._payloads.pop(spec.task_id.hex, None)

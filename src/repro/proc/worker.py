@@ -89,6 +89,10 @@ _DONE_WATCHDOG_S = 0.005
 #: Descriptors a worker remembers (``ProcWorker._known_shm``).
 _KNOWN_SHM_CAP = 1024
 
+#: Byte capacity of a worker process's LRU cache of the pipe-path
+#: objects it fetched.
+WORKER_CACHE_BYTES = 64 * 1024**2
+
 #: Fast-path backpressure: the most locally-born tasks whose lineage
 #: registration (PLACED ack) may be outstanding before new nested
 #: submissions spill to the driver instead.  Bounds the work that only
@@ -1202,7 +1206,6 @@ def worker_main(
     conn,
     index: int,
     seed: int,
-    cache_capacity: int,
     shm_enabled: bool = False,
     inline_threshold: Optional[int] = None,
     spawn_token: int = 0,
@@ -1213,7 +1216,7 @@ def worker_main(
         conn,
         index=index,
         seed=seed,
-        cache_capacity=cache_capacity,
+        cache_capacity=WORKER_CACHE_BYTES,
         shm_enabled=shm_enabled,
         inline_threshold=inline_threshold,
         spawn_token=spawn_token,

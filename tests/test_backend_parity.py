@@ -23,9 +23,8 @@ BACKENDS = tuple(sorted(registered_backends()))
 #: The reference implementation the others are compared against.
 REFERENCE = "sim"
 
-#: The full matrix: every backend (each has one dispatch path), plus a
-#: non-default control-store layout.  The parity program must be
-#: observably identical across all of them.
+#: The full matrix: every backend (each has one dispatch path).  The
+#: parity program must be observably identical across all of them.
 CONFIGS = {
     "sim": ("sim", {}),
     "local": ("local", {}),
@@ -34,9 +33,6 @@ CONFIGS = {
     # parity program must not be able to tell it is running across
     # process *and* node boundaries.
     "dist": ("dist", {}),
-    # Sharded control store with a non-default (odd) stripe count: the
-    # program must be oblivious to how its control state is partitioned.
-    "proc+sharded_control": ("proc", {"control_shards": 3}),
 }
 
 #: Configs the cancellation/lifecycle proofs run on (the bottom-up
@@ -409,6 +405,45 @@ def test_sched_stats_keys_identical_across_live_backends():
         assert scheds[backend]["tasks_shipped"] >= 4, backend
         assert 1 <= scheds[backend]["frames_sent"] <= 4, backend
         assert scheds[backend]["done_frames"] >= 1, backend
+
+
+def test_wire_backends_write_the_same_task_states_and_result_spans():
+    """``proc`` and ``dist`` apply a completion with one piece of code:
+    after the same program the control store holds the same task-state
+    histogram and actor states, and a traced run has one
+    ``result_stored`` span per finished task on either."""
+    observed = {}
+    for backend in ("proc", "dist"):
+        runtime = repro.init(
+            backend=backend, num_nodes=2, num_cpus=1, seed=5, tracing=True
+        )
+        try:
+            refs = [square.remote(i) for i in range(20)]
+            counter = Accumulator.remote(1)
+            refs += [counter.add.remote(2), fail.remote("on purpose")]
+            for ref in refs:
+                try:
+                    repro.get(ref, timeout=60.0)
+                except TaskError:
+                    pass
+            assert runtime._control.flush(timeout=10.0)
+            states = {}
+            for entry in runtime._control.tasks():
+                states[entry.state] = states.get(entry.state, 0) + 1
+            observed[backend] = {
+                "tasks": states,
+                "actors": [entry.state for entry in runtime._control.actors()],
+                "result_stored": len(runtime.event_log.filter("result_stored")),
+            }
+        finally:
+            repro.shutdown()
+    # 20 squares + the constructor + one method call finished; one failed.
+    assert observed["proc"] == {
+        "tasks": {"finished": 22, "failed": 1},
+        "actors": ["alive"],
+        "result_stored": 23,
+    }
+    assert observed["dist"] == observed["proc"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

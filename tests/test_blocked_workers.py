@@ -6,6 +6,9 @@ deadlock class in nested-task systems (the fix mirrors Ray's raylet
 behaviour: blocked workers release resources; replacements backfill).
 """
 
+import os
+import time
+
 import pytest
 
 import repro
@@ -56,6 +59,57 @@ def test_parent_waiting_for_its_children_finishes_on_the_smallest_pool(backend, 
     finally:
         repro.shutdown()
     assert result == sum(range(1, n + 1))
+
+
+@repro.remote
+def never():
+    time.sleep(3600)
+
+
+@repro.remote
+def blocks_on(refs):
+    return repro.get(refs[0])
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("backend", ["proc", "dist"])
+def test_shutdown_does_not_wait_out_a_worker_blocked_in_get(backend):
+    """A service thread serving a blocked worker's ``get`` leaves its
+    wait when the runtime closes — shutdown is not its 5 s thread join —
+    and the pool still goes away whole."""
+    pool = dict(SMALLEST_POOLS[backend], **(
+        {"num_workers": 2} if backend == "proc" else {"workers_per_node": 2}
+    ))
+    segments = set(os.listdir("/dev/shm"))
+    runtime = repro.init(backend=backend, **pool)
+    try:
+        blocked = blocks_on.remote([never.remote()])
+        deadline = time.monotonic() + 30.0
+        while not any(w.parked for w in runtime._workers):
+            assert time.monotonic() < deadline, "the parent never blocked"
+            time.sleep(0.01)
+        pids = runtime.worker_pids()
+        if backend == "dist":
+            pids += runtime.agent_pids()
+    finally:
+        started = time.monotonic()
+        repro.shutdown()
+        took = time.monotonic() - started
+    assert took < 1.0, f"shutdown took {took:.2f}s"
+    deadline = time.monotonic() + 5.0
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if _running(pid)]
+    assert set(os.listdir("/dev/shm")) <= segments
+    del blocked
 
 
 def test_removed_dispatch_mode_is_refused_by_name():

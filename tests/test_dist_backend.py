@@ -206,7 +206,7 @@ class TestMembership:
     def test_replay_budget_zero_surfaces_node_lost(self, cluster):
         ref = payload.options(max_reconstructions=0).remote(1, MiB)
         repro.wait([ref], num_returns=1)
-        entry = cluster._node_resident.get(ref.object_id)
+        entry = cluster._objects._node_resident.get(ref.object_id)
         assert entry is not None, "payload should be node-resident"
         cluster.kill_node(entry[0])
         with pytest.raises((NodeLostError, TaskError)):

@@ -116,7 +116,7 @@ def _soak(runtime, backend, rounds, ticks):
         }
         if backend == "proc":
             point["arena_bytes"] = stats["shm_store"]["used_bytes"]
-            point["shm_bytes"] = _shm_bytes(runtime._shm.segment_names())
+            point["shm_bytes"] = _shm_bytes(runtime._objects.shm.segment_names())
         else:
             point["node_resident"] = stats["cluster"]["objects_node_resident"]
             point["shm_bytes"] = _shm_bytes(
