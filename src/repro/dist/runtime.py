@@ -4,8 +4,9 @@
 worker pool spread across N node-agent processes (localhost TCP), which
 changes the *plumbing* but none of the semantics:
 
-* **Same control plane.**  Every per-worker service thread, the queues,
-  the mirror, the steal broker, the dependency tracker — all inherited
+* **Same control plane.**  Every per-worker service thread, the
+  dependency tracker and the dispatch plane (queues, mirrors, the steal
+  broker: :mod:`repro.sched_plane.dispatch`) — all inherited
   unchanged.  A worker's "pipe" is a :class:`ChannelTransport`: sends are
   multiplexed onto the node's TCP link as ``(channel, message)`` frames
   by a per-link sender thread, receives come from a per-channel queue
@@ -24,11 +25,13 @@ changes the *plumbing* but none of the semantics:
   node dead (``heartbeat_timeout``) and SIGKILLs it, which collapses the
   silent-failure case onto the crash case: the link EOFs, every channel
   EOFs, and recovery runs.  ``kill_node(i)`` is the fault-injection
-  entry.  Node loss re-homes that node's queued and in-flight stateless
-  work through the ``max_reconstructions`` lineage gate (node-resident
-  *objects* are re-produced the same way), actors on the node die with
-  :class:`~repro.errors.ActorLostError`, and anything unrecoverable
-  resolves to :class:`~repro.errors.NodeLostError`.
+  entry.  Node loss is the proc runtime's worker loss
+  (:meth:`ProcRuntime._worker_lost`) for each of the node's workers,
+  with a surviving worker as successor instead of a respawn: queued and
+  in-flight stateless work goes through the ``max_reconstructions``
+  lineage gate (node-resident *objects* are re-produced the same way),
+  actors on the node die with :class:`~repro.errors.ActorLostError`, and
+  anything unrecoverable resolves to :class:`~repro.errors.NodeLostError`.
 * **Objects** are the proc runtime's :class:`~repro.proc.objects.ObjectPlane`,
   to which this backend adds *residence on a node* through three hooks:
   pull one copy to the driver (:meth:`AgentLink.fetch_object`), delete a
@@ -346,11 +349,12 @@ class AgentLink:
 class DistRuntime(ProcRuntime):
     """Multi-node implementation of the backend protocol (TCP agents).
 
-    Dispatch frames are the proc runtime's, budget-sized like its own:
-    what is shipped ahead to a node stays recallable over TCP at any
-    moment (``ProcWorker._watch_done`` answers for a worker that is
-    inside a task), and a lost node charges each shipped-ahead task one
-    lineage replay of its own budget — never one task more of them."""
+    Dispatch frames are the same plane's (``DispatchPlane.claim_frame``),
+    budget-sized like ``proc``'s own: what is shipped ahead to a node
+    stays recallable over TCP at any moment (``ProcWorker._watch_done``
+    answers for a worker that is inside a task), and a lost node charges
+    each shipped-ahead task one lineage replay of its own budget — never
+    one task more of them."""
 
     def __init__(
         self,
@@ -550,8 +554,7 @@ class DistRuntime(ProcRuntime):
                 process.join(timeout=2.0)
         self._teardown_links()  # EOF sentinels wake every service thread
         for worker in self._workers:
-            if worker is not None and worker.thread is not None:
-                worker.thread.join(timeout=5.0)
+            worker.thread.join(timeout=5.0)
         for link in self._links:
             link.join_threads()
         # Arenas of agents that died *ungracefully* (kill_node, SIGKILL
@@ -646,7 +649,7 @@ class DistRuntime(ProcRuntime):
                 (w.index // self._workers_per_node,
                  w.index % self._workers_per_node)
                 for w in self._workers
-                if w is not None and w.alive
+                if w.alive
             ]
         pids = []
         for node_index, channel in live:
@@ -689,10 +692,8 @@ class DistRuntime(ProcRuntime):
             if self.closed:
                 return
             lo = link.node_index * self._workers_per_node
-            for index in range(lo, lo + self._workers_per_node):
-                worker = workers[index] if index < len(workers) else None
-                if worker is not None and worker.alive:
-                    self._fail_node_worker(worker, link)
+            for worker in workers[lo:lo + self._workers_per_node]:
+                self._worker_lost(worker)
             if not link.reclaimed:
                 # Once per lost node: what lived only there is re-produced
                 # or resolved to an error by the object plane.
@@ -701,38 +702,16 @@ class DistRuntime(ProcRuntime):
                 self._objects.node_lost(link.node_index)
             self._cond.notify_all()
 
-    def _handle_worker_crash(self, worker, exc) -> None:
+    def _replace_worker(self, worker) -> tuple:
+        """Worker died, node survives: identical to a proc crash — the
+        replacement is respawned via the agent.  On a dead node there is
+        nothing to respawn into: no replacement (the plane lets a
+        surviving worker stand in), and what died there died with the
+        node, ``lost_node``."""
         link = self._link_of(worker.index)
         if link.alive:
-            # Worker died, node survives: identical to a proc crash —
-            # the inherited handler replays/fails and respawns through
-            # _spawn_worker, which routes the replacement via the agent.
-            super()._handle_worker_crash(worker, exc)
-        else:
-            self._on_link_dead(link)
-
-    def _fail_node_worker(self, worker, link) -> None:
-        """One dead worker on a dead node (lock held): the proc crash
-        cleanup without a respawn — there is no node to respawn into."""
-        doomed, replaced = self._retire_worker(worker)
-        for spec in doomed:
-            self._resolve_crashed_task(spec, link.node_index)
-        survivor = min(
-            (w for w in self._workers if w is not None and w.alive),
-            key=lambda w: (w.actors_bound, w.index),
-            default=None,
-        )
-        if survivor is None:
-            for record in self.actors.alive_on_node(worker.node_id):
-                record.dead = True
-        for lane in self._fail_lanes_on(worker):
-            # Unconstructed actor: its creation never ran, so it can
-            # re-home to a surviving worker with no state lost.
-            lane.record.node_id = survivor.node_id
-            survivor.actors_bound += 1
-            self._wake_lane(lane)
-        for spec in replaced:
-            self._enqueue(spec)
+            return super()._replace_worker(worker)
+        return None, link.node_index
 
     # ------------------------------------------------------------------
     # Stats
@@ -757,9 +736,7 @@ class DistRuntime(ProcRuntime):
                             round(now - link.last_beat, 6) if link.alive else None
                         ),
                         "workers_alive": sum(
-                            1
-                            for w in self._workers[lo:hi]
-                            if w is not None and w.alive
+                            1 for w in self._workers[lo:hi] if w.alive
                         ),
                         "objects_resident": objects,
                         "bytes_resident": nbytes,

@@ -12,6 +12,7 @@ must differ: threads, locks, and wall-clock time.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import queue
 import threading
@@ -116,9 +117,8 @@ class LocalRuntime:
         self._deps = DependencyTracker()
         #: Runnable tasks no node has room for yet, oldest first.  A task
         #: is bound to a node only when that node can start it (see
-        #: :meth:`_dispatch`): a thread blocked in ``get`` keeps its slot,
-        #: so work queued behind a busy node would wait for as long as
-        #: that node stays blocked — possibly on that very work.
+        #: :meth:`_dispatch`), so none waits behind a node that is busy
+        #: while another has room.
         self._ready: list[TaskSpec] = []
         self._functions: dict[FunctionID, Callable] = {}
         self.actors = ActorRegistry()
@@ -143,15 +143,8 @@ class LocalRuntime:
             )
             self.node_ids.append(node_id)
             self._nodes[node_id] = node
-            for index in range(spec.num_cpus + spec.num_gpus):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(node,),
-                    name=f"repro-worker-{node_id.hex[:6]}-{index}",
-                    daemon=True,
-                )
-                node.threads.append(thread)
-                thread.start()
+            for _ in range(spec.num_cpus + spec.num_gpus):
+                self._start_thread(node)
         self.head_node_id = self.node_ids[0]
 
     # ------------------------------------------------------------------
@@ -296,9 +289,11 @@ class LocalRuntime:
         ref_list, single = normalize_get_refs(refs)
         deadline = None if timeout is None else time.monotonic() + timeout
         values = []
-        for ref in ref_list:
-            data = self._wait_for_object(ref.object_id, deadline)
-            values.append(unwrap_value(data))
+        objects = self._objects
+        with self._slot_lent(lambda: all(r.object_id in objects for r in ref_list)):
+            for ref in ref_list:
+                data = self._wait_for_object(ref.object_id, deadline)
+                values.append(unwrap_value(data))
         return values[0] if single else values
 
     def wait(
@@ -311,7 +306,12 @@ class LocalRuntime:
         ref_list = list(refs)
         validate_wait_args(ref_list, num_returns)
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._ready_cond:
+        objects = self._objects
+
+        def enough() -> bool:
+            return sum(r.object_id in objects for r in ref_list) >= num_returns
+
+        with self._slot_lent(enough), self._ready_cond:
             while True:
                 ready = [r for r in ref_list if r.object_id in self._objects]
                 if len(ready) >= num_returns:
@@ -386,11 +386,13 @@ class LocalRuntime:
                 "control": self._control.stats(),
                 # Threads share one address space: nodes here are
                 # scheduling domains, and no object is *node*-resident.
+                # (A node's base pool: a thread lent to a blocked
+                # task's slot is not a worker more.)
                 "cluster": one_host_cluster_stats(
-                    sum(len(n.threads) for n in self._nodes.values())
+                    sum(n.num_cpus + n.num_gpus for n in self._nodes.values())
                     // len(self._nodes),
                     [
-                        (len(node.threads), False, 0, 0)
+                        (node.num_cpus + node.num_gpus, False, 0, 0)
                         for node in self._nodes.values()
                     ],
                 ),
@@ -411,11 +413,13 @@ class LocalRuntime:
         for pool in list(self._serve_pools):
             pool.close()
         self.closed = True
-        for node in self._nodes.values():
-            for _ in node.threads:
+        with self._lock:  # threads retire (and leave the list) on their own
+            pools = [(node, list(node.threads)) for node in self._nodes.values()]
+        for node, threads in pools:
+            for _ in threads:
                 node.task_queue.put(_POISON)
-        for node in self._nodes.values():
-            for thread in node.threads:
+        for _node, threads in pools:
+            for thread in threads:
                 thread.join(timeout=2.0)
         # Fire any still-pending watches (their callbacks observe the
         # closed runtime and fail their requests) and stop the pump.
@@ -463,7 +467,7 @@ class LocalRuntime:
         ready = self._ready
         kept = 0  # ready[:kept]: looked at, and still waiting
         for index, spec in enumerate(ready):
-            if not any(n.available_cpus or n.available_gpus for n in nodes):
+            if not any(n.available_cpus > 0 or n.available_gpus > 0 for n in nodes):
                 del ready[kept:index]  # no slot anywhere: the rest waits too
                 return
             hinted = self._nodes.get(spec.placement_hint)
@@ -521,15 +525,60 @@ class LocalRuntime:
                 self._ready_cond.wait(timeout=remaining)
             return self._objects[object_id]
 
+    @contextlib.contextmanager
+    def _slot_lent(self, ready: Callable[[], bool]):
+        """Around a ``get``/``wait`` that has to block on a worker thread
+        (not ``ready()`` yet): the running task's slot goes back to its
+        node for that long — as the sim's local scheduler does, and for
+        the same reason: what the task waits for may be work that only
+        this slot can run (its own children, on a 1 CPU node).  The node
+        gains a thread to run it on, and :meth:`_dispatch` starts what
+        was ready.  When the wait ends the task has its slot again at
+        once (the node runs one task more than it has slots for until
+        one ends) and one thread retires.  Actor order is unaffected: it
+        comes from the dataflow chain."""
+        node = getattr(self._tls, "node", None)
+        with self._lock:
+            if node is None or ready():
+                node = None
+            else:
+                held = self._tls.held
+                node.available_cpus += held.num_cpus
+                node.available_gpus += held.num_gpus
+                self._start_thread(node)
+                self._dispatch()
+        try:
+            yield
+        finally:
+            if node is not None:
+                with self._lock:
+                    node.available_cpus -= held.num_cpus
+                    node.available_gpus -= held.num_gpus
+                node.task_queue.put(_POISON)
+
     # ------------------------------------------------------------------
     # Worker threads
     # ------------------------------------------------------------------
+
+    def _start_thread(self, node: _Node) -> None:
+        """One more worker thread for ``node`` (lock held, or nobody
+        else can see the node yet)."""
+        thread = threading.Thread(
+            target=self._worker_loop,
+            args=(node,),
+            name=f"repro-worker-{node.node_id.hex[:6]}-{len(node.threads)}",
+            daemon=True,
+        )
+        node.threads.append(thread)
+        thread.start()
 
     def _worker_loop(self, node: _Node) -> None:
         self._tls.node = node
         while True:
             item = node.task_queue.get()
             if item is _POISON:
+                with self._lock:
+                    node.threads.remove(threading.current_thread())
                 return
             self._run_task(node, item)
             with self._lock:
@@ -563,6 +612,7 @@ class LocalRuntime:
             getattr(self._tls, "cur_root", None),
         )
         self._tls.cur_task, self._tls.cur_root = spec.task_id, root_id
+        self._tls.held = spec.resources  # what a blocking get gives back
         try:
             args, kwargs, upstream_error = self._resolve_args(spec)
             if upstream_error is not None:

@@ -81,8 +81,11 @@ workers (steals, crash replay) like any registered function.
   once (as it does for a grant owed to an idle peer's request), re-homes
   the tasks through the global queue and injects them back as ``TASK``
   frames the child runs reentrantly.
-* **The budget rule.**  A frame holds as many stateless tasks as fit
-  :data:`FRAME_BUDGET_S` of *estimated* work.  The estimate is the
+* **The budget rule** (applied by
+  :meth:`repro.sched_plane.dispatch.DispatchPlane.claim_frame`).  A frame
+  holds as many stateless tasks as fit
+  :data:`~repro.sched_plane.dispatch.FRAME_BUDGET_S` of *estimated*
+  work.  The estimate is the
   execution time the worker measures and reports per completion, kept
   per function (the median of the last few, so one sample that caught a
   context switch does not shrink the next frames; folded in once per
@@ -104,7 +107,7 @@ workers (steals, crash replay) like any registered function.
   everything shipped was stolen or cancelled), before any rpc request
   (so the driver never serves a request with stale knowledge, and a
   blocked worker holds nothing back), and at the first task boundary at
-  least :data:`FRAME_BUDGET_S` after the oldest buffered completion.
+  least ``FRAME_BUDGET_S`` after the oldest buffered completion.
   The driver applies a whole frame under one lock hold.
 
 Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
@@ -182,10 +185,6 @@ from repro.core.object_ref import ObjectRef
 from repro.core.task import CallTemplate, TaskOptions, TaskSpec
 from repro.utils.ids import FunctionID, NodeID, ObjectID, TaskID
 from repro.utils.serialization import serialize_call
-
-#: Seconds of *estimated* work one TASK frame may carry, and
-#: the longest a buffered completion waits for the next task boundary.
-FRAME_BUDGET_S = 0.001
 
 # -- driver -> worker ---------------------------------------------------
 TASK = "task"          # (TASK, [entry, ...], {function_hex: (name, code)})

@@ -7,21 +7,22 @@ Architecture (one instance = one pool):
   keeps children free of inherited locks/threads and mirrors how real
   cluster workers boot from nothing.
 * One **service thread** per worker on the driver side.  It claims a
-  frame of runnable tasks for its idle worker (a window of one of its
-  pinned actors' calls, what the driver tier placed on it, the global
-  queue, or a steal), ships it over the pipe, and then *serves* the worker's
-  requests — argument fetches, nested submissions, blocking ``get``/
-  ``wait``, ``put``, actor operations — and reports until the worker says
-  its queue is drained.  Service threads mostly sleep in ``recv``; user
-  compute happens in the children, outside the GIL, which is what makes
-  this the first backend where CPU-bound work actually scales with
-  workers.
+  frame of runnable tasks for its idle worker from the dispatch plane
+  (a window of one of its pinned actors' calls, what the driver tier
+  placed on it, the global queue, or a steal), ships it over the pipe,
+  and then *serves* the worker (:meth:`ProcRuntime._serve`, the one loop
+  that reads a worker's pipe) — argument fetches, nested submissions,
+  blocking ``get``/``wait``, ``put``, actor operations, and its reports
+  — until the worker says its queue is drained.  Service threads mostly
+  sleep in ``recv``; user compute happens in the children, outside the
+  GIL, which is what makes this the first backend where CPU-bound work
+  actually scales with workers.
 * The shared core from the other backends does the semantics:
   :class:`~repro.core.dependencies.DependencyTracker` gates readiness,
   :mod:`repro.core.protocol` validates and unwraps, the actor table
-  is :mod:`repro.core.actors`' (ordered method delivery is this
-  module's: an actor's calls queue in its :class:`_ActorLane` and leave
-  in that order, a window per dispatch frame), and
+  is :mod:`repro.core.actors`' (ordered method delivery is the dispatch
+  plane's: an actor's calls queue in its lane and leave in that order,
+  a window per dispatch frame), and
   results/arguments live as bytes in a
   :class:`~repro.objectstore.store.LocalObjectStore` (results pinned —
   they are the only replica).
@@ -38,8 +39,12 @@ Architecture (one instance = one pool):
   either way.  ``worker_crash_policy="fail"`` turns replay off and
   surfaces :class:`~repro.errors.WorkerCrashedError` instead.
 * **Dispatch** is the paper's hybrid two-level scheduler realized on
-  real processes (:mod:`repro.sched_plane`), and the only path a task
-  can take: each worker owns a local task queue it feeds with a
+  real processes, and the only path a task can take.  Every decision of
+  it is the :class:`~repro.sched_plane.dispatch.DispatchPlane`'s
+  (``self._dispatch``), asked under this runtime's lock — worker
+  handles go in, specs and decisions come out — and this module is the
+  transport that carries them out: each worker owns a local task queue
+  it feeds with a
   zero-round-trip nested submission fast path (the driver learns via
   one-way ``SUBMIT_LOCAL`` notices and mirrors every queue for
   lineage), while the driver is the *global tier* — it places
@@ -58,8 +63,8 @@ Architecture (one instance = one pool):
   blocked in ``get``/``wait`` stays a full execution resource
   (:meth:`ProcRuntime._wait_serving`), so a pool of any size finishes a
   task that waits for its own children.  The placement and steal
-  policies are constants here; the sim backend is where they are varied
-  (``scheduler_mode``).
+  policies are constants of the plane; the sim backend is where they
+  are varied (``scheduler_mode``).
 """
 
 from __future__ import annotations
@@ -76,7 +81,6 @@ from repro.core import lifecycle
 from repro.core.actors import (
     CREATION_METHOD,
     ActorHandle,
-    ActorRecord,
     ActorRegistry,
     REMOTE_INSTANCE,
     actor_lost_error_value,
@@ -117,13 +121,7 @@ from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.proc.objects import ObjectPlane
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
-from repro.scheduling.policies import PlacementPolicy, StealPolicy
-from repro.sched_plane import (
-    LocalTaskQueue,
-    SchedCounters,
-    WorkerCandidate,
-    plan_placement,
-)
+from repro.sched_plane.dispatch import DispatchPlane, WorkerSlot
 from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID
 from repro.utils.serialization import (
     DEFAULT_INLINE_THRESHOLD,
@@ -138,34 +136,13 @@ from repro.utils.serialization import (
 #: Valid values of the ``worker_crash_policy`` init option.
 CRASH_POLICIES = ("replace", "fail")
 
-#: The driver tier's policies: how it scores workers for a task with
-#: arguments, and when and how much an idle worker steals.
-_PLACEMENT = PlacementPolicy()
-_STEAL = StealPolicy()
-
 #: Condition-wait backstops of an idle or blocked service thread.
 #: Submissions, arrivals, steal requests, grants and shutdown all
 #: ``notify_all`` the runtime cond, and a grant owed to a thread's own
-#: pipe is read there (:meth:`ProcRuntime._read_steal_grant`), so these
+#: pipe is read there (:meth:`ProcRuntime._wait_serving`), so these
 #: are safety nets, not clocks: nothing on a task's path waits one out.
 _IDLE_WAIT_BACKSTOP = 1.0
 _BLOCKED_WAIT_BACKSTOP = 0.25
-
-#: Floor on a task's estimated cost when sizing a dispatch frame: the
-#: measured execution time of a no-op excludes the per-task dispatch
-#: work around it, and an estimate near zero would let one frame swallow
-#: an entire fan-out.
-_MIN_TASK_ESTIMATE_S = 20e-6
-
-#: How many of a function's latest reported execution times its estimate
-#: is the median of.  Workers time tasks by the wall clock, so on a busy
-#: host a sample now and then includes a context switch and reads ten to
-#: a hundred times too long; the median ignores those, where an estimate
-#: that followed them would shrink the next few frames to one or two
-#: tasks.  It follows a function that really got slower within three
-#: completions — at once when a single run exceeds the whole frame
-#: budget (see ``_finish_done``).
-_ESTIMATE_WINDOW = 5
 
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
@@ -197,32 +174,13 @@ def _pipe_safe_error(tag: str, exc: BaseException) -> Exception:
 
 
 @dataclass
-class _WorkerHandle:
-    """Driver-side view of one worker process slot."""
+class _WorkerHandle(WorkerSlot):
+    """Driver-side view of one worker process slot: its scheduling slot
+    (the dispatch plane's) plus what carries messages to it."""
 
-    index: int
-    node_id: NodeID
     conn: Any = None
     process: Any = None
     thread: Optional[threading.Thread] = None
-    #: The lanes (:class:`_ActorLane`) of actors pinned to this worker
-    #: that have a call to dispatch; drained before the shared queue.
-    pinned: deque = field(default_factory=deque)
-    #: Specs the child was handed to *run*, by raw task id (the hex the
-    #: wire carries) in hand-over order, so the values read as its
-    #: stack: the head of the frame it is working through — every call
-    #: of an actor's window — plus any tasks running reentrantly while
-    #: that one blocks.
-    inflight: dict = field(default_factory=dict)
-    #: Stateless tasks the driver tier placed here (locality-aware),
-    #: shipped when the worker next idles.
-    placed: deque = field(default_factory=deque)
-    #: The driver's mirror of the worker's own local queue —
-    #: locally-born tasks (SUBMIT_LOCAL notices, in pipe order)
-    #: and the tails of the TASK frames shipped to it — the state that
-    #: makes stolen and crashed queued tasks recoverable.  Keyed by raw
-    #: task id, like ``inflight``.
-    mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
     #: Functions this worker process already has: sent to it in a
     #: frame's function table, or announced by it in a SUBMIT_LOCAL one.
     functions_sent: set = field(default_factory=set)
@@ -234,79 +192,6 @@ class _WorkerHandle:
     #: flushed (in order, ahead of the next message) by the service
     #: thread's next lock-free send.
     outbox: deque = field(default_factory=deque)
-    #: Session state: True from claiming a frame for the worker until
-    #: its idle DONE.  Only busy workers are steal victims.
-    busy: bool = False
-    #: An un-answered STEAL_REQUEST is outstanding for this victim.
-    steal_outstanding: bool = False
-    #: ``mirror.pushed`` when this victim was last asked, until a grant
-    #: that carries tasks resets it: while the two are equal the worker
-    #: granted nothing and nothing has reached its queue since, whatever
-    #: the mirror's length says (see :class:`LocalTaskQueue`).
-    steal_dry_at: int = -1
-    #: Its service thread is waiting on the runtime cond for the blocked
-    #: child (``_wait_serving``): a thief must wake it to read the grant.
-    parked: bool = False
-    alive: bool = True
-    tasks_done: int = 0
-    actors_bound: int = 0
-
-
-@dataclass
-class _ActorLane:
-    """One actor's tasks in submission order — the constructor, then
-    every method call: where the actor's order comes from.  It hangs off
-    the actor's record (``ActorRecord.lane``, set by ``create_actor``).
-
-    A task enters at submission, waits for its own arguments only, and
-    leaves from the head, in a dispatch frame for the actor's worker.
-    That worker runs a frame's calls back to back, so FIFO here plus one
-    executor there is the actor's total order — provided the worker
-    never holds two frames of one actor at once, which a blocked call
-    would let the second overtake (it runs reentrantly, on top of the
-    blocked one): while any dispatched call is unreported (``open``),
-    the lane dispatches nothing more."""
-
-    record: ActorRecord
-    #: Submitted, not dispatched yet.
-    calls: deque = field(default_factory=deque)
-    #: Dispatched (claimed for a frame) and not reported yet.
-    open: int = 0
-    #: On its worker's ``pinned`` deque (once, however often it is woken).
-    queued: bool = False
-
-
-def _queue_length(worker: _WorkerHandle) -> int:
-    return len(worker.placed) + len(worker.mirror) + len(worker.pinned)
-
-
-def place_without_locality(
-    workers: list, resources: ResourceRequest
-) -> Optional[_WorkerHandle]:
-    """:meth:`PlacementPolicy.choose` for a task with no argument objects
-    and no placement hint, read straight off the worker handles.
-
-    With nothing to be local to, every candidate's locality score is
-    zero, and the driver tier estimates an idle worker at one free CPU
-    and a busy one at none — so the policy's ordering (capacity fit,
-    locality, free CPUs, shortest queue, greatest node id) reduces to:
-    among the idle workers, the shortest queue, ties to the greatest node
-    id.  None means what it means there: queue globally."""
-    if resources.num_cpus > 1 or resources.num_gpus > 0:
-        return None
-    best = None
-    best_length = 0
-    for worker in workers:
-        if worker is None or not worker.alive or worker.busy or worker.inflight:
-            continue
-        length = _queue_length(worker)
-        if (
-            best is None
-            or length < best_length
-            or (length == best_length and worker.node_id.hex > best.node_id.hex)
-        ):
-            best, best_length = worker, length
-    return best
 
 
 def _time_left(deadline: Optional[float], object_id: ObjectID) -> Optional[float]:
@@ -404,25 +289,15 @@ class ProcRuntime:
         self.ids = IDGenerator(namespace=namespace)
         self.closed = False
         self._inline_threshold = inline_threshold
-        #: The scheduling plane's stats()["sched"] counters.
-        self._sched = SchedCounters()
         #: The tracing plane (repro.obs): driver-local spans plus every
         #: worker's flushed buffers, merged onto one wall-clock timeline
         #: the R7 tools consume through the ``event_log`` property.
         self.tracing = bool(tracing)
         self._obs = SpanCollector(enabled=self.tracing)
-        #: Worker-born tasks' wire entries by raw task id (from
-        #: SUBMIT_LOCAL notices): what a thief executes and what crash
-        #: replay reships, verbatim.
-        self._payloads: dict[str, tuple] = {}
         #: Call templates rebuilt from workers' function tables, for
-        #: decoding those entries (see ``messages.decode_entry``).
+        #: decoding worker-born tasks' wire entries (see
+        #: ``messages.decode_entry``).
         self._peer_templates: dict = {}
-        #: Estimated execution seconds per registered function — the
-        #: median of the latest times workers reported for it in DONE
-        #: frames: what sizes a frame.
-        self._exec_estimate: dict[FunctionID, float] = {}
-        self._exec_samples: dict[FunctionID, deque] = {}
         self._spawn_count = 0
 
         self._lock = threading.RLock()
@@ -449,7 +324,7 @@ class ProcRuntime:
             crash_policy=worker_crash_policy,
             is_cancelled=self._lifecycle.is_cancelled,
             arrived=self._object_arrived,
-            requeue=self._requeue_lost,
+            requeue=lambda spec, payload: self._dispatch.requeue(spec, payload),
             nodes=nodes,
             workers_per_node=workers_per_node,
         )
@@ -460,11 +335,18 @@ class ProcRuntime:
         #: calls it).
         self._functions: dict[FunctionID, tuple] = {}
         self.actors = ActorRegistry()
-
-        #: Stateless runnable tasks, drained by whichever worker idles first.
-        self._queue: deque = deque()
-        self._workers: list[_WorkerHandle] = []
-        self._by_node: dict[NodeID, _WorkerHandle] = {}
+        #: What runs where, in which frame, and who gives work back
+        #: (repro.sched_plane.dispatch); the pool is its list, of this
+        #: module's handles.
+        self._dispatch = DispatchPlane(
+            self.actors,
+            self._objects.residency,
+            self._obs,
+            is_cancelled=self._lifecycle.is_cancelled,
+            is_waiting=self._deps.is_waiting,
+            fail=self._objects.store_error,
+        )
+        self._workers: list[_WorkerHandle] = self._dispatch.workers
         self._fn_cache: dict[FunctionID, bytes] = {}
 
         self._tasks_executed = 0
@@ -473,7 +355,6 @@ class ProcRuntime:
         self._mp = multiprocessing.get_context("spawn")
         with self._cond:
             for index in range(num_workers):
-                self._workers.append(None)  # type: ignore[arg-type]
                 self._spawn_worker(index)
         self.node_ids = [self.head_node_id]
         self._objects.count_handles()
@@ -545,98 +426,8 @@ class ProcRuntime:
         if missing:
             self._deps.add(spec, missing)
         else:
-            self._enqueue(spec)
+            self._dispatch.route(spec)
         self._cond.notify_all()
-
-    def _enqueue(self, spec: TaskSpec) -> None:
-        """Route a runnable spec to its queue (lock held)."""
-        if self._dropped_cancelled(spec):
-            return
-        if spec.actor_id is None:
-            self._place_bottom_up(spec)
-            return
-        record = self.actors.get(spec.actor_id)
-        if record is None or record.dead:
-            # Dead/unknown actor: any service thread resolves it to an
-            # error through the pre-dispatch check.
-            self._queue.append(spec)
-            self._obs_placed(spec, None)
-            return
-        # It has stood in its actor's lane since submission; being
-        # runnable, it may be what the lane's head was waiting for.
-        self._obs_placed(spec, self._wake_lane(record.lane))
-
-    def _wake_lane(self, lane: _ActorLane) -> Optional[_WorkerHandle]:
-        """Put the lane before its actor's worker if it has something to
-        dispatch (lock held): a head whose arguments are in, and no call
-        still out.  Called wherever one of the two may have become true;
-        returns the worker (None while the actor is between homes: the
-        crash path wakes its lane again once it has one)."""
-        home = self._by_node.get(lane.record.node_id)
-        if (
-            home is not None
-            and not lane.queued
-            and not lane.open
-            and lane.calls
-            and not self._deps.is_waiting(lane.calls[0].task_id)
-        ):
-            lane.queued = True
-            home.pinned.append(lane)
-        return home
-
-    def _obs_placed(
-        self, spec: TaskSpec, home: Optional[_WorkerHandle]
-    ) -> None:
-        """One driver-tier placement span (lock held); ``home=None`` means
-        the global spillover queue, drained by whichever worker idles."""
-        if self._obs.enabled:
-            self._obs.record(
-                "task_placed",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                worker=None if home is None else f"worker-{home.index}",
-            )
-
-    def _place_bottom_up(self, spec: TaskSpec) -> None:
-        """The driver tier's placement decision (lock held): score every
-        live worker through the shared :class:`PlacementPolicy` — idle
-        workers have estimated capacity, and residency supplies the
-        locality bytes — or fall back to the global spillover queue,
-        drained by whichever worker idles first.  A task with no ref
-        argument and no hint has no locality to score and takes
-        :func:`place_without_locality`: same choice, no candidates."""
-        if (
-            not spec.argument_refs()
-            and not spec.extra_dependencies
-            and spec.placement_hint is None
-        ):
-            home = place_without_locality(self._workers, spec.resources)
-            if home is not None:
-                self._sched.tasks_placed_global += 1
-        else:
-            dependencies = [dep.hex for dep in spec.dependencies()]
-            max_lookups = _PLACEMENT.max_locality_lookups
-            candidates = [
-                WorkerCandidate(
-                    node_id=worker.node_id,
-                    est_cpus=0 if (worker.busy or worker.inflight) else 1,
-                    est_gpus=0,
-                    queue_length=_queue_length(worker),
-                    locality_bytes=self._objects.residency.locality_bytes(
-                        worker.index, dependencies, max_lookups
-                    ),
-                )
-                for worker in self._workers
-                if worker is not None and worker.alive
-            ]
-            chosen = plan_placement(spec, candidates, _PLACEMENT, self._sched)
-            home = self._by_node.get(chosen) if chosen is not None else None
-        if home is None or not home.alive:
-            self._queue.append(spec)
-            self._obs_placed(spec, None)
-            return
-        home.placed.append(spec)
-        self._obs_placed(spec, home)
 
     # ------------------------------------------------------------------
     # Actor protocol
@@ -656,9 +447,8 @@ class ProcRuntime:
 
         The constructor runs on the chosen worker process and the live
         instance stays there; every method call follows it through the
-        actor's lane (:class:`_ActorLane`), which the constructor heads:
-        it ships alone (nothing estimates it) and no call leaves before
-        it is reported.  ``name`` registers the
+        actor's lane (:class:`~repro.sched_plane.dispatch.ActorLane`),
+        which the constructor heads.  ``name`` registers the
         actor for :meth:`get_actor` lookup (collisions with a live holder
         raise).
         """
@@ -672,7 +462,7 @@ class ProcRuntime:
                 self.ids, actor_id, actor_class, class_name, args, kwargs,
                 resources, self.head_node_id, placement_hint=placement_hint,
             )
-            home = self._choose_worker_for_actor(placement_hint)
+            home = self._dispatch.home_for_actor(placement_hint)
             spec.placement_hint = home.node_id
             record = self.actors.create(
                 actor_id, class_name, resources, home.node_id, name=name
@@ -683,8 +473,7 @@ class ProcRuntime:
                 name=name,
                 node=home.node_id,
             )
-            home.actors_bound += 1
-            record.lane = _ActorLane(record, deque([spec]))
+            self._dispatch.open_lane(record, spec)
             handle = handle_for(record, actor_class)
             record.handle = handle
             self._submit_spec(spec)
@@ -707,7 +496,7 @@ class ProcRuntime:
         """Submit one actor method invocation; returns its future
         (a tuple of ``num_returns`` futures when more than one).
 
-        The call joins its actor's lane (:class:`_ActorLane`) here, and
+        The call joins its actor's lane here, and
         the lane's order is what serializes the actor's methods — there
         is no per-actor lock, and no dependency on the previous call's
         result: a call waits for its own arguments and for nothing else.
@@ -741,23 +530,9 @@ class ProcRuntime:
         self._control.async_actor_update(actor_id, method_inc=True)
         if born_in is not None:
             self._objects.hold_born(born_in, spec.all_return_ids())
-        if not record.dead:
-            record.lane.calls.append(spec)
+        self._dispatch.join_lane(record, spec)
         self._submit_spec(spec)
         return spec
-
-    def _choose_worker_for_actor(
-        self, placement_hint: Optional[NodeID]
-    ) -> _WorkerHandle:
-        """Fewest actors first, stable tie-break by index (lock held)."""
-        if placement_hint is not None:
-            hinted = self._by_node.get(placement_hint)
-            if hinted is not None and hinted.alive:
-                return hinted
-        alive = [w for w in self._workers if w.alive]
-        if not alive:
-            raise BackendError("no live workers to host the actor")
-        return min(alive, key=lambda w: (w.actors_bound, w.index))
 
     # ------------------------------------------------------------------
     # Blocking primitives
@@ -830,34 +605,25 @@ class ProcRuntime:
         return self._objects.has(object_id)
 
     def _store_cancelled(self, spec: TaskSpec) -> None:
+        """The cancellation marker takes the task's slots, and the task
+        leaves the scheduling plane: the driver's own queues drop it at
+        the next walk; a task sitting in a *worker's* local queue
+        additionally gets a CANCEL_NOTICE so the owner drops it before
+        dispatch — the worker-side half of the never-executes guarantee.
+        A cancel initiated by the owner worker itself is fully
+        race-free: the notice is queued on its pipe before the CANCEL
+        rpc's reply, so the tombstone is local by the time ``cancel()``
+        returns in the task body."""
         self._objects.store_error(
             spec,
             cancelled_error_value(spec, "cancelled before a result was produced"),
         )
-        self._drop_cancelled_from_plane(spec)
-
-    def _drop_cancelled_from_plane(self, spec: TaskSpec) -> None:
-        """Evict a cancelled task from wherever the scheduling plane
-        queued it (lock held).  Driver-side queues (global, placed) are
-        covered by dispatch-time ``is_cancelled`` checks; a task sitting
-        in a *worker's* local queue additionally gets a CANCEL_NOTICE so
-        the owner drops it before dispatch — the worker-side half of the
-        never-executes guarantee.  A cancel initiated by the owner
-        worker itself is fully race-free: the notice is queued on its
-        pipe before the CANCEL rpc's reply, so the tombstone is local by
-        the time ``cancel()`` returns in the task body."""
-        task_hex = spec.task_id.hex
-        for worker in self._workers:
-            if worker is None or not worker.alive:
-                continue
-            if task_hex in worker.mirror:
-                worker.mirror.remove(task_hex)
-                self._payloads.pop(task_hex, None)
-                try:
-                    self._send_control(worker, (msg.CANCEL_NOTICE, task_hex))
-                except OSError:
-                    pass  # dying worker: the crash handler owns cleanup
-                break
+        worker = self._dispatch.cancel(spec)
+        if worker is not None:
+            try:
+                self._send_control(worker, (msg.CANCEL_NOTICE, spec.task_id.hex))
+            except OSError:
+                pass  # dying worker: the crash handler owns cleanup
 
     def _parked_dependents(self, object_id: ObjectID) -> list:
         return lifecycle.parked_dependents(self._deps, object_id)
@@ -889,7 +655,7 @@ class ProcRuntime:
                 "workers_crashed": self._workers_crashed,
                 "tasks_cancelled": self._lifecycle.cancelled_count,
                 **objects,
-                "sched": self._sched.snapshot(),
+                "sched": self._dispatch.counters.snapshot(),
                 "obs": self._obs.stats(),
                 "serve": serve_stats(self._serve_pools, self._completions),
                 "control": self._control.stats(),
@@ -928,7 +694,7 @@ class ProcRuntime:
             record = self.actors.get(actor_id)
             if record is None:
                 raise BackendError(f"unknown actor {actor_id}")
-            home = self._by_node.get(record.node_id)
+            home = self._dispatch.by_node.get(record.node_id)
             return home.index if home is not None else None
 
     def worker_pids(self) -> list:
@@ -947,7 +713,7 @@ class ProcRuntime:
     def replica_targets(self) -> list:
         """Node ids of live workers — placement targets for pool replicas."""
         with self._cond:
-            return [w.node_id for w in self._workers if w is not None and w.alive]
+            return [w.node_id for w in self._workers if w.alive]
 
     def register_serve_pool(self, pool) -> None:
         with self._cond:
@@ -986,7 +752,7 @@ class ProcRuntime:
         goodbye: it hard-kills them all."""
         with self._cond:
             self.closed = True
-            workers = [w for w in self._workers if w is not None]
+            workers = list(self._workers)
             kill = [
                 w for w in workers
                 if w.alive and (crashed or w.inflight or w.busy)
@@ -1087,10 +853,9 @@ class ProcRuntime:
                 )
                 self._functions.setdefault(spec.function_id, (name, None))
                 self._fn_cache.setdefault(spec.function_id, code)
-                self._payloads[spec.task_id.hex] = entry
                 self._lifecycle.register(spec)
                 plane.pin(spec, list(spec.pins))  # the dead driver's, again
-                self._enqueue(spec)
+                self._dispatch.requeue(spec, entry)
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -1126,8 +891,7 @@ class ProcRuntime:
     def _serve_worker(self, worker: _WorkerHandle) -> _WorkerHandle:
         """Enter a spawned worker into the pool and start the service
         thread that feeds it (lock held)."""
-        self._workers[worker.index] = worker
-        self._by_node[worker.node_id] = worker
+        self._dispatch.add_worker(worker)
         worker.thread = threading.Thread(
             target=self._service_loop,
             args=(worker,),
@@ -1181,113 +945,8 @@ class ProcRuntime:
             while worker.outbox:
                 worker.conn.send(worker.outbox.popleft())
 
-    def _pop_runnable(
-        self, worker: _WorkerHandle, *, raid: bool = False
-    ) -> Optional[TaskSpec]:
-        """The next spec this worker may run, or None (lock held): the
-        head of a pinned actor's lane first, then its placed queue and
-        the global queue, then — ``raid`` — another worker's placed
-        queue.  A task cancelled while queued is dropped here and never
-        shipped; actor tasks pass their pre-dispatch checks."""
-        while True:
-            if worker.pinned:
-                lane = worker.pinned.popleft()
-                lane.queued = False
-                spec = self._claim_lane_head(worker, lane)
-                if spec is None:
-                    continue
-                return spec
-            if worker.placed:
-                spec = worker.placed.popleft()
-            elif self._queue:
-                spec = self._queue.popleft()
-            else:
-                spec = self._steal_placed(worker) if raid else None
-                if spec is None:
-                    return None
-            if self._dropped_cancelled(spec):
-                continue
-            if spec.actor_id is not None:
-                # Only a dead or unknown actor's tasks take the global
-                # queue (``_enqueue``): here they become its error.
-                self._objects.store_error(
-                    spec, self._actor_predispatch_error(spec)
-                )
-                continue
-            return spec
-
-    def _dropped_cancelled(self, spec: TaskSpec) -> bool:
-        """The dispatch-time drop (lock held): whether ``spec``, on its
-        way to a queue or a worker, was cancelled in the meantime and
-        goes nowhere.  The marker already owns its return slots; what
-        goes with the task is the wire entry kept for a worker-born
-        one."""
-        if not self._lifecycle.is_cancelled(spec.task_id):
-            return False
-        self._payloads.pop(spec.task_id.hex, None)
-        return True
-
-    def _claim_lane_head(
-        self, worker: _WorkerHandle, lane: _ActorLane
-    ) -> Optional[TaskSpec]:
-        """Open a window on ``lane`` for ``worker``: its head task, or
-        None if it has nothing to dispatch after all (lock held).  Tasks
-        that fail their pre-dispatch checks (the constructor failed)
-        resolve to that error on the way; a lane whose actor was
-        re-homed since it was queued goes before its new worker."""
-        if lane.record.node_id != worker.node_id:
-            self._wake_lane(lane)
-            self._cond.notify_all()
-            return None
-        while lane.calls:
-            spec = lane.calls[0]
-            if self._deps.is_waiting(spec.task_id):
-                break
-            lane.calls.popleft()
-            error = self._actor_predispatch_error(spec)
-            if error is None:
-                lane.open = 1
-                return spec
-            self._objects.store_error(spec, error)
-        return None
-
-    def _settle_call(self, spec: TaskSpec) -> None:
-        """One dispatched task of an actor is accounted for — reported
-        done, or resolved to an error unsent (lock held); the last one
-        of a window lets the lane dispatch again."""
-        lane = self.actors.get(spec.actor_id).lane
-        lane.open -= 1
-        if not lane.open:
-            self._wake_lane(lane)
-
-    def _actor_predispatch_error(self, spec: TaskSpec) -> Optional[ErrorValue]:
-        """Driver-side half of ``resolve_actor_callable`` (lock held):
-        liveness checks that cannot wait for the worker, with identical
-        error text to the other backends."""
-        record = self.actors.get(spec.actor_id)
-        if record is None:
-            return ErrorValue(
-                task_id=spec.task_id,
-                function_name=spec.function_name,
-                cause_repr=f"unknown actor {spec.actor_id}",
-                chain=(spec.function_name,),
-            )
-        if record.dead:
-            return actor_lost_error_value(spec, record)
-        if spec.actor_method != CREATION_METHOD and record.instance is None:
-            return ErrorValue(
-                task_id=spec.task_id,
-                function_name=spec.function_name,
-                cause_repr=(
-                    f"actor {record.class_name} has no live instance "
-                    "(its constructor failed or was lost)"
-                ),
-                chain=(spec.function_name,),
-            )
-        return None
-
     # ------------------------------------------------------------------
-    # Sessions, the mirror, and the steal broker
+    # Sessions, the mirror, and the steal broker's messages
     # ------------------------------------------------------------------
 
     def _service_loop(self, worker: _WorkerHandle) -> None:
@@ -1305,7 +964,12 @@ class ProcRuntime:
                     pass
                 return
             try:
-                self._run_session(worker, frame)
+                if self._ship_frame(worker, frame):
+                    self._serve(worker, lambda: worker.busy)
+                else:
+                    with self._cond:
+                        self._dispatch.idle(worker)
+                        self._cond.notify_all()
             except (EOFError, OSError) as exc:
                 # The inflight table plus the mirror are exactly what
                 # died with the worker (a frame that never reached the
@@ -1315,179 +979,70 @@ class ProcRuntime:
 
     def _next_frame(self, worker: _WorkerHandle) -> Optional[list]:
         """Block until this worker has work (or shutdown) and claim one
-        frame of it: its pinned actors first, then its placed queue,
-        then the global spillover queue — and, failing all three,
-        *steal*: raid another worker's placed queue directly, or ask a
-        busy worker to give up the tail of its local queue (answered
-        asynchronously by a STEAL_GRANT)."""
+        frame of it (:meth:`DispatchPlane.claim_frame`) — or, failing
+        that, ask a busy worker to give up the tail of its local queue
+        (answered asynchronously by a STEAL_GRANT)."""
         with self._cond:
             while True:
                 if self.closed or not worker.alive:
                     return None
-                frame = self._claim_frame(worker)
+                frame = self._dispatch.claim_frame(worker)
                 if frame:
-                    worker.busy = True
                     return frame
-                self._request_remote_steal(worker)
+                self._request_steal(worker)
                 # The grant lands on the victim's pipe and is applied by
                 # the victim's thread; that, like a submit or an
                 # arrival, notifies the cond.
                 self._cond.wait(timeout=_IDLE_WAIT_BACKSTOP)
 
-    def _claim_frame(self, worker: _WorkerHandle) -> list:
-        """Pop the specs of this worker's next TASK frame (lock held).
+    def _serve(self, worker: _WorkerHandle, pending: Callable[[], bool]) -> None:
+        """Read the worker's pipe, applying its reports and answering
+        its requests, while ``pending()`` — plain state a report ends: a
+        session (``worker.busy``, until the idle DONE), one task run
+        reentrantly inside a blocked worker (in ``worker.inflight`` until
+        the DONE that names it), a grant the worker owes
+        (``worker.steal_outstanding``).  This thread is the pipe's only
+        reader, and delivers the control messages parked for it; a dead
+        child raises out of ``recv`` into the crash path."""
+        self._flush_outbox(worker)
+        while pending():
+            message = worker.conn.recv()
+            tag = message[0]
+            if tag == msg.DONE:
+                self._apply_done_frame(worker, message)
+            elif tag == msg.SUBMIT_LOCAL:
+                self._register_local_submit(worker, *message[1:])
+            elif tag == msg.STEAL_GRANT:
+                self._apply_steal_grant(worker, *message[1:])
+            elif tag == msg.SPANS:
+                self._ingest_worker_obs(worker, message[1])
+            else:
+                self._serve_rpc(worker, message)
+            if worker.outbox:
+                self._flush_outbox(worker)
 
-        The head is whatever it would have been handed alone; what is
-        queued behind it rides along while the frame's *estimated* work
-        stays within ``FRAME_BUDGET_S`` — the one frame rule, on every
-        wire backend.  Behind a stateless head that is stateless tasks
-        (what the estimate gets wrong the worker gives back,
-        ``ProcWorker._watch_done``); behind an actor call, the following
-        calls of the *same* actor's lane whose arguments are in — a
-        window never mixes actors, and all of it counts against the lane
-        as dispatched (``_ActorLane.open``).  A function or method with
-        no estimate yet (so every constructor), or one estimated over
-        the budget, therefore ships alone."""
-        head = self._pop_runnable(worker, raid=True)
-        if head is None:
-            return []
-        frame = [head]
-        spent = self._estimate(head)
-        if head.actor_id is not None:
-            lane = self.actors.get(head.actor_id).lane
-            calls = lane.calls
-            while (
-                spent is not None
-                and spent < msg.FRAME_BUDGET_S
-                and calls
-                and not self._deps.is_waiting(calls[0].task_id)
-            ):
-                cost = self._estimate(calls[0])
-                if cost is None or spent + cost > msg.FRAME_BUDGET_S:
-                    break
-                frame.append(calls.popleft())
-                spent += cost
-            lane.open = len(frame)
-            return frame
-        while spent is not None and spent < msg.FRAME_BUDGET_S:
-            source = worker.placed or self._queue
-            if not source or source[0].actor_id is not None:
-                break  # nothing, or a dead actor's call on its way to its error
-            cost = self._estimate(source[0])
-            if cost is None or spent + cost > msg.FRAME_BUDGET_S:
-                break
-            spec = source.popleft()
-            if not self._dropped_cancelled(spec):
-                frame.append(spec)
-                spent += cost
-        return frame
-
-    def _estimate(self, spec: TaskSpec) -> Optional[float]:
-        """Estimated execution seconds of one task for frame sizing, or
-        None when there is nothing to go on (functions and actor methods
-        not yet seen to complete, constructors, worker-born one-off
-        function ids)."""
-        estimate = self._exec_estimate.get(spec.function_id)
-        if estimate is None:
-            return None
-        return max(estimate, _MIN_TASK_ESTIMATE_S)
-
-    def _steal_placed(self, thief: _WorkerHandle) -> Optional[TaskSpec]:
-        """Driver-side steal: move one task from the longest placed
-        queue of another live worker (lock held).  No wire protocol —
-        placed queues live on the driver, so the raid is a deque pop."""
-        victim = None
-        for worker in self._workers:
-            if worker is None or worker is thief or not worker.alive:
-                continue
-            if not worker.placed:
-                continue
-            if victim is None or len(worker.placed) > len(victim.placed):
-                victim = worker
-        if victim is None:
-            return None
-        self._sched.tasks_stolen += 1
-        spec = victim.placed.popleft()
-        if self._obs.enabled:
-            self._obs.record(
-                "task_stolen",
-                task_id=str(spec.task_id),
-                thief=f"worker-{thief.index}",
-                victim=f"worker-{victim.index}",
-                wire=False,
-            )
-        return spec
-
-    def _request_remote_steal(
+    def _request_steal(
         self, thief: _WorkerHandle, include_self: bool = False
     ) -> None:
-        """Ask the most-backlogged busy worker for the tail of its local
-        queue (lock held).  At most one request per victim is in flight;
-        the victim answers within a watchdog tick or two whatever it is
-        doing — between tasks, from an rpc's reply loop, or from its
-        watchdog thread while a task runs, which is what takes a
-        frame's tail back from behind a head that outran its estimate —
-        and the grant comes back on the victim's pipe and is applied by
-        the victim's own service thread, woken here if it is parked on
-        the cond in :meth:`_wait_serving` instead of reading that pipe.
-
-        A prompt answer must not become a request loop.  The mirror
-        counts tasks the victim is running or has not reported yet, so
-        its length can promise a tail that is not there: a victim that
-        granted nothing is not asked again until something new was
-        pushed to its mirror (a frame's tail, a SUBMIT_LOCAL).
-
-        ``include_self`` lets a *blocked* worker raid its own queue: the
-        child answers the request from its reply-wait loop, the grant
-        re-homes the tasks through the global queue, and the service
-        thread can then inject them back reentrantly — which is how a
-        worker blocked on work that its own queue holds, but that it
-        could not run inline itself (a task that is not the producer of
-        what it waits for, only upstream of it), unwedges itself."""
-        victim = None
-        for worker in self._workers:
-            if worker is None or not worker.alive:
-                continue
-            if worker is thief and not include_self:
-                continue
-            if not worker.busy or worker.steal_outstanding:
-                continue
-            if worker.steal_dry_at == worker.mirror.pushed:
-                continue
-            if not _STEAL.should_steal(len(worker.mirror)):
-                continue
-            if victim is None or len(worker.mirror) > len(victim.mirror):
-                victim = worker
-        if victim is None:
+        """Send the STEAL_REQUEST the plane decides on, if any
+        (:meth:`DispatchPlane.request_steal`; lock held).  The victim
+        answers within a watchdog tick or two whatever it is doing —
+        between tasks, from an rpc's reply loop, or from its watchdog
+        thread while a task runs, which is what takes a frame's tail
+        back from behind a head that outran its estimate — and the grant
+        comes back on the victim's pipe and is applied by the victim's
+        own service thread, woken here if it is parked on the cond in
+        :meth:`_wait_serving` instead of reading that pipe."""
+        ask = self._dispatch.request_steal(thief, include_self)
+        if ask is None:
             return
-        victim.steal_outstanding = True
-        victim.steal_dry_at = victim.mirror.pushed
+        victim, count = ask
         try:
-            self._send_control(
-                victim,
-                (msg.STEAL_REQUEST, _STEAL.batch_size(len(victim.mirror))),
-            )
+            self._send_control(victim, (msg.STEAL_REQUEST, count))
         except OSError:
             return  # victim died; its crash handler owns the cleanup
         if victim.parked:
             self._cond.notify_all()
-
-    def _handle_async_report(self, worker: _WorkerHandle, message: tuple) -> bool:
-        """One arm for the one-way worker reports every serving loop
-        shares; False if the message was something else (an rpc
-        request)."""
-        tag = message[0]
-        if tag == msg.DONE:
-            self._apply_done_frame(worker, message)
-        elif tag == msg.SUBMIT_LOCAL:
-            self._register_local_submit(worker, *message[1:])
-        elif tag == msg.STEAL_GRANT:
-            self._apply_steal_grant(worker, *message[1:])
-        elif tag == msg.SPANS:
-            self._ingest_worker_obs(worker, message[1])
-        else:
-            return False
-        return True
 
     def _obs_worker_extra(self, worker: _WorkerHandle) -> dict:
         """Identity keys stamped onto spans a worker recorded about
@@ -1504,46 +1059,15 @@ class ProcRuntime:
                 extra=self._obs_worker_extra(worker),
             )
 
-    def _fail_payload(self, spec: TaskSpec, exc: BaseException) -> None:
-        """A task whose payload could not be built (lost argument,
-        unpicklable code) resolves to an error value in every slot."""
-        with self._cond:
-            self._objects.store_error(spec, error_value_from(spec, exc))
-            if spec.actor_id is not None:
-                self._settle_call(spec)
-
-    def _return_unshipped(self, specs: list) -> None:
-        """A claimed frame whose worker died before it was sent goes
-        back where it was claimed from (lock held): stateless tasks to
-        the plane, an actor's to the front of its lane, in order — or,
-        the actor having died with the worker, to their error."""
-        for spec in reversed(specs):
-            if spec.actor_id is None:
-                self._enqueue(spec)
-                continue
-            lane = self.actors.get(spec.actor_id).lane
-            lane.open -= 1
-            if lane.record.dead:
-                self._queue.append(spec)
-            else:
-                lane.calls.appendleft(spec)
-                self._wake_lane(lane)
-
     def _ship_frame(self, worker: _WorkerHandle, specs: list) -> bool:
         """Encode, register and send one TASK frame; False if nothing was
         left to send.
 
         Until this point the specs were owned by the calling service
         thread alone (popped from every queue, registered nowhere).  A
-        task that cannot be encoded resolves to an error; a task
-        cancelled in the meantime is dropped, unshipped.  The rest
-        become the worker's: the head joins its ``inflight`` table (it
-        runs on arrival), the tail its mirror (queued there, and from
-        now on stealable, cancellable, re-homable) — unless the frame is
-        an actor's window, which is ``inflight`` whole: the worker runs
-        it through without queueing it, so it is committed there — not
-        stealable, not re-homable, and lost with the actor if the
-        worker dies.  Registration and
+        task that cannot be encoded (lost argument, unpicklable code)
+        resolves to an error in every slot; the rest become the worker's
+        (:meth:`DispatchPlane.ship`).  Registration and
         taking the pipe's send lock happen under one hold of the runtime
         lock, so a CANCEL_NOTICE for a mirrored task can only ever
         follow the frame that carries it."""
@@ -1558,43 +1082,18 @@ class ProcRuntime:
                 entry = self._encode_task(spec, worker, functions, slot_for)
                 encoded.append((spec, entry))
             except (TypeError, ReproError) as exc:
-                self._fail_payload(spec, exc)
+                with self._cond:
+                    self._objects.store_error(spec, error_value_from(spec, exc))
+                    self._dispatch.settle(spec)
         with self._cond:
             if self.closed:
                 return False
-            if not worker.alive:
-                # The worker died under us (dist: its node's link).
-                # Nothing was sent, so nothing is lost: back to the plane.
-                self._return_unshipped([spec for spec, _entry in encoded])
+            # (A worker that died under us — dist: its node's link — is
+            # sent nothing, so nothing is lost: back to the plane.)
+            shipped = self._dispatch.ship(worker, encoded)
+            if not shipped:
                 self._cond.notify_all()
                 return False
-            shipped = [
-                (spec, entry) for spec, entry in encoded
-                if not self._dropped_cancelled(spec)
-            ]
-            if not shipped:
-                return False
-            head, head_entry = shipped[0]
-            worker.inflight[head_entry[0]] = head
-            if head.actor_id is None:
-                for spec, entry in shipped[1:]:
-                    worker.mirror.push(entry[0], spec)
-            else:
-                for spec, entry in shipped[1:]:
-                    worker.inflight[entry[0]] = spec
-            self._sched.frames_sent += 1
-            self._sched.tasks_shipped += len(shipped)
-            if self._obs.enabled:
-                span = {
-                    "worker": f"worker-{worker.index}",
-                    "size": len(shipped),
-                    "est_ms": 1e3 * sum(
-                        self._estimate(spec) or 0.0 for spec, _ in shipped
-                    ),
-                }
-                if head.actor_method not in (None, CREATION_METHOD):
-                    span["actor"] = str(head.actor_id)
-                self._obs.record("task_frame", **span)
             worker.send_lock.acquire()
         try:
             worker.functions_sent.update(functions)
@@ -1610,21 +1109,6 @@ class ProcRuntime:
             worker.send_lock.release()
         return True
 
-    def _run_session(self, worker: _WorkerHandle, frame: list) -> None:
-        """Ship one frame and serve the whole session it opens."""
-        if not self._ship_frame(worker, frame):
-            with self._cond:
-                worker.busy = False
-                self._cond.notify_all()
-            return
-        while True:
-            self._flush_outbox(worker)
-            message = worker.conn.recv()
-            if not self._handle_async_report(worker, message):
-                self._serve_rpc(worker, message)
-            elif message[0] == msg.DONE and message[2]:
-                return  # the worker's queue drained: session over
-
     def _apply_done_frame(self, worker: _WorkerHandle, message: tuple) -> None:
         """One DONE frame: every completion it carries, the session end
         if it says so, and the control-store writes they cause — under
@@ -1636,39 +1120,29 @@ class ProcRuntime:
             self._ingest_worker_obs(worker, message[3])
         with self._cond, self._control.async_batch():
             self._objects.drain(batched=True)
-            self._sched.done_frames += 1
+            self._dispatch.counters.done_frames += 1
             times: dict = {}
             for task_hex, blobs, failed, exec_seconds in completions:
-                spec = self._finish_done(worker, task_hex, blobs, failed)
+                # The plane resolves the raw id to what the worker was
+                # given or kept; None: cancelled while it ran, and the
+                # marker owns the result slots.
+                spec, payload = self._dispatch.done(worker, task_hex)
+                if spec is None:
+                    self._objects.discard(blobs)
+                else:
+                    self._finish_spec(worker, spec, blobs, failed, payload)
+                self._objects.drop_born(task_hex)
                 if spec is not None and (
                     spec.function_id in self._functions
                     or spec.actor_method not in (None, CREATION_METHOD)
                 ):
                     times.setdefault(spec.function_id, []).append(exec_seconds)
             for function_id, samples in times.items():
-                self._note_exec_times(function_id, samples)
+                self._dispatch.note_exec_times(function_id, samples)
             if idle:
-                worker.busy = False
+                self._dispatch.idle(worker)
             self._objects.flush_deletes()
             self._cond.notify_all()
-
-    def _note_exec_times(self, function_id: FunctionID, samples: list) -> None:
-        """Fold one DONE frame's execution times of one function into
-        its estimate (lock held): the upper median of the latest few —
-        with an even count it errs high."""
-        recent = self._exec_samples.get(function_id)
-        if recent is None:
-            recent = self._exec_samples[function_id] = deque(
-                maxlen=_ESTIMATE_WINDOW
-            )
-        recent.extend(samples)
-        estimate = sorted(recent)[len(recent) // 2]
-        slowest = max(samples)
-        if slowest >= msg.FRAME_BUDGET_S:
-            # A run that filled a frame's budget by itself is believed
-            # at once: the cost may follow the arguments.
-            estimate = max(estimate, slowest)
-        self._exec_estimate[function_id] = estimate
 
     def _register_local_submit(
         self, worker: _WorkerHandle, entries: list, table: dict, escaped=()
@@ -1700,8 +1174,7 @@ class ProcRuntime:
                 deps = entry[5].get("deps")
                 if deps:
                     plane.pin(spec, [ObjectID(dep) for dep in deps])
-                worker.mirror.push(entry[0], spec)
-                self._payloads[entry[0]] = entry
+                self._dispatch.born_on(worker, entry[0], spec, entry)
                 # Worker-born lineage: async by design (the fast path is
                 # already acked one-way).  The record is self-contained:
                 # the wire entry is the replay form, the function row
@@ -1719,7 +1192,6 @@ class ProcRuntime:
                     },
                     node=worker.node_id,
                 )
-                self._sched.tasks_placed_local += 1
             self._cond.notify_all()  # idle thieves may now see a victim
         if entries:
             self._send(worker, (msg.PLACED, len(entries)))
@@ -1727,103 +1199,18 @@ class ProcRuntime:
     def _apply_steal_grant(
         self, victim: _WorkerHandle, task_hexes: list, midtask: bool = False
     ) -> None:
-        """The victim gave up the tail of its local queue: re-home those
-        tasks through the global queue.  The victim is the queue's only
-        executor, so everything granted is provably not running there;
-        ids missing from the mirror were cancelled in the meantime and
-        stay dropped.  ``midtask``: the victim was inside a task (its
-        watchdog answered) — these tasks were recalled from behind it."""
+        """The victim gave up the tail of its local queue: the plane
+        re-homes those tasks through the global queue
+        (:meth:`DispatchPlane.apply_grant`); the control store hears of
+        each."""
         with self._cond:
-            victim.steal_outstanding = False
-            if task_hexes:
-                victim.steal_dry_at = -1  # it may have more to give
-            for task_hex in task_hexes:
-                spec = victim.mirror.remove(task_hex)
-                if spec is None or self._dropped_cancelled(spec):
-                    continue
-                self._sched.tasks_stolen += 1
-                if midtask:
-                    self._sched.tasks_recalled += 1
-                if self._obs.enabled:
-                    self._obs.record(
-                        "task_stolen",
-                        task_id=str(spec.task_id),
-                        victim=f"worker-{victim.index}",
-                        wire=True,
-                        midtask=midtask,
-                    )
+            for spec in self._dispatch.apply_grant(victim, task_hexes, midtask):
                 self._control.async_task_update(spec.task_id, state="stolen")
-                self._queue.append(spec)
             self._cond.notify_all()
-
-    def _finish_done(
-        self, worker: _WorkerHandle, task_hex: str, blobs: list, failed: bool
-    ) -> Optional[TaskSpec]:
-        """One completion of a DONE frame (lock held): resolve the raw
-        task id against the worker's inflight table (handed over to run)
-        or its mirror (queued there: locally-born, or shipped ahead in a
-        frame), record the task finished and return its spec — None for
-        a task cancelled while it ran."""
-        spec = worker.inflight.pop(task_hex, None)
-        if spec is None:
-            spec = worker.mirror.remove(task_hex)
-        payload = self._payloads.pop(task_hex, None) if self._payloads else None
-        if spec is None:
-            # Cancelled while mid-run on the worker: the marker owns
-            # the result slots; drop the blobs.
-            self._objects.discard(blobs)
-        else:
-            self._finish_spec(worker, spec, blobs, failed, payload)
-            if spec.actor_id is not None:
-                self._settle_call(spec)
-        self._objects.drop_born(task_hex)
-        return spec
-
-    def _read_steal_grant(self, worker: _WorkerHandle) -> None:
-        """Read a blocked worker's pipe until the STEAL_GRANT it owes
-        arrives (its service thread, lock not held).
-
-        The child is parked in the reply-wait loop of its get/wait rpc
-        and answers a STEAL_REQUEST from there at once, so this is one
-        bounded exchange on a pipe only this thread reads — not a wait:
-        the grant (possibly the very tasks the worker is blocked on) is
-        re-homed the moment it lands, and a dead child raises into the
-        crash path like any other ``recv``."""
-        self._flush_outbox(worker)
-        while worker.steal_outstanding:
-            message = worker.conn.recv()
-            if not self._handle_async_report(worker, message):
-                # The blocked child is awaiting OUR reply: it cannot have
-                # issued another request, so anything else is a protocol bug.
-                raise BackendError(
-                    f"unexpected worker message {message[0]!r} while "
-                    "serving a blocked worker"
-                )
 
     # ------------------------------------------------------------------
     # One task on one worker
     # ------------------------------------------------------------------
-
-    def _execute_remote(self, worker: _WorkerHandle, spec: TaskSpec) -> None:
-        """Ship one task as a frame of one and serve the worker until
-        the DONE frame that reports it: how a task runs *inside* a
-        worker that is blocked awaiting an RPC reply (it executes
-        reentrantly there; notices and grants may interleave meanwhile).
-
-        Pipe failures propagate to the caller (crash handling); anything
-        unserializable resolves the task to an error value instead."""
-        if not self._ship_frame(worker, [spec]):
-            return
-        task_hex = spec.task_id.hex
-        while True:
-            self._flush_outbox(worker)
-            message = worker.conn.recv()
-            if not self._handle_async_report(worker, message):
-                self._serve_rpc(worker, message)
-            elif message[0] == msg.DONE and any(
-                done[0] == task_hex for done in message[1]
-            ):
-                return
 
     def _encode_task(
         self, spec: TaskSpec, worker: _WorkerHandle, functions: dict, slot_for
@@ -1853,7 +1240,7 @@ class ProcRuntime:
             if spec.actor_method == CREATION_METHOD:
                 extras["code"] = self._function_bytes(spec)
             return msg.encode_entry(spec, slot_for, **extras)
-        entry = self._payloads.get(spec.task_id.hex) if self._payloads else None
+        entry = self._dispatch.wire_entry(spec.task_id.hex)
         if entry is None:
             entry = msg.encode_entry(spec, slot_for)
         if spec.function_id not in worker.functions_sent:
@@ -1894,7 +1281,6 @@ class ProcRuntime:
         the spec is already off the inflight stack / mirror).  ``payload``
         is a worker-born task's wire entry, which the object plane keeps
         while a lost node could still make the task run again."""
-        worker.tasks_done += 1
         self._tasks_executed += 1
         self._control.async_task_update(
             spec.task_id,
@@ -2068,9 +1454,10 @@ class ProcRuntime:
         ``worker``'s child process is parked in ``recv`` awaiting our
         reply, so tasks pinned to it — possibly the very ones the blocked
         task is getting — can only run if we feed them to it now, one
-        at a time; the child executes them reentrantly, on top of the
+        at a time (:meth:`DispatchPlane.claim_one`, shipped as a frame
+        of one); the child executes them reentrantly, on top of the
         blocked task (see ``ProcWorker.rpc``).  Which is why a lane with
-        a call still out dispatches nothing (``_ActorLane.open``): the
+        a call still out dispatches nothing (``ActorLane.open``): the
         blocked task may *be* that call, and its successor, run on top
         of it, would overtake it.  Other actors' lanes keep moving.
 
@@ -2087,10 +1474,11 @@ class ProcRuntime:
           the tasks into the global queue, and they come back through
           the injection path above;
         * a grant owed to this worker's pipe — to that self-steal, or to
-          an idle peer's request — is read off it at once (this thread
-          is the pipe's only reader; :meth:`_read_steal_grant`), and
-          busy peers are raided on this worker's behalf.  Everything
-          else that can end the wait notifies the cond.
+          an idle peer's request — is read off it at once (the child
+          answers from its reply-wait loop, so it is one bounded
+          exchange: :meth:`_serve`), and busy peers are raided on this
+          worker's behalf.  Everything else that can end the wait
+          notifies the cond.
         """
         while True:
             nested: Optional[TaskSpec] = None
@@ -2099,7 +1487,7 @@ class ProcRuntime:
                     self._check_open()  # the wait ends with the pool
                     if predicate():
                         return True
-                    nested = self._pop_runnable(worker)
+                    nested = self._dispatch.claim_one(worker)
                     if nested is not None:
                         break
                     remaining = _BLOCKED_WAIT_BACKSTOP
@@ -2107,16 +1495,19 @@ class ProcRuntime:
                         remaining = min(remaining, deadline - time.monotonic())
                         if remaining <= 0:
                             return False
-                    self._request_remote_steal(worker, include_self=True)
+                    self._request_steal(worker, include_self=True)
                     if worker.steal_outstanding or worker.outbox:
                         break
                     worker.parked = True
                     self._cond.wait(timeout=remaining)
                     worker.parked = False
-            if nested is not None:
-                self._execute_remote(worker, nested)
-            else:
-                self._read_steal_grant(worker)
+            if nested is None:
+                self._serve(worker, lambda: worker.steal_outstanding)
+            elif self._ship_frame(worker, [nested]):
+                # Until the DONE that reports it (notices and grants may
+                # interleave meanwhile).
+                task_hex = nested.task_id.hex
+                self._serve(worker, lambda: task_hex in worker.inflight)
 
     def _submit_from_worker(self, payload: dict) -> Any:
         """A worker-born task that could not take the fast path
@@ -2138,7 +1529,7 @@ class ProcRuntime:
                     self._peer_templates,
                     {payload["function_hex"]: (payload["function_name"], None)},
                 )
-            self._sched.tasks_spilled += 1
+            self._dispatch.counters.tasks_spilled += 1
             if self._obs.enabled:
                 self._obs.record(
                     "task_spilled", function=payload["function_name"]
@@ -2188,18 +1579,9 @@ class ProcRuntime:
         """Wake dependents, waiters, and watchers of a newly resident
         object, whichever plane it landed in (lock held)."""
         for spec in self._deps.mark_ready(object_id):
-            self._enqueue(spec)
+            self._dispatch.route(spec)
         self._completions.notify(object_id)
         self._cond.notify_all()
-
-    def _requeue_lost(self, spec: TaskSpec, payload: Optional[tuple]) -> None:
-        """A task whose results were lost runs again, through the global
-        queue (lock held).  A worker-born one is reshipped as the exact
-        entry its worker built: still in ``_payloads`` if it died
-        unreported, handed back here if it had completed."""
-        if payload is not None:
-            self._payloads[spec.task_id.hex] = payload
-        self._queue.append(spec)
 
     def watch_object(self, object_id: ObjectID, callback) -> None:
         """Event-driven completion: ``callback(object_id)`` fires exactly
@@ -2240,16 +1622,11 @@ class ProcRuntime:
     def _handle_worker_crash(
         self, worker: _WorkerHandle, exc: BaseException
     ) -> None:
-        """A worker process died (EOF/error on its pipe).
-
-        Mirrors the sim backend's node-death semantics: actors whose state
-        lived there are lost for good (ActorLostError), stateless tasks
-        are replayed from their spec (lineage), and the pool heals by
-        spawning a replacement process into the same slot."""
+        """A worker process died (EOF/error on its pipe): its service
+        thread's way into :meth:`_worker_lost`."""
         with self._cond:
             if self.closed or not worker.alive:
                 return
-            doomed, replaced = self._retire_worker(worker)
             if self._obs.enabled:
                 self._obs.record(
                     "failure_detected",
@@ -2261,88 +1638,34 @@ class ProcRuntime:
                 worker.conn.close()
             except OSError:
                 pass
-            for spec in doomed:
-                self._resolve_crashed_task(spec)
-            survivors = self._fail_lanes_on(worker)
-            replacement = self._spawn_worker(worker.index)
-            # Every surviving actor still homed on the dead node is an
-            # unconstructed one (mark_dead_on_node killed the rest; its
-            # constructor never ran, so nothing is lost): re-point them
-            # all at the replacement — a lane goes where its record
-            # points, whether its constructor is runnable yet or not.
-            for lane in survivors:
-                lane.record.node_id = replacement.node_id
-                replacement.actors_bound += 1
-                self._wake_lane(lane)
-            for spec in replaced:
-                self._enqueue(spec)
-            self._cond.notify_all()
+            self._worker_lost(worker)
 
-    def _fail_lanes_on(self, worker: _WorkerHandle) -> list:
-        """The actors homed on a lost worker, after its in-flight tasks
-        were resolved (lock held).  A dead actor's lane is emptied into
-        :class:`~repro.errors.ActorLostError` — the calls whose
-        arguments are in, now; one still parked on an argument, through
-        the global queue when that arrives — and stays empty.  Returns
-        the lanes of the live ones (unconstructed), to be re-homed."""
-        survivors = []
-        for record in self.actors.on_node(worker.node_id):
-            lane = record.lane
-            if not record.dead:
-                survivors.append(lane)
-                continue
-            calls, lane.calls = lane.calls, deque()
-            for spec in calls:
-                if not self._deps.is_waiting(spec.task_id):
-                    self._objects.store_error(
-                        spec, actor_lost_error_value(spec, record)
-                    )
-        return survivors
+    def _worker_lost(self, worker: _WorkerHandle) -> None:
+        """Every way of losing a worker (lock held; idempotent).
 
-    def _retire_worker(self, worker: _WorkerHandle) -> tuple:
-        """What every way of losing a worker starts with (lock held):
-        mark it dead, empty its tables, kill the actors whose state lived
-        there.  Returns ``(doomed, replaced)``: the tasks that died with
-        it, to go through :meth:`_resolve_crashed_task`, and the ones the
-        driver had only placed on it, to be placed again (no replay
-        budget consumed: they never reached the worker)."""
-        worker.alive = False
-        # Everything on the reentrant stack died with the process.
-        doomed = list(worker.inflight.values())
-        worker.inflight.clear()
-        # The worker's local queue died with it, but the
-        # mirror has every task (SUBMIT_LOCAL precedes everything else
-        # on the pipe, frame tails are mirrored before the frame is
-        # sent) and _payloads still holds the worker-born ones' entries
-        # — they go through the same lineage-replay gate as the
-        # in-flight stack: a shipped-ahead task may have run to
-        # completion with its report still buffered in the dead
-        # process, so each counts as a replay.  This also covers tasks
-        # mid-steal: a grant the victim never delivered leaves them in
-        # the mirror.
-        for _task_hex, mirrored in worker.mirror.drain():
-            if mirrored not in doomed:
-                doomed.append(mirrored)
-        # Lanes waiting here for dispatch go back to standing nowhere:
-        # the crash path fails or re-homes them (``_fail_lanes_on``).
-        for lane in worker.pinned:
-            lane.queued = False
-        worker.pinned.clear()
-        replaced = list(worker.placed)
-        worker.placed.clear()
-        for spec in replaced:
-            # Placement re-runs against the surviving pool; a stale
-            # placement_hint pointing at the dead node must not pin the
-            # task to a queue nobody drains.
-            if spec.placement_hint == worker.node_id:
-                spec.placement_hint = None
-        worker.busy = False
-        worker.steal_outstanding = False
+        Mirrors the sim backend's node-death semantics: actors whose state
+        lived there are lost for good (ActorLostError), unconstructed
+        ones move to the worker's successor, stateless tasks that died
+        with it are replayed from their spec (lineage) and what the
+        driver had only placed there is placed again — the plane says
+        which is which (:meth:`DispatchPlane.worker_lost`)."""
+        if self.closed or not worker.alive:
+            return
         self._objects.worker_lost(worker.index)
         self._workers_crashed += 1
-        self._by_node.pop(worker.node_id, None)
-        self.actors.mark_dead_on_node(worker.node_id)
-        return doomed, replaced
+        replacement, lost_node = self._replace_worker(worker)
+        doomed, replaced = self._dispatch.worker_lost(worker, replacement)
+        for spec in doomed:
+            self._resolve_crashed_task(spec, lost_node)
+        for spec in replaced:
+            self._dispatch.route(spec)
+        self._cond.notify_all()
+
+    def _replace_worker(self, worker: _WorkerHandle) -> tuple:
+        """``(replacement, lost_node)`` for a lost worker (lock held):
+        the pool heals by spawning a new process into the same slot, and
+        one host has no node to lose with a worker."""
+        return self._spawn_worker(worker.index), None
 
     def _resolve_crashed_task(
         self, spec: TaskSpec, lost_node: Optional[int] = None
@@ -2352,19 +1675,15 @@ class ProcRuntime:
         # The refs its process held to what was born in it are gone.
         self._objects.drop_born(spec.task_id.hex)
         if spec.actor_id is not None:
+            # Its window was committed to the worker: lost with the actor.
             record = self.actors.get(spec.actor_id)
             if record is not None:
-                if not record.dead:
-                    # The constructor was mid-run: its half-built state
-                    # died with the process.
-                    record.dead = True
-                    record.instance = None
                 self._objects.store_error(
                     spec, actor_lost_error_value(spec, record)
                 )
             return
-        # Worker-born tasks keep their _payloads entry while they can run
-        # again: the replay dispatch reships the exact payload the dead
-        # worker built.
+        # A worker-born task's wire entry is kept while it can run again:
+        # the replay dispatch reships the exact payload the dead worker
+        # built.
         if not self._objects.replay_or_fail(spec, lost_node):
-            self._payloads.pop(spec.task_id.hex, None)
+            self._dispatch.forget(spec.task_id.hex)

@@ -77,6 +77,7 @@ from repro.proc import messages as msg
 from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.proc.transport import ensure_transport
 from repro.scheduling.policies import SpilloverPolicy
+from repro.sched_plane.dispatch import FRAME_BUDGET_S
 from repro.sched_plane.queues import LocalTaskQueue
 from repro.utils.ids import IDGenerator, NodeID, ObjectID
 
@@ -571,7 +572,9 @@ class ProcWorker:
         queued, until nothing is held and the queue is empty.
 
         *Completions* are buffered on the expectation that another task
-        boundary follows within the frame budget; such a task would sit
+        boundary follows within the frame budget (``FRAME_BUDGET_S``,
+        the driver's frame rule: ``DispatchPlane.claim_frame`` sized the
+        frame by estimates this worker reported); such a task would sit
         on its frame mates' results for as long as it runs.  Whatever
         has waited a tick without a boundary is sent from here.
 
@@ -795,7 +798,7 @@ class ProcWorker:
             if not self._done:
                 self._done_since = now
             self._done.append((entry[0], data, failed, now - started))
-            if now - self._done_since >= msg.FRAME_BUDGET_S:
+            if now - self._done_since >= FRAME_BUDGET_S:
                 self._flush_done()
 
     def _report_survivors(self, mark: int) -> None:

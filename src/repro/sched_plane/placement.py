@@ -7,7 +7,9 @@ signal comes from real residency instead of modeled transfers: the
 :class:`ResidencyTracker` records which worker already holds which
 object bytes (its argument cache, or a shared-memory descriptor it has
 attached), so placement can prefer the worker where the task's inputs
-already live and skip a fetch.
+already live and skip a fetch.  :func:`choose_worker` is the decision
+itself, read off the dispatch plane's worker slots
+(:class:`~repro.sched_plane.dispatch.WorkerSlot`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from typing import Any, Iterable, Optional
 
 from repro.scheduling.policies import PlacementCandidate, PlacementPolicy
 from repro.sched_plane.counters import SchedCounters
+
+#: How the driver tier scores workers for a task with arguments.
+_PLACEMENT = PlacementPolicy()
 
 #: Residency entries remembered per worker.  Workers' caches are LRU
 #: byte-budgeted, so the tracker is an approximation either way; a cap
@@ -104,6 +109,76 @@ def plan_placement(
             counters.placement_locality_hits += 1
             break
     return chosen
+
+
+def _queue_length(worker: Any) -> int:
+    return len(worker.placed) + len(worker.mirror) + len(worker.pinned)
+
+
+def place_without_locality(workers: list, resources: Any) -> Optional[Any]:
+    """:meth:`PlacementPolicy.choose` for a task with no argument objects
+    and no placement hint, read straight off the worker slots.
+
+    With nothing to be local to, every candidate's locality score is
+    zero, and the driver tier estimates an idle worker at one free CPU
+    and a busy one at none — so the policy's ordering (capacity fit,
+    locality, free CPUs, shortest queue, greatest node id) reduces to:
+    among the idle workers, the shortest queue, ties to the greatest node
+    id.  None means what it means there: queue globally."""
+    if resources.num_cpus > 1 or resources.num_gpus > 0:
+        return None
+    best = None
+    best_length = 0
+    for worker in workers:
+        if not worker.alive or worker.busy or worker.inflight:
+            continue
+        length = _queue_length(worker)
+        if (
+            best is None
+            or length < best_length
+            or (length == best_length and worker.node_id.hex > best.node_id.hex)
+        ):
+            best, best_length = worker, length
+    return best
+
+
+def choose_worker(
+    spec: Any, workers: list, residency: ResidencyTracker, counters: SchedCounters
+) -> Optional[Any]:
+    """The driver tier's placement decision for one stateless task: the
+    worker slot to place it on, or None for the global spillover queue.
+
+    Every live worker is scored through the shared
+    :class:`PlacementPolicy` — idle workers have estimated capacity, and
+    residency supplies the locality bytes.  A task with no ref argument
+    and no hint has no locality to score and takes
+    :func:`place_without_locality`: same choice, no candidates."""
+    if (
+        not spec.argument_refs()
+        and not spec.extra_dependencies
+        and spec.placement_hint is None
+    ):
+        home = place_without_locality(workers, spec.resources)
+        if home is not None:
+            counters.tasks_placed_global += 1
+        return home
+    dependencies = [dep.hex for dep in spec.dependencies()]
+    max_lookups = _PLACEMENT.max_locality_lookups
+    alive = [worker for worker in workers if worker.alive]
+    candidates = [
+        WorkerCandidate(
+            node_id=worker.node_id,
+            est_cpus=0 if (worker.busy or worker.inflight) else 1,
+            est_gpus=0,
+            queue_length=_queue_length(worker),
+            locality_bytes=residency.locality_bytes(
+                worker.index, dependencies, max_lookups
+            ),
+        )
+        for worker in alive
+    ]
+    chosen = plan_placement(spec, candidates, _PLACEMENT, counters)
+    return next((w for w in alive if w.node_id == chosen), None)
 
 
 def spread_replicas(targets: list, size: int) -> list:

@@ -1,4 +1,8 @@
-"""The worker-tier queue of the two-level scheduling plane.
+"""The queues of the two-level scheduling plane: a worker's own
+(:class:`LocalTaskQueue`), everything the driver queues for one worker
+(:class:`WorkerSlot`) and an actor's calls (:class:`ActorLane`).  The
+last two are state only: every decision on them is the dispatch plane's
+(:mod:`repro.sched_plane.dispatch`).
 
 One :class:`LocalTaskQueue` per worker, used in two places at once:
 
@@ -19,6 +23,8 @@ pipe order by the owner's notices, grants, and results.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 
@@ -115,3 +121,71 @@ class LocalTaskQueue:
 
     def task_ids(self) -> Iterable[Any]:
         return tuple(self._items)
+
+
+@dataclass
+class WorkerSlot:
+    """What the plane knows about one worker.  A runtime's handle
+    subclasses it with what carries messages there (pipe, thread,
+    process); the plane reads and writes these fields only."""
+
+    index: int
+    node_id: Any
+    #: The lanes (:class:`ActorLane`) of actors pinned to this worker
+    #: that have a call to dispatch; drained before the shared queue.
+    pinned: deque = field(default_factory=deque)
+    #: Specs the worker was handed to *run*, by raw task id (the hex the
+    #: wire carries) in hand-over order, so the values read as its
+    #: stack: the head of its frame — every call of an actor's window —
+    #: plus any tasks running reentrantly while that one blocks.
+    inflight: dict = field(default_factory=dict)
+    #: Stateless tasks the driver tier placed here (locality-aware),
+    #: shipped when the worker next idles.
+    placed: deque = field(default_factory=deque)
+    #: The driver's mirror of the worker's own local queue — tasks born
+    #: there (SUBMIT_LOCAL notices, in pipe order) and the tails of the
+    #: frames shipped to it, by raw task id: what makes stolen and
+    #: crashed queued tasks recoverable.
+    mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
+    #: Session state: True from claiming a frame for the worker until
+    #: its idle DONE.  Only busy workers are steal victims.
+    busy: bool = False
+    #: An un-answered STEAL_REQUEST is outstanding for this victim.
+    steal_outstanding: bool = False
+    #: ``mirror.pushed`` when this victim was last asked, until a grant
+    #: that carries tasks resets it: while the two are equal the worker
+    #: granted nothing and nothing has reached its queue since
+    #: (``DispatchPlane._victim``).
+    steal_dry_at: int = -1
+    #: Set by the runtime while the worker's service thread waits on the
+    #: runtime's condition for its blocked child: whoever asks the
+    #: worker for work must wake that thread to read the grant.
+    parked: bool = False
+    alive: bool = True
+    tasks_done: int = 0
+    actors_bound: int = 0
+
+
+@dataclass
+class ActorLane:
+    """One actor's tasks in submission order — the constructor, then
+    every method call: where the actor's order comes from.  It hangs off
+    the actor's record (``ActorRecord.lane``, set by
+    ``DispatchPlane.open_lane``).
+
+    A task enters at submission, waits for its own arguments only, and
+    leaves from the head, in a dispatch frame for the actor's worker.
+    That worker runs a frame's calls back to back, so FIFO here plus one
+    executor there is the actor's total order — provided the worker
+    never holds two frames of one actor at once, which a blocked call
+    would let the second overtake (it runs reentrantly, on top of the
+    blocked one): while any dispatched call is unreported (``open``),
+    the lane dispatches nothing more."""
+
+    record: Any  # its ActorRecord
+    #: Submitted, not dispatched yet.
+    calls: deque = field(default_factory=deque)
+    #: Dispatched (claimed for a frame) and not reported yet.
+    open: int = 0
+    #: On its worker's ``pinned`` deque (once, however often it is woken).
+    queued: bool = False

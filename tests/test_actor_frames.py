@@ -141,7 +141,7 @@ def warm(handle, calls=12):
 
 def pin_estimates(runtime, handle):
     for function_id in runtime.actors.get(handle.actor_id).method_ids.values():
-        runtime._exec_estimate[function_id] = 1e-5
+        runtime._dispatch._exec_estimate[function_id] = 1e-5
 
 
 def submit_window(runtime, handle, calls):

@@ -46,7 +46,7 @@ import pytest
 import repro
 from repro.api import runtime_context
 from repro.errors import GetTimeoutError, ReproError
-from repro.proc import runtime as proc_runtime
+from repro.sched_plane import dispatch
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -298,10 +298,10 @@ def test_dropping_the_one_open_window_rule_is_caught(monkeypatch):
     deadlock — the successor may block on the call it sits on — hence
     the short deadline: a hang counts as caught.)"""
 
-    class NeverOpen(proc_runtime._ActorLane):
+    class NeverOpen(dispatch.ActorLane):
         open = property(lambda self: 0, lambda self, value: None)
 
-    monkeypatch.setattr(proc_runtime, "_ActorLane", NeverOpen)
+    monkeypatch.setattr(dispatch, "ActorLane", NeverOpen)
     # (Seed 0's mutant run is one of those: it costs its deadline and a
     # slow shutdown, so the search starts behind it.)
     assert mismatches(FIXED_SEEDS[1:], "proc", deadline_s=2.0, first_only=True)

@@ -35,13 +35,13 @@ def test_nested_get_on_single_cpu_node():
     repro.shutdown()
 
 
-#: The smallest pool of each backend that has a second slot to give a
-#: blocked parent's children: sim releases the blocked worker's CPU,
-#: proc and dist run the children inside the blocked worker, local
-#: starts them on the node that has room.
+#: The smallest pool of each backend, where a blocked parent's children
+#: need its own slot: sim and local release the blocked task's CPU
+#: (local's node gains a thread for that long), proc and dist run the
+#: children inside the blocked worker.
 SMALLEST_POOLS = {
     "sim": dict(num_nodes=1, num_cpus=1),
-    "local": dict(num_nodes=2, num_cpus=1),
+    "local": dict(num_nodes=1, num_cpus=1),
     "proc": dict(num_workers=1),
     "dist": dict(num_nodes=1, num_cpus=1, workers_per_node=1),
 }

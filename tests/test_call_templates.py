@@ -33,7 +33,8 @@ from repro.errors import TaskError
 from repro.gcs import ControlStore
 from repro.gcs.tables import shard_of
 from repro.proc import messages as msg
-from repro.proc.runtime import _WorkerHandle, place_without_locality
+from repro.sched_plane.dispatch import WorkerSlot
+from repro.sched_plane.placement import place_without_locality
 from repro.proc.transport import encode_message
 from repro.sched_plane import LocalTaskQueue, WorkerCandidate
 from repro.scheduling.policies import PlacementPolicy
@@ -210,7 +211,7 @@ def _handles(table):
     ids = IDGenerator(namespace="placement")
     handles = []
     for index, (alive, busy, inflight, queued) in enumerate(table):
-        handle = _WorkerHandle(index=index, node_id=ids.node_id(), alive=alive)
+        handle = WorkerSlot(index=index, node_id=ids.node_id(), alive=alive)
         handle.busy = busy
         handle.inflight = {f"t{i}": None for i in range(inflight)}
         handle.mirror = LocalTaskQueue()

@@ -145,7 +145,7 @@ def submit_window(runtime, calls):
     and are sized as one frame's worth of work (see module docstring)."""
     with runtime._cond:
         for function, _args in calls:
-            runtime._exec_estimate[function._function_id(runtime)] = 1e-5
+            runtime._dispatch._exec_estimate[function._function_id(runtime)] = 1e-5
         return [function.remote(*args) for function, args in calls]
 
 
@@ -230,7 +230,7 @@ def test_tiny_tasks_do_not_wait_behind_a_slow_function(pool):
         assert repro.get(refs, timeout=60.0) == [1, 2, 3, 4, 5]
         assert time.monotonic() - started < 0.2
         assert repro.get(slow_ref, timeout=60.0) == -7
-    assert pool._exec_estimate[slow._function_id(pool)] >= 0.25
+    assert pool._dispatch._exec_estimate[slow._function_id(pool)] >= 0.25
 
 
 @pools(1)
@@ -488,20 +488,20 @@ def test_cancelled_tail_of_a_rehomed_window_leaves_no_wire_entry(pool, tmp_path)
     gate, release = str(tmp_path / "gate"), str(tmp_path / "release")
     occupy_one_worker(pool, gate)
     parent = spawn_and_hold.remote(directory, 6, release)
-    _await(lambda: len(pool._payloads) == 6, "the children being announced")
+    _await(lambda: len(pool._dispatch._payloads) == 6, "the children being announced")
     # Both workers are busy, so nobody asks: play the idle thief.  The
     # holding parent grants half of its queue from its next rpc's reply
     # loop, and the tasks wait in the global queue for a worker to come
     # free.
     with pool._cond:
         thief = next(worker for worker in pool._workers if not worker.mirror)
-        pool._request_remote_steal(thief)
-    _await(lambda: len(pool._queue) == 3, "the grant being re-homed")
+        pool._request_steal(thief)
+    _await(lambda: len(pool._dispatch._queue) == 3, "the grant being re-homed")
     with pool._cond:
-        stolen = list(pool._queue)
+        stolen = list(pool._dispatch._queue)
         # Sized as one frame: head, one mate, and the cancelled one.
-        function_hex = pool._payloads[stolen[0].task_id.hex][1]
-        pool._exec_estimate[FunctionID(function_hex)] = 1e-5
+        function_hex = pool._dispatch._payloads[stolen[0].task_id.hex][1]
+        pool._dispatch._exec_estimate[FunctionID(function_hex)] = 1e-5
     doomed = stolen[-1]
     assert repro.cancel(ObjectRef(doomed.return_object_id)) is True
     open(gate, "w").close()  # the thief-to-be comes free and claims the frame
@@ -514,7 +514,7 @@ def test_cancelled_tail_of_a_rehomed_window_leaves_no_wire_entry(pool, tmp_path)
         repro.get(parent, timeout=60.0)  # it gets its cancelled child
     _await(lambda: not any(w.busy for w in pool._workers), "the pool idling")
     assert sorted(_runs(directory, i) for i in range(6)) == [0, 1, 1, 1, 1, 1]
-    assert len(pool._payloads) == 0
+    assert len(pool._dispatch._payloads) == 0
 
 
 @pytest.fixture
