@@ -156,10 +156,6 @@ class RemoteFunction:
     def _duration(self) -> Any:
         return self._options.duration
 
-    @property
-    def _placement_hint(self) -> Any:
-        return self._options.placement_hint
-
     def options(self, **overrides: Any) -> "RemoteFunction":
         """A copy of this handle with overridden submission options.
 

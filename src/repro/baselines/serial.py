@@ -28,9 +28,5 @@ class SerialExecutor:
         self.tasks_executed += 1
         return fn(*args, **kwargs)
 
-    def run_batch(self, fn: Callable, items, duration: float = 0.0) -> list:
-        """Execute ``fn(item)`` for every item, serially."""
-        return [self.run(fn, item, duration=duration) for item in items]
-
     def elapsed(self) -> float:
         return self.clock

@@ -192,9 +192,6 @@ class ActorRegistry:
     def on_node(self, node_id: NodeID) -> list[ActorRecord]:
         return [r for r in self._records.values() if r.node_id == node_id]
 
-    def alive_on_node(self, node_id: NodeID) -> list[ActorRecord]:
-        return [r for r in self.on_node(node_id) if not r.dead]
-
 
 # ----------------------------------------------------------------------
 # Submission-side spec building (shared by both backends)

@@ -24,12 +24,9 @@ serving layer degrades to synchronous, deterministic resolution there.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from typing import Any, Callable
-
-from repro.utils.serialization import ByteAccountant
 
 
 class CompletionPump:
@@ -151,39 +148,3 @@ def serve_stats(pools, pump: CompletionPump | None = None) -> dict:
     if pump is not None:
         section["completion_pump"] = pump.snapshot()
     return section
-
-
-def one_host_cluster_stats(workers_per_node: int, per_node: list) -> dict:
-    """The ``stats()["cluster"]`` section of a backend whose nodes all
-    live on the driver's host, with the dist backend's keys (it builds
-    its own), so a harness can read the section without caring which
-    real backend is live.  There is no membership plane — no heartbeats,
-    no node can be lost — and nothing crosses a node boundary.
-    ``per_node`` holds one ``(workers_alive, shm_enabled,
-    objects_resident, bytes_resident)`` per node."""
-    return {
-        "num_nodes": len(per_node),
-        "workers_per_node": workers_per_node,
-        "nodes_alive": len(per_node),
-        "nodes_lost": 0,
-        "heartbeat_timeouts": 0,
-        "heartbeat_interval": None,
-        "heartbeat_timeout": None,
-        "objects_node_resident": 0,
-        "internode": ByteAccountant().snapshot(),
-        "per_node": [
-            {
-                "node_index": index,
-                "alive": True,
-                "agent_pid": os.getpid(),
-                "shm_enabled": shm_enabled,
-                "heartbeat_age": 0.0,
-                "workers_alive": workers_alive,
-                "objects_resident": objects_resident,
-                "bytes_resident": bytes_resident,
-            }
-            for index, (
-                workers_alive, shm_enabled, objects_resident, bytes_resident
-            ) in enumerate(per_node)
-        ],
-    }

@@ -10,11 +10,11 @@ contract.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.object_ref import ObjectRef
 from repro.errors import BackendError
-from repro.utils.serialization import deserialize
+from repro.utils.serialization import ByteAccountant, deserialize
 
 
 def normalize_get_refs(refs: Any) -> tuple[list[ObjectRef], bool]:
@@ -86,3 +86,50 @@ def check_cluster_feasible(cluster, resources, function_name: str) -> None:
             f"task {function_name} requests {resources} but the largest "
             f"node has {max_cpus} CPUs / {max_gpus} GPUs"
         )
+
+
+#: One node's row of ``stats()["cluster"]["per_node"]``, after its index.
+_NODE_KEYS = (
+    "alive", "agent_pid", "shm_enabled", "heartbeat_age", "workers_alive",
+    "objects_resident", "bytes_resident",
+)
+
+
+def cluster_stats(
+    nodes: list,
+    workers_per_node: int,
+    *,
+    nodes_lost: int = 0,
+    heartbeat_timeouts: int = 0,
+    heartbeat_interval: Optional[float] = None,
+    heartbeat_timeout: Optional[float] = None,
+    objects_node_resident: int = 0,
+    internode: Optional[dict] = None,
+) -> dict:
+    """The ``stats()["cluster"]`` section, one key set on every backend,
+    so a harness can read it without caring which one is live.
+
+    ``nodes`` holds one ``(alive, agent_pid, shm_enabled, heartbeat_age,
+    workers_alive, objects_resident, bytes_resident)`` per node, in node
+    order.  The keyword arguments are the membership plane's numbers;
+    their defaults describe a backend whose nodes all live on the
+    driver's host — no heartbeats, no node can be lost, nothing crosses
+    a node boundary (``internode``: a
+    :class:`~repro.utils.serialization.ByteAccountant` snapshot)."""
+    return {
+        "num_nodes": len(nodes),
+        "workers_per_node": workers_per_node,
+        "nodes_alive": sum(1 for node in nodes if node[0]),
+        "nodes_lost": nodes_lost,
+        "heartbeat_timeouts": heartbeat_timeouts,
+        "heartbeat_interval": heartbeat_interval,
+        "heartbeat_timeout": heartbeat_timeout,
+        "objects_node_resident": objects_node_resident,
+        "internode": (
+            ByteAccountant().snapshot() if internode is None else internode
+        ),
+        "per_node": [
+            {"node_index": index, **dict(zip(_NODE_KEYS, node))}
+            for index, node in enumerate(nodes)
+        ],
+    }

@@ -33,7 +33,11 @@ from repro.core.completion import serve_stats
 from repro.core.driver import Driver
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
-from repro.core.protocol import check_cluster_feasible, unwrap_value
+from repro.core.protocol import (
+    check_cluster_feasible,
+    cluster_stats,
+    unwrap_value,
+)
 from repro.core.task import (
     CallTemplate,
     ResourceRequest,
@@ -56,7 +60,7 @@ from repro.store.control_plane import ControlPlane, NodeInfo
 from repro.store.event_log import EventLog
 from repro.utils.ids import FunctionID, IDGenerator, NodeID, ObjectID
 from repro.utils.rng import RNGRegistry
-from repro.utils.serialization import deserialize, serialize
+from repro.utils.serialization import ByteAccountant, deserialize, serialize
 
 #: scheduler_mode -> spillover policy mode
 _SCHEDULER_MODES = {
@@ -772,10 +776,6 @@ class SimRuntime:
     # Lifecycle / introspection
     # ------------------------------------------------------------------
 
-    def run_for(self, duration: float) -> None:
-        """Advance virtual time (alias of driver.sleep for test readability)."""
-        self.driver.sleep(duration)
-
     def stats(self) -> dict:
         """Aggregate counters for benchmarks and the dashboard."""
         return {
@@ -819,50 +819,38 @@ class SimRuntime:
         declared_dead = set(self.monitor.nodes_declared_dead)
         transfers = sum(t.transfers_completed for t in self._transfers.values())
         transfer_bytes = sum(t.bytes_transferred for t in self._transfers.values())
-        per_node = []
-        for index, node_id in enumerate(self.node_ids):
+        nodes = []
+        for node_id in self.node_ids:
             alive = node_id not in declared_dead
             store = self._stores[node_id]
-            per_node.append(
-                {
-                    "node_index": index,
-                    "alive": alive,
-                    "agent_pid": None,
-                    "shm_enabled": False,
-                    "heartbeat_age": 0.0 if alive else None,
-                    "workers_alive": len(self._workers[node_id]) if alive else 0,
-                    "objects_resident": store.num_objects,
-                    "bytes_resident": store.used_bytes,
-                }
+            nodes.append(
+                (
+                    alive, None, False, 0.0 if alive else None,
+                    len(self._workers[node_id]) if alive else 0,
+                    store.num_objects, store.used_bytes,
+                )
             )
-        return {
-            "num_nodes": len(self.node_ids),
-            "workers_per_node": (
-                sum(len(ws) for ws in self._workers.values())
-                // max(1, len(self.node_ids))
-            ),
-            "nodes_alive": len(self.node_ids) - len(declared_dead),
-            "nodes_lost": len(declared_dead),
-            "heartbeat_timeouts": len(declared_dead),
-            "heartbeat_interval": self.costs.heartbeat_interval,
-            "heartbeat_timeout": self.costs.heartbeat_timeout,
+        return cluster_stats(
+            nodes,
+            sum(len(ws) for ws in self._workers.values())
+            // max(1, len(self.node_ids)),
+            nodes_lost=len(declared_dead),
+            heartbeat_timeouts=len(declared_dead),
+            heartbeat_interval=self.costs.heartbeat_interval,
+            heartbeat_timeout=self.costs.heartbeat_timeout,
             # Every object lives in some node's modeled store; none is a
             # driver-side copy, so the whole census is "node resident".
-            "objects_node_resident": sum(
+            objects_node_resident=sum(
                 s.num_objects for s in self._stores.values()
             ),
-            "internode": {
+            internode={
+                **ByteAccountant().snapshot(),
                 "count": transfers,
                 "total_bytes": transfer_bytes,
-                "max_bytes": 0,
-                "zero_copy_bytes": 0,
-                "shm_hits": 0,
-                "pipe_fallbacks": 0,
                 "internode_fetches": transfers,
                 "internode_bytes": transfer_bytes,
             },
-            "per_node": per_node,
-        }
+        )
 
     def replica_targets(self) -> list:
         """Placement targets for serving-pool replicas (every node)."""

@@ -35,7 +35,11 @@ from repro.core.actors import (
     register_instance,
     resolve_actor_callable,
 )
-from repro.core.effect_driver import EffectHandler, effect_loop
+from repro.core.effect_driver import (
+    EffectHandler,
+    effect_loop,
+    run_effect_loop_sync,
+)
 from repro.core.effects import ActorCall, ActorCreate, Cancel, Compute, Get, Put, Wait
 from repro.core.object_ref import ObjectRef
 from repro.core.task import TaskSpec, TaskState
@@ -102,6 +106,19 @@ def error_value_from(spec: TaskSpec, exc: BaseException) -> ErrorValue:
         traceback_text=traceback.format_exc(),
         chain=(spec.function_name,),
     )
+
+
+def run_callable(
+    spec: TaskSpec, function: Any, args: tuple, kwargs: dict, handler: EffectHandler
+) -> Any:
+    """Run a task body on a live backend — plain, or a generator whose
+    effects ``handler`` performs for real — capturing what it raises."""
+    try:
+        if inspect.isgeneratorfunction(function):
+            return run_effect_loop_sync(spec, function(*args, **kwargs), handler)
+        return function(*args, **kwargs)
+    except BaseException as exc:  # noqa: BLE001 - user code boundary
+        return error_value_from(spec, exc)
 
 
 def split_result_values(spec: TaskSpec, result: Any) -> list:

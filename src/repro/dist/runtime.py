@@ -60,6 +60,7 @@ import time
 from typing import Any, Optional
 
 from repro.cluster.spec import ClusterSpec
+from repro.core.protocol import cluster_stats
 from repro.dist import protocol as ctl
 from repro.dist.agent import agent_main
 from repro.errors import BackendError
@@ -721,37 +722,28 @@ class DistRuntime(ProcRuntime):
         base = super().stats()
         with self._cond:
             now = time.monotonic()
-            per_node = []
+            nodes = []
             for node_index, link in enumerate(self._links):
                 lo = node_index * self._workers_per_node
                 hi = lo + self._workers_per_node
-                objects, nbytes = self._objects.node_usage(node_index)
-                per_node.append(
-                    {
-                        "node_index": node_index,
-                        "alive": link.alive,
-                        "agent_pid": link.agent_pid,
-                        "shm_enabled": link.shm_on,
-                        "heartbeat_age": (
-                            round(now - link.last_beat, 6) if link.alive else None
-                        ),
-                        "workers_alive": sum(
-                            1 for w in self._workers[lo:hi] if w.alive
-                        ),
-                        "objects_resident": objects,
-                        "bytes_resident": nbytes,
-                    }
+                nodes.append(
+                    (
+                        link.alive,
+                        link.agent_pid,
+                        link.shm_on,
+                        round(now - link.last_beat, 6) if link.alive else None,
+                        sum(1 for w in self._workers[lo:hi] if w.alive),
+                        *self._objects.node_usage(node_index),
+                    )
                 )
-            base["cluster"] = {
-                "num_nodes": len(self._links),
-                "workers_per_node": self._workers_per_node,
-                "nodes_alive": sum(1 for link in self._links if link.alive),
-                "nodes_lost": self._nodes_lost,
-                "heartbeat_timeouts": self._heartbeat_timeouts,
-                "heartbeat_interval": self._heartbeat_interval,
-                "heartbeat_timeout": self._heartbeat_timeout,
-                "objects_node_resident": self._objects.node_usage()[0],
-                "internode": self._objects.acct_internode.snapshot(),
-                "per_node": per_node,
-            }
+            base["cluster"] = cluster_stats(
+                nodes,
+                self._workers_per_node,
+                nodes_lost=self._nodes_lost,
+                heartbeat_timeouts=self._heartbeat_timeouts,
+                heartbeat_interval=self._heartbeat_interval,
+                heartbeat_timeout=self._heartbeat_timeout,
+                objects_node_resident=self._objects.node_usage()[0],
+                internode=self._objects.acct_internode.snapshot(),
+            )
         return base

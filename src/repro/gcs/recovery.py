@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.worker import ErrorValue
+
 
 @dataclass
 class RecoveryPlan:
@@ -55,6 +57,45 @@ class RecoveryPlan:
     @property
     def resubmitted_tasks(self) -> int:
         return len(self.pending_specs) + len(self.pending_payloads)
+
+    def handed_out(self) -> list:
+        """Ids of every object the dead driver gave out a ref to — the
+        handles died with it, uncounted by its successor's ledger, so
+        all of them are escaped there."""
+        object_ids = [*self.ready_payloads, *self.unrecoverable]
+        for spec in self.pending_specs:
+            object_ids += spec.all_return_ids()
+        for spec, _payload in self.pending_payloads:
+            object_ids += spec.all_return_ids()
+        return object_ids
+
+    @staticmethod
+    def lost_object_error(object_id):
+        """What stands in for an :attr:`unrecoverable` object (a large
+        driver ``put`` has no lineage to replay)."""
+        return ErrorValue(
+            task_id=None,
+            function_name="driver",
+            cause_repr=(
+                f"object {object_id} was lost with the failed driver: no "
+                "inline payload in the control store and no producing task "
+                "to replay"
+            ),
+            chain=("driver",),
+        )
+
+    @staticmethod
+    def lost_actor_error(spec):
+        """What a pending call resolves to when even its actor's
+        registry row did not survive."""
+        return ErrorValue(
+            task_id=spec.task_id,
+            function_name=spec.function_name,
+            cause_repr="actor state lost with the failed driver",
+            chain=(spec.function_name,),
+            kind="actor_lost",
+            actor_id=spec.actor_id,
+        )
 
 
 def plan_recovery(store, *, flush_timeout: Optional[float] = 30.0) -> RecoveryPlan:

@@ -188,9 +188,6 @@ class ControlStore:
     def shard_index(self, key: Any) -> int:
         return shard_of(key, self.num_shards)
 
-    def _shard(self, key: Any) -> ControlShard:
-        return self._shards[shard_of(key, self.num_shards)]
-
     def _apply(
         self,
         key: Any,
@@ -402,9 +399,6 @@ class ControlStore:
     def object_get(self, object_id) -> Optional[ObjectEntry]:
         return self._apply(object_id, "object_lookup", _snapshot_of, ("objects",))
 
-    def object_drop_location(self, object_id, location) -> None:
-        self.object_put(object_id, drop_location=location)
-
     def objects(self) -> list:
         return self._scan(lambda shard: [e.snapshot() for e in shard.objects.values()])
 
@@ -476,9 +470,6 @@ class ControlStore:
 
     def async_object_put(self, object_id, **kwargs) -> None:
         self._enqueue(self.object_put, object_id, **kwargs)
-
-    def async_actor_register(self, actor_id, **kwargs) -> None:
-        self._enqueue(self.actor_register, actor_id, **kwargs)
 
     def async_actor_update(self, actor_id, **kwargs) -> None:
         self._enqueue(self.actor_update, actor_id, **kwargs)

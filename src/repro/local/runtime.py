@@ -13,7 +13,7 @@ must differ: threads, locks, and wall-clock time.
 from __future__ import annotations
 
 import contextlib
-import inspect
+import os
 import queue
 import threading
 import time
@@ -34,17 +34,14 @@ from repro.core.actors import (
     register_instance,
     resolve_actor_callable,
 )
-from repro.core.completion import (
-    CompletionPump,
-    one_host_cluster_stats,
-    serve_stats,
-)
+from repro.core.completion import CompletionPump, serve_stats
 from repro.core.dependencies import DependencyTracker
-from repro.core.effect_driver import BlockingEffectHandler, run_effect_loop_sync
+from repro.core.effect_driver import BlockingEffectHandler
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import (
     check_cluster_feasible,
+    cluster_stats,
     normalize_get_refs,
     partition_by_ready,
     unwrap_value,
@@ -55,6 +52,7 @@ from repro.core.worker import (
     ErrorValue,
     error_value_from,
     propagate_error,
+    run_callable,
     split_result_values,
 )
 from repro.errors import BackendError, GetTimeoutError
@@ -311,18 +309,10 @@ class LocalRuntime:
         def enough() -> bool:
             return sum(r.object_id in objects for r in ref_list) >= num_returns
 
-        with self._slot_lent(enough), self._ready_cond:
-            while True:
-                ready = [r for r in ref_list if r.object_id in self._objects]
-                if len(ready) >= num_returns:
-                    break
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._ready_cond.wait(timeout=remaining)
-            ready_ids = {r.object_id for r in ref_list if r.object_id in self._objects}
+        with self._slot_lent(enough):
+            self._wait_until(enough, deadline)
+        with self._lock:
+            ready_ids = {r.object_id for r in ref_list if r.object_id in objects}
         return partition_by_ready(ref_list, lambda r: r.object_id in ready_ids)
 
     def put(self, value: Any) -> ObjectRef:
@@ -388,13 +378,13 @@ class LocalRuntime:
                 # scheduling domains, and no object is *node*-resident.
                 # (A node's base pool: a thread lent to a blocked
                 # task's slot is not a worker more.)
-                "cluster": one_host_cluster_stats(
+                "cluster": cluster_stats(
+                    [
+                        (True, os.getpid(), False, 0.0, n.num_cpus + n.num_gpus, 0, 0)
+                        for n in self._nodes.values()
+                    ],
                     sum(n.num_cpus + n.num_gpus for n in self._nodes.values())
                     // len(self._nodes),
-                    [
-                        (node.num_cpus + node.num_gpus, False, 0, 0)
-                        for node in self._nodes.values()
-                    ],
                 ),
             }
 
@@ -412,8 +402,9 @@ class LocalRuntime:
             return
         for pool in list(self._serve_pools):
             pool.close()
-        self.closed = True
-        with self._lock:  # threads retire (and leave the list) on their own
+        with self._ready_cond:  # threads retire (and leave the list) on their own
+            self.closed = True
+            self._ready_cond.notify_all()  # whoever is blocked in get/wait
             pools = [(node, list(node.threads)) for node in self._nodes.values()]
         for node, threads in pools:
             for _ in threads:
@@ -514,16 +505,27 @@ class LocalRuntime:
                 object_id, callback, ready=object_id in self._objects
             )
 
-    def _wait_for_object(self, object_id: ObjectID, deadline: Optional[float]) -> bytes:
+    def _wait_until(
+        self, predicate: Callable[[], bool], deadline: Optional[float]
+    ) -> bool:
+        """Block until ``predicate()`` holds (True) or the deadline
+        passes (False); every store, and shutdown, notifies the cond."""
         with self._ready_cond:
-            while object_id not in self._objects:
+            while not predicate():
+                self._check_open()  # the wait ends with the runtime
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        raise GetTimeoutError(f"get timed out waiting for {object_id}")
+                        return False
                 self._ready_cond.wait(timeout=remaining)
-            return self._objects[object_id]
+            return True
+
+    def _wait_for_object(self, object_id: ObjectID, deadline: Optional[float]) -> bytes:
+        objects = self._objects  # nothing ever leaves it
+        if not self._wait_until(lambda: object_id in objects, deadline):
+            raise GetTimeoutError(f"get timed out waiting for {object_id}")
+        return objects[object_id]
 
     @contextlib.contextmanager
     def _slot_lent(self, ready: Callable[[], bool]):
@@ -696,7 +698,7 @@ class LocalRuntime:
                 cause_repr=f"function {spec.function_name!r} not registered",
                 chain=(spec.function_name,),
             )
-        return self._run_callable(spec, function, args, kwargs)
+        return run_callable(spec, function, args, kwargs, self._effect_handler)
 
     def _execute_actor(self, spec: TaskSpec, args: tuple, kwargs: dict) -> Any:
         with self._lock:
@@ -711,19 +713,8 @@ class LocalRuntime:
             with self._lock:
                 register_instance(record, instance, self._current_node_id())
             return None
-        result = self._run_callable(spec, function, args, kwargs)
+        result = run_callable(spec, function, args, kwargs, self._effect_handler)
         if not isinstance(result, ErrorValue):
             with self._lock:
                 record.methods_executed += 1
         return result
-
-    def _run_callable(self, spec: TaskSpec, function: Callable, args: tuple, kwargs: dict) -> Any:
-        """Run a task body (plain or generator-of-effects); capture errors."""
-        try:
-            if inspect.isgeneratorfunction(function):
-                return run_effect_loop_sync(
-                    spec, function(*args, **kwargs), self._effect_handler
-                )
-            return function(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - user code boundary
-            return error_value_from(spec, exc)

@@ -11,7 +11,10 @@ process with ordered method delivery coming from each actor's lane.
 
 Layout:
 
-* :mod:`repro.proc.messages` — the pipe wire protocol.
+* :mod:`repro.proc.messages` — the pipe wire protocol, and the
+  :class:`~repro.proc.messages.FunctionTable` both ends of a pipe keep:
+  what a function id means (name, callable, code, call templates), told
+  to each peer once.
 * :mod:`repro.proc.worker` — the child-process main loop and the proxy
   runtime that serves nested ``.remote()``/``get``/``put`` calls made by
   user code running inside a worker.

@@ -39,18 +39,24 @@ it was born, is this one positional tuple, written by
   ``"deps"`` (a worker-born entry's ref arguments, by id: the driver
   never unpickles ``call_bytes``, and pins what a task depends on).
 
-**What crosses once per (worker, function)** is the function table that
-rides beside the entries of a ``TASK`` frame (driver to worker) or a
-``SUBMIT_LOCAL`` notice (worker to driver): ``{function_hex:
-(registered name, code)}`` for the functions the receiver has not been
-told about.  From a row the receiver rebuilds the function's call
-template (:class:`~repro.core.task.CallTemplate`), and from the
+**What crosses once per (worker, function)** is a row of the
+:class:`FunctionTable` each end keeps: ``{function_hex: (registered
+name, code)}`` for the functions the receiver has not been told about,
+beside the entries of a ``TASK`` frame (driver to worker), in a
+``SUBMIT_LOCAL`` notice or in the ``SUBMIT`` request that spills the
+function's first call (worker to driver).  The receiver *learns* the
+rows into its own table, which builds the function's call template
+(:class:`~repro.core.task.CallTemplate`) on first use and from the
 template, per entry, a spec — so nothing that is the same for every
-call of a function is sent, or computed, per call.  A driver-born
-function reaches a worker with the first frame that needs it; a
-worker-born one reaches the driver with the first notice that names it,
-keeps the id its worker gave it, and from then on is shipped to other
-workers (steals, crash replay) like any registered function.
+call of a function is sent, or computed, per call; its code is
+serialized once by the process that has the callable and unpickled once
+by each process that runs it.  A driver-born function reaches a worker
+with the first frame that needs it; a worker-born one reaches the
+driver with the first message that names it, keeps the id its worker
+gave it, and from then on is shipped to other workers (steals, crash
+replay) like any registered function.  Who has been told what is a set
+per peer: ``functions_sent`` on the driver's handle of each worker, and
+one in each worker for the driver.
 
 **Dispatch frames**:
 
@@ -183,8 +189,13 @@ from typing import Any, Callable, Optional
 
 from repro.core.object_ref import ObjectRef
 from repro.core.task import CallTemplate, TaskOptions, TaskSpec
+from repro.errors import BackendError
 from repro.utils.ids import FunctionID, NodeID, ObjectID, TaskID
-from repro.utils.serialization import serialize_call
+from repro.utils.serialization import (
+    deserialize_portable,
+    serialize_call,
+    serialize_portable,
+)
 
 # -- driver -> worker ---------------------------------------------------
 TASK = "task"          # (TASK, [entry, ...], {function_hex: (name, code)})
@@ -192,7 +203,9 @@ SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
 # -- worker -> driver (requests while a task runs) ----------------------
 FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
-SUBMIT = "submit"              # (SUBMIT, payload) -> (OK, (task_id, [object_id, ...]))
+SUBMIT = "submit"              # (SUBMIT, payload) -> (OK, (task_id, [object_id, ...]));
+                               # payload["functions"]: the function's row,
+                               # the first time (else {})
 GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | ShmDescriptor])
 WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
                                #   -> (OK, [the ready object_ids])
@@ -374,28 +387,93 @@ def encode_entry(spec: TaskSpec, slot_for: Callable, **extras: Any) -> tuple:
     )
 
 
-def register_functions(templates: dict, table: dict) -> None:
-    """Make a received function table decodable: one default-options
-    call template per function, keyed ``(function_hex, None)``."""
-    for function_hex, (name, _code) in table.items():
-        if (function_hex, None) not in templates:
-            templates[function_hex, None] = CallTemplate(
-                None, FunctionID(function_hex), name, TaskOptions()
+class FunctionTable:
+    """What a function id means, on either end of a pipe.
+
+    One row per function, keyed by the id's hex: its registered name,
+    the callable if this process has it, its code bytes, and the call
+    templates :func:`decode_entry` stamps specs from.  The driver and
+    every worker keep one, and tell each other rows (``{function_hex:
+    (name, code)}``, :meth:`rows` out and :meth:`learn` in) beside the
+    first entry that needs one — what a peer has been told is a set the
+    owner keeps per peer, not the table's business.  Code is serialized
+    at most once (the first time a row leaves) and unpickled at most
+    once (the first time the function runs here)."""
+
+    def __init__(self) -> None:
+        self._rows: dict = {}  # function_hex -> [name, callable, code]
+        self._templates: dict = {}  # (function_hex, options) -> CallTemplate
+
+    def __contains__(self, function_hex: str) -> bool:
+        return function_hex in self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(
+        self, function_hex: str, name: str, function: Any = None, code: Any = None
+    ) -> None:
+        """Enter a function this process registered (``function``) or
+        was told of (``code``); the first word on an id stands."""
+        self._rows.setdefault(function_hex, [name, function, code])
+
+    def learn(self, table: dict, sender: Optional[set] = None) -> None:
+        """A peer's rows; ``sender`` is the set of functions that peer
+        has been told — it evidently has what it sent."""
+        for function_hex, (name, code) in table.items():
+            self.add(function_hex, name, code=code)
+        if sender is not None:
+            sender.update(table)
+
+    def code(self, function_hex: str) -> bytes:
+        row = self._rows[function_hex]
+        if row[2] is None:
+            if row[1] is None:
+                raise BackendError(f"function {row[0]!r} not registered")
+            row[2] = serialize_portable(row[1])
+        return row[2]
+
+    def callable(self, function_hex: str) -> Callable:
+        row = self._rows[function_hex]
+        if row[1] is None:
+            row[1] = deserialize_portable(row[2])
+        return row[1]
+
+    def rows(self, function_hexes: Any) -> dict:
+        """The wire rows of these functions, for a peer to :meth:`learn`."""
+        return {
+            function_hex: (self._rows[function_hex][0], self.code(function_hex))
+            for function_hex in function_hexes
+        }
+
+    def template(
+        self, function_hex: str, options: Optional[TaskOptions] = None
+    ) -> CallTemplate:
+        """The function's call template under ``options`` (None: its
+        defaults), built on first use."""
+        template = self._templates.get((function_hex, options))
+        if template is None:
+            template = self._templates[function_hex, options] = CallTemplate(
+                None,
+                FunctionID(function_hex),
+                self._rows[function_hex][0],
+                TaskOptions() if options is None else options,
             )
+        return template
 
 
 def decode_entry(
-    entry: tuple, templates: dict, submitted_from: Optional[NodeID] = None
+    entry: tuple, functions: FunctionTable, submitted_from: Optional[NodeID] = None
 ) -> TaskSpec:
     """The spec of a received entry, without its arguments (they stay in
     ``call_bytes`` until the task runs; the lineage mirror never reads
-    them).  ``templates`` is the receiver's cache, seeded by
-    :func:`register_functions` from the tables that preceded the entry."""
+    them).  ``functions`` is the receiver's table, which learnt the
+    entry's function from a table that preceded it."""
     task_hex, function_hex, return_hexes, _call, _inline, extras = entry
     task_id = TaskID(task_hex)
     return_ids = tuple([ObjectID(return_hex) for return_hex in return_hexes])
     if extras is None:
-        return templates[function_hex, None].instantiate(
+        return functions.template(function_hex).instantiate(
             task_id, return_ids, submitted_from
         )
     root = extras.get("root")
@@ -419,11 +497,6 @@ def decode_entry(
             root_task_id=root if root is not None else task_id,
             parent_task_id=parent,
         )
-    options = extras.get("options")
-    template = templates.get((function_hex, options))
-    if template is None:
-        base = templates[function_hex, None]
-        template = templates[function_hex, options] = CallTemplate(
-            None, base.function_id, base.function_name, options
-        )
-    return template.instantiate(task_id, return_ids, submitted_from, root, parent)
+    return functions.template(function_hex, extras.get("options")).instantiate(
+        task_id, return_ids, submitted_from, root, parent
+    )

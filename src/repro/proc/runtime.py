@@ -70,10 +70,12 @@ Architecture (one instance = one pool):
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
@@ -90,16 +92,13 @@ from repro.core.actors import (
     handle_for,
     register_instance,
 )
-from repro.core.completion import (
-    CompletionPump,
-    one_host_cluster_stats,
-    serve_stats,
-)
+from repro.core.completion import CompletionPump, serve_stats
 from repro.core.dependencies import DependencyTracker
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import (
     check_cluster_feasible,
+    cluster_stats,
     normalize_get_refs,
     partition_by_ready,
     unwrap_loaded,
@@ -107,7 +106,7 @@ from repro.core.protocol import (
     validate_wait_args,
 )
 from repro.core.task import CallTemplate, ResourceRequest, TaskSpec
-from repro.core.worker import ErrorValue, error_value_from
+from repro.core.worker import error_value_from
 from repro.errors import (
     BackendError,
     GetTimeoutError,
@@ -193,16 +192,65 @@ class _WorkerHandle(WorkerSlot):
     #: thread's next lock-free send.
     outbox: deque = field(default_factory=deque)
 
+    def send(self, message: tuple) -> None:
+        """One driver->worker send, serialized per pipe: the service
+        thread's replies interleave with steal requests and cancel
+        notices originated by other threads.  Parked control messages
+        go first, so a deferred CANCEL_NOTICE still precedes the reply
+        of the rpc whose handler queued it."""
+        with self.send_lock:
+            self.send_held(message)
 
-def _time_left(deadline: Optional[float], object_id: ObjectID) -> Optional[float]:
-    """Seconds until a ``get``'s deadline (None: it has none); past it,
-    the ``get`` times out."""
+    def send_held(self, message: tuple) -> None:
+        """:meth:`send` for a caller that already holds ``send_lock``."""
+        while self.outbox:
+            self.conn.send(self.outbox.popleft())
+        self.conn.send(message)
+
+    def send_control(self, message: tuple) -> bool:
+        """A one-way control send that NEVER blocks — safe under the
+        runtime lock.  ``Connection.send`` blocks when the OS pipe
+        buffer is full (a busy worker drains control at dispatch
+        boundaries and watchdog ticks), and blocking there would freeze
+        the whole runtime; a congested message parks in the outbox
+        instead (True: the caller notifies the runtime cond, so a
+        thread blocked for this worker delivers it), sent by the
+        worker's own service thread (:meth:`flush_outbox`, called
+        lock-free at every serving point) or ahead of its next reply."""
+        with self.send_lock:
+            if not self.outbox and self.conn.writable():
+                self.conn.send(message)
+                return False
+            self.outbox.append(message)
+            return True
+
+    def flush_outbox(self) -> None:
+        """Deliver parked control messages (service thread only, runtime
+        lock NOT held).  Blocking is acceptable here: only this worker's
+        session stalls, and the thread was about to block on this very
+        pipe anyway.  Outbox messages only exist for busy workers, whose
+        service thread passes through here every serving iteration — so
+        nothing can stay parked indefinitely."""
+        if self.outbox:
+            with self.send_lock:
+                while self.outbox:
+                    self.conn.send(self.outbox.popleft())
+
+
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    """When a blocking call made now with ``timeout`` gives up."""
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def _time_left(
+    deadline: Optional[float], backstop: Optional[float] = None
+) -> Optional[float]:
+    """How long a wait may sleep: until ``deadline``, ``backstop`` at
+    most (None: for ever); not positive once the deadline has passed."""
     if deadline is None:
-        return None
+        return backstop
     left = deadline - time.monotonic()
-    if left <= 0:
-        raise GetTimeoutError(f"get timed out waiting for {object_id}")
-    return left
+    return left if backstop is None else min(left, backstop)
 
 
 def _wire_ids(spec: TaskSpec) -> tuple:
@@ -294,10 +342,6 @@ class ProcRuntime:
         #: the R7 tools consume through the ``event_log`` property.
         self.tracing = bool(tracing)
         self._obs = SpanCollector(enabled=self.tracing)
-        #: Call templates rebuilt from workers' function tables, for
-        #: decoding worker-born tasks' wire entries (see
-        #: ``messages.decode_entry``).
-        self._peer_templates: dict = {}
         self._spawn_count = 0
 
         self._lock = threading.RLock()
@@ -329,11 +373,9 @@ class ProcRuntime:
             workers_per_node=workers_per_node,
         )
         self._deps = DependencyTracker()
-        #: The function table: ``(registered name, callable)`` by
-        #: function id — the callable is None for a function a worker
-        #: registered (its code is in ``_fn_cache``; the driver never
-        #: calls it).
-        self._functions: dict[FunctionID, tuple] = {}
+        #: What a function id means: registered here with its callable,
+        #: or learnt from a worker as code (the driver never calls it).
+        self.functions = msg.FunctionTable()
         self.actors = ActorRegistry()
         #: What runs where, in which frame, and who gives work back
         #: (repro.sched_plane.dispatch); the pool is its list, of this
@@ -347,7 +389,6 @@ class ProcRuntime:
             fail=self._objects.store_error,
         )
         self._workers: list[_WorkerHandle] = self._dispatch.workers
-        self._fn_cache: dict[FunctionID, bytes] = {}
 
         self._tasks_executed = 0
         self._workers_crashed = 0
@@ -368,30 +409,36 @@ class ProcRuntime:
     def register_function(self, function: Callable, name: str) -> FunctionID:
         function_id = self.ids.function_id()
         with self._cond:
-            self._functions[function_id] = (name, function)
+            self.functions.add(function_id.hex, name, function)
         return function_id
 
-    def submit_call(
+    def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
+        """Submit one call of ``template`` (what ``.remote()`` calls)."""
+        with self._cond:
+            return self._submit_call(template, args, kwargs).public_result()
+
+    def _submit_call(
         self,
         template: CallTemplate,
         args: tuple,
         kwargs: dict,
         root_task_id: Any = None,
         parent_task_id: Any = None,
-    ) -> Any:
-        """Submit one call of ``template`` (what ``.remote()`` calls):
-        per call, two fresh ids, one argument scan, the write-ahead
-        record and a placement."""
+    ) -> TaskSpec:
+        """One call of ``template`` (lock held): two fresh ids, one
+        argument scan, the write-ahead record and a placement.  A call a
+        worker spilled says which task made it: its trace context, and
+        what holds the ids born for it."""
         self._check_open()
         template.check_feasible(self.cluster)
-        with self._cond:
-            self._objects.drain(batched=True)
-            spec = template.stamp(
-                self.ids, args, kwargs, self.head_node_id,
-                root_task_id, parent_task_id,
-            )
-            self._submit_spec(spec)
-            return spec.public_result()
+        self._objects.drain(batched=True)
+        spec = template.stamp(
+            self.ids, args, kwargs, self.head_node_id, root_task_id, parent_task_id
+        )
+        if parent_task_id is not None:
+            self._objects.hold_born(parent_task_id.hex, spec.all_return_ids())
+        self._submit_spec(spec)
+        return spec
 
     def _submit_spec(self, spec: TaskSpec) -> None:
         """Gate on unproduced dependencies, else enqueue (lock held).
@@ -539,12 +586,21 @@ class ProcRuntime:
     # ------------------------------------------------------------------
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any:
+        """Each value loaded and unwrapped outside the lock — zero-copy
+        from shm (the lease holds the window), deserialized from bytes
+        on the pipe plane (this frame holds them)."""
         self._check_open()
         ref_list, single = normalize_get_refs(refs)
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = _deadline(timeout)
         values = []
         for ref in ref_list:
-            values.append(self._wait_for_value(ref.object_id, deadline))
+            view, data = self._resident(
+                ref.object_id, deadline, self._wait_idle, self._objects.read
+            )
+            if view is not None:
+                values.append(unwrap_loaded(deserialize_frame(view)))
+            else:
+                values.append(unwrap_value(data))
         return values[0] if single else values
 
     def wait(
@@ -556,22 +612,13 @@ class ProcRuntime:
         self._check_open()
         ref_list = list(refs)
         validate_wait_args(ref_list, num_returns)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        has = self._objects.has
-        with self._cond:
-            self._objects.drain(batched=True)
-            while True:
-                ready = [r for r in ref_list if has(r.object_id)]
-                if len(ready) >= num_returns:
-                    break
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._cond.wait(timeout=remaining)
-            ready_ids = {r.object_id for r in ref_list if has(r.object_id)}
-        return partition_by_ready(ref_list, lambda r: r.object_id in ready_ids)
+        ready = set(
+            self._ready_ids(
+                [ref.object_id for ref in ref_list], num_returns, timeout,
+                self._wait_idle,
+            )
+        )
+        return partition_by_ready(ref_list, lambda ref: ref.object_id in ready)
 
     def put(self, value: Any) -> ObjectRef:
         self._check_open()
@@ -621,7 +668,8 @@ class ProcRuntime:
         worker = self._dispatch.cancel(spec)
         if worker is not None:
             try:
-                self._send_control(worker, (msg.CANCEL_NOTICE, spec.task_id.hex))
+                if worker.send_control((msg.CANCEL_NOTICE, spec.task_id.hex)):
+                    self._cond.notify_all()
             except OSError:
                 pass  # dying worker: the crash handler owns cleanup
 
@@ -660,16 +708,15 @@ class ProcRuntime:
                 "serve": serve_stats(self._serve_pools, self._completions),
                 "control": self._control.stats(),
                 # One node (the dist backend overrides this section).
-                "cluster": one_host_cluster_stats(
-                    len(self._workers),
+                "cluster": cluster_stats(
                     [
                         (
-                            alive,
-                            objects["shm_enabled"],
+                            True, os.getpid(), objects["shm_enabled"], 0.0, alive,
                             objects["objects_stored"],
                             objects["object_store_bytes"],
                         )
                     ],
+                    len(self._workers),
                 ),
             }
 
@@ -781,80 +828,43 @@ class ProcRuntime:
         ``__init__``: workers are up, nothing is in flight yet)."""
         plan = plan_recovery(self._control)
         with self._cond:
-            # The handles on everything the dead driver knew died with
-            # it, uncounted by this one's ledger: all of it is escaped.
-            restored = [*plan.ready_payloads, *plan.unrecoverable]
-            for spec in plan.pending_specs:
-                restored += spec.all_return_ids()
-            for spec, _payload in plan.pending_payloads:
-                restored += spec.all_return_ids()
             plane = self._objects
-            plane.escape([object_id.hex for object_id in restored])
+            plane.escape([object_id.hex for object_id in plan.handed_out()])
             for object_id, payload in plan.ready_payloads.items():
                 if not plane.has(object_id):
                     plane.store_bytes(object_id, payload)
             for object_id in plan.unrecoverable:
-                # A large driver ``put`` has no lineage to replay: an
-                # error marker beats a ``get`` that hangs forever.
+                # An error marker beats a ``get`` that hangs forever.
                 plane.store_bytes(
-                    object_id,
-                    serialize(
-                        ErrorValue(
-                            task_id=None,
-                            function_name="driver",
-                            cause_repr=(
-                                f"object {object_id} was lost with the failed "
-                                "driver: no inline payload in the control "
-                                "store and no producing task to replay"
-                            ),
-                            chain=("driver",),
-                        )
-                    ),
+                    object_id, serialize(plan.lost_object_error(object_id))
                 )
             for entry in plan.actor_entries:
-                if self.actors.get(entry.actor_id) is not None:
-                    continue
-                record = self.actors.create(
+                # Provenance without state: the live instance died with
+                # the old driver's worker pool.
+                self.actors.create(
                     entry.actor_id,
                     entry.spec["class_name"],
                     entry.spec["resources"],
                     None,
                     name=entry.name,
-                )
-                # Provenance without state: the live instance died with
-                # the old driver's worker pool.
-                record.dead = True
-                record.instance = None
+                ).dead = True
             for spec in plan.pending_specs:
-                if spec.actor_id is not None:
-                    record = self.actors.get(spec.actor_id)
-                    error = (
-                        actor_lost_error_value(spec, record)
-                        if record is not None
-                        else ErrorValue(
-                            task_id=spec.task_id,
-                            function_name=spec.function_name,
-                            cause_repr="actor state lost with the failed driver",
-                            chain=(spec.function_name,),
-                            kind="actor_lost",
-                            actor_id=spec.actor_id,
-                        )
-                    )
-                    plane.store_error(spec, error)
-                else:
+                if spec.actor_id is None:
                     self._submit_spec(spec)
-            for spec, payload in plan.pending_payloads:
-                # Worker-born: the record carries the wire entry and the
-                # function it names, so nothing of the dead driver's
-                # function table is needed to run it again.
-                entry, name, code = payload
-                self._control.task_put(
-                    spec.task_id, {"spec": spec, "payload": payload}
+                    continue
+                record = self.actors.get(spec.actor_id)
+                plane.store_error(
+                    spec,
+                    actor_lost_error_value(spec, record)
+                    if record is not None
+                    else plan.lost_actor_error(spec),
                 )
-                self._functions.setdefault(spec.function_id, (name, None))
-                self._fn_cache.setdefault(spec.function_id, code)
-                self._lifecycle.register(spec)
-                plane.pin(spec, list(spec.pins))  # the dead driver's, again
+            for spec, (entry, functions) in plan.pending_payloads:
+                # Worker-born: the record carries the wire entry and the
+                # row of the function it names, so nothing of the dead
+                # driver's function table is needed to run it again.
+                self.functions.learn(functions)
+                self._adopt(spec, entry)
                 self._dispatch.requeue(spec, entry)
             self._cond.notify_all()
 
@@ -901,50 +911,6 @@ class ProcRuntime:
         worker.thread.start()
         return worker
 
-    def _send(self, worker: _WorkerHandle, message: tuple) -> None:
-        """One driver->worker send, serialized per pipe: the service
-        thread's replies interleave with steal requests and cancel
-        notices originated by other threads.  Parked control messages
-        go first, so a deferred CANCEL_NOTICE still precedes the reply
-        of the rpc whose handler queued it."""
-        with worker.send_lock:
-            self._send_held(worker, message)
-
-    def _send_held(self, worker: _WorkerHandle, message: tuple) -> None:
-        """:meth:`_send` for a caller that already holds ``send_lock``."""
-        while worker.outbox:
-            worker.conn.send(worker.outbox.popleft())
-        worker.conn.send(message)
-
-    def _send_control(self, worker: _WorkerHandle, message: tuple) -> None:
-        """A one-way control send that NEVER blocks — safe under the
-        runtime lock.  ``Connection.send`` blocks when the OS pipe
-        buffer is full (a busy worker drains control at dispatch
-        boundaries and watchdog ticks), and blocking here would freeze
-        the whole runtime;
-        a congested message parks in the outbox instead, delivered by
-        the worker's own service thread (:meth:`_flush_outbox`, called
-        lock-free at every serving point) or ahead of its next reply."""
-        with worker.send_lock:
-            if not worker.outbox and worker.conn.writable():
-                worker.conn.send(message)
-                return
-            worker.outbox.append(message)
-        self._cond.notify_all()  # a thread blocked for the worker delivers it
-
-    def _flush_outbox(self, worker: _WorkerHandle) -> None:
-        """Deliver parked control messages (service thread only, runtime
-        lock NOT held).  Blocking is acceptable here: only this worker's
-        session stalls, and the thread was about to block on this very
-        pipe anyway.  Outbox messages only exist for busy workers, whose
-        service thread passes through here every serving iteration — so
-        nothing can stay parked indefinitely."""
-        if not worker.outbox:
-            return
-        with worker.send_lock:
-            while worker.outbox:
-                worker.conn.send(worker.outbox.popleft())
-
     # ------------------------------------------------------------------
     # Sessions, the mirror, and the steal broker's messages
     # ------------------------------------------------------------------
@@ -959,7 +925,7 @@ class ProcRuntime:
             frame = self._next_frame(worker)
             if frame is None:
                 try:
-                    self._send(worker, (msg.SHUTDOWN,))
+                    worker.send((msg.SHUTDOWN,))
                 except OSError:
                     pass
                 return
@@ -1004,7 +970,7 @@ class ProcRuntime:
         (``worker.steal_outstanding``).  This thread is the pipe's only
         reader, and delivers the control messages parked for it; a dead
         child raises out of ``recv`` into the crash path."""
-        self._flush_outbox(worker)
+        worker.flush_outbox()
         while pending():
             message = worker.conn.recv()
             tag = message[0]
@@ -1018,8 +984,7 @@ class ProcRuntime:
                 self._ingest_worker_obs(worker, message[1])
             else:
                 self._serve_rpc(worker, message)
-            if worker.outbox:
-                self._flush_outbox(worker)
+            worker.flush_outbox()
 
     def _request_steal(
         self, thief: _WorkerHandle, include_self: bool = False
@@ -1038,10 +1003,10 @@ class ProcRuntime:
             return
         victim, count = ask
         try:
-            self._send_control(victim, (msg.STEAL_REQUEST, count))
+            parked = victim.send_control((msg.STEAL_REQUEST, count))
         except OSError:
             return  # victim died; its crash handler owns the cleanup
-        if victim.parked:
+        if parked or victim.parked:
             self._cond.notify_all()
 
     def _obs_worker_extra(self, worker: _WorkerHandle) -> dict:
@@ -1075,7 +1040,7 @@ class ProcRuntime:
             with self._cond:
                 return self._objects.arg_slot(object_id, worker.index, inline)
 
-        functions: dict = {}
+        functions: dict = {}  # the frame's table: rows this worker lacks
         encoded = []
         for spec in specs:
             try:
@@ -1097,13 +1062,8 @@ class ProcRuntime:
             worker.send_lock.acquire()
         try:
             worker.functions_sent.update(functions)
-            self._send_held(
-                worker,
-                (
-                    msg.TASK,
-                    [entry for _spec, entry in shipped],
-                    {fid.hex: row for fid, row in functions.items()},
-                ),
+            worker.send_held(
+                (msg.TASK, [entry for _spec, entry in shipped], functions)
             )
         finally:
             worker.send_lock.release()
@@ -1131,12 +1091,9 @@ class ProcRuntime:
                     self._objects.discard(blobs)
                 else:
                     self._finish_spec(worker, spec, blobs, failed, payload)
+                    if spec.actor_method != CREATION_METHOD:  # never estimated
+                        times.setdefault(spec.function_id, []).append(exec_seconds)
                 self._objects.drop_born(task_hex)
-                if spec is not None and (
-                    spec.function_id in self._functions
-                    or spec.actor_method not in (None, CREATION_METHOD)
-                ):
-                    times.setdefault(spec.function_id, []).append(exec_seconds)
             for function_id, samples in times.items():
                 self._dispatch.note_exec_times(function_id, samples)
             if idle:
@@ -1157,44 +1114,36 @@ class ProcRuntime:
         STEAL_GRANT mentioning any of the tasks, and before any bytes
         that carry one of those refs."""
         with self._cond, self._control.async_batch():
-            plane = self._objects
-            plane.escape(escaped)
-            for function_hex, (name, code) in table.items():
-                function_id = FunctionID(function_hex)
-                self._functions.setdefault(function_id, (name, None))
-                self._fn_cache.setdefault(function_id, code)
-                worker.functions_sent.add(function_id)
-            msg.register_functions(self._peer_templates, table)
+            self._objects.escape(escaped)
+            self.functions.learn(table, worker.functions_sent)
             for entry in entries:
                 spec = msg.decode_entry(
-                    entry, self._peer_templates, submitted_from=worker.node_id
+                    entry, self.functions, submitted_from=worker.node_id
                 )
-                self._lifecycle.register(spec)
-                plane.hold_born(entry[5].get("parent"), spec.all_return_ids())
-                deps = entry[5].get("deps")
-                if deps:
-                    plane.pin(spec, [ObjectID(dep) for dep in deps])
+                self._objects.hold_born(
+                    entry[5].get("parent"), spec.all_return_ids()
+                )
+                self._adopt(spec, entry, worker.node_id)
                 self._dispatch.born_on(worker, entry[0], spec, entry)
-                # Worker-born lineage: async by design (the fast path is
-                # already acked one-way).  The record is self-contained:
-                # the wire entry is the replay form, the function row
-                # what a driver that never saw this table needs with it,
-                # the spec the bookkeeping form.
-                self._control.async_task_put(
-                    spec.task_id,
-                    {
-                        "spec": spec,
-                        "payload": (
-                            entry,
-                            self._functions[spec.function_id][0],
-                            self._fn_cache[spec.function_id],
-                        ),
-                    },
-                    node=worker.node_id,
-                )
             self._cond.notify_all()  # idle thieves may now see a victim
         if entries:
-            self._send(worker, (msg.PLACED, len(entries)))
+            worker.send((msg.PLACED, len(entries)))
+
+    def _adopt(self, spec: TaskSpec, entry: tuple, node: Any = None) -> None:
+        """A worker-born task becomes this driver's to keep (lock held):
+        its lifecycle entry, the pins on the ref arguments its entry
+        names, and its lineage record — async by design (the fast path
+        is already acked one-way) and self-contained: the wire entry is
+        the replay form, the function's row what a driver that never
+        saw its table needs with it, the spec the bookkeeping form."""
+        self._lifecycle.register(spec)
+        deps = entry[5].get("deps")
+        if deps:
+            self._objects.pin(spec, [ObjectID(dep) for dep in deps])
+        rows = self.functions.rows((spec.function_id.hex,))
+        self._control.async_task_put(
+            spec.task_id, {"spec": spec, "payload": (entry, rows)}, node=node
+        )
 
     def _apply_steal_grant(
         self, victim: _WorkerHandle, task_hexes: list, midtask: bool = False
@@ -1238,36 +1187,20 @@ class ProcRuntime:
                 )
             }
             if spec.actor_method == CREATION_METHOD:
-                extras["code"] = self._function_bytes(spec)
+                extras["code"] = serialize_portable(spec.function)
             return msg.encode_entry(spec, slot_for, **extras)
         entry = self._dispatch.wire_entry(spec.task_id.hex)
         if entry is None:
             entry = msg.encode_entry(spec, slot_for)
-        if spec.function_id not in worker.functions_sent:
+        function_hex = spec.function_id.hex
+        if function_hex not in worker.functions_sent:
             with self._cond:
                 # A spec that outlived its registration (replayed by a
                 # recovered driver) or was submitted with an id of the
                 # caller's own is registered by what it carries.
-                name = self._functions.setdefault(
-                    spec.function_id, (spec.function_name, spec.function)
-                )[0]
-            functions[spec.function_id] = (name, self._function_bytes(spec))
+                self.functions.add(function_hex, spec.function_name, spec.function)
+            functions.update(self.functions.rows((function_hex,)))
         return entry
-
-    def _function_bytes(self, spec: TaskSpec) -> bytes:
-        cached = self._fn_cache.get(spec.function_id)
-        if cached is None:
-            function = spec.function
-            if function is None:
-                with self._cond:
-                    function = self._functions.get(spec.function_id, (None, None))[1]
-            if function is None:
-                raise BackendError(
-                    f"function {spec.function_name!r} not registered"
-                )
-            cached = serialize_portable(function)
-            self._fn_cache[spec.function_id] = cached
-        return cached
 
     def _finish_spec(
         self,
@@ -1327,12 +1260,23 @@ class ProcRuntime:
                 with self._cond:
                     reply = plane.fetch_bytes(message[1], worker.index)
             elif tag == msg.SUBMIT:
-                reply = self._submit_from_worker(message[1])
+                reply = self._submit_from_worker(worker, message[1])
             elif tag == msg.GET:
-                reply = self._serve_get(worker, message[1], message[2])
+                # Like the driver's own, but while blocked the worker's
+                # pinned actors' lanes keep moving, so an actor task
+                # cannot deadlock against the worker that must run it.
+                deadline = _deadline(message[2])
+                reply = [
+                    self._resident(
+                        object_id, deadline, partial(self._wait_serving, worker),
+                        plane.blob_for,
+                    )
+                    for object_id in message[1]
+                ]
             elif tag == msg.WAIT:
-                reply = self._serve_wait(
-                    worker, message[1], message[2], message[3]
+                reply = self._ready_ids(
+                    message[1], message[2], message[3],
+                    partial(self._wait_serving, worker),
                 )
             elif tag == msg.PUT:
                 data, born_in = message[1], message[2]
@@ -1387,59 +1331,72 @@ class ProcRuntime:
             # raise anything (hostile __setstate__, unpicklable args); the
             # service thread must survive and answer, or the parked child
             # process is stranded forever with no crash to detect.
-            self._send(worker, (msg.ERR, _pipe_safe_error(tag, exc)))
+            worker.send((msg.ERR, _pipe_safe_error(tag, exc)))
         else:
-            self._send(worker, (msg.OK, reply))
+            worker.send((msg.OK, reply))
 
-    def _serve_get(
-        self, worker: _WorkerHandle, object_ids: list, timeout: Optional[float]
-    ) -> list:
-        """A worker-side ``get``: like the driver's, but while blocked it
-        keeps the worker's pinned actors' lanes moving (see
-        :meth:`_wait_serving`) so an actor task cannot deadlock against
-        the very worker that must run it."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        plane = self._objects
-        blobs = []
-        for object_id in object_ids:
-            while True:
-                arrived = self._wait_serving(
-                    worker, lambda oid=object_id: plane.has(oid), deadline
-                )
-                if not arrived:
-                    raise GetTimeoutError(f"get timed out waiting for {object_id}")
-                with self._cond:
-                    blob = plane.blob_for(object_id)
-                if blob is not None:
-                    blobs.append(blob)
-                    break
-                # It lives on a node alone: bring a copy here.  A pull
-                # that fails (the node was lost under it) leaves a
-                # reconstruction, or its error marker, to wait for.
-                if not plane.pull(object_id):
-                    _time_left(deadline, object_id)
-        return blobs
-
-    def _serve_wait(
+    def _resident(
         self,
-        worker: _WorkerHandle,
+        object_id: ObjectID,
+        deadline: Optional[float],
+        wait: Callable[[Callable[[], bool], Optional[float]], bool],
+        read: Callable[[ObjectID], Any],
+    ) -> Any:
+        """Both kinds of ``get``: block until the object is resident
+        *here* and ``read`` it under that hold of the lock — the
+        driver's own as a value to load (:meth:`ObjectPlane.read`), a
+        worker's in its wire form (:meth:`ObjectPlane.blob_for`).
+        ``wait(predicate, deadline)`` is how the caller blocks: a driver
+        thread sleeps on the cond (:meth:`_wait_idle`), a worker's
+        request keeps its worker fed meanwhile (:meth:`_wait_serving`)."""
+        plane = self._objects
+        left: Optional[float] = None
+        while left is None or left > 0:
+            with self._cond:  # (allocates nothing when it is here already)
+                arrived = plane.has(object_id)
+                if arrived and not plane.only_on_node(object_id):
+                    return read(object_id)
+            if not arrived:
+                if not wait(lambda: plane.has(object_id), deadline):
+                    break
+            # It lives on a node alone: bring a copy here.  A pull that
+            # fails (the node was lost under it) leaves a reconstruction,
+            # or its error marker, to wait for — while there is time.
+            elif not plane.pull(object_id):
+                left = _time_left(deadline)
+        raise GetTimeoutError(f"get timed out waiting for {object_id}")
+
+    def _ready_ids(
+        self,
         object_ids: list,
         num_returns: int,
         timeout: Optional[float],
+        wait: Callable[[Callable[[], bool], Optional[float]], bool],
     ) -> list:
-        """A worker-side ``wait`` (the worker validated its arguments
-        and partitions its own refs): the ready ids, after the same
-        lane service as get."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        """Both kinds of ``wait`` (arguments validated by the caller,
+        who partitions its own refs): block through ``wait`` — see
+        :meth:`_resident` — until ``num_returns`` of the objects are
+        resident or the timeout passes; the resident ones."""
         has = self._objects.has
-        self._wait_serving(
-            worker,
-            lambda: sum(1 for object_id in object_ids if has(object_id))
-            >= num_returns,
-            deadline,
-        )
+        wait(lambda: sum(map(has, object_ids)) >= num_returns, _deadline(timeout))
         with self._cond:
             return [object_id for object_id in object_ids if has(object_id)]
+
+    def _wait_idle(
+        self, predicate: Callable[[], bool], deadline: Optional[float]
+    ) -> bool:
+        """Block a driver thread until ``predicate()`` holds (True) or
+        the deadline passes (False): everything that can end the wait —
+        an arrival, shutdown — notifies the cond."""
+        with self._cond:
+            self._objects.drain(batched=True)
+            while not predicate():
+                self._check_open()  # the wait ends with the pool
+                left = _time_left(deadline)
+                if left is not None and left <= 0:
+                    return False
+                self._cond.wait(timeout=left)
+            return True
 
     def _wait_serving(
         self,
@@ -1490,11 +1447,9 @@ class ProcRuntime:
                     nested = self._dispatch.claim_one(worker)
                     if nested is not None:
                         break
-                    remaining = _BLOCKED_WAIT_BACKSTOP
-                    if deadline is not None:
-                        remaining = min(remaining, deadline - time.monotonic())
-                        if remaining <= 0:
-                            return False
+                    remaining = _time_left(deadline, _BLOCKED_WAIT_BACKSTOP)
+                    if remaining <= 0:
+                        return False
                     self._request_steal(worker, include_self=True)
                     if worker.steal_outstanding or worker.outbox:
                         break
@@ -1509,47 +1464,34 @@ class ProcRuntime:
                 task_hex = nested.task_id.hex
                 self._serve(worker, lambda: task_hex in worker.inflight)
 
-    def _submit_from_worker(self, payload: dict) -> Any:
+    def _submit_from_worker(self, worker: _WorkerHandle, payload: dict) -> Any:
         """A worker-born task that could not take the fast path
         (unresolved/non-resident deps, misfit resources, backlog): the
         paper's spillover stream into the driver tier.  The function
-        keeps the id its worker gave it, so its code is registered (and
-        later shipped, and its execution time learned) once."""
-        function_id = FunctionID(payload["function_hex"])
-        args, kwargs = msg.restore_refs(
-            *deserialize_portable(payload["call_bytes"])
-        )
+        keeps the id its worker gave it and its row comes with its
+        first submission, spilled or not — learnt before anything here
+        can fail: the worker tells once, and may submit the function on
+        the fast path next, without a row."""
         with self._cond:
-            if function_id not in self._functions:
-                self._functions[function_id] = (payload["function_name"], None)
-                self._fn_cache[function_id] = payload["function_bytes"]
-                # Its worker may get the function back in a frame's table
-                # and then submit it on the fast path without a row.
-                msg.register_functions(
-                    self._peer_templates,
-                    {payload["function_hex"]: (payload["function_name"], None)},
-                )
+            self.functions.learn(payload["functions"], worker.functions_sent)
             self._dispatch.counters.tasks_spilled += 1
             if self._obs.enabled:
                 self._obs.record(
                     "task_spilled", function=payload["function_name"]
                 )
-        template = CallTemplate(
-            None, function_id, payload["function_name"], payload["options"]
+            template = self.functions.template(
+                payload["function_hex"], payload["options"]
+            )
+        args, kwargs = msg.restore_refs(
+            *deserialize_portable(payload["call_bytes"])
         )
-        self._check_open()
-        template.check_feasible(self.cluster)
-        parent = payload["parent_task_id"]
         with self._cond:
-            spec = template.stamp(
-                self.ids, args, kwargs, self.head_node_id,
-                payload["root_task_id"], parent,
+            return _wire_ids(
+                self._submit_call(
+                    template, args, kwargs,
+                    payload["root_task_id"], payload["parent_task_id"],
+                )
             )
-            self._objects.hold_born(
-                None if parent is None else parent.hex, spec.all_return_ids()
-            )
-            self._submit_spec(spec)
-        return _wire_ids(spec)
 
     def _create_actor_from_worker(self, payload: dict) -> ActorHandle:
         actor_class = deserialize_portable(payload["class_bytes"])
@@ -1591,29 +1533,6 @@ class ProcRuntime:
             self._completions.add_watch(
                 object_id, callback, ready=self._objects.has(object_id)
             )
-
-    def _wait_for_value(self, object_id: ObjectID, deadline: Optional[float]) -> Any:
-        """Block until an object is resident, then load and unwrap it —
-        zero-copy from shm, deserialized from bytes on the pipe plane,
-        pulled into the pipe store first when it lives on a node alone.
-        Deserialization of either plane happens outside the lock (the
-        lease holds the window, this frame the bytes)."""
-        plane = self._objects
-        while True:
-            with self._cond:
-                plane.drain(batched=True)
-                while not plane.has(object_id):
-                    self._cond.wait(timeout=_time_left(deadline, object_id))
-                if not plane.only_on_node(object_id):
-                    view, data = plane.read(object_id)
-                    break
-            # A pull that fails (the node was lost under it) leaves a
-            # reconstruction, or its error marker, to wait for.
-            if not plane.pull(object_id):
-                _time_left(deadline, object_id)
-        if view is not None:
-            return unwrap_loaded(deserialize_frame(view))
-        return unwrap_value(data)
 
     # ------------------------------------------------------------------
     # Crash handling

@@ -72,7 +72,7 @@ class Transport:
     ``EOFError``/``OSError`` when the peer is gone — the runtime's crash
     detection edge.  ``poll`` is a non-blocking (or bounded) readability
     probe.  ``writable`` answers "can a small send complete without
-    blocking right now?" — the guard :meth:`ProcRuntime._send_control`
+    blocking right now?" — the guard ``_WorkerHandle.send_control``
     uses to stay non-blocking under the runtime lock.
     """
 

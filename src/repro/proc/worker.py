@@ -43,7 +43,6 @@ at any moment, not only at the next dispatch boundary.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from typing import Any, Optional, Sequence
@@ -54,7 +53,7 @@ from repro.core.actors import (
     register_instance,
     resolve_actor_callable,
 )
-from repro.core.effect_driver import BlockingEffectHandler, run_effect_loop_sync
+from repro.core.effect_driver import BlockingEffectHandler
 from repro.core import object_ref
 from repro.core.object_ref import ObjectRef, RefLedger
 from repro.core.protocol import (
@@ -68,6 +67,7 @@ from repro.core.worker import (
     ErrorValue,
     error_value_from,
     propagate_error,
+    run_callable,
     split_result_values,
 )
 from repro.errors import ReproError
@@ -134,9 +134,9 @@ class WorkerRuntime:
         self.closed = False
         self.ids = worker.ids
 
-    # Function registration is local: the function itself ships by value
-    # with every submission, so the driver never needs this id to resolve
-    # anything — it only keys RemoteFunction's per-runtime registration.
+    # Function registration is local: the id keys the function's row in
+    # this worker's table, and the driver learns the row with the first
+    # submission that names it (``ProcWorker.rows_to_tell``).
     def register_function(self, function, name: str):
         return self.ids.function_id()
 
@@ -151,7 +151,7 @@ class WorkerRuntime:
             return result
         payload = {
             "function_hex": template.function_id.hex,
-            "function_bytes": worker.function_bytes(template.function),
+            "functions": worker.rows_to_tell(template),
             "function_name": template.function_name,
             "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
             # ``duration`` may be a closure (a sim-only concept anyway):
@@ -309,24 +309,19 @@ class ProcWorker:
         #: need rebuilding from the submitting task's own replay.
         self.unacked_local = 0
         #: Fast-path notices buffered for the next pipe touch — the
-        #: tasks' wire entries, and the function table naming functions
-        #: this worker submits for the first time: batching turns a
+        #: tasks' wire entries, and the rows of the functions this
+        #: worker submits for the first time: batching turns a
         #: K-task fan-out's control traffic into one send.  The
         #: flush-before-every-outbound-message discipline (see
         #: :meth:`_flush_notices`) keeps the causal order the mirror
         #: depends on.
         self._pending_notices: list = []
-        self._pending_functions: dict = {}
-        #: Per-callable serialized-code cache for nested submissions.
-        self._fn_bytes: dict = {}
-        #: Remote functions by raw function id: the code a TASK frame's
-        #: function table delivered (once per worker), replaced on first
-        #: use by the callable unpickled from it — or the callable
-        #: itself, for a function this worker submitted.
-        self._functions: dict = {}
-        #: The call templates rebuilt from those tables (and registered
-        #: for this worker's own submissions): what decodes an entry.
-        self._templates: dict = {}
+        self._pending_rows: list = []  # function hexes
+        #: What a function id means here: what TASK frames' tables
+        #: delivered, and what this worker submitted itself.
+        self.functions = msg.FunctionTable()
+        #: The functions the driver has: it sent them, or was sent them.
+        self.functions_sent: set = set()
         #: Completions not yet reported — ``(task_hex, blobs,
         #: failed, exec_seconds)`` — and when the oldest was buffered.
         self._done: list = []
@@ -451,21 +446,26 @@ class ProcWorker:
         except ReproError:
             pass  # larger than the cache: not resident, just unlucky
 
-    def function_bytes(self, function) -> bytes:
-        """Serialize a function once per worker lifetime (the worker
-        analogue of the driver's per-function-id code cache): code
-        shipping, not pickling, must dominate a fan-out's first submit
-        only.  Keyed by the callable itself — remote functions are
-        long-lived module objects, so the strong reference is bounded by
-        the program's distinct remote functions."""
-        try:
-            cached = self._fn_bytes.get(function)
-        except TypeError:  # unhashable callable: serialize every time
-            return serialize_portable(function)
-        if cached is None:
-            cached = serialize_portable(function)
-            self._fn_bytes[function] = cached
-        return cached
+    def rows_to_tell(self, template: CallTemplate) -> dict:
+        """The table the driver still has to be sent for ``template``'s
+        function: its row, once per function — at the first submission
+        from here of one no frame's table brought — and nothing after.
+        The row is entered and its code serialized now, on the
+        submitting thread, where a failure is the caller's; from now on
+        it counts as told (who asks, sends: the next notice, or the
+        SUBMIT that spills it)."""
+        function_hex = template.function_id.hex
+        if function_hex in self.functions_sent:
+            return {}
+        function = template.function
+        self.functions.add(
+            function_hex,
+            getattr(function, "__name__", template.function_name),
+            function,
+        )
+        rows = self.functions.rows((function_hex,))
+        self.functions_sent.add(function_hex)
+        return rows
 
     def _ship_value(self, object_id, serialized) -> Any:
         """Write a split value into shm and return its descriptor, or
@@ -763,9 +763,7 @@ class ProcWorker:
         ``rpc``), with the watchdog armed for a call that computes on."""
         _, entries, functions = message
         if functions:
-            msg.register_functions(self._templates, functions)
-            for function_hex, (_name, code) in functions.items():
-                self._functions[function_hex] = code
+            self.functions.learn(functions, self.functions_sent)
         if len(entries) > 1 and "actor" in (entries[0][5] or ()):
             for entry in entries:
                 self._run_queued((entry, True))
@@ -896,7 +894,6 @@ class ProcWorker:
             this_node=self.node_id,
         ):
             return None
-        function_hex = spec.function_id.hex
         if spec.arg_refs:
             entry = msg.encode_entry(
                 spec, self._local_slot,
@@ -912,19 +909,7 @@ class ProcWorker:
         # message is what keeps the mirror causally ahead of any DONE
         # or STEAL_GRANT that could mention the task.
         with self._out_lock:
-            if function_hex not in self._functions:
-                # First submission of this function from here: it goes
-                # into this worker's own table and, once, to the driver.
-                function = template.function
-                row = {
-                    function_hex: (
-                        getattr(function, "__name__", spec.function_name),
-                        self.function_bytes(function),
-                    )
-                }
-                msg.register_functions(self._templates, row)
-                self._functions[function_hex] = function
-                self._pending_functions.update(row)
+            self._pending_rows.extend(self.rows_to_tell(template))  # its keys
             self._pending_notices.append(entry)
             self.local_queue.push(entry[0], (entry, False), entry[2])
         if self.obs.enabled:
@@ -965,8 +950,8 @@ class ProcWorker:
                 self._escaped.clear()
             if self._pending_notices or escaped:
                 batch, self._pending_notices = self._pending_notices, []
-                functions, self._pending_functions = self._pending_functions, {}
-                notice = (msg.SUBMIT_LOCAL, batch, functions)
+                told, self._pending_rows = self._pending_rows, []
+                notice = (msg.SUBMIT_LOCAL, batch, self.functions.rows(told))
                 if escaped:
                     # Each id is reported once, on a notice that may
                     # carry nothing else: the mark must not arrive after
@@ -1001,7 +986,7 @@ class ProcWorker:
         plus the flag the driver needs for actor bookkeeping — shipped
         alongside so the driver never has to deserialize the payload to
         learn it."""
-        spec = msg.decode_entry(entry, self._templates, self.node_id)
+        spec = msg.decode_entry(entry, self.functions, self.node_id)
         _task, _function, _returns, call_bytes, inline, extras = entry
         root_id = spec.root_task_id
         t_start = time.monotonic()
@@ -1157,15 +1142,11 @@ class ProcWorker:
         return deserialize(data)
 
     def _execute_function(self, spec: TaskSpec, args, kwargs) -> Any:
-        function_hex = spec.function_id.hex
-        function = self._functions[function_hex]
-        if isinstance(function, bytes):  # first use of a table's code
-            try:
-                function = deserialize_portable(function)
-            except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
-                return error_value_from(spec, exc)
-            self._functions[function_hex] = function
-        return self._run_callable(spec, function, args, kwargs)
+        try:  # the first use of a table's code unpickles it
+            function = self.functions.callable(spec.function_id.hex)
+        except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
+            return error_value_from(spec, exc)
+        return run_callable(spec, function, args, kwargs, self._effect_handler)
 
     def _execute_actor(self, spec: TaskSpec, extras: dict, args, kwargs) -> Any:
         if (
@@ -1188,21 +1169,10 @@ class ProcWorker:
                 return error_value_from(spec, exc)
             register_instance(record, instance, self.node_id)
             return None
-        result = self._run_callable(spec, function, args, kwargs)
+        result = run_callable(spec, function, args, kwargs, self._effect_handler)
         if not isinstance(result, ErrorValue):
             record.methods_executed += 1
         return result
-
-    def _run_callable(self, spec: TaskSpec, function, args, kwargs) -> Any:
-        """Run a task body (plain or generator-of-effects); capture errors."""
-        try:
-            if inspect.isgeneratorfunction(function):
-                return run_effect_loop_sync(
-                    spec, function(*args, **kwargs), self._effect_handler
-                )
-            return function(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - user code boundary
-            return error_value_from(spec, exc)
 
 
 def worker_main(

@@ -72,6 +72,18 @@ class ServeFuture(concurrent.futures.Future):
     """
 
     _resolver = None  # sim mirror only; set by the owning pool
+    #: The owning pool's record of the dispatched call — ``(pool,
+    #: replica, generation, unwrap-index or None, start time, ref)`` —
+    #: from its dispatch until its value is read.  The ref is what keeps
+    #: the object that long: a runtime that frees dead objects frees one
+    #: whose every ref is gone.
+    _call = None
+
+    def _arrived(self, _object_id: Any) -> None:
+        """Completion-pump callback (no runtime lock held)."""
+        call = self._call
+        if call is not None:
+            call[0]._settle(self, timeout=0)
 
     def result(self, timeout: Optional[float] = None) -> Any:
         if self._resolver is not None and not self.done():
@@ -209,11 +221,6 @@ class ActorPool:
         self._respawns = 0
         self._inflight_total = 0
         self._dead_error: Optional[BaseException] = None
-        #: Event-driven mode: object_id -> (future, replica, generation,
-        #: unwrap-index or None, start time, the call's ref — kept until
-        #: the value is read: a runtime that frees dead objects frees
-        #: one whose every ref is gone).
-        self._inflight_map: dict = {}
         #: Sim mirror: accepted-but-unresolved futures, oldest first.
         self._order: deque = deque()
 
@@ -279,10 +286,7 @@ class ActorPool:
         if self._closed or self._respawns >= self._max_reconstructions:
             # Budget exhausted: fail the replica's queued (unflushed)
             # calls visibly rather than leaving them pending forever.
-            while replica.pending:
-                future, _value = replica.pending.popleft()
-                self._inflight_total -= 1
-                self._finish_locked(future, exc=exc)
+            self._fail_pending_locked(replica, exc)
             replica.deadline = None
             if not any(r.alive for r in self._replicas):
                 self._dead_error = exc
@@ -345,7 +349,7 @@ class ActorPool:
                     ActorMethod(replica.handle, self._method).remote(
                         *args, **kwargs
                     ),
-                    [future],
+                    future,
                     unwrap=None,
                 )
             return future
@@ -451,51 +455,59 @@ class ActorPool:
         if k == 1:
             # num_returns=1 stores the whole 1-element result list in
             # the single slot; unwrap index 0 recovers the call's value.
-            self._dispatch_locked(replica, refs, futures, unwrap=0)
+            self._dispatch_locked(replica, refs, futures[0], unwrap=0)
         else:
             for ref, future in zip(refs, futures):
-                self._dispatch_locked(replica, ref, [future], unwrap=None)
+                self._dispatch_locked(replica, ref, future, unwrap=None)
 
     def _dispatch_locked(
         self,
         replica: _Replica,
         ref: ObjectRef,
-        futures: list,
+        future: ServeFuture,
         unwrap: Optional[int],
     ) -> None:
         """Track one submitted ref and arrange its resolution."""
-        replica.inflight += len(futures)
-        started = self._runtime.now  # runtime clock: virtual on sim
+        replica.inflight += 1
+        future._call = (
+            self, replica, replica.generation, unwrap,
+            self._runtime.now,  # runtime clock: virtual on sim
+            ref,
+        )
         if self._event_driven:
-            for future in futures:
-                self._inflight_map[ref.object_id] = (
-                    future, replica, replica.generation, unwrap, started, ref,
-                )
-            self._runtime.watch_object(ref.object_id, self._on_ready)
-        else:
-            for future in futures:
-                future._ref = ref
-                future._replica = replica
-                future._unwrap = unwrap
-                future._generation = replica.generation
-                future._started = started
+            # (A method of the future, not a closure per call: what a
+            # request allocates, the driver's collector has to walk.)
+            self._runtime.watch_object(ref.object_id, future._arrived)
 
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
 
-    def _on_ready(self, object_id: Any) -> None:
-        """Completion-pump callback (no runtime lock held)."""
+    def _sim_resolve(self, future: ServeFuture) -> None:
+        """Sim-mirror resolution: flush, then drive the virtual clock."""
         with self._cond:
-            entry = self._inflight_map.pop(object_id, None)
-            if entry is None:
+            if future.done():
                 return
-            future, replica, generation, unwrap, started, ref = entry
+            while future._call is None and future._replica.pending:
+                # Still queued in a partial batch: demanding the result
+                # is the flush trigger in virtual time.
+                self._flush_replica_locked(future._replica)
+            self._settle(future, timeout=None)
+
+    def _settle(self, future: ServeFuture, timeout: Optional[float]) -> None:
+        """Read a dispatched call's value and finish its future, once:
+        what just arrived (the pump's callback, ``timeout=0``), or
+        whatever the virtual clock has to be driven to (the sim, None)."""
+        with self._cond:
+            if future._call is None:
+                return
+            _pool, replica, generation, unwrap, started, ref = future._call
+            future._call = None
+            self._inflight_total -= 1
             if replica.generation == generation:
                 replica.inflight -= 1
-            self._inflight_total -= 1
             try:
-                value = self._runtime.get(ref, timeout=0)
+                value = self._runtime.get(ref, timeout=timeout)
             except ActorLostError as exc:
                 self._finish_locked(future, exc=exc)
                 self._replica_lost(replica, generation, exc)
@@ -508,34 +520,12 @@ class ActorPool:
                     value = value[unwrap]
                 self._finish_locked(future, value=value)
 
-    def _sim_resolve(self, future: ServeFuture) -> None:
-        """Sim-mirror resolution: flush, then drive the virtual clock."""
-        with self._cond:
-            if future.done():
-                return
-            replica = future._replica
-            while getattr(future, "_ref", None) is None and replica.pending:
-                # Still queued in a partial batch: demanding the result
-                # is the flush trigger in virtual time.
-                self._flush_replica_locked(replica)
-            ref = future._ref
-            generation = future._generation
+    def _fail_pending_locked(self, replica: _Replica, exc: BaseException) -> None:
+        """Fail the replica's queued (never dispatched) calls visibly."""
+        while replica.pending:
+            future, _value = replica.pending.popleft()
             self._inflight_total -= 1
-            if replica.generation == generation:
-                replica.inflight -= 1
-            try:
-                value = self._runtime.get(ref)
-            except ActorLostError as exc:
-                self._finish_locked(future, exc=exc)
-                self._replica_lost(replica, generation, exc)
-            except BaseException as exc:  # noqa: BLE001 - any stored error
-                self._finish_locked(future, exc=exc)
-            else:
-                if replica.generation == generation:
-                    replica.observe(self._runtime.now - future._started)
-                if future._unwrap is not None:
-                    value = value[future._unwrap]
-                self._finish_locked(future, value=value)
+            self._finish_locked(future, exc=exc)
 
     def _finish_locked(
         self, future: ServeFuture, value: Any = None,
@@ -626,14 +616,11 @@ class ActorPool:
                         self._flush_replica_locked(replica)
                     except BaseException:  # noqa: BLE001 - runtime may
                         break  # already be unusable; fail below instead
-                while replica.pending:
-                    future, _value = replica.pending.popleft()
-                    self._inflight_total -= 1
-                    self._finish_locked(
-                        future,
-                        exc=self._dead_error
-                        or BackendError("ActorPool closed with queued calls"),
-                    )
+                self._fail_pending_locked(
+                    replica,
+                    self._dead_error
+                    or BackendError("ActorPool closed with queued calls"),
+                )
             if not self._event_driven:
                 while self._order:
                     self._sim_resolve(self._order.popleft())

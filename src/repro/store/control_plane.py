@@ -326,13 +326,6 @@ class ControlPlane:
 
         return self._op(from_node, function_id, apply)
 
-    def function_get(self, from_node: NodeID, function_id: FunctionID) -> Generator:
-        def apply() -> Optional[dict]:
-            metadata = self._functions.get(function_id)
-            return dict(metadata) if metadata is not None else None
-
-        return self._op(from_node, function_id, apply)
-
     # ------------------------------------------------------------------
     # Node liveness (heartbeats)
     # ------------------------------------------------------------------
@@ -402,9 +395,6 @@ class ControlPlane:
 
         return self._op(from_node, f"sub:{channel}", apply)
 
-    def async_publish(self, *args: Any, **kwargs: Any) -> None:
-        self._async(self.publish(*args, **kwargs), "publish")
-
     # ------------------------------------------------------------------
     # Zero-cost debug accessors (tests and tools only)
     # ------------------------------------------------------------------
@@ -416,9 +406,3 @@ class ControlPlane:
     def debug_task(self, task_id: TaskID) -> Optional[TaskEntry]:
         entry = self._tasks.get(task_id)
         return entry.snapshot() if entry is not None else None
-
-    def debug_tasks(self) -> list:
-        return [entry.snapshot() for entry in self._tasks.values()]
-
-    def debug_nodes(self) -> dict:
-        return dict(self._nodes)

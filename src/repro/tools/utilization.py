@@ -29,10 +29,6 @@ class UtilizationProfile:
     def num_bins(self) -> int:
         return len(self.bin_edges) - 1
 
-    def mean_utilization(self, node: str) -> float:
-        series = self.per_node.get(node)
-        return float(np.mean(series)) if series is not None else 0.0
-
     def cluster_series(self) -> np.ndarray:
         """Total busy worker-count per bin, summed over nodes."""
         if not self.per_node:

@@ -76,11 +76,6 @@ def should_inline(num_bytes: int, threshold: int = DEFAULT_INLINE_THRESHOLD) -> 
     return num_bytes <= threshold
 
 
-def have_portable_serializer() -> bool:
-    """Whether by-value code serialization (cloudpickle) is available."""
-    return _cloudpickle is not None
-
-
 def serialize_portable(value: Any) -> bytes:
     """Serialize ``value`` so it survives a process boundary.
 

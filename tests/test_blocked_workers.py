@@ -7,6 +7,7 @@ behaviour: blocked workers release resources; replacements backfill).
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -110,6 +111,57 @@ def test_shutdown_does_not_wait_out_a_worker_blocked_in_get(backend):
     assert not [pid for pid in pids if _running(pid)]
     assert set(os.listdir("/dev/shm")) <= segments
     del blocked
+
+
+@repro.remote
+def nap(seconds):
+    time.sleep(seconds)
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize(
+    "backend,end",
+    [("local", "shutdown"), ("proc", "shutdown"), ("dist", "shutdown"),
+     ("proc", "fail_driver")],
+)
+def test_driver_threads_blocked_in_get_and_wait_end_with_the_runtime(backend, end):
+    """The driver's half of never-a-hang: a thread blocked in ``get`` or
+    ``wait`` when another one ends the runtime comes back with
+    ``BackendError`` instead of sleeping on a cond nobody will notify."""
+    runtime = repro.init(backend=backend, **SMALLEST_POOLS[backend])
+    store = runtime._control  # fail_driver() leaves it to its owner
+    ref = nap.remote(30.0)
+    outcomes = {}
+
+    def blocked(name, call):
+        try:
+            outcomes[name] = call()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            outcomes[name] = exc
+
+    threads = [
+        threading.Thread(
+            target=blocked, args=("get", lambda: repro.get(ref)), daemon=True
+        ),
+        threading.Thread(
+            target=blocked, args=("wait", lambda: repro.wait([ref])), daemon=True
+        ),
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.3)  # both are waiting by now (a sooner end is as good)
+    try:
+        getattr(runtime, end)()
+        deadline = time.monotonic() + 2.0
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not [t for t in threads if t.is_alive()], "still blocked after 2 s"
+    finally:
+        repro.shutdown()
+        store.close()
+    for name in ("get", "wait"):
+        assert isinstance(outcomes[name], BackendError), (name, outcomes[name])
+        assert "shut down" in str(outcomes[name])
 
 
 def test_removed_dispatch_mode_is_refused_by_name():

@@ -192,12 +192,12 @@ def test_option_variants_share_one_registration():
     runtime = repro.init(backend="proc", num_workers=1, seed=3)
     try:
         assert repro.get(tick.options(name="t").remote(0), timeout=60.0) == 1
-        registered = len(runtime._functions)
+        registered = len(runtime.functions)
         before = runtime.stats()["sched"]
         refs = [tick.options(name="t").remote(i) for i in range(200)]
         assert repro.get(refs, timeout=60.0) == [i + 1 for i in range(200)]
         after = runtime.stats()["sched"]
-        assert len(runtime._functions) == registered
+        assert len(runtime.functions) == registered
         assert tick.options(name="t") is tick.options(name="t")
         assert tick.options(name="t")._function_id(runtime) == tick._function_id(runtime)
         frames = after["frames_sent"] - before["frames_sent"]
@@ -340,9 +340,9 @@ def test_entry_is_compact_and_the_function_crosses_once(pool):
 
 def test_respawned_worker_is_sent_the_function_again(pool):
     assert repro.get(tick.remote(1), timeout=60.0) == 2
-    function_id = tick._function_id(pool)
+    function_hex = tick._function_id(pool).hex
     first = pool._workers[0]
-    assert function_id in first.functions_sent
+    assert function_hex in first.functions_sent
     pool.kill_worker(0)
     # The crash is noticed at the next dispatch; the task replays on the
     # replacement, which has never seen the function: it can only run it
@@ -350,7 +350,7 @@ def test_respawned_worker_is_sent_the_function_again(pool):
     assert repro.get(tick.remote(2), timeout=60.0) == 3
     replacement = pool._workers[0]
     assert replacement is not first and pool.stats()["workers_crashed"] == 1
-    assert function_id in replacement.functions_sent
+    assert function_hex in replacement.functions_sent
     recorder = _record_frames(pool)
     assert repro.get(tick.remote(3), timeout=60.0) == 4
     assert [frame[2] for frame in recorder.frames] == [{}]
@@ -405,9 +405,9 @@ def test_worker_born_entry_decodes_like_a_driver_born_one():
     spec = template.stamp(ids, (1,), {"k": 2}, None, parent, parent)
     entry = msg.encode_entry(spec, None)
     assert entry[msg.ENTRY_INLINE] is None
-    templates = {}
-    msg.register_functions(templates, {entry[1]: ("tick", b"code")})
-    decoded = msg.decode_entry(pickle.loads(pickle.dumps(entry)), templates)
+    functions = msg.FunctionTable()
+    functions.learn({entry[1]: ("tick", b"code")})
+    decoded = msg.decode_entry(pickle.loads(pickle.dumps(entry)), functions)
     for name in (
         "task_id", "function_id", "function_name", "return_object_ids",
         "num_returns", "resources", "max_reconstructions", "root_task_id",

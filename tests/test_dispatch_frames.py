@@ -177,7 +177,7 @@ def test_window_ships_in_one_frame_and_reports_coalesced(pool):
     assert after["done_frames"] - before["done_frames"] < 30
     # The function's code crossed the wire with the first task only.
     worker = pool._workers[0]
-    assert tiny._function_id(pool) in worker.functions_sent
+    assert tiny._function_id(pool).hex in worker.functions_sent
 
 
 @pools(1)
@@ -684,8 +684,8 @@ def test_each_task_is_run_or_granted_or_cancelled_exactly_once(seed, monkeypatch
 
     template = repro.remote(body)._bind(worker.proxy)
     function_hex = template.function_id.hex
-    worker._functions[function_hex] = body
-    msg.register_functions(worker._templates, {function_hex: ("body", None)})
+    worker.functions.add(function_hex, "body", body)
+    worker.functions_sent.add(function_hex)  # as if a frame's table brought it
     entries = []
     for index in range(60):
         spec = template.stamp(worker.ids, (index,), {}, worker.node_id)

@@ -141,3 +141,32 @@ class TestDiagnosis:
         report = diagnose(excinfo.value, sim_runtime)
         # The error names the *origin* task, not the downstream victim.
         assert "boom" in report
+
+
+def test_code_lines_counts_statements_not_prose():
+    """``scripts/code_lines.py`` (the size measure ROADMAP item 2 is
+    judged by): blank lines, comment-only lines and docstrings do not
+    count; every line of a multi-line statement does."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = '''"""Module docstring,
+two lines."""
+
+import os  # a trailing comment does not uncount its line
+
+# a comment-only line
+
+
+def f(a,
+      b):
+    """Docstring."""
+    text = """a string that is data
+    counts on both lines"""
+    return os.sep, a, b, text
+'''
+    assert module.code_lines(source) == 6
