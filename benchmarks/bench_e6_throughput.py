@@ -492,7 +492,17 @@ def nested_spawn_and_get():
     return repro.get(nested_noop.remote(), timeout=60.0)
 
 
+@repro.remote
+def nested_fan_out(count):
+    """A worker-born fan-out gathered inside the task: on one worker
+    every child runs inline, inside the get."""
+    return sum(repro.get([nested_noop.remote() for _ in range(count)], timeout=60.0))
+
+
 NESTED_ROUND_TRIPS = 50
+
+#: Sequential ``nested_fan_out(100)`` calls behind the frame count.
+NESTED_FANOUTS = 20
 
 
 def _nested_storm() -> dict:
@@ -531,6 +541,25 @@ def _nested_storm() -> dict:
     }
 
 
+def _done_frames_per_fanout() -> float:
+    """``DONE`` frames the driver applies per ``nested_fan_out(100)`` on
+    a one-worker pool: how many times a fan-out's children report, which
+    is a count of messages and does not depend on this host's speed."""
+    repro.init(backend="proc", num_workers=1)
+    try:
+        runtime = repro.get_runtime()
+        before = None
+        for _ in range(1 + NESTED_FANOUTS):  # the first one warms
+            assert repro.get(
+                nested_fan_out.remote(NESTED_PER_SPAWNER), timeout=60.0
+            ) == NESTED_PER_SPAWNER
+            if before is None:
+                before = runtime.stats()["sched"]["done_frames"]
+        return (runtime.stats()["sched"]["done_frames"] - before) / NESTED_FANOUTS
+    finally:
+        repro.shutdown()
+
+
 def test_e6_proc_nested_storm(benchmark):
     """Worker-born tasks with locally resident args ride the fast path
     (no driver round trip per submission), and a task that spawns one
@@ -547,12 +576,13 @@ def test_e6_proc_nested_storm(benchmark):
         return best
 
     storm = benchmark.pedantic(run_rounds, rounds=1, iterations=1)
+    done_frames = _done_frames_per_fanout()
 
     print_table(
         f"E6: nested-task storm ({NESTED_SPAWNERS} spawners x "
         f"{NESTED_PER_SPAWNER} children)",
         ["tasks", "makespan", "throughput", "submit latency",
-         "spawn+get rtt", "placed local", "stolen"],
+         "spawn+get rtt", "placed local", "stolen", "DONE frames / fan-out"],
         [
             (
                 storm["tasks"],
@@ -562,6 +592,7 @@ def test_e6_proc_nested_storm(benchmark):
                 f"{storm['rtt'] * 1e3:.2f} ms",
                 storm["sched"]["tasks_placed_local"],
                 storm["sched"]["tasks_stolen"],
+                f"{done_frames:.1f}",
             )
         ],
     )
@@ -571,6 +602,9 @@ def test_e6_proc_nested_storm(benchmark):
             # machine-independent "no timer on this path" gate (it read
             # 22 ms, one steal-poll tick, until the poll was deleted).
             "proc_nested_rtt_ms": round(storm["rtt"] * 1e3, 3),
+            # Children run inline inside their parent's get report
+            # together: one frame per flush point, not one per child.
+            "proc_nested_done_frames_per_fanout": round(done_frames, 2),
             "proc_nested_env": environment_stamp(),
         }
     )

@@ -79,7 +79,18 @@ one in each worker for the driver.
   sends ``GET``/``WAIT``, its worker runs inline — on the blocked task's
   stack, control drained and the caller's deadline checked before each
   — every queued task that *produces* a ref it is about to wait for:
-  no message at all.  Work it waits for only *indirectly* (the inputs
+  no message at all.  Their completions are held like a frame tail's
+  (the parent is blocked on them and reports nothing meanwhile), and a
+  ``get`` whose inline runs produced every value it asked for reads
+  them from those results and sends no ``GET`` — when each blob is
+  bytes (a descriptor is sealed only by the ``DONE``), no producer
+  failed, no requested id escaped the worker, and no ``CANCEL_NOTICE``
+  naming a producer was read after it ran (the worker drains control
+  once more before it answers).  A cancel it has not read by then
+  counts as arriving after the child finished — an order the driver can
+  give it anyway — and an unescaped ref has no second reader who could
+  see another outcome.  Otherwise one ``GET`` asks for the whole list.
+  Work it waits for only *indirectly* (the inputs
   of a spilled ``combine(*refs)``) it cannot find that way: the driver
   thread serving the rpc then sends ``STEAL_REQUEST`` to the blocked
   worker *itself*, the child answers from its reply-wait loop, and that
@@ -107,19 +118,25 @@ one in each worker for the driver.
   blob per return slot (result bytes, or a :class:`ShmDescriptor` the
   worker already filled and the driver seals on receipt), the failure
   flag the driver needs for actor bookkeeping, and the measured time.
-  The worker coalesces completions and flushes them at **three
+  The worker coalesces completions — a frame tail's, and those of the
+  children a blocked parent runs inline — and flushes them at **three
   points**: when its queue drains (``idle=True``: the session is over
   and it parks awaiting the next frame; the list may then be empty —
   everything shipped was stolen or cancelled), before any rpc request
   (so the driver never serves a request with stale knowledge, and a
   blocked worker holds nothing back), and at the first task boundary at
-  least ``FRAME_BUDGET_S`` after the oldest buffered completion.
-  The driver applies a whole frame under one lock hold.
+  least ``FRAME_BUDGET_S`` after the oldest buffered completion (or
+  notice).  A task that outlasts a watchdog tick without reaching one
+  of them has what it holds sent by the watchdog thread.  The driver
+  applies a whole frame under one lock hold.
 
 Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
 batched and flushed before any other outbound message, so the driver
 registers lineage and mirror state causally first; it acks a batch with
-one ``PLACED``.  The driver's one-way messages (``STEAL_REQUEST``,
+one ``PLACED``.  A notice is held at most one watchdog tick: a parent
+that fans out and then computes, or a chain of inline runs, does not
+hide its children from the mirror (and so from idle peers) until it
+next touches the pipe.  The driver's one-way messages (``STEAL_REQUEST``,
 ``CANCEL_NOTICE``, ``PLACED``) may arrive at the worker interleaved
 with request replies; the worker processes them at every pipe
 touch-point — before dispatching each local task, inside its reply-wait

@@ -82,9 +82,10 @@ from repro.sched_plane.queues import LocalTaskQueue
 from repro.utils.ids import IDGenerator, NodeID, ObjectID
 
 #: The watchdog thread's tick (see ``ProcWorker._watch_done``): how long
-#: a buffered completion may wait for the next task boundary before it
-#: is sent anyway, and how long a task runs before the watchdog starts
-#: answering the driver's control messages in the main thread's place.
+#: a buffered completion or ``SUBMIT_LOCAL`` notice may wait for the
+#: next task boundary before it is sent anyway, and how long a task runs
+#: before the watchdog starts answering the driver's control messages in
+#: the main thread's place.
 _DONE_WATCHDOG_S = 0.005
 
 #: Descriptors a worker remembers (``ProcWorker._known_shm``).
@@ -175,12 +176,20 @@ class WorkerRuntime:
         return self._worker.rpc(msg.GET_ACTOR, name)
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any:
+        """Work-first: run the producers queued here first
+        (:meth:`ProcWorker.run_producers`).  When those runs produced
+        every requested value, the values are read from their results and
+        no ``GET`` is sent (:meth:`ProcWorker.answer` says when that is
+        allowed); otherwise one ``GET`` asks the driver for the whole
+        list."""
+        worker = self._worker
         ref_list, single = normalize_get_refs(refs)
-        timeout = self._worker.run_producers(ref_list, timeout, len(ref_list))
-        blobs = self._worker.rpc(
-            msg.GET, [ref.object_id for ref in ref_list], timeout
-        )
-        values = [unwrap_loaded(self._worker.materialize(blob)) for blob in blobs]
+        ran: dict = {}
+        timeout = worker.run_producers(ref_list, timeout, len(ref_list), ran)
+        blobs = worker.answer(ref_list, ran) if ran else None
+        if blobs is None:
+            blobs = worker.rpc(msg.GET, [ref.object_id for ref in ref_list], timeout)
+        values = [unwrap_loaded(worker.materialize(blob)) for blob in blobs]
         return values[0] if single else values
 
     def wait(
@@ -311,10 +320,10 @@ class ProcWorker:
         #: Fast-path notices buffered for the next pipe touch — the
         #: tasks' wire entries, and the rows of the functions this
         #: worker submits for the first time: batching turns a
-        #: K-task fan-out's control traffic into one send.  The
-        #: flush-before-every-outbound-message discipline (see
-        #: :meth:`_flush_notices`) keeps the causal order the mirror
-        #: depends on.
+        #: K-task fan-out's control traffic into one send (or the
+        #: watchdog's, a tick later).  The flush-before-every-outbound-
+        #: message discipline (see :meth:`_flush_notices`) keeps the
+        #: causal order the mirror depends on.
         self._pending_notices: list = []
         self._pending_rows: list = []  # function hexes
         #: What a function id means here: what TASK frames' tables
@@ -323,9 +332,13 @@ class ProcWorker:
         #: The functions the driver has: it sent them, or was sent them.
         self.functions_sent: set = set()
         #: Completions not yet reported — ``(task_hex, blobs,
-        #: failed, exec_seconds)`` — and when the oldest was buffered.
+        #: failed, exec_seconds)`` — and when the oldest of them and of
+        #: the notices above was buffered.
         self._done: list = []
-        self._done_since = 0.0
+        self._held_since = 0.0
+        #: Tasks a ``get`` ran inline whose results may still answer it
+        #: (:meth:`answer`); a CANCEL_NOTICE read for one takes it out.
+        self._answerable: set = set()
         #: Guards the pipe's send side, the two outbound buffers
         #: (``_pending_notices``, ``_done``) and ``local_queue``: the
         #: watchdog thread flushes the former and grants from the latter
@@ -338,11 +351,11 @@ class ProcWorker:
         #: ``_out_lock``, never after.
         self._in_lock = threading.RLock()
         #: Set while there is something for the watchdog to watch over —
-        #: completions held across the start of another task, or a
-        #: frame's tail queued behind a task the driver only estimated:
-        #: what it sleeps on (a tick is a thread hand-off, and a worker
-        #: running one short task after another should not pay 200 a
-        #: second for nothing).
+        #: completions held across the start of another task, notices a
+        #: task that computes on has not sent, or a frame's tail queued
+        #: behind a task the driver only estimated: what it sleeps on (a
+        #: tick is a thread hand-off, and a worker running one short task
+        #: after another should not pay 200 a second for nothing).
         self._armed = threading.Event()
         #: Shared-memory descriptors this process has seen (attached
         #: arguments, sealed puts), used for residency checks and to
@@ -568,15 +581,22 @@ class ProcWorker:
         mispredicted, blocked, or waiting on something the driver only
         does once it has seen an earlier result — cannot hold up.  It
         ticks every ``_DONE_WATCHDOG_S`` while armed: from the moment
-        completions are held across a task start, or a frame's tail is
-        queued, until nothing is held and the queue is empty.
+        completions are held across a task start, a ``SUBMIT_LOCAL``
+        notice is buffered, or a frame's tail is queued, until nothing
+        is held and the queue is empty.
 
         *Completions* are buffered on the expectation that another task
         boundary follows within the frame budget (``FRAME_BUDGET_S``,
         the driver's frame rule: ``DispatchPlane.claim_frame`` sized the
-        frame by estimates this worker reported); such a task would sit
-        on its frame mates' results for as long as it runs.  Whatever
-        has waited a tick without a boundary is sent from here.
+        frame by estimates this worker reported — or a blocked parent
+        running its children inline); such a task would sit on its
+        frame mates' or siblings' results for as long as it runs.
+        *Notices* wait for the task that submitted them to touch the
+        pipe; one that computes on — a parent that fans out and then
+        works, a chain of inline runs — would hide its children from
+        the driver's mirror, and so from every idle peer.  Whatever has
+        waited a tick without a boundary is sent from here, notices
+        first (:meth:`_flush_done`).
 
         *Control messages* are read between tasks, so such a task would
         also sit on the queue behind it: an idle peer's STEAL_REQUEST
@@ -607,8 +627,8 @@ class ProcWorker:
                     finally:
                         self._in_lock.release()
                 with self._out_lock:
-                    if self._done:
-                        if time.monotonic() - self._done_since >= _DONE_WATCHDOG_S:
+                    if self._done or self._pending_notices:
+                        if time.monotonic() - self._held_since >= _DONE_WATCHDOG_S:
                             self._flush_done()
                     elif not self.local_queue:
                         self._armed.clear()
@@ -680,27 +700,41 @@ class ProcWorker:
                 self._run_queued(queued[1])
             self._flush_done(idle=True)
 
-    def _run_queued(self, item: tuple, inline_run: bool = False) -> None:
+    def _run_queued(self, item: tuple, inline_run: bool = False) -> tuple:
         """Run one task taken off the local queue — by the session loop
         from its head, or (``inline_run``) by :meth:`run_producers`
-        from wherever it stood."""
+        from wherever it stood — and return its ``(blobs, failed)``.
+
+        Only a task the driver budgeted (a frame's tail) or one its
+        blocked parent runs inline may start with results held back; a
+        locally-born task the session loop reaches can take arbitrarily
+        long, or be what a ref just returned to the driver is waiting
+        on, so it reports what is held first.  An inline run's parent is
+        blocked on it and returns nothing to the driver meanwhile: its
+        children's completions ride together, like a tail's, to the
+        next flush point."""
         entry, windowed = item
-        if not windowed:
-            # Only tasks the driver budgeted may run with results held
-            # back: a locally-born task can take arbitrarily long, or be
-            # what a ref just returned to the driver is waiting on.
+        if not (windowed or inline_run):
             self._flush_done()
         elif self._done and not self._armed.is_set():
             self._armed.set()  # held across a task: watch it
-        self._run_task(entry, inline_run)
+        return self._run_task(entry, inline_run)
 
     def run_producers(
-        self, refs: list, timeout: Optional[float], limit: int
+        self,
+        refs: list,
+        timeout: Optional[float],
+        limit: int,
+        ran: Optional[dict] = None,
     ) -> Optional[float]:
         """Work-first ``get``/``wait``: before this worker blocks on
         ``refs``, run — here, now, on the blocked task's stack — up to
         ``limit`` of the tasks in its own queue that produce them, and
         return what is left of ``timeout`` for the rpc that follows.
+        Their completions are held (:meth:`_run_queued`).  A ``get``
+        passes ``ran``, which collects what each run produced —
+        ``{return_hex: (task_hex, blob, or None if the task failed)}`` —
+        for :meth:`answer`.
 
         The queue's owner is still its only executor, so the rules are
         the session loop's: control is drained before each task (a
@@ -723,13 +757,64 @@ class ProcWorker:
                 break
             with self._out_lock:
                 item = queue.remove(queue.producer_of(return_hex))
+                if item is not None and ran is not None:
+                    # From now on a cancel read for it — by the
+                    # watchdog, mid-run — takes it out again.
+                    self._answerable.add(item[0][0])
             if item is None:
                 continue  # cancelled or granted away just now
-            self._run_queued(item, inline_run=True)
+            blobs, failed = self._run_queued(item, inline_run=True)
+            if ran is not None:
+                task_hex, _function, return_hexes = item[0][:3]
+                for produced, blob in zip(return_hexes, blobs):
+                    ran[produced] = (task_hex, None if failed else blob)
             limit -= 1
         if deadline is None:
             return None
         return max(0.0, deadline - time.monotonic())
+
+    def answer(self, refs: list, ran: dict) -> Optional[list]:
+        """The blobs of ``refs`` read from what the ``get``'s own inline
+        runs produced (``ran``, :meth:`run_producers`), or None: the
+        driver is asked.  A ref is answered here only if
+
+        * its producer ran in this get and did not fail (its blob is
+          None then);
+        * its blob is bytes — a ``ShmDescriptor`` is sealed only when
+          the driver receives the ``DONE``;
+        * its id never escaped this process — an unescaped ref has no
+          second reader who could see a different outcome;
+        * no ``CANCEL_NOTICE`` naming its producer was read since it ran
+          — the control drain here is the last chance.  A cancel the
+          worker has not read yet counts as arriving after the task
+          finished, which is an order the driver can give it too.
+
+        Every ref must pass, or none is answered here."""
+        blobs = []
+        for ref in refs:
+            found = ran.get(ref.object_id.hex)
+            if found is None or not isinstance(found[1], bytes):
+                blobs = None
+                break
+            blobs.append(found[1])
+        if blobs is not None:
+            self._drain_control()
+        tasks = {task_hex for task_hex, _blob in ran.values()}
+        with self._out_lock:
+            if blobs is not None and not tasks <= self._answerable:
+                blobs = None  # a cancel named one of them
+            self._answerable -= tasks
+            if blobs is not None:
+                escaped, reported = self._escaped, self._reported
+                if self._refs.escaped:
+                    self._refs.drain(escaped, died=False)
+                for ref in refs:
+                    object_hex = ref.object_id.hex
+                    if object_hex in escaped or object_hex in reported:
+                        return None
+        if blobs is not None and self.obs.enabled:
+            self.obs.record("get_local", task_id=str(self._cur_task), refs=len(refs))
+        return blobs
 
     def _await_frame(self) -> bool:
         """Park on the pipe between sessions; False means shutdown."""
@@ -777,9 +862,10 @@ class ProcWorker:
                 self._armed.set()
         self._run_task(entries[0])
 
-    def _run_task(self, entry: tuple, inline_run: bool = False) -> None:
+    def _run_task(self, entry: tuple, inline_run: bool = False) -> tuple:
         """Execute one task and buffer its completion — flushed here
-        once the oldest buffered one has waited out the frame budget."""
+        once the oldest buffered one has waited out the frame budget;
+        returns ``(blobs, failed)``."""
         refs = self._refs
         if refs.born:
             with self._out_lock:
@@ -793,11 +879,12 @@ class ProcWorker:
         if self.shm is not None:
             self.shm.settle_leases()
         with self._out_lock:
-            if not self._done:
-                self._done_since = now
+            if not (self._done or self._pending_notices):
+                self._held_since = now
             self._done.append((entry[0], data, failed, now - started))
-            if now - self._done_since >= FRAME_BUDGET_S:
+            if now - self._held_since >= FRAME_BUDGET_S:
                 self._flush_done()
+        return data, failed
 
     def _report_survivors(self, mark: int) -> None:
         """A task ended: every ref instance it received or created
@@ -857,9 +944,11 @@ class ProcWorker:
             return True
         if tag == msg.CANCEL_NOTICE:
             # The worker-side dispatch-time drop: gone from the queue,
-            # the task can never be popped, so it never executes.
+            # the task can never be popped, so it never executes.  One
+            # that already ran inline may no longer answer its get.
             with self._out_lock:
                 self.local_queue.remove(message[1])
+                self._answerable.discard(message[1])
             return True
         if tag == msg.PLACED:
             with self._out_lock:
@@ -903,15 +992,23 @@ class ProcWorker:
             entry = msg.encode_entry(spec, self._local_slot)
         # The notice is one-way and *buffered* — this is the zero
         # round-trip path: a fan-out's notices coalesce into a single
-        # send at the next pipe touch, and the driver's (batched)
-        # PLACED ack arrives asynchronously, carrying the lineage
-        # guarantee.  _flush_notices() before every other outbound
-        # message is what keeps the mirror causally ahead of any DONE
-        # or STEAL_GRANT that could mention the task.
+        # send at the next pipe touch (or watchdog tick), and the
+        # driver's (batched) PLACED ack arrives asynchronously, carrying
+        # the lineage guarantee.  _flush_notices() before every other
+        # outbound message is what keeps the mirror causally ahead of
+        # any DONE or STEAL_GRANT that could mention the task.  The
+        # first one held arms the watchdog: a parent that goes on
+        # computing must not hide its children from idle peers
+        # (_watch_done).
         with self._out_lock:
+            first = not self._pending_notices
+            if first and not self._done:
+                self._held_since = time.monotonic()
             self._pending_rows.extend(self.rows_to_tell(template))  # its keys
             self._pending_notices.append(entry)
             self.local_queue.push(entry[0], (entry, False), entry[2])
+        if first and not self._armed.is_set():
+            self._armed.set()
         if self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,

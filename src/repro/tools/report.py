@@ -57,6 +57,12 @@ def run_report(runtime, include_gantt: bool = False, gantt_width: int = 72) -> s
     )
     if inline:
         sections.append(f"  {inline} task(s) ran inline, inside their parent's get")
+    answered = len(log.filter(kind="get_local"))
+    if answered:
+        sections.append(
+            f"  {answered} get(s) answered on the worker from results it had "
+            "just produced"
+        )
     recalled = sum(
         1 for record in log.filter(kind="task_stolen") if record.get("midtask")
     )

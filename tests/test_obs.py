@@ -367,6 +367,23 @@ class TestProcAcceptance:
         assert "add" in report
         repro.shutdown()
 
+    def test_a_get_answered_on_the_worker_is_a_span(self):
+        """One worker: ``fan``'s four children run inside its get, which
+        then reads their results where they were produced."""
+        runtime = repro.init(backend="proc", num_workers=1, tracing=True)
+        assert repro.get(fan.remote(4), timeout=60.0) == 12
+        log = resolve_event_log(runtime)
+        (answered,) = log.filter(kind="get_local")
+        (started,) = [
+            r for r in log.filter(kind="task_started") if r.get("function") == "fan"
+        ]
+        assert answered.get("task_id") == started.get("task_id")
+        assert answered.get("refs") == 4
+        assert answered.get("worker") == "worker-0"
+        report = repro.trace_report()
+        assert "1 get(s) answered on the worker from results it had just" in report
+        repro.shutdown()
+
 
 class TestDistAcceptance:
     def test_trace_spans_nodes_and_report_renders(self):
