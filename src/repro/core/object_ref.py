@@ -50,7 +50,8 @@ class RefLedger:
         self.counts: dict[str, int] = {}
         #: Every hex a drain saw born, in order (worker processes only:
         #: what a task received or created is what it is asked about
-        #: when it ends); None when not tracked.
+        #: when it ends — the worker swaps in the list of the thread
+        #: that runs tasks now); None when not tracked.
         self.touched: Optional[list] = [] if track_touched else None
 
     def drain(self, escaped: set, died: bool = True) -> list:

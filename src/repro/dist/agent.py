@@ -13,10 +13,10 @@ workers:
   entry's inline arguments feed the node cache, each ``DONE``
   completion's blobs pass through the node-arena rewrite.  Optional
   trailing elements (``DONE``'s obs blob, ``STEAL_GRANT``'s mid-task
-  mark) ride through untouched, and control messages are forwarded the
-  moment they arrive in either direction — a worker's watchdog answers
-  a ``STEAL_REQUEST`` while its main thread is inside a task, which is
-  what lets frames to a node be as large as the budget allows.
+  mark, a late reply's key) ride through untouched, and control
+  messages are forwarded the moment they arrive in either direction — a
+  worker's reader answers a ``STEAL_REQUEST`` while a task runs there,
+  which is what lets frames to a node be as large as the budget allows.
 * **Node data plane.**  The object-plane requests it *does* care about
   are served locally when possible: a worker's ``SHM_CREATE`` for a
   result is granted from the **node's** arena (the driver never sees the
@@ -55,24 +55,14 @@ from repro.proc.worker import worker_main
 from repro.utils.ids import NodeID
 from repro.dist import protocol as ctl
 
-#: Request tags the agent may forward upstream and must pair with the
-#: driver's OK/ERR replies (the per-channel reply stack).  Everything a
-#: worker sends that is not one of these is a one-way report.
-_REQUEST_TAGS = frozenset(
-    {
-        msg.FETCH, msg.SUBMIT, msg.GET, msg.WAIT, msg.PUT, msg.CANCEL,
-        msg.CREATE_ACTOR, msg.CALL_ACTOR, msg.GET_ACTOR,
-        msg.SHM_ATTACH, msg.SHM_CREATE, msg.SHM_SEAL, msg.SHM_ABORT,
-    }
-)
-
 #: Main-loop select timeout: an upper bound on command latency only —
 #: every message edge is an fd-readable event.
 _LOOP_TIMEOUT = 0.25
 
 
 class _WorkerSlot:
-    """One local worker: its pipe, process, and pending-reply stack."""
+    """One local worker: its pipe, process, and the requests it has
+    out."""
 
     def __init__(self, channel: int, global_index: int) -> None:
         self.channel = channel
@@ -81,12 +71,13 @@ class _WorkerSlot:
         self.process: Any = None
         self.pid: Optional[int] = None
         self.alive = False
-        #: Forwarded request tags awaiting a driver reply, innermost
-        #: last — requests nest strictly (the worker is single-threaded,
-        #: reentrant tasks stack), so each downstream OK/ERR pops the
-        #: top.  Entries are ``(tag, detail)`` where detail is what the
-        #: reply cache needs (object id(s)).
-        self.pending: list = []
+        #: Forwarded requests whose reply moves object bytes the node
+        #: cache keeps, ``(tag, object id(s))``.  Only the task that
+        #: holds the worker's token sends requests, one at a time, so
+        #: the one out is under ``None`` (every reply takes it), and a
+        #: PENDING moves it under the key its late reply (an OK/ERR that
+        #: carries the key) names.
+        self.pending: dict = {}
 
 
 class NodeAgent:
@@ -247,17 +238,21 @@ class NodeAgent:
             for entry in message[1]:
                 for object_id, data in (entry[msg.ENTRY_INLINE] or {}).items():
                     self._cache_bytes(object_id, data)
-        elif tag in (msg.OK, msg.ERR) and slot.pending:
-            self._note_reply(slot.pending.pop(), tag, message[1])
+        elif tag in (msg.OK, msg.ERR, msg.PENDING):
+            request = slot.pending.pop(message[2] if len(message) > 2 else None, None)
+            if tag == msg.PENDING:
+                slot.pending[message[1]] = request
+            else:
+                self._note_reply(request, tag, message[1])
         try:
             slot.conn.send(message)
         except (OSError, EOFError, BrokenPipeError):
             self._worker_died(slot)
 
-    def _note_reply(self, pending: tuple, tag: str, value: Any) -> None:
+    def _note_reply(self, pending: Optional[tuple], tag: str, value: Any) -> None:
         """Cache the payload of a driver reply that moved object bytes
         across the node boundary (the pull half of fetch-once-per-node)."""
-        if tag != msg.OK:
+        if tag != msg.OK or pending is None:
             return
         kind, detail = pending
         if kind in (msg.FETCH, msg.SHM_ATTACH):
@@ -367,13 +362,13 @@ class NodeAgent:
             if data is not None:
                 slot.conn.send((msg.OK, data))
                 return
-            slot.pending.append((tag, message[1]))
+            slot.pending[None] = (tag, message[1])
         elif tag == msg.SHM_ATTACH:
             blob = self.stores.blob_for(message[1])
             if blob is not None:
                 slot.conn.send((msg.OK, blob))
                 return
-            slot.pending.append((tag, message[1]))
+            slot.pending[None] = (tag, message[1])
         elif tag == msg.SHM_CREATE:
             object_id, nbytes = message[1], message[2]
             if object_id is not None:
@@ -388,7 +383,6 @@ class NodeAgent:
             # object_id=None is the put path: the driver owns put ids,
             # and it answers None (no driver arena on dist) — the put
             # ships as bytes and stays driver-resident.
-            slot.pending.append((tag, None))
         elif tag == msg.SHM_ABORT:
             # Every grant on this node came from this agent; hand the
             # space back and answer locally.
@@ -396,15 +390,13 @@ class NodeAgent:
             slot.conn.send((msg.OK, None))
             return
         elif tag == msg.GET:
-            slot.pending.append((tag, list(message[1])))
+            slot.pending[None] = (tag, list(message[1]))
         elif tag == msg.DONE and self.shm is not None:
             completions = [
                 (task_hex, self._seal_result_blobs(blobs), failed, exec_seconds)
                 for task_hex, blobs, failed, exec_seconds in message[1]
             ]
             message = (tag, completions) + message[2:]
-        elif tag in _REQUEST_TAGS:
-            slot.pending.append((tag, None))
         self.link.send((slot.channel, message))
 
     def _seal_result_blobs(self, blobs: list) -> list:

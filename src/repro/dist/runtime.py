@@ -352,8 +352,8 @@ class DistRuntime(ProcRuntime):
 
     Dispatch frames are the same plane's (``DispatchPlane.claim_frame``),
     budget-sized like ``proc``'s own: what is shipped ahead to a node
-    stays recallable over TCP at any moment (``ProcWorker._watch_done``
-    answers for a worker that is inside a task), and a lost node charges
+    stays recallable over TCP at any moment (a worker's reader answers
+    while a task runs there), and a lost node charges
     each shipped-ahead task one lineage replay of its own budget — never
     one task more of them."""
 

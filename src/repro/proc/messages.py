@@ -5,13 +5,14 @@ The core is request/reply: while a task runs, the worker may issue any
 number of *requests* (fetch an argument, submit a nested task, block in
 ``get``/``wait``, ``put`` a value, create or call an actor), each
 answered by exactly one reply from the driver's per-worker service
-thread.  The worker is single-threaded, so requests never interleave and
-the protocol needs no sequence numbers.  Around that core, tasks go down
-in ``TASK`` frames and completions come back in ``DONE`` frames, which
-the two-level scheduling plane (:mod:`repro.sched_plane`) windows and
-coalesces, and **one-way messages** flow in both directions.  (The
-worker has one helper thread, its watchdog; who may read the pipe when
-is said below, under "who reads the worker's end".)
+thread.  Only the task holding the worker's execution token sends
+requests, and it waits for each reply, so requests never interleave and
+an immediate reply needs no sequence number; the one exception, a
+*parked* ``get``/``wait``, is named by a key (below).  Around that core,
+tasks go down in ``TASK`` frames and completions come back in ``DONE``
+frames, which the two-level scheduling plane (:mod:`repro.sched_plane`)
+windows and coalesces, and **one-way messages** flow in both
+directions.  (Who reads the worker's end is said below.)
 
 **What crosses the wire per task** is one *entry* — every task, however
 it was born, is this one positional tuple, written by
@@ -73,31 +74,43 @@ one in each worker for the driver.
   driver registers all of them as handed over to *run* — committed to
   that worker, nothing a ``STEAL_REQUEST`` can reach, lost with the
   actor if the worker dies — and ships no further call of that actor
-  until every one is reported (a call dispatched onto a worker blocked
-  in an earlier call of the same actor would run on top of it).
+  until every one is reported (a call dispatched while an earlier call
+  of the same actor is parked would run beside it and overtake it).
 * **What a blocked worker does with its own queue.**  Before a task
   sends ``GET``/``WAIT``, its worker runs inline — on the blocked task's
-  stack, control drained and the caller's deadline checked before each
-  — every queued task that *produces* a ref it is about to wait for:
-  no message at all.  Their completions are held like a frame tail's
-  (the parent is blocked on them and reports nothing meanwhile), and a
-  ``get`` whose inline runs produced every value it asked for reads
-  them from those results and sends no ``GET`` — when each blob is
-  bytes (a descriptor is sealed only by the ``DONE``), no producer
-  failed, no requested id escaped the worker, and no ``CANCEL_NOTICE``
-  naming a producer was read after it ran (the worker drains control
-  once more before it answers).  A cancel it has not read by then
-  counts as arriving after the child finished — an order the driver can
-  give it anyway — and an unescaped ref has no second reader who could
-  see another outcome.  Otherwise one ``GET`` asks for the whole list.
-  Work it waits for only *indirectly* (the inputs
-  of a spilled ``combine(*refs)``) it cannot find that way: the driver
-  thread serving the rpc then sends ``STEAL_REQUEST`` to the blocked
-  worker *itself*, the child answers from its reply-wait loop, and that
-  thread — the pipe's only reader — reads the ``STEAL_GRANT`` off it at
-  once (as it does for a grant owed to an idle peer's request), re-homes
-  the tasks through the global queue and injects them back as ``TASK``
-  frames the child runs reentrantly.
+  stack, the caller's deadline checked before each — every queued task
+  that *produces* a ref it is about to wait for: no message at all.
+  Their completions are held like a frame tail's (the parent is blocked
+  on them and reports nothing meanwhile), and a ``get`` whose inline
+  runs produced every value it asked for reads them from those results
+  and sends no ``GET`` — when each blob is bytes (a descriptor is sealed
+  only by the ``DONE``), no producer failed, no requested id escaped the
+  worker, and no ``CANCEL_NOTICE`` naming a producer was read after it
+  ran.  A cancel it has not read by then counts as arriving after the
+  child finished — an order the driver can give it anyway — and an
+  unescaped ref has no second reader who could see another outcome.
+  Otherwise one ``GET`` asks for the whole list.
+* **A parked request.**  A ``GET``/``WAIT`` the driver cannot answer at
+  once is answered ``(PENDING, key)``: the driver keeps it in the
+  worker's table of pending waits, and the task's thread parks and
+  gives up the worker's execution token.  Nothing else runs on its
+  stack.  The session goes on on another thread — the rest of the
+  queue, including work the task waits for only *indirectly* (the
+  inputs of a spilled ``combine(*refs)``), stealable by idle peers as
+  ever — and when nothing is left to run the worker reports idle: from
+  then on the driver serves it exactly like an idle worker (budget-sized
+  frames, steals).  The answer comes later as ``(OK, value, key)`` or
+  ``(ERR, exception, key)`` — a reply that names the parked request —
+  and the resumed task takes the token before any new task starts.  The
+  driver sends a late reply once the answer is due and it next hears
+  from the worker — after a request, after a ``DONE`` (a completion is
+  reported at most ``_DONE_WATCHDOG_S`` after its task ends), or at
+  once while the worker is idle.  So a parked task waits out at most
+  the task that holds the token when its answer comes in, and one that
+  starts before the reply reaches the worker.  A late reply reopens the
+  session, and may cross the worker's idle ``DONE``: that ``DONE``
+  counts the late replies the worker had read, and the driver takes the
+  session for closed only when the count is every one it sent.
 * **The budget rule** (applied by
   :meth:`repro.sched_plane.dispatch.DispatchPlane.claim_frame`).  A frame
   holds as many stateless tasks as fit
@@ -113,59 +126,53 @@ one in each worker for the driver.
   estimated above the budget, ships alone.  An actor's methods are
   estimated the same way (per actor and method), and its window is
   filled from its own calls only; a constructor always ships alone.
-* ``(DONE, [(task_hex, [blob, ...], failed, exec_seconds), ...], idle)``
+* ``(DONE, [(task_hex, [blob, ...], failed, exec_seconds), ...], late)``
   — what DONE carries per task is the raw id the entry came with, one
   blob per return slot (result bytes, or a :class:`ShmDescriptor` the
   worker already filled and the driver seals on receipt), the failure
   flag the driver needs for actor bookkeeping, and the measured time.
   The worker coalesces completions — a frame tail's, and those of the
   children a blocked parent runs inline — and flushes them at **three
-  points**: when its queue drains (``idle=True``: the session is over
-  and it parks awaiting the next frame; the list may then be empty —
-  everything shipped was stolen or cancelled), before any rpc request
+  points**: when it has nothing left to run (``late`` is then the count
+  of late replies read, None otherwise: the session is over and it
+  waits for the next frame; the list may then be empty — everything
+  shipped was stolen or cancelled), before any rpc request
   (so the driver never serves a request with stale knowledge, and a
   blocked worker holds nothing back), and at the first task boundary at
   least ``FRAME_BUDGET_S`` after the oldest buffered completion (or
-  notice).  A task that outlasts a watchdog tick without reaching one
-  of them has what it holds sent by the watchdog thread.  The driver
+  notice).  What a task that outlasts ``_DONE_WATCHDOG_S`` holds without
+  reaching one of them is sent by the worker's reader thread.  The driver
   applies a whole frame under one lock hold.
 
 Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
 batched and flushed before any other outbound message, so the driver
 registers lineage and mirror state causally first; it acks a batch with
-one ``PLACED``.  A notice is held at most one watchdog tick: a parent
-that fans out and then computes, or a chain of inline runs, does not
-hide its children from the mirror (and so from idle peers) until it
+one ``PLACED``.  A notice is held at most ``_DONE_WATCHDOG_S``: a
+parent that fans out and then computes, or a chain of inline runs, does
+not hide its children from the mirror (and so from idle peers) until it
 next touches the pipe.  The driver's one-way messages (``STEAL_REQUEST``,
 ``CANCEL_NOTICE``, ``PLACED``) may arrive at the worker interleaved
-with request replies; the worker processes them at every pipe
-touch-point — before dispatching each local task, inside its reply-wait
-loop, and while idle — and *during* a task that outlasts a watchdog
-tick.  Pipe FIFO ordering is the protocol's only
+with replies and frames; the worker's reader handles each the moment
+it arrives, whatever its tasks are doing.  Pipe FIFO ordering is the protocol's only
 synchronization: a ``SUBMIT_LOCAL`` always precedes any ``DONE`` or
 ``STEAL_GRANT`` that mentions its task, and a ``CANCEL_NOTICE`` always
 follows the ``TASK`` frame that shipped its task, so the driver's
 mirror of each worker queue is maintained in causal order.
 
-**Who reads the worker's end.**  One thread at a time, the holder of
-the worker's read-side lock.  The main thread holds it wherever it
-reads: draining control between tasks, parked for the next frame, and
-from the moment an rpc request goes out until its reply is in
-(reentrant frames included).  The watchdog thread — awake while
-completions are held or a frame's tail is queued — takes it only when it
-is free *and* the main thread has been inside one task for a whole tick
-— then the main thread awaits no reply and has not reported the task,
-so the driver has nothing to send but control messages, which the
-watchdog handles exactly as the main thread would (the local queue is
-touched under the worker's send lock on both threads: a task leaves it
-through one door).  A ``STEAL_GRANT`` made this way carries a trailing
-``True`` (the driver counts its tasks as *recalled*).  This is what
-makes a frame's tail recallable while its head runs; the idle peer's
-edge-triggered ``STEAL_REQUEST`` is the recall, and the driver times
-nothing.  The answer being prompt, an empty one must be final: the
-mirror still counts tasks the worker is running or has not reported, so
-the driver does not ask a victim that granted nothing again until
-something new was pushed to its mirror.
+**Who reads the worker's end.**  One reader thread, for the worker's
+whole life.  It queues ``TASK`` frames (the tail on the local queue at
+once, in pipe order), hands each reply to the thread that asked, and
+answers ``STEAL_REQUEST``, ``CANCEL_NOTICE`` and ``PLACED`` itself —
+touching the local queue under the worker's lock, which the executor
+threads take too: a task leaves it through one door.  A ``STEAL_GRANT``
+made while a task holds the token carries a trailing ``True`` (the
+driver counts its tasks as *recalled*).  This is what makes a frame's
+tail recallable while its head runs; the idle peer's edge-triggered
+``STEAL_REQUEST`` is the recall, and the driver times nothing.  The
+answer being prompt, an empty one must be final: the mirror still
+counts tasks the worker is running or has not reported, so the driver
+does not ask a victim that granted nothing again until something new
+was pushed to its mirror.
 
 **Object lifetime on the wire.**  The driver releases an object when
 nothing it can see still needs it (``proc/runtime.py``, "Object
@@ -253,7 +260,7 @@ SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
 
 # -- one-way messages: no tag below ever gets a reply --------------------
 # worker -> driver:
-DONE = "done"                  # (DONE, [(task_hex, blobs, failed, exec_s), ...], idle)
+DONE = "done"                  # (DONE, [(task_hex, blobs, failed, exec_s), ...], late)
 SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [entry, ...], {function_hex:
                                # (name, code)}[, [escaped object_hex, ...]]):
                                # nested tasks enqueued on the worker's own
@@ -287,8 +294,12 @@ PLACED = "placed"      # (PLACED, count): a SUBMIT_LOCAL batch of that many
                        # covers them from here on)
 
 # -- driver -> worker (replies) -----------------------------------------
-OK = "ok"    # (OK, value)
-ERR = "err"  # (ERR, exception): re-raised inside the worker at the call site
+OK = "ok"    # (OK, value[, key])
+ERR = "err"  # (ERR, exception[, key]): re-raised inside the worker at the
+             # call site; with a key, a *late* reply to the request
+             # parked under it
+PENDING = "pending"  # (PENDING, key): a GET/WAIT the driver cannot answer
+                     # yet; the task parks until a late reply names key
 
 
 @dataclass(frozen=True)

@@ -59,23 +59,26 @@ Architecture (one instance = one pool):
   is authoritative, so a stolen task provably runs exactly once; a
   victim answers while a task runs, so a frame's tail can be taken back
   from behind a head that outran its estimate), and
-  re-homes queued or mid-steal tasks when their worker crashes.  A worker
-  blocked in ``get``/``wait`` stays a full execution resource
-  (:meth:`ProcRuntime._wait_serving`), so a pool of any size finishes a
-  task that waits for its own children.  The placement and steal
+  re-homes queued or mid-steal tasks when their worker crashes.  A task
+  blocked in ``get``/``wait`` on what is not there yet *parks*: its
+  request waits in its worker's table of pending waits and its worker,
+  once it has nothing else to run, is fed like any idle one — so a pool
+  of any size finishes a task that waits for its own children, and
+  nothing runs on top of a blocked task but what it waits for
+  (:mod:`repro.proc.messages`, "A parked request").  The placement and steal
   policies are constants of the plane; the sim backend is where they
   are varied (``scheduler_mode``).
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
@@ -135,13 +138,13 @@ from repro.utils.serialization import (
 #: Valid values of the ``worker_crash_policy`` init option.
 CRASH_POLICIES = ("replace", "fail")
 
-#: Condition-wait backstops of an idle or blocked service thread.
-#: Submissions, arrivals, steal requests, grants and shutdown all
-#: ``notify_all`` the runtime cond, and a grant owed to a thread's own
-#: pipe is read there (:meth:`ProcRuntime._wait_serving`), so these
-#: are safety nets, not clocks: nothing on a task's path waits one out.
+#: Condition-wait backstop of an idle service thread.  Submissions,
+#: arrivals, steal requests, grants and shutdown all ``notify_all`` the
+#: runtime cond, and a parked request's deadline bounds the wait, so
+#: this is a safety net, not a clock: nothing on a task's path waits it
+#: out.  (What it does bound: how soon a worker that died while all its
+#: tasks were parked is found out, where nothing else notifies.)
 _IDLE_WAIT_BACKSTOP = 1.0
-_BLOCKED_WAIT_BACKSTOP = 0.25
 
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
@@ -191,6 +194,13 @@ class _WorkerHandle(WorkerSlot):
     #: flushed (in order, ahead of the next message) by the service
     #: thread's next lock-free send.
     outbox: deque = field(default_factory=deque)
+    #: The worker's parked ``GET``/``WAIT`` requests, by the key their
+    #: late reply names: ``(request, deadline)``, answered by its
+    #: service thread (:meth:`ProcRuntime._resume`).
+    waits: dict = field(default_factory=dict)
+    #: Late replies sent: an idle DONE that counts fewer crossed one,
+    #: whose task reopens the session (:meth:`ProcRuntime._apply_done_frame`).
+    late: int = 0
 
     def send(self, message: tuple) -> None:
         """One driver->worker send, serialized per pipe: the service
@@ -210,8 +220,8 @@ class _WorkerHandle(WorkerSlot):
     def send_control(self, message: tuple) -> bool:
         """A one-way control send that NEVER blocks — safe under the
         runtime lock.  ``Connection.send`` blocks when the OS pipe
-        buffer is full (a busy worker drains control at dispatch
-        boundaries and watchdog ticks), and blocking there would freeze
+        buffer is full (a worker's reader may be held up behind a large
+        send of its own), and blocking there would freeze
         the whole runtime; a congested message parks in the outbox
         instead (True: the caller notifies the runtime cond, so a
         thread blocked for this worker delivers it), sent by the
@@ -251,6 +261,20 @@ def _time_left(
         return backstop
     left = deadline - time.monotonic()
     return left if backstop is None else min(left, backstop)
+
+
+class _Parked(Exception):
+    """A worker's ``GET``/``WAIT`` cannot be answered yet: it is parked
+    (:meth:`ProcRuntime._serve_rpc`)."""
+
+
+def _no_wait(predicate: Callable[[], bool], deadline: Optional[float]) -> bool:
+    """How a worker's due ``GET`` waits for an object that is not here
+    after all (:meth:`ProcRuntime._resident`: a pull failed, or the
+    deadline passed): it does not — it is parked again, or timed out."""
+    if _time_left(deadline, 1.0) > 0:
+        raise _Parked
+    return False
 
 
 def _wire_ids(spec: TaskSpec) -> tuple:
@@ -392,6 +416,8 @@ class ProcRuntime:
 
         self._tasks_executed = 0
         self._workers_crashed = 0
+        #: Keys of parked requests (``_WorkerHandle.waits``).
+        self._park_keys = itertools.count()
 
         self._mp = multiprocessing.get_context("spawn")
         with self._cond:
@@ -612,12 +638,13 @@ class ProcRuntime:
         self._check_open()
         ref_list = list(refs)
         validate_wait_args(ref_list, num_returns)
-        ready = set(
-            self._ready_ids(
-                [ref.object_id for ref in ref_list], num_returns, timeout,
-                self._wait_idle,
-            )
+        object_ids = [ref.object_id for ref in ref_list]
+        has = self._objects.has
+        self._wait_idle(
+            lambda: sum(map(has, object_ids)) >= num_returns, _deadline(timeout)
         )
+        with self._cond:
+            ready = {object_id for object_id in object_ids if has(object_id)}
         return partition_by_ready(ref_list, lambda ref: ref.object_id in ready)
 
     def put(self, value: Any) -> ObjectRef:
@@ -917,10 +944,10 @@ class ProcRuntime:
 
     def _service_loop(self, worker: _WorkerHandle) -> None:
         """The driver tier's per-worker loop: hand the idle worker one
-        TASK frame to open a *session*, then serve
-        everything the session produces (rpc requests, SUBMIT_LOCAL
-        notices, DONE frames, steal grants) until the worker reports its
-        queue drained."""
+        TASK frame to open a *session* — or the late replies that resume
+        its parked tasks — then serve everything the session produces
+        (rpc requests, SUBMIT_LOCAL notices, DONE frames, steal grants)
+        until the worker reports nothing left to run."""
         while True:
             frame = self._next_frame(worker)
             if frame is None:
@@ -930,8 +957,10 @@ class ProcRuntime:
                     pass
                 return
             try:
-                if self._ship_frame(worker, frame):
-                    self._serve(worker, lambda: worker.busy)
+                if self._ship_frame(worker, frame) if frame else (
+                    self._resume(worker) or worker.busy or worker.conn.poll(0)
+                ):
+                    self._serve(worker)
                 else:
                     with self._cond:
                         self._dispatch.idle(worker)
@@ -947,11 +976,19 @@ class ProcRuntime:
         """Block until this worker has work (or shutdown) and claim one
         frame of it (:meth:`DispatchPlane.claim_frame`) — or, failing
         that, ask a busy worker to give up the tail of its local queue
-        (answered asynchronously by a STEAL_GRANT)."""
+        (answered asynchronously by a STEAL_GRANT).  ``[]``: a parked
+        request of the worker can be answered, or its pipe has something
+        to read (a late grant, or the EOF of a worker that died with
+        only parked tasks)."""
         with self._cond:
             while True:
                 if self.closed or not worker.alive:
                     return None
+                waits = worker.waits.values()
+                if waits and (
+                    any(self._due(*wait) for wait in waits) or worker.conn.poll(0)
+                ):
+                    return []
                 frame = self._dispatch.claim_frame(worker)
                 if frame:
                     return frame
@@ -959,19 +996,17 @@ class ProcRuntime:
                 # The grant lands on the victim's pipe and is applied by
                 # the victim's thread; that, like a submit or an
                 # arrival, notifies the cond.
-                self._cond.wait(timeout=_IDLE_WAIT_BACKSTOP)
+                deadline = min((d for _m, d in waits if d is not None), default=None)
+                self._cond.wait(timeout=_time_left(deadline, _IDLE_WAIT_BACKSTOP))
 
-    def _serve(self, worker: _WorkerHandle, pending: Callable[[], bool]) -> None:
+    def _serve(self, worker: _WorkerHandle) -> None:
         """Read the worker's pipe, applying its reports and answering
-        its requests, while ``pending()`` — plain state a report ends: a
-        session (``worker.busy``, until the idle DONE), one task run
-        reentrantly inside a blocked worker (in ``worker.inflight`` until
-        the DONE that names it), a grant the worker owes
-        (``worker.steal_outstanding``).  This thread is the pipe's only
-        reader, and delivers the control messages parked for it; a dead
-        child raises out of ``recv`` into the crash path."""
+        its requests, while its session is open (``worker.busy``, until
+        the idle DONE) — and at least once.  This thread is the pipe's
+        only reader, and delivers the control messages parked for it; a
+        dead child raises out of ``recv`` into the crash path."""
         worker.flush_outbox()
-        while pending():
+        while True:
             message = worker.conn.recv()
             tag = message[0]
             if tag == msg.DONE:
@@ -984,30 +1019,28 @@ class ProcRuntime:
                 self._ingest_worker_obs(worker, message[1])
             else:
                 self._serve_rpc(worker, message)
+            if worker.waits:
+                self._resume(worker)
             worker.flush_outbox()
+            if not worker.busy:
+                return
 
-    def _request_steal(
-        self, thief: _WorkerHandle, include_self: bool = False
-    ) -> None:
+    def _request_steal(self, thief: _WorkerHandle) -> None:
         """Send the STEAL_REQUEST the plane decides on, if any
-        (:meth:`DispatchPlane.request_steal`; lock held).  The victim
-        answers within a watchdog tick or two whatever it is doing —
-        between tasks, from an rpc's reply loop, or from its watchdog
-        thread while a task runs, which is what takes a frame's tail
-        back from behind a head that outran its estimate — and the grant
-        comes back on the victim's pipe and is applied by the victim's
-        own service thread, woken here if it is parked on the cond in
-        :meth:`_wait_serving` instead of reading that pipe."""
-        ask = self._dispatch.request_steal(thief, include_self)
+        (:meth:`DispatchPlane.request_steal`; lock held).  The victim's
+        reader answers at once, whatever its tasks are doing — which is
+        what takes a frame's tail back from behind a head that outran
+        its estimate — and the grant comes back on the victim's pipe and
+        is applied by the victim's own service thread."""
+        ask = self._dispatch.request_steal(thief)
         if ask is None:
             return
         victim, count = ask
         try:
-            parked = victim.send_control((msg.STEAL_REQUEST, count))
+            if victim.send_control((msg.STEAL_REQUEST, count)):
+                self._cond.notify_all()
         except OSError:
             return  # victim died; its crash handler owns the cleanup
-        if parked or victim.parked:
-            self._cond.notify_all()
 
     def _obs_worker_extra(self, worker: _WorkerHandle) -> dict:
         """Identity keys stamped onto spans a worker recorded about
@@ -1075,7 +1108,7 @@ class ProcRuntime:
         one hold of the runtime lock, with one wake-up of whoever waits
         on it, one enqueue into the control store's writer and one
         update of each function's execution-time estimate."""
-        completions, idle = message[1], message[2]
+        completions, late = message[1], message[2]
         if len(message) > 3:  # optional trailing obs blob
             self._ingest_worker_obs(worker, message[3])
         with self._cond, self._control.async_batch():
@@ -1096,7 +1129,7 @@ class ProcRuntime:
                 self._objects.drop_born(task_hex)
             for function_id, samples in times.items():
                 self._dispatch.note_exec_times(function_id, samples)
-            if idle:
+            if late == worker.late:  # idle, and no late reply crossed it
                 self._dispatch.idle(worker)
             self._objects.flush_deletes()
             self._cond.notify_all()
@@ -1252,6 +1285,23 @@ class ProcRuntime:
     # ------------------------------------------------------------------
 
     def _serve_rpc(self, worker: _WorkerHandle, message: tuple) -> None:
+        """Answer one worker request, or park it: a GET/WAIT that cannot
+        be answered yet is answered "pending" and kept in the worker's
+        table of pending waits."""
+        deadline = _deadline(message[-1]) if message[0] in (msg.GET, msg.WAIT) else None
+        try:
+            sent = self._answer(worker, message, deadline)
+        except _Parked:
+            with self._cond:
+                key = next(self._park_keys)
+                worker.waits[key] = (message, deadline)
+                self._dispatch.counters.tasks_parked += 1
+            sent = (msg.PENDING, key)
+        worker.send(sent)
+
+    def _answer(self, worker: _WorkerHandle, message: tuple, deadline) -> tuple:
+        """A worker request's reply, ``(OK, value)`` or ``(ERR,
+        exception)``, or :class:`_Parked` (a GET/WAIT has to wait)."""
         tag = message[0]
         try:
             plane = self._objects
@@ -1261,23 +1311,16 @@ class ProcRuntime:
                     reply = plane.fetch_bytes(message[1], worker.index)
             elif tag == msg.SUBMIT:
                 reply = self._submit_from_worker(worker, message[1])
-            elif tag == msg.GET:
-                # Like the driver's own, but while blocked the worker's
-                # pinned actors' lanes keep moving, so an actor task
-                # cannot deadlock against the worker that must run it.
-                deadline = _deadline(message[2])
-                reply = [
-                    self._resident(
-                        object_id, deadline, partial(self._wait_serving, worker),
-                        plane.blob_for,
-                    )
-                    for object_id in message[1]
-                ]
-            elif tag == msg.WAIT:
-                reply = self._ready_ids(
-                    message[1], message[2], message[3],
-                    partial(self._wait_serving, worker),
-                )
+            elif tag == msg.GET or tag == msg.WAIT:
+                with self._cond:
+                    if not self._due(message, deadline):
+                        raise _Parked
+                    reply = [object_id for object_id in message[1] if plane.has(object_id)]
+                if tag == msg.GET:
+                    reply = [
+                        self._resident(object_id, deadline, _no_wait, plane.blob_for)
+                        for object_id in message[1]
+                    ]
             elif tag == msg.PUT:
                 data, born_in = message[1], message[2]
                 with self._cond:
@@ -1325,15 +1368,38 @@ class ProcRuntime:
                     )
             else:
                 raise BackendError(f"unknown worker message {tag!r}")
-        except (EOFError, OSError):
-            raise  # pipe failure: crash handling, not an error reply
+        except (_Parked, EOFError, OSError):
+            raise  # parked, or a pipe failure: crash handling, not a reply
         except BaseException as exc:  # noqa: BLE001 - user payloads can
             # raise anything (hostile __setstate__, unpicklable args); the
-            # service thread must survive and answer, or the parked child
+            # service thread must survive and answer, or the waiting child
             # process is stranded forever with no crash to detect.
-            worker.send((msg.ERR, _pipe_safe_error(tag, exc)))
-        else:
-            worker.send((msg.OK, reply))
+            return (msg.ERR, _pipe_safe_error(tag, exc))
+        return (msg.OK, reply)
+
+    def _due(self, message: tuple, deadline: Optional[float]) -> bool:
+        """Whether a worker's GET/WAIT can be answered now (lock held):
+        every object of the get, or ``num_returns`` of the wait's, is
+        here — or its deadline has passed."""
+        needed = len(message[1]) if message[0] == msg.GET else message[2]
+        if sum(map(self._objects.has, message[1])) >= needed:
+            return True
+        return deadline is not None and time.monotonic() >= deadline
+
+    def _resume(self, worker: _WorkerHandle) -> None:
+        """Send the late reply of every parked request of ``worker``
+        that can be answered now.  Each one reopens the worker's session
+        (its task runs again), so the worker is busy from then on, until
+        an idle DONE that counts it."""
+        for key, (message, deadline) in list(worker.waits.items()):
+            try:
+                reply = self._answer(worker, message, deadline) + (key,)
+            except _Parked:
+                continue  # not due yet (or a pull failed: a reconstruction)
+            with self._cond:
+                worker.waits.pop(key, None)
+                worker.busy, worker.late = True, worker.late + 1
+            worker.send(reply)
 
     def _resident(
         self,
@@ -1348,7 +1414,7 @@ class ProcRuntime:
         worker's in its wire form (:meth:`ObjectPlane.blob_for`).
         ``wait(predicate, deadline)`` is how the caller blocks: a driver
         thread sleeps on the cond (:meth:`_wait_idle`), a worker's
-        request keeps its worker fed meanwhile (:meth:`_wait_serving`)."""
+        request does not — it is parked instead (:func:`_no_wait`)."""
         plane = self._objects
         left: Optional[float] = None
         while left is None or left > 0:
@@ -1366,22 +1432,6 @@ class ProcRuntime:
                 left = _time_left(deadline)
         raise GetTimeoutError(f"get timed out waiting for {object_id}")
 
-    def _ready_ids(
-        self,
-        object_ids: list,
-        num_returns: int,
-        timeout: Optional[float],
-        wait: Callable[[Callable[[], bool], Optional[float]], bool],
-    ) -> list:
-        """Both kinds of ``wait`` (arguments validated by the caller,
-        who partitions its own refs): block through ``wait`` — see
-        :meth:`_resident` — until ``num_returns`` of the objects are
-        resident or the timeout passes; the resident ones."""
-        has = self._objects.has
-        wait(lambda: sum(map(has, object_ids)) >= num_returns, _deadline(timeout))
-        with self._cond:
-            return [object_id for object_id in object_ids if has(object_id)]
-
     def _wait_idle(
         self, predicate: Callable[[], bool], deadline: Optional[float]
     ) -> bool:
@@ -1397,72 +1447,6 @@ class ProcRuntime:
                     return False
                 self._cond.wait(timeout=left)
             return True
-
-    def _wait_serving(
-        self,
-        worker: _WorkerHandle,
-        predicate: Callable[[], bool],
-        deadline: Optional[float],
-    ) -> bool:
-        """Block until ``predicate()`` holds (True) or the deadline passes
-        (False), dispatching the worker's pinned actors' calls in the
-        meantime.
-
-        ``worker``'s child process is parked in ``recv`` awaiting our
-        reply, so tasks pinned to it — possibly the very ones the blocked
-        task is getting — can only run if we feed them to it now, one
-        at a time (:meth:`DispatchPlane.claim_one`, shipped as a frame
-        of one); the child executes them reentrantly, on top of the
-        blocked task (see ``ProcWorker.rpc``).  Which is why a lane with
-        a call still out dispatches nothing (``ActorLane.open``): the
-        blocked task may *be* that call, and its successor, run on top
-        of it, would overtake it.  Other actors' lanes keep moving.
-
-        A blocked worker stays a full execution resource, which is
-        what makes a fully-blocked pool deadlock-free:
-
-        * runnable stateless work — its placed queue, the global queue —
-          is injected reentrantly exactly like pinned tasks;
-        * what it waits for and holds in its own local queue it has
-          already run inline (``ProcWorker.run_producers``); what is
-          left there — work only upstream of what it waits for — is
-          recovered by *self-steal*: the blocked child answers
-          STEAL_REQUESTs from its reply-wait loop, the grant re-homes
-          the tasks into the global queue, and they come back through
-          the injection path above;
-        * a grant owed to this worker's pipe — to that self-steal, or to
-          an idle peer's request — is read off it at once (the child
-          answers from its reply-wait loop, so it is one bounded
-          exchange: :meth:`_serve`), and busy peers are raided on this
-          worker's behalf.  Everything else that can end the wait
-          notifies the cond.
-        """
-        while True:
-            nested: Optional[TaskSpec] = None
-            with self._cond:
-                while True:
-                    self._check_open()  # the wait ends with the pool
-                    if predicate():
-                        return True
-                    nested = self._dispatch.claim_one(worker)
-                    if nested is not None:
-                        break
-                    remaining = _time_left(deadline, _BLOCKED_WAIT_BACKSTOP)
-                    if remaining <= 0:
-                        return False
-                    self._request_steal(worker, include_self=True)
-                    if worker.steal_outstanding or worker.outbox:
-                        break
-                    worker.parked = True
-                    self._cond.wait(timeout=remaining)
-                    worker.parked = False
-            if nested is None:
-                self._serve(worker, lambda: worker.steal_outstanding)
-            elif self._ship_frame(worker, [nested]):
-                # Until the DONE that reports it (notices and grants may
-                # interleave meanwhile).
-                task_hex = nested.task_id.hex
-                self._serve(worker, lambda: task_hex in worker.inflight)
 
     def _submit_from_worker(self, worker: _WorkerHandle, payload: dict) -> Any:
         """A worker-born task that could not take the fast path
@@ -1570,6 +1554,7 @@ class ProcRuntime:
         which is which (:meth:`DispatchPlane.worker_lost`)."""
         if self.closed or not worker.alive:
             return
+        worker.waits.clear()  # their tasks died with it (inflight)
         self._objects.worker_lost(worker.index)
         self._workers_crashed += 1
         replacement, lost_node = self._replace_worker(worker)

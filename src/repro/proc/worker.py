@@ -30,21 +30,36 @@ driver with a one-way ``SUBMIT_LOCAL`` notice: **zero driver
 round-trips** on the submission path.  Driver-born work arrives in
 ``TASK`` frames whose tail lands on the same queue (shipped ahead of
 need) — except an actor's window, which is run through in frame order
-without being queued (``_run_frame``) — and completions go back
+without being queued (``_queue_frame``) — and completions go back
 coalesced in ``DONE`` frames — see
 :mod:`repro.proc.messages` for the frame protocol.  The worker drains
 the queue until it is empty, answers ``STEAL_REQUEST``\\ s by granting
 the tail of the queue (ownership makes the grant race-free: what it
 gives away it provably never runs), and honors ``CANCEL_NOTICE``
-tombstones before dispatching each local task — and, through its
-watchdog thread, *while* a task runs: a frame's tail can be taken back
-at any moment, not only at the next dispatch boundary.
+tombstones — both the moment they arrive, whatever the tasks are doing:
+a frame's tail can be taken back at any moment, not only at the next
+dispatch boundary.
+
+**Threads.**  One *reader* thread owns the pipe's read side: it answers
+``STEAL_REQUEST``, ``CANCEL_NOTICE`` and ``PLACED`` itself, hands each
+reply to the thread that asked, queues ``TASK`` frames, and is the only
+timer (:meth:`ProcWorker._read`).  Tasks run on *executor* threads that
+share one token, so one task runs at a time.  A ``get``/``wait`` the
+driver cannot answer at once is *parked*: its thread gives the token
+up, the session goes on on another executor thread, and the task takes
+the token back — before any new task starts — once the late reply
+naming it arrives (:meth:`ProcWorker.rpc`).  Nothing ever runs on top of
+a blocked task but the producers of what it waits for
+(:meth:`ProcWorker.run_producers`).
 """
 
 from __future__ import annotations
 
+import os
+import select
 import threading
 import time
+from collections import deque
 from typing import Any, Optional, Sequence
 
 from repro.core.actors import (
@@ -81,11 +96,9 @@ from repro.sched_plane.dispatch import FRAME_BUDGET_S
 from repro.sched_plane.queues import LocalTaskQueue
 from repro.utils.ids import IDGenerator, NodeID, ObjectID
 
-#: The watchdog thread's tick (see ``ProcWorker._watch_done``): how long
-#: a buffered completion or ``SUBMIT_LOCAL`` notice may wait for the
-#: next task boundary before it is sent anyway, and how long a task runs
-#: before the watchdog starts answering the driver's control messages in
-#: the main thread's place.
+#: How long a buffered completion or ``SUBMIT_LOCAL`` notice may wait
+#: for the next task boundary before the reader thread sends it anyway
+#: (``ProcWorker._read``).
 _DONE_WATCHDOG_S = 0.005
 
 #: Descriptors a worker remembers (``ProcWorker._known_shm``).
@@ -274,6 +287,15 @@ def _refs_of(reply: tuple) -> Any:
     return refs[0] if len(refs) == 1 else refs
 
 
+class _Waiter(threading.Condition):
+    """A request the driver parked, waited on under the worker's lock:
+    the late reply that names it, and whether its thread has the token
+    back."""
+
+    reply: Any = None
+    granted = False
+
+
 class ProcWorker:
     """One child process: executes tasks and hosts pinned actor state."""
 
@@ -321,7 +343,7 @@ class ProcWorker:
         #: tasks' wire entries, and the rows of the functions this
         #: worker submits for the first time: batching turns a
         #: K-task fan-out's control traffic into one send (or the
-        #: watchdog's, a tick later).  The flush-before-every-outbound-
+        #: reader's, ``_DONE_WATCHDOG_S`` later).  The flush-before-every-outbound-
         #: message discipline (see :meth:`_flush_notices`) keeps the
         #: causal order the mirror depends on.
         self._pending_notices: list = []
@@ -339,24 +361,37 @@ class ProcWorker:
         #: Tasks a ``get`` ran inline whose results may still answer it
         #: (:meth:`answer`); a CANCEL_NOTICE read for one takes it out.
         self._answerable: set = set()
-        #: Guards the pipe's send side, the two outbound buffers
-        #: (``_pending_notices``, ``_done``) and ``local_queue``: the
-        #: watchdog thread flushes the former and grants from the latter
-        #: while this process's only other thread is inside a task.
-        self._out_lock = threading.RLock()
-        #: The pipe's read side: held wherever the main thread reads
-        #: (between tasks, parked idle, and from an rpc's request to its
-        #: reply — reentrant runs included), so whoever else gets it
-        #: knows the main thread awaits no reply.  Taken before
-        #: ``_out_lock``, never after.
-        self._in_lock = threading.RLock()
-        #: Set while there is something for the watchdog to watch over —
-        #: completions held across the start of another task, notices a
-        #: task that computes on has not sent, or a frame's tail queued
-        #: behind a task the driver only estimated: what it sleeps on (a
-        #: tick is a thread hand-off, and a worker running one short task
-        #: after another should not pay 200 a second for nothing).
-        self._armed = threading.Event()
+        #: The worker's one lock: the pipe's send side, the two outbound
+        #: buffers (``_pending_notices``, ``_done``), ``local_queue`` and
+        #: everything below up to ``_untimed`` — the reader thread flushes
+        #: and grants while an executor thread is inside a task.
+        self._lock = threading.RLock()
+        #: The executor thread (:meth:`_execute`; None once the reader
+        #: is gone) waits on ``_wake`` for something to run; the thread
+        #: whose request is out waits on ``_answered`` for ``_replies``.
+        self._executor: Optional[threading.Thread] = None
+        self._wake = threading.Condition(self._lock)
+        self._answered = threading.Condition(self._lock)
+        self._replies: deque = deque()
+        #: The execution token: free, or held by the one running task.
+        #: A parked task's ``_Waiter`` is in ``_parked`` by the key its
+        #: late reply names, then in ``_resumed`` until the token is its.
+        self._token_free = True
+        self._parked: dict = {}
+        self._resumed: deque = deque()
+        #: TASK frames the reader received, each one item to run: a
+        #: head (its tail went on the queue), or an actor's window.
+        self._frames: deque = deque()
+        #: The session is open: from a frame or a late reply until the
+        #: idle ``DONE``.
+        self._session = False
+        #: Late replies read: an idle ``DONE`` says how many, so that
+        #: the driver knows whether one it sent is still on its way.
+        self._late = 0
+        #: Set while the reader waits with no deadline: whoever holds
+        #: something it must time then writes a byte to ``_alarm``.
+        self._untimed = False
+        self._alarm: Optional[tuple] = None
         #: Shared-memory descriptors this process has seen (attached
         #: arguments, sealed puts), used for residency checks and to
         #: embed descriptors in locally-built payloads; the latest
@@ -397,16 +432,13 @@ class ProcWorker:
         #: trailing element on DONE and, when large, as a
         #: dedicated SPANS frame at the next rpc.
         self.obs = SpanRecorder(enabled=tracing)
-        #: Trace context of the innermost executing task (saved/restored
-        #: around reentrant execute() calls): nested submissions inherit
-        #: the current root so a span tree reconstructs per driver-born
-        #: request, worker-born fast-path tasks included.
+        #: Trace context of the task that holds the token (saved and
+        #: restored around an inline run and across a park): nested
+        #: submissions inherit the current root so a span tree
+        #: reconstructs per driver-born request, worker-born fast-path
+        #: tasks included.
         self._cur_task: Any = None
         self._cur_root: Any = None
-        #: When the latest task here started (never restored: after an
-        #: inline or reentrant run the outer task reads younger than it
-        #: is, which only makes the watchdog wait a little longer).
-        self._cur_since = 0.0
 
     # ------------------------------------------------------------------
     # Shared-memory plumbing
@@ -515,36 +547,108 @@ class ProcWorker:
     def rpc(self, tag: str, *parts: Any) -> Any:
         """One request/reply exchange with the driver.
 
-        While we are parked waiting for the reply (a blocking ``get`` or
-        ``wait``), the driver may interleave *task* messages for actors
-        pinned to this process: the task the current one is blocked on may
-        only be runnable here.  Those run reentrantly on this stack —
-        the process was idle-blocked anyway — and the exchange then
-        resumes.  This is the proc analogue of blocked sim workers
-        releasing their resource slots (R3).
-
         Buffered completions go out first: the driver must not serve a
         request — least of all a blocking one — while this worker still
-        holds results it has not reported.  The pipe's read side is
-        taken before the request goes out and kept until its reply is
-        in: the watchdog stays off the pipe for as long as anything but
-        a control message can arrive on it."""
+        holds results it has not reported.  The reader thread hands the
+        reply over.  A ``get``/``wait`` the driver cannot answer yet is
+        answered "pending": this thread then parks, giving the token up
+        so that the session goes on without it — nothing is run on top
+        of it — and takes it back when the late reply that names the
+        request arrives (the proc analogue of blocked sim workers
+        releasing their resource slots, R3)."""
         self._flush_done()
         if self.obs.should_flush():
             self._flush_spans()
-        with self._in_lock:
-            self._send((tag,) + parts)
-            while True:
-                reply = self.conn.recv()
-                if reply[0] == msg.TASK:
-                    self._run_frame(reply)
-                    self._flush_done()  # the driver is waiting on this one
-                    continue
-                if self._handle_control(reply):
-                    continue
-                if reply[0] == msg.ERR:
-                    raise reply[1]
-                return reply[1]
+        with self._lock:
+            self.conn.send((tag,) + parts)
+            while not self._replies:
+                self._answered.wait()
+            reply = self._replies.popleft()
+            if reply[0] == msg.PENDING:
+                # Parked: the token goes (an executor hands its role on
+                # to a new thread first) until the late reply is in and
+                # the token is this task's again — and its trace context.
+                waiter, context = reply[1], (self._cur_task, self._cur_root)
+                touched = self._refs.touched
+                self._release()
+                if self._executor is threading.current_thread():
+                    self._start_executor()
+                while not waiter.granted:
+                    waiter.wait()
+                reply, (self._cur_task, self._cur_root) = waiter.reply, context
+                self._charge(touched)
+        if reply[0] == msg.ERR:
+            raise reply[1]
+        return reply[1]
+
+    # ------------------------------------------------------------------
+    # The token: one executor thread, one running task
+    # ------------------------------------------------------------------
+
+    def _start_executor(self) -> None:
+        self._executor = threading.Thread(
+            target=self._execute, name="repro-worker-executor", daemon=True
+        )
+        self._executor.start()
+
+    def _execute(self) -> None:
+        """The executor: take the free token for what runs next — the
+        oldest frame's head or window, else the head of the local queue
+        — run it, give the token back, repeat; with the token free and
+        nothing left to run (whatever emptied the queue: the last task,
+        a steal, a cancel), the session ends.  One thread at a time is
+        the executor: one whose task parks hands the role on
+        (:meth:`rpc`), and ends once that task does."""
+        me = threading.current_thread()
+        touched: list = []  # what the tasks run on this thread touched
+        try:
+            with self._lock:
+                while self._executor is me:
+                    if not (self._token_free and (self._frames or self.local_queue)):
+                        if self._token_free and self._session:
+                            self._session = False
+                            self._flush_done(idle=True)
+                        self._wake.wait()
+                        continue
+                    if self._frames:
+                        items = self._frames.popleft()
+                    else:
+                        items = (self.local_queue.pop_head()[1],)
+                    self._token_free = False
+                    self._charge(touched)
+                    self._lock.release()
+                    try:
+                        for item in items:
+                            self._run_queued(item)
+                    finally:
+                        self._lock.acquire()
+                    self._release()
+        except (EOFError, OSError):
+            return  # driver gone: the reader is exiting too
+
+    def _charge(self, touched: list) -> None:
+        """This thread took the token (lock held): the refs born so far
+        were its last holder's, those born from now on are this
+        thread's — its tasks end in the reverse order they started, so
+        each checks the end of ``touched`` (:meth:`_report_survivors`),
+        whichever tasks of other threads ended meanwhile."""
+        if self._refs.born:
+            self._refs.drain(self._escaped, died=False)
+        self._refs.touched = touched
+
+    def _release(self) -> None:
+        """Give the token back (lock held): to the oldest resumed task
+        if there is one — it was not budgeted, so what is held is
+        reported first — else to the executor."""
+        self._token_free = True
+        if self._resumed:
+            self._flush_done()
+            self._token_free = False
+            waiter = self._resumed.popleft()
+            waiter.granted = True
+            waiter.notify()
+        else:
+            self._wake.notify()
 
     # ------------------------------------------------------------------
     # Tracing-aware sends
@@ -555,91 +659,168 @@ class ProcWorker:
     # With tracing off, drain() returns None and these collapse to the
     # plain sends.
 
-    def _send(self, message: tuple) -> None:
-        with self._out_lock:
-            self.conn.send(message)
-
     def _flush_done(self, idle: bool = False) -> None:
         """Report buffered completions in one DONE frame (``idle`` also
-        closes the session).  Notices go first, always: by pipe FIFO the
+        closes the session: the frame then counts the late replies read,
+        else it carries None).  Notices go first, always: by pipe FIFO the
         driver registers a locally-born task before it can see the
         task's completion or any request in which its ref could
         escape."""
-        with self._out_lock:
+        with self._lock:
             self._flush_notices()
             if not (self._done or idle):
                 return
             completions, self._done = self._done, []
+            done = (msg.DONE, completions, self._late if idle else None)
             blob = self.obs.drain()
-            if blob is not None:
-                self.conn.send((msg.DONE, completions, idle, blob))
-            else:
-                self.conn.send((msg.DONE, completions, idle))
+            self.conn.send(done if blob is None else done + (blob,))
 
-    def _watch_done(self) -> None:
-        """The watchdog thread: what a task that breaks its estimate —
-        mispredicted, blocked, or waiting on something the driver only
-        does once it has seen an earlier result — cannot hold up.  It
-        ticks every ``_DONE_WATCHDOG_S`` while armed: from the moment
-        completions are held across a task start, a ``SUBMIT_LOCAL``
-        notice is buffered, or a frame's tail is queued, until nothing
-        is held and the queue is empty.
+    def _read(self) -> None:
+        """The reader thread: the pipe's only reader, and the worker's
+        only timer.  It sleeps until a message arrives or the oldest
+        held completion or notice is ``_DONE_WATCHDOG_S`` old, and then
+        sends what is held (notices first, :meth:`_flush_done`): what a
+        task that breaks its estimate — mispredicted, or waiting on
+        something the driver only does once it has seen an earlier
+        result — cannot hold up.
 
         *Completions* are buffered on the expectation that another task
         boundary follows within the frame budget (``FRAME_BUDGET_S``,
         the driver's frame rule: ``DispatchPlane.claim_frame`` sized the
-        frame by estimates this worker reported — or a blocked parent
-        running its children inline); such a task would sit on its
-        frame mates' or siblings' results for as long as it runs.
-        *Notices* wait for the task that submitted them to touch the
-        pipe; one that computes on — a parent that fans out and then
-        works, a chain of inline runs — would hide its children from
-        the driver's mirror, and so from every idle peer.  Whatever has
-        waited a tick without a boundary is sent from here, notices
-        first (:meth:`_flush_done`).
+        frame by estimates this worker reported — or a parent running
+        its children inline); a task that runs long would sit on its
+        frame mates' or siblings' results.  *Notices* wait for the task
+        that submitted them to touch the pipe; one that computes on
+        would hide its children from the driver's mirror, and so from
+        every idle peer.  Nothing wakes it on a period: while nothing is
+        held it waits on the pipe alone, and whoever holds something
+        across a task start, or the first notice, rings ``_alarm``
+        (:meth:`_hold`).  (A task inside a C call that keeps the GIL
+        stops this thread too.)
 
-        *Control messages* are read between tasks, so such a task would
-        also sit on the queue behind it: an idle peer's STEAL_REQUEST
-        and a CANCEL_NOTICE would wait for it to end.  Once the main
-        thread has been inside one task for a whole tick, this thread
-        serves the pipe in its place (:meth:`_drain_control`) — if it
-        gets the read side without waiting.  It does not while the main
-        thread is in an rpc, which answers control itself, and it
-        rechecks the task under the send lock: a task that has not
-        ended has reported nothing the driver would answer with a frame
-        or a reply, so control messages are all there is to read.  (A
-        task inside a C call that keeps the GIL stops this thread too.)
-        """
-        while True:
-            self._armed.wait()
-            time.sleep(_DONE_WATCHDOG_S)
-            running = self._cur_task
-            try:
-                if (
-                    running is not None
-                    and time.monotonic() - self._cur_since >= _DONE_WATCHDOG_S
-                    and self._in_lock.acquire(blocking=False)
-                ):
-                    try:
-                        with self._out_lock:
-                            if self._cur_task is running:
-                                self._drain_control(midtask=True)
-                    finally:
-                        self._in_lock.release()
-                with self._out_lock:
+        Returns at SHUTDOWN; a lost driver raises out of ``recv``."""
+        self._alarm = os.pipe()
+        message = None
+        try:
+            while True:
+                with self._lock:  # one hold: the message, then the timer
+                    if message is not None and not self._receive(message):
+                        return
+                    message, timeout = None, None
                     if self._done or self._pending_notices:
-                        if time.monotonic() - self._held_since >= _DONE_WATCHDOG_S:
+                        timeout = self._held_since + _DONE_WATCHDOG_S - time.monotonic()
+                        if timeout <= 0:
                             self._flush_done()
-                    elif not self.local_queue:
-                        self._armed.clear()
-            except (EOFError, OSError):
-                return  # driver gone: the main loop is exiting too
+                            continue
+                    self._untimed = timeout is None
+                ready = select.select([self.conn, self._alarm[0]], [], [], timeout)[0]
+                if self._alarm[0] in ready:
+                    os.read(self._alarm[0], 64)
+                if self.conn in ready:
+                    message = self.conn.recv()
+        finally:
+            with self._lock:
+                self._executor, self._untimed = None, False
+                self._wake.notify_all()
+            for fd in self._alarm:
+                os.close(fd)
+
+    def _hold(self) -> None:
+        """Something was held that a running task may sit on (lock
+        held): the reader, if it waits with no deadline, must time it."""
+        if self._untimed:
+            self._untimed = False
+            os.write(self._alarm[1], b"\0")
+
+    def _receive(self, message: tuple) -> bool:
+        """Handle one driver message on the reader thread (lock held);
+        False for SHUTDOWN.  Every touch of the local queue is under the
+        lock, which executors take to pop, push and remove: a task
+        leaves the queue through exactly one door."""
+        tag = message[0]
+        if tag == msg.TASK:
+            self._queue_frame(message)
+        elif tag in (msg.OK, msg.ERR, msg.PENDING):
+            self._route_reply(message)
+        elif tag == msg.STEAL_REQUEST:
+            granted = self.local_queue.steal_tail(message[1])
+            # The grant is authoritative: whoever takes a task off
+            # the queue does so under this lock, so a task id sent
+            # away can never also run here.  Payloads are dropped —
+            # the driver re-homes the tasks from its mirror, which
+            # the flush below guarantees already knows every granted
+            # id.  A grant made during a task says so (a trailing
+            # element, like DONE's): its tasks were *recalled*.
+            self._flush_notices()
+            grant = (msg.STEAL_GRANT, [task_hex for task_hex, _ in granted])
+            self.conn.send(grant if self._token_free else grant + (True,))
+            self._wake.notify()  # it may have emptied the queue: idle?
+        elif tag == msg.CANCEL_NOTICE:
+            # The worker-side dispatch-time drop: gone from the queue,
+            # the task can never be popped, so it never executes.  One
+            # that already ran inline may no longer answer its get.
+            self.local_queue.remove(message[1])
+            self._answerable.discard(message[1])
+            self._wake.notify()  # (as for a grant)
+        elif tag == msg.PLACED:
+            self.unacked_local = max(0, self.unacked_local - message[1])
+        elif tag == msg.SHUTDOWN:
+            self._flush_spans()  # final flush: nothing else will
+            return False
+        else:
+            raise RuntimeError(f"unexpected driver message {tag!r}")
+        return True
+
+    def _queue_frame(self, message: tuple) -> None:
+        """One TASK frame (lock held): its head to run next, its tail on
+        the queue — in pipe order, so a CANCEL_NOTICE or STEAL_REQUEST
+        read after the frame finds the tail there.
+
+        The head is what the driver handed this worker to *run*; the
+        tail was shipped ahead of need and stays stealable, cancellable
+        and re-homable until the queue reaches it.  An actor's window (a
+        frame headed by an actor call holds calls of that one actor and
+        nothing else) is not queued: its order is the actor's order, and
+        the driver keeps every call of it in-flight here, so it is one
+        item, run through back to back by one thread (a call that parks
+        keeps its successors behind it)."""
+        _, entries, functions = message
+        if functions:
+            self.functions.learn(functions, self.functions_sent)
+        if "actor" not in (entries[0][5] or ()):
+            for entry in entries[1:]:
+                self.local_queue.push(entry[0], (entry, True), entry[2])
+            entries = entries[:1]
+        self._frames.append([(entry, True) for entry in entries])
+        self._session = True
+        self._wake.notify()
+
+    def _route_reply(self, message: tuple) -> None:
+        """A reply, to the thread that asked (lock held).  A late one
+        names the request the driver parked: that task is resumed — it
+        reopens the session and takes the token as soon as it is free.
+        "Pending" parks the asking thread on a new waiter."""
+        if len(message) > 2:
+            self._late += 1
+            waiter = self._parked.pop(message[2])
+            waiter.reply = message[:2]
+            self._resumed.append(waiter)
+            self._session = True
+            if self._token_free:
+                self._release()
+            return
+        if message[0] == msg.PENDING:
+            waiter = self._parked[message[1]] = _Waiter(self._lock)
+            message = (msg.PENDING, waiter)
+        self._replies.append(message)
+        self._answered.notify()
 
     def _flush_spans(self) -> None:
         """Ship buffered spans on a dedicated one-way SPANS frame."""
-        blob = self.obs.drain()
-        if blob is not None:
-            self._send((msg.SPANS, blob))
+        with self._lock:
+            blob = self.obs.drain()
+            if blob is not None:
+                self.conn.send((msg.SPANS, blob))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -671,34 +852,25 @@ class ProcWorker:
     # ------------------------------------------------------------------
 
     def _run_sessions(self) -> None:
-        """The session loop.
+        """The session loop: this thread reads the pipe (:meth:`_read`)
+        until SHUTDOWN, executor threads run what it delivers.
 
         One driver ``TASK`` frame opens a session; the worker runs the
         frame's head, then drains its local queue — the frame's tail
         plus whatever those tasks grew via the fast path — buffering
-        completions.  The ``DONE`` frame that reports the queue drained
-        (``idle=True``) closes the session and parks the worker on the
-        pipe for the next one.  Driver control messages are drained at
-        every dispatch boundary, so a cancellation or steal landing
-        between two local tasks takes effect before the next one runs
-        (cancellation needs no check at pop time: a CANCEL_NOTICE
-        removes the task from the queue the moment it is handled), and
-        by the watchdog during a task that outlasts its tick.
+        completions.  The ``DONE`` frame that reports nothing left to
+        run (an idle one) closes the session; tasks parked in a
+        ``get``/``wait`` do not keep it open, and a late reply that
+        resumes one opens the next.  Driver control messages are handled
+        the moment they arrive, so a cancellation or steal takes effect
+        before the next task starts — or while one runs (cancellation
+        needs no check at pop time: a CANCEL_NOTICE removes the task
+        from the queue the moment it is handled).
         """
-        threading.Thread(
-            target=self._watch_done, name="repro-worker-done-watchdog", daemon=True
-        ).start()
         # At spawn the driver already counts this worker idle — the
         # first session opens with a TASK, not with an idle announcement.
-        while self._await_frame():
-            while True:
-                self._drain_control()
-                with self._out_lock:
-                    queued = self.local_queue.pop_head()
-                if queued is None:
-                    break
-                self._run_queued(queued[1])
-            self._flush_done(idle=True)
+        self._start_executor()
+        self._read()
 
     def _run_queued(self, item: tuple, inline_run: bool = False) -> tuple:
         """Run one task taken off the local queue — by the session loop
@@ -716,8 +888,9 @@ class ProcWorker:
         entry, windowed = item
         if not (windowed or inline_run):
             self._flush_done()
-        elif self._done and not self._armed.is_set():
-            self._armed.set()  # held across a task: watch it
+        elif self._done and self._untimed:
+            with self._lock:
+                self._hold()  # held across a task: time it
         return self._run_task(entry, inline_run)
 
     def run_producers(
@@ -736,12 +909,12 @@ class ProcWorker:
         ``{return_hex: (task_hex, blob, or None if the task failed)}`` —
         for :meth:`answer`.
 
-        The queue's owner is still its only executor, so the rules are
-        the session loop's: control is drained before each task (a
-        CANCEL_NOTICE still wins, an idle peer's STEAL_REQUEST still
-        gets the tail — a task granted away is no longer here and is
-        waited for through the driver like any other), and no task
-        starts once the caller's deadline has passed."""
+        The caller holds the token, so the rules are the session loop's:
+        a task is taken off the queue under the lock, where the reader
+        also takes what a CANCEL_NOTICE or an idle peer's STEAL_REQUEST
+        names — a task granted away is no longer here and is waited for
+        through the driver like any other — and no task starts once the
+        caller's deadline has passed."""
         queue = self.local_queue
         if not queue:
             return timeout
@@ -752,14 +925,13 @@ class ProcWorker:
             return_hex = ref.object_id.hex
             if queue.producer_of(return_hex) is None:
                 continue
-            self._drain_control()
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            with self._out_lock:
+            with self._lock:
                 item = queue.remove(queue.producer_of(return_hex))
                 if item is not None and ran is not None:
-                    # From now on a cancel read for it — by the
-                    # watchdog, mid-run — takes it out again.
+                    # From now on a cancel the reader reads for it —
+                    # mid-run, too — takes it out again.
                     self._answerable.add(item[0][0])
             if item is None:
                 continue  # cancelled or granted away just now
@@ -785,7 +957,7 @@ class ProcWorker:
         * its id never escaped this process — an unescaped ref has no
           second reader who could see a different outcome;
         * no ``CANCEL_NOTICE`` naming its producer was read since it ran
-          — the control drain here is the last chance.  A cancel the
+          — the reader handles one the moment it arrives.  A cancel the
           worker has not read yet counts as arriving after the task
           finished, which is an order the driver can give it too.
 
@@ -797,10 +969,8 @@ class ProcWorker:
                 blobs = None
                 break
             blobs.append(found[1])
-        if blobs is not None:
-            self._drain_control()
         tasks = {task_hex for task_hex, _blob in ran.values()}
-        with self._out_lock:
+        with self._lock:
             if blobs is not None and not tasks <= self._answerable:
                 blobs = None  # a cancel named one of them
             self._answerable -= tasks
@@ -816,59 +986,13 @@ class ProcWorker:
             self.obs.record("get_local", task_id=str(self._cur_task), refs=len(refs))
         return blobs
 
-    def _await_frame(self) -> bool:
-        """Park on the pipe between sessions; False means shutdown."""
-        while True:
-            with self._in_lock:
-                message = self.conn.recv()
-            tag = message[0]
-            if tag == msg.SHUTDOWN:
-                self._flush_spans()  # final flush: nothing else will
-                return False
-            if tag == msg.TASK:
-                self._run_frame(message)
-                return True
-            if not self._handle_control(message):
-                raise RuntimeError(f"unexpected driver message {tag!r} while idle")
-
-    def _run_frame(self, message: tuple) -> None:
-        """One TASK frame: run its head now, queue its tail.
-
-        The head is what the driver handed this worker to *run*; the
-        tail was shipped ahead of need and stays stealable, cancellable
-        and re-homable until the queue reaches it.
-
-        An actor's window (a frame headed by an actor call holds calls
-        of that one actor and nothing else) is not queued: its order is
-        the actor's order, and the driver keeps every call of it
-        in-flight here, so it runs through, back to back, wherever the
-        frame arrived — a session's start or a blocked task's rpc.  Its
-        completions are held like a stateless tail's, under the same
-        flush points (a call that blocks reports its predecessors first:
-        ``rpc``), with the watchdog armed for a call that computes on."""
-        _, entries, functions = message
-        if functions:
-            self.functions.learn(functions, self.functions_sent)
-        if len(entries) > 1 and "actor" in (entries[0][5] or ()):
-            for entry in entries:
-                self._run_queued((entry, True))
-            return
-        if len(entries) > 1:
-            with self._out_lock:
-                for entry in entries[1:]:
-                    self.local_queue.push(entry[0], (entry, True), entry[2])
-                # Shipped on an estimate, behind a head that may break
-                # it: watched until the queue is empty again.
-                self._armed.set()
-        self._run_task(entries[0])
-
     def _run_task(self, entry: tuple, inline_run: bool = False) -> tuple:
         """Execute one task and buffer its completion — flushed here
         once the oldest buffered one has waited out the frame budget;
         returns ``(blobs, failed)``."""
         refs = self._refs
         if refs.born:
-            with self._out_lock:
+            with self._lock:
                 refs.drain(self._escaped, died=False)
         mark = len(refs.touched)
         started = time.monotonic()
@@ -878,22 +1002,25 @@ class ProcWorker:
             self._report_survivors(mark)
         if self.shm is not None:
             self.shm.settle_leases()
-        with self._out_lock:
+        with self._lock:
             if not (self._done or self._pending_notices):
                 self._held_since = now
             self._done.append((entry[0], data, failed, now - started))
             if now - self._held_since >= FRAME_BUDGET_S:
                 self._flush_done()
+            elif inline_run:
+                self._hold()  # its parent runs on: time it
         return data, failed
 
     def _report_survivors(self, mark: int) -> None:
         """A task ended: every ref instance it received or created
-        (``touched`` since ``mark``) that is still alive now — kept in
+        (``touched`` since ``mark``, its thread's: :meth:`_charge`) that
+        is still alive now — kept in
         actor state, a global, a cycle the collector has not met — is
         one the driver will never hear of again, so its object escapes
         (reported ahead of the task's DONE, which is what ends the
         driver's hold on the ids born in it)."""
-        with self._out_lock:
+        with self._lock:
             refs = self._refs
             refs.drain(self._escaped)
             touched = refs.touched
@@ -907,54 +1034,6 @@ class ProcWorker:
         """Raw id of the innermost running task: what the driver holds
         ids born on this worker's behalf against."""
         return None if self._cur_task is None else self._cur_task.hex
-
-    def _drain_control(self, midtask: bool = False) -> None:
-        """Process every buffered one-way driver message (non-blocking);
-        ``midtask`` when the watchdog does it during a task."""
-        with self._in_lock:
-            while self.conn.poll():
-                message = self.conn.recv()
-                if not self._handle_control(message, midtask):
-                    raise RuntimeError(
-                        f"unexpected driver message {message[0]!r} between tasks"
-                    )
-
-    def _handle_control(self, message: tuple, midtask: bool = False) -> bool:
-        """Handle a one-way driver message; False if it was not one.
-
-        Runs on whichever thread holds the pipe's read side: the main
-        thread between tasks and in an rpc's reply loop, the watchdog
-        (``midtask``) during a task.  Every touch of the local queue is
-        under ``_out_lock``, which the main thread takes to pop, push
-        and remove: a task leaves the queue through exactly one door."""
-        tag = message[0]
-        if tag == msg.STEAL_REQUEST:
-            with self._out_lock:
-                granted = self.local_queue.steal_tail(message[1])
-                # The grant is authoritative: whoever takes a task off
-                # the queue does so under this lock, so a task id sent
-                # away can never also run here.  Payloads are dropped —
-                # the driver re-homes the tasks from its mirror, which
-                # the flush below guarantees already knows every granted
-                # id.  A grant made during a task says so (a trailing
-                # element, like DONE's): its tasks were *recalled*.
-                self._flush_notices()
-                grant = (msg.STEAL_GRANT, [task_hex for task_hex, _ in granted])
-                self.conn.send(grant + (True,) if midtask else grant)
-            return True
-        if tag == msg.CANCEL_NOTICE:
-            # The worker-side dispatch-time drop: gone from the queue,
-            # the task can never be popped, so it never executes.  One
-            # that already ran inline may no longer answer its get.
-            with self._out_lock:
-                self.local_queue.remove(message[1])
-                self._answerable.discard(message[1])
-            return True
-        if tag == msg.PLACED:
-            with self._out_lock:
-                self.unacked_local = max(0, self.unacked_local - message[1])
-            return True
-        return False
 
     def try_submit_local(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
         """The fast path: keep a nested submission on this worker when
@@ -992,23 +1071,22 @@ class ProcWorker:
             entry = msg.encode_entry(spec, self._local_slot)
         # The notice is one-way and *buffered* — this is the zero
         # round-trip path: a fan-out's notices coalesce into a single
-        # send at the next pipe touch (or watchdog tick), and the
+        # send at the next pipe touch (or the reader's timer), and the
         # driver's (batched) PLACED ack arrives asynchronously, carrying
         # the lineage guarantee.  _flush_notices() before every other
         # outbound message is what keeps the mirror causally ahead of
         # any DONE or STEAL_GRANT that could mention the task.  The
-        # first one held arms the watchdog: a parent that goes on
-        # computing must not hide its children from idle peers
-        # (_watch_done).
-        with self._out_lock:
+        # first one held starts the timer: a parent that goes on
+        # computing must not hide its children from idle peers (_read).
+        with self._lock:
             first = not self._pending_notices
             if first and not self._done:
                 self._held_since = time.monotonic()
             self._pending_rows.extend(self.rows_to_tell(template))  # its keys
             self._pending_notices.append(entry)
             self.local_queue.push(entry[0], (entry, False), entry[2])
-        if first and not self._armed.is_set():
-            self._armed.set()
+            if first:
+                self._hold()
         if self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,
@@ -1037,7 +1115,7 @@ class ProcWorker:
         registers a locally-born task strictly before it can see the
         task's completion, a grant giving it away, or any value/request
         in which its ref could escape this process."""
-        with self._out_lock:
+        with self._lock:
             refs = self._refs
             if refs.escaped:
                 refs.drain(self._escaped, died=False)
@@ -1102,10 +1180,9 @@ class ProcWorker:
                 inline=inline_run,
             )
         pinned: list = []
-        # Reentrant execute() (an actor task injected while this task is
-        # blocked in rpc) must not inherit the outer task's context.
+        # An inline run (a producer its blocked parent runs) must not
+        # inherit the outer task's context.
         prev_ctx = (self._cur_task, self._cur_root)
-        self._cur_since = t_start
         self._cur_task, self._cur_root = spec.task_id, root_id
         try:
             try:

@@ -11,7 +11,7 @@ counters).  The package holds the mechanism whole, not just its queues:
 * :mod:`~repro.sched_plane.dispatch` — the :class:`~repro.sched_plane.
   dispatch.DispatchPlane` a driver asks, under its lock, every
   scheduling question: route a runnable task, claim a budget-sized
-  frame for an idle worker (or one task for a blocked one), register
+  frame for an idle worker (one whose tasks are all parked is idle too), register
   what was shipped, settle a completion, pick a steal victim and apply
   its grant, drop a cancelled task, say what a lost worker leaves
   behind.  It touches no pipe, thread or process: worker handles go in,

@@ -33,10 +33,15 @@ class SchedCounters:
         (both driver-side queue raids and the wire steal protocol).
     ``tasks_recalled``
         Of the wire-stolen tasks, those their worker gave up *while it
-        was inside a task* (its watchdog answered the steal request):
-        frame mates taken back from behind a head that outran its
-        estimate, instead of waiting for it (proc/dist; 0 on backends
-        without a wire).
+        was inside a task* (its reader answered the steal request while
+        a task held the execution token): frame mates taken back from
+        behind a head that outran its estimate, instead of waiting for
+        it (proc/dist; 0 on backends without a wire).
+    ``tasks_parked``
+        Worker ``get``/``wait`` requests the driver could not answer at
+        once and parked — "pending" replies sent: each time a task gave
+        its worker's token up until a late reply resumed it (proc/dist;
+        0 on backends without a wire).
     ``placement_locality_hits``
         Driver-tier placements where the chosen worker already held at
         least one of the task's argument objects.
@@ -53,6 +58,7 @@ class SchedCounters:
     tasks_placed_global: int = 0
     tasks_stolen: int = 0
     tasks_recalled: int = 0
+    tasks_parked: int = 0
     placement_locality_hits: int = 0
     frames_sent: int = 0
     tasks_shipped: int = 0
@@ -65,6 +71,7 @@ class SchedCounters:
             "tasks_placed_global": self.tasks_placed_global,
             "tasks_stolen": self.tasks_stolen,
             "tasks_recalled": self.tasks_recalled,
+            "tasks_parked": self.tasks_parked,
             "placement_locality_hits": self.placement_locality_hits,
             "frames_sent": self.frames_sent,
             "tasks_shipped": self.tasks_shipped,

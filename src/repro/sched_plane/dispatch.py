@@ -17,9 +17,9 @@ worker said.
 
 **A task's way through.**  ``route`` places a runnable stateless task on
 a worker or the global queue and wakes an actor call's lane; an idle
-worker's service thread claims a budget-sized frame (``claim_frame``), a
-blocked worker's one task at a time (``claim_one``); what was claimed is
-the claiming thread's alone until ``ship`` registers it on the worker
+worker's service thread claims a budget-sized frame (``claim_frame``) —
+idle meaning nothing left to run, however many of its tasks are parked
+in a ``get``/``wait``; what was claimed is the claiming thread's alone until ``ship`` registers it on the worker
 (or ``return_unshipped`` takes it back); ``done`` settles a reported
 completion.  **Giving work back.**  ``request_steal`` picks whom an idle
 worker asks for the tail of its queue and ``apply_grant`` re-homes what
@@ -266,7 +266,7 @@ class DispatchPlane:
             )
 
     # ------------------------------------------------------------------
-    # Claiming: a frame for an idle worker, one task for a blocked one
+    # Claiming a frame for an idle worker
     # ------------------------------------------------------------------
 
     def claim_frame(self, worker: WorkerSlot) -> list:
@@ -277,13 +277,13 @@ class DispatchPlane:
         queued behind it rides along while the frame's *estimated* work
         stays within :data:`FRAME_BUDGET_S` — the one frame rule, on
         every wire backend.  Behind a stateless head that is stateless
-        tasks (what the estimate gets wrong the worker gives back,
-        ``ProcWorker._watch_done``); behind an actor call, the following
+        tasks (what the estimate gets wrong the worker gives back: its
+        reader answers steal requests while the head runs); behind an actor call, the following
         calls of the *same* lane whose arguments are in, all counted
         against it as dispatched (``ActorLane.open``).  A function or
         method with no estimate yet (so every constructor), or one
         estimated over the budget, therefore ships alone."""
-        head = self.claim_one(worker, raid=True)
+        head = self.claim_one(worker)
         if head is None:
             return []
         worker.busy = True
@@ -305,17 +305,16 @@ class DispatchPlane:
         return frame
 
     def claim_one(
-        self, worker: WorkerSlot, room: Optional[float] = None, raid: bool = False
+        self, worker: WorkerSlot, room: Optional[float] = None
     ) -> Optional[TaskSpec]:
         """The next spec this worker may run, or None: the head of a
         pinned actor's lane first (a window of one opens on it), then a
         stateless task — off its placed queue, then the global queue,
-        then (``raid``) the longest placed queue of a peer, which lives
-        on the driver: a deque pop.  On its own this is what a worker
-        *blocked* in ``get``/``wait`` is fed, one task at a time: it
-        runs them reentrantly, on top of the blocked task.  With
-        ``room`` (a frame's tail): only a stateless task estimated to
-        fit it; one that does not stays where it is.  A task cancelled
+        then the longest placed queue of a peer, which lives on the
+        driver: a deque pop.  With ``room`` (a frame's tail): only a
+        stateless task estimated to fit it, off the worker's own placed
+        queue or the global one; one that does not fit stays where it
+        is.  A task cancelled
         while queued is dropped on the way; a dead actor's call (only
         those take the global queue) becomes its error."""
         while room is None and worker.pinned:
@@ -327,7 +326,7 @@ class DispatchPlane:
         while True:
             source, victim = worker.placed or self._queue, None
             if not source:
-                if raid:
+                if room is None:
                     victim = self._victim(worker, wire=False)
                 if victim is None:
                     return None
@@ -513,9 +512,7 @@ class DispatchPlane:
     # Stealing, cancelling, losing a worker
     # ------------------------------------------------------------------
 
-    def _victim(
-        self, thief: WorkerSlot, wire: bool, include_self: bool = False
-    ) -> Optional[WorkerSlot]:
+    def _victim(self, thief: WorkerSlot, wire: bool) -> Optional[WorkerSlot]:
         """The live worker with the most to take from (ties to the
         lowest index), or None: by its placed queue, which lives here on
         the driver, or — ``wire`` — by the mirror of its own queue, if
@@ -539,7 +536,7 @@ class DispatchPlane:
                 continue
             else:
                 size = len(worker.mirror)
-            if size > most and (worker is not thief or include_self):
+            if size > most and worker is not thief:
                 best, most = worker, size
         return best
 
@@ -554,21 +551,12 @@ class DispatchPlane:
                 **how,
             )
 
-    def request_steal(
-        self, thief: WorkerSlot, include_self: bool = False
-    ) -> Optional[tuple]:
+    def request_steal(self, thief: WorkerSlot) -> Optional[tuple]:
         """Choose whom ``thief`` asks for the tail of its local queue:
         ``(victim, how many tasks)`` for the caller to send as a
         STEAL_REQUEST, or None.  At most one request per victim is
-        outstanding; :meth:`apply_grant` takes the answer.
-
-        ``include_self`` lets a *blocked* worker raid its own queue: the
-        grant re-homes the tasks through the global queue and
-        :meth:`claim_one` hands them back one at a time — how a worker
-        blocked on work its own queue holds but that it could not run
-        inline (not the producer of what it waits for, only upstream of
-        it) unwedges itself."""
-        victim = self._victim(thief, wire=True, include_self=include_self)
+        outstanding; :meth:`apply_grant` takes the answer."""
+        victim = self._victim(thief, wire=True)
         if victim is None:
             return None
         victim.steal_outstanding = True
@@ -582,9 +570,9 @@ class DispatchPlane:
         tasks through the global queue and return them.  The victim is
         the queue's only executor, so everything granted is provably not
         running there; ids missing from the mirror were cancelled in the
-        meantime and stay dropped.  ``midtask``: the victim was inside a
-        task (its watchdog answered) — these were recalled from behind
-        it."""
+        meantime and stay dropped.  ``midtask``: a task held the
+        victim's token when its reader answered — these were recalled
+        from behind it."""
         victim.steal_outstanding = False
         if task_hexes:
             victim.steal_dry_at = -1  # it may have more to give
@@ -627,7 +615,7 @@ class DispatchPlane:
         Returns ``(doomed, replaced)``:
 
         * ``doomed`` — the tasks that died with it, for the lineage
-          gate: the stack in ``inflight`` and the whole mirror (it has
+          gate: ``inflight`` (parked tasks too) and the whole mirror (it has
           every task of the dead local queue: SUBMIT_LOCAL precedes
           everything else on the pipe, frame tails are mirrored before
           the frame is sent, a grant never delivered removed nothing).

@@ -35,9 +35,9 @@ class LocalTaskQueue:
     owner runs (a payload dict in the proc worker, a TaskSpec in the
     local runtime and in the driver-side mirrors).  All operations are
     O(1) amortized; the class is unsynchronized — a proc worker touches
-    its queue under its send lock (the main thread runs from it, the
-    watchdog thread grants from it), mirrors are touched under the
-    runtime lock.
+    its queue under its lock (executor threads run from it, the reader
+    thread grants from it), mirrors are touched under the runtime
+    lock.
 
     A task pushed with ``produces=`` (the ids of the objects it will
     return) is also findable by any of them through :meth:`producer_of`:
@@ -135,9 +135,9 @@ class WorkerSlot:
     #: that have a call to dispatch; drained before the shared queue.
     pinned: deque = field(default_factory=deque)
     #: Specs the worker was handed to *run*, by raw task id (the hex the
-    #: wire carries) in hand-over order, so the values read as its
-    #: stack: the head of its frame — every call of an actor's window —
-    #: plus any tasks running reentrantly while that one blocks.
+    #: wire carries) in hand-over order: the head of each frame — every
+    #: call of an actor's window — it has not reported, parked ones
+    #: included.
     inflight: dict = field(default_factory=dict)
     #: Stateless tasks the driver tier placed here (locality-aware),
     #: shipped when the worker next idles.
@@ -147,8 +147,9 @@ class WorkerSlot:
     #: frames shipped to it, by raw task id: what makes stolen and
     #: crashed queued tasks recoverable.
     mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
-    #: Session state: True from claiming a frame for the worker until
-    #: its idle DONE.  Only busy workers are steal victims.
+    #: Session state: True from claiming a frame for the worker (or
+    #: resuming a parked task of it) until its idle DONE.  Only busy
+    #: workers are steal victims.
     busy: bool = False
     #: An un-answered STEAL_REQUEST is outstanding for this victim.
     steal_outstanding: bool = False
@@ -157,10 +158,6 @@ class WorkerSlot:
     #: granted nothing and nothing has reached its queue since
     #: (``DispatchPlane._victim``).
     steal_dry_at: int = -1
-    #: Set by the runtime while the worker's service thread waits on the
-    #: runtime's condition for its blocked child: whoever asks the
-    #: worker for work must wake that thread to read the grant.
-    parked: bool = False
     alive: bool = True
     tasks_done: int = 0
     actors_bound: int = 0
@@ -177,10 +174,10 @@ class ActorLane:
     leaves from the head, in a dispatch frame for the actor's worker.
     That worker runs a frame's calls back to back, so FIFO here plus one
     executor there is the actor's total order — provided the worker
-    never holds two frames of one actor at once, which a blocked call
-    would let the second overtake (it runs reentrantly, on top of the
-    blocked one): while any dispatched call is unreported (``open``),
-    the lane dispatches nothing more."""
+    never holds two frames of one actor at once, which a parked call
+    would let the second overtake (it runs on another thread meanwhile):
+    while any dispatched call is unreported (``open``), the lane
+    dispatches nothing more."""
 
     record: Any  # its ActorRecord
     #: Submitted, not dispatched yet.

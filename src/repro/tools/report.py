@@ -34,6 +34,12 @@ def run_report(runtime, include_gantt: bool = False, gantt_width: int = 72) -> s
         for key in ("tasks_executed", "workers_crashed", "nodes_lost"):
             if key in stats:
                 sections.append(f"  {key}: {stats[key]}")
+        parked = stats.get("sched", {}).get("tasks_parked")
+        if parked:
+            sections.append(
+                f"  {parked} get/wait(s) parked their task: its worker ran "
+                "other work until the answer came"
+            )
         obs = stats.get("obs")
         if isinstance(obs, dict):
             sections.append(

@@ -281,7 +281,8 @@ def test_blocked_method_is_not_overtaken_by_its_successor(pool):
 @wire
 def test_blocked_method_in_one_window_with_its_successor(pool):
     """The same program with both calls provably in one frame: the
-    worker runs a window through in order, reentrant frames on top."""
+    worker runs a window through in order on one thread, the blocked
+    call keeping its successors behind it while it is parked."""
     log = Log.remote()
     repro.get(log.add.remote(0), timeout=60.0)
     awaited = slow.remote(0.3, "late")
@@ -414,8 +415,8 @@ def test_losing_the_worker_under_a_window_loses_every_call_once(pool, how, tmp_p
         pool, log, [("mark", (directory, i, 3)) for i in range(14)]
     )
     _await(lambda: _runs(directory, 3) == 1, "call 3 holding")
-    # Calls 0..2 completed; their results arrive (the watchdog flushes
-    # what call 3 holds up) and stay theirs.
+    # Calls 0..2 completed; their results arrive (the reader's timer
+    # flushes what call 3 holds up) and stay theirs.
     assert repro.get(window[:3], timeout=60.0) == [0, 1, 2]
     assert len(worker.inflight) >= 10
     queued = [log.mark.remote(directory, 100 + i) for i in range(5)]

@@ -38,8 +38,8 @@ def test_nested_get_on_single_cpu_node():
 
 #: The smallest pool of each backend, where a blocked parent's children
 #: need its own slot: sim and local release the blocked task's CPU
-#: (local's node gains a thread for that long), proc and dist run the
-#: children inside the blocked worker.
+#: (local's node gains a thread for that long), proc and dist park the
+#: blocked task and run the children beside it.
 SMALLEST_POOLS = {
     "sim": dict(num_nodes=1, num_cpus=1),
     "local": dict(num_nodes=1, num_cpus=1),
@@ -83,9 +83,9 @@ def _running(pid):
 @pytest.mark.timeout(60)
 @pytest.mark.parametrize("backend", ["proc", "dist"])
 def test_shutdown_does_not_wait_out_a_worker_blocked_in_get(backend):
-    """A service thread serving a blocked worker's ``get`` leaves its
-    wait when the runtime closes — shutdown is not its 5 s thread join —
-    and the pool still goes away whole."""
+    """A worker whose task is parked in ``get`` (a thread of it waits
+    for a late reply) does not hold shutdown up — it is not the service
+    thread's 5 s join — and the pool still goes away whole."""
     pool = dict(SMALLEST_POOLS[backend], **(
         {"num_workers": 2} if backend == "proc" else {"workers_per_node": 2}
     ))
@@ -94,7 +94,7 @@ def test_shutdown_does_not_wait_out_a_worker_blocked_in_get(backend):
     try:
         blocked = blocks_on.remote([never.remote()])
         deadline = time.monotonic() + 30.0
-        while not any(w.parked for w in runtime._workers):
+        while not any(w.waits for w in runtime._workers):
             assert time.monotonic() < deadline, "the parent never blocked"
             time.sleep(0.01)
         pids = runtime.worker_pids()
@@ -116,6 +116,48 @@ def test_shutdown_does_not_wait_out_a_worker_blocked_in_get(backend):
 @repro.remote
 def nap(seconds):
     time.sleep(seconds)
+
+
+@repro.remote
+class Waiter:
+    def wait_for(self, boxed):
+        return repro.get(boxed[0], timeout=30.0)
+
+    def ping(self):
+        return "pong"
+
+
+@repro.remote
+class Producer:
+    def make(self, seconds):
+        time.sleep(seconds)
+        return seconds
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("backend", ["proc", "dist"])
+def test_tasks_resumed_together_all_report_and_their_worker_serves_on(backend):
+    """Two actors on one worker park on one object another worker makes,
+    and its arrival resumes both at once, their worker idle.  The first
+    may end, and its worker report idle, before the second's late reply
+    is read: the idle report counts the late replies read, and the
+    driver serves on until it has heard of both — else the second call's
+    completion, and what the worker is sent next, wait for a frame that
+    may never come."""
+    pool = {"proc": dict(num_workers=2), "dist": dict(num_nodes=2, num_cpus=1)}
+    runtime = repro.init(backend=backend, seed=4, **pool[backend])
+    try:
+        homes = runtime.replica_targets()
+        waiters = [Waiter.options(placement_hint=homes[0]).remote() for _ in range(2)]
+        producer = Producer.options(placement_hint=homes[1]).remote()
+        for _ in range(20):
+            made = producer.make.remote(0.02)
+            calls = [waiter.wait_for.remote([made]) for waiter in waiters]
+            assert repro.get(calls, timeout=10.0) == [0.02, 0.02]
+            pings = [waiter.ping.remote() for waiter in waiters]
+            assert repro.get(pings, timeout=10.0) == ["pong", "pong"]
+    finally:
+        repro.shutdown()
 
 
 @pytest.mark.timeout(60)

@@ -6,12 +6,12 @@ down what that must not change: exactly-once execution under a crash,
 never-executes cancellation, no head-of-line blocking behind slow or
 stuck tasks, and a blocked worker reaching tasks queued behind it at
 once.  A frame is sized by an *estimate*, so its tail must stay
-recallable while its head runs: the worker's watchdog thread answers
-steal requests and cancel notices for a main thread that is inside a
-task, and the second half of this file pins that down — the frame mates
-of a mispredicted head finish in a few watchdog ticks, every task still
-runs exactly once, and a prompt (possibly empty) answer never turns
-into a request loop.
+recallable while its head runs: the worker's reader thread answers
+steal requests and cancel notices whatever its tasks are doing, and the
+second half of this file pins that down — the frame mates of a
+mispredicted head are back within milliseconds, every task still runs
+exactly once, and a prompt (possibly empty) answer never turns into a
+request loop.
 
 Windows are made deterministic the same way throughout: calls are
 submitted with the runtime lock held (no service thread can claim a
@@ -26,7 +26,6 @@ import statistics
 import sys
 import threading
 import time
-from collections import deque
 
 import pytest
 
@@ -34,8 +33,8 @@ import repro
 from repro.core.object_ref import ObjectRef
 from repro.errors import NodeLostError, TaskCancelledError, TaskError
 from repro.proc import messages as msg
+from played_pipe import PlayedPipe
 from repro.proc import worker as worker_module
-from repro.proc.transport import Transport
 from repro.proc.worker import ProcWorker
 from repro.sched_plane import LocalTaskQueue
 from repro.utils.ids import FunctionID
@@ -329,13 +328,15 @@ def occupy_one_worker(pool, gate):
 @pools(2)
 def test_frame_mates_of_a_mispredicted_head_return_within_a_few_ticks(pool, tmp_path):
     """A window of ``mark(nap=0.5)`` plus 30 no-ops, all estimated at
-    10 us, lands on one worker as one frame.  The idle peer asks for the
-    tail, the victim's watchdog answers while its main thread naps, and
-    the 30 mates are back in tens of milliseconds — not after the nap.
-    Each round is a watchdog tick (the thief takes half of what is left
-    per request), so the bound is a few ticks, far from 500 ms — as the
-    median of five windows, in one of three attempts: the nap would be
-    in every window of every attempt, a busy host is not."""
+    10 us, lands on the pool as frames.  The idle peer asks for the
+    tail, the victim's reader answers while the head naps, and the 30
+    mates are back in tens of milliseconds — not after the nap.  Each
+    steal round is a round trip (the thief takes half of what is left
+    per request), so the bound is far from 500 ms — as the median of
+    five windows, in one of three attempts: the nap would be in every
+    window of every attempt, a busy host is not.  (On the 2-core
+    development host, where each ``mark`` costs ~0.2 ms of file I/O
+    alone, it reads 8-10 ms on ``proc`` and 12-15 ms on ``dist``.)"""
     warm_up(pool)
     medians = []
     for attempt in range(3):
@@ -352,9 +353,9 @@ def test_frame_mates_of_a_mispredicted_head_return_within_a_few_ticks(pool, tmp_
             assert repro.get(refs[0], timeout=60.0) == 0
             assert [_runs(directory, i) for i in range(31)] == [1] * 31
         medians.append(statistics.median(times))
-        if medians[-1] < 0.050:
+        if medians[-1] < 0.025:
             break
-    assert medians[-1] < 0.050, medians
+    assert medians[-1] < 0.025, medians
     stats = sched(pool)
     assert stats["tasks_recalled"] >= 1
     assert stats["tasks_recalled"] <= stats["tasks_stolen"]
@@ -383,9 +384,9 @@ def test_trace_says_why_a_recalled_task_moved(backend, tmp_path):
 
 @pools(1)
 def test_cancel_of_a_tail_task_while_the_head_runs(pool, tmp_path):
-    """The CANCEL_NOTICE reaches the worker while its main thread is
-    inside the head: the watchdog takes the task off the queue there and
-    then, concurrently with the main thread, and it never runs."""
+    """The CANCEL_NOTICE reaches the worker while the head runs: the
+    reader takes the task off the queue there and then, concurrently
+    with the head, and it never runs."""
     directory = str(tmp_path)
     calls = [(mark, (directory, 0, None, 0.3))]
     calls += [(mark, (directory, i)) for i in range(1, 4)]
@@ -401,11 +402,9 @@ def test_cancel_of_a_tail_task_while_the_head_runs(pool, tmp_path):
 @pools(2)
 def test_head_blocked_in_get_answers_steals_from_its_reply_loop(pool, tmp_path):
     """The head blocks in ``get`` on a ref only the *other* worker can
-    produce (it is busy producing it): the mates behind the head are
-    recovered by self-steal, answered from the blocked task's reply loop
-    and run reentrantly there.  The pipe has one reader throughout: the
-    watchdog stays out of a worker that is inside an rpc (it would eat
-    the frames and the reply), however many ticks the block lasts."""
+    produce (it is busy producing it): its get is parked, and the mates
+    behind it run on its worker meanwhile, each exactly once — on
+    another thread, not on the blocked task's stack."""
     directory = str(tmp_path)
     gate, path = str(tmp_path / "gate"), str(tmp_path / "ref")
     external = occupy_one_worker(pool, gate)
@@ -421,8 +420,7 @@ def test_head_blocked_in_get_answers_steals_from_its_reply_loop(pool, tmp_path):
     value, _waited = repro.get(refs[0], timeout=60.0)
     assert value == 2  # True + 1
     assert [_runs(directory, i) for i in range(1, 10)] == [1] * 9
-    stats = sched(pool)
-    assert stats["tasks_stolen"] >= 9 and stats["tasks_recalled"] == 0
+    assert sched(pool)["tasks_parked"] == 1
 
 
 @pools(2)
@@ -444,10 +442,9 @@ def test_idle_thief_does_not_keep_asking_for_a_tail_that_is_not_there(pool, tmp_
 
 @pools(2)
 def test_blocked_worker_does_not_keep_asking_itself_either(pool, tmp_path):
-    """The same phantom on the self-steal path: a *queued* task blocks in
-    ``get`` on an external ref, its own mirror entry makes its worker
-    look robbable, and its service thread used to ask it — and be told
-    "nothing" — thousands of times a second until the ref arrived."""
+    """The same phantom for a parked task: a *queued* task blocks in
+    ``get`` on an external ref and is parked, its worker reports idle,
+    and nobody — itself included — asks it for work while it waits."""
     gate, path = str(tmp_path / "gate"), str(tmp_path / "ref")
     external = occupy_one_worker(pool, gate)
     with open(path, "wb") as handle:
@@ -466,9 +463,8 @@ def test_blocked_worker_does_not_keep_asking_itself_either(pool, tmp_path):
 def spawn_and_hold(directory, count, release):
     """Submit ``count`` children on the fast path (they queue up on this
     worker), then hold it until the ``release`` file appears — with an
-    rpc per look: the first sends the buffered notices ahead of itself,
-    and every reply loop answers the steal requests that have arrived
-    (nothing watches a queue of locally-born tasks during a task)."""
+    rpc per look: the first sends the buffered notices ahead of itself
+    (the reader answers steal requests meanwhile)."""
     refs = [mark.remote(directory, i) for i in range(count)]
     deadline = time.monotonic() + 60.0
     while not os.path.exists(release) and time.monotonic() < deadline:
@@ -490,9 +486,8 @@ def test_cancelled_tail_of_a_rehomed_window_leaves_no_wire_entry(pool, tmp_path)
     parent = spawn_and_hold.remote(directory, 6, release)
     _await(lambda: len(pool._dispatch._payloads) == 6, "the children being announced")
     # Both workers are busy, so nobody asks: play the idle thief.  The
-    # holding parent grants half of its queue from its next rpc's reply
-    # loop, and the tasks wait in the global queue for a worker to come
-    # free.
+    # holding parent's reader grants half of its queue at once, and the
+    # tasks wait in the global queue for a worker to come free.
     with pool._cond:
         thief = next(worker for worker in pool._workers if not worker.mirror)
         pool._request_steal(thief)
@@ -577,41 +572,18 @@ def test_kill_node_without_replay_budget_fails_exactly_the_shipped_tasks(
     assert pool.stats()["lineage_replays"] == 0
 
 
-# -- the worker's two threads, with the pipe scripted -------------------------------
+# -- the worker's threads, with the pipe scripted -------------------------------------
 
 
-class _ScriptedPipe(Transport):
-    """A worker's pipe, played by the test from another thread: what the
-    "driver" sends is put on ``inbox`` (``recv`` blocks for it), what the
-    worker sends lands in ``sent``."""
-
-    def __init__(self):
-        self.inbox = deque()
-        self.sent = []
-        self._arrived = threading.Condition()
-
-    def put(self, message):
-        with self._arrived:
-            self.inbox.append(message)
-            self._arrived.notify_all()
-
-    def send(self, message):
-        self.sent.append(message)
+class _ScriptedPipe(PlayedPipe):
+    """A worker's pipe, played by the test from another thread."""
 
     def recv(self):
-        with self._arrived:
-            if not self._arrived.wait_for(lambda: self.inbox, timeout=10.0):
-                raise EOFError("the scripted driver went silent")
+        message = super().recv()
         # A second reader, should there be one, gets its chance to take
-        # the message from under this one (which then fails loudly).
+        # the next message from under this one (which then fails loudly).
         time.sleep(0.0002)
-        return self.inbox.popleft()
-
-    def poll(self, timeout=0.0):
-        return bool(self.inbox)
-
-    def close(self):
-        pass
+        return message
 
 
 class _GuardedQueue(LocalTaskQueue):
@@ -648,13 +620,13 @@ for _name in ("push", "pop_head", "steal_tail", "remove"):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_each_task_is_run_or_granted_or_cancelled_exactly_once(seed, monkeypatch):
-    """The worker's main thread runs a frame — popping, pushing children,
-    running producers inline, issuing rpcs — while its watchdog serves a
+    """The worker's executor runs a frame — popping, pushing children,
+    running producers inline, issuing rpcs — while its reader serves a
     storm of STEAL_REQUESTs and CANCEL_NOTICEs that a second test thread
     writes to the pipe at random moments.  Whatever the interleaving:
     every task is run, or granted away, or was cancelled — exactly one
     of the three, exactly once — every run is reported exactly once, no
-    rpc reply is lost to the other reader, and neither thread dies."""
+    rpc reply is lost, and neither thread dies."""
     monkeypatch.setattr(worker_module, "_DONE_WATCHDOG_S", 0.0005)
     rng = random.Random(seed)
     conn = _ScriptedPipe()
@@ -666,7 +638,7 @@ def test_each_task_is_run_or_granted_or_cancelled_exactly_once(seed, monkeypatch
 
     def submit_child():
         index = len(hex_of)
-        hex_of[index] = None  # reserve: only the main thread submits
+        hex_of[index] = None  # reserve: only the executor submits
         ref = worker.try_submit_local(template, (index,), {})
         hex_of[index] = ref.producer_task.hex
         return ref
@@ -703,7 +675,7 @@ def test_each_task_is_run_or_granted_or_cancelled_exactly_once(seed, monkeypatch
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             sent = list(conn.sent)
-            if any(m[0] == msg.DONE and m[2] for m in sent):
+            if any(m[0] == msg.DONE and m[2] is not None for m in sent):
                 break
             requests = [m for m in sent if m[0] == msg.GET_ACTOR]
             kind = storm.random()
@@ -726,16 +698,15 @@ def test_each_task_is_run_or_granted_or_cancelled_exactly_once(seed, monkeypatch
     sys.setswitchinterval(1e-5)
     try:
         thread.start()
-        worker._run_sessions()  # this thread is the worker's main thread
+        worker._run_sessions()  # this thread is the worker's reader
     finally:
         sys.setswitchinterval(switch_interval)
+        conn.hang_up()
     assert storm_over.wait(timeout=30.0)
     thread.join(timeout=30.0)
     assert not thread.is_alive()
-    watchdog = [
-        t for t in threading.enumerate() if t.name == "repro-worker-done-watchdog"
-    ]
-    assert watchdog and all(t.is_alive() for t in watchdog)
+    # The session ended with an idle DONE: the executor lived to say so.
+    assert any(m[0] == msg.DONE and m[2] is not None for m in conn.sent)
 
     run_hexes = [hex_of[index] for index in ran]
     granted = [h for m in conn.sent if m[0] == msg.STEAL_GRANT for h in m[1]]

@@ -285,7 +285,7 @@ def test_a_victim_that_granted_nothing_is_not_asked_until_its_queue_moves():
     h.plane.born_on(victim, "x" * 40, h.task(), ("entry",))
     h.plane.idle(victim)
     assert h.plane.request_steal(thief) is None
-    assert h.plane.request_steal(victim, include_self=True) is None
+    assert h.plane.request_steal(victim) is None  # nor its own
 
 
 def test_a_grant_naming_an_id_no_longer_mirrored_is_dropped():
@@ -310,7 +310,6 @@ def test_an_idle_worker_raids_the_longest_placed_queue():
     for victim, count in ((short, 1), (long, 2)):
         victim.placed.extend(h.task() for _ in range(count))
     expected = long.placed[0]
-    assert h.plane.claim_one(thief) is None  # a blocked worker does not raid
     assert h.plane.claim_frame(thief)[0] is expected
     assert h.plane.counters.tasks_stolen == 1
 
@@ -477,14 +476,16 @@ class Fuzz(Harness):
         self.arrive(self.gated.pop(task_hex))
 
     def claim(self, worker):
-        """An idle worker's thread claims a frame; a blocked (busy)
-        worker's, one task to inject."""
+        """An idle worker's thread claims a frame — or, when the worker
+        has tasks parked (in ``inflight``, reported idle), resumes them:
+        the session is open again, and nothing is claimed."""
         if worker.busy:
-            spec = self.plane.claim_one(worker)
-            kind, frame = "inject", [] if spec is None else [spec]
-        else:
-            kind, frame = "session", self.plane.claim_frame(worker)
-            assert worker.busy == bool(frame)
+            return
+        if worker.inflight and self.rng.random() < 0.5:
+            worker.busy = True  # the runtime's late reply
+            return
+        kind, frame = "session", self.plane.claim_frame(worker)
+        assert worker.busy == bool(frame)
         if frame:
             self.held[worker.index] = (kind, worker, frame)
             for spec in frame:
@@ -505,7 +506,9 @@ class Fuzz(Harness):
         nothing left, that its queue drained."""
         mirrored = list(worker.mirror.task_ids())
         candidates = [*worker.inflight, *mirrored[:1]]
-        if not candidates:
+        parked = not mirrored and self.rng.random() < 0.2
+        if not candidates or parked:
+            # Nothing left to run — or all it runs is parked: idle.
             if worker.index not in self.held:
                 self.plane.idle(worker)
             return
@@ -520,7 +523,7 @@ class Fuzz(Harness):
 
     def steal(self):
         thief = self.rng.choice(self.alive())
-        ask = self.plane.request_steal(thief, include_self=self.rng.random() < 0.3)
+        ask = self.plane.request_steal(thief)
         if ask is None:
             return
         victim, count = ask
@@ -674,8 +677,8 @@ class Fuzz(Harness):
                     self.report(worker)  # its idle DONE
                     progressed = True
                 else:
-                    self.claim(worker)
-                    progressed = progressed or worker.index in self.held
+                    self.claim(worker)  # (or resume its parked tasks)
+                    progressed = progressed or worker.busy or worker.index in self.held
             self.check()
             if not progressed:
                 break
@@ -739,8 +742,8 @@ def test_mutant_leaking_a_cancelled_tasks_wire_entry_is_caught(monkeypatch):
 
 
 def test_mutant_dispatching_a_lane_with_a_window_out_is_caught(monkeypatch):
-    """The one-window rule dropped from the lane's wake-up: a blocked
-    call's successor would be injected on top of it."""
+    """The one-window rule dropped from the lane's wake-up: a parked
+    call's successor would run beside it and overtake it."""
 
     def wake(self, lane):
         home = self.by_node.get(lane.record.node_id)

@@ -12,15 +12,15 @@ rows and registrations do not travel with it).
 """
 
 import pickle
-from collections import deque
+import time
 
 import pytest
 
 import repro
+from played_pipe import PlayedPipe, start_reader
 from repro.core.object_ref import ObjectRef
 from repro.errors import BackendError
 from repro.proc import messages as msg
-from repro.proc.transport import Transport
 from repro.proc.worker import ProcWorker
 from repro.utils.ids import IDGenerator
 from repro.utils.serialization import deserialize_portable, serialize_portable
@@ -30,25 +30,15 @@ def double(x):
     return 2 * x
 
 
-class _Pipe(Transport):
-    """A worker's pipe with the driver's replies laid out in advance:
-    what the worker sends lands in ``sent``."""
+#: The played pipes of the workers a test made, hung up after it.
+_pipes: list = []
 
-    def __init__(self):
-        self.inbox = deque()
-        self.sent = []
 
-    def send(self, message):
-        self.sent.append(message)
-
-    def recv(self):
-        return self.inbox.popleft()
-
-    def poll(self, timeout=0.0):
-        return bool(self.inbox)
-
-    def close(self):
-        pass
+@pytest.fixture(autouse=True)
+def _hang_up_played_pipes():
+    yield
+    while _pipes:
+        _pipes.pop().hang_up()
 
 
 @pytest.fixture
@@ -70,14 +60,19 @@ def counted(monkeypatch):
 
 
 def _worker(index=0):
-    pipe = _Pipe()
-    return ProcWorker(pipe, index=index, seed=5, cache_capacity=1 << 20), pipe
+    """A worker over a played pipe (the driver's replies laid out in
+    advance), its reader running."""
+    pipe = PlayedPipe()
+    _pipes.append(pipe)
+    worker = ProcWorker(pipe, index=index, seed=5, cache_capacity=1 << 20)
+    start_reader(worker)
+    return worker, pipe
 
 
 def _spill(worker, pipe, template, ids, missing):
     """One nested call that cannot stay local (its argument is not
     resident on the worker); the SUBMIT payload it sent."""
-    pipe.inbox.append((msg.OK, (ids.task_id(), [ids.object_id()])))
+    pipe.put((msg.OK, (ids.task_id(), [ids.object_id()])))
     ref = worker.proxy.submit_call(template, (missing,), {})
     assert isinstance(ref, ObjectRef)
     return [m for m in pipe.sent if m[0] == msg.SUBMIT][-1][1]
@@ -168,10 +163,12 @@ def test_a_worker_born_function_is_learnt_from_whichever_message_names_it_first(
     # ... and ship the function, code and all, to a worker that never
     # saw it (a steal, a crash replay), which runs it from that row.
     second, second_pipe = _worker(index=1)
-    second_pipe.inbox.append((msg.TASK, [entries[0]], driver.rows([function_hex])))
-    second_pipe.inbox.append((msg.SHUTDOWN,))
-    assert second._await_frame()
-    second._flush_done(idle=True)
+    second._start_executor()
+    second_pipe.put((msg.TASK, [entries[0]], driver.rows([function_hex])))
+    deadline = time.monotonic() + 10.0
+    while not [m for m in second_pipe.sent if m[0] == msg.DONE]:
+        assert time.monotonic() < deadline, "the frame never ran"
+        time.sleep(0.001)
     (done,) = [m for m in second_pipe.sent if m[0] == msg.DONE]
     (_task_hex, blobs, failed, _seconds), = done[1]
     assert not failed and deserialize_portable(blobs[0]) == 2

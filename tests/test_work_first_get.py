@@ -20,15 +20,15 @@ import socket
 import statistics
 import threading
 import time
-from collections import deque
 
 import pytest
 
 import repro
 from repro.errors import GetTimeoutError, TaskCancelledError, TaskError
 from repro.proc import messages as msg
+from played_pipe import PlayedPipe, start_reader
 from repro.dist.runtime import ChannelTransport
-from repro.proc.transport import PipeTransport, TcpTransport, Transport
+from repro.proc.transport import PipeTransport, TcpTransport
 from repro.proc.worker import ProcWorker
 from repro.utils.serialization import (
     deserialize,
@@ -281,40 +281,22 @@ def test_grant_between_two_inline_runs_loses_and_repeats_nothing(backend, tmp_pa
         assert stolen(runtime) > 0
 
 
-class _ScriptedTransport(Transport):
-    """A worker's pipe, played by the test: what the driver "sends" is
-    appended to ``inbox``, what the worker sends lands in ``sent``."""
-
-    def __init__(self):
-        self.inbox = deque()
-        self.sent = []
-
-    def send(self, message):
-        self.sent.append(message)
-
-    def recv(self):
-        return self.inbox.popleft()
-
-    def poll(self, timeout=0.0):
-        return bool(self.inbox)
-
-    def close(self):
-        pass
-
-
 def test_worker_grants_the_tail_between_inline_runs_and_never_runs_it():
     """The same race with the pipe scripted, so the order is exact: a
-    STEAL_REQUEST arrives while the first producer runs inline."""
-    conn = _ScriptedTransport()
+    STEAL_REQUEST arrives while the first producer runs inline, and the
+    reader grants before that run ends."""
+    conn = PlayedPipe()
     worker = ProcWorker(
         conn, index=0, seed=1, cache_capacity=1 << 20
     )
+    reader = start_reader(worker)
     ran = []
 
     def body(i):
         ran.append(i)
         if i == 0:
-            conn.inbox.append((msg.STEAL_REQUEST, 2))
+            conn.put((msg.STEAL_REQUEST, 2))
+            _await(lambda: msg.STEAL_GRANT in [m[0] for m in conn.sent], "the grant")
         return i
 
     template = repro.remote(body)._bind(worker.proxy)
@@ -332,7 +314,10 @@ def test_worker_grants_the_tail_between_inline_runs_and_never_runs_it():
         worker.local_queue.producer_of(ref.object_id.hex) is None for ref in refs
     )
     # Exactly the inline runs were reported, before anything else could be.
-    worker._flush_done()
+    with worker._lock:
+        worker._flush_done()
+    conn.hang_up()
+    reader.join(timeout=5.0)
     done = [c[0] for m in conn.sent if m[0] == msg.DONE for c in m[1]]
     notices = [e[0] for m in conn.sent if m[0] == msg.SUBMIT_LOCAL for e in m[1]]
     assert done == notices[:3] and grants[0][1] == notices[3:]
@@ -423,21 +408,22 @@ def test_wait_runs_no_more_than_it_needs(backend, tmp_path):
 
 @wire
 def test_indirect_wait_is_not_a_timer(backend):
-    """The root waits for a spilled ``combine`` only: its twenty leaves
-    reach the driver by self-steal (five halvings of the queue), each
-    grant read when it lands."""
+    """The root waits for a spilled ``combine`` only: its get is parked,
+    and its worker runs the twenty leaves from its own queue meanwhile —
+    nothing is stolen, nothing re-homed — then ``combine``, then resumes
+    the root."""
     with session(backend, 1) as runtime:
         assert repro.get(get_only_combine.remote(0), timeout=60.0) == 210  # warm
-        before = stolen(runtime)
+        before, parked = stolen(runtime), runtime.stats()["sched"]["tasks_parked"]
 
         def indirect(x):
             assert repro.get(get_only_combine.remote(x), timeout=60.0) == 210 + 20 * x
 
-        # Per steal round, not per call: the poll's floor was 20 ms a
-        # round (measured: 4.8 ms a call on proc, 14 ms on dist, where
-        # each re-homed leaf also crosses TCP and an agent; 130+ before).
+        # Not a timer: a poll would cost 20 ms a round by itself
+        # (measured: 4-5 ms a call on proc, 6-7 ms on dist).
         assert _median_under(5 * NOT_A_TIMER_S, indirect, 9)
-        assert stolen(runtime) > before  # this is the path that still steals
+        assert stolen(runtime) == before
+        assert runtime.stats()["sched"]["tasks_parked"] - parked >= 9
 
 
 # -- (i) errors ------------------------------------------------------------------------------
