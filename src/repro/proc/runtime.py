@@ -217,22 +217,20 @@ class _WorkerHandle(WorkerSlot):
             self.conn.send(self.outbox.popleft())
         self.conn.send(message)
 
-    def send_control(self, message: tuple) -> bool:
+    def send_control(self, message: tuple) -> None:
         """A one-way control send that NEVER blocks — safe under the
         runtime lock.  ``Connection.send`` blocks when the OS pipe
         buffer is full (a worker's reader may be held up behind a large
         send of its own), and blocking there would freeze
         the whole runtime; a congested message parks in the outbox
-        instead (True: the caller notifies the runtime cond, so a
-        thread blocked for this worker delivers it), sent by the
-        worker's own service thread (:meth:`flush_outbox`, called
-        lock-free at every serving point) or ahead of its next reply."""
+        instead, sent by the worker's own service thread
+        (:meth:`flush_outbox`, called lock-free at every serving point)
+        or ahead of its next reply."""
         with self.send_lock:
             if not self.outbox and self.conn.writable():
                 self.conn.send(message)
-                return False
-            self.outbox.append(message)
-            return True
+            else:
+                self.outbox.append(message)
 
     def flush_outbox(self) -> None:
         """Deliver parked control messages (service thread only, runtime
@@ -695,8 +693,7 @@ class ProcRuntime:
         worker = self._dispatch.cancel(spec)
         if worker is not None:
             try:
-                if worker.send_control((msg.CANCEL_NOTICE, spec.task_id.hex)):
-                    self._cond.notify_all()
+                worker.send_control((msg.CANCEL_NOTICE, spec.task_id.hex))
             except OSError:
                 pass  # dying worker: the crash handler owns cleanup
 
@@ -1037,8 +1034,7 @@ class ProcRuntime:
             return
         victim, count = ask
         try:
-            if victim.send_control((msg.STEAL_REQUEST, count)):
-                self._cond.notify_all()
+            victim.send_control((msg.STEAL_REQUEST, count))
         except OSError:
             return  # victim died; its crash handler owns the cleanup
 
