@@ -6,6 +6,14 @@ for real: object/task/actor tables hash-partitioned across N lock-striped
 shards, an append-only event log per shard, and fire-and-forget async
 writes on hot paths mirroring the sim's ``async_*`` idiom.
 
+Each mutation is one record, ``(key, kind, mutator, args, event, wal)``,
+built in one place: the sync method hands it to :meth:`ControlStore._apply`
+at once, its ``async_*`` twin queues the same tuple for the writer thread.
+A shard's events are flat ``(timestamp, kind, key_hex, field, value)``
+tuples of atomic values, which the cyclic GC untracks;
+:meth:`ControlStore.events` makes them into
+:class:`~repro.store.event_log.EventRecord` objects only when read.
+
 Design rules the runtimes rely on:
 
 * **Write-ahead lineage** — ``task_put`` is synchronous and happens before
@@ -39,7 +47,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
 from repro.gcs.tables import ActorEntry, ObjectEntry, TaskEntry, shard_of
-from repro.store.event_log import EventLog
+from repro.store.event_log import EventRecord
 
 try:  # cloudpickle widens what the WAL can persist (closures in specs)
     import cloudpickle as _wal_pickler
@@ -88,7 +96,7 @@ class ControlShard:
         "tasks",
         "actors",
         "names",
-        "event_log",
+        "events",
         "ops",
         "contended",
         "waiting",
@@ -107,7 +115,8 @@ class ControlShard:
         self.actors: dict = {}
         #: name -> actor_id index (names hash to this shard).
         self.names: dict = {}
-        self.event_log = EventLog()
+        #: ``(timestamp, kind, key_hex, field, value)`` per logged write.
+        self.events: list = []
         # Best-effort counters (racy increments lose at most a few counts;
         # the uniform stats() contract promises keys, not exactness).
         self.ops = 0
@@ -198,11 +207,14 @@ class ControlStore:
         wal: Optional[str] = None,
     ):
         """Run ``mutate(shard, key, *args)`` under the owning shard's
-        lock (+ event + WAL).
+        lock (+ event + WAL): the one way a record is applied, whether
+        its sync method passes it here at once or the writer thread
+        takes it off the async queue.
 
-        ``event`` is the payload of the event-log record (``None``: the
-        op is not logged — reads, derived index writes).  ``wal`` names
-        the public mutation; its record is built from ``args`` by
+        ``event`` is ``(field, value)``: the shard logs the flat tuple
+        ``(timestamp, kind, key_hex, field, value)`` (``None``: the op is
+        not logged — reads, derived index writes).  ``wal`` names the
+        public mutation; its record is built from ``args`` by
         :data:`_WAL_ARGS`, so :meth:`open` can replay it verbatim, and
         only when a WAL is attached — a memory-only store pays nothing
         for it.  Mutators are plain methods taking positional arguments:
@@ -240,10 +252,11 @@ class ControlStore:
             result = mutate(shard, key, *args)
             if event is not None:
                 # An id is logged as its hex: free to take (no str() of
-                # the key three times per task), and a payload of plain
-                # strings is a dict the cyclic GC does not track.
-                shard.event_log.append(
-                    self._clock(), kind, key=getattr(key, "hex", key), **event
+                # the key three times per task), and a tuple of atomic
+                # values is one the cyclic GC untracks.
+                field, value = event
+                shard.events.append(
+                    (self._clock(), kind, getattr(key, "hex", key), field, value)
                 )
             if blob is not None and shard.wal_fd is not None:
                 wal_seq = self._wal_append(shard, blob)
@@ -305,9 +318,15 @@ class ControlStore:
     def task_put(self, task_id, spec, *, state: str = "submitted", node=None) -> None:
         """Write-ahead lineage record.  SYNCHRONOUS by contract: runtimes
         call this before dispatching, so a crash can always replay."""
-        self._apply(
+        self._apply(*self._task_put_record(task_id, spec, state, node))
+
+    def async_task_put(self, task_id, spec, *, state: str = "submitted", node=None) -> None:
+        self._enqueue(self._task_put_record(task_id, spec, state, node))
+
+    def _task_put_record(self, task_id, spec, state, node) -> tuple:
+        return (
             task_id, "task_submitted", self._put_task, (spec, state, node),
-            {"state": state}, "task_put",
+            ("state", state), "task_put",
         )
 
     def _put_task(self, shard: ControlShard, task_id, spec, state, node) -> None:
@@ -322,16 +341,19 @@ class ControlStore:
             entry.node = node
 
     def task_update(
-        self,
-        task_id,
-        *,
-        state: Optional[str] = None,
-        node=None,
-        attempt: bool = False,
+        self, task_id, *, state: Optional[str] = None, node=None, attempt: bool = False
     ) -> None:
-        self._apply(
+        self._apply(*self._task_update_record(task_id, state, node, attempt))
+
+    def async_task_update(
+        self, task_id, *, state: Optional[str] = None, node=None, attempt: bool = False
+    ) -> None:
+        self._enqueue(self._task_update_record(task_id, state, node, attempt))
+
+    def _task_update_record(self, task_id, state, node, attempt) -> tuple:
+        return (
             task_id, "task_state", self._update_task, (state, node, attempt),
-            {"state": state or ""}, "task_update",
+            ("state", state or ""), "task_update",
         )
 
     def _update_task(self, shard: ControlShard, task_id, state, node, attempt) -> None:
@@ -357,23 +379,28 @@ class ControlStore:
     # ------------------------------------------------------------------
 
     def object_put(
-        self,
-        object_id,
-        *,
-        size: Optional[int] = None,
-        location=None,
-        drop_location=None,
-        ready: Optional[bool] = None,
-        producer_task=None,
-        payload: Optional[bytes] = None,
+        self, object_id, *, size: Optional[int] = None, location=None, drop_location=None,
+        ready: Optional[bool] = None, producer_task=None, payload: Optional[bytes] = None,
     ) -> None:
-        self._apply(
-            object_id,
-            "object_update",
-            self._put_object,
+        self._apply(*self._object_put_record(
+            object_id, size, location, drop_location, ready, producer_task, payload
+        ))
+
+    def async_object_put(
+        self, object_id, *, size: Optional[int] = None, location=None, drop_location=None,
+        ready: Optional[bool] = None, producer_task=None, payload: Optional[bytes] = None,
+    ) -> None:
+        self._enqueue(self._object_put_record(
+            object_id, size, location, drop_location, ready, producer_task, payload
+        ))
+
+    def _object_put_record(
+        self, object_id, size, location, drop_location, ready, producer_task, payload
+    ) -> tuple:
+        return (
+            object_id, "object_update", self._put_object,
             (size, location, drop_location, ready, producer_task, payload),
-            {"ready": bool(ready)},
-            "object_put",
+            ("ready", bool(ready)), "object_put",
         )
 
     def _put_object(
@@ -417,10 +444,10 @@ class ControlStore:
     ) -> None:
         self._apply(
             actor_id, "actor_registered", self._register_actor,
-            (spec, name, node, state), {"name": name or ""}, "actor_register",
+            (spec, name, node, state), ("name", name or ""), "actor_register",
         )
         if name is not None:
-            self._apply(name, "actor_named", self._index_name, (actor_id,), {"name": name})
+            self._apply(name, "actor_named", self._index_name, (actor_id,), ("name", name))
 
     def _register_actor(self, shard: ControlShard, actor_id, spec, name, node, state) -> None:
         shard.actors[actor_id] = ActorEntry(
@@ -433,9 +460,17 @@ class ControlStore:
     def actor_update(
         self, actor_id, *, state: Optional[str] = None, node=None, method_inc: bool = False
     ) -> None:
-        self._apply(
+        self._apply(*self._actor_update_record(actor_id, state, node, method_inc))
+
+    def async_actor_update(
+        self, actor_id, *, state: Optional[str] = None, node=None, method_inc: bool = False
+    ) -> None:
+        self._enqueue(self._actor_update_record(actor_id, state, node, method_inc))
+
+    def _actor_update_record(self, actor_id, state, node, method_inc) -> tuple:
+        return (
             actor_id, "actor_state", self._update_actor, (state, node, method_inc),
-            {"state": state or ""}, "actor_update",
+            ("state", state or ""), "actor_update",
         )
 
     def _update_actor(self, shard: ControlShard, actor_id, state, node, method_inc) -> None:
@@ -459,27 +494,16 @@ class ControlStore:
         return self._scan(lambda shard: [e.snapshot() for e in shard.actors.values()])
 
     # ------------------------------------------------------------------
-    # Async (fire-and-forget) variants — the sim's ``async_*`` idiom
+    # The async (fire-and-forget) writer — the sim's ``async_*`` idiom
     # ------------------------------------------------------------------
 
-    def async_task_put(self, task_id, spec, **kwargs) -> None:
-        self._enqueue(self.task_put, task_id, spec, **kwargs)
-
-    def async_task_update(self, task_id, **kwargs) -> None:
-        self._enqueue(self.task_update, task_id, **kwargs)
-
-    def async_object_put(self, object_id, **kwargs) -> None:
-        self._enqueue(self.object_put, object_id, **kwargs)
-
-    def async_actor_update(self, actor_id, **kwargs) -> None:
-        self._enqueue(self.actor_update, actor_id, **kwargs)
-
-    def _enqueue(self, fn, *args, **kwargs) -> None:
+    def _enqueue(self, record: tuple) -> None:
+        """Queue one ``_apply`` record for the writer thread."""
         batch = getattr(self._async_batch, "ops", None)
         if batch is not None:
-            batch.append((fn, args, kwargs))
+            batch.append(record)
         else:
-            self._enqueue_ops([(fn, args, kwargs)])
+            self._enqueue_ops([record])
 
     def _enqueue_ops(self, ops: list) -> None:
         with self._async_cond:
@@ -519,10 +543,11 @@ class ControlStore:
                         return
                     cond.wait()
                 ops, self._async_pending = self._async_pending, []
-            for fn, args, kwargs in ops:
-                self._async_paused.wait()
+            for record in ops:
+                if not self._async_paused.is_set():
+                    self._async_paused.wait()
                 try:
-                    fn(*args, **kwargs)
+                    self._apply(*record)
                 except Exception:  # never kill the writer; stats expose backlog
                     pass
             with cond:
@@ -568,7 +593,7 @@ class ControlStore:
 
         self._apply(
             f"generation/{generation}", "driver_generation", _no_mutation,
-            (generation,), {"generation": generation}, "generation",
+            (generation,), ("generation", generation), "generation",
         )
         return generation
 
@@ -595,13 +620,20 @@ class ControlStore:
                 actors.update({k: v.snapshot() for k, v in shard.actors.items()})
         return {"objects": objects, "tasks": tasks, "actors": actors}
 
-    def events(self, kind: Optional[str] = None) -> list:
-        records: list = []
+    def events(self, kind: Optional[str] = None, key=None) -> list:
+        """Event records of every shard, oldest first; ``kind`` and
+        ``key`` (an id or its hex) filter the flat tuples before any
+        record is built."""
+        key = getattr(key, "hex", key)
+        raw: list = []
         for shard in self._shards:
             with shard.lock:
-                records.extend(shard.event_log.filter(kind=kind))
-        records.sort(key=lambda r: r.timestamp)
-        return records
+                raw.extend(
+                    e for e in shard.events
+                    if (kind is None or e[1] == kind) and (key is None or e[2] == key)
+                )
+        raw.sort(key=lambda e: e[0])
+        return [EventRecord(t, k, {"key": h, f: v}) for t, k, h, f, v in raw]
 
     def stats(self) -> dict:
         return {
@@ -610,7 +642,7 @@ class ControlStore:
             "ops_per_shard": [s.ops for s in self._shards],
             "max_shard_queue": max(s.max_waiting for s in self._shards),
             "contended_ops": sum(s.contended for s in self._shards),
-            "event_log_len": sum(len(s.event_log) for s in self._shards),
+            "event_log_len": sum(len(s.events) for s in self._shards),
             "async_backlog": self._async_unapplied,
             "async_backlog_max": self._async_backlog_max,
             "generation": self._generation,

@@ -44,8 +44,7 @@ def task_events(runtime, task_id) -> list:
     """Event-log records about ``task_id``, oldest first, any backend."""
     store = getattr(runtime, "_control", None)
     if store is not None:
-        key = getattr(task_id, "hex", task_id)
-        return [r for r in store.events() if r.get("key") == key]
+        return store.events(key=task_id)
     log = getattr(runtime, "event_log", None)
     if log is not None:
         return log.filter(

@@ -6,7 +6,9 @@ straightforward"), the sync/async write split, the per-shard WAL, and the
 recovery planner.
 """
 
+import itertools
 import os
+import tempfile
 import threading
 import time
 
@@ -233,13 +235,13 @@ class TestAsyncWrites:
         store = ControlStore(num_shards=2)
         tid = make_ids().task_id()
         gate = threading.Event()
-        apply_update = store.task_update
+        apply_update = store._update_task
 
-        def gated_update(*args, **kwargs):
+        def gated_update(*args):
             gate.wait(10.0)
-            return apply_update(*args, **kwargs)
+            return apply_update(*args)
 
-        store.task_update = gated_update  # the writer parks inside op one
+        store._update_task = gated_update  # the writer parks inside op one
         store.async_task_update(tid, state="first")
         store.async_task_update(tid, state="second")
         pauser = threading.Timer(0.1, store.pause_async_writes)
@@ -252,6 +254,15 @@ class TestAsyncWrites:
         store.resume_async_writes()
         assert store.flush(timeout=10.0)
         assert store.task_get(tid).state == "second"
+        store.close()
+
+    def test_a_misspelt_keyword_raises_at_the_call(self):
+        """An async write is checked where it is made, not inside the
+        writer, whose ``except`` would drop it silently."""
+        store = ControlStore(num_shards=2)
+        with pytest.raises(TypeError):
+            store.async_object_put(make_ids().object_id(), bogus=1)
+        assert store.stats()["async_backlog_max"] == 0  # nothing was queued
         store.close()
 
     def test_concurrent_writers_land_every_op(self):
@@ -274,6 +285,93 @@ class TestAsyncWrites:
         stats = store.stats()
         assert stats["ops_total"] >= 4 * per_thread
         store.close()
+
+
+_IDS = make_ids("equivalence")
+_KEYS = {
+    "task": [_IDS.task_id() for _ in range(3)],
+    "object": [_IDS.object_id() for _ in range(3)],
+    "actor": [_IDS.actor_id() for _ in range(2)],
+}
+_STATES = st.sampled_from([None, "running", "finished", "failed"])
+_PLACES = st.sampled_from([None, "driver", "node-1"])
+
+#: One write: (table, method suffix, key index, keyword arguments).
+_WRITES = st.one_of(
+    st.tuples(
+        st.just("task"), st.just("task_put"), st.integers(0, 2),
+        st.fixed_dictionaries({
+            "spec": st.sampled_from(["f", "g"]),
+            "state": st.sampled_from(["submitted", "running"]),
+            "node": _PLACES,
+        }),
+    ),
+    st.tuples(
+        st.just("task"), st.just("task_update"), st.integers(0, 2),
+        st.fixed_dictionaries(
+            {"state": _STATES, "node": _PLACES, "attempt": st.booleans()}
+        ),
+    ),
+    st.tuples(
+        st.just("object"), st.just("object_put"), st.integers(0, 2),
+        st.fixed_dictionaries({
+            "size": st.sampled_from([None, 0, 8]),
+            "location": _PLACES,
+            "drop_location": _PLACES,
+            "ready": st.sampled_from([None, False, True]),
+            "producer_task": st.sampled_from([None, *_KEYS["task"]]),
+            "payload": st.sampled_from([None, b"", b"x"]),
+        }),
+    ),
+    st.tuples(
+        st.just("actor"), st.just("actor_update"), st.integers(0, 1),
+        st.fixed_dictionaries(
+            {"state": _STATES, "node": _PLACES, "method_inc": st.booleans()}
+        ),
+    ),
+)
+
+
+def _rows(snapshot: dict) -> dict:
+    """A snapshot with each task row's timestamps reduced to their
+    states: a store rebuilt by ``open`` stamps them with its own clock."""
+    for entry in snapshot["tasks"].values():
+        entry.timestamps = sorted(entry.timestamps)
+    return snapshot
+
+
+class TestSyncAsyncEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(writes=st.lists(_WRITES, max_size=30))
+    def test_async_writes_plus_flush_equal_sync_writes(self, writes):
+        """Every ``async_*`` write queues the record its sync twin
+        applies: the same rows, events, counts and WAL records."""
+        with tempfile.TemporaryDirectory() as sync_dir, \
+                tempfile.TemporaryDirectory() as async_dir:
+            stores = [
+                ControlStore(num_shards=3, wal_dir=d, clock=itertools.count().__next__)
+                for d in (sync_dir, async_dir)
+            ]
+            sync, queued = stores
+            for table, method, index, kwargs in writes:
+                key = _KEYS[table][index]
+                getattr(sync, method)(key, **kwargs)
+                getattr(queued, "async_" + method)(key, **kwargs)
+            assert queued.flush(timeout=10.0)
+            stats = [store.stats() for store in stores]
+            for counts in stats:
+                del counts["async_backlog_max"]  # the sync store queues nothing
+            assert stats[0] == stats[1]
+            assert sync.snapshot() == queued.snapshot()
+            assert sync.events() == queued.events()
+            assert len(sync.events()) == len(writes)
+            for store in stores:
+                store.close()
+            replayed = [ControlStore.open(d) for d in (sync_dir, async_dir)]
+            assert _rows(replayed[0].snapshot()) == _rows(replayed[1].snapshot())
+            assert replayed[0].replayed_records == replayed[1].replayed_records
+            for store in replayed:
+                store.close()
 
 
 # ----------------------------------------------------------------------

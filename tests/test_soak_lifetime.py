@@ -148,6 +148,36 @@ def _check(checkpoints, seconds, backend):
     assert late <= 1.5 * early, (early, late)
 
 
+def test_a_finished_tick_leaves_at_most_7_5_gc_tracked_objects_behind():
+    """The budget task-row retirement (ROADMAP 3(a)) is to lower: what
+    the driver still keeps per finished task, in objects the cyclic GC
+    walks at every full collection.  10.1 per tick while the control
+    store kept an ``EventRecord`` (and its payload dict) per write, 7.0
+    since its events are flat tuples of atomic values, which the GC
+    untracks."""
+
+    @repro.remote
+    def tick(x):
+        return x + 1
+
+    def waves(count):
+        for wave in range(count // 200):
+            refs = [tick.remote(wave + i) for i in range(200)]
+            assert repro.get(refs, timeout=60.0) == [wave + i + 1 for i in range(200)]
+
+    def tracked():
+        for _ in range(3):
+            gc.collect()
+        return len(gc.get_objects())
+
+    with session("proc"):
+        waves(1000)  # warm-up: workers, function table, first-call state
+        before = tracked()
+        waves(2000)
+        per_task = (tracked() - before) / 2000
+    assert per_task <= 7.5, per_task
+
+
 def test_2000_large_objects_and_50k_ticks_leave_nothing_behind():
     with session("proc") as runtime:
         checkpoints, seconds = _soak(runtime, "proc", rounds=500, ticks=50_000)

@@ -13,6 +13,7 @@ from repro.tools import (
     export_chrome_trace,
     task_spans,
 )
+from repro.tools.diagnosis import task_events
 
 
 @repro.remote
@@ -141,6 +142,34 @@ class TestDiagnosis:
         report = diagnose(excinfo.value, sim_runtime)
         # The error names the *origin* task, not the downstream victim.
         assert "boom" in report
+
+
+def test_diagnose_on_proc_tells_the_failing_tasks_story_alone():
+    """On a live backend the events come from the control store's
+    shards: the failing task's submission, then its failed state, and
+    nothing of the task that ran before it."""
+    runtime = repro.init(backend="proc", num_workers=1)
+    try:
+        other = work.remote(1)
+        assert repro.get(other) == 2
+        with pytest.raises(TaskError) as excinfo:
+            repro.get(boom.remote())
+        assert runtime._control.flush(timeout=10.0)
+        error = excinfo.value
+        report = diagnose(error, runtime)
+        events = task_events(runtime, error.task_id)
+    finally:
+        repro.shutdown()
+    assert [(r.kind, r.get("state")) for r in events] == [
+        ("task_submitted", "submitted"),
+        ("task_state", "failed"),
+    ]
+    assert {r.get("key") for r in events} == {error.task_id.hex}
+    listed = report.split("  events:\n")[1].split("  remote traceback:")[0]
+    assert [line.split()[1] for line in listed.splitlines()] == [
+        "task_submitted", "task_state",
+    ]
+    assert other.producer_task.hex[:10] not in report
 
 
 def test_code_lines_counts_statements_not_prose():
