@@ -20,10 +20,12 @@ workers:
 * **Node data plane.**  The object-plane requests it *does* care about
   are served locally when possible: a worker's ``SHM_CREATE`` for a
   result is granted from the **node's** arena (the driver never sees the
-  bytes), ``FETCH``/``SHM_ATTACH`` hit the node store or the byte cache
-  before falling through to the driver, and bytes pulled through the
-  driver are cached so each object crosses the node boundary at most
-  once (the fetch-once-per-node half of descriptor-first transfer).
+  bytes), a ``FETCH`` hits the node store or the byte cache before
+  falling through to the driver, and bytes pulled through the driver
+  are cached so each object crosses the node boundary at most once (the
+  fetch-once-per-node half of descriptor-first transfer).  A put's
+  ``SHM_CREATE`` is refused here (the driver has no arena on ``dist``),
+  so the put goes straight to ``PUT``.
   Result blobs that landed in the node arena are rewritten into
   :class:`~repro.dist.protocol.NodeBlob` descriptors on their way up.
 * **Membership.**  A dedicated thread heartbeats over the control
@@ -255,7 +257,7 @@ class NodeAgent:
         if tag != msg.OK or pending is None:
             return
         kind, detail = pending
-        if kind in (msg.FETCH, msg.SHM_ATTACH):
+        if kind == msg.FETCH:
             if isinstance(value, (bytes, bytearray)):
                 self._cache_bytes(detail, bytes(value))
         elif kind == msg.GET:
@@ -363,26 +365,21 @@ class NodeAgent:
                 slot.conn.send((msg.OK, data))
                 return
             slot.pending[None] = (tag, message[1])
-        elif tag == msg.SHM_ATTACH:
-            blob = self.stores.blob_for(message[1])
-            if blob is not None:
-                slot.conn.send((msg.OK, blob))
-                return
-            slot.pending[None] = (tag, message[1])
         elif tag == msg.SHM_CREATE:
+            # A result write is granted from the NODE arena: the driver
+            # is not consulted and the bytes never leave the node until
+            # someone pulls them.  object_id=None is a put: put ids are
+            # the driver's and it has no arena on dist, so the answer is
+            # None here and now — the put ships as bytes and stays
+            # driver-resident.
             object_id, nbytes = message[1], message[2]
+            granted = None
             if object_id is not None:
-                # A result write: granted from the NODE arena — the
-                # driver is not consulted and the bytes never leave the
-                # node until someone pulls them.
                 granted = self.stores.grant(object_id, nbytes, slot.global_index)
-                slot.conn.send((msg.OK, granted))  # None: pipe-bytes fallback
-                if granted is not None:
-                    self._announce_segments()
-                return
-            # object_id=None is the put path: the driver owns put ids,
-            # and it answers None (no driver arena on dist) — the put
-            # ships as bytes and stays driver-resident.
+            slot.conn.send((msg.OK, granted))  # None: pipe-bytes fallback
+            if granted is not None:
+                self._announce_segments()
+            return
         elif tag == msg.SHM_ABORT:
             # Every grant on this node came from this agent; hand the
             # space back and answer locally.

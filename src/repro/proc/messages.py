@@ -240,12 +240,9 @@ CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, (task_id, [object
 GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
 
 # -- worker -> driver (the shared-memory data plane) --------------------
-# Metadata-only variants of FETCH/PUT: large objects cross the pipe as
-# ~100-byte ShmDescriptors; only small ones ship as bytes.  Argument
-# descriptors ship embedded in SlotRef (no round trip); SHM_ATTACH is
-# the explicit metadata refetch for everything else.
-SHM_ATTACH = "shm_attach"  # (SHM_ATTACH, object_id) -> (OK, ShmDescriptor | bytes)
-                           # descriptor when shm-resident; bytes fallback
+# The metadata-only variant of PUT and of a large result: large objects
+# cross the pipe as ~100-byte ShmDescriptors; only small ones ship as
+# bytes.  Argument descriptors ship embedded in SlotRef (no round trip).
 SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
                            #   -> (OK, ShmDescriptor | None): reserve an
                            # unsealed allocation the worker fills through

@@ -20,8 +20,8 @@ sealed shm arena — by the driver on ``put``, by the *worker itself*
 for large results (``SHM_CREATE`` grant, then a descriptor in
 ``DONE``) — and every subsequent hop (argument attach, driver get,
 broadcast) moves only a descriptor while readers reconstruct views
-aliasing the arena.  The coordinator's reaper reclaims refcounts held
-by crashed workers, and shutdown unlinks every segment.
+aliasing the arena.  The arena's reaper reclaims refcounts held by
+crashed workers, and shutdown unlinks every segment.
 
 **Locking.**  Every method runs under the runtime lock (``cond``, which
 the caller holds) except the two that move megabytes and say so:
@@ -63,6 +63,7 @@ that died with its worker gets.
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from typing import Any, Callable, Optional
@@ -72,14 +73,15 @@ from repro.core.object_ref import ObjectRef, RefLedger
 from repro.core.task import TaskSpec
 from repro.core.worker import ErrorValue, error_value_from
 from repro.errors import ObjectLostError, ReproError
-from repro.objectstore.store import LocalObjectStore
+from repro.objectstore.store import LocalObjectStore, ObjectStoreFullError
 from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.sched_plane import ResidencyTracker
-from repro.shm.coordinator import ShmCoordinator
 from repro.shm.segment import shm_available, usable_shm_budget
+from repro.shm.store import SharedObjectStore
 from repro.utils.ids import NodeID, ObjectID
 from repro.utils.serialization import (
     ByteAccountant,
+    deserialize_frame,
     serialize,
     should_inline,
     write_frame,
@@ -122,16 +124,21 @@ class ObjectStores:
         seed: int,
     ) -> None:
         self.store = LocalObjectStore(node_id, capacity=store_capacity)
-        self.shm: Optional[ShmCoordinator] = None
+        self.shm: Optional[SharedObjectStore] = None
         if shm_capacity > 0 and shm_available():
             # Clamp to what the host's shm filesystem can actually back
             # (Docker defaults /dev/shm to 64 MB; overrunning it is a
             # SIGBUS, not an exception).  Too small ⇒ pipe-only.
             shm_capacity = usable_shm_budget(shm_capacity)
             if shm_capacity > 0:
-                self.shm = ShmCoordinator(
+                # Short prefix by necessity: POSIX shm names are capped
+                # at 31 chars (incl. the leading slash) on macOS, and the
+                # full name is "<prefix>[o]_<8 hex>".  "rs<pid hex>s<seed
+                # hex>" stays under it while staying per-runtime unique.
+                self.shm = SharedObjectStore(
                     node_id, capacity=shm_capacity,
-                    num_workers=num_workers, seed=seed,
+                    max_clients=num_workers + 1,
+                    name_prefix=f"rs{os.getpid():x}s{seed & 0xFFFF:x}",
                 )
         #: The data-plane ledger: zero_copy_bytes/shm_hits count objects
         #: served as descriptors, pipe_fallbacks the large objects that
@@ -159,9 +166,11 @@ class ObjectStores:
         who cannot map the segment a shm-resident value is re-joined
         in-band (the one copy the data plane normally avoids)."""
         data = self.store.get(object_id)
-        if data is None and self.shm is not None and self.shm.contains(object_id):
-            data = serialize(self.shm.load(object_id))
-            self._acct_shm.record_pipe_fallback(len(data))
+        if data is None and self.shm is not None:
+            view = self.shm.get(object_id)
+            if view is not None:
+                data = serialize(deserialize_frame(view))
+                self._acct_shm.record_pipe_fallback(len(data))
         return data
 
     def grant(
@@ -169,29 +178,28 @@ class ObjectStores:
     ) -> Optional[ShmDescriptor]:
         """Grant (or refuse) a worker's request to write ``nbytes``
         directly into shared memory."""
-        granted = None
-        if self.shm is not None:
-            granted = self.shm.create_for_client(
-                object_id, nbytes, client=worker_index + 1
-            )
-        if granted is None:
+        if self.shm is None:
             return None
-        segment, slot, size = granted
-        return ShmDescriptor(object_id, segment, slot, size)
+        try:
+            entry = self.shm.create(object_id, nbytes, client=worker_index + 1)
+        except ObjectStoreFullError:
+            return None  # the worker ships bytes over the pipe
+        if entry is None:
+            return None
+        return ShmDescriptor(object_id, entry.segment.name, entry.slot, nbytes)
 
     def abort_grant(self, object_id: ObjectID) -> None:
         """A worker hands back a granted allocation it could not write
         (it is falling back to the pipe): return the space at once."""
         if self.shm is not None:
-            self.shm.abort_if_pending(object_id)
+            self.shm.abort(object_id)
 
     def drop(self, object_id: ObjectID) -> bool:
         """Give back the object's memory in both stores (an arena slot
         at once, or through the zombie list while someone still leases
         it); False if neither had it."""
         dropped = self.store.delete(object_id)  # the store's pin goes with it
-        if self.shm is not None and self.shm.contains(object_id):
-            self.shm.release(object_id)
+        if self.shm is not None and self.shm.delete(object_id):
             dropped = True
         return dropped
 
@@ -334,20 +342,6 @@ class ObjectPlane(ObjectStores):
         if self._nodes and isinstance(blob, (bytes, bytearray)):
             # The reply crosses TCP into the consuming node.
             self.acct_internode.record_internode(len(blob))
-        return blob
-
-    def attach(self, object_id: ObjectID, worker_index: int) -> Any:
-        """Serve a worker's metadata-only fetch: descriptor when the
-        object is shm-resident, bytes fallback otherwise."""
-        blob = self.blob_for(object_id)
-        if blob is None:
-            raise ObjectLostError(
-                f"object {object_id} is not resident in the driver store"
-            )
-        if isinstance(blob, ShmDescriptor):
-            self.residency.record(worker_index, object_id.hex, blob.size)
-        else:
-            self._acct_fetched.record(len(blob))
         return blob
 
     def fetch_bytes(self, object_id: ObjectID, worker_index: int) -> bytes:
@@ -592,13 +586,17 @@ class ObjectPlane(ObjectStores):
     def put_large(self, object_id: ObjectID, serialized: Any) -> None:
         """A large driver-side put (lock NOT held): two-phase shm write
         so the multi-MB frame copy never runs under the runtime lock
-        (the allocation is pending+pinned meanwhile), with pipe fallback
-        on a full budget.  What died since the last drain gives its
-        space back first, so the write lands on it."""
+        (the allocation is unsealed, so unseen, meanwhile), with pipe
+        fallback on a full budget.  What died since the last drain gives
+        its space back first, so the write lands on it."""
         with self._cond:
             self.drain()
-            window = self.shm.begin_put(object_id, serialized.frame_bytes)
-        if window is not None:
+            try:
+                entry = self.shm.create(object_id, serialized.frame_bytes)
+            except ObjectStoreFullError:
+                entry = None
+        if entry is not None:
+            window = entry.segment.slot_view(entry.slot, writable=True)
             try:
                 write_frame(window, serialized)
             except BaseException:
@@ -606,7 +604,7 @@ class ObjectPlane(ObjectStores):
                     self.shm.abort(object_id)
                 raise
             with self._cond:
-                self.shm.finish_put(object_id)
+                self.shm.seal(object_id)
                 self._acct_shm.record_zero_copy(serialized.frame_bytes)
                 self._arrived(object_id)
             return

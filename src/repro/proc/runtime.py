@@ -1325,10 +1325,6 @@ class ProcRuntime:
                     plane.store_bytes(reply, data)
                     # The putting worker keeps a copy in its cache.
                     plane.residency.record(worker.index, reply.hex, len(data))
-            elif tag == msg.SHM_ATTACH:
-                plane.pull(message[1])
-                with self._cond:
-                    reply = plane.attach(message[1], worker.index)
             elif tag == msg.SHM_CREATE:
                 # No id named: a put, which gets a fresh one.
                 with self._cond:

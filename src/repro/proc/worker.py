@@ -530,7 +530,7 @@ class ProcWorker:
             )
             return granted
         except (ReproError, OSError):
-            # An unmappable segment: hand the grant back (else its pinned
+            # An unmappable segment: hand the grant back (else its unsealed
             # allocation would bleed shm budget forever) and take the
             # pipe.  (Pipe failures resurface on the next send/recv and
             # follow the normal crash path.)

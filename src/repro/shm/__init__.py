@@ -11,23 +11,21 @@ RPC.  This package is that data plane:
   segment's header region (one single-writer cell per client, so no
   cross-process write races and no locks on the read path);
 * :mod:`repro.shm.store` — :class:`~repro.shm.store.SharedObjectStore`,
-  the same contract as
-  :class:`~repro.objectstore.store.LocalObjectStore` (capacity bound,
-  LRU eviction, pinning, stats) but backed by sealed shm buffers with
-  zero-copy ``memoryview`` reads, plus the worker-side
-  :class:`~repro.shm.store.ShmClient` that attaches segments lazily;
-* :mod:`repro.shm.coordinator` — the driver-side object directory
-  (ObjectID → segment/slot/offset/size), the eviction/refcount reaper
-  that reclaims space and the refcount columns of crashed workers, and
-  guaranteed segment unlinking on shutdown.
+  the one owner of a node's arena: the object directory (ObjectID →
+  segment/slot/size), two-phase writes with explicit release (an
+  allocator, not a cache: nothing is evicted), the owner's zero-copy
+  leases, the reaper that reclaims space once refcounts drain and the
+  refcount columns of crashed clients, and guaranteed segment unlinking
+  on shutdown — plus the worker-side :class:`~repro.shm.store.ShmClient`
+  that attaches segments lazily.
 
 The ``proc`` backend routes every large object (above its inline
 threshold) through this store when shared memory is available —
 see ``repro.init("proc", shm_capacity=...)`` — and transparently falls
-back to the pipe path when it is not.
+back to the pipe path when it is not; on ``dist`` each node agent owns
+its node's arena.
 """
 
-from repro.shm.coordinator import ShmCoordinator
 from repro.shm.segment import (
     SegmentError,
     SharedSegment,
@@ -40,6 +38,5 @@ __all__ = [
     "SharedSegment",
     "SharedObjectStore",
     "ShmClient",
-    "ShmCoordinator",
     "shm_available",
 ]

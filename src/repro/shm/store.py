@@ -1,43 +1,54 @@
-"""The shared-memory object store and its worker-side client.
+"""A node's shared-memory arena and its worker-side client.
 
-:class:`SharedObjectStore` exposes the exact contract of
-:class:`~repro.objectstore.store.LocalObjectStore` — byte-capacity bound,
-LRU eviction of unpinned objects, nested pinning, the same stats — but
-its payloads live in sealed :class:`~repro.shm.segment.SharedSegment`
-arenas, so ``get`` returns a zero-copy read-only ``memoryview`` instead
-of bytes, and other processes can attach and read the same payload
-without any copy at all.
+:class:`SharedObjectStore` is the one owner of a node's arena (the
+driver's on ``proc``, each node agent's on ``dist``).  It keeps:
 
-Capacity semantics are byte-accounted exactly like the local store: a
-put succeeds iff the bytes fit after evicting every unpinned LRU object,
-regardless of arena fragmentation.  Contiguity is an allocator concern,
-not a contract concern — when no segment has a large-enough hole, the
-store creates a dedicated *overflow segment* for the object (still
-counted against the capacity bound) rather than failing a put the byte
-budget allows.  This keeps the store's observable behavior a drop-in
-match for the local store's executable model (see
-``tests/test_objectstore.py``).
+* the **directory** — ObjectID → (segment, slot, size) of every sealed
+  object, served to workers as
+  :class:`~repro.proc.messages.ShmDescriptor` replies so a large object
+  crosses the pipe as a ~100-byte descriptor instead of its payload;
+* the **unsealed allocations** — a write is two-phase: :meth:`create`
+  reserves space for one client (a worker fills it through its own
+  mapping after a ``SHM_CREATE`` grant; the driver fills its own outside
+  the runtime lock), :meth:`seal` publishes it, and until then it is
+  invisible to readers and aborted if its writer dies;
+* the owner's **leases** — a zero-copy value handed to user code keeps
+  its slot, through the owner's refcount cell, until its last buffer
+  dies (:meth:`lease`, :meth:`settle_leases`);
+* the **reaper** and the **reclaim** after a client dies
+  (:meth:`reap`, :meth:`reclaim_client`), and guaranteed unlinking of
+  every segment at :meth:`shutdown`.
 
-Cross-process refcounts add one twist the local store does not have:
-space whose refcount row is non-zero (some process still holds a value
-that aliases it — a lease — or died holding a reference) cannot be
-recycled when the object is deleted or evicted.  Such entries become
-**zombies** — gone from the directory, their bytes no longer counted
-against capacity, their arena space parked until the reaper
-(:meth:`SharedObjectStore.reap`, run before every allocation that finds
-zombies) sees the row hit zero and releases it.
+It is an allocator with explicit release, not a cache: an object stays
+until its owner deletes it, and nothing is evicted.  Capacity is one
+byte check — a create whose size, added to the live bytes, exceeds the
+capacity raises :class:`~repro.objectstore.store.ObjectStoreFullError`,
+and the caller takes the pipe.  Contiguity is the allocator's concern:
+when no segment has a large-enough hole, the store creates a dedicated
+*overflow segment* for the object (still counted against the budget).
 
-:class:`ShmClient` is the other side: a worker-process helper that
-attaches segments lazily (caching attachments by name), leases slots
-against its own refcount cells, and reads or writes payloads through
-descriptor metadata received over the pipe.
+Cross-process refcounts add one twist: space whose refcount row is
+non-zero (some process still holds a value that aliases it, or died
+holding a reference) cannot be recycled when its object is deleted.
+Such an entry becomes a **zombie** — gone from the directory, its bytes
+no longer live, its space parked until the reaper (run before every
+allocation that finds zombies, and after leases are settled) sees the
+row hit zero and releases it.
+
+Single-writer: only the creating process allocates, seals and releases,
+under its own synchronization (the runtime lock on the driver, the one
+relay thread in an agent).  :class:`ShmClient` is the other side: a
+worker-process helper that attaches segments lazily (caching
+attachments by name), leases slots against its own refcount cells, and
+reads or writes payloads through descriptor metadata received over the
+pipe.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.objectstore.store import ObjectStoreFullError
 from repro.shm.segment import SharedSegment
@@ -47,26 +58,23 @@ from repro.utils.ids import NodeID, ObjectID
 #: hold exactly one object each.
 DEFAULT_MAX_OBJECTS = 4096
 
+#: Client index the arena's owner uses for its own refcount cells
+#: (workers use ``worker_index + 1``).
+DRIVER_CLIENT = 0
+
 
 @dataclass
 class _Entry:
-    """Directory record of one resident object."""
+    """One allocation, and the client that writes it until it is sealed."""
 
     segment: SharedSegment
     slot: int
     size: int
-    sealed: bool = False
+    writer: int = DRIVER_CLIENT
 
 
 class SharedObjectStore:
-    """LocalObjectStore's contract over shared-memory arenas.
-
-    Single-writer: exactly one process (the driver) creates, seals,
-    evicts, and releases; attached readers interact through
-    :class:`ShmClient` using descriptor metadata.  All methods here are
-    driver-side and assume the driver's own synchronization (the proc
-    runtime holds its lock around every call).
-    """
+    """One node's arena: directory, allocations, leases and reaper."""
 
     def __init__(
         self,
@@ -89,38 +97,45 @@ class SharedObjectStore:
             name_prefix=name_prefix,
         )
         self._segments: list[SharedSegment] = [self._primary]
-        self._entries: "OrderedDict[ObjectID, _Entry]" = OrderedDict()
-        self._pins: dict[ObjectID, int] = {}
-        #: Evicted/deleted entries whose refcount row was still non-zero.
+        #: Sealed objects (the directory), and unsealed allocations.
+        self._entries: dict[ObjectID, _Entry] = {}
+        self._pending: dict[ObjectID, _Entry] = {}
+        #: Deleted or aborted entries whose refcount row was still non-zero.
         self._zombies: list[_Entry] = []
+        #: The owner's outstanding leases, ``(segment name, slot) ->
+        #: [windows out, bytes]``, and the ones whose last buffer died
+        #: since the last :meth:`settle_leases` (appended by finalizers).
+        self._leased: dict[tuple, list] = {}
+        self._dropped: deque = deque()
         self.used_bytes = 0
-        self.evictions = 0
         self.puts = 0
-        self.hits = 0
-        self.misses = 0
         self.closed = False
 
-    # -- basic access ---------------------------------------------------
+    # -- the directory --------------------------------------------------
 
     def contains(self, object_id: ObjectID) -> bool:
+        """Whether a *sealed* object is resident (an unsealed allocation
+        is not: its bytes are not readable yet)."""
         return object_id in self._entries
 
     def size_of(self, object_id: ObjectID) -> Optional[int]:
         entry = self._entries.get(object_id)
         return entry.size if entry is not None else None
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes
+    def describe(self, object_id: ObjectID) -> Optional[tuple]:
+        """``(segment_name, slot, size)`` of a sealed object — what
+        crosses the pipe instead of its bytes."""
+        entry = self._entries.get(object_id)
+        if entry is None:
+            return None
+        return entry.segment.name, entry.slot, entry.size
 
-    @property
-    def num_objects(self) -> int:
-        return len(self._entries)
-
-    def object_ids(self) -> tuple:
-        """Resident object ids in LRU order, oldest first (introspection
-        for invariant checks; does not touch recency)."""
-        return tuple(self._entries.keys())
+    def refcount(self, object_id: ObjectID) -> int:
+        """Sum of all clients' refcount cells for a sealed object."""
+        entry = self._entries.get(object_id)
+        if entry is None:
+            return 0
+        return entry.segment.refcount(entry.slot)
 
     @property
     def deferred_bytes(self) -> int:
@@ -130,145 +145,123 @@ class SharedObjectStore:
     def segment_names(self) -> tuple:
         return tuple(segment.name for segment in self._segments)
 
-    # -- the write path: create → fill → seal ---------------------------
+    # -- writes: create → fill → seal -----------------------------------
 
-    def put(self, object_id: ObjectID, data) -> None:
-        """Insert a bytes-like payload, evicting LRU unpinned objects as
-        needed (the LocalObjectStore-compatible one-shot write)."""
-        payload = memoryview(data)
-        size = payload.nbytes
-
-        def writer(view: memoryview) -> None:
-            view[:] = payload
-
-        self.put_with_writer(object_id, size, writer)
-
-    def put_with_writer(
-        self, object_id: ObjectID, size: int, writer: Callable[[memoryview], None]
-    ) -> None:
-        """Allocate ``size`` bytes, let ``writer`` fill them, seal.
-
-        The zero-extra-copy write path: ``writer`` receives the arena
-        window directly (e.g. :func:`~repro.utils.serialization.write_frame`).
+    def create(
+        self, object_id: ObjectID, size: int, client: int = DRIVER_CLIENT
+    ) -> Optional[_Entry]:
+        """Reserve an unsealed allocation of ``size`` bytes for
+        ``client`` to fill.  ``None`` if the id already has one (a
+        replayed task racing a surviving result: a second writer window
+        is refused, and the pipe path handles the duplicate).
 
         Raises
         ------
         ObjectStoreFullError
-            If the object cannot fit even after evicting everything
-            evictable (or is larger than the store's total capacity).
+            If the live bytes plus ``size`` exceed the capacity, or the
+            host refuses the overflow segment the object needs.
         """
-        entry = self.create(object_id, size)
-        if entry is None:
-            return  # idempotent re-put: recency touched, bytes kept
-        try:
-            writer(entry.segment.slot_view(entry.slot, writable=True))
-        except BaseException:
-            self._abort_entry(object_id, entry)
-            raise
-        self.seal(object_id)
-
-    def create(self, object_id: ObjectID, size: int) -> Optional[_Entry]:
-        """Reserve an unsealed allocation for ``object_id`` (two-phase
-        write: a worker fills it through its own mapping, then the
-        driver seals).  Returns ``None`` for an idempotent re-put of a
-        resident id."""
-        if object_id in self._entries:
-            self._entries.move_to_end(object_id)
+        if object_id in self._entries or object_id in self._pending:
             return None
-        if size > self.capacity:
+        if self.used_bytes + size > self.capacity:
             raise ObjectStoreFullError(
-                f"object of {size} bytes exceeds store capacity {self.capacity}"
+                f"an object of {size} bytes on top of {self.used_bytes} live "
+                f"bytes exceeds store capacity {self.capacity} on {self.node_id}"
             )
-        self._evict_until(size)
-        entry = self._allocate(size)
-        self._entries[object_id] = entry
+        entry = self._allocate(size, client)
+        self._pending[object_id] = entry
         self.used_bytes += size
         self.puts += 1
         return entry
 
-    def seal(self, object_id: ObjectID) -> None:
-        """Mark a created object immutable and readable."""
-        entry = self._entries[object_id]
-        if not entry.sealed:
-            entry.segment.seal(entry.slot)
-            entry.sealed = True
+    def put(self, object_id: ObjectID, data) -> None:
+        """Copy a contiguous bytes-like payload in and seal it (a
+        re-put of a resident id keeps the bytes it has)."""
+        payload = memoryview(data).cast("B")
+        entry = self.create(object_id, payload.nbytes)
+        if entry is not None:
+            entry.segment.slot_view(entry.slot, writable=True)[:] = payload
+            self.seal(object_id)
 
-    def abort(self, object_id: ObjectID) -> bool:
-        """Drop an unsealed allocation (writer crashed before sealing)."""
-        entry = self._entries.get(object_id)
-        if entry is None or entry.sealed:
-            return False
-        self._abort_entry(object_id, entry)
+    def seal(self, object_id: ObjectID) -> bool:
+        """Publish an unsealed allocation, immutable and readable from
+        here on; False if it no longer exists (aborted: e.g. the writer
+        crashed and the reaper won)."""
+        entry = self._pending.pop(object_id, None)
+        if entry is None:
+            return object_id in self._entries
+        entry.segment.seal(entry.slot)
+        self._entries[object_id] = entry
         return True
 
-    def _abort_entry(self, object_id: ObjectID, entry: _Entry) -> None:
-        self._entries.pop(object_id, None)
-        self._pins.pop(object_id, None)
-        self.used_bytes -= entry.size
-        self.puts -= 1
-        self._reclaim(entry)
-
-    # -- the read path --------------------------------------------------
-
-    def get(self, object_id: ObjectID) -> Optional[memoryview]:
-        """Zero-copy read: a read-only memoryview of the sealed payload
-        (touches LRU order).  ``None`` if not resident."""
-        entry = self._entries.get(object_id)
-        if entry is None or not entry.sealed:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(object_id)
-        self.hits += 1
-        return entry.segment.slot_view(entry.slot)
-
-    def describe(self, object_id: ObjectID) -> Optional[tuple]:
-        """Descriptor metadata ``(segment_name, slot, size)`` for a
-        sealed resident object — what crosses the pipe instead of bytes.
-        Touches LRU order like a read."""
-        entry = self._entries.get(object_id)
-        if entry is None:
-            return None
-        self._entries.move_to_end(object_id)
-        self.hits += 1
-        return entry.segment.name, entry.slot, entry.size
-
-    def lease(self, object_id: ObjectID, client: int, dropped) -> tuple:
-        """A leased zero-copy window over a sealed resident object
-        (:meth:`SharedSegment.lease`; touches LRU order like a read),
-        with the ``(segment name, slot)`` it holds and the object's size."""
-        entry = self._entries[object_id]
-        self._entries.move_to_end(object_id)
-        self.hits += 1
-        window = entry.segment.lease(entry.slot, client, dropped)
-        return window, (entry.segment.name, entry.slot), entry.size
-
-    def refcount(self, object_id: ObjectID) -> int:
-        """Sum of all clients' refcount cells for a resident object."""
-        entry = self._entries.get(object_id)
-        if entry is None:
-            return 0
-        return entry.segment.refcount(entry.slot)
-
-    # -- delete / eviction ----------------------------------------------
+    def abort(self, object_id: ObjectID) -> None:
+        """Drop an unsealed allocation (its writer crashed or could not
+        write, or its task was cancelled mid-write); a sealed object is
+        left alone."""
+        entry = self._pending.pop(object_id, None)
+        if entry is not None:
+            self.puts -= 1
+            self._forget(entry)
 
     def delete(self, object_id: ObjectID) -> bool:
-        """Explicitly remove an object (no control-plane notification)."""
+        """Nothing can ask for this sealed object again: give its space
+        back — now, or once the last process holding a value that
+        aliases it lets go (the zombie list).  False if not resident."""
         entry = self._entries.pop(object_id, None)
         if entry is None:
             return False
-        self.used_bytes -= entry.size
-        self._pins.pop(object_id, None)
-        self._reclaim(entry)
+        self._forget(entry)
         return True
 
-    def _reclaim(self, entry: _Entry) -> None:
-        """Release an entry's arena space now, or park it for the reaper
-        when a client still holds a reference."""
+    def _forget(self, entry: _Entry) -> None:
+        """Release an entry's space now, or park it for the reaper while
+        a client still holds a reference."""
+        self.used_bytes -= entry.size
         if entry.segment.refcount(entry.slot) > 0:
             self._zombies.append(entry)
             return
         entry.segment.release(entry.slot)
         self._maybe_drop_segment(entry.segment)
+
+    # -- reads and the owner's leases -----------------------------------
+
+    def get(self, object_id: ObjectID) -> Optional[memoryview]:
+        """Zero-copy read-only window over a sealed object's payload;
+        ``None`` if not resident."""
+        entry = self._entries.get(object_id)
+        return None if entry is None else entry.segment.slot_view(entry.slot)
+
+    def lease(self, object_id: ObjectID) -> Optional[memoryview]:
+        """Like :meth:`get`, for a value that is handed to user code:
+        the window keeps the object's slot — through the owner's own
+        refcount cell — until the last buffer derived from it is gone,
+        whatever happens to the object meanwhile."""
+        entry = self._entries.get(object_id)
+        if entry is None:
+            return None
+        window = entry.segment.lease(entry.slot, DRIVER_CLIENT, self._dropped.append)
+        held = (entry.segment.name, entry.slot)
+        self._leased.setdefault(held, [0, entry.size])[0] += 1
+        return window
+
+    def settle_leases(self) -> bool:
+        """Drop the owner's references of leases that ended since the
+        last call; True if there were any."""
+        dropped = self._dropped
+        if not dropped:
+            return False
+        while dropped:
+            segment, slot = dropped.popleft()
+            segment.decref(slot, DRIVER_CLIENT)
+            key = (segment.name, slot)
+            out = self._leased[key]
+            out[0] -= 1
+            if not out[0]:
+                del self._leased[key]
+        self.reap()  # a deleted object may have waited on these
+        return True
+
+    # -- the reaper -----------------------------------------------------
 
     def reap(self) -> int:
         """Release every zombie whose refcount row has reached zero.
@@ -290,37 +283,24 @@ class SharedObjectStore:
             self._maybe_drop_segment(segment)
         return freed
 
-    def clear_client(self, client: int) -> int:
-        """Zero a dead client's refcount column on every segment (the
-        crash half of the reaper), then reap.  Returns the number of
-        slots whose counts were reclaimed."""
+    def reclaim_client(self, client: int) -> int:
+        """A client process died: abort its unsealed allocations, zero
+        its refcount column on every segment, and reap.  Returns the
+        number of refcount cells reclaimed."""
+        doomed = [
+            object_id
+            for object_id, entry in self._pending.items()
+            if entry.writer == client
+        ]
+        for object_id in doomed:
+            self.abort(object_id)
         reclaimed = 0
         for segment in self._segments:
             reclaimed += len(segment.clear_client(client))
         self.reap()
         return reclaimed
 
-    def _evict_until(self, needed: int) -> None:
-        """Evict LRU unpinned objects until ``needed`` bytes fit the
-        byte budget (identical policy to LocalObjectStore)."""
-        if needed <= self.free_bytes:
-            return
-        for object_id in list(self._entries.keys()):
-            if self.free_bytes >= needed:
-                return
-            if self.is_pinned(object_id):
-                continue
-            entry = self._entries.pop(object_id)
-            self.used_bytes -= entry.size
-            self.evictions += 1
-            self._reclaim(entry)
-        if self.free_bytes < needed:
-            raise ObjectStoreFullError(
-                f"need {needed} bytes but only {self.free_bytes} evictable on "
-                f"{self.node_id} (pinned objects: {len(self._pins)})"
-            )
-
-    def _allocate(self, size: int) -> _Entry:
+    def _allocate(self, size: int, writer: int) -> _Entry:
         """Find contiguous arena space: zombies whose readers are done
         first (their space is warm), then any existing segment, then a
         dedicated overflow segment."""
@@ -329,9 +309,9 @@ class SharedObjectStore:
         for segment in self._segments:
             slot = segment.allocate(size)
             if slot is not None:
-                return _Entry(segment, slot, size)
+                return _Entry(segment, slot, size, writer)
         # Fragmentation (or slot exhaustion): the byte budget says this
-        # fits, so honor the contract with a dedicated overflow segment.
+        # fits, so honor it with a dedicated overflow segment.
         try:
             overflow = SharedSegment.create(
                 size,
@@ -348,8 +328,7 @@ class SharedObjectStore:
                 f"cannot create a {size}-byte overflow segment: {exc}"
             ) from exc
         self._segments.append(overflow)
-        slot = overflow.allocate(size)
-        return _Entry(overflow, slot, size)
+        return _Entry(overflow, overflow.allocate(size), size, writer)
 
     def _maybe_drop_segment(self, segment: SharedSegment) -> None:
         """Unlink an emptied overflow segment (the primary stays)."""
@@ -363,41 +342,13 @@ class SharedObjectStore:
         segment.close()
         segment.unlink()
 
-    # -- pinning (driver-side, same semantics as LocalObjectStore) ------
-
-    def pin(self, object_id: ObjectID) -> None:
-        """Protect an object from eviction (argument of a running task)."""
-        self._pins[object_id] = self._pins.get(object_id, 0) + 1
-
-    def unpin(self, object_id: ObjectID) -> None:
-        count = self._pins.get(object_id, 0)
-        if count <= 1:
-            self._pins.pop(object_id, None)
-        else:
-            self._pins[object_id] = count - 1
-
-    def is_pinned(self, object_id: ObjectID) -> bool:
-        return self._pins.get(object_id, 0) > 0
-
     # -- teardown -------------------------------------------------------
 
-    def clear(self) -> None:
-        """Hard reset: drop every object *and* every zombie (node-death
-        semantics — remote refcounts are presumed dead with the node)."""
-        for client in range(self.max_clients):
-            for segment in self._segments:
-                segment.clear_client(client)
-        for object_id in list(self._entries.keys()):
-            self.delete(object_id)
-        self.reap()
-        self._pins.clear()
-        self.used_bytes = 0
-
     def shutdown(self) -> None:
-        """Close and unlink every segment.  Guaranteed single obligation
-        of the creator: after this returns no segment name we created
-        remains in the system, even if workers crashed mid-read (their
-        mappings die with their processes)."""
+        """Close and unlink every segment (idempotent).  The creator's
+        one guaranteed obligation: after this returns no segment name we
+        created remains in the system, even if workers crashed mid-read
+        (their mappings die with their processes)."""
         if self.closed:
             return
         self.closed = True
@@ -407,16 +358,16 @@ class SharedObjectStore:
 
     def stats(self) -> dict:
         return {
-            "num_objects": self.num_objects,
+            "num_objects": len(self._entries) + len(self._pending),
             "used_bytes": self.used_bytes,
             "capacity": self.capacity,
-            "evictions": self.evictions,
             "puts": self.puts,
-            "hits": self.hits,
-            "misses": self.misses,
             "segments": len(self._segments),
             "zombie_objects": len(self._zombies),
             "deferred_bytes": self.deferred_bytes,
+            "pending_creates": len(self._pending),
+            "leased_objects": len(self._leased),
+            "leased_bytes": sum(size for _out, size in self._leased.values()),
         }
 
 

@@ -154,6 +154,26 @@ class TestDataPlane:
         # consumers (at most one pull per consuming side, never 4).
         assert 1 <= fetches <= 3
 
+    def test_worker_put_of_a_large_array_is_refused_at_the_agent(self, cluster):
+        """A task's large put asks for an arena grant; on dist the
+        driver has no arena, so the node agent answers None itself and
+        the put ships as bytes — the driver sees no SHM_CREATE."""
+        numpy = pytest.importorskip("numpy")
+        if not all(link.shm_on for link in cluster._links):
+            pytest.skip("node agents have no shared-memory arena here")
+        plane = cluster._objects
+        grant, grants = plane.grant, []
+        plane.grant = lambda *args: grants.append(args) or grant(*args)
+
+        @repro.remote
+        def put_array():
+            return [repro.put(numpy.arange(MiB // 8, dtype=numpy.float64))]
+
+        (inner,) = repro.get(put_array.remote(), timeout=60.0)
+        value = repro.get(inner, timeout=60.0)
+        assert numpy.array_equal(value, numpy.arange(MiB // 8, dtype=numpy.float64))
+        assert grants == []
+
     def test_put_roundtrip_and_actor_state(self, cluster):
         big = repro.put(bytes([9]) * MiB)
         small = repro.put({"k": 1})

@@ -1,9 +1,8 @@
 """Unit tests for the per-node object store and transfer manager,
 including randomized model-based property tests of the LRU/pinning
 semantics every backend (sim nodes, proc driver store, proc worker
-caches) relies on.  The property suite runs the *same* interleavings
-against both implementations of the contract: the byte-backed
-``LocalObjectStore`` and the shared-memory ``SharedObjectStore``."""
+caches) relies on.  The shared-memory arena is no cache — it never
+evicts — and has its own model test in ``test_shm_store.py``."""
 
 import random
 
@@ -12,35 +11,20 @@ import pytest
 import repro
 from repro.errors import ObjectLostError
 from repro.objectstore.store import LocalObjectStore, ObjectStoreFullError
-from repro.shm.segment import shm_available
-from repro.shm.store import SharedObjectStore
 from repro.utils.ids import IDGenerator
 
-#: Store implementations held to the identical executable model; shm is
-#: skipped (not failed) on hosts without POSIX shared memory.
-STORE_KINDS = ("local",) + (("shm",) if shm_available() else ())
+#: Store implementations held to the executable model.
+STORE_KINDS = ("local",)
 
 
 @pytest.fixture(params=STORE_KINDS)
 def store_factory(request):
-    """Build capacity-bound stores of the parametrized kind; shm stores
-    are shut down (segments unlinked) when the test ends."""
-    created = []
+    """Build capacity-bound stores of the parametrized kind."""
 
     def make(node_id, capacity):
-        if request.param == "shm":
-            built = SharedObjectStore(
-                node_id, capacity=capacity, max_clients=2, max_objects=64
-            )
-        else:
-            built = LocalObjectStore(node_id, capacity=capacity)
-        created.append(built)
-        return built
+        return LocalObjectStore(node_id, capacity=capacity)
 
-    yield make
-    for built in created:
-        if isinstance(built, SharedObjectStore):
-            built.shutdown()
+    return make
 
 
 @pytest.fixture
@@ -221,11 +205,9 @@ class _StoreModel:
 
 
 class TestObjectStoreProperties:
-    """Randomized interleavings checked against the executable model —
-    for *both* store implementations (``store_factory``): the shm store
-    must be byte-for-byte indistinguishable from the local store in
-    residency, LRU order, eviction counts, size accounting, and pins,
-    regardless of arena fragmentation."""
+    """Randomized interleavings checked against the executable model
+    (``store_factory``): residency, LRU order, eviction counts, size
+    accounting, and pins."""
 
     CAPACITY = 1000
 

@@ -339,12 +339,12 @@ class TestShmDataPlane:
         ref = hold_shm_arg.options(max_reconstructions=0).remote(big, marker)
         _await_marker(marker)
         object_id = big.object_id
-        assert runtime._objects.shm.store.refcount(object_id) >= 1  # held mid-read
+        assert runtime._objects.shm.refcount(object_id) >= 1  # held mid-read
         runtime.kill_worker(0)
         with pytest.raises(repro.WorkerCrashedError):
             repro.get(ref, timeout=60.0)
         # The reaper reclaimed the dead worker's refcount column...
-        assert runtime._objects.shm.store.refcount(object_id) == 0
+        assert runtime._objects.shm.refcount(object_id) == 0
         # ...the object is still intact for the healed pool:
         assert repro.get(echo_len_and_first.remote(big), timeout=60.0) == (
             LARGE, b"CCCC"

@@ -1,19 +1,22 @@
 """Unit tests of the shared-memory data plane: the segment arena
 allocator (create/seal/release lifecycle, per-client refcount cells,
-coalescing free list), the SharedObjectStore/coordinator semantics the
-proc backend relies on, and the no-leaked-segments guarantee.
+coalescing free list), the SharedObjectStore semantics the proc and
+dist backends rely on, and the no-leaked-segments guarantee.
 
-The model-parity property suite (the same 500-op interleavings the
-LocalObjectStore passes) lives in ``test_objectstore.py``; this file
-tests what is *unique* to shared memory: refcount invariants (never
-negative; zero ⇒ reclaimable), zombie deferral, crash reclamation, and
-segment unlinking.
+The store is an allocator with explicit release: refcount invariants
+(never negative; zero ⇒ reclaimable), zombie deferral, crash
+reclamation, the one capacity check, and segment unlinking — each
+case by hand, and all of them at once in a seeded op stream checked
+against a small model after every op (``TestArenaModel``).  Runs with
+no worker process.
 """
+
+import os
+import random
 
 import pytest
 
 from repro.objectstore.store import ObjectStoreFullError
-from repro.shm.coordinator import ShmCoordinator
 from repro.shm.segment import (
     ALLOCATED,
     FREE,
@@ -55,6 +58,14 @@ def segment():
     yield seg
     seg.close()
     seg.unlink()
+
+
+def _put_frame(store, object_id, value):
+    """A driver put of a split value: create, write the frame, seal."""
+    serialized = serialize_buffers(value)
+    entry = store.create(object_id, serialized.frame_bytes)
+    write_frame(entry.segment.slot_view(entry.slot, writable=True), serialized)
+    assert store.seal(object_id)
 
 
 @pytest.fixture
@@ -278,13 +289,16 @@ class TestRefcounts:
 
 class TestZombiesAndReaper:
     def test_evicted_object_with_live_reader_defers_space(self, store):
+        """A deleted object a reader still holds: its bytes stop
+        counting at once, its space waits for the reader."""
         s, gen = store
         reader = ShmClient(client_index=1)
         victim = gen.object_id()
         s.put(victim, b"v" * 2000)
         name, slot, _size = s.describe(victim)
         reader.hold(name, slot)
-        # Capacity pressure evicts the victim from the directory...
+        # The owner deletes the victim from the directory...
+        assert s.delete(victim)
         s.put(gen.object_id(), b"n" * 3000)
         assert not s.contains(victim)
         assert s.used_bytes == 3000                # budget freed at once
@@ -305,22 +319,20 @@ class TestZombiesAndReaper:
         s.delete(victim)
         assert s.deferred_bytes == 1000
         # The reader's process "died": the reaper reclaims its column.
-        assert s.clear_client(2) == 1
+        assert s.reclaim_client(2) == 1
         assert s.deferred_bytes == 0
 
     def test_overflow_segment_honors_byte_budget(self, store):
-        """Fragmentation can force a dedicated segment, but capacity
-        accounting (and ObjectStoreFullError) still byte-match the
-        LocalObjectStore contract."""
+        """Fragmentation can force a dedicated segment, but the
+        capacity check counts live bytes only."""
         s, gen = store
-        pinned = gen.object_id()
-        s.put(pinned, b"p" * 2000)
-        s.pin(pinned)
-        with pytest.raises(ObjectStoreFullError, match="evictable"):
-            s.put(gen.object_id(), b"x" * 3000)    # 2000 pinned + 3000 > 4096
+        resident = gen.object_id()
+        s.put(resident, b"p" * 2000)
+        with pytest.raises(ObjectStoreFullError, match="exceeds store capacity"):
+            s.put(gen.object_id(), b"x" * 3000)    # 2000 live + 3000 > 4096
         big = gen.object_id()
         s.put(big, b"y" * 2000)                    # fits: maybe new segment
-        assert s.contains(big) and s.contains(pinned)
+        assert s.contains(big) and s.contains(resident)
         assert s.used_bytes == 4000
 
     def test_oversized_object_rejected(self, store):
@@ -336,11 +348,11 @@ class TestZombiesAndReaper:
         reader = ShmClient(client_index=1)
         anchor = gen.object_id()
         s.put(anchor, b"a" * 1500)
-        s.pin(anchor)
         blocker = gen.object_id()
         s.put(blocker, b"b" * 1500)
         name_b, slot_b, _ = s.describe(blocker)
-        reader.hold(name_b, slot_b)      # pins the arena hole open
+        reader.hold(name_b, slot_b)      # holds the arena hole open
+        s.delete(blocker)                # a zombie in the primary
         spiller = gen.object_id()
         s.put(spiller, b"c" * 1500)      # fragmentation ⇒ overflow segment
         assert len(s.segment_names()) == 2
@@ -371,9 +383,7 @@ class TestFrames:
         assert len(serialized.inband) < 200
         assert serialized.buffers[0].nbytes == array.nbytes
         oid = gen.object_id()
-        s.put_with_writer(
-            oid, serialized.frame_bytes, lambda v: write_frame(v, serialized)
-        )
+        _put_frame(s, oid, array)
         out = deserialize_frame(s.get(oid))
         assert numpy.array_equal(out, array)
         assert out.base is not None                # a view, not a copy
@@ -382,92 +392,92 @@ class TestFrames:
     def test_plain_values_roundtrip_in_band(self, store):
         s, gen = store
         value = {"weights": list(range(50)), "tag": "model"}
-        serialized = serialize_buffers(value)
         oid = gen.object_id()
-        s.put_with_writer(
-            oid, serialized.frame_bytes, lambda v: write_frame(v, serialized)
-        )
+        _put_frame(s, oid, value)
         assert deserialize_frame(s.get(oid)) == value
 
 
 # ----------------------------------------------------------------------
-# Coordinator: pending creates, aborts, crash reclamation
+# Coordination: pending creates, aborts, leases, crash reclamation
 # ----------------------------------------------------------------------
 
 
 class TestCoordinator:
+    """What the arena coordinates between its owner and its clients."""
+
     @pytest.fixture
-    def coordinator(self):
+    def arena(self):
         gen = IDGenerator(namespace="shm-coord-test")
-        built = ShmCoordinator(gen.node_id(), capacity=1 << 20, num_workers=2)
+        built = SharedObjectStore(gen.node_id(), capacity=1 << 20, max_clients=3)
         yield built, gen
         built.shutdown()
 
-    def test_pending_creates_are_invisible_until_sealed(self, coordinator):
-        co, gen = coordinator
+    def test_pending_creates_are_invisible_until_sealed(self, arena):
+        s, gen = arena
         oid = gen.object_id()
-        granted = co.create_for_client(oid, 128, client=1)
+        granted = s.create(oid, 128, client=1)
         assert granted is not None
-        assert not co.contains(oid)                # unsealed: not readable
-        assert co.seal(oid)
-        assert co.contains(oid)
+        assert not s.contains(oid)                # unsealed: not readable
+        assert s.create(oid, 128, client=2) is None  # one writer window
+        assert s.seal(oid)
+        assert s.contains(oid)
 
-    def test_released_object_waits_for_both_sides_leases(self, coordinator):
+    def test_released_object_waits_for_both_sides_leases(self, arena):
         """A release while values still alias the slot parks it as a
         zombie; the driver's lease and a worker's each end when their
         last buffer dies and the owner settles, and only then is the
         space handed out again — to the very next allocation."""
         import numpy as np
 
-        co, gen = coordinator
+        s, gen = arena
         oid = gen.object_id()
         array = np.arange(4096, dtype=np.float64)
-        assert co.put_serialized(oid, serialize_buffers(array))
-        name, slot, _size = co.describe(oid)
+        _put_frame(s, oid, array)
+        name, slot, _size = s.describe(oid)
         worker = ShmClient(client_index=1)
-        ours = deserialize_frame(co.lease(oid))
+        ours = deserialize_frame(s.lease(oid))
         theirs = deserialize_frame(worker.lease(name, slot))
-        co.release(oid)
-        assert not co.contains(oid)
-        stats = co.stats()
+        assert s.delete(oid)
+        assert not s.contains(oid)
+        stats = s.stats()
         assert (stats["zombie_objects"], stats["leased_objects"]) == (1, 1)
         assert stats["used_bytes"] == 0 and stats["leased_bytes"] > 32768
         del ours
-        assert co.settle_leases() and not co.settle_leases()
-        assert co.stats()["leased_objects"] == 0
-        assert co.stats()["zombie_objects"] == 1     # the worker still reads
+        assert s.settle_leases() and not s.settle_leases()
+        assert s.stats()["leased_objects"] == 0
+        assert s.stats()["zombie_objects"] == 1     # the worker still reads
         assert bool(np.all(theirs == array))
         del theirs
         worker.settle_leases()
         other = gen.object_id()
-        assert co.put_serialized(other, serialize_buffers(array + 1.0))
-        assert co.stats()["zombie_objects"] == 0     # reaped by the allocation
-        assert co.describe(other)[:2] == (name, slot)  # on the same warm slot
+        _put_frame(s, other, array + 1.0)
+        assert s.stats()["zombie_objects"] == 0     # reaped by the allocation
+        assert s.describe(other)[:2] == (name, slot)  # on the same warm slot
         worker.detach_all()
 
-    def test_crash_aborts_pending_and_clears_refcounts(self, coordinator):
-        co, gen = coordinator
+    def test_crash_aborts_pending_and_clears_refcounts(self, arena):
+        s, gen = arena
         sealed = gen.object_id()
-        assert co.put_serialized(sealed, serialize_buffers(b"k" * 512))
-        name, slot, _size = co.describe(sealed)
+        _put_frame(s, sealed, b"k" * 512)
+        name, slot, _size = s.describe(sealed)
         worker = ShmClient(client_index=1)
         worker.hold(name, slot)                    # mid-read...
         pending = gen.object_id()
-        assert co.create_for_client(pending, 256, client=1) is not None
+        assert s.create(pending, 256, client=1) is not None
         # ...when the worker dies: its column is zeroed and its unsealed
         # allocation vanishes, while the sealed object survives.
-        assert co.reclaim_client(1) >= 1
-        assert co.store.refcount(sealed) == 0
-        assert not co.store.contains(pending)
-        assert co.contains(sealed)
-        assert co.load(sealed) == b"k" * 512
+        assert s.reclaim_client(1) >= 1
+        assert s.refcount(sealed) == 0
+        assert s.stats()["pending_creates"] == 0 and not s.seal(pending)
+        assert s.contains(sealed)
+        assert deserialize_frame(s.get(sealed)) == b"k" * 512
 
-    def test_seal_after_abort_reports_false(self, coordinator):
-        co, gen = coordinator
+    def test_seal_after_abort_reports_false(self, arena):
+        s, gen = arena
         oid = gen.object_id()
-        assert co.create_for_client(oid, 64, client=2) is not None
-        co.abort(oid)
-        assert not co.seal(oid)
+        assert s.create(oid, 64, client=2) is not None
+        s.abort(oid)
+        assert not s.seal(oid)
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +490,6 @@ class TestNoLeakedSegments:
         gen = IDGenerator(namespace="shm-leak-test")
         s = SharedObjectStore(gen.node_id(), capacity=4096, max_clients=2)
         s.put(gen.object_id(), b"a" * 2000)
-        s.pin(s.object_ids()[0])
         s.put(gen.object_id(), b"b" * 2000)        # may overflow-segment
         names = s.segment_names()
         assert _segments_on_disk(names) == list(names)
@@ -505,3 +514,249 @@ class TestNoLeakedSegments:
         assert s.deferred_bytes == 100
         s.shutdown()
         assert _segments_on_disk([name]) == []
+
+
+# ----------------------------------------------------------------------
+# The arena against a model: a seeded op stream, checked after every op
+# ----------------------------------------------------------------------
+
+
+class _ArenaModel:
+    """What the arena must look like: sealed and unsealed sizes, each
+    allocation's references by client, and the deleted allocations
+    still referenced (zombies) — the reaper frees those at zero."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.sealed = {}       # object_id -> size
+        self.pending = {}      # object_id -> (size, writer client)
+        self.refs = {}         # object_id -> {client: count}
+        self.zombies = {}      # object_id -> size
+
+    @property
+    def used(self):
+        return sum(self.sealed.values()) + sum(
+            size for size, _writer in self.pending.values()
+        )
+
+    def held(self, object_id):
+        return sum(self.refs.get(object_id, {}).values())
+
+    def forget(self, object_id, size):
+        if self.held(object_id):
+            self.zombies[object_id] = size
+
+    def reap(self):
+        freed = [oid for oid in self.zombies if not self.held(oid)]
+        return sum(self.zombies.pop(oid) for oid in freed)
+
+
+class TestArenaModel:
+    """Every entry point of the arena in one seeded stream — client
+    create → fill → seal, abort, driver put, driver lease and settle,
+    client hold/release and lease, delete, a client's death and the
+    reaper — compared after every op with :class:`_ArenaModel`: the
+    sealed ids, ``used_bytes``, ``deferred_bytes``, the zombie count,
+    every payload (a slot reused under a reader would show), and the
+    segments on disk, which must be exactly the live ones.  A create
+    must raise ``ObjectStoreFullError`` exactly when the live bytes plus
+    its size exceed the capacity."""
+
+    CAPACITY = 8192
+    CLIENTS = (1, 2)
+
+    @staticmethod
+    def _pattern(index, size):
+        return bytes([index % 251 + 1]) * size
+
+    def _on_disk(self, prefix):
+        if not os.path.isdir("/dev/shm"):
+            return None  # no listing on this host: the name probe below
+        return sorted(
+            name for name in os.listdir("/dev/shm") if name.startswith(prefix)
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_op_stream_matches_model(self, seed):
+        rng = random.Random(seed)
+        gen = IDGenerator(namespace=f"shm-arena-model/{seed}")
+        prefix = f"rtm{os.getpid():x}s{seed}"
+        s = SharedObjectStore(
+            gen.node_id(), capacity=self.CAPACITY, max_clients=3,
+            max_objects=4, name_prefix=prefix,
+        )
+        model = _ArenaModel(self.CAPACITY)
+        clients = {c: ShmClient(client_index=c) for c in self.CLIENTS}
+        dead = []                # the ShmClients of "crashed" processes
+        index = {}               # object_id -> payload pattern index
+        holds = []               # (client, object_id, name, slot, window)
+        client_leases = []       # (client, object_id, window)
+        driver_leases = []       # (object_id, window)
+        settled = []             # object_ids of driver leases awaiting settle
+        ever = []
+
+        def fresh():
+            oid = gen.object_id()
+            index[oid] = len(ever)
+            ever.append(oid)
+            return oid
+
+        def expect_create(oid, size, client):
+            """create; True when the model says it must fit."""
+            if model.used + size > self.CAPACITY:
+                with pytest.raises(ObjectStoreFullError):
+                    s.create(oid, size, client=client)
+                return None
+            model.reap()         # an allocation reaps first
+            entry = s.create(oid, size, client=client)
+            assert entry is not None
+            model.pending[oid] = (size, client)
+            return entry
+
+        def ref(oid, client, delta):
+            counts = model.refs.setdefault(oid, {})
+            counts[client] = counts.get(client, 0) + delta
+
+        def check():
+            assert {oid for oid in ever if s.contains(oid)} == set(model.sealed)
+            assert s.used_bytes == model.used <= self.CAPACITY
+            assert s.deferred_bytes == sum(model.zombies.values())
+            stats = s.stats()
+            assert stats["zombie_objects"] == len(model.zombies)
+            assert stats["pending_creates"] == len(model.pending)
+            assert stats["num_objects"] == len(model.sealed) + len(model.pending)
+            leased = {oid for oid, _window in driver_leases} | set(settled)
+            assert stats["leased_objects"] == len(leased)
+            for oid, size in model.sealed.items():
+                assert s.size_of(oid) == size
+                assert bytes(s.get(oid)) == self._pattern(index[oid], size)
+            for _c, oid, name, slot, window in holds:
+                assert bytes(window) == self._pattern(index[oid], len(window))
+            for _c, oid, window in client_leases:
+                assert bytes(window) == self._pattern(index[oid], len(window))
+            for oid, window in driver_leases:
+                assert bytes(window) == self._pattern(index[oid], len(window))
+            live = set(s.segment_names())
+            listed = self._on_disk(prefix)
+            if listed is not None:
+                assert set(listed) == live
+            allocations = len(model.sealed) + len(model.pending) + len(model.zombies)
+            assert len(live) <= 1 + allocations  # emptied overflow goes
+
+        ops = (
+            "create", "create", "seal", "abort", "put", "put", "delete",
+            "delete", "lease", "unlease", "settle", "hold", "release",
+            "client_lease", "client_unlease", "crash", "reap",
+        )
+        try:
+            for _ in range(300):
+                op = rng.choice(ops)
+                sealed = sorted(model.sealed, key=index.get)
+                pending = sorted(model.pending, key=index.get)
+                if op == "create":
+                    client = rng.choice(self.CLIENTS)
+                    oid, size = fresh(), rng.randint(1, 3000)
+                    entry = expect_create(oid, size, client)
+                    if entry is not None:
+                        writer = clients[client]
+                        view = writer.write_view(entry.segment.name, entry.slot)
+                        view[:] = self._pattern(index[oid], size)
+                        del view
+                elif op == "seal" and pending:
+                    oid = rng.choice(pending)
+                    assert s.seal(oid)
+                    model.sealed[oid] = model.pending.pop(oid)[0]
+                elif op == "abort":
+                    oid = rng.choice(pending + sealed) if pending + sealed else fresh()
+                    s.abort(oid)     # a sealed object is left alone
+                    if oid in model.pending:
+                        model.forget(oid, model.pending.pop(oid)[0])
+                        assert not s.seal(oid)
+                elif op == "put":
+                    oid, size = fresh(), rng.randint(1, 3000)
+                    if model.used + size > self.CAPACITY:
+                        with pytest.raises(ObjectStoreFullError):
+                            s.put(oid, self._pattern(index[oid], size))
+                    else:
+                        model.reap()
+                        s.put(oid, self._pattern(index[oid], size))
+                        model.sealed[oid] = size
+                elif op == "delete":
+                    oid = rng.choice(sealed + pending) if sealed + pending else fresh()
+                    assert s.delete(oid) == (oid in model.sealed)
+                    if oid in model.sealed:
+                        model.forget(oid, model.sealed.pop(oid))
+                elif op == "lease" and sealed:
+                    oid = rng.choice(sealed)
+                    driver_leases.append((oid, s.lease(oid)))
+                    ref(oid, 0, 1)
+                elif op == "unlease" and driver_leases:
+                    oid, window = driver_leases.pop(rng.randrange(len(driver_leases)))
+                    del window       # its finalizer queues the decref
+                    settled.append(oid)
+                elif op == "settle":
+                    assert s.settle_leases() == bool(settled)
+                    if settled:
+                        for oid in settled:
+                            ref(oid, 0, -1)
+                        settled.clear()
+                        model.reap()
+                elif op == "hold" and sealed:
+                    client, oid = rng.choice(self.CLIENTS), rng.choice(sealed)
+                    name, slot, _size = s.describe(oid)
+                    clients[client].hold(name, slot)
+                    window = clients[client].read(name, slot)
+                    holds.append((client, oid, name, slot, window))
+                    del window
+                    ref(oid, client, 1)
+                elif op == "release" and holds:
+                    client, oid, name, slot, window = holds.pop(
+                        rng.randrange(len(holds))
+                    )
+                    del window
+                    clients[client].release(name, slot)
+                    ref(oid, client, -1)
+                elif op == "client_lease" and sealed:
+                    client, oid = rng.choice(self.CLIENTS), rng.choice(sealed)
+                    name, slot, _size = s.describe(oid)
+                    window = clients[client].lease(name, slot)
+                    client_leases.append((client, oid, window))
+                    del window
+                    ref(oid, client, 1)
+                elif op == "client_unlease" and client_leases:
+                    client, oid, window = client_leases.pop(
+                        rng.randrange(len(client_leases))
+                    )
+                    del window
+                    clients[client].settle_leases()
+                    ref(oid, client, -1)
+                elif op == "crash":
+                    # The process dies with everything it held; the arena
+                    # sees only its column and its unsealed allocations.
+                    client = rng.choice(self.CLIENTS)
+                    holds[:] = [h for h in holds if h[0] != client]
+                    client_leases[:] = [h for h in client_leases if h[0] != client]
+                    dead.append(clients[client])
+                    clients[client] = ShmClient(client_index=client)
+                    expected = sum(
+                        1 for counts in model.refs.values() if counts.get(client)
+                    )
+                    for oid, (size, writer) in list(model.pending.items()):
+                        if writer == client:
+                            del model.pending[oid]
+                            model.forget(oid, size)
+                    for counts in model.refs.values():
+                        counts.pop(client, None)
+                    assert s.reclaim_client(client) == expected
+                    model.reap()
+                elif op == "reap":
+                    assert s.reap() == model.reap()
+                check()
+        finally:
+            del holds, client_leases, driver_leases
+            for client in list(clients.values()) + dead:
+                client.detach_all()
+            names = s.segment_names()
+            s.shutdown()
+        assert _segments_on_disk(names) == []
+        assert not self._on_disk(prefix)
