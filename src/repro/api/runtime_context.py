@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import atexit
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
@@ -11,6 +12,8 @@ from repro.core.object_ref import ObjectRef
 from repro.errors import BackendError
 
 _current_runtime: Any = None
+#: Whether this process registered its exit hook (one per process).
+_atexit_registered = False
 
 
 def init(backend: str = "sim", **kwargs: Any):
@@ -52,9 +55,14 @@ def init(backend: str = "sim", **kwargs: Any):
         process (see :mod:`repro.obs`); the sim's log is always on.
         Every backend reports ``stats()["obs"]`` either way.
     """
-    global _current_runtime
+    global _current_runtime, _atexit_registered
     if _current_runtime is not None:
         raise BackendError("runtime already initialized; call shutdown() first")
+    if not _atexit_registered:
+        # A driver that exits without shutdown() still releases its
+        # workers and shared-memory arena.
+        atexit.register(shutdown)
+        _atexit_registered = True
 
     if "cluster" not in kwargs:
         num_nodes = kwargs.pop("num_nodes", 1)

@@ -56,8 +56,7 @@ from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.scheduling.local import LocalScheduler
 from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy
 from repro.sim.core import AllOf, Delay, Simulator
-from repro.store.control_plane import ControlPlane, NodeInfo
-from repro.store.event_log import EventLog
+from repro.store.control_plane import ControlPlane
 from repro.utils.ids import FunctionID, IDGenerator, NodeID, ObjectID
 from repro.utils.rng import RNGRegistry
 from repro.utils.serialization import ByteAccountant, deserialize, serialize
@@ -117,7 +116,6 @@ class SimRuntime:
         self.sim = Simulator()
         self.ids = IDGenerator(namespace=f"repro/{seed}")
         self.rngs = RNGRegistry(root_seed=seed)
-        self.event_log = EventLog()
         self.closed = False
 
         # -- nodes ---------------------------------------------------------
@@ -128,13 +126,12 @@ class SimRuntime:
         self._alive: dict[NodeID, bool] = {n: True for n in self.node_ids}
 
         self.control_plane = ControlPlane(
-            self.sim,
-            self.network,
-            self.costs,
-            head_node=self.head_node_id,
-            num_shards=num_gcs_shards,
-            event_log=self.event_log,
+            self.sim, self.network, self.costs, self.head_node_id, num_gcs_shards
         )
+        self.event_log = self.control_plane.event_log
+        #: The control store every backend keeps (the live runtimes'
+        #: ``_control``); the sim reaches it through the cost model above.
+        self._control = self.control_plane.store
 
         if spillover_policy is None:
             spillover_policy = SpilloverPolicy(mode=_SCHEDULER_MODES[scheduler_mode])
@@ -183,7 +180,7 @@ class SimRuntime:
         for node_id in self.node_ids:
             info = self._schedulers[node_id].node_info()
             info.last_heartbeat = 0.0
-            self.control_plane._nodes[node_id] = info
+            self.control_plane.nodes[node_id] = info
         for node_id in self.node_ids:
             self.sim.spawn(
                 self._schedulers[node_id].heartbeat_loop(), name=f"hb:{node_id.hex[:6]}"
@@ -244,12 +241,7 @@ class SimRuntime:
         """Register a remote function in the function table."""
         function_id = self.ids.function_id()
         self._functions[function_id] = function
-        self.control_plane._async(
-            self.control_plane.function_register(
-                self.head_node_id, function_id, {"name": name}
-            ),
-            "fn-register",
-        )
+        self.control_plane.async_function_register(function_id, name)
         return function_id
 
     def resolve_function(self, spec: TaskSpec) -> Optional[Callable]:
@@ -442,7 +434,7 @@ class SimRuntime:
         return nullcontext()  # the sim backend is single-threaded
 
     def _result_ready(self, object_id: ObjectID) -> bool:
-        entry = self.control_plane._objects.get(object_id)
+        entry = self._control.object_get(object_id)
         return entry is not None and entry.ready
 
     def _store_cancelled(self, spec: TaskSpec) -> None:
@@ -702,7 +694,7 @@ class SimRuntime:
         # the node for the silence of its previous life.
         info = scheduler.node_info()
         info.last_heartbeat = self.sim.now
-        self.control_plane._nodes[node_id] = info
+        self.control_plane.nodes[node_id] = info
         self.control_plane.log("node_restarted", node=node_id)
         self.sim.spawn(scheduler.heartbeat_loop(), name=f"hb:{node_id.hex[:6]}")
 
@@ -763,14 +755,6 @@ class SimRuntime:
             yield Delay(0.0)
 
         self.sim.spawn(proc(), name="fail-task")
-
-    def debug_objects_on_node(self, node_id: NodeID) -> list:
-        """Object IDs whose table row lists ``node_id`` (monitor cleanup)."""
-        return [
-            object_id
-            for object_id, entry in self.control_plane._objects.items()
-            if node_id in entry.locations
-        ]
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
@@ -863,4 +847,5 @@ class SimRuntime:
     def shutdown(self) -> None:
         for pool in self._serve_pools:
             pool.close()
+        self._control.close()
         self.closed = True

@@ -56,8 +56,11 @@ class FailureMonitor:
 
         # Drop the dead node from every object-table row.  Bulk scan —
         # charged as one op per affected object.
-        for object_id in runtime.debug_objects_on_node(node_id):
-            yield from cp.object_remove_location(self.node_id, object_id, node_id)
+        for entry in cp.store.objects():
+            if node_id in entry.locations:
+                yield from cp.object_remove_location(
+                    self.node_id, entry.object_id, node_id
+                )
 
         # Re-place tasks orphaned on the dead node.  Their specs live in
         # the task table (that row is the lineage), so recovery is a

@@ -1,13 +1,14 @@
-"""The real Global Control Store (sharded control plane + driver HA).
+"""The Global Control Store (sharded control plane + driver HA).
 
-``ControlStore`` is the live-backend promotion of the sim's modeled
-control plane: the same hash-sharded object/task/actor tables
-(:mod:`repro.gcs.tables`, shared with :mod:`repro.store.control_plane`),
-lock-striped across N shards with a per-shard append-only event log,
-synchronous write-ahead lineage, async fire-and-forget state writes, and
-optional per-shard durable WALs.  ``plan_recovery`` turns a store that
-outlived its driver into the exact restore/resubmit plan a fresh runtime
-executes (``init(..., control_store=store, recover=True)``).
+``ControlStore`` is the one control store of all four backends
+(``runtime._control``; the sim's :mod:`repro.store.control_plane` is a
+cost model in front of it): hash-sharded object/task/actor tables
+(:mod:`repro.gcs.tables`), lock-striped across N shards with a
+per-shard append-only event log, synchronous write-ahead lineage, async
+fire-and-forget state writes, and optional per-shard durable WALs.
+``plan_recovery`` turns a store that outlived its driver into the exact
+restore/resubmit plan a fresh runtime executes
+(``init(..., control_store=store, recover=True)``).
 """
 
 from repro.gcs.recovery import RecoveryPlan, plan_recovery

@@ -1,10 +1,12 @@
-"""The real sharded control store (the paper's GCS) for live backends.
+"""The sharded control store (the paper's GCS) of every backend.
 
-The sim models a sharded control plane with queueing and service costs
-(:mod:`repro.store.control_plane`); this module is the same design running
-for real: object/task/actor tables hash-partitioned across N lock-striped
-shards, an append-only event log per shard, and fire-and-forget async
-writes on hot paths mirroring the sim's ``async_*`` idiom.
+Object/task/actor tables hash-partitioned across N lock-striped shards,
+an append-only event log per shard, and fire-and-forget async writes on
+hot paths.  The live backends call it directly; the sim's
+:mod:`repro.store.control_plane` charges each op its modelled cost
+(hops, shard queue, service time) and then calls it synchronously, on
+the virtual clock given as ``clock=``.  The writer thread that applies
+async writes starts with the first one, so the sim's store runs none.
 
 Each mutation is one record, ``(key, kind, mutator, args, event, wal)``,
 built in one place: the sync method hands it to :meth:`ControlStore._apply`
@@ -185,10 +187,9 @@ class ControlStore:
         self._async_paused.set()  # set == running
         #: Per-thread op list while inside :meth:`async_batch`.
         self._async_batch = threading.local()
-        self._writer = threading.Thread(
-            target=self._writer_loop, name="gcs-async-writer", daemon=True
-        )
-        self._writer.start()
+        #: Started by the first async write: a store written only
+        #: synchronously (the sim's) runs no thread.
+        self._writer: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Routing and plumbing
@@ -509,6 +510,11 @@ class ControlStore:
         with self._async_cond:
             if self._closed:
                 return
+            if self._writer is None:
+                self._writer = threading.Thread(
+                    target=self._writer_loop, name="gcs-async-writer", daemon=True
+                )
+                self._writer.start()
             self._async_pending.extend(ops)
             self._async_unapplied += len(ops)
             if self._async_unapplied > self._async_backlog_max:
@@ -709,7 +715,8 @@ class ControlStore:
             self._closed = True  # the writer drains what is pending, then exits
             self._async_cond.notify_all()
         self._async_paused.set()
-        self._writer.join(timeout=2.0)
+        if self._writer is not None:
+            self._writer.join(timeout=2.0)
         for shard in self._shards:
             if shard.wal_fd is not None:
                 try:

@@ -1,11 +1,10 @@
-"""Table rows shared by the simulated and the real control planes.
+"""Table rows of the control store, and its shard hash.
 
-The sim's :class:`~repro.store.control_plane.ControlPlane` and the real
-:class:`~repro.gcs.store.ControlStore` persist the *same* rows — the sim
-models the latency of touching them, the real store actually serves the
-proc/dist runtimes.  Keeping the dataclasses in one module means the two
-planes cannot drift: a field added for one is immediately visible (and
-snapshot-tested) on the other.
+:class:`~repro.gcs.store.ControlStore` keeps these rows for every
+backend; the sim's :class:`~repro.store.control_plane.ControlPlane`
+models the latency of touching them and then touches the same store, so
+there is one store and its rows cannot drift between backends.
+``NodeInfo`` is the sim's heartbeat row, which only that adapter keeps.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def hash_key(key: Any) -> int:
 
 
 def shard_of(key: Any, num_shards: int) -> int:
-    """Shard routing used by *both* control planes.
+    """Shard routing of the control store (and of the sim's shard queues).
 
     Depends only on the key bytes — never on process state — so routing is
     stable across driver restarts (property-tested in ``tests/test_gcs.py``).

@@ -586,12 +586,12 @@ class LocalRuntime:
             with self._lock:
                 node.available_cpus += item.resources.num_cpus
                 node.available_gpus += item.resources.num_gpus
-                node.tasks_executed += 1
                 self._dispatch()
 
     def _run_task(self, node: _Node, spec: TaskSpec) -> None:
         with self._lock:
             if self._lifecycle.is_cancelled(spec.task_id):
+                node.tasks_executed += 1
                 return  # cancelled while queued: never execute user code
         root_id = spec.root_task_id or spec.task_id
         t_start = time.monotonic()
@@ -629,7 +629,8 @@ class LocalRuntime:
                 datas.append(serialize(value))
             except TypeError as exc:
                 datas.append(serialize(error_value_from(spec, exc)))
-        self._store_results(spec, datas)
+        failed = isinstance(result, ErrorValue)
+        self._store_results(node, spec, datas, failed)
         if self._obs.enabled:
             self._obs.record(
                 "task_finished",
@@ -638,15 +639,21 @@ class LocalRuntime:
                 worker=threading.current_thread().name,
                 node=str(node.node_id),
                 duration=time.monotonic() - t_start,
-                failed=isinstance(result, ErrorValue),
+                failed=failed,
             )
 
-    def _store_results(self, spec: TaskSpec, datas: list) -> None:
-        """Store all return slots atomically; discard if cancelled mid-run."""
+    def _store_results(
+        self, node: _Node, spec: TaskSpec, datas: list, failed: bool
+    ) -> None:
+        """Store all return slots atomically; discard if cancelled mid-run.
+        The task counts as executed before a getter can see its results."""
         with self._ready_cond:
+            node.tasks_executed += 1
             if self._lifecycle.is_cancelled(spec.task_id):
                 return  # the cancellation marker owns the slots
-            self._control.async_task_update(spec.task_id, state="finished")
+            self._control.async_task_update(
+                spec.task_id, state="failed" if failed else "finished"
+            )
             if self._obs.enabled:
                 self._obs.record(
                     "result_stored",

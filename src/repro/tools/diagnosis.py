@@ -6,11 +6,10 @@ expanded post-hoc into the full story of the failing task — which node ran
 it, how many attempts it made, what it depended on — without re-running
 anything (R7).
 
-The lookups go through the uniform shard API: live backends expose the
-real :class:`~repro.gcs.ControlStore` (``runtime._control``), the sim
-keeps its modeled :class:`~repro.store.control_plane.ControlPlane` —
-both answer the same entry shapes (shared dataclasses in
-:mod:`repro.gcs.tables`).
+Every backend keeps its control state in one
+:class:`~repro.gcs.ControlStore` (``runtime._control``; the sim puts its
+cost model in front of it), so the lookups and the event tuples are the
+same on all four.
 """
 
 from __future__ import annotations
@@ -19,38 +18,18 @@ from repro.errors import TaskError
 
 
 def lookup_task(runtime, task_id):
-    """Task-table entry for ``task_id`` on any backend (None if unknown)."""
-    store = getattr(runtime, "_control", None)
-    if store is not None:
-        return store.task_get(task_id)
-    plane = getattr(runtime, "control_plane", None)
-    if plane is not None:
-        return plane.debug_task(task_id)
-    return None
+    """Task-table entry for ``task_id`` (None if unknown)."""
+    return runtime._control.task_get(task_id)
 
 
 def lookup_object(runtime, object_id):
-    """Object-table entry for ``object_id`` on any backend (None if unknown)."""
-    store = getattr(runtime, "_control", None)
-    if store is not None:
-        return store.object_get(object_id)
-    plane = getattr(runtime, "control_plane", None)
-    if plane is not None:
-        return plane.debug_object(object_id)
-    return None
+    """Object-table entry for ``object_id`` (None if unknown)."""
+    return runtime._control.object_get(object_id)
 
 
 def task_events(runtime, task_id) -> list:
-    """Event-log records about ``task_id``, oldest first, any backend."""
-    store = getattr(runtime, "_control", None)
-    if store is not None:
-        return store.events(key=task_id)
-    log = getattr(runtime, "event_log", None)
-    if log is not None:
-        return log.filter(
-            predicate=lambda r: str(r.get("task_id")) == str(task_id)
-        )
-    return []
+    """Control-store events about ``task_id``, oldest first."""
+    return runtime._control.events(key=task_id)
 
 
 def diagnose(error: TaskError, runtime) -> str:

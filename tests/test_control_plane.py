@@ -1,4 +1,5 @@
-"""Unit tests for the sharded control plane (object/task tables, pub/sub)."""
+"""Unit tests for the sim's control plane: the cost model in front of the
+live ``ControlStore`` (object/task tables, readiness, heartbeats)."""
 
 import pytest
 
@@ -6,7 +7,6 @@ from repro.cluster.costs import SystemCosts
 from repro.cluster.network import NetworkModel
 from repro.sim.core import Simulator
 from repro.store.control_plane import ControlPlane, NodeInfo
-from repro.store.event_log import EventLog
 from repro.utils.ids import IDGenerator
 
 
@@ -133,6 +133,19 @@ class TestTaskTable:
         sim, gen, head, other, cp = setup
         assert _run_op(sim, cp.task_get(head, gen.task_id())) is None
 
+    def test_first_put_wins(self, setup):
+        """A resubmission keeps the row its first put wrote."""
+        sim, gen, head, other, cp = setup
+        tid = gen.task_id()
+        _run_op(sim, cp.task_put(other, tid, spec="first"))
+        _run_op(sim, cp.task_set_state(head, tid, "running"))
+        _run_op(sim, cp.task_put(head, tid, spec="again"))
+        entry = cp.store.task_get(tid)
+        assert (entry.spec, entry.node, entry.state, entry.attempts) == (
+            "first", other, "running", 1,
+        )
+        assert len(cp.event_log.filter(kind="task_submitted")) == 2
+
     def test_tasks_on_node_scan(self, setup):
         sim, gen, head, other, cp = setup
         tids = [gen.task_id() for _ in range(3)]
@@ -172,19 +185,6 @@ class TestShardingAndPubSub:
         with pytest.raises(ValueError):
             ControlPlane(sim, NetworkModel(), SystemCosts(), head, num_shards=0)
 
-    def test_pubsub_roundtrip(self, setup):
-        sim, gen, head, other, cp = setup
-        messages = []
-        _run_op(sim, cp.subscribe(other, "alerts", messages.append))
-        count = _run_op(sim, cp.publish(head, "alerts", {"kind": "test"}))
-        sim.run()
-        assert count == 1
-        assert messages == [{"kind": "test"}]
-
-    def test_publish_without_subscribers(self, setup):
-        sim, gen, head, other, cp = setup
-        assert _run_op(sim, cp.publish(head, "empty-channel", "x")) == 0
-
     def test_heartbeat_listener_invoked(self, setup):
         sim, gen, head, other, cp = setup
         seen = []
@@ -209,3 +209,23 @@ class TestShardingAndPubSub:
         _run_op(sim, cp.object_add_location(head, oid, head, 1))
         kinds = cp.event_log.kinds()
         assert "object_ready" in kinds
+
+    def test_ops_apply_to_the_store_on_the_sim_clock(self, setup):
+        """Each op pays its modelled cost, then writes the live store,
+        whose events carry virtual time; the stats keep the store's keys
+        with the modelled counters."""
+        sim, gen, head, other, cp = setup
+        oid, tid = gen.object_id(), gen.task_id()
+        _run_op(sim, cp.task_put(other, tid, spec=None))
+        _run_op(sim, cp.object_add_location(other, oid, other, 7, producer_task=tid))
+        _run_op(sim, cp.object_add_location(head, oid, head, 3))
+        entry = cp.store.object_get(oid)
+        assert entry.ready and entry.locations == {head, other}
+        assert (entry.size, entry.producer_task) == (7, tid)
+        (submitted,) = cp.store.events(key=tid)
+        assert submitted.kind == "task_submitted"
+        assert 0 < submitted.timestamp < sim.now
+        stats = cp.control_stats()
+        assert stats.keys() == cp.store.stats().keys()
+        assert stats["ops_total"] == cp.ops_total == 3
+        assert stats["event_log_len"] == len(cp.event_log)

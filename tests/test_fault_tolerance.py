@@ -125,10 +125,10 @@ def test_dead_node_objects_removed_from_object_table(cluster):
     ref = double.options(placement_hint=victim).remote(3)
     repro.wait([ref], num_returns=1)
     repro.sleep(0.01)
-    assert victim in cluster.control_plane.debug_object(ref.object_id).locations
+    assert victim in cluster._control.object_get(ref.object_id).locations
     cluster.kill_node(victim)
     repro.sleep(cluster.costs.heartbeat_timeout + 3 * cluster.costs.heartbeat_interval)
-    entry = cluster.control_plane.debug_object(ref.object_id)
+    entry = cluster._control.object_get(ref.object_id)
     assert victim not in entry.locations
 
 

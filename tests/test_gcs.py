@@ -194,6 +194,26 @@ class TestAsyncWrites:
         assert store.stats()["async_backlog"] == 0
         store.close()
 
+    def test_writer_thread_starts_on_the_first_async_write(self):
+        """A store written only synchronously runs no thread; the first
+        async write starts the writer, and ``close()`` joins it."""
+        before = threading.active_count()
+        store = ControlStore(num_shards=1)
+        tid = make_ids().task_id()
+        store.task_put(tid, "spec")
+        store.task_update(tid, state="running")
+        assert threading.active_count() == before
+        assert store.flush()
+        store.async_task_update(tid, state="finished")
+        writer = store._writer
+        assert writer is not None and writer.is_alive()
+        assert threading.active_count() == before + 1
+        assert store.flush(timeout=10.0)
+        assert store.task_get(tid).state == "finished"
+        store.close()
+        assert not writer.is_alive()
+        assert threading.active_count() == before
+
     def test_pause_freezes_async_writes_but_not_sync(self):
         """Models a driver dying with async control writes in flight: the
         sync write-ahead ``task_put`` is visible, the async update is not."""

@@ -9,6 +9,10 @@ multiprocess backend.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -704,3 +708,34 @@ class TestBottomUpScheduling:
         finally:
             repro.shutdown()
 
+
+
+_EXIT_WITHOUT_SHUTDOWN = textwrap.dedent(
+    """
+    import numpy as np
+    import repro
+
+    if __name__ == "__main__":
+        runtime = repro.init(backend="proc", num_workers=1)
+        repro.get(repro.put(np.ones(8 << 20, dtype=np.uint8)))
+        print(runtime._objects.shm.name_prefix, flush=True)
+    """
+)
+
+
+@needs_shm
+def test_a_driver_that_exits_without_shutdown_leaks_no_segment(tmp_path):
+    """``init`` registers an exit hook that shuts a live runtime down, so
+    a driver that never calls ``shutdown()`` still releases its arena."""
+    script = tmp_path / "driver.py"
+    script.write_text(_EXIT_WITHOUT_SHUTDOWN)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    prefix = result.stdout.strip()
+    assert prefix
+    assert not [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]

@@ -1,5 +1,7 @@
 """End-to-end API tests on the simulated backend."""
 
+import threading
+
 import pytest
 
 import repro
@@ -255,3 +257,14 @@ def test_stats_counters(sim_runtime):
     assert stats["tasks_executed"] == 10
     assert stats["tasks_submitted"] >= 10
     assert stats["gcs_ops"] > 0
+
+
+def test_sim_runs_no_thread_and_closes_its_store():
+    """The sim writes its control store synchronously, so the store
+    starts no writer thread; ``shutdown()`` closes it."""
+    before = threading.active_count()
+    runtime = repro.init(backend="sim")
+    assert repro.get(add.remote(1, 2)) == 3
+    repro.shutdown()
+    assert runtime._control.closed
+    assert threading.active_count() == before

@@ -144,11 +144,13 @@ class TestDiagnosis:
         assert "boom" in report
 
 
-def test_diagnose_on_proc_tells_the_failing_tasks_story_alone():
-    """On a live backend the events come from the control store's
-    shards: the failing task's submission, then its failed state, and
-    nothing of the task that ran before it."""
-    runtime = repro.init(backend="proc", num_workers=1)
+@pytest.mark.parametrize("backend", ["sim", "local", "proc"])
+def test_diagnose_tells_the_failing_tasks_story_alone(backend):
+    """Every backend keeps its control state in one ``ControlStore``:
+    the failing task's events are its submission, then its state changes
+    ending in ``failed``, and nothing of the task that ran before it."""
+    options = {"num_workers": 1} if backend == "proc" else {}
+    runtime = repro.init(backend=backend, **options)
     try:
         other = work.remote(1)
         assert repro.get(other) == 2
@@ -160,15 +162,13 @@ def test_diagnose_on_proc_tells_the_failing_tasks_story_alone():
         events = task_events(runtime, error.task_id)
     finally:
         repro.shutdown()
-    assert [(r.kind, r.get("state")) for r in events] == [
-        ("task_submitted", "submitted"),
-        ("task_state", "failed"),
-    ]
+    kinds = [r.kind for r in events]
+    assert (kinds[0], events[0].get("state")) == ("task_submitted", "submitted")
+    assert set(kinds) == {"task_submitted", "task_state"}
+    assert events[-1].get("state") == "failed"
     assert {r.get("key") for r in events} == {error.task_id.hex}
     listed = report.split("  events:\n")[1].split("  remote traceback:")[0]
-    assert [line.split()[1] for line in listed.splitlines()] == [
-        "task_submitted", "task_state",
-    ]
+    assert [line.split()[1] for line in listed.splitlines()] == kinds
     assert other.producer_task.hex[:10] not in report
 
 
