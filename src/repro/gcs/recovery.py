@@ -12,6 +12,12 @@ tasks whose results fit the inline-payload limit:
   is ready in the object table with its payload inline;
 * otherwise it is *pending* and gets resubmitted — by spec for driver-born
   tasks, by retained wire payload for worker-born ones;
+* a worker-born task the dead driver never adopted has no row at all
+  (its driver wrote one only when something needed the task — a steal,
+  a cancel, the loss of its worker, an escape, a failure or a result
+  that is not inline bytes, or its parent ending before it): it is
+  recreated, under new ids, by its parent's replay, and a parent that
+  had finished had its unfinished children adopted first;
 * readiness is judged from the object table, not the task-state column,
   because state transitions ride the async writer and may be arbitrarily
   stale at the moment of death — the object payload either made it into a

@@ -49,9 +49,14 @@ class TaskEntry:
 
     ``spec`` is a :class:`~repro.core.task.TaskSpec` for driver-born tasks;
     for worker-born (bottom-up) tasks it is ``{"spec": ..., "payload":
-    (entry, function_name, code)}`` — the wire entry the worker announced
-    in its SUBMIT_LOCAL notice plus the function it names — either form
-    is enough to replay the task after a crash, with nothing else in hand.
+    (entry, rows)}`` — the wire entry the worker announced in its
+    SUBMIT_LOCAL notice plus ``rows``, ``{function_hex: (name, code)}``
+    for the function it names — either form is enough to replay the task
+    after a crash, with nothing else in hand.  A worker-born task has a
+    row only once its driver adopted it (``repro.proc``: a steal, a
+    cancel, the loss of its worker, an escape, a failure or a result that
+    is not inline bytes, or its parent ending first); one never adopted
+    is recreated by its parent's replay.
 
     Rows are ``slots`` dataclasses: the tables hold one per task and per
     object for the life of the runtime, and an instance without a

@@ -146,14 +146,21 @@ one in each worker for the driver.
 
 Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
 batched and flushed before any other outbound message, so the driver
-registers lineage and mirror state causally first; it acks a batch with
-one ``PLACED``.  A notice is held at most ``_DONE_WATCHDOG_S``: a
-parent that fans out and then computes, or a chain of inline runs, does
-not hide its children from the mirror (and so from idle peers) until it
-next touches the pipe.  The driver's one-way messages (``STEAL_REQUEST``,
-``CANCEL_NOTICE``, ``PLACED``) may arrive at the worker interleaved
-with replies and frames; the worker's reader handles each the moment
-it arrives, whatever its tasks are doing.  Pipe FIFO ordering is the protocol's only
+mirrors each entry causally first; it acks a batch with one ``PLACED``.
+The driver keeps the entry and nothing more: it *adopts* the task —
+decodes the spec, pins its arguments and writes its lineage row — only
+when something needs it (a steal, a cancel, the loss of the worker, an
+escape of one of its refs, a failure or a result that is not inline
+bytes, or its parent ending first;
+:mod:`repro.sched_plane.dispatch`).  A task run where it was born and
+read only there costs the driver its entry, and its results.  A notice
+is held at most ``_DONE_WATCHDOG_S``: a parent that fans out and then
+computes, or a chain of inline runs, does not hide its children from
+the mirror (and so from idle peers) until it next touches the pipe.
+The driver's one-way messages (``STEAL_REQUEST``, ``CANCEL_NOTICE``,
+``PLACED``) may arrive at the worker interleaved with replies and
+frames; the worker's reader handles each the moment it arrives,
+whatever its tasks are doing.  Pipe FIFO ordering is the protocol's only
 synchronization: a ``SUBMIT_LOCAL`` always precedes any ``DONE`` or
 ``STEAL_GRANT`` that mentions its task, and a ``CANCEL_NOTICE`` always
 follows the ``TASK`` frame that shipped its task, so the driver's
@@ -234,7 +241,9 @@ GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | Sh
 WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
                                #   -> (OK, [the ready object_ids])
 PUT = "put"                    # (PUT, bytes, parent) -> (OK, object_id)
-CANCEL = "cancel"              # (CANCEL, object_id, recursive) -> (OK, bool)
+CANCEL = "cancel"              # (CANCEL, object_id, recursive, producer_task)
+                               #   -> (OK, bool); producer_task: the ref's
+                               # (None for a put)
 CREATE_ACTOR = "create_actor"  # (CREATE_ACTOR, payload) -> (OK, ActorHandle)
 CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, (task_id, [object_id, ...]))
 GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
@@ -287,8 +296,9 @@ CANCEL_NOTICE = "cancel_notice"  # (CANCEL_NOTICE, task_hex): drop the task
                                  # from the local queue — it must never
                                  # execute
 PLACED = "placed"      # (PLACED, count): a SUBMIT_LOCAL batch of that many
-                       # tasks is registered for lineage (crash replay
-                       # covers them from here on)
+                       # tasks is mirrored (the loss of this worker
+                       # replays them from here on; their lineage row is
+                       # written when the driver adopts one)
 
 # -- driver -> worker (replies) -----------------------------------------
 OK = "ok"    # (OK, value[, key])

@@ -449,9 +449,21 @@ class ObjectPlane(ObjectStores):
                 self.store_bytes(object_id, data)
         self.unpin_task(spec)
 
+    def inline(self, blobs: list) -> bool:
+        """Whether every blob of a completion is bytes the object table
+        keeps whole (:meth:`_note_arrival`) — so a recovered driver
+        restores it without its producer — and the pipe store has room
+        for them all."""
+        size = 0
+        for blob in blobs:
+            if type(blob) is not bytes or len(blob) > self._inline_threshold:
+                return False
+            size += len(blob)
+        return size <= self.store.free_bytes
+
     def finish(
         self,
-        spec: TaskSpec,
+        spec: Optional[TaskSpec],
         blobs: list,
         worker_index: int,
         payload: Optional[tuple] = None,
@@ -461,7 +473,14 @@ class ObjectPlane(ObjectStores):
         :class:`ShmDescriptor` sealed where the worker wrote it, a node
         descriptor (``dist``'s ``NodeBlob``: ``node_index``, ``size``)
         recorded as residence on that node.  ``payload`` is the wire
-        entry of a worker-born task."""
+        entry of a worker-born task; with no ``spec`` (the driver never
+        adopted the task) the entry's return ids are what is published,
+        and every blob is :meth:`inline`."""
+        if spec is None:
+            for return_hex, blob in zip(payload[2], blobs):
+                self.store_bytes(ObjectID(return_hex), blob)
+            self._acct_results.record(sum(map(len, blobs)))
+            return
         shipped = 0
         on_node = False
         for object_id, blob in zip(spec.all_return_ids(), blobs):
@@ -712,13 +731,21 @@ class ObjectPlane(ObjectStores):
             else:
                 born.extend(object_ids)
 
-    def drop_born(self, task_hex: str) -> None:
+    def drop_born(
+        self, task_hex: str, adopt: Optional[Callable[[ObjectID], Any]] = None
+    ) -> None:
         """The task is over (or died with its process), and what its
         worker still holds of what was born in it has been reported
-        escaped."""
+        escaped.  ``adopt(object_id)`` runs for every id born in it
+        first: a child of the task that has not finished yet becomes the
+        driver's, pins and all, before anything is released."""
         if not self._born_in:
             return
-        for object_id in self._born_in.pop(task_hex, ()):
+        born = self._born_in.pop(task_hex, ())
+        if adopt is not None:
+            for object_id in born:
+                adopt(object_id)
+        for object_id in born:
             self._held.discard(object_id.hex)
             self._maybe_release(object_id)
 

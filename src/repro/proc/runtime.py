@@ -46,8 +46,9 @@ Architecture (one instance = one pool):
   transport that carries them out: each worker owns a local task queue
   it feeds with a
   zero-round-trip nested submission fast path (the driver learns via
-  one-way ``SUBMIT_LOCAL`` notices and mirrors every queue for
-  lineage), while the driver is the *global tier* — it places
+  one-way ``SUBMIT_LOCAL`` notices and mirrors every queue, keeping a
+  task born there as its wire entry until something needs it adopted),
+  while the driver is the *global tier* — it places
   driver-born and spilled work with a
   locality-aware :class:`~repro.scheduling.policies.PlacementPolicy`
   (preferring the worker that already holds the largest resident
@@ -72,6 +73,7 @@ Architecture (one instance = one pool):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -124,7 +126,7 @@ from repro.proc.objects import ObjectPlane
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
 from repro.sched_plane.dispatch import DispatchPlane, WorkerSlot
-from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID
+from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID, TaskID
 from repro.utils.serialization import (
     DEFAULT_INLINE_THRESHOLD,
     deserialize_frame,
@@ -409,6 +411,7 @@ class ProcRuntime:
             is_cancelled=self._lifecycle.is_cancelled,
             is_waiting=self._deps.is_waiting,
             fail=self._objects.store_error,
+            adopt=self._adopt,
         )
         self._workers: list[_WorkerHandle] = self._dispatch.workers
 
@@ -664,9 +667,20 @@ class ProcRuntime:
         return ref
 
     def cancel(self, ref: ObjectRef, recursive: bool = False) -> bool:
-        """Cancel the task producing ``ref`` (shared core semantics)."""
+        """Cancel the task producing ``ref`` (shared core semantics).  A
+        worker-born producer the driver never adopted is adopted first
+        while its worker still queues it; a task's ref that no mirror
+        queues either finished unadopted: the cancel comes too late."""
         self._check_open()
-        return lifecycle.cancel(self, ref, recursive=recursive)
+        with self._cond:
+            if (
+                isinstance(ref, ObjectRef)
+                and self._lifecycle.spec_for(ref.object_id) is None
+                and self._dispatch.adopt_producer(ref.object_id) is None
+                and ref.producer_task is not None
+            ):
+                return False
+            return lifecycle.cancel(self, ref, recursive=recursive)
 
     # -- lifecycle hooks (see repro.core.lifecycle); lock held ----------
 
@@ -883,13 +897,12 @@ class ProcRuntime:
                     if record is not None
                     else plan.lost_actor_error(spec),
                 )
-            for spec, (entry, functions) in plan.pending_payloads:
+            for _spec, (entry, functions) in plan.pending_payloads:
                 # Worker-born: the record carries the wire entry and the
                 # row of the function it names, so nothing of the dead
                 # driver's function table is needed to run it again.
                 self.functions.learn(functions)
-                self._adopt(spec, entry)
-                self._dispatch.requeue(spec, entry)
+                self._dispatch.requeue(self._adopt(entry), entry)
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -1110,19 +1123,35 @@ class ProcRuntime:
         with self._cond, self._control.async_batch():
             self._objects.drain(batched=True)
             self._dispatch.counters.done_frames += 1
+            # A child still queued here when its parent ends is adopted
+            # first: nothing else would recreate it after a driver
+            # restart, and its pins must precede the parent's releases.
+            orphan = (
+                functools.partial(self._dispatch.adopt_producer, worker=worker)
+                if len(worker.mirror) else None
+            )
             times: dict = {}
             for task_hex, blobs, failed, exec_seconds in completions:
                 # The plane resolves the raw id to what the worker was
-                # given or kept; None: cancelled while it ran, and the
-                # marker owns the result slots.
+                # given or kept: the spec, or a worker-born task's wire
+                # entry alone (never adopted), or neither — cancelled
+                # while it ran, and the marker owns the result slots.
                 spec, payload = self._dispatch.done(worker, task_hex)
+                self._objects.drop_born(task_hex, orphan)
                 if spec is None:
-                    self._objects.discard(blobs)
-                else:
-                    self._finish_spec(worker, spec, blobs, failed, payload)
-                    if spec.actor_method != CREATION_METHOD:  # never estimated
-                        times.setdefault(spec.function_id, []).append(exec_seconds)
-                self._objects.drop_born(task_hex)
+                    if payload is None:
+                        self._objects.discard(blobs)
+                        continue
+                    if failed or not self._objects.inline(blobs):
+                        spec = self._dispatch.adopt(worker, payload)
+                    else:
+                        self._finish_spec(worker, None, blobs, False, payload)
+                        function_id = self.functions.template(payload[1]).function_id
+                        times.setdefault(function_id, []).append(exec_seconds)
+                        continue
+                self._finish_spec(worker, spec, blobs, failed, payload)
+                if spec.actor_method != CREATION_METHOD:  # never estimated
+                    times.setdefault(spec.function_id, []).append(exec_seconds)
             for function_id, samples in times.items():
                 self._dispatch.note_exec_times(function_id, samples)
             if late == worker.late:  # idle, and no late reply crossed it
@@ -1133,38 +1162,41 @@ class ProcRuntime:
     def _register_local_submit(
         self, worker: _WorkerHandle, entries: list, table: dict, escaped=()
     ) -> None:
-        """A worker kept nested tasks on its own queue (the fast path);
-        register lineage/lifecycle state from the one-way notice batch,
-        mirror the queue entries, and ack the batch with one PLACED.
-        ``table`` names the functions the worker submits here for the
-        first time, ``escaped`` the objects whose refs the worker
-        pickled or kept past their task (a notice may carry nothing
-        else).  Pipe FIFO guarantees this runs before any DONE or
+        """A worker kept nested tasks on its own queue (the fast path):
+        mirror each entry of the one-way notice batch — its wire tuple,
+        its return ids held for the parent it was born in — and ack the
+        batch with one PLACED.  Nothing is decoded: the driver adopts a
+        task (:meth:`_adopt`) only when something needs it.  ``table``
+        names the functions the worker submits here for the first time,
+        ``escaped`` the objects whose refs the worker pickled or kept
+        past their task (a notice may carry nothing else); an escaped
+        return of a task still queued is adopted, since others may now
+        name it.  Pipe FIFO guarantees this runs before any DONE or
         STEAL_GRANT mentioning any of the tasks, and before any bytes
         that carry one of those refs."""
         with self._cond, self._control.async_batch():
-            self._objects.escape(escaped)
             self.functions.learn(table, worker.functions_sent)
             for entry in entries:
-                spec = msg.decode_entry(
-                    entry, self.functions, submitted_from=worker.node_id
-                )
-                self._objects.hold_born(
-                    entry[5].get("parent"), spec.all_return_ids()
-                )
-                self._adopt(spec, entry, worker.node_id)
-                self._dispatch.born_on(worker, entry[0], spec, entry)
+                return_ids = tuple([ObjectID(return_hex) for return_hex in entry[2]])
+                self._objects.hold_born(entry[5].get("parent"), return_ids)
+                self._dispatch.born_on(worker, entry, return_ids)
+            if escaped:
+                self._objects.escape(escaped)
+                for object_hex in escaped:
+                    self._dispatch.adopt_producer(ObjectID(object_hex))
             self._cond.notify_all()  # idle thieves may now see a victim
         if entries:
             worker.send((msg.PLACED, len(entries)))
 
-    def _adopt(self, spec: TaskSpec, entry: tuple, node: Any = None) -> None:
-        """A worker-born task becomes this driver's to keep (lock held):
-        its lifecycle entry, the pins on the ref arguments its entry
-        names, and its lineage record — async by design (the fast path
-        is already acked one-way) and self-contained: the wire entry is
-        the replay form, the function's row what a driver that never
-        saw its table needs with it, the spec the bookkeeping form."""
+    def _adopt(self, entry: tuple, node: Any = None) -> TaskSpec:
+        """A worker-born task becomes this driver's to keep (lock held),
+        its wire entry decoded into a spec: its lifecycle entry, the pins
+        on the ref arguments its entry names, and its lineage record —
+        async by design (the fast path is already acked one-way) and
+        self-contained: the wire entry is the replay form, the function's
+        row what a driver that never saw its table needs with it, the
+        spec the bookkeeping form."""
+        spec = msg.decode_entry(entry, self.functions, submitted_from=node)
         self._lifecycle.register(spec)
         deps = entry[5].get("deps")
         if deps:
@@ -1173,6 +1205,7 @@ class ProcRuntime:
         self._control.async_task_put(
             spec.task_id, {"spec": spec, "payload": (entry, rows)}, node=node
         )
+        return spec
 
     def _apply_steal_grant(
         self, victim: _WorkerHandle, task_hexes: list, midtask: bool = False
@@ -1234,7 +1267,7 @@ class ProcRuntime:
     def _finish_spec(
         self,
         worker: _WorkerHandle,
-        spec: TaskSpec,
+        spec: Optional[TaskSpec],
         blobs: list,
         failed: bool,
         payload: Optional[tuple] = None,
@@ -1242,8 +1275,25 @@ class ProcRuntime:
         """Record one completed task and publish its results (lock held;
         the spec is already off the inflight stack / mirror).  ``payload``
         is a worker-born task's wire entry, which the object plane keeps
-        while a lost node could still make the task run again."""
+        while a lost node could still make the task run again.  With no
+        ``spec`` the task was never adopted: it has no row to update, and
+        its inline results are published from the entry."""
         self._tasks_executed += 1
+        if spec is None:
+            self._objects.finish(None, blobs, worker.index, payload)
+            if self._obs.enabled:
+                template = self.functions.template(
+                    payload[1], payload[5].get("options")
+                )
+                self._obs.record(
+                    "result_stored",
+                    task_id=str(TaskID(payload[0])),
+                    function=template.function_name,
+                    worker=f"worker-{worker.index}",
+                    num_returns=len(payload[2]),
+                    failed=False,
+                )
+            return
         self._control.async_task_update(
             spec.task_id,
             state="failed" if failed else "finished",
@@ -1339,7 +1389,8 @@ class ProcRuntime:
                     reply = plane.abort_grant(message[1])
             elif tag == msg.CANCEL:
                 reply = self.cancel(
-                    ObjectRef._uncounted(message[1]), recursive=message[2]
+                    ObjectRef._uncounted(message[1], message[3]),
+                    recursive=message[2],
                 )
             elif tag == msg.GET_ACTOR:
                 reply = self.get_actor(message[1])

@@ -108,10 +108,10 @@ _KNOWN_SHM_CAP = 1024
 #: objects it fetched.
 WORKER_CACHE_BYTES = 64 * 1024**2
 
-#: Fast-path backpressure: the most locally-born tasks whose lineage
-#: registration (PLACED ack) may be outstanding before new nested
-#: submissions spill to the driver instead.  Bounds the work that only
-#: the submitting task's own replay could rebuild after a crash.
+#: Fast-path backpressure: the most locally-born tasks whose mirroring
+#: (PLACED ack) may be outstanding before new nested submissions spill
+#: to the driver instead.  Bounds the work that only the submitting
+#: task's own replay could rebuild after a crash.
 MAX_UNACKED_LOCAL = 4096
 
 #: The keep-or-spill decision of the fast path.  The threshold is
@@ -183,7 +183,9 @@ class WorkerRuntime:
             raise TypeError(
                 f"cancel expects an ObjectRef, got {type(ref).__name__}"
             )
-        return self._worker.rpc(msg.CANCEL, ref.object_id, recursive)
+        return self._worker.rpc(
+            msg.CANCEL, ref.object_id, recursive, ref.producer_task
+        )
 
     def get_actor(self, name: str):
         return self._worker.rpc(msg.GET_ACTOR, name)
@@ -334,10 +336,10 @@ class ProcWorker:
         #: process is the sole executor of.
         self.local_queue = LocalTaskQueue()
         #: SUBMIT_LOCAL notices not yet PLACED-acked by the driver: the
-        #: window of locally-born tasks whose lineage registration is
-        #: still in flight.  The fast path declines (spills) once the
-        #: window hits MAX_UNACKED_LOCAL, bounding how much work could
-        #: need rebuilding from the submitting task's own replay.
+        #: window of locally-born tasks whose mirroring is still in
+        #: flight.  The fast path declines (spills) once the window hits
+        #: MAX_UNACKED_LOCAL, bounding how much work could need
+        #: rebuilding from the submitting task's own replay.
         self.unacked_local = 0
         #: Fast-path notices buffered for the next pipe touch — the
         #: tasks' wire entries, and the rows of the functions this

@@ -21,6 +21,15 @@ class SchedCounters:
         Worker-born tasks the bottom-up fast path kept on their birth
         worker: zero driver round-trips, acked asynchronously for
         lineage.
+    ``tasks_adopted``
+        Of those, the ones the driver had to *adopt* — build the spec,
+        lifecycle entry, argument pins and control-store row of — because
+        something needed more than the wire entry it mirrors: a steal
+        grant, a cancel, the loss of its birth worker, an escape of one of
+        its returns, a failure or a result that is not inline bytes, or
+        its parent ending first (proc/dist; 0 on backends without a
+        wire).  ``tasks_adopted / tasks_placed_local`` is the share of
+        worker-born tasks that still cost the driver a task.
     ``tasks_spilled``
         Worker-born tasks that had to go through the driver tier instead
         (unresolved dependencies, resource misfit, placement hint, or a
@@ -54,6 +63,7 @@ class SchedCounters:
     """
 
     tasks_placed_local: int = 0
+    tasks_adopted: int = 0
     tasks_spilled: int = 0
     tasks_placed_global: int = 0
     tasks_stolen: int = 0
@@ -67,6 +77,7 @@ class SchedCounters:
     def snapshot(self) -> dict:
         return {
             "tasks_placed_local": self.tasks_placed_local,
+            "tasks_adopted": self.tasks_adopted,
             "tasks_spilled": self.tasks_spilled,
             "tasks_placed_global": self.tasks_placed_global,
             "tasks_stolen": self.tasks_stolen,

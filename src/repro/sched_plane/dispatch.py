@@ -25,6 +25,18 @@ completion.  **Giving work back.**  ``request_steal`` picks whom an idle
 worker asks for the tail of its queue and ``apply_grant`` re-homes what
 the victim names; ``cancel`` takes a task off the queue that mirrors it;
 ``worker_lost`` says what a lost worker leaves behind.
+
+**A task born on a worker** (``born_on``) is mirrored as the wire entry
+its worker announced, and nothing more: the bottom-up promise is that a
+task born on a worker and run there costs the global tier nothing.  It
+is *adopted* — the runtime's ``adopt(entry, node)`` callback builds its
+spec, lifecycle entry, pins and control-store row — only when something
+needs more than the entry: a steal grant (``apply_grant``), the loss of
+its birth worker (``worker_lost``), or the runtime asking for it by a
+return id (``adopt_producer``: a cancel, an escape, its parent ending
+first) or at its completion (``adopt``: a failure, a result that is not
+inline bytes).  A completion of a task never adopted (``done``) hands
+back its entry alone.
 """
 
 from __future__ import annotations
@@ -98,11 +110,13 @@ def predispatch_error(
 class DispatchPlane:
     """The scheduling state of one pool and every decision on it (module
     docstring).  Unsynchronized: every method runs under the runtime's
-    lock.  It speaks back through three callbacks:
+    lock.  It speaks back through four callbacks:
     ``is_cancelled(task_id)``, ``is_waiting(task_id)`` (an argument of
-    the task is not in yet) and ``fail(spec, error)`` (resolve a task
+    the task is not in yet), ``fail(spec, error)`` (resolve a task
     that will never be sent to an error value — which may route the
-    tasks that waited for it, here, reentrantly)."""
+    tasks that waited for it, here, reentrantly) and ``adopt(entry,
+    node)`` (the spec of a worker-born task's wire entry, born on
+    ``node``, with everything the driver keeps of a task built)."""
 
     def __init__(
         self,
@@ -112,6 +126,7 @@ class DispatchPlane:
         is_cancelled: Callable[[Any], bool],
         is_waiting: Callable[[Any], bool],
         fail: Callable[[TaskSpec, ErrorValue], None],
+        adopt: Callable[[tuple, Any], TaskSpec],
     ) -> None:
         self.actors = actors
         self._residency = residency
@@ -119,6 +134,7 @@ class DispatchPlane:
         self._is_cancelled = is_cancelled
         self._is_waiting = is_waiting
         self._fail = fail
+        self._adopt = adopt
         #: The ``stats()["sched"]`` counters.
         self.counters = SchedCounters()
         #: The pool, by worker index (a replacement takes its
@@ -129,7 +145,8 @@ class DispatchPlane:
         self._queue: deque = deque()
         #: Worker-born tasks' wire entries by raw task id (from
         #: SUBMIT_LOCAL notices), kept while the task can still run: what
-        #: a thief executes and what crash replay reships, verbatim.
+        #: a thief executes and what crash replay reships, verbatim.  A
+        #: mirrored item that *is* its entry was never adopted.
         self._payloads: dict[str, tuple] = {}
         #: Estimated execution seconds per registered function or actor
         #: method — the median of the latest times workers reported for
@@ -219,14 +236,37 @@ class DispatchPlane:
             self._payloads[spec.task_id.hex] = payload
         self._queue.append(spec)
 
-    def born_on(
-        self, worker: WorkerSlot, task_hex: str, spec: TaskSpec, entry: tuple
-    ) -> None:
+    def born_on(self, worker: WorkerSlot, entry: tuple, return_ids: tuple) -> None:
         """A worker kept a nested task on its own queue (the bottom-up
-        fast path): mirror it, and keep the wire entry it built."""
-        worker.mirror.push(task_hex, spec)
-        self._payloads[task_hex] = entry
+        fast path): mirror the wire entry it built, findable by the
+        task's ``return_ids``, until something adopts it."""
+        worker.mirror.push(entry[0], entry, return_ids)
+        self._payloads[entry[0]] = entry
         self.counters.tasks_placed_local += 1
+
+    def adopt(self, worker: WorkerSlot, item: Any) -> TaskSpec:
+        """The spec of a task mirrored on ``worker``: ``item`` itself, or
+        — a wire entry born there — the spec its adoption builds."""
+        if type(item) is not tuple:
+            return item
+        self.counters.tasks_adopted += 1
+        return self._adopt(item, worker.node_id)
+
+    def adopt_producer(
+        self, object_id: Any, worker: Optional[WorkerSlot] = None
+    ) -> Optional[TaskSpec]:
+        """Adopt the task that returns ``object_id`` if a mirror — the
+        one of ``worker``, or any — queues it unadopted, where it stays;
+        its spec, or None: no mirror queues it."""
+        for slot in self.workers if worker is None else (worker,):
+            task_hex = slot.mirror.producer_of(object_id)
+            if task_hex is not None:
+                item = slot.mirror.get(task_hex)
+                spec = self.adopt(slot, item)
+                if spec is not item:
+                    slot.mirror.replace(task_hex, spec)
+                return spec
+        return None
 
     def wire_entry(self, task_hex: str) -> Optional[tuple]:
         """The entry a worker-born task's worker built for it, if any."""
@@ -491,16 +531,20 @@ class DispatchPlane:
         worker's inflight table (handed over to run) or its mirror
         (queued there: locally-born, or shipped ahead in a frame) and
         settle it.  Returns ``(spec, payload)`` — the wire entry kept for
-        a worker-born task; ``spec`` is None for a task cancelled (and
+        a worker-born task; ``spec`` is None for one never adopted (the
+        entry is all there is), and both are for a task cancelled (and
         taken off the mirror) while it ran."""
         spec = worker.inflight.pop(task_hex, None)
         if spec is None:
             spec = worker.mirror.remove(task_hex)
         payload = self._payloads.pop(task_hex, None)
-        if spec is not None:
-            worker.tasks_done += 1
-            if spec.actor_id is not None:
-                self.settle(spec)
+        if spec is None:
+            return None, None
+        worker.tasks_done += 1
+        if spec is payload:
+            return None, payload
+        if spec.actor_id is not None:
+            self.settle(spec)
         return spec, payload
 
     def idle(self, worker: WorkerSlot) -> None:
@@ -578,8 +622,11 @@ class DispatchPlane:
             victim.steal_dry_at = -1  # it may have more to give
         rehomed = []
         for task_hex in task_hexes:
-            spec = victim.mirror.remove(task_hex)
-            if spec is None or self._dropped_cancelled(spec):
+            item = victim.mirror.remove(task_hex)
+            if item is None:
+                continue
+            spec = self.adopt(victim, item)
+            if self._dropped_cancelled(spec):
                 continue
             self._stolen(spec, victim, wire=True, midtask=midtask)
             if midtask:
@@ -618,7 +665,8 @@ class DispatchPlane:
           gate: ``inflight`` (parked tasks too) and the whole mirror (it has
           every task of the dead local queue: SUBMIT_LOCAL precedes
           everything else on the pipe, frame tails are mirrored before
-          the frame is sent, a grant never delivered removed nothing).
+          the frame is sent, a grant never delivered removed nothing),
+          each one born there adopted first.
           A shipped-ahead task may have run with its report still
           buffered in the dead process, so each counts as a replay.
         * ``replaced`` — what the driver had only placed on it, to be
@@ -627,7 +675,9 @@ class DispatchPlane:
         worker.alive = worker.busy = worker.steal_outstanding = False
         self.by_node.pop(worker.node_id, None)
         doomed = list(worker.inflight.values())
-        doomed += [spec for _task_hex, spec in worker.mirror.drain()]
+        doomed += [
+            self.adopt(worker, item) for _task_hex, item in worker.mirror.drain()
+        ]
         worker.inflight.clear()
         # Lanes waiting here for dispatch go back to standing nowhere.
         for lane in worker.pinned:

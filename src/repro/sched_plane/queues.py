@@ -11,7 +11,9 @@ One :class:`LocalTaskQueue` per worker, used in two places at once:
   pops from the head of;
 * **on the driver** as the *mirror* of each proc worker's queue, built
   from SUBMIT_LOCAL notices — the state that makes stolen and crashed
-  tasks recoverable without asking a (possibly dead) worker.
+  tasks recoverable without asking a (possibly dead) worker.  A task
+  born on the worker is mirrored as its wire entry, findable by its
+  return ids, until the driver adopts it (its spec replaces the entry).
 
 The double life imposes the ownership discipline the steal protocol
 relies on: only the queue's owner ever pops the head (so a task the
@@ -78,6 +80,15 @@ class LocalTaskQueue:
         """The id of the queued task that returns ``return_id``, if any."""
         return self._producer.get(return_id)
 
+    def get(self, task_id: Any) -> Optional[Any]:
+        """A queued task's item, or None."""
+        return self._items.get(task_id)
+
+    def replace(self, task_id: Any, item: Any) -> None:
+        """Swap a queued task's item, keeping its place and its index
+        entries (a driver mirror adopting a worker-born task)."""
+        self._items[task_id] = item
+
     def _unindex(self, task_id: Any) -> None:
         for return_id in self._produces.pop(task_id, ()):
             del self._producer[return_id]
@@ -143,9 +154,9 @@ class WorkerSlot:
     #: shipped when the worker next idles.
     placed: deque = field(default_factory=deque)
     #: The driver's mirror of the worker's own local queue — tasks born
-    #: there (SUBMIT_LOCAL notices, in pipe order) and the tails of the
-    #: frames shipped to it, by raw task id: what makes stolen and
-    #: crashed queued tasks recoverable.
+    #: there (SUBMIT_LOCAL notices, in pipe order; a wire entry until
+    #: adopted) and the tails of the frames shipped to it (specs), by raw
+    #: task id: what makes stolen and crashed queued tasks recoverable.
     mirror: LocalTaskQueue = field(default_factory=LocalTaskQueue)
     #: Session state: True from claiming a frame for the worker (or
     #: resuming a parked task of it) until its idle DONE.  Only busy

@@ -8,10 +8,12 @@ frame rule, the one-window rule of an actor's lane, the dry-victim
 guard and what a lost worker leaves behind are checked in milliseconds,
 and a seeded stream of random operations holds the conservation laws
 after every step: each task in exactly one place, no wire entry
-outliving its task, one window per lane, everything empty at
-quiescence.  Three mutants (bugs this code has had, or is one check
-away from) must each break it.  ``tests/test_dispatch_frames.py`` and
-``tests/test_actor_frames.py`` hold the same rules end to end.
+outliving its task, each task born on a worker mirrored as its entry,
+adopted, or done — one of the three, and adopted at most once — one
+window per lane, everything empty at quiescence.  Four mutants (bugs
+this code has had, or is one check away from) must each break it.
+``tests/test_dispatch_frames.py`` and ``tests/test_actor_frames.py``
+hold the same rules end to end.
 """
 
 import random
@@ -43,7 +45,9 @@ pytestmark = pytest.mark.timeout(60)
 class Harness:
     """A plane over fake workers.  ``cancelled`` and ``waiting`` (raw
     task ids) are the lifecycle index and the dependency tracker;
-    ``failed`` collects what the plane resolved to an error."""
+    ``failed`` collects what the plane resolved to an error, and
+    ``adoptions`` counts per raw task id what the plane adopted of the
+    tasks born on a worker (``born``: their specs and birth nodes)."""
 
     def __init__(self, workers=2):
         self.ids = IDGenerator(namespace="test-dispatch-plane")
@@ -51,6 +55,8 @@ class Harness:
         self.cancelled = set()
         self.waiting = set()
         self.failed = []
+        self.born = {}
+        self.adoptions = Counter()
         self.plane = DispatchPlane(
             self.actors,
             ResidencyTracker(),
@@ -58,6 +64,7 @@ class Harness:
             is_cancelled=lambda task_id: task_id.hex in self.cancelled,
             is_waiting=lambda task_id: task_id.hex in self.waiting,
             fail=lambda spec, error: self.on_fail(spec, error),
+            adopt=lambda entry, node: self.on_adopt(entry, node),
         )
         self.templates = {}
         for index in range(workers):
@@ -65,6 +72,27 @@ class Harness:
 
     def on_fail(self, spec, error):
         self.failed.append(spec)
+
+    def on_adopt(self, entry, node):
+        spec, birth_node = self.born[entry[0]]
+        assert node == birth_node  # what the row records and the spec says
+        self.adoptions[entry[0]] += 1
+        return spec
+
+    def born_on(self, worker, spec):
+        """``worker`` kept ``spec`` on its own queue; returns the wire
+        entry the plane mirrors for it."""
+        entry = (
+            spec.task_id.hex,
+            spec.function_id.hex,
+            tuple([object_id.hex for object_id in spec.all_return_ids()]),
+            b"",
+            None,
+            None,
+        )
+        self.born[spec.task_id.hex] = spec, worker.node_id
+        self.plane.born_on(worker, entry, spec.all_return_ids())
+        return entry
 
     def add_worker(self, index):
         slot = WorkerSlot(index=index, node_id=self.ids.node_id())
@@ -243,10 +271,12 @@ def test_a_cancelled_task_is_never_claimed_and_leaves_no_wire_entry():
     h.plane.route(head)
     assert h.ship(victim, h.plane.claim_frame(victim)) == [head]
     born = [h.task() for _ in range(4)]
-    for spec in born:
-        h.plane.born_on(victim, spec.task_id.hex, spec, ("entry", spec.task_id.hex))
+    entries = [h.born_on(victim, spec) for spec in born]
     assert len(h.plane._payloads) == 4
-    # One is cancelled while the victim still queues it ...
+    # One is cancelled while the victim still queues it (looked up by
+    # its return id first, which adopts it in place) ...
+    assert h.plane.adopt_producer(born[3].return_object_id) is born[3]
+    assert victim.mirror.get(born[3].task_id.hex) is born[3]
     h.cancelled.add(born[3].task_id.hex)
     assert h.plane.cancel(born[3]) is victim
     assert born[3].task_id.hex not in victim.mirror
@@ -256,11 +286,12 @@ def test_a_cancelled_task_is_never_claimed_and_leaves_no_wire_entry():
     assert h.plane.apply_grant(victim, granted) == born[:3]
     h.cancelled.update((born[0].task_id.hex, born[2].task_id.hex))
     assert h.plane.cancel(born[0]) is None  # no worker queues it
-    assert h.plane.claim_frame(thief) == [born[1]]
+    assert h.ship(thief, h.plane.claim_frame(thief)) == [born[1]]
     assert not h.plane._queue
     assert list(h.plane._payloads) == [born[1].task_id.hex]
-    assert h.plane.done(thief, born[1].task_id.hex)[1] == ("entry", born[1].task_id.hex)
+    assert h.plane.done(thief, born[1].task_id.hex) == (born[1], entries[1])
     assert not h.plane._payloads
+    assert h.adoptions == Counter({spec.task_id.hex: 1 for spec in born})
 
 
 def test_a_victim_that_granted_nothing_is_not_asked_until_its_queue_moves():
@@ -275,14 +306,14 @@ def test_a_victim_that_granted_nothing_is_not_asked_until_its_queue_moves():
     # The mirror still shows two tasks; the worker said it has none to give.
     assert len(victim.mirror) == 2 and h.plane.request_steal(thief) is None
     late = h.task()
-    h.plane.born_on(victim, late.task_id.hex, late, ("entry",))
+    h.born_on(victim, late)
     assert h.plane.request_steal(thief) == (victim, 1)
     # A grant that carries tasks means there may be more.
     assert h.plane.apply_grant(victim, [late.task_id.hex]) == [late]
     assert h.plane.request_steal(thief) == (victim, 1)
     # An idle worker is nobody's victim, whatever its mirror says.
     h.plane.apply_grant(victim, [])
-    h.plane.born_on(victim, "x" * 40, h.task(), ("entry",))
+    h.born_on(victim, h.task())
     h.plane.idle(victim)
     assert h.plane.request_steal(thief) is None
     assert h.plane.request_steal(victim) is None  # nor its own
@@ -325,14 +356,20 @@ def test_worker_lost_returns_each_task_exactly_once():
     frame = [h.task() for _ in range(3)]
     lost.placed.extend(frame)
     h.ship(lost, h.plane.claim_frame(lost))
-    born = h.task()
-    h.plane.born_on(lost, born.task_id.hex, born, ("entry",))
+    born, done = h.task(), h.task()
+    h.born_on(lost, born)
+    entry = h.born_on(lost, done)
+    assert lost.mirror.get(born.task_id.hex) is h.plane._payloads[born.task_id.hex]
+    # A task born there that reports done was never adopted: its entry
+    # is all the plane hands back.
+    assert h.plane.done(lost, done.task_id.hex) == (None, entry)
     hinted, plain = h.task(), h.task()
     hinted.placement_hint = lost.node_id
     lost.placed.extend((hinted, plain))
     replacement = h.add_worker(lost.index)
     doomed, replaced = h.plane.worker_lost(lost, replacement)
     assert doomed == [*frame, born]  # inflight, then the mirror; once each
+    assert h.adoptions == Counter({born.task_id.hex: 1})  # adopted to be judged
     assert replaced == [hinted, plain] and hinted.placement_hint is None
     assert not lost.alive and not lost.busy
     assert not (lost.inflight or len(lost.mirror) or lost.placed or lost.pinned)
@@ -402,6 +439,7 @@ class Fuzz(Harness):
         self.asked = {}  # victim index -> (tasks asked for, ``mirror.pushed`` then)
         self.dry = {}  # victim index -> ``mirror.pushed`` when asked in vain
         self.lost = []
+        self.finished_unadopted = set()  # born, reported done, never adopted
         # Stateless functions: many per frame, two per frame, alone.
         self.functions = [("tiny", 1e-5), ("half", 0.4 * FRAME_BUDGET_S), ("new", None)]
         self.records = [
@@ -442,8 +480,7 @@ class Fuzz(Harness):
         busy = self.alive(busy=True)
         roll = self.rng.random()
         if roll < 0.3 and busy:
-            task_hex = spec.task_id.hex
-            self.plane.born_on(self.rng.choice(busy), task_hex, spec, ("entry", task_hex))
+            self.born_on(self.rng.choice(busy), spec)
         elif roll < 0.5:
             self.gate(spec)
         else:
@@ -513,7 +550,17 @@ class Fuzz(Harness):
                 self.plane.idle(worker)
             return
         task_hex = self.rng.choice(candidates)
-        spec, _payload = self.plane.done(worker, task_hex)
+        spec, payload = self.plane.done(worker, task_hex)
+        if spec is None:
+            # Born here and never adopted: the entry is all there is —
+            # unless the completion needs more (a failure, a result that
+            # is not inline bytes), and the runtime adopts it now.
+            assert payload[0] == task_hex and not self.adoptions[task_hex]
+            if self.rng.random() < 0.2:
+                spec = self.plane.adopt(worker, payload)
+            else:
+                spec = self.tasks[task_hex]
+                self.finished_unadopted.add(task_hex)
         assert spec is self.tasks[task_hex]
         self.settle(spec)
         if spec.actor_method == CREATION_METHOD:
@@ -554,6 +601,11 @@ class Fuzz(Harness):
         if not stateless:
             return
         task_hex = self.rng.choice(stateless)
+        # The runtime looks the task up by a return id first, which
+        # adopts one still queued on its birth worker.
+        queued = self.unadopted().get(task_hex)
+        spec = self.plane.adopt_producer(self.tasks[task_hex].return_object_id)
+        assert spec is (self.tasks[task_hex] if queued else spec)
         self.cancelled.add(task_hex)
         self.live.discard(task_hex)
         self.plane.cancel(self.tasks[task_hex])
@@ -561,6 +613,30 @@ class Fuzz(Harness):
             # The notice lost the race: the worker ran it and says so.
             for worker in self.alive(busy=True):
                 assert self.plane.done(worker, task_hex)[0] in (None, self.tasks[task_hex])
+
+    def escape(self):
+        """A return of a task born on a worker escapes it, or its parent
+        ends first: the runtime asks for the producer by that id — on
+        the birth worker's mirror alone, or on every one."""
+        queued = self.unadopted()
+        if not queued:
+            return
+        task_hex = self.rng.choice(sorted(queued))
+        only = queued[task_hex] if self.rng.random() < 0.5 else None
+        spec = self.plane.adopt_producer(self.tasks[task_hex].return_object_id, only)
+        assert spec is self.tasks[task_hex] and self.adoptions[task_hex] == 1
+        assert queued[task_hex].mirror.get(task_hex) is spec  # still queued there
+
+    def unadopted(self):
+        """Raw id -> the live worker whose mirror queues it as its wire
+        entry: the tasks born on a worker and never adopted."""
+        payloads = self.plane._payloads
+        return {
+            task_hex: worker
+            for worker in self.alive()
+            for task_hex in worker.mirror.task_ids()
+            if worker.mirror.get(task_hex) is payloads.get(task_hex)
+        }
 
     def lose(self):
         worker = self.rng.choice(self.alive())
@@ -609,8 +685,10 @@ class Fuzz(Harness):
         elif roll < 0.95:
             if self.asked:
                 self.grant()
-        elif roll < 0.985:
+        elif roll < 0.97:
             self.cancel()
+        elif roll < 0.985:
+            self.escape()
         elif roll < 0.99:
             self.lose()
 
@@ -655,9 +733,22 @@ class Fuzz(Harness):
         # ... a settled one nowhere (a cancelled one until a walk drops it) ...
         for task_hex, count in where.items():
             assert count == 1 and (task_hex in self.live or task_hex in self.cancelled)
-        # ... and no wire entry outlives its task.
+        # ... no wire entry outlives its task ...
         for task_hex in plane._payloads:
             assert where[task_hex] or task_hex in self.gated, task_hex
+        # ... and a task born on a worker is queued there as its entry,
+        # adopted, or done unadopted: one of the three, adopted at most
+        # once.
+        queued = self.unadopted()
+        for task_hex, (_spec, birth_node) in self.born.items():
+            adopted = self.adoptions[task_hex]
+            assert adopted <= 1, task_hex
+            states = (
+                (task_hex in queued) + adopted + (task_hex in self.finished_unadopted)
+            )
+            assert states == 1, (task_hex, states)
+            if task_hex in queued:
+                assert queued[task_hex].node_id == birth_node
 
     def drain(self):
         """Let everything run to the end; then every table is empty."""
@@ -738,6 +829,22 @@ def test_mutant_leaking_a_cancelled_tasks_wire_entry_is_caught(monkeypatch):
         return self._is_cancelled(spec.task_id)
 
     monkeypatch.setattr(DispatchPlane, "_dropped_cancelled", dropped)
+    assert caught_within(20) is not None
+
+
+def test_mutant_losing_a_worker_without_adopting_its_born_tasks_is_caught(monkeypatch):
+    """``worker_lost`` forgets to adopt what its worker queued unadopted
+    (it drops those entries instead): a task born there that never ran
+    would be neither replayed nor failed — its ``get`` would hang."""
+    lost = DispatchPlane.worker_lost
+
+    def forgetful(self, worker, successor=None):
+        for task_hex in worker.mirror.task_ids():
+            if worker.mirror.get(task_hex) is self._payloads.get(task_hex):
+                worker.mirror.remove(task_hex)
+        return lost(self, worker, successor)
+
+    monkeypatch.setattr(DispatchPlane, "worker_lost", forgetful)
     assert caught_within(20) is not None
 
 

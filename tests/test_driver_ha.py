@@ -41,6 +41,28 @@ def double(x):
 
 
 @repro.remote
+def gated_mark(path, x, flag):
+    """``mark``, once ``flag`` exists: started, it waits inside."""
+    while not os.path.exists(flag):
+        time.sleep(0.01)
+    with open(os.path.join(path, f"{x}.marker"), "a") as handle:
+        handle.write("ran\n")
+    return x
+
+
+@repro.remote
+def fire_and_forget(path, flag, n):
+    for x in range(n):
+        gated_mark.remote(path, x, flag)
+    return n
+
+
+@repro.remote
+def gather(path, flag, n):
+    return sum(repro.get([gated_mark.remote(path, x, flag) for x in range(n)]))
+
+
+@repro.remote
 class Counter:
     def __init__(self):
         self.total = 0
@@ -57,6 +79,85 @@ def marker_counts(path):
             with open(os.path.join(path, name)) as handle:
                 counts[int(name[:-7])] = len(handle.readlines())
     return counts
+
+
+def await_sched(runtime, key, count, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while runtime.stats()["sched"][key] < count:
+        assert time.monotonic() < deadline, runtime.stats()["sched"]
+        time.sleep(0.01)
+
+
+#: One pool of each wire backend: one worker, and two.
+POOLS = {
+    "proc": (dict(backend="proc", num_workers=1),
+             dict(backend="proc", num_workers=2)),
+    "dist": (dict(backend="dist", num_nodes=1, num_cpus=1),
+             dict(backend="dist", num_nodes=2, num_cpus=1)),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(POOLS))
+class TestNestedTreeRecovery:
+    """A worker-born task has a control-store row only once the driver
+    adopted it; these say what a restarted driver runs of a nested tree
+    that the dead one never adopted all of."""
+
+    def test_children_of_a_finished_parent_run_exactly_once(self, backend, tmp_path):
+        """A fire-and-forget parent returns before its gated children
+        run: their rows are written when its DONE is applied (one worker,
+        so none is stolen first), and the restarted driver runs each of
+        them once."""
+        markers = str(tmp_path / "markers")
+        os.makedirs(markers)
+        flag = str(tmp_path / "flag")
+        pool = POOLS[backend][0]
+        repro.init(seed=31, **pool)
+        runtime = get_runtime()
+        store = runtime._control
+        assert repro.get(fire_and_forget.remote(markers, flag, 4), timeout=60.0) == 4
+        runtime.fail_driver()
+        repro.shutdown()
+
+        repro.init(seed=31, control_store=store, recover=True, **pool)
+        with open(flag, "w") as handle:
+            handle.write("go")
+        deadline = time.monotonic() + 60.0
+        while len(marker_counts(markers)) < 4:
+            assert time.monotonic() < deadline, marker_counts(markers)
+            time.sleep(0.02)
+        time.sleep(0.3)  # room for a duplicate to show
+        assert marker_counts(markers) == {x: 1 for x in range(4)}
+        repro.shutdown()
+        store.close()
+
+    def test_a_replayed_root_recreates_the_children_it_gathers(self, backend, tmp_path):
+        """A root blocked on its gated children dies with the driver:
+        its replay recreates the children no row records, and its value
+        comes out right.  (Each child may also run once more from its
+        own row, ROADMAP item 3(b): worker-born ids are per spawn, so
+        the replayed root's children are new tasks.)"""
+        markers = str(tmp_path / "markers")
+        os.makedirs(markers)
+        flag = str(tmp_path / "flag")
+        pool = POOLS[backend][1]
+        repro.init(seed=32, **pool)
+        runtime = get_runtime()
+        store = runtime._control
+        root = gather.remote(markers, flag, 6)
+        await_sched(runtime, "tasks_placed_local", 6)
+        time.sleep(0.1)  # an idle peer steals some of them
+        runtime.fail_driver()
+        repro.shutdown()
+
+        repro.init(seed=32, control_store=store, recover=True, **pool)
+        with open(flag, "w") as handle:
+            handle.write("go")
+        assert repro.get(root, timeout=60.0) == sum(range(6))
+        counts = marker_counts(markers)
+        assert sorted(counts) == list(range(6)) and min(counts.values()) >= 1, counts
+        repro.shutdown()
+        store.close()
 
 
 class TestProcDriverRecovery:

@@ -544,6 +544,46 @@ class TestRecoveryPlanner:
         assert plan.pending_payloads == [(spec, {"wire": 1})]
         store.close()
 
+    def test_row_written_at_adoption_is_replayed_from_its_wire_entry(self):
+        """The row a ``proc``/``dist`` driver writes when it adopts a
+        worker-born task: the spec decoded from the wire entry, and the
+        entry with its function's row.  A task never adopted has no row:
+        only its result's object row, restored like any other."""
+        from repro.proc import messages as msg
+
+        store = ControlStore(num_shards=2)
+        ids = make_ids()
+        functions = msg.FunctionTable()
+        function_hex = ids.function_id().hex
+        functions.add(function_hex, "leaf", code=b"leaf code")
+        parent = ids.task_id().hex
+
+        def entry():
+            return (
+                ids.task_id().hex, function_hex, (ids.object_id().hex,),
+                b"call", None, {"root": parent, "parent": parent},
+            )
+
+        adopted, finished, never = entry(), entry(), entry()
+        for wire in (adopted, finished):
+            spec = msg.decode_entry(wire, functions)
+            store.task_put(
+                spec.task_id,
+                {"spec": spec, "payload": (wire, functions.rows((function_hex,)))},
+            )
+        store.object_put(ObjectID(finished[2][0]), ready=True, payload=b"1")
+        store.object_put(ObjectID(never[2][0]), ready=True, payload=b"2")
+        plan = plan_recovery(store)
+        ((spec, (wire, rows)),) = plan.pending_payloads
+        assert wire == adopted and spec.task_id == TaskID(adopted[0])
+        assert spec.parent_task_id == TaskID(parent)
+        assert rows == {function_hex: ("leaf", b"leaf code")}
+        assert plan.pending_specs == [] and plan.unrecoverable == []
+        assert set(plan.ready_payloads) == {
+            ObjectID(finished[2][0]), ObjectID(never[2][0])
+        }
+        store.close()
+
     def test_ready_without_payload_or_producer_is_unrecoverable(self):
         store = ControlStore(num_shards=2)
         oid = make_ids().object_id()

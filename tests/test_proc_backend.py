@@ -598,7 +598,38 @@ def gated_fan(count, gate_path, evidence_dir):
     return refs
 
 
+@repro.remote
+def gather_then_cancel(n):
+    refs = [sched_noop.remote(i) for i in range(n)]
+    values = repro.get(refs, timeout=60.0)
+    late = [repro.cancel(ref) for ref in refs]
+    queued = sched_noop.remote(n)
+    return values, late, repro.cancel(queued)
+
+
 class TestBottomUpScheduling:
+    def test_only_a_worker_born_task_that_needs_it_is_adopted(self):
+        """Children run where they were born are never adopted by the
+        driver, and cancelling one after it ran is too late, as for any
+        finished task; a child cancelled while still queued is adopted
+        (its spec looked up by its return id) and then cancelled.  Each
+        finished task has its ``result_stored`` span either way."""
+        runtime = repro.init(backend="proc", num_workers=1, tracing=True)
+        try:
+            values, late, cancelled = repro.get(
+                gather_then_cancel.remote(5), timeout=60.0
+            )
+            assert values == [1, 2, 3, 4, 5] and late == [False] * 5
+            assert cancelled is True
+            sched = runtime.stats()["sched"]
+            assert (sched["tasks_placed_local"], sched["tasks_adopted"]) == (6, 1)
+            stored = runtime.event_log.filter("result_stored")
+            assert sorted(record.get("function") for record in stored) == [
+                "gather_then_cancel", *["sched_noop"] * 5
+            ]
+        finally:
+            repro.shutdown()
+
     def test_fast_path_counts_and_zero_spill(self):
         """A dependency-free nested fan-out rides the fast path: every
         child is placed locally, none spill through the driver."""
