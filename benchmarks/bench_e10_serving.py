@@ -10,7 +10,10 @@ proc backend and asserts the PR's acceptance bar directly:
   with an asserted p99 latency SLO, and
 * micro-batching coalesces a closed-loop burst into at most 1.5x the
   fewest actor calls that could carry it (requests / batch size), with
-  full batches among them — what batching *does*, counted, on any host.
+  full batches among them — what batching *does*, counted, on any host —
+  and each of those calls is one result object the pool watches once
+  (``watches_per_batch``: completion-pump watches over batches), not
+  one per request.
   Its wall-clock gain over an unbatched pool at equal replica count is
   printed and recorded, not gated: it is a ratio of two rates whose
   denominator got 2-4x faster when an unbatched call stopped paying a
@@ -134,8 +137,9 @@ def _run_slo_probe() -> dict:
 
 
 def _closed_loop_burst(max_batch_size: int) -> dict:
-    """One burst through a warm pool: its makespan, and how many actor
-    calls carried it (``stats()["serve"]["batches"]`` over the burst)."""
+    """One burst through a warm pool: its makespan, how many actor calls
+    carried it (``stats()["serve"]["batches"]`` over the burst), and how
+    many completion-pump watches the pool registered for them."""
     runtime = repro.init(backend="proc", num_workers=SPEEDUP_REPLICAS)
     pool = repro.ActorPool(
         Echo,
@@ -145,18 +149,26 @@ def _closed_loop_burst(max_batch_size: int) -> dict:
     )
     for i in range(SPEEDUP_REPLICAS * 4):  # warm
         assert pool.submit(i).result(timeout=60.0) == i
-    warm_calls = runtime.stats()["serve"]["batches"]
+    warm = runtime.stats()["serve"]
     start = time.perf_counter()
     futures = [pool.submit(i) for i in range(SPEEDUP_REQUESTS)]
     results = [f.result(timeout=120.0) for f in futures]
     elapsed = time.perf_counter() - start
     assert results == list(range(SPEEDUP_REQUESTS))
-    calls = runtime.stats()["serve"]["batches"] - warm_calls
+    serve = runtime.stats()["serve"]
+    calls = serve["batches"] - warm["batches"]
+    watches = (
+        serve["completion_pump"]["watches_added"]
+        - warm["completion_pump"]["watches_added"]
+    )
     if max_batch_size == 1:  # nothing is flushed: one actor call per request
         calls = SPEEDUP_REQUESTS
     largest = pool.stats()["largest_batch"]
     repro.shutdown()
-    return {"makespan": elapsed, "calls_sent": calls, "largest_batch": largest}
+    return {
+        "makespan": elapsed, "calls_sent": calls, "largest_batch": largest,
+        "watches": watches,
+    }
 
 
 def test_e10_serving_slo(benchmark):
@@ -231,9 +243,12 @@ def test_e10_batching_speedup(benchmark):
         f"requests (the fewest possible: {ideal:.0f})"
     )
     assert batched["largest_batch"] == SPEEDUP_BATCH
+    watches_per_batch = batched["watches"] / batched["calls_sent"]
+    print(f"completion-pump watches per batch: {watches_per_batch:.2f}")
 
     emitted = {
         "batched_calls_sent": batched["calls_sent"],
+        "watches_per_batch": round(watches_per_batch, 2),
         "batched_largest_batch": batched["largest_batch"],
         "batched_speedup": round(speedup, 2),
         "batched_qps": round(SPEEDUP_REQUESTS / batched["makespan"]),

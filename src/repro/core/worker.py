@@ -121,6 +121,24 @@ def run_callable(
         return error_value_from(spec, exc)
 
 
+def returns_mismatch(k: int, result: Any) -> Optional[str]:
+    """Why ``result`` cannot fill ``k`` return slots, or None when it is
+    a tuple or list of exactly ``k`` values.  The one wording of that
+    error: a multi-return task's (below) and a served batch's
+    (:mod:`repro.serve.pool`, one value per request)."""
+    if isinstance(result, (tuple, list)) and len(result) == k:
+        return None
+    got = (
+        f"{type(result).__name__} of length {len(result)}"
+        if isinstance(result, (tuple, list))
+        else type(result).__name__
+    )
+    return (
+        f"task declared num_returns={k} but returned {got}; "
+        "return a tuple or list of exactly that many values"
+    )
+
+
 def split_result_values(spec: TaskSpec, result: Any) -> list:
     """Map a task body's return value onto its ``num_returns`` slots.
 
@@ -135,19 +153,12 @@ def split_result_values(spec: TaskSpec, result: Any) -> list:
         return [result]
     if isinstance(result, ErrorValue):
         return [result] * k
-    if not isinstance(result, (tuple, list)) or len(result) != k:
-        got = (
-            f"{type(result).__name__} of length {len(result)}"
-            if isinstance(result, (tuple, list))
-            else type(result).__name__
-        )
+    mismatch = returns_mismatch(k, result)
+    if mismatch is not None:
         error = ErrorValue(
             task_id=spec.task_id,
             function_name=spec.function_name,
-            cause_repr=(
-                f"task declared num_returns={k} but returned {got}; "
-                "return a tuple or list of exactly that many values"
-            ),
+            cause_repr=mismatch,
             chain=(spec.function_name,),
         )
         return [error] * k

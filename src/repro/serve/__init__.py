@@ -9,12 +9,12 @@ package is the repo's high-QPS serving tier over that model:
   one blocking ``get`` per call), so a single driver multiplexes
   thousands of in-flight requests and composes with asyncio.
 * :class:`~repro.serve.pool.ActorPool` — N replicas behind one handle:
-  pluggable routing, automatic micro-batching via the ``num_returns``
-  machinery, queue-depth admission control
+  pluggable routing, automatic micro-batching (one actor call and one
+  result object per batch, split by the pool), queue-depth admission control
   (:class:`~repro.errors.Backpressure`), and in-place replica respawn
   on worker loss.
 
-Everything here works on all three backends; the simulated backend
+Everything here works on all four backends; the simulated backend
 runs a synchronous deterministic mirror of the same surface.
 """
 

@@ -14,8 +14,12 @@ and composes the pieces a high-QPS serving tier needs:
   deterministic on the simulated backend.
 * **Micro-batching** — with ``max_batch_size > 1``, pending calls
   coalesce for up to ``batch_wait_ms`` into one vectorized method
-  invocation (``method([v1..vk])`` returning a list of ``k`` results),
-  split back per-call through the runtime's ``num_returns`` machinery.
+  invocation (``method([v1..vk])`` returning a list of ``k`` results).
+  That list comes back as *one* result object, which the pool reads
+  once and splits itself: each call gets its element, and a result that
+  is not a list of exactly ``k`` values fails every call of the batch
+  with :class:`~repro.errors.TaskError`.  A request pays no result
+  object, watch or lock hold of its own.
 * **Admission control** — ``max_queue_depth`` caps the pool's in-flight
   depth; ``admission="shed"`` rejects the excess with
   :class:`~repro.errors.Backpressure`, ``"block"`` applies the
@@ -27,10 +31,11 @@ and composes the pieces a high-QPS serving tier needs:
   :class:`~repro.errors.ActorLostError` — never silently dropped
   (actor state is not replayable, per the paper's Section 3.2.1).
 
-On event-driven backends (local, proc) completion arrives via the
-runtime's completion pump and a single flusher thread owns the batch
-deadlines.  On the simulated backend the pool runs a synchronous
-mirror: no threads, batches flush when full (``batch_wait_ms`` has no
+On event-driven backends (local, proc, dist) completion arrives via the
+runtime's completion pump — one watch per flushed call, whose callback
+settles every future of the batch under one hold of the pool lock — and
+a single flusher thread owns the batch deadlines.  On the simulated
+backend the pool runs a synchronous mirror: no threads, batches flush when full (``batch_wait_ms`` has no
 meaning in virtual time) or when a result is demanded, so programs stay
 deterministic and backend-portable.
 """
@@ -45,7 +50,8 @@ from typing import Any, Optional
 
 from repro.core.actors import ActorClass, ActorMethod
 from repro.core.object_ref import ObjectRef
-from repro.errors import ActorLostError, BackendError, Backpressure
+from repro.core.worker import returns_mismatch
+from repro.errors import ActorLostError, BackendError, Backpressure, TaskError
 from repro.sched_plane import spread_replicas
 
 ROUTING_POLICIES = ("round_robin", "least_loaded", "latency_aware")
@@ -72,18 +78,15 @@ class ServeFuture(concurrent.futures.Future):
     """
 
     _resolver = None  # sim mirror only; set by the owning pool
-    #: The owning pool's record of the dispatched call — ``(pool,
-    #: replica, generation, unwrap-index or None, start time, ref)`` —
-    #: from its dispatch until its value is read.  The ref is what keeps
-    #: the object that long: a runtime that frees dead objects frees one
-    #: whose every ref is gone.
+    #: The flushed actor call that carries this request — ``(replica,
+    #: generation, start time, result ref, the call's futures)``, one
+    #: tuple shared by every request of a batch — from its dispatch until
+    #: its value is read (None before and after).  The ref keeps the
+    #: batch's one result object: a runtime that frees dead objects frees
+    #: it once the last request of the batch has its value.
     _call = None
-
-    def _arrived(self, _object_id: Any) -> None:
-        """Completion-pump callback (no runtime lock held)."""
-        call = self._call
-        if call is not None:
-            call[0]._settle(self, timeout=0)
+    #: This request's element in its call's result list (batched calls).
+    _index = 0
 
     def result(self, timeout: Optional[float] = None) -> Any:
         if self._resolver is not None and not self.done():
@@ -337,10 +340,9 @@ class ActorPool:
                 future._replica = replica
                 if len(replica.pending) >= self._max_batch_size:
                     self._flush_replica_locked(replica)
-                elif self._event_driven:
-                    if replica.deadline is None:
-                        replica.deadline = time.monotonic() + self._batch_wait
-                    self._cond.notify_all()  # wake the flusher
+                elif self._event_driven and replica.deadline is None:
+                    replica.deadline = time.monotonic() + self._batch_wait
+                    self._cond.notify_all()  # the flusher learns a deadline
                 # Sim mirror: a partial batch waits for more calls or for
                 # the first result() demand — virtual time has no 2ms.
             else:
@@ -349,8 +351,7 @@ class ActorPool:
                     ActorMethod(replica.handle, self._method).remote(
                         *args, **kwargs
                     ),
-                    future,
-                    unwrap=None,
+                    [future],
                 )
             return future
 
@@ -444,40 +445,34 @@ class ActorPool:
             if not replica.pending
             else time.monotonic() + self._batch_wait
         )
-        futures = [future for future, _value in records]
-        values = [value for _future, value in records]
         k = len(records)
-        method = ActorMethod(replica.handle, self._method, num_returns=k)
-        refs = method.remote(values)
+        ref = ActorMethod(replica.handle, self._method).remote(
+            [value for _future, value in records]
+        )
         self._batches += 1
         self._largest_batch = max(self._largest_batch, k)
         self._obs_record("serve_batch_flush", batch_size=k, replica=replica.slot)
-        if k == 1:
-            # num_returns=1 stores the whole 1-element result list in
-            # the single slot; unwrap index 0 recovers the call's value.
-            self._dispatch_locked(replica, refs, futures[0], unwrap=0)
-        else:
-            for ref, future in zip(refs, futures):
-                self._dispatch_locked(replica, ref, future, unwrap=None)
+        self._dispatch_locked(replica, ref, [future for future, _value in records])
 
     def _dispatch_locked(
-        self,
-        replica: _Replica,
-        ref: ObjectRef,
-        future: ServeFuture,
-        unwrap: Optional[int],
+        self, replica: _Replica, ref: ObjectRef, futures: list
     ) -> None:
-        """Track one submitted ref and arrange its resolution."""
-        replica.inflight += 1
-        future._call = (
-            self, replica, replica.generation, unwrap,
+        """Track one submitted call and arrange its resolution: one
+        watch for the whole batch on the event-driven backends."""
+        call = (
+            replica, replica.generation,
             self._runtime.now,  # runtime clock: virtual on sim
-            ref,
+            ref, futures,
         )
+        replica.inflight += len(futures)
+        for index, future in enumerate(futures):
+            future._call = call
+            future._index = index
         if self._event_driven:
-            # (A method of the future, not a closure per call: what a
-            # request allocates, the driver's collector has to walk.)
-            self._runtime.watch_object(ref.object_id, future._arrived)
+            # Fired on the pump thread, with no runtime lock held.
+            self._runtime.watch_object(
+                ref.object_id, lambda _id: self._settle(call, futures, timeout=0)
+            )
 
     # ------------------------------------------------------------------
     # Resolution
@@ -492,33 +487,60 @@ class ActorPool:
                 # Still queued in a partial batch: demanding the result
                 # is the flush trigger in virtual time.
                 self._flush_replica_locked(future._replica)
-            self._settle(future, timeout=None)
+            if future._call is not None:
+                # One request at a time: ``done()`` stays False for the
+                # rest of its batch until their results are demanded.
+                self._settle(future._call, (future,), timeout=None)
 
-    def _settle(self, future: ServeFuture, timeout: Optional[float]) -> None:
-        """Read a dispatched call's value and finish its future, once:
-        what just arrived (the pump's callback, ``timeout=0``), or
-        whatever the virtual clock has to be driven to (the sim, None)."""
+    def _settle(self, call: tuple, futures: Any, timeout: Optional[float]) -> None:
+        """Read ``call``'s result object once and finish those of
+        ``futures`` it still carries: the whole batch as it arrives (the
+        pump's callback, ``timeout=0``), or the one request the virtual
+        clock has to be driven for (the sim, None).  Every future it
+        takes is finished, whatever the result holds.  A batched call's
+        result must be a list of one value per request; an unbatched
+        call's result is its request's value."""
+        batched = self._max_batch_size > 1
         with self._cond:
-            if future._call is None:
+            futures = [future for future in futures if future._call is call]
+            if not futures:
                 return
-            _pool, replica, generation, unwrap, started, ref = future._call
-            future._call = None
-            self._inflight_total -= 1
-            if replica.generation == generation:
-                replica.inflight -= 1
+            for future in futures:
+                future._call = None
+            replica, generation, started, ref, batch = call
+            current = replica.generation == generation
+            self._inflight_total -= len(futures)
+            if current:
+                replica.inflight -= len(futures)
+            exc = None
             try:
                 value = self._runtime.get(ref, timeout=timeout)
-            except ActorLostError as exc:
-                self._finish_locked(future, exc=exc)
-                self._replica_lost(replica, generation, exc)
-            except BaseException as exc:  # noqa: BLE001 - any stored error
-                self._finish_locked(future, exc=exc)
+            except BaseException as error:  # noqa: BLE001 - any stored error
+                exc = error
             else:
-                if replica.generation == generation:
-                    replica.observe(self._runtime.now - started)
-                if unwrap is not None:
-                    value = value[unwrap]
-                self._finish_locked(future, value=value)
+                mismatch = returns_mismatch(len(batch), value) if batched else None
+                if mismatch is not None:
+                    exc = TaskError(
+                        ref.producer_task,
+                        f"{self._factory.name}.{self._method}",
+                        mismatch,
+                    )
+            if exc is not None:
+                for future in futures:
+                    self._finish_locked(future, exc=exc)
+                if isinstance(exc, ActorLostError):
+                    self._replica_lost(replica, generation, exc)
+            else:
+                if current:
+                    service_time = self._runtime.now - started
+                    for _future in futures:  # one sample per request
+                        replica.observe(service_time)
+                for future in futures:
+                    self._finish_locked(
+                        future,
+                        value=value[future._index] if batched else value,
+                    )
+            self._cond.notify_all()
 
     def _fail_pending_locked(self, replica: _Replica, exc: BaseException) -> None:
         """Fail the replica's queued (never dispatched) calls visibly."""
@@ -542,7 +564,6 @@ class ActorPool:
         if self._order and not self._event_driven:
             while self._order and self._order[0].done():
                 self._order.popleft()
-        self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Flusher thread (event-driven batching only)

@@ -321,6 +321,51 @@ def run_program(backend, **init_kwargs):
             chain_pool.submit(1).result(timeout=60.0) for _ in range(4)
         ]
 
+        # A batch whose result is not one value per request fails each
+        # of its requests with TaskError naming both lengths (no hang,
+        # no bare error), and the pool serves on.  The wait is long
+        # enough that three submits in a row always share a batch.
+        @repro.remote
+        class WrongShape:
+            def __call__(self, batch):
+                if batch[0] is None:
+                    return None  # not a list at all
+                if batch[0] < 0:
+                    return batch[:-1]  # one value short
+                return [2 * v for v in batch]
+
+        shape_pool = repro.ActorPool(
+            WrongShape, size=1, max_batch_size=3, batch_wait_ms=100.0
+        )
+
+        def shape_outcome(values, declared, got):
+            futures = [shape_pool.submit(v) for v in values]
+            outcomes = []
+            for future in futures:
+                try:
+                    outcomes.append(("value", future.result(timeout=60.0)))
+                except Exception as exc:  # noqa: BLE001 - recorded
+                    text = str(exc)
+                    outcomes.append((
+                        type(exc).__name__,
+                        f"num_returns={declared}" in text and got in text,
+                    ))
+            return outcomes
+
+        outcome["pool_wrong_shape"] = (
+            shape_outcome([None], 1, "NoneType"),
+            shape_outcome([-1], 1, "length 0"),
+            shape_outcome([-1, -2, -3], 3, "length 2"),
+            shape_pool.map([1, 2, 3], timeout=60.0),
+        )
+        shape_stats = shape_pool.stats()
+        outcome["pool_wrong_shape_counts"] = (
+            shape_stats["submitted"],
+            shape_stats["completed"],
+            shape_stats["failed"],
+            shape_stats["inflight"],
+        )
+
         # ... and as_completed, over already-complete and timed-out refs.
         finished_refs = [square.remote(i) for i in range(4)]
         repro.get(finished_refs)

@@ -13,6 +13,9 @@ call streams:
 * **exact shedding** — with replicas gated so nothing completes,
   ``admission="shed"`` rejects precisely the submissions beyond
   ``max_queue_depth``, and ``"block"`` delays the submitter instead.
+* **one result per batch** — a flushed batch is one actor call whose
+  one result object the pool watches once and splits itself, so a
+  request pays no object, watch or control-store row of its own.
 
 Run on sim (deterministic mirror, hypothesis-driven) and on the real
 backends.
@@ -139,6 +142,76 @@ class TestBatchingProperties:
             stats = pool.stats()
             assert (stats["submitted"], stats["completed"]) == (20, 20)
             assert stats["batches"] == 0  # passthrough never batches
+        finally:
+            repro.shutdown()
+
+
+#: Requests in the cost burst, and the batch they coalesce into.
+BURST_REQUESTS = 2000
+BURST_BATCH = 8
+
+
+class TestBatchCost:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_a_burst_pays_per_batch_not_per_request(self, config):
+        """One watch and one result object per flushed batch, and well
+        under one control-store op per request (a per-request result
+        object costs a watch, an object and ~1.4 ops each)."""
+        import gc
+
+        backend, kwargs = CONFIGS[config]
+        runtime = repro.init(backend=backend, num_nodes=2, num_cpus=2, **kwargs)
+        try:
+
+            @repro.remote
+            class Echo:
+                def __call__(self, batch):
+                    return batch
+
+            # A long wait: every batch of the burst fills, even on a
+            # host that stalls the submitting thread for a while.
+            pool = repro.ActorPool(
+                Echo, size=2, max_batch_size=BURST_BATCH, batch_wait_ms=50.0
+            )
+            # Warm both replicas: each keeps its last result as the next
+            # call's ordering dependency, before the burst and after it.
+            assert pool.map(range(4 * BURST_BATCH), timeout=60.0) == list(
+                range(4 * BURST_BATCH)
+            )
+
+            def counters():
+                gc.collect()
+                stats = runtime.stats()
+                objects = stats.get("objects")
+                return {
+                    "batches": stats["serve"]["batches"],
+                    "watches": stats["serve"]["completion_pump"]["watches_added"],
+                    # ``local`` keeps every object; ``proc`` releases them.
+                    "objects": (
+                        stats["objects_stored"] if objects is None
+                        else objects["released"]
+                    ),
+                    "ops": stats["control"]["ops_total"],
+                }
+
+            before = counters()
+            futures = [pool.submit(i) for i in range(BURST_REQUESTS)]
+            assert [f.result(timeout=60.0) for f in futures] == list(
+                range(BURST_REQUESTS)
+            )
+            del futures
+            batches = counters()["batches"] - before["batches"]
+            deadline = time.monotonic() + 30.0
+            while True:  # a release is applied a moment after the value is read
+                after = counters()
+                grown = {k: after[k] - before[k] for k in after}
+                if grown["objects"] >= batches or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert BURST_REQUESTS / BURST_BATCH <= batches < BURST_REQUESTS / 2
+            assert grown["watches"] == batches
+            assert grown["objects"] == batches
+            assert grown["ops"] / BURST_REQUESTS <= 0.7, grown
         finally:
             repro.shutdown()
 
