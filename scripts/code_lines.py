@@ -4,8 +4,9 @@
     python scripts/code_lines.py src/repro            # per package
     python scripts/code_lines.py -f src/repro/proc    # per file too
 
-The size measure ROADMAP item 2 is judged by (``wc -l`` counts the
-docstrings every newly named method carries).  Printed, never gated.
+The size measure of ROADMAP's quality-of-design pillar (``wc -l``
+counts the docstrings every newly named method carries).  Printed,
+never gated.
 """
 
 import ast

@@ -5,29 +5,33 @@ long-lived stateful workers whose methods execute in submission order and
 return futures like any task.  This module is the backend-independent
 half: the ``@remote``-on-a-class front end (:class:`ActorClass`,
 :class:`ActorHandle`), the actor table (:class:`ActorRegistry`), and the
-execution-side resolution both runtimes share.
+execution-side resolution every backend's workers share.
 
-The runtime-side contract is small and identical on every backend:
+The actor path itself — :func:`create_actor`, :func:`call_actor` and
+:func:`get_actor`, with their registry records and control-store rows —
+is written here once, and every backend binds these functions as its
+methods.  A backend answers only three questions, under its
+``_lifecycle_guard()`` lock:
 
-* ``create_actor`` picks a node with the existing placement machinery,
-  registers an :class:`ActorRecord`, and submits the constructor as a
-  placed task.  Creation is non-blocking; the handle returns immediately.
-* ``call_actor`` submits one task per method call, and the calls of one
-  actor execute in submission order, never overlapping, without any
-  per-actor lock.  Where the order comes from is the backend's choice.
-  On ``sim`` and ``local`` it falls out of the dataflow graph: every
-  call carries an *ordering dependency* on the previous call's result
-  object (and the first on the creation object) —
-  :func:`chain_submission`.  On ``proc`` and ``dist`` it is the actor's
-  *queue*: a call enters its actor's FIFO lane at submission, waits
-  there for its own arguments only, and leaves in lane order inside a
-  dispatch frame for the one process that runs the actor, one call at a
-  time — so a burst of calls costs no driver round trip per call (those
-  runtimes never chain: ``last_call_ref`` stays ``None`` there).
-* Node failure (sim backend) marks every actor whose constructed instance
-  lived there as dead; orphaned and future method calls resolve to an
-  :class:`~repro.errors.ActorLostError` at ``get`` time, because actor
-  state — unlike stateless task lineage — cannot be replayed.
+* where a new actor lives (``_actor_home(spec)``, a node id; a hint the
+  caller gave is in ``spec.placement_hint``);
+* how one of its tasks joins the actor's order and is submitted
+  (``_submit_actor_task(record, spec, born_in)``).  On ``sim`` and
+  ``local`` the order falls out of the dataflow graph: every call
+  carries an *ordering dependency* on the previous call's result object
+  (and the first on the creation object) — :func:`chain_submission`.
+  On ``proc`` and ``dist`` it is the actor's *lane*: a call enters its
+  actor's FIFO at submission, waits there for its own arguments only,
+  and leaves in lane order inside a dispatch frame for the one process
+  that runs the actor (``last_call_ref`` stays ``None`` there);
+  ``born_in`` is the worker task that made the call, which holds its
+  results;
+* which node a submission comes from (``_current_node_id()``).
+
+Node failure (sim backend) marks every actor whose constructed instance
+lived there as dead; orphaned and future method calls resolve to an
+:class:`~repro.errors.ActorLostError` at ``get`` time, because actor
+state — unlike stateless task lineage — cannot be replayed.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.object_ref import ObjectRef
+from repro.core.protocol import check_cluster_feasible
 from repro.core.task import OptionsBase, ResourceRequest, TaskSpec
-from repro.errors import ActorLostError
+from repro.errors import ActorLostError, BackendError
 from repro.utils.ids import ActorID, NodeID
 
 #: ``TaskSpec.actor_method`` value marking the constructor task.
@@ -113,7 +118,6 @@ class ActorRecord:
     #: One function id per method, minted at its first call: what a
     #: runtime keys a method's measured execution time on.
     method_ids: dict = field(default_factory=dict)
-    num_calls: int = 0
     methods_executed: int = 0
     #: Runtime-wide name (``ActorOptions.name``); None for anonymous actors.
     name: Optional[str] = None
@@ -194,7 +198,7 @@ class ActorRegistry:
 
 
 # ----------------------------------------------------------------------
-# Submission-side spec building (shared by both backends)
+# Submission-side spec building
 # ----------------------------------------------------------------------
 
 
@@ -276,21 +280,112 @@ def build_call_spec(
 def chain_submission(record: ActorRecord, spec: TaskSpec) -> None:
     """Advance the actor's call chain: the next call depends on this one."""
     record.last_call_ref = spec.result_ref()
-    record.num_calls += 1
 
 
-def get_actor_handle(registry: ActorRegistry, name: str):
-    """Resolve a named actor to its handle — the shared ``get_actor``.
+# ----------------------------------------------------------------------
+# The actor path (bound as a method by every backend)
+# ----------------------------------------------------------------------
+
+
+def create_actor(
+    runtime,
+    actor_class: type,
+    class_name: str,
+    args: tuple,
+    kwargs: dict,
+    resources: ResourceRequest,
+    placement_hint: Optional[NodeID] = None,
+    name: Optional[str] = None,
+) -> "ActorHandle":
+    """Create a stateful actor; returns its handle immediately.
+
+    The actor's home is chosen *now* (``runtime._actor_home``), and the
+    constructor task and every method call carry it as their placement
+    hint.  ``name`` registers the actor for :func:`get_actor` lookup
+    (collisions with a live holder raise).
+    """
+    runtime._check_open()
+    check_cluster_feasible(
+        runtime.cluster, resources, f"{class_name}.{CREATION_METHOD}"
+    )
+    with runtime._lifecycle_guard():
+        actor_id = runtime.ids.actor_id()
+        spec = build_creation_spec(
+            runtime.ids, actor_id, actor_class, class_name, args, kwargs,
+            resources, runtime._current_node_id(), placement_hint,
+        )
+        node_id = spec.placement_hint = runtime._actor_home(spec)
+        record = runtime.actors.create(
+            actor_id, class_name, resources, node_id, name=name
+        )
+        record.handle = handle_for(record, actor_class)
+        runtime._control.actor_register(
+            actor_id,
+            spec={"class_name": class_name, "resources": resources},
+            name=name,
+            node=node_id,
+        )
+        runtime._submit_actor_task(record, spec, None)
+    return record.handle
+
+
+def submit_actor_call(
+    runtime,
+    actor_id: ActorID,
+    method_name: str,
+    args: tuple,
+    kwargs: dict,
+    num_returns: int = 1,
+    born_in: Optional[str] = None,
+) -> TaskSpec:
+    """Build one method call, count it in the actor's control-store row
+    and submit it in the actor's order; ``born_in`` is the raw id of the
+    worker task that made it (``proc``/``dist``)."""
+    runtime._check_open()
+    with runtime._lifecycle_guard():
+        record = runtime.actors.get(actor_id)
+        if record is None:
+            raise BackendError(f"unknown actor {actor_id}")
+        spec = build_call_spec(
+            runtime.ids, record, method_name, args, kwargs,
+            runtime._current_node_id(), num_returns=num_returns,
+        )
+        runtime._control.actor_update(actor_id, method_inc=True)
+        runtime._submit_actor_task(record, spec, born_in)
+    return spec
+
+
+def call_actor(
+    runtime,
+    actor_id: ActorID,
+    method_name: str,
+    args: tuple,
+    kwargs: dict,
+    num_returns: int = 1,
+) -> Any:
+    """Submit one actor method invocation; returns its future (a tuple
+    of ``num_returns`` futures when more than one).  No per-actor lock
+    exists: the backend's order keeps one actor's methods from
+    interleaving."""
+    return submit_actor_call(
+        runtime, actor_id, method_name, args, kwargs, num_returns
+    ).public_result()
+
+
+def get_actor(runtime, name: str) -> "ActorHandle":
+    """Look up a live named actor's handle.
 
     Raises :class:`ValueError` for unknown names and
     :class:`~repro.errors.ActorLostError` when the named actor's state
     died with its node, with identical text on every backend.
     """
+    runtime._check_open()
     if not isinstance(name, str) or not name:
         raise ValueError(
             f"get_actor expects a non-empty actor name, got {name!r}"
         )
-    record = registry.by_name(name)
+    with runtime._lifecycle_guard():
+        record = runtime.actors.by_name(name)
     if record is None:
         raise ValueError(
             f"no actor named {name!r}; names are assigned at creation via "
@@ -305,7 +400,7 @@ def get_actor_handle(registry: ActorRegistry, name: str):
 
 
 # ----------------------------------------------------------------------
-# Execution-side resolution (shared by both backends' workers)
+# Execution-side resolution (shared by every backend's workers)
 # ----------------------------------------------------------------------
 
 

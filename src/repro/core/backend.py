@@ -6,10 +6,12 @@ the system that serves it.  This module makes that separation literal:
 
 * :class:`Backend` is the protocol every runtime implements — the complete
   surface :mod:`repro.api` is allowed to touch.  The simulated cluster
-  (``"sim"``), the threaded runtime (``"local"``), and the multiprocess
-  runtime (``"proc"``) are three interchangeable implementations; user
+  (``"sim"``), the threaded runtime (``"local"``), the multiprocess
+  runtime (``"proc"``) and the multi-node runtime (``"dist"``: node
+  agents over TCP) are four interchangeable implementations; user
   programs cannot tell them apart except by the clock and by how fast
-  CPU-bound work actually goes.
+  CPU-bound work actually goes.  The actor path is one set of
+  functions all four bind (:mod:`repro.core.actors`).
 * The **registry** maps backend names to factories, so
   ``repro.init(backend=...)`` dispatches by name.  Third-party backends
   register themselves with :func:`register_backend` instead of patching

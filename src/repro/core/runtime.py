@@ -17,39 +17,24 @@ from typing import Any, Callable, Generator, Optional, Sequence
 from repro.cluster.costs import SystemCosts
 from repro.cluster.network import NetworkModel
 from repro.cluster.spec import ClusterSpec
-from repro.core import lifecycle
+from repro.core import actors, lifecycle
 from repro.core.actors import (
     CREATION_METHOD,
-    ActorHandle,
     ActorRegistry,
     actor_lost_error_value,
-    build_call_spec,
-    build_creation_spec,
     chain_submission,
-    get_actor_handle,
-    handle_for,
 )
 from repro.core.completion import serve_stats
 from repro.core.driver import Driver
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
-from repro.core.protocol import (
-    check_cluster_feasible,
-    cluster_stats,
-    unwrap_value,
-)
-from repro.core.task import (
-    CallTemplate,
-    ResourceRequest,
-    TaskSpec,
-    TaskState,
-)
+from repro.core.protocol import cluster_stats, unwrap_value
+from repro.core.task import CallTemplate, TaskSpec, TaskState
 from repro.core.worker import ErrorValue, Worker, WorkerContext
 from repro.errors import BackendError, ObjectLostError, SchedulingError
 from repro.fault.lineage import LineageManager
 from repro.fault.monitor import FailureMonitor
 from repro.scheduling.policies import PlacementCandidate
-from repro.utils.ids import ActorID
 from repro.objectstore.store import LocalObjectStore
 from repro.objectstore.transfer import TransferManager
 from repro.scheduling.global_scheduler import GlobalScheduler
@@ -144,26 +129,8 @@ class SimRuntime:
         self._transfers: dict[NodeID, TransferManager] = {}
         self._schedulers: dict[NodeID, LocalScheduler] = {}
         self._workers: dict[NodeID, list[Worker]] = {}
-
-        for node_id, spec in zip(self.node_ids, self.cluster.nodes):
-            store = LocalObjectStore(node_id, spec.object_store_capacity, self.control_plane)
-            transfer = TransferManager(
-                self.sim, node_id, store, self.control_plane, self.network,
-                node_alive=self.node_alive,
-            )
-            transfer.peer_stores = self._stores  # shared mapping, filled below
-            scheduler = LocalScheduler(
-                self, node_id, spec.num_cpus, spec.num_gpus, spillover_policy
-            )
-            workers = [
-                Worker(self, node_id, self.ids.worker_id(), scheduler)
-                for _ in range(spec.num_cpus + spec.num_gpus)
-            ]
-            scheduler.workers = workers
-            self._stores[node_id] = store
-            self._transfers[node_id] = transfer
-            self._schedulers[node_id] = scheduler
-            self._workers[node_id] = workers
+        for node_id in self.node_ids:
+            self._build_node(node_id)
 
         # -- head-node services -----------------------------------------------
         self.global_schedulers: list[GlobalScheduler] = [
@@ -198,6 +165,30 @@ class SimRuntime:
         #: the serving layer resolves synchronously and deterministically.
         self._serve_pools: list = []
         self.driver = Driver(self)
+
+    def _build_node(self, node_id: NodeID) -> LocalScheduler:
+        """A node's components, fresh (at start-up, or a restart): its
+        object store and transfer manager, its local scheduler, and one
+        worker per slot, drawing their ids in slot order."""
+        spec = self.cluster.nodes[self.node_ids.index(node_id)]
+        store = LocalObjectStore(node_id, spec.object_store_capacity, self.control_plane)
+        transfer = TransferManager(
+            self.sim, node_id, store, self.control_plane, self.network,
+            node_alive=self.node_alive,
+        )
+        transfer.peer_stores = self._stores  # shared mapping
+        scheduler = LocalScheduler(
+            self, node_id, spec.num_cpus, spec.num_gpus, self.spillover_policy
+        )
+        scheduler.workers = [
+            Worker(self, node_id, self.ids.worker_id(), scheduler)
+            for _ in range(spec.num_cpus + spec.num_gpus)
+        ]
+        self._stores[node_id] = store
+        self._transfers[node_id] = transfer
+        self._schedulers[node_id] = scheduler
+        self._workers[node_id] = scheduler.workers
+        return scheduler
 
     # ------------------------------------------------------------------
     # Topology accessors
@@ -290,64 +281,29 @@ class SimRuntime:
         return self.driver.submit(spec)
 
     # ------------------------------------------------------------------
-    # Actor protocol
+    # Actor protocol (repro.core.actors)
     # ------------------------------------------------------------------
 
-    def create_actor(
-        self,
-        actor_class: type,
-        class_name: str,
-        args: tuple,
-        kwargs: dict,
-        resources: ResourceRequest,
-        placement_hint: Optional[NodeID] = None,
-        name: Optional[str] = None,
-    ) -> ActorHandle:
-        """Create a stateful actor; returns its handle immediately.
+    create_actor = actors.create_actor
+    call_actor = actors.call_actor
+    get_actor = actors.get_actor
 
-        The actor's node is chosen *now*, through the same
-        :class:`~repro.scheduling.policies.PlacementPolicy` the global
-        scheduler uses, so the constructor task and every method call
-        carry a placement hint that the ordinary spillover/global
-        scheduling path honors.  ``name`` registers the actor for
-        :meth:`get_actor` lookup (collisions with a live holder raise).
-        """
-        self._check_open()
-        check_cluster_feasible(
-            self.cluster, resources, f"{class_name}.{CREATION_METHOD}"
-        )
+    def _current_node_id(self) -> NodeID:
         context = self.current_worker_context()
-        actor_id = self.ids.actor_id()
-        spec = build_creation_spec(
-            self.ids, actor_id, actor_class, class_name, args, kwargs,
-            resources, context.node_id if context else self.head_node_id,
-        )
-        node_id = placement_hint
-        if node_id is None or not self.node_alive(node_id):
-            node_id = self._place_actor(spec, resources)
-        spec.placement_hint = node_id
-        record = self.actors.create(actor_id, class_name, resources, node_id, name=name)
-        chain_submission(record, spec)
-        self._lifecycle.register(spec)
-        record.handle = handle_for(record, actor_class)
-        self.control_plane.log(
-            "actor_create_submitted", actor_id=actor_id, node=node_id,
-            class_name=class_name,
-        )
-        self._submit_spec(spec, context)
-        return record.handle
+        return context.node_id if context else self.head_node_id
 
-    def get_actor(self, name: str) -> ActorHandle:
-        """Look up a live named actor's handle (shared semantics)."""
-        self._check_open()
-        return get_actor_handle(self.actors, name)
-
-    def _place_actor(self, spec: TaskSpec, resources: ResourceRequest) -> NodeID:
-        """Pick the actor's home node from live scheduler state."""
+    def _actor_home(self, spec: TaskSpec) -> NodeID:
+        """A live hinted node, else the choice of the same
+        :class:`~repro.scheduling.policies.PlacementPolicy` the global
+        scheduler uses, from live scheduler state; so the constructor
+        task and every method call carry a placement hint that the
+        ordinary spillover/global scheduling path honors."""
+        if self.node_alive(spec.placement_hint):
+            return spec.placement_hint
         candidates = []
         for node_id in self.alive_nodes:
             scheduler = self._schedulers[node_id]
-            if resources.fits_node(scheduler.num_cpus, scheduler.num_gpus):
+            if spec.resources.fits_node(scheduler.num_cpus, scheduler.num_gpus):
                 candidates.append(
                     PlacementCandidate(
                         node_id=node_id,
@@ -358,7 +314,7 @@ class SimRuntime:
                 )
         if not candidates:
             raise SchedulingError(
-                f"no live node satisfies {resources} for {spec.function_name}"
+                f"no live node satisfies {spec.resources} for {spec.function_name}"
             )
         target = self.placement_policy.choose(spec, candidates)
         if target is None:
@@ -370,34 +326,19 @@ class SimRuntime:
             ).node_id
         return target
 
-    def call_actor(
-        self,
-        actor_id: ActorID,
-        method_name: str,
-        args: tuple,
-        kwargs: dict,
-        num_returns: int = 1,
-    ) -> Any:
-        """Submit one actor method invocation; returns its future
-        (a tuple of ``num_returns`` futures when more than one).
-
-        Ordering is structural: the spec depends on the previous call's
-        result object, so method tasks of one actor can never interleave.
-        """
-        self._check_open()
-        record = self.actors.get(actor_id)
-        if record is None:
-            raise BackendError(f"unknown actor {actor_id}")
-        context = self.current_worker_context()
-        spec = build_call_spec(
-            self.ids, record, method_name, args, kwargs,
-            context.node_id if context else self.head_node_id,
-            num_returns=num_returns,
-        )
+    def _submit_actor_task(self, record, spec: TaskSpec, born_in) -> None:
+        """Ordering is structural: the spec depends on the previous
+        call's result object, so method tasks of one actor can never
+        interleave.  (The actor's control-store row is written straight
+        into the store, uncharged; the modelled log says when.)"""
         chain_submission(record, spec)
         self._lifecycle.register(spec)
-        self._submit_spec(spec, context)
-        return spec.public_result()
+        if spec.actor_method == CREATION_METHOD:
+            self.control_plane.log(
+                "actor_create_submitted", actor_id=record.actor_id,
+                node=record.node_id, class_name=record.class_name,
+            )
+        self._submit_spec(spec, self.current_worker_context())
 
     def get(self, refs: Any, timeout: Optional[float] = None) -> Any:
         self._check_open()
@@ -665,27 +606,7 @@ class SimRuntime:
             raise ValueError(f"node {node_id} is already alive")
         if node_id not in self._alive:
             raise KeyError(f"unknown node {node_id}")
-        index = self.node_ids.index(node_id)
-        spec = self.cluster.nodes[index]
-
-        store = LocalObjectStore(node_id, spec.object_store_capacity, self.control_plane)
-        transfer = TransferManager(
-            self.sim, node_id, store, self.control_plane, self.network,
-            node_alive=self.node_alive,
-        )
-        transfer.peer_stores = self._stores
-        scheduler = LocalScheduler(
-            self, node_id, spec.num_cpus, spec.num_gpus, self.spillover_policy
-        )
-        workers = [
-            Worker(self, node_id, self.ids.worker_id(), scheduler)
-            for _ in range(spec.num_cpus + spec.num_gpus)
-        ]
-        scheduler.workers = workers
-        self._stores[node_id] = store
-        self._transfers[node_id] = transfer
-        self._schedulers[node_id] = scheduler
-        self._workers[node_id] = workers
+        scheduler = self._build_node(node_id)
         self._alive[node_id] = True
         if node_id in self.monitor.nodes_declared_dead:
             self.monitor.nodes_declared_dead.remove(node_id)

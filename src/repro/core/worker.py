@@ -17,6 +17,11 @@ instance and binds it to this node in the runtime's actor table; a method
 task looks the instance up and invokes the method, with the dataflow
 chain built at submission time guaranteeing per-actor ordering.
 
+The live backends run task bodies for real, and share one body for it:
+:func:`execute_task`, which ``local``'s worker threads and
+``ProcWorker.execute`` both call; the sim keeps its generator runner
+(:class:`Worker`), which charges virtual time as it goes.
+
 Exceptions raised by user code never crash the worker: they are captured
 as an :class:`ErrorValue` stored in place of the result, and propagate
 through the dataflow graph to any dependent task and ultimately to the
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 import inspect
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.core.actors import (
     CREATION_METHOD,
@@ -119,6 +125,64 @@ def run_callable(
         return function(*args, **kwargs)
     except BaseException as exc:  # noqa: BLE001 - user code boundary
         return error_value_from(spec, exc)
+
+
+def unregistered_error(spec: TaskSpec) -> ErrorValue:
+    """The result of a task whose function no table knows."""
+    return ErrorValue(
+        task_id=spec.task_id,
+        function_name=spec.function_name,
+        cause_repr=f"function {spec.function_name!r} not registered",
+        chain=(spec.function_name,),
+    )
+
+
+def execute_task(
+    spec: TaskSpec,
+    args: tuple,
+    kwargs: dict,
+    lookup: Callable[[TaskSpec], Any],
+    actors,
+    node_id: NodeID,
+    handler: EffectHandler,
+    guard: Any = nullcontext(),
+) -> Any:
+    """The live task body, one for every live executor (``local``'s
+    threads, ``ProcWorker.execute``): the result of running ``spec`` on
+    resolved arguments, or the :class:`ErrorValue` that takes its place.
+
+    A stateless task runs what ``lookup(spec)`` finds (None: not
+    registered; raising: the code could not be loaded).  An actor task
+    is resolved against the ``actors`` registry: a constructor builds
+    the instance and binds it to ``node_id``; a method runs on it and
+    counts in ``methods_executed``.  ``guard`` is held around every
+    registry access (the executor's lock, where threads share one).
+    """
+    if spec.actor_id is None:
+        try:  # the first use of shipped code unpickles it
+            function = lookup(spec)
+        except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
+            return error_value_from(spec, exc)
+        if function is None:
+            return unregistered_error(spec)
+        return run_callable(spec, function, args, kwargs, handler)
+    with guard:
+        function, record, error = resolve_actor_callable(actors, spec)
+    if error is not None:
+        return error
+    if spec.actor_method == CREATION_METHOD:
+        try:
+            instance = function(*args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - user code boundary
+            return error_value_from(spec, exc)
+        with guard:
+            register_instance(record, instance, node_id)
+        return None
+    result = run_callable(spec, function, args, kwargs, handler)
+    if not isinstance(result, ErrorValue):
+        with guard:
+            record.methods_executed += 1
+    return result
 
 
 def returns_mismatch(k: int, result: Any) -> Optional[str]:
@@ -425,12 +489,7 @@ class Worker:
         else:
             function = self.runtime.resolve_function(spec)
             if function is None:
-                return ErrorValue(
-                    task_id=spec.task_id,
-                    function_name=spec.function_name,
-                    cause_repr=f"function {spec.function_name!r} not registered",
-                    chain=(spec.function_name,),
-                )
+                return unregistered_error(spec)
         context = WorkerContext(node_id=self.node_id, worker=self)
 
         if record is not None and spec.actor_method == CREATION_METHOD:

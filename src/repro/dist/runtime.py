@@ -243,6 +243,10 @@ class AgentLink:
             inbound = self.channels.get(message[1])
             if inbound is not None:
                 inbound.put(_EOF)
+                # Its service thread may be waiting on the cond, not
+                # reading: a worker whose tasks are all parked.
+                with self.runtime._cond:
+                    self.runtime._cond.notify_all()
         elif tag == ctl.OBJECT_DATA:
             with self._lock:
                 entry = self._fetches.pop(message[1], None)

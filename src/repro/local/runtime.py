@@ -21,45 +21,33 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
-from repro.core import lifecycle
-from repro.core.actors import (
-    CREATION_METHOD,
-    ActorHandle,
-    ActorRegistry,
-    build_call_spec,
-    build_creation_spec,
-    chain_submission,
-    get_actor_handle,
-    handle_for,
-    register_instance,
-    resolve_actor_callable,
-)
+from repro import obs
+from repro.core import actors, lifecycle
+from repro.core.actors import ActorRegistry, chain_submission
 from repro.core.completion import CompletionPump, serve_stats
 from repro.core.dependencies import DependencyTracker
 from repro.core.effect_driver import BlockingEffectHandler
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import (
-    check_cluster_feasible,
     cluster_stats,
     normalize_get_refs,
     partition_by_ready,
     unwrap_value,
     validate_wait_args,
 )
-from repro.core.task import CallTemplate, ResourceRequest, TaskSpec
+from repro.core.task import CallTemplate, TaskSpec
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
+    execute_task,
     propagate_error,
-    run_callable,
     split_result_values,
 )
 from repro.errors import BackendError, GetTimeoutError
 from repro.gcs import ControlStore
-from repro.obs import SpanCollector
 from repro.sched_plane import SchedCounters
-from repro.utils.ids import ActorID, FunctionID, IDGenerator, NodeID, ObjectID
+from repro.utils.ids import FunctionID, IDGenerator, NodeID, ObjectID
 from repro.utils.serialization import deserialize, serialize
 
 _POISON = object()
@@ -101,7 +89,7 @@ class LocalRuntime:
         #: thread records straight into the driver collector (one clock,
         #: zero skew), exposed through the ``event_log`` property.
         self.tracing = bool(tracing)
-        self._obs = SpanCollector(enabled=self.tracing)
+        self._obs = obs.SpanCollector(enabled=self.tracing)
         self.ids = IDGenerator(namespace=f"repro-local/{seed}")
         self.closed = False
         self._control = ControlStore(num_shards=1)
@@ -176,17 +164,9 @@ class LocalRuntime:
                 spec.task_id, spec, node=self._current_node_id()
             )
             if self._obs.enabled:
-                self._obs.record(
-                    "task_submitted",
-                    task_id=str(spec.task_id),
-                    function=spec.function_name,
-                    root_task_id=str(spec.root_task_id or spec.task_id),
-                    parent_task_id=(
-                        str(spec.parent_task_id)
-                        if spec.parent_task_id is not None
-                        else None
-                    ),
-                    worker_born=getattr(self._tls, "node", None) is not None,
+                node = getattr(self._tls, "node", None)
+                obs.task_submitted(
+                    self._obs, spec, node is not None, *self._where(node)
                 )
             self._lifecycle.register(spec)
             missing = {
@@ -199,84 +179,33 @@ class LocalRuntime:
         return spec.result_ref()
 
     # ------------------------------------------------------------------
-    # Actor protocol
+    # Actor protocol (repro.core.actors; lock held in the hooks)
     # ------------------------------------------------------------------
 
-    def create_actor(
-        self,
-        actor_class: type,
-        class_name: str,
-        args: tuple,
-        kwargs: dict,
-        resources: ResourceRequest,
-        placement_hint: Optional[NodeID] = None,
-        name: Optional[str] = None,
-    ) -> ActorHandle:
-        """Create a stateful actor; returns its handle immediately.
+    create_actor = actors.create_actor
+    call_actor = actors.call_actor
+    get_actor = actors.get_actor
 
-        The constructor task is pinned to the node :meth:`_choose_node`
-        picks, and every method call follows it there.  ``name``
-        registers the actor for :meth:`get_actor` lookup (collisions
-        with a live holder raise).
-        """
-        self._check_open()
-        check_cluster_feasible(
-            self.cluster, resources, f"{class_name}.{CREATION_METHOD}"
-        )
-        with self._lock:
-            actor_id = self.ids.actor_id()
-            spec = build_creation_spec(
-                self.ids, actor_id, actor_class, class_name, args, kwargs,
-                resources, self._current_node_id(), placement_hint=placement_hint,
-            )
-            home = self._choose_node(spec)
-            spec.placement_hint = home.node_id
-            record = self.actors.create(
-                actor_id, class_name, resources, home.node_id, name=name
-            )
-            self._control.actor_register(
-                actor_id,
-                spec={"class_name": class_name, "resources": resources},
-                name=name,
-                node=home.node_id,
-            )
-            chain_submission(record, spec)
-            record.handle = handle_for(record, actor_class)
+    def _actor_home(self, spec: TaskSpec) -> NodeID:
+        """Where the creation is hinted, else the node with the most
+        free slots that could ever hold it; every method call follows
+        the constructor there."""
+        if spec.placement_hint in self._nodes:
+            return spec.placement_hint
+        return max(
+            (
+                node
+                for node in self._nodes.values()
+                if spec.resources.fits_node(node.num_cpus, node.num_gpus)
+            ),
+            key=_free_slots,
+        ).node_id
+
+    def _submit_actor_task(self, record, spec: TaskSpec, born_in) -> None:
+        """The ordering dependency on the previous call's result object
+        is what serializes the actor's methods."""
+        chain_submission(record, spec)
         self._submit_spec(spec)
-        return record.handle
-
-    def get_actor(self, name: str) -> ActorHandle:
-        """Look up a live named actor's handle (shared semantics)."""
-        self._check_open()
-        with self._lock:
-            return get_actor_handle(self.actors, name)
-
-    def call_actor(
-        self,
-        actor_id: ActorID,
-        method_name: str,
-        args: tuple,
-        kwargs: dict,
-        num_returns: int = 1,
-    ) -> Any:
-        """Submit one actor method invocation; returns its future
-        (a tuple of ``num_returns`` futures when more than one).
-
-        The ordering dependency on the previous call's result object is
-        what serializes the actor's methods — no per-actor lock exists.
-        """
-        self._check_open()
-        with self._lock:
-            record = self.actors.get(actor_id)
-            if record is None:
-                raise BackendError(f"unknown actor {actor_id}")
-            spec = build_call_spec(
-                self.ids, record, method_name, args, kwargs,
-                self._current_node_id(), num_returns=num_returns,
-            )
-            chain_submission(record, spec)
-        self._submit_spec(spec)
-        return spec.public_result()
 
     # ------------------------------------------------------------------
     # Blocking primitives
@@ -434,19 +363,13 @@ class LocalRuntime:
         self._ready.append(spec)
         self._dispatch()
 
-    def _choose_node(self, spec: TaskSpec) -> _Node:
-        """An actor's home (lock held): where its creation is hinted,
-        else the node with the most free slots that could ever hold it."""
-        if spec.placement_hint is not None and spec.placement_hint in self._nodes:
-            return self._nodes[spec.placement_hint]
-        return max(
-            (
-                node
-                for node in self._nodes.values()
-                if spec.resources.fits_node(node.num_cpus, node.num_gpus)
-            ),
-            key=_free_slots,
-        )
+    @staticmethod
+    def _where(node: Optional[_Node]) -> tuple:
+        """``(worker, node)`` span keys of the calling worker thread of
+        ``node`` (None on a driver thread)."""
+        if node is None:
+            return None, None
+        return threading.current_thread().name, str(node.node_id)
 
     def _dispatch(self) -> None:
         """Start every ready task some node has room for now, oldest
@@ -475,12 +398,7 @@ class LocalRuntime:
             node.available_gpus -= spec.resources.num_gpus
             self._sched.tasks_placed_global += 1
             if self._obs.enabled:
-                self._obs.record(
-                    "task_placed",
-                    task_id=str(spec.task_id),
-                    function=spec.function_name,
-                    node=str(node.node_id),
-                )
+                obs.task_placed(self._obs, spec, node=str(node.node_id))
             node.task_queue.put(spec)
         del ready[kept:]
 
@@ -596,19 +514,7 @@ class LocalRuntime:
         root_id = spec.root_task_id or spec.task_id
         t_start = time.monotonic()
         if self._obs.enabled:
-            self._obs.record(
-                "task_started",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                worker=threading.current_thread().name,
-                node=str(node.node_id),
-                root_task_id=str(root_id),
-                parent_task_id=(
-                    str(spec.parent_task_id)
-                    if spec.parent_task_id is not None
-                    else None
-                ),
-            )
+            obs.task_started(self._obs, spec, t_start, *self._where(node))
         prev_ctx = (
             getattr(self._tls, "cur_task", None),
             getattr(self._tls, "cur_root", None),
@@ -620,7 +526,10 @@ class LocalRuntime:
             if upstream_error is not None:
                 result: Any = propagate_error(upstream_error, spec)
             else:
-                result = self._execute(spec, args, kwargs)
+                result = execute_task(
+                    spec, args, kwargs, self._lookup, self.actors,
+                    node.node_id, self._effect_handler, self._lock,
+                )
         finally:
             self._tls.cur_task, self._tls.cur_root = prev_ctx
         datas = []
@@ -632,14 +541,9 @@ class LocalRuntime:
         failed = isinstance(result, ErrorValue)
         self._store_results(node, spec, datas, failed)
         if self._obs.enabled:
-            self._obs.record(
-                "task_finished",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                worker=threading.current_thread().name,
-                node=str(node.node_id),
-                duration=time.monotonic() - t_start,
-                failed=failed,
+            obs.task_finished(
+                self._obs, spec, time.monotonic() - t_start, failed, None,
+                *self._where(node),
             )
 
     def _store_results(
@@ -655,11 +559,9 @@ class LocalRuntime:
                 spec.task_id, state="failed" if failed else "finished"
             )
             if self._obs.enabled:
-                self._obs.record(
-                    "result_stored",
-                    task_id=str(spec.task_id),
-                    function=spec.function_name,
-                    num_returns=spec.num_returns,
+                obs.result_stored(
+                    self._obs, spec.task_id, spec.function_name,
+                    spec.num_returns, failed, *self._where(node),
                 )
             for object_id, data in zip(spec.all_return_ids(), datas):
                 self._objects[object_id] = data
@@ -694,34 +596,5 @@ class LocalRuntime:
         kwargs = {k: resolve(v) for k, v in spec.kwargs.items()}
         return args, kwargs, upstream_error
 
-    def _execute(self, spec: TaskSpec, args: tuple, kwargs: dict) -> Any:
-        if spec.actor_id is not None:
-            return self._execute_actor(spec, args, kwargs)
-        function = spec.function or self._functions.get(spec.function_id)
-        if function is None:
-            return ErrorValue(
-                task_id=spec.task_id,
-                function_name=spec.function_name,
-                cause_repr=f"function {spec.function_name!r} not registered",
-                chain=(spec.function_name,),
-            )
-        return run_callable(spec, function, args, kwargs, self._effect_handler)
-
-    def _execute_actor(self, spec: TaskSpec, args: tuple, kwargs: dict) -> Any:
-        with self._lock:
-            function, record, error = resolve_actor_callable(self.actors, spec)
-        if error is not None:
-            return error
-        if spec.actor_method == CREATION_METHOD:
-            try:
-                instance = function(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - user code boundary
-                return error_value_from(spec, exc)
-            with self._lock:
-                register_instance(record, instance, self._current_node_id())
-            return None
-        result = run_callable(spec, function, args, kwargs, self._effect_handler)
-        if not isinstance(result, ErrorValue):
-            with self._lock:
-                record.methods_executed += 1
-        return result
+    def _lookup(self, spec: TaskSpec) -> Optional[Callable]:
+        return spec.function or self._functions.get(spec.function_id)

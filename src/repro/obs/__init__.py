@@ -32,7 +32,10 @@ makes the *live* backends equally inspectable:
 Span *kinds* deliberately reuse the sim's vocabulary
 (``task_submitted`` / ``task_started`` / ``task_finished`` /
 ``lineage_replay`` / ``failure_detected`` ...), so one assertion suite
-can hold all four backends to the same trace shape.
+can hold all four backends to the same trace shape.  The five lifecycle
+kinds have one builder each (:func:`task_submitted` ... :func:`result_stored`):
+every live backend, and every process of one, writes them with the same
+keys.
 """
 
 from __future__ import annotations
@@ -156,11 +159,14 @@ class SpanCollector:
         self.spans_recorded = 0
         self.flushes = 0
 
-    def record(self, kind: str, **payload: Any) -> None:
-        """One driver-local span event, stamped now."""
+    def record(
+        self, kind: str, timestamp: Optional[float] = None, **payload: Any
+    ) -> None:
+        """One driver-local span event, stamped now (or at the
+        ``time.monotonic()`` reading ``timestamp``)."""
         if not self.enabled:
             return
-        t = time.monotonic() - self._t0
+        t = (time.monotonic() if timestamp is None else timestamp) - self._t0
         with self._lock:
             self.event_log.append(t, kind, **payload)
             self.spans_recorded += 1
@@ -171,7 +177,8 @@ class SpanCollector:
         """Map one remote obs blob onto the driver timeline.
 
         ``extra`` supplies identity keys (worker/node names) the remote
-        recorder did not know; they fill payload keys not already set.
+        recorder did not know; they fill payload keys that are missing
+        or None.
         """
         if not self.enabled or blob is None:
             return
@@ -191,7 +198,8 @@ class SpanCollector:
             for t_mono, kind, payload in records:
                 if extra:
                     for key, value in extra.items():
-                        payload.setdefault(key, value)
+                        if payload.get(key) is None:
+                            payload[key] = value
                 self.event_log.append(
                     t_mono + offset - self._t0, kind, **payload
                 )
@@ -232,6 +240,72 @@ class SpanCollector:
             "flushes": self.flushes,
             "clock_skew_est": self.clock_skew_est,
         }
+
+
+# ----------------------------------------------------------------------
+# The lifecycle spans: one builder per kind, called behind the caller's
+# ``enabled`` guard.  ``worker``/``node`` name where it happened; a
+# worker process leaves them None and the collector's ``ingest`` fills
+# them in.  ``timestamp`` is a ``time.monotonic()`` reading (None: now).
+# ----------------------------------------------------------------------
+
+
+def task_submitted(rec, spec, worker_born: bool, worker=None, node=None) -> None:
+    """A task entered the system (``worker_born``: from a running task)."""
+    parent = spec.parent_task_id
+    rec.record(
+        "task_submitted", None, task_id=str(spec.task_id),
+        function=spec.function_name, worker=worker, node=node,
+        root_task_id=str(spec.root_task_id or spec.task_id),
+        parent_task_id=None if parent is None else str(parent),
+        worker_born=worker_born,
+    )
+
+
+def task_placed(rec, spec, worker=None, node=None, local: bool = False) -> None:
+    """A task was given a home (``worker=None``: a node or the global
+    queue; ``local``: kept on the queue of the worker it was born on)."""
+    rec.record(
+        "task_placed", None, task_id=str(spec.task_id),
+        function=spec.function_name, worker=worker, node=node, local=local,
+    )
+
+
+def task_started(
+    rec, spec, timestamp=None, worker=None, node=None, inline: bool = False
+) -> None:
+    """User code began (``inline``: inside its blocked parent's ``get``)."""
+    parent = spec.parent_task_id
+    rec.record(
+        "task_started", timestamp, task_id=str(spec.task_id),
+        function=spec.function_name, worker=worker, node=node,
+        root_task_id=str(spec.root_task_id or spec.task_id),
+        parent_task_id=None if parent is None else str(parent),
+        inline=inline,
+    )
+
+
+def task_finished(
+    rec, spec, duration: float, failed: bool, timestamp=None, worker=None,
+    node=None,
+) -> None:
+    """User code returned (or raised: ``failed``) after ``duration`` s."""
+    rec.record(
+        "task_finished", timestamp, task_id=str(spec.task_id),
+        function=spec.function_name, worker=worker, node=node,
+        duration=duration, failed=failed,
+    )
+
+
+def result_stored(
+    rec, task_id, function: str, num_returns: int, failed: bool, worker=None,
+    node=None,
+) -> None:
+    """A task's results became visible to getters."""
+    rec.record(
+        "result_stored", None, task_id=str(task_id), function=function,
+        worker=worker, node=node, num_returns=num_returns, failed=failed,
+    )
 
 
 def disabled_obs_stats() -> dict:

@@ -56,19 +56,20 @@ Architecture (one instance = one pool):
   bounded by estimated service time per ``TASK`` message, completions
   coalesced per ``DONE`` message — :mod:`repro.proc.messages`), brokers
   idle-worker work stealing
-  (:class:`~repro.scheduling.policies.StealPolicy`; the victim's grant
-  is authoritative, so a stolen task provably runs exactly once; a
-  victim answers while a task runs, so a frame's tail can be taken back
-  from behind a head that outran its estimate), and
+  (:meth:`~repro.sched_plane.dispatch.DispatchPlane.request_steal`: half
+  a busy worker's backlog; the victim's grant is authoritative, so a
+  stolen task provably runs exactly once; a victim answers while a task
+  runs, so a frame's tail can be taken back from behind a head that
+  outran its estimate), and
   re-homes queued or mid-steal tasks when their worker crashes.  A task
   blocked in ``get``/``wait`` on what is not there yet *parks*: its
   request waits in its worker's table of pending waits and its worker,
   once it has nothing else to run, is fed like any idle one — so a pool
   of any size finishes a task that waits for its own children, and
   nothing runs on top of a blocked task but what it waits for
-  (:mod:`repro.proc.messages`, "A parked request").  The placement and steal
-  policies are constants of the plane; the sim backend is where they
-  are varied (``scheduler_mode``).
+  (:mod:`repro.proc.messages`, "A parked request").  Placement and
+  stealing are constants of the plane.  The sim backend varies its
+  placement (``scheduler_mode``) and never steals.
 """
 
 from __future__ import annotations
@@ -84,17 +85,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
-from repro.core import lifecycle
+from repro import obs
+from repro.core import actors, lifecycle
 from repro.core.actors import (
     CREATION_METHOD,
     ActorHandle,
     ActorRegistry,
     REMOTE_INSTANCE,
     actor_lost_error_value,
-    build_call_spec,
-    build_creation_spec,
-    get_actor_handle,
-    handle_for,
     register_instance,
 )
 from repro.core.completion import CompletionPump, serve_stats
@@ -102,7 +100,6 @@ from repro.core.dependencies import DependencyTracker
 from repro.core.lifecycle import LifecycleIndex, cancelled_error_value
 from repro.core.object_ref import ObjectRef
 from repro.core.protocol import (
-    check_cluster_feasible,
     cluster_stats,
     normalize_get_refs,
     partition_by_ready,
@@ -110,7 +107,7 @@ from repro.core.protocol import (
     unwrap_value,
     validate_wait_args,
 )
-from repro.core.task import CallTemplate, ResourceRequest, TaskSpec
+from repro.core.task import CallTemplate, TaskSpec
 from repro.core.worker import error_value_from
 from repro.errors import (
     BackendError,
@@ -119,9 +116,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.gcs import ControlStore, plan_recovery
-from repro.obs import SpanCollector
 from repro.proc import messages as msg
-from repro.proc.messages import ShmDescriptor, SlotRef
+from repro.proc.messages import SlotRef
 from repro.proc.objects import ObjectPlane
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
@@ -365,7 +361,7 @@ class ProcRuntime:
         #: worker's flushed buffers, merged onto one wall-clock timeline
         #: the R7 tools consume through the ``event_log`` property.
         self.tracing = bool(tracing)
-        self._obs = SpanCollector(enabled=self.tracing)
+        self._obs = obs.SpanCollector(enabled=self.tracing)
         self._spawn_count = 0
 
         self._lock = threading.RLock()
@@ -480,18 +476,7 @@ class ProcRuntime:
             self._objects.pin_task(spec)
         self._control.task_put(spec.task_id, spec, node=self.head_node_id)
         if self._obs.enabled:
-            self._obs.record(
-                "task_submitted",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                root_task_id=str(spec.root_task_id or spec.task_id),
-                parent_task_id=(
-                    str(spec.parent_task_id)
-                    if spec.parent_task_id is not None
-                    else None
-                ),
-                worker_born=False,
-            )
+            obs.task_submitted(self._obs, spec, False)
         self._lifecycle.register(spec)
         missing = None
         if spec.pins:
@@ -504,109 +489,35 @@ class ProcRuntime:
         self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Actor protocol
+    # Actor protocol (repro.core.actors; lock held in the hooks)
     # ------------------------------------------------------------------
 
-    def create_actor(
-        self,
-        actor_class: type,
-        class_name: str,
-        args: tuple,
-        kwargs: dict,
-        resources: ResourceRequest,
-        placement_hint: Optional[NodeID] = None,
-        name: Optional[str] = None,
-    ) -> ActorHandle:
-        """Create a process-pinned actor; returns its handle immediately.
+    create_actor = actors.create_actor
+    call_actor = actors.call_actor
+    get_actor = actors.get_actor
 
-        The constructor runs on the chosen worker process and the live
-        instance stays there; every method call follows it through the
-        actor's lane (:class:`~repro.sched_plane.dispatch.ActorLane`),
-        which the constructor heads.  ``name`` registers the
-        actor for :meth:`get_actor` lookup (collisions with a live holder
-        raise).
-        """
-        self._check_open()
-        check_cluster_feasible(
-            self.cluster, resources, f"{class_name}.{CREATION_METHOD}"
-        )
-        with self._cond:
-            actor_id = self.ids.actor_id()
-            spec = build_creation_spec(
-                self.ids, actor_id, actor_class, class_name, args, kwargs,
-                resources, self.head_node_id, placement_hint=placement_hint,
-            )
-            home = self._dispatch.home_for_actor(placement_hint)
-            spec.placement_hint = home.node_id
-            record = self.actors.create(
-                actor_id, class_name, resources, home.node_id, name=name
-            )
-            self._control.actor_register(
-                actor_id,
-                spec={"class_name": class_name, "resources": resources},
-                name=name,
-                node=home.node_id,
-            )
-            self._dispatch.open_lane(record, spec)
-            handle = handle_for(record, actor_class)
-            record.handle = handle
-            self._submit_spec(spec)
-        return handle
+    def _current_node_id(self) -> NodeID:
+        return self.head_node_id
 
-    def get_actor(self, name: str) -> ActorHandle:
-        """Look up a live named actor's handle (shared semantics)."""
-        self._check_open()
-        with self._cond:
-            return get_actor_handle(self.actors, name)
+    def _actor_home(self, spec: TaskSpec) -> NodeID:
+        """The hinted worker if it is alive, else the least loaded one:
+        the constructor runs there and the live instance stays."""
+        return self._dispatch.home_for_actor(spec.placement_hint).node_id
 
-    def call_actor(
-        self,
-        actor_id: ActorID,
-        method_name: str,
-        args: tuple,
-        kwargs: dict,
-        num_returns: int = 1,
-    ) -> Any:
-        """Submit one actor method invocation; returns its future
-        (a tuple of ``num_returns`` futures when more than one).
-
-        The call joins its actor's lane here, and
-        the lane's order is what serializes the actor's methods — there
-        is no per-actor lock, and no dependency on the previous call's
-        result: a call waits for its own arguments and for nothing else.
-        """
-        with self._cond:
-            return self._call_actor(
-                actor_id, method_name, args, kwargs, num_returns
-            ).public_result()
-
-    def _call_actor(
-        self,
-        actor_id: ActorID,
-        method_name: str,
-        args: tuple,
-        kwargs: dict,
-        num_returns: int,
-        born_in: Optional[str] = None,
-    ) -> TaskSpec:
-        """Build one actor call, stand it in its actor's lane and submit
-        it (lock held); ``born_in`` is the raw id of the worker task
-        that made it."""
-        self._check_open()
-        record = self.actors.get(actor_id)
-        if record is None:
-            raise BackendError(f"unknown actor {actor_id}")
-        spec = build_call_spec(
-            self.ids, record, method_name, args, kwargs,
-            self.head_node_id, num_returns=num_returns,
-        )
-        record.num_calls += 1
-        self._control.async_actor_update(actor_id, method_inc=True)
+    def _submit_actor_task(
+        self, record, spec: TaskSpec, born_in: Optional[str]
+    ) -> None:
+        """Stand the task in its actor's lane (a constructor opens it),
+        which is what serializes the actor's methods: there is no
+        dependency on the previous call's result, so a call waits for
+        its own arguments and for nothing else."""
         if born_in is not None:
             self._objects.hold_born(born_in, spec.all_return_ids())
-        self._dispatch.join_lane(record, spec)
+        if spec.actor_method == CREATION_METHOD:
+            self._dispatch.open_lane(record, spec)
+        else:
+            self._dispatch.join_lane(record, spec)
         self._submit_spec(spec)
-        return spec
 
     # ------------------------------------------------------------------
     # Blocking primitives
@@ -1285,13 +1196,9 @@ class ProcRuntime:
                 template = self.functions.template(
                     payload[1], payload[5].get("options")
                 )
-                self._obs.record(
-                    "result_stored",
-                    task_id=str(TaskID(payload[0])),
-                    function=template.function_name,
-                    worker=f"worker-{worker.index}",
-                    num_returns=len(payload[2]),
-                    failed=False,
+                obs.result_stored(
+                    self._obs, TaskID(payload[0]), template.function_name,
+                    len(payload[2]), False, f"worker-{worker.index}",
                 )
             return
         self._control.async_task_update(
@@ -1317,13 +1224,9 @@ class ProcRuntime:
             return
         self._objects.finish(spec, blobs, worker.index, payload)
         if self._obs.enabled:
-            self._obs.record(
-                "result_stored",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                worker=f"worker-{worker.index}",
-                num_returns=spec.num_returns,
-                failed=failed,
+            obs.result_stored(
+                self._obs, spec.task_id, spec.function_name,
+                spec.num_returns, failed, f"worker-{worker.index}",
             )
 
     # ------------------------------------------------------------------
@@ -1401,14 +1304,13 @@ class ProcRuntime:
                 args, kwargs = msg.restore_refs(
                     *deserialize_portable(payload["call_bytes"])
                 )
-                with self._cond:
-                    reply = _wire_ids(
-                        self._call_actor(
-                            payload["actor_id"], payload["method"], args,
-                            kwargs, payload.get("num_returns", 1),
-                            born_in=payload["parent"],
-                        )
+                reply = _wire_ids(
+                    actors.submit_actor_call(
+                        self, payload["actor_id"], payload["method"], args,
+                        kwargs, payload.get("num_returns", 1),
+                        born_in=payload["parent"],
                     )
+                )
             else:
                 raise BackendError(f"unknown worker message {tag!r}")
         except (_Parked, EOFError, OSError):

@@ -9,8 +9,9 @@ proxy implementing the backend surface via requests to the driver's
 per-worker service thread.
 
 The worker shares the execution-side semantics of the other backends
-through the core modules: :func:`~repro.core.actors.resolve_actor_callable`
-maps actor tasks to callables with identical error text,
+through the core modules: :func:`~repro.core.worker.execute_task` is the
+task body ``local``'s threads run too (function lookup, actor
+constructor and method, with identical error text),
 :func:`~repro.core.effect_driver.run_effect_loop_sync` drives generator
 bodies, and failures are captured as
 :class:`~repro.core.worker.ErrorValue`\\ s exactly like a thread or a
@@ -62,12 +63,8 @@ import time
 from collections import deque
 from typing import Any, Optional, Sequence
 
-from repro.core.actors import (
-    CREATION_METHOD,
-    ActorRegistry,
-    register_instance,
-    resolve_actor_callable,
-)
+from repro import obs
+from repro.core.actors import CREATION_METHOD, ActorRegistry
 from repro.core.effect_driver import BlockingEffectHandler
 from repro.core import object_ref
 from repro.core.object_ref import ObjectRef, RefLedger
@@ -81,13 +78,12 @@ from repro.core.task import CallTemplate, TaskSpec
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
+    execute_task,
     propagate_error,
-    run_callable,
     split_result_values,
 )
 from repro.errors import ReproError
 from repro.objectstore.store import LocalObjectStore
-from repro.obs import SpanRecorder
 from repro.proc import messages as msg
 from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.proc.transport import ensure_transport
@@ -433,7 +429,7 @@ class ProcWorker:
         #: ``tracing=True`` was threaded down from init).  Flushed as a
         #: trailing element on DONE and, when large, as a
         #: dedicated SPANS frame at the next rpc.
-        self.obs = SpanRecorder(enabled=tracing)
+        self.obs = obs.SpanRecorder(enabled=tracing)
         #: Trace context of the task that holds the token (saved and
         #: restored around an inline run and across a park): nested
         #: submissions inherit the current root so a span tree
@@ -1093,20 +1089,8 @@ class ProcWorker:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,
             # only the (batched, async) notice.
-            self.obs.record(
-                "task_submitted",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                root_task_id=str(spec.root_task_id),
-                parent_task_id=str(spec.parent_task_id),
-                worker_born=True,
-            )
-            self.obs.record(
-                "task_placed",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                local=True,
-            )
+            obs.task_submitted(self.obs, spec, True)
+            obs.task_placed(self.obs, spec, local=True)
         return spec.public_result()
 
     def _flush_notices(self) -> None:
@@ -1168,19 +1152,7 @@ class ProcWorker:
         root_id = spec.root_task_id
         t_start = time.monotonic()
         if self.obs.enabled:
-            self.obs.record(
-                "task_started",
-                timestamp=t_start,
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                root_task_id=str(root_id),
-                parent_task_id=(
-                    str(spec.parent_task_id)
-                    if spec.parent_task_id is not None
-                    else None
-                ),
-                inline=inline_run,
-            )
+            obs.task_started(self.obs, spec, t_start, inline=inline_run)
         pinned: list = []
         # An inline run (a producer its blocked parent runs) must not
         # inherit the outer task's context.
@@ -1199,10 +1171,13 @@ class ProcWorker:
                 )
             if upstream is not None:
                 result = propagate_error(upstream, spec)
-            elif spec.actor_id is not None:
-                result = self._execute_actor(spec, extras, args, kwargs)
             else:
-                result = self._execute_function(spec, args, kwargs)
+                result = self._load_class(spec, extras)
+                if result is None:
+                    result = execute_task(
+                        spec, args, kwargs, self._lookup, self.actors,
+                        self.node_id, self._effect_handler,
+                    )
             self.tasks_executed += 1
             return self._finish_obs(spec, t_start, self._pack(spec, result))
         finally:
@@ -1213,14 +1188,7 @@ class ProcWorker:
     def _finish_obs(self, spec: TaskSpec, t_start: float, packed: tuple) -> tuple:
         if self.obs.enabled:
             end = time.monotonic()
-            self.obs.record(
-                "task_finished",
-                timestamp=end,
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                duration=end - t_start,
-                failed=packed[1],
-            )
+            obs.task_finished(self.obs, spec, end - t_start, packed[1], end)
         return packed
 
     def _pack(self, spec: TaskSpec, result: Any) -> tuple:
@@ -1317,38 +1285,22 @@ class ProcWorker:
             self.remember_bytes(object_id, data)
         return deserialize(data)
 
-    def _execute_function(self, spec: TaskSpec, args, kwargs) -> Any:
-        try:  # the first use of a table's code unpickles it
-            function = self.functions.callable(spec.function_id.hex)
+    def _lookup(self, spec: TaskSpec) -> Any:
+        return self.functions.callable(spec.function_id.hex)
+
+    def _load_class(self, spec: TaskSpec, extras: dict) -> Optional[ErrorValue]:
+        """A constructor is how this process first hears of its actor:
+        the record is made here and the class unpickled from the entry
+        (an :class:`ErrorValue` if it cannot be)."""
+        if spec.actor_method != CREATION_METHOD or self.actors.get(spec.actor_id):
+            return None
+        _actor_id, _method, class_name, resources = extras["actor"]
+        self.actors.create(spec.actor_id, class_name, resources, self.node_id)
+        try:
+            spec.function = deserialize_portable(extras["code"])
         except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
             return error_value_from(spec, exc)
-        return run_callable(spec, function, args, kwargs, self._effect_handler)
-
-    def _execute_actor(self, spec: TaskSpec, extras: dict, args, kwargs) -> Any:
-        if (
-            spec.actor_method == CREATION_METHOD
-            and self.actors.get(spec.actor_id) is None
-        ):
-            _actor_id, _method, class_name, resources = extras["actor"]
-            self.actors.create(spec.actor_id, class_name, resources, self.node_id)
-            try:
-                spec.function = deserialize_portable(extras["code"])
-            except BaseException as exc:  # noqa: BLE001 - code-shipping boundary
-                return error_value_from(spec, exc)
-        function, record, error = resolve_actor_callable(self.actors, spec)
-        if error is not None:
-            return error
-        if spec.actor_method == CREATION_METHOD:
-            try:
-                instance = function(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - user code boundary
-                return error_value_from(spec, exc)
-            register_instance(record, instance, self.node_id)
-            return None
-        result = run_callable(spec, function, args, kwargs, self._effect_handler)
-        if not isinstance(result, ErrorValue):
-            record.methods_executed += 1
-        return result
+        return None
 
 
 def worker_main(

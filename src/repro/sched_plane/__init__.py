@@ -36,9 +36,11 @@ driver learns about it asynchronously, for lineage only.  **Driver
 tier**: everything else (driver-born work, worker spillover, crash
 re-homing) is placed by the driver, on a worker or on the global queue
 whichever worker idles first drains.  **Work stealing**: idle workers
-pull from the tails of busy workers' queues
-(:class:`~repro.scheduling.policies.StealPolicy`), so a fan-out kept
-local by the fast path still spreads across the pool.
+pull half the tail of a busy worker's queue
+(:meth:`~repro.sched_plane.dispatch.DispatchPlane.request_steal`), so a
+fan-out kept local by the fast path still spreads across the pool.
+Stealing exists only here, as constant code: the simulator's model of
+the scheduler never steals.
 """
 
 from repro.sched_plane.counters import SchedCounters

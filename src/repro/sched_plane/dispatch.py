@@ -53,18 +53,15 @@ from repro.core.actors import (
 from repro.core.task import TaskSpec
 from repro.core.worker import ErrorValue
 from repro.errors import BackendError
+from repro.obs import task_placed
 from repro.sched_plane.counters import SchedCounters
 from repro.sched_plane.placement import ResidencyTracker, choose_worker
 from repro.sched_plane.queues import ActorLane, WorkerSlot
-from repro.scheduling.policies import StealPolicy
 from repro.utils.ids import FunctionID, NodeID
 
 #: Seconds of *estimated* work one TASK frame may carry, and the longest
 #: a worker's buffered completion waits for the next task boundary.
 FRAME_BUDGET_S = 0.001
-
-#: When and how much an idle worker steals.
-_STEAL = StealPolicy()
 
 #: Floor on a task's estimated cost when sizing a dispatch frame: the
 #: measured execution time of a no-op excludes the per-task dispatch
@@ -298,11 +295,8 @@ class DispatchPlane:
         """One driver-tier placement span; ``home=None`` means the global
         spillover queue, drained by whichever worker idles."""
         if self._obs.enabled:
-            self._obs.record(
-                "task_placed",
-                task_id=str(spec.task_id),
-                function=spec.function_name,
-                worker=None if home is None else f"worker-{home.index}",
+            task_placed(
+                self._obs, spec, None if home is None else f"worker-{home.index}"
             )
 
     # ------------------------------------------------------------------
@@ -575,7 +569,6 @@ class DispatchPlane:
                 not worker.busy
                 or worker.steal_outstanding
                 or worker.steal_dry_at == worker.mirror.pushed
-                or not _STEAL.should_steal(len(worker.mirror))
             ):
                 continue
             else:
@@ -598,14 +591,18 @@ class DispatchPlane:
     def request_steal(self, thief: WorkerSlot) -> Optional[tuple]:
         """Choose whom ``thief`` asks for the tail of its local queue:
         ``(victim, how many tasks)`` for the caller to send as a
-        STEAL_REQUEST, or None.  At most one request per victim is
-        outstanding; :meth:`apply_grant` takes the answer."""
+        STEAL_REQUEST, or None.  A backlog of one task is worth asking
+        for (it may be the very task its blocked worker waits for), and
+        a steal takes half the backlog, at least one: the classic split
+        that halves imbalance per round without ping-ponging tasks.  At
+        most one request per victim is outstanding; :meth:`apply_grant`
+        takes the answer."""
         victim = self._victim(thief, wire=True)
         if victim is None:
             return None
         victim.steal_outstanding = True
         victim.steal_dry_at = victim.mirror.pushed
-        return victim, _STEAL.batch_size(len(victim.mirror))
+        return victim, max(1, len(victim.mirror) // 2)
 
     def apply_grant(
         self, victim: WorkerSlot, task_hexes: list, midtask: bool = False

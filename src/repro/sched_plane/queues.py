@@ -34,12 +34,14 @@ class LocalTaskQueue:
     """An ordered task queue with head-pop, tail-steal, and removal.
 
     Entries are ``(task_id, item)`` pairs; ``item`` is whatever the
-    owner runs (a payload dict in the proc worker, a TaskSpec in the
-    local runtime and in the driver-side mirrors).  All operations are
-    O(1) amortized; the class is unsynchronized — a proc worker touches
-    its queue under its lock (executor threads run from it, the reader
-    thread grants from it), mirrors are touched under the runtime
-    lock.
+    owner keeps: the proc worker's own queue holds wire entries, the
+    driver's mirror of it a spec for what the driver shipped and the
+    wire entry of what the worker kept.  No ``local`` thread or local
+    runtime uses the queue (``local`` has one ready list).  All
+    operations are O(1) amortized; the class is unsynchronized — a proc
+    worker touches its queue under its lock (executor threads run from
+    it, the reader thread grants from it), mirrors are touched under
+    the runtime lock.
 
     A task pushed with ``produces=`` (the ids of the objects it will
     return) is also findable by any of them through :meth:`producer_of`:

@@ -11,12 +11,11 @@ never-spill (purely local) extremes.
 
 from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.scheduling.local import LocalScheduler
-from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy, StealPolicy
+from repro.scheduling.policies import PlacementPolicy, SpilloverPolicy
 
 __all__ = [
     "LocalScheduler",
     "GlobalScheduler",
     "SpilloverPolicy",
     "PlacementPolicy",
-    "StealPolicy",
 ]

@@ -1,13 +1,14 @@
-"""Scheduling policies: when to spill over, where to place, when to steal.
+"""Scheduling policies: when to spill over, and where to place.
 
 These encode the design choices DESIGN.md calls out for ablation:
-spillover thresholds for local schedulers, locality-aware placement for
-global schedulers, and steal sizing for idle workers.  The same frozen
-policy objects are consumed by both scheduling implementations: the
-virtual-time simulator (:mod:`repro.scheduling`), where they are init
-options and the ablations run, and the real two-level plane of the
-proc/dist backends (:mod:`repro.sched_plane`), which holds one fixed
-instance of each.
+spillover thresholds for local schedulers and locality-aware placement
+for global schedulers.  The frozen policy objects are init options of
+the virtual-time simulator (:mod:`repro.scheduling`), where the
+ablations run; the real two-level plane of the proc/dist backends
+(:mod:`repro.sched_plane`) places with one fixed
+:class:`PlacementPolicy`.  Work stealing is the plane's alone, as
+constant code (:meth:`~repro.sched_plane.dispatch.DispatchPlane.request_steal`):
+the sim never steals.
 """
 
 from __future__ import annotations
@@ -135,40 +136,3 @@ class PlacementPolicy:
             )
 
         return max(with_capacity, key=score).node_id
-
-
-@dataclass(frozen=True)
-class StealPolicy:
-    """Idle-worker work stealing: whether, whom, and how much.
-
-    An idle worker (nothing pinned, placed, or queued globally) raids the
-    tail of a busy worker's local queue.  ``min_victim_backlog`` is the
-    smallest backlog worth raiding — it must default to 1, not 2,
-    because a single queued task on a blocked worker may be the very
-    task that worker is waiting for (stealing it is what breaks the
-    stall).  ``max_batch`` caps how much one steal moves; 0 means "half
-    the victim's backlog", the classic work-stealing split that halves
-    imbalance per round without ping-ponging tasks.
-    """
-
-    enabled: bool = True
-    min_victim_backlog: int = 1
-    max_batch: int = 0
-
-    def __post_init__(self) -> None:
-        if self.min_victim_backlog < 1:
-            raise ValueError(
-                f"min_victim_backlog must be >= 1, got {self.min_victim_backlog}"
-            )
-        if self.max_batch < 0:
-            raise ValueError(f"max_batch must be >= 0, got {self.max_batch}")
-
-    def should_steal(self, victim_backlog: int) -> bool:
-        return self.enabled and victim_backlog >= self.min_victim_backlog
-
-    def batch_size(self, victim_backlog: int) -> int:
-        """How many tasks one steal may take from this victim."""
-        if victim_backlog <= 0:
-            return 0
-        half = max(1, victim_backlog // 2)
-        return min(self.max_batch, half) if self.max_batch else half

@@ -40,7 +40,7 @@ def future_for(
     """A ``concurrent.futures.Future`` that resolves to ``ref``'s value.
 
     Event-driven wherever the backend exposes ``watch_object`` (local,
-    proc): the runtime's completion pump fires our callback the moment
+    proc, dist): the runtime's completion pump fires our callback the moment
     the object is stored, and the callback caches the value — or the
     task's re-raised error — into the future.  ``future.result()``
     never touches the runtime again, so consuming resolved futures is

@@ -491,6 +491,56 @@ def test_wire_backends_write_the_same_task_states_and_result_spans():
     assert observed["dist"] == observed["proc"]
 
 
+@repro.remote
+def square_of_child(x):
+    """A task that submits a child and waits for it: on ``proc`` and
+    ``dist`` the child is born on the worker."""
+    return repro.get(square.remote(x))
+
+
+def test_one_actor_path_and_one_span_shape_on_every_backend():
+    """One actor, created and called three times, leaves the same
+    control-store row on all four backends — one, ``alive``, three
+    methods submitted — and a traced live run writes each lifecycle
+    kind with the same payload keys on every backend, wherever the span
+    was recorded (driver, worker thread, worker process)."""
+    kinds = (
+        "task_submitted", "task_placed", "task_started", "task_finished",
+        "result_stored",
+    )
+    rows, keys = {}, {}
+    for backend in BACKENDS:
+        runtime = repro.init(
+            backend=backend, num_nodes=1, num_cpus=2, seed=3, tracing=True
+        )
+        try:
+            counter = Accumulator.remote(1)
+            calls = [counter.add.remote(i) for i in (1, 2, 3)]
+            assert repro.get(calls, timeout=60.0) == [2, 4, 7]
+            if backend != "sim":
+                assert repro.get(square_of_child.remote(3), timeout=60.0) == 9
+                assert runtime._control.flush(timeout=10.0)
+                keys[backend] = {
+                    kind: {
+                        frozenset(record.payload)
+                        for record in runtime.event_log.filter(kind)
+                    }
+                    for kind in kinds
+                }
+            rows[backend] = [
+                (row.state, row.methods_submitted)
+                for row in runtime._control.actors()
+            ]
+        finally:
+            repro.shutdown()
+    assert rows == {backend: [("alive", 3)] for backend in BACKENDS}
+    for backend, shapes in keys.items():
+        for kind, shape in shapes.items():
+            assert len(shape) == 1, (backend, kind, shape)
+    assert keys["proc"] == keys["local"]
+    assert keys["dist"] == keys["local"]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_get_timeout_type_is_shared(backend):
     repro.init(backend=backend, num_nodes=1, num_cpus=1, seed=1)

@@ -319,6 +319,32 @@ def test_a_victim_that_granted_nothing_is_not_asked_until_its_queue_moves():
     assert h.plane.request_steal(victim) is None  # nor its own
 
 
+def _busy_victim_with_backlog(tasks):
+    """A plane whose worker 0 runs a task with ``tasks`` born behind it."""
+    h = Harness(workers=2)
+    victim, thief = h.plane.workers
+    victim.placed.append(h.task())
+    h.ship(victim, h.plane.claim_frame(victim))
+    for _ in range(tasks):
+        h.born_on(victim, h.task())
+    return h, victim, thief
+
+
+def test_request_steal_asks_a_single_task_backlog_for_its_task():
+    """A backlog of one is a victim: the lone queued task on a blocked
+    worker may be exactly what that worker waits for."""
+    h, victim, thief = _busy_victim_with_backlog(1)
+    assert h.plane.request_steal(thief) == (victim, 1)
+    h, victim, thief = _busy_victim_with_backlog(0)
+    assert h.plane.request_steal(thief) is None  # nothing behind its task
+
+
+@pytest.mark.parametrize("backlog, asked", [(8, 4), (9, 4), (2, 1), (3, 1)])
+def test_request_steal_asks_for_half_the_backlog(backlog, asked):
+    h, victim, thief = _busy_victim_with_backlog(backlog)
+    assert h.plane.request_steal(thief) == (victim, asked)
+
+
 def test_a_grant_naming_an_id_no_longer_mirrored_is_dropped():
     h = Harness(workers=2)
     victim, _thief = h.plane.workers

@@ -54,6 +54,21 @@ def tally(path, x):
     return 2 * x
 
 
+@repro.remote
+def linger(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+@repro.remote
+def park_on(path, refs):
+    """Say where this runs, then block on ``refs[0]`` (a ref inside a
+    list is not an argument dependency: the get parks the task)."""
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    return repro.get(refs[0])
+
+
 @pytest.fixture
 def cluster():
     runtime = repro.init(
@@ -267,3 +282,34 @@ class TestMembership:
         assert stats["nodes_alive"] == 1
         assert stats["per_node"][victim]["alive"] is False
         assert stats["per_node"][victim]["heartbeat_age"] is None
+
+    def test_a_worker_dying_with_only_parked_tasks_is_found_at_once(
+        self, cluster, tmp_path
+    ):
+        """Its agent's ``WORKER_DOWN`` wakes the service thread, which is
+        waiting on the runtime cond (nothing of its worker runs, so it
+        is not reading the channel) — not the idle wait's 1 s backstop."""
+        assert repro.get([double.remote(i) for i in range(8)]) == [
+            2 * i for i in range(8)
+        ]
+        marker = tmp_path / "parent_pid"
+        sibling = linger.remote(3.0)
+        parent = park_on.remote(str(marker), [sibling])
+        deadline = time.monotonic() + 30.0
+        while not (
+            marker.exists() and marker.read_text()
+            and cluster.stats()["sched"]["tasks_parked"] >= 1
+        ):
+            assert time.monotonic() < deadline, "the parent never parked"
+            time.sleep(0.01)
+        time.sleep(0.2)
+        crashed = cluster.stats()["workers_crashed"]
+        os.kill(int(marker.read_text()), signal.SIGKILL)
+        killed = time.monotonic()
+        while cluster.stats()["workers_crashed"] == crashed:
+            assert time.monotonic() - killed < 10.0, "the loss was never found"
+            time.sleep(0.002)
+        detection = time.monotonic() - killed
+        assert detection < 0.5, f"found {detection:.3f} s after the kill"
+        # The parent was lost with its worker and replays on a survivor.
+        assert repro.get(parent, timeout=60.0) == 3.0

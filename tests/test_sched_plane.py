@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.task import TaskSpec
-from repro.scheduling.policies import PlacementPolicy, StealPolicy
+from repro.scheduling.policies import PlacementPolicy
 from repro.sched_plane import (
     LocalTaskQueue,
     ResidencyTracker,
@@ -208,38 +208,3 @@ class TestPlanPlacement:
         # the *weight* only changes scoring, not residency facts.
         assert chosen == node
         assert counters.placement_locality_hits == 1
-
-
-# ----------------------------------------------------------------------
-# StealPolicy
-# ----------------------------------------------------------------------
-
-
-class TestStealPolicy:
-    def test_defaults_steal_single_task_backlogs(self):
-        """min_victim_backlog must default to 1: the lone queued task on
-        a blocked worker may be exactly what that worker waits for."""
-        policy = StealPolicy()
-        assert policy.should_steal(1)
-        assert policy.batch_size(1) == 1
-
-    def test_half_batch_by_default(self):
-        policy = StealPolicy()
-        assert policy.batch_size(8) == 4
-        assert policy.batch_size(9) == 4
-        assert policy.batch_size(0) == 0
-
-    def test_max_batch_caps_the_half(self):
-        policy = StealPolicy(max_batch=3)
-        assert policy.batch_size(100) == 3
-        assert policy.batch_size(4) == 2
-
-    def test_disabled_never_steals(self):
-        policy = StealPolicy(enabled=False)
-        assert not policy.should_steal(100)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="min_victim_backlog"):
-            StealPolicy(min_victim_backlog=0)
-        with pytest.raises(ValueError, match="max_batch"):
-            StealPolicy(max_batch=-1)
