@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 from repro.api import runtime_context
 from repro.core.actors import ActorClass, ActorOptions
 from repro.core.backend import next_runtime_epoch
-from repro.core.task import CallTemplate, ResourceRequest, TaskOptions
+from repro.core.task import CallTemplate, TaskOptions
 
 #: Handles holding per-runtime function registrations, so a runtime
 #: shutdown can clear its epoch's entries from all of them.
@@ -146,15 +146,6 @@ class RemoteFunction:
     @property
     def submit_options(self) -> TaskOptions:
         return self._options
-
-    # -- compatibility views over the options (pre-TaskOptions names) ----
-    @property
-    def _resources(self) -> ResourceRequest:
-        return self._options.resources
-
-    @property
-    def _duration(self) -> Any:
-        return self._options.duration
 
     def options(self, **overrides: Any) -> "RemoteFunction":
         """A copy of this handle with overridden submission options.

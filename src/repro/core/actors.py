@@ -132,11 +132,15 @@ class ActorRecord:
 
 
 class ActorRegistry:
-    """The runtime's actor table (including the named-actor index)."""
+    """The runtime's actor table (including the named-actor index).
+    ``control`` is the runtime's control store, told of every actor this
+    table marks lost (a table that never marks one — a worker's,
+    ``local``'s — has none)."""
 
-    def __init__(self) -> None:
+    def __init__(self, control: Any = None) -> None:
         self._records: dict[ActorID, ActorRecord] = {}
         self._names: dict[str, ActorID] = {}
+        self._control = control
 
     def __len__(self) -> int:
         return len(self._records)
@@ -188,10 +192,21 @@ class ActorRegistry:
         lost = []
         for record in sorted(self._records.values(), key=lambda r: r.actor_id.hex):
             if record.node_id == node_id and record.instance is not None and not record.dead:
-                record.dead = True
-                record.instance = None
+                self.mark_lost(record)
                 lost.append(record)
         return lost
+
+    def mark_lost(self, record: ActorRecord) -> None:
+        """The one way an actor dies: its state is gone for good, and its
+        control-store row says so (synchronously, so no reader of the
+        store sees it alive after a call has failed with
+        :class:`~repro.errors.ActorLostError`)."""
+        record.dead = True
+        record.instance = None
+        if self._control is not None:
+            self._control.actor_update(
+                record.actor_id, state="dead", node=record.node_id
+            )
 
     def on_node(self, node_id: NodeID) -> list[ActorRecord]:
         return [r for r in self._records.values() if r.node_id == node_id]

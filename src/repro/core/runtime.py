@@ -157,7 +157,7 @@ class SimRuntime:
 
         # -- function registry, actor table, lifecycle, and driver ------------
         self._functions: dict[FunctionID, Callable] = {}
-        self.actors = ActorRegistry()
+        self.actors = ActorRegistry(self._control)
         self._lifecycle = LifecycleIndex()
         self._worker_context_stack: list[WorkerContext] = []
         #: Live ActorPools (repro.serve), for stats()["serve"].  The sim

@@ -311,7 +311,7 @@ class NodeAgent:
             args=(
                 child_conn, global_index, config["seed"], self.shm is not None,
                 config["inline_threshold"], spawn_token,
-                config.get("tracing", False),
+                config.get("tracing", False), config["cluster"],
             ),
             name=f"repro-dist-worker-{self.node_index}-{channel}",
             daemon=True,

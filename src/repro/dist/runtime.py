@@ -417,6 +417,7 @@ class DistRuntime(ProcRuntime):
             "store_capacity": cluster.nodes[0].object_store_capacity,
             "heartbeat_interval": self._heartbeat_interval,
             "tracing": tracing,
+            "cluster": cluster,
         }
         try:
             self._start_agents(num_nodes, config)

@@ -2,8 +2,8 @@
 
 Each worker owns one duplex pipe carrying tuples ``(tag, *payload)``.
 The core is request/reply: while a task runs, the worker may issue any
-number of *requests* (fetch an argument, submit a nested task, block in
-``get``/``wait``, ``put`` a value, create or call an actor), each
+number of *requests* (fetch an argument, block in ``get``/``wait``,
+``put`` a value, create or call an actor), each
 answered by exactly one reply from the driver's per-worker service
 thread.  Only the task holding the worker's execution token sends
 requests, and it waits for each reply, so requests never interleave and
@@ -43,9 +43,8 @@ it was born, is this one positional tuple, written by
 **What crosses once per (worker, function)** is a row of the
 :class:`FunctionTable` each end keeps: ``{function_hex: (registered
 name, code)}`` for the functions the receiver has not been told about,
-beside the entries of a ``TASK`` frame (driver to worker), in a
-``SUBMIT_LOCAL`` notice or in the ``SUBMIT`` request that spills the
-function's first call (worker to driver).  The receiver *learns* the
+beside the entries of a ``TASK`` frame (driver to worker), or in a
+``SUBMIT_LOCAL`` notice (worker to driver).  The receiver *learns* the
 rows into its own table, which builds the function's call template
 (:class:`~repro.core.task.CallTemplate`) on first use and from the
 template, per entry, a spec — so nothing that is the same for every
@@ -144,10 +143,21 @@ one in each worker for the driver.
   reaching one of them is sent by the worker's reader thread.  The driver
   applies a whole frame under one lock hold.
 
-Locally-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
+Worker-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
 batched and flushed before any other outbound message, so the driver
-mirrors each entry causally first; it acks a batch with one ``PLACED``.
-The driver keeps the entry and nothing more: it *adopts* the task —
+learns of each entry causally first; it acks a batch with one
+``PLACED``.  A notice carries two lists of entries.  The first holds the
+tasks the worker kept on its own queue; the driver *mirrors* them.  The
+second holds the tasks the worker could not keep — a dependency not
+resident there, a placement hint for another node, resources one slot
+cannot hold, a backlog over the spill threshold — which the driver
+places (*routed*, the paper's spillover): it restores their arguments
+and submits each like one of its own calls, under the ids the worker
+gave it.  Either way creating a task is no round trip: the worker
+checks a task against the :class:`~repro.cluster.spec.ClusterSpec` it
+was spawned with itself, and waits for a ``PLACED`` only when the
+window of unacknowledged entries is full.  Of a mirrored entry the driver keeps the entry and nothing
+more: it *adopts* the task —
 decodes the spec, pins its arguments and writes its lineage row — only
 when something needs it (a steal, a cancel, the loss of the worker, an
 escape of one of its refs, a failure or a result that is not inline
@@ -185,9 +195,9 @@ was pushed to its mirror.
 nothing it can see still needs it (``proc/runtime.py``, "Object
 lifetime"), so the protocol keeps three promises.  (1) Its own fields
 name objects by id, never by a pickled :class:`ObjectRef`: ``GET``,
-``WAIT`` and ``CANCEL`` carry object ids, ``SUBMIT``/``PUT``/
-``CALL_ACTOR``/``SHM_SEAL`` are answered with ids the worker wraps in
-refs of its own, and the top-level ref arguments of every call are
+``WAIT`` and ``CANCEL`` carry object ids, ``PUT``/``CALL_ACTOR``/
+``SHM_SEAL`` are answered with ids the worker wraps in refs of its
+own, and the top-level ref arguments of every call are
 bare :class:`SlotRef` placeholders (:func:`strip_refs`) — a ref that *is* pickled (nested
 in an argument, in a stored value, captured by a shipped closure) marks
 its object escaped, which pins it until shutdown.  (2) Every request
@@ -234,9 +244,6 @@ SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
 # -- worker -> driver (requests while a task runs) ----------------------
 FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
-SUBMIT = "submit"              # (SUBMIT, payload) -> (OK, (task_id, [object_id, ...]));
-                               # payload["functions"]: the function's row,
-                               # the first time (else {})
 GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | ShmDescriptor])
 WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
                                #   -> (OK, [the ready object_ids])
@@ -268,9 +275,11 @@ SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
 # worker -> driver:
 DONE = "done"                  # (DONE, [(task_hex, blobs, failed, exec_s), ...], late)
 SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [entry, ...], {function_hex:
-                               # (name, code)}[, [escaped object_hex, ...]]):
-                               # nested tasks enqueued on the worker's own
-                               # queue, zero round-trips; the optional tail
+                               # (name, code)}[, [escaped object_hex, ...],
+                               # [routed entry, ...]]): nested tasks, zero
+                               # round-trips — the first list enqueued on the
+                               # worker's own queue, the routed ones for the
+                               # driver to place; the optional tail also
                                # reports escaped objects (and may be all the
                                # notice carries: no entries, no PLACED)
 STEAL_GRANT = "steal_grant"    # (STEAL_GRANT, [task_hex, ...][, True]): the
@@ -296,9 +305,10 @@ CANCEL_NOTICE = "cancel_notice"  # (CANCEL_NOTICE, task_hex): drop the task
                                  # from the local queue — it must never
                                  # execute
 PLACED = "placed"      # (PLACED, count): a SUBMIT_LOCAL batch of that many
-                       # tasks is mirrored (the loss of this worker
-                       # replays them from here on; their lineage row is
-                       # written when the driver adopts one)
+                       # tasks is mirrored or routed (the loss of this
+                       # worker replays them from here on; a routed one's
+                       # lineage row is written, a mirrored one's when the
+                       # driver adopts it)
 
 # -- driver -> worker (replies) -----------------------------------------
 OK = "ok"    # (OK, value[, key])
@@ -348,8 +358,8 @@ class ShmDescriptor:
 
 def strip_refs(args: tuple, kwargs: dict) -> tuple:
     """``(args, kwargs)`` with every top-level ref replaced by a bare
-    :class:`SlotRef`: how a worker's SUBMIT / CALL_ACTOR / CREATE_ACTOR
-    request carries a call, so that naming an argument is not pickling a
+    :class:`SlotRef`: how a worker's CALL_ACTOR / CREATE_ACTOR request
+    carries a call, so that naming an argument is not pickling a
     ref (which would mark the object escaped)."""
 
     def strip(value: Any) -> Any:
@@ -362,8 +372,9 @@ def strip_refs(args: tuple, kwargs: dict) -> tuple:
 
 
 def restore_refs(args: tuple, kwargs: dict) -> tuple:
-    """The driver-side inverse of :func:`strip_refs`.  The refs are
-    uncounted: the submission that follows pins what they name."""
+    """The driver-side inverse of :func:`strip_refs` (and of a routed
+    entry's slots).  The refs are uncounted: the submission that follows
+    pins what they name."""
 
     def restore(value: Any) -> Any:
         if isinstance(value, SlotRef):

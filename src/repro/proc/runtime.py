@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -135,14 +135,6 @@ from repro.utils.serialization import (
 
 #: Valid values of the ``worker_crash_policy`` init option.
 CRASH_POLICIES = ("replace", "fail")
-
-#: Condition-wait backstop of an idle service thread.  Submissions,
-#: arrivals, steal requests, grants and shutdown all ``notify_all`` the
-#: runtime cond, and a parked request's deadline bounds the wait, so
-#: this is a safety net, not a clock: nothing on a task's path waits it
-#: out.  (What it does bound: how soon a worker that died while all its
-#: tasks were parked is found out, where nothing else notifies.)
-_IDLE_WAIT_BACKSTOP = 1.0
 
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
@@ -274,8 +266,8 @@ def _no_wait(predicate: Callable[[], bool], deadline: Optional[float]) -> bool:
 
 
 def _wire_ids(spec: TaskSpec) -> tuple:
-    """What answers a worker's SUBMIT / CALL_ACTOR: the new task's id
-    and return ids — the worker wraps them in refs of its own."""
+    """What answers a worker's CALL_ACTOR: the new task's id and return
+    ids — the worker wraps them in refs of its own."""
     return spec.task_id, list(spec.all_return_ids())
 
 
@@ -396,7 +388,7 @@ class ProcRuntime:
         #: What a function id means: registered here with its callable,
         #: or learnt from a worker as code (the driver never calls it).
         self.functions = msg.FunctionTable()
-        self.actors = ActorRegistry()
+        self.actors = ActorRegistry(self._control)
         #: What runs where, in which frame, and who gives work back
         #: (repro.sched_plane.dispatch); the pool is its list, of this
         #: module's handles.
@@ -436,32 +428,16 @@ class ProcRuntime:
         return function_id
 
     def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
-        """Submit one call of ``template`` (what ``.remote()`` calls)."""
+        """Submit one call of ``template`` (what ``.remote()`` calls): two
+        fresh ids, one argument scan, the write-ahead record and a
+        placement."""
         with self._cond:
-            return self._submit_call(template, args, kwargs).public_result()
-
-    def _submit_call(
-        self,
-        template: CallTemplate,
-        args: tuple,
-        kwargs: dict,
-        root_task_id: Any = None,
-        parent_task_id: Any = None,
-    ) -> TaskSpec:
-        """One call of ``template`` (lock held): two fresh ids, one
-        argument scan, the write-ahead record and a placement.  A call a
-        worker spilled says which task made it: its trace context, and
-        what holds the ids born for it."""
-        self._check_open()
-        template.check_feasible(self.cluster)
-        self._objects.drain(batched=True)
-        spec = template.stamp(
-            self.ids, args, kwargs, self.head_node_id, root_task_id, parent_task_id
-        )
-        if parent_task_id is not None:
-            self._objects.hold_born(parent_task_id.hex, spec.all_return_ids())
-        self._submit_spec(spec)
-        return spec
+            self._check_open()
+            template.check_feasible(self.cluster)
+            self._objects.drain(batched=True)
+            spec = template.stamp(self.ids, args, kwargs, self.head_node_id)
+            self._submit_spec(spec)
+        return spec.public_result()
 
     def _submit_spec(self, spec: TaskSpec) -> None:
         """Gate on unproduced dependencies, else enqueue (lock held).
@@ -790,13 +766,15 @@ class ProcRuntime:
             for entry in plan.actor_entries:
                 # Provenance without state: the live instance died with
                 # the old driver's worker pool.
-                self.actors.create(
-                    entry.actor_id,
-                    entry.spec["class_name"],
-                    entry.spec["resources"],
-                    None,
-                    name=entry.name,
-                ).dead = True
+                self.actors.mark_lost(
+                    self.actors.create(
+                        entry.actor_id,
+                        entry.spec["class_name"],
+                        entry.spec["resources"],
+                        None,
+                        name=entry.name,
+                    )
+                )
             for spec in plan.pending_specs:
                 if spec.actor_id is None:
                     self._submit_spec(spec)
@@ -837,6 +815,7 @@ class ProcRuntime:
             args=(
                 child_conn, index, self.seed, self._objects.shm is not None,
                 self._inline_threshold, self._spawn_count, self.tracing,
+                self.cluster,
             ),
             name=f"repro-proc-worker-{index}",
             daemon=True,
@@ -844,7 +823,21 @@ class ProcRuntime:
         process.start()
         child_conn.close()  # the parent keeps only its own end
         worker.process = process
+        threading.Thread(
+            target=self._wake_on_exit,
+            args=(process.sentinel,),
+            name=f"repro-exit-{index}",
+            daemon=True,
+        ).start()
         return self._serve_worker(worker)
+
+    def _wake_on_exit(self, sentinel: int) -> None:
+        """Notify the runtime cond when a worker process exits: its
+        service thread, if every task of the worker is parked, waits on
+        the cond, not on the pipe, and finds the EOF at once."""
+        multiprocessing.connection.wait([sentinel])
+        with self._cond:
+            self._cond.notify_all()
 
     def _serve_worker(self, worker: _WorkerHandle) -> _WorkerHandle:
         """Enter a spawned worker into the pool and start the service
@@ -915,10 +908,11 @@ class ProcRuntime:
                     return frame
                 self._request_steal(worker)
                 # The grant lands on the victim's pipe and is applied by
-                # the victim's thread; that, like a submit or an
-                # arrival, notifies the cond.
+                # the victim's thread; that, like a submit, an arrival,
+                # shutdown or a worker's exit, notifies the cond, and a
+                # parked request's deadline bounds the wait.
                 deadline = min((d for _m, d in waits if d is not None), default=None)
-                self._cond.wait(timeout=_time_left(deadline, _IDLE_WAIT_BACKSTOP))
+                self._cond.wait(timeout=_time_left(deadline))
 
     def _serve(self, worker: _WorkerHandle) -> None:
         """Read the worker's pipe, applying its reports and answering
@@ -1071,14 +1065,17 @@ class ProcRuntime:
             self._cond.notify_all()
 
     def _register_local_submit(
-        self, worker: _WorkerHandle, entries: list, table: dict, escaped=()
+        self, worker: _WorkerHandle, entries: list, table: dict, escaped=(),
+        routed=(),
     ) -> None:
-        """A worker kept nested tasks on its own queue (the fast path):
-        mirror each entry of the one-way notice batch — its wire tuple,
-        its return ids held for the parent it was born in — and ack the
-        batch with one PLACED.  Nothing is decoded: the driver adopts a
-        task (:meth:`_adopt`) only when something needs it.  ``table``
-        names the functions the worker submits here for the first time,
+        """One SUBMIT_LOCAL notice, acked with one PLACED.  ``entries``
+        are the nested tasks a worker kept on its own queue (the fast
+        path): each is mirrored — its wire tuple, its return ids held
+        for the parent it was born in — and nothing is decoded: the
+        driver adopts a task (:meth:`_adopt`) only when something needs
+        it.  ``routed`` are those the worker could not keep, placed by
+        this tier (:meth:`_submit_routed`).  ``table`` names the
+        functions the worker submits here for the first time,
         ``escaped`` the objects whose refs the worker pickled or kept
         past their task (a notice may carry nothing else); an escaped
         return of a task still queued is adopted, since others may now
@@ -1095,9 +1092,32 @@ class ProcRuntime:
                 self._objects.escape(escaped)
                 for object_hex in escaped:
                     self._dispatch.adopt_producer(ObjectID(object_hex))
+            for entry in routed:
+                self._submit_routed(worker, entry)
             self._cond.notify_all()  # idle thieves may now see a victim
-        if entries:
-            worker.send((msg.PLACED, len(entries)))
+        if entries or routed:
+            worker.send((msg.PLACED, len(entries) + len(routed)))
+
+    def _submit_routed(self, worker: _WorkerHandle, entry: tuple) -> None:
+        """A worker-born task its worker could not keep (lock held): the
+        paper's spillover stream into the driver tier.  It keeps the ids
+        its worker stamped, which stay held for the task it was born
+        in; its arguments are restored from the entry and it is
+        submitted like a driver-born call (:meth:`_submit_spec`).  An
+        argument that does not unpickle here fails the task."""
+        spec = msg.decode_entry(entry, self.functions, worker.node_id)
+        self._dispatch.counters.tasks_spilled += 1
+        if self._obs.enabled:
+            self._obs.record("task_spilled", function=spec.function_name)
+        self._objects.hold_born(entry[5].get("parent"), spec.all_return_ids())
+        try:
+            spec.args, spec.kwargs = msg.restore_refs(
+                *deserialize_portable(entry[3])
+            )
+        except Exception as exc:  # noqa: BLE001 - a user payload
+            self._objects.store_error(spec, error_value_from(spec, exc))
+            return
+        self._submit_spec(spec)
 
     def _adopt(self, entry: tuple, node: Any = None) -> TaskSpec:
         """A worker-born task becomes this driver's to keep (lock held),
@@ -1211,9 +1231,11 @@ class ProcRuntime:
             if record is not None and not record.dead and not failed:
                 if spec.actor_method == CREATION_METHOD:
                     # The live instance exists in the worker process;
-                    # the driver records only that binding.
+                    # the driver records only that binding — in the row
+                    # synchronously, as its loss is (mark_lost), so the
+                    # two can never land out of order.
                     register_instance(record, REMOTE_INSTANCE, worker.node_id)
-                    self._control.async_actor_update(
+                    self._control.actor_update(
                         spec.actor_id, state="alive", node=worker.node_id
                     )
                 else:
@@ -1258,8 +1280,6 @@ class ProcRuntime:
                 plane.pull(message[1])  # a node-resident one comes here first
                 with self._cond:
                     reply = plane.fetch_bytes(message[1], worker.index)
-            elif tag == msg.SUBMIT:
-                reply = self._submit_from_worker(worker, message[1])
             elif tag == msg.GET or tag == msg.WAIT:
                 with self._cond:
                     if not self._due(message, deadline):
@@ -1392,35 +1412,6 @@ class ProcRuntime:
                     return False
                 self._cond.wait(timeout=left)
             return True
-
-    def _submit_from_worker(self, worker: _WorkerHandle, payload: dict) -> Any:
-        """A worker-born task that could not take the fast path
-        (unresolved/non-resident deps, misfit resources, backlog): the
-        paper's spillover stream into the driver tier.  The function
-        keeps the id its worker gave it and its row comes with its
-        first submission, spilled or not — learnt before anything here
-        can fail: the worker tells once, and may submit the function on
-        the fast path next, without a row."""
-        with self._cond:
-            self.functions.learn(payload["functions"], worker.functions_sent)
-            self._dispatch.counters.tasks_spilled += 1
-            if self._obs.enabled:
-                self._obs.record(
-                    "task_spilled", function=payload["function_name"]
-                )
-            template = self.functions.template(
-                payload["function_hex"], payload["options"]
-            )
-        args, kwargs = msg.restore_refs(
-            *deserialize_portable(payload["call_bytes"])
-        )
-        with self._cond:
-            return _wire_ids(
-                self._submit_call(
-                    template, args, kwargs,
-                    payload["root_task_id"], payload["parent_task_id"],
-                )
-            )
 
     def _create_actor_from_worker(self, payload: dict) -> ActorHandle:
         actor_class = deserialize_portable(payload["class_bytes"])

@@ -28,11 +28,13 @@ resident here (argument cache, own shared-memory descriptors) builds
 its spec *locally* — the worker allocates task and object ids from its
 own collision-free namespace — enqueues it to itself, and tells the
 driver with a one-way ``SUBMIT_LOCAL`` notice: **zero driver
-round-trips** on the submission path.  Driver-born work arrives in
-``TASK`` frames whose tail lands on the same queue (shipped ahead of
-need) — except an actor's window, which is run through in frame order
-without being queued (``_queue_frame``) — and completions go back
-coalesced in ``DONE`` frames — see
+round-trips** on the submission path.  One that cannot stay (a
+dependency not resident here, among others) rides the same notice to
+the driver tier, which places it: a spill is no round trip either.
+Driver-born work arrives in ``TASK`` frames whose tail lands on the
+same queue (shipped ahead of need) — except an actor's window, which is
+run through in frame order without being queued (``_queue_frame``) —
+and completions go back coalesced in ``DONE`` frames — see
 :mod:`repro.proc.messages` for the frame protocol.  The worker drains
 the queue until it is empty, answers ``STEAL_REQUEST``\\ s by granting
 the tail of the queue (ownership makes the grant race-free: what it
@@ -64,6 +66,7 @@ from collections import deque
 from typing import Any, Optional, Sequence
 
 from repro import obs
+from repro.cluster.spec import ClusterSpec
 from repro.core.actors import CREATION_METHOD, ActorRegistry
 from repro.core.effect_driver import BlockingEffectHandler
 from repro.core import object_ref
@@ -104,10 +107,11 @@ _KNOWN_SHM_CAP = 1024
 #: objects it fetched.
 WORKER_CACHE_BYTES = 64 * 1024**2
 
-#: Fast-path backpressure: the most locally-born tasks whose mirroring
-#: (PLACED ack) may be outstanding before new nested submissions spill
-#: to the driver instead.  Bounds the work that only the submitting
-#: task's own replay could rebuild after a crash.
+#: Nested-submission backpressure: the most worker-born tasks whose
+#: notice may be unacknowledged (no PLACED yet) at once.  A ``.remote()``
+#: that would pass it flushes the notices and waits for the PLACED that
+#: brings the window back under it.  Bounds the work that only the
+#: submitting task's own replay could rebuild after a crash.
 MAX_UNACKED_LOCAL = 4096
 
 #: The keep-or-spill decision of the fast path.  The threshold is
@@ -151,28 +155,8 @@ class WorkerRuntime:
         return self.ids.function_id()
 
     def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
-        """A nested ``.remote()``: kept on this worker when the fast
-        path allows, else spilled to the driver tier — under the
-        function id this worker registered, so the driver learns the
-        function once."""
-        worker = self._worker
-        result = worker.try_submit_local(template, args, kwargs)
-        if result is not None:
-            return result
-        payload = {
-            "function_hex": template.function_id.hex,
-            "functions": worker.rows_to_tell(template),
-            "function_name": template.function_name,
-            "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
-            # ``duration`` may be a closure (a sim-only concept anyway):
-            # strip it so the payload stays plain-picklable on the pipe.
-            "options": template.options.merged(duration=None),
-            # Trace context rides along so the spill path keeps the
-            # nested submission inside its driver-born request's tree.
-            "root_task_id": worker._cur_root,
-            "parent_task_id": worker._cur_task,
-        }
-        return _refs_of(worker.rpc(msg.SUBMIT, payload))
+        """A nested ``.remote()``: no request (:meth:`ProcWorker.try_submit_local`)."""
+        return self._worker.try_submit_local(template, args, kwargs)
 
     def cancel(self, ref: ObjectRef, recursive: bool = False) -> bool:
         if not isinstance(ref, ObjectRef):
@@ -278,8 +262,8 @@ class WorkerRuntime:
 
 
 def _refs_of(reply: tuple) -> Any:
-    """The driver's answer to SUBMIT / CALL_ACTOR — a task id and its
-    return ids — as what ``.remote()`` hands back: refs made here."""
+    """The driver's answer to CALL_ACTOR — a task id and its return
+    ids — as what ``.remote()`` hands back: refs made here."""
     task_id, return_ids = reply
     refs = tuple([ObjectRef(object_id, task_id) for object_id in return_ids])
     return refs[0] if len(refs) == 1 else refs
@@ -307,11 +291,15 @@ class ProcWorker:
         inline_threshold: Optional[int] = None,
         spawn_token: int = 0,
         tracing: bool = False,
+        cluster: Optional[ClusterSpec] = None,
     ) -> None:
         # Spawn ships a raw pipe Connection (the only picklable channel);
         # everything below talks the Transport surface.
         self.conn = ensure_transport(conn)
         self.index = index
+        #: What a nested submission is checked against: a task no node
+        #: of it could hold raises at ``.remote()``.
+        self.cluster = cluster or ClusterSpec.uniform(num_nodes=1)
         self.node_id = NodeID.from_seed(f"repro-proc/{seed}/worker/{index}")
         #: Collision-free id namespace for locally-born specs: the spawn
         #: token distinguishes a replacement worker in the same slot from
@@ -331,20 +319,23 @@ class ProcWorker:
         #: The bottom tier of the scheduling plane: the run queue this
         #: process is the sole executor of.
         self.local_queue = LocalTaskQueue()
-        #: SUBMIT_LOCAL notices not yet PLACED-acked by the driver: the
-        #: window of locally-born tasks whose mirroring is still in
-        #: flight.  The fast path declines (spills) once the window hits
-        #: MAX_UNACKED_LOCAL, bounding how much work could need
-        #: rebuilding from the submitting task's own replay.
+        #: Worker-born tasks sent in SUBMIT_LOCAL notices and not yet
+        #: PLACED-acked by the driver: the window whose mirroring or
+        #: write-ahead record is still in flight.  A nested submission
+        #: waits (``_placed``) while the window is at MAX_UNACKED_LOCAL,
+        #: bounding how much work could need rebuilding from the
+        #: submitting task's own replay.
         self.unacked_local = 0
-        #: Fast-path notices buffered for the next pipe touch — the
-        #: tasks' wire entries, and the rows of the functions this
-        #: worker submits for the first time: batching turns a
-        #: K-task fan-out's control traffic into one send (or the
-        #: reader's, ``_DONE_WATCHDOG_S`` later).  The flush-before-every-outbound-
+        #: Notices buffered for the next pipe touch — the wire entries
+        #: of the tasks kept here and of those routed through the
+        #: driver, and the rows of the functions this worker submits for
+        #: the first time: batching turns a K-task fan-out's control
+        #: traffic into one send (or the reader's,
+        #: ``_DONE_WATCHDOG_S`` later).  The flush-before-every-outbound-
         #: message discipline (see :meth:`_flush_notices`) keeps the
         #: causal order the mirror depends on.
         self._pending_notices: list = []
+        self._pending_routed: list = []
         self._pending_rows: list = []  # function hexes
         #: What a function id means here: what TASK frames' tables
         #: delivered, and what this worker submitted itself.
@@ -370,6 +361,7 @@ class ProcWorker:
         self._executor: Optional[threading.Thread] = None
         self._wake = threading.Condition(self._lock)
         self._answered = threading.Condition(self._lock)
+        self._placed = threading.Condition(self._lock)
         self._replies: deque = deque()
         #: The execution token: free, or held by the one running task.
         #: A parked task's ``_Waiter`` is in ``_parked`` by the key its
@@ -495,8 +487,8 @@ class ProcWorker:
         from here of one no frame's table brought — and nothing after.
         The row is entered and its code serialized now, on the
         submitting thread, where a failure is the caller's; from now on
-        it counts as told (who asks, sends: the next notice, or the
-        SUBMIT that spills it)."""
+        it counts as told (who asks, sends: the next notice, which
+        carries the entry too, kept here or routed)."""
         function_hex = template.function_id.hex
         if function_hex in self.functions_sent:
             return {}
@@ -705,7 +697,7 @@ class ProcWorker:
                     if message is not None and not self._receive(message):
                         return
                     message, timeout = None, None
-                    if self._done or self._pending_notices:
+                    if self._done or self._pending_notices or self._pending_routed:
                         timeout = self._held_since + _DONE_WATCHDOG_S - time.monotonic()
                         if timeout <= 0:
                             self._flush_done()
@@ -762,6 +754,7 @@ class ProcWorker:
             self._wake.notify()  # (as for a grant)
         elif tag == msg.PLACED:
             self.unacked_local = max(0, self.unacked_local - message[1])
+            self._placed.notify_all()
         elif tag == msg.SHUTDOWN:
             self._flush_spans()  # final flush: nothing else will
             return False
@@ -1001,7 +994,7 @@ class ProcWorker:
         if self.shm is not None:
             self.shm.settle_leases()
         with self._lock:
-            if not (self._done or self._pending_notices):
+            if not (self._done or self._pending_notices or self._pending_routed):
                 self._held_since = now
             self._done.append((entry[0], data, failed, now - started))
             if now - self._held_since >= FRAME_BUDGET_S:
@@ -1034,58 +1027,69 @@ class ProcWorker:
         return None if self._cur_task is None else self._cur_task.hex
 
     def try_submit_local(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
-        """The fast path: keep a nested submission on this worker when
-        every dependency is already resident here.
+        """A nested ``.remote()``, with no round trip: the spec is
+        stamped here, from this worker's id namespace, its wire entry
+        built once, and its refs (``public_result`` shape) returned.
 
-        Returns the refs (``public_result`` shape) on success, or None
-        when the task must spill to the driver instead — unresolved or
-        non-resident dependencies, actor ordering, a placement hint for
-        another node, resources one worker slot cannot satisfy, or a
-        local backlog past the spillover threshold (all but the first
-        decided by the shared :class:`SpilloverPolicy`).
+        The entry stays on this worker's queue (the fast path) when
+        every dependency is resident here; otherwise the driver tier
+        places it — a non-resident dependency, a placement hint for
+        another node, resources one worker slot cannot hold, or a local
+        backlog past the spillover threshold (all but the first decided
+        by the shared :class:`SpilloverPolicy`).  Either way it leaves
+        on the next ``SUBMIT_LOCAL`` notice.  A task no node of the
+        cluster could hold raises here, with the text of every backend.
         """
-        if self.unacked_local + len(self._pending_notices) >= MAX_UNACKED_LOCAL:
-            return None  # lineage-ack backpressure: spill instead
+        template.check_feasible(self.cluster)
         spec = template.stamp(
             self.ids, args, kwargs, self.node_id, self._cur_root, self._cur_task
         )
-        for ref in spec.arg_refs:
-            if not self._locally_resident(ref.object_id):
-                return None
-        if _SPILLOVER.should_spill(
+        refs = spec.arg_refs
+        if refs:
+            local = all([self._locally_resident(ref.object_id) for ref in refs])
+            entry = msg.encode_entry(
+                spec, self._local_slot,
+                deps=tuple([ref.object_id.hex for ref in refs]),
+            )
+        else:
+            local = True
+            entry = msg.encode_entry(spec, self._local_slot)
+        local = local and not _SPILLOVER.should_spill(
             spec,
             node_cpus=1,
             node_gpus=0,
             backlog=len(self.local_queue),
             this_node=self.node_id,
-        ):
-            return None
-        if spec.arg_refs:
-            entry = msg.encode_entry(
-                spec, self._local_slot,
-                deps=tuple([ref.object_id.hex for ref in spec.arg_refs]),
-            )
-        else:
-            entry = msg.encode_entry(spec, self._local_slot)
-        # The notice is one-way and *buffered* — this is the zero
-        # round-trip path: a fan-out's notices coalesce into a single
-        # send at the next pipe touch (or the reader's timer), and the
-        # driver's (batched) PLACED ack arrives asynchronously, carrying
-        # the lineage guarantee.  _flush_notices() before every other
-        # outbound message is what keeps the mirror causally ahead of
-        # any DONE or STEAL_GRANT that could mention the task.  The
-        # first one held starts the timer: a parent that goes on
-        # computing must not hide its children from idle peers (_read).
+        )
+        # The notice is one-way and *buffered*: a fan-out's notices
+        # coalesce into a single send at the next pipe touch (or the
+        # reader's timer), and the driver's (batched) PLACED ack arrives
+        # asynchronously, carrying the lineage guarantee — the window of
+        # unacked entries is the only thing a submission waits for.
+        # _flush_notices() before every other outbound message is what
+        # keeps the mirror causally ahead of any DONE or STEAL_GRANT
+        # that could mention the task.  The first one held starts the
+        # timer: a parent that goes on computing must not hide its
+        # children from idle peers, or from the driver tier (_read).
         with self._lock:
-            first = not self._pending_notices
+            while (
+                self.unacked_local + len(self._pending_notices)
+                + len(self._pending_routed) >= MAX_UNACKED_LOCAL
+            ):
+                self._flush_notices()
+                self._placed.wait()
+            first = not (self._pending_notices or self._pending_routed)
             if first and not self._done:
                 self._held_since = time.monotonic()
             self._pending_rows.extend(self.rows_to_tell(template))  # its keys
-            self._pending_notices.append(entry)
-            self.local_queue.push(entry[0], (entry, False), entry[2])
+            if local:
+                self._pending_notices.append(entry)
+                self.local_queue.push(entry[0], (entry, False), entry[2])
+            else:
+                self._pending_routed.append(entry)
             if first:
                 self._hold()
-        if self.obs.enabled:
+        if local and self.obs.enabled:
             # Worker-born fast-path tasks get their submitted/placed
             # spans here — the driver never sees the submission itself,
             # only the (batched, async) notice.
@@ -1094,7 +1098,9 @@ class ProcWorker:
         return spec.public_result()
 
     def _flush_notices(self) -> None:
-        """Ship buffered SUBMIT_LOCAL notices (one message for all).
+        """Ship buffered SUBMIT_LOCAL notices (one message for all: the
+        entries kept here, then — with the escaped ids — those the
+        driver places).
 
         Called before *every* other outbound pipe message — DONE,
         STEAL_GRANT, and any rpc request — so by pipe FIFO the driver
@@ -1109,18 +1115,19 @@ class ProcWorker:
             if self._escaped:
                 escaped = self._escaped - self._reported
                 self._escaped.clear()
-            if self._pending_notices or escaped:
+            if self._pending_notices or self._pending_routed or escaped:
                 batch, self._pending_notices = self._pending_notices, []
+                routed, self._pending_routed = self._pending_routed, []
                 told, self._pending_rows = self._pending_rows, []
                 notice = (msg.SUBMIT_LOCAL, batch, self.functions.rows(told))
-                if escaped:
+                if escaped or routed:
                     # Each id is reported once, on a notice that may
                     # carry nothing else: the mark must not arrive after
                     # the bytes that carry the ref.
-                    self._reported |= escaped
-                    notice += (list(escaped),)
+                    self._reported.update(escaped)
+                    notice += (list(escaped), routed)
                 self.conn.send(notice)
-                self.unacked_local += len(batch)
+                self.unacked_local += len(batch) + len(routed)
 
     def _locally_resident(self, object_id: ObjectID) -> bool:
         """Whether this process can materialize the object without the
@@ -1311,6 +1318,7 @@ def worker_main(
     inline_threshold: Optional[int] = None,
     spawn_token: int = 0,
     tracing: bool = False,
+    cluster: Optional[ClusterSpec] = None,
 ) -> None:
     """Entry point of a worker child process (importable for spawn)."""
     ProcWorker(
@@ -1322,4 +1330,5 @@ def worker_main(
         inline_threshold=inline_threshold,
         spawn_token=spawn_token,
         tracing=tracing,
+        cluster=cluster,
     ).run()

@@ -31,9 +31,11 @@ class SchedCounters:
         wire).  ``tasks_adopted / tasks_placed_local`` is the share of
         worker-born tasks that still cost the driver a task.
     ``tasks_spilled``
-        Worker-born tasks that had to go through the driver tier instead
-        (unresolved dependencies, resource misfit, placement hint, or a
-        local backlog past the spillover threshold).
+        Worker-born tasks the driver tier placed instead (a dependency
+        not resident on the worker, resource misfit, placement hint, or
+        a local backlog past the spillover threshold): on proc/dist the
+        routed entries of ``SUBMIT_LOCAL`` notices, one-way like the
+        kept ones.
     ``tasks_placed_global``
         Placements decided by the driver tier's policy (driver-born
         work, spillover, crash re-homing).

@@ -691,15 +691,14 @@ class DispatchPlane:
             if record is not None and not record.dead:
                 # Its constructor was mid-run: the half-built state died
                 # with the process.
-                record.dead = True
-                record.instance = None
+                self.actors.mark_lost(record)
         if successor is None:
             successor = self._least_loaded()
         failed = []
         for record in self.actors.on_node(worker.node_id):
             lane = record.lane
-            if successor is None:
-                record.dead = True
+            if successor is None and not record.dead:
+                self.actors.mark_lost(record)
             if record.dead:
                 # The lane is emptied into errors and stays empty.
                 failed += [

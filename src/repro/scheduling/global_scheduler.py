@@ -20,9 +20,6 @@ from repro.scheduling.policies import PlacementCandidate, PlacementPolicy
 from repro.sim.core import Delay
 from repro.utils.ids import NodeID
 
-#: Backward-compatible name (the candidate shape now lives in policies).
-_Candidate = PlacementCandidate
-
 
 class GlobalScheduler:
     """One of possibly several global schedulers on the head node."""

@@ -81,13 +81,13 @@ class TestRemoteFunctionEdges:
 
     def test_options_does_not_mutate_original(self, sim_runtime):
         timed = identity.options(duration=5.0)
-        assert identity._duration is None
-        assert timed._duration == 5.0
+        assert identity.submit_options.duration is None
+        assert timed.submit_options.duration == 5.0
 
     def test_options_chains(self, sim_runtime):
         variant = identity.options(duration=0.1).options(num_cpus=2)
-        assert variant._duration == 0.1
-        assert variant._resources.num_cpus == 2
+        assert variant.submit_options.duration == 0.1
+        assert variant.submit_options.resources.num_cpus == 2
 
     def test_local_call_runs_in_process(self):
         assert identity.local(7) == 7

@@ -14,7 +14,13 @@ import pytest
 import repro
 from repro.api.runtime_context import get_runtime
 from repro.core.backend import registered_backends
-from repro.errors import GetTimeoutError, TaskCancelledError, TaskError
+from repro.errors import (
+    ActorLostError,
+    BackendError,
+    GetTimeoutError,
+    TaskCancelledError,
+    TaskError,
+)
 
 #: Every backend shipped with the repo; the matrix grows automatically
 #: when a new one is registered at import time.
@@ -122,6 +128,18 @@ def run_program(backend, **init_kwargs):
             return add.remote(n, n)
 
         outcome["nested"] = repro.get(repro.get(parent.remote(5)))
+
+        # A nested submission no node can hold fails at ``.remote()``,
+        # inside its task, with one text.
+        @repro.remote
+        def submits_too_big():
+            try:
+                square.options(num_cpus=64).remote(1)
+            except BackendError as exc:
+                return type(exc).__name__, str(exc)
+            return "no-error"
+
+        outcome["nested_infeasible"] = repro.get(submits_too_big.remote())
 
         # put / get round-trip, small and large (the proc backend ships
         # small arguments inline and large ones through the store path).
@@ -539,6 +557,38 @@ def test_one_actor_path_and_one_span_shape_on_every_backend():
             assert len(shape) == 1, (backend, kind, shape)
     assert keys["proc"] == keys["local"]
     assert keys["dist"] == keys["local"]
+
+
+@pytest.mark.parametrize(
+    "backend, lose",
+    [("sim", "node"), ("proc", "worker"), ("dist", "node"), ("dist", "worker")],
+)
+def test_a_lost_actor_reads_dead_in_the_control_store(backend, lose):
+    """Losing an actor's state — its node on ``sim``, its worker process
+    on ``proc``, either on ``dist`` (``local`` cannot lose one) — fails
+    its next call with ``ActorLostError`` and leaves its one row in the
+    control store ``dead``."""
+    runtime = repro.init(backend=backend, num_nodes=2, num_cpus=2, seed=3)
+    try:
+        if backend == "sim":
+            home = [n for n in runtime.node_ids if n != runtime.head_node_id][0]
+            counter = Accumulator.options(placement_hint=home).remote(1)
+        else:
+            counter = Accumulator.remote(1)
+        assert repro.get(counter.add.remote(1), timeout=60.0) == 2
+        if backend == "sim":
+            runtime.kill_node(home)
+        elif lose == "worker":
+            runtime.kill_worker(runtime.worker_for_actor(counter.actor_id))
+        else:
+            index = runtime.worker_for_actor(counter.actor_id)
+            runtime.kill_node(index // runtime._workers_per_node)
+        with pytest.raises(ActorLostError):
+            repro.get(counter.add.remote(2), timeout=60.0)
+        rows = [(row.state, row.methods_submitted) for row in runtime._control.actors()]
+        assert rows == [("dead", 2)]
+    finally:
+        repro.shutdown()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

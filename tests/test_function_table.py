@@ -4,9 +4,10 @@ what crosses it — once.
 
 Two of the cases are bugs earlier PRs found by accident while testing
 something else, kept here as inputs: a worker-born function whose first
-submission *spills* (the driver must learn its row from ``SUBMIT``
-exactly as from a ``SUBMIT_LOCAL`` notice, decode the fast-path entries
-that follow without one, and ship the code on to a second worker), and
+submission *spills* (the driver must learn its row from the notice that
+routes the call exactly as from one that mirrors it, decode the
+fast-path entries that follow without one, and ship the code on to a
+second worker), and
 a function handle that reached a worker by value (the sender's table
 rows and registrations do not travel with it).
 """
@@ -71,11 +72,18 @@ def _worker(index=0):
 
 def _spill(worker, pipe, template, ids, missing):
     """One nested call that cannot stay local (its argument is not
-    resident on the worker); the SUBMIT payload it sent."""
-    pipe.put((msg.OK, (ids.task_id(), [ids.object_id()])))
+    resident on the worker): what the SUBMIT_LOCAL notice that routes it
+    says of it — its function, the table that came with it, its
+    options."""
     ref = worker.proxy.submit_call(template, (missing,), {})
     assert isinstance(ref, ObjectRef)
-    return [m for m in pipe.sent if m[0] == msg.SUBMIT][-1][1]
+    worker._flush_notices()
+    _tag, _kept, table, _escaped, (entry,) = pipe.sent[-1]
+    return {
+        "function_hex": entry[1],
+        "functions": table,
+        "options": (entry[5] or {}).get("options"),
+    }
 
 
 def test_code_is_serialized_once_and_unpickled_once(counted):

@@ -10,6 +10,7 @@ multiprocess backend.
 
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import textwrap
@@ -643,15 +644,20 @@ class TestBottomUpScheduling:
         finally:
             repro.shutdown()
 
-    def test_unresolved_deps_spill_to_the_driver_tier(self):
+    @pytest.mark.parametrize(
+        "backend, options",
+        [("proc", {"num_workers": 2}), ("dist", {"num_nodes": 2, "num_cpus": 1})],
+        ids=["proc", "dist"],
+    )
+    def test_unresolved_deps_spill_to_the_driver_tier(self, backend, options):
         """Nested submissions depending on sibling futures cannot take
         the fast path; they spill and still compute correctly."""
-        runtime = repro.init(backend="proc", num_workers=2)
+        runtime = repro.init(backend=backend, **options)
         try:
             refs = repro.get(sched_chain_fan.remote(5), timeout=60.0)
             assert repro.get(refs[-1], timeout=60.0) == 5
             sched = runtime.stats()["sched"]
-            assert sched["tasks_spilled"] >= 4  # the dependent children
+            assert sched["tasks_spilled"] == 4  # the dependent children
         finally:
             repro.shutdown()
 
@@ -755,6 +761,55 @@ _EXIT_WITHOUT_SHUTDOWN = textwrap.dedent(
 
 
 @needs_shm
+@repro.remote
+def linger(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+@repro.remote
+def park_on(path, refs):
+    """Say where this runs, then block on ``refs[0]`` (a ref inside a
+    list is not an argument dependency: the get parks the task)."""
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    return repro.get(refs[0])
+
+
+def test_a_worker_dying_with_only_parked_tasks_is_found_at_once(tmp_path):
+    """Its process's exit wakes the service thread, which is waiting on
+    the runtime cond (nothing of its worker runs, so it is not reading
+    the pipe) — the ``proc`` twin of the ``dist`` membership test."""
+    runtime = repro.init(backend="proc", num_workers=2, seed=7)
+    try:
+        assert repro.get([sched_noop.remote(i) for i in range(8)]) == [
+            i + 1 for i in range(8)
+        ]
+        marker = tmp_path / "parent_pid"
+        sibling = linger.remote(3.0)
+        parent = park_on.remote(str(marker), [sibling])
+        deadline = time.monotonic() + 30.0
+        while not (
+            marker.exists() and marker.read_text()
+            and runtime.stats()["sched"]["tasks_parked"] >= 1
+        ):
+            assert time.monotonic() < deadline, "the parent never parked"
+            time.sleep(0.01)
+        time.sleep(0.2)
+        crashed = runtime.stats()["workers_crashed"]
+        os.kill(int(marker.read_text()), signal.SIGKILL)
+        killed = time.monotonic()
+        while runtime.stats()["workers_crashed"] == crashed:
+            assert time.monotonic() - killed < 10.0, "the loss was never found"
+            time.sleep(0.002)
+        detection = time.monotonic() - killed
+        assert detection < 0.5, f"found {detection:.3f} s after the kill"
+        # The parent was lost with its worker and replays on a survivor.
+        assert repro.get(parent, timeout=60.0) == 3.0
+    finally:
+        repro.shutdown()
+
+
 def test_a_driver_that_exits_without_shutdown_leaks_no_segment(tmp_path):
     """``init`` registers an exit hook that shuts a live runtime down, so
     a driver that never calls ``shutdown()`` still releases its arena."""

@@ -206,12 +206,11 @@ def test_placement_only_picks_nodes_with_capacity(capacities):
     """The placement policy never selects a candidate without estimated
     free slots, and returns None only when no candidate has any."""
     from repro.core.task import ResourceRequest, TaskSpec
-    from repro.scheduling.global_scheduler import _Candidate
-    from repro.scheduling.policies import PlacementPolicy
+    from repro.scheduling.policies import PlacementCandidate, PlacementPolicy
 
     gen = IDGenerator()
     candidates = [
-        _Candidate(
+        PlacementCandidate(
             node_id=gen.node_id(),
             est_cpus=cpu,
             est_gpus=0,

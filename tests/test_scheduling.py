@@ -75,9 +75,9 @@ class TestPlacementPolicy:
         self.gen = IDGenerator()
 
     def _candidate(self, est_cpus=4, est_gpus=0, queue=0, locality=0):
-        from repro.scheduling.global_scheduler import _Candidate
+        from repro.scheduling.policies import PlacementCandidate
 
-        return _Candidate(
+        return PlacementCandidate(
             node_id=self.gen.node_id(),
             est_cpus=est_cpus,
             est_gpus=est_gpus,
