@@ -36,9 +36,7 @@ def init(backend: str = "sim", **kwargs: Any):
         :class:`~repro.errors.BackendError` naming the offending kwarg
         and the backend's valid options.  Proc-backend options include
         ``num_workers`` (default: the cluster's total CPUs),
-        ``worker_crash_policy`` (``"replace"`` replays stateless tasks
-        from lineage after a worker crash, ``"fail"`` surfaces
-        ``WorkerCrashedError`` immediately), ``inline_threshold`` (bytes;
+        ``inline_threshold`` (bytes;
         serialized objects at or below it ship inline in pipe messages,
         larger ones take the data plane) and
         ``shm_capacity`` (byte budget of the zero-copy shared-memory

@@ -16,16 +16,14 @@ methods.  A backend answers only three questions, under its
 * where a new actor lives (``_actor_home(spec)``, a node id; a hint the
   caller gave is in ``spec.placement_hint``);
 * how one of its tasks joins the actor's order and is submitted
-  (``_submit_actor_task(record, spec, born_in)``).  On ``sim`` and
-  ``local`` the order falls out of the dataflow graph: every call
-  carries an *ordering dependency* on the previous call's result object
-  (and the first on the creation object) — :func:`chain_submission`.
-  On ``proc`` and ``dist`` it is the actor's *lane*: a call enters its
+  (``_submit_actor_task(record, spec)``).  On ``sim`` and ``local`` the
+  order falls out of the dataflow graph: every call carries an
+  *ordering dependency* on the previous call's result object (and the
+  first on the creation object) — :func:`chain_submission`.  On
+  ``proc`` and ``dist`` it is the actor's *lane*: a call enters its
   actor's FIFO at submission, waits there for its own arguments only,
   and leaves in lane order inside a dispatch frame for the one process
   that runs the actor (``last_call_ref`` stays ``None`` there);
-  ``born_in`` is the worker task that made the call, which holds its
-  results;
 * which node a submission comes from (``_current_node_id()``).
 
 Node failure (sim backend) marks every actor whose constructed instance
@@ -253,6 +251,7 @@ def build_call_spec(
     kwargs: dict,
     submitted_from: Optional[NodeID],
     num_returns: int = 1,
+    stamped: Optional[tuple] = None,
 ) -> TaskSpec:
     """One method-call task, chained on the actor's previous submission
     if the runtime chains them (``record.last_call_ref``).
@@ -263,26 +262,26 @@ def build_call_spec(
     built on this — one vectorized invocation fans back out into one ref
     per coalesced call.  Chaining stays on the primary (first) ref, so
     the actor's total order is unaffected by how many refs a call has.
+    ``stamped`` is ``(task_id, return_ids)`` a worker already minted for
+    the call (``proc``/``dist``); ``ids`` then mints none of them.
     """
-    if not isinstance(num_returns, int) or num_returns < 1:
-        raise ValueError(
-            f"invalid num_returns={num_returns!r} for actor call "
-            f"{record.class_name}.{method_name}: must be an int >= 1"
-        )
     extra = (record.last_call_ref,) if record.last_call_ref is not None else ()
     function_id = record.method_ids.get(method_name)
     if function_id is None:
         function_id = record.method_ids[method_name] = ids.function_id()
-    return_ids = tuple(ids.object_id() for _ in range(num_returns))
+    if stamped is None:
+        return_ids = tuple(ids.object_id() for _ in range(num_returns))
+        stamped = (ids.task_id(), return_ids)
+    task_id, return_ids = stamped
     return TaskSpec(
-        task_id=ids.task_id(),
+        task_id=task_id,
         function_id=function_id,
         function_name=f"{record.class_name}.{method_name}",
         args=tuple(args),
         kwargs=dict(kwargs),
         return_object_id=return_ids[0],
         return_object_ids=return_ids,
-        num_returns=num_returns,
+        num_returns=len(return_ids),
         resources=record.resources,
         submitted_from=submitted_from,
         placement_hint=record.node_id,
@@ -340,7 +339,7 @@ def create_actor(
             name=name,
             node=node_id,
         )
-        runtime._submit_actor_task(record, spec, None)
+        runtime._submit_actor_task(record, spec)
     return record.handle
 
 
@@ -351,11 +350,11 @@ def submit_actor_call(
     args: tuple,
     kwargs: dict,
     num_returns: int = 1,
-    born_in: Optional[str] = None,
+    stamped: Optional[tuple] = None,
 ) -> TaskSpec:
     """Build one method call, count it in the actor's control-store row
-    and submit it in the actor's order; ``born_in`` is the raw id of the
-    worker task that made it (``proc``/``dist``)."""
+    and submit it in the actor's order; ``stamped`` is the ids of a call
+    a worker made (:func:`build_call_spec`)."""
     runtime._check_open()
     with runtime._lifecycle_guard():
         record = runtime.actors.get(actor_id)
@@ -363,10 +362,10 @@ def submit_actor_call(
             raise BackendError(f"unknown actor {actor_id}")
         spec = build_call_spec(
             runtime.ids, record, method_name, args, kwargs,
-            runtime._current_node_id(), num_returns=num_returns,
+            runtime._current_node_id(), num_returns, stamped,
         )
         runtime._control.actor_update(actor_id, method_inc=True)
-        runtime._submit_actor_task(record, spec, born_in)
+        runtime._submit_actor_task(record, spec)
     return spec
 
 
@@ -518,7 +517,14 @@ class ActorMethod:
         """Per-call override, mirroring ``fn.options(...)``:
         ``handle.method.options(num_returns=k).remote(...)`` makes the
         call return a tuple of k independently consumable refs (the
-        method must return a sequence of k values)."""
+        method must return a sequence of k values).  Checked here, before
+        any runtime is reached: a call made inside a task is stamped
+        where it is made."""
+        if not isinstance(num_returns, int) or num_returns < 1:
+            raise ValueError(
+                f"invalid num_returns={num_returns!r} for actor call "
+                f"{self._handle.class_name}.{self._method_name}: must be an int >= 1"
+            )
         return ActorMethod(self._handle, self._method_name, num_returns)
 
     def remote(self, *args: Any, **kwargs: Any):

@@ -326,7 +326,7 @@ class SimRuntime:
             ).node_id
         return target
 
-    def _submit_actor_task(self, record, spec: TaskSpec, born_in) -> None:
+    def _submit_actor_task(self, record, spec: TaskSpec) -> None:
         """Ordering is structural: the spec depends on the previous
         call's result object, so method tasks of one actor can never
         interleave.  (The actor's control-store row is written straight

@@ -25,7 +25,8 @@ workers:
   are cached so each object crosses the node boundary at most once (the
   fetch-once-per-node half of descriptor-first transfer).  A put's
   ``SHM_CREATE`` is refused here (the driver has no arena on ``dist``),
-  so the put goes straight to ``PUT``.
+  so the put's bytes ride the worker's ``SUBMIT_LOCAL`` notice, which
+  this agent forwards untouched.
   Result blobs that landed in the node arena are rewritten into
   :class:`~repro.dist.protocol.NodeBlob` descriptors on their way up.
 * **Membership.**  A dedicated thread heartbeats over the control
@@ -368,10 +369,11 @@ class NodeAgent:
         elif tag == msg.SHM_CREATE:
             # A result write is granted from the NODE arena: the driver
             # is not consulted and the bytes never leave the node until
-            # someone pulls them.  object_id=None is a put: put ids are
-            # the driver's and it has no arena on dist, so the answer is
-            # None here and now — the put ships as bytes and stays
-            # driver-resident.
+            # someone pulls them.  object_id=None is a large put: an
+            # shm-path put's id is the driver's, granted with its space,
+            # and it has no arena on dist, so the answer is None here and
+            # now — the put ships as bytes on the worker's notice, under
+            # an id the worker mints, and stays driver-resident.
             object_id, nbytes = message[1], message[2]
             granted = None
             if object_id is not None:

@@ -368,7 +368,6 @@ class DistRuntime(ProcRuntime):
         workers_per_node: Optional[int] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: Optional[float] = None,
-        worker_crash_policy: str = "replace",
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
         control_store: Any = None,
@@ -425,7 +424,6 @@ class DistRuntime(ProcRuntime):
                 cluster=cluster,
                 seed=seed,
                 num_workers=num_nodes * workers_per_node,
-                worker_crash_policy=worker_crash_policy,
                 inline_threshold=inline_threshold,
                 shm_capacity=0,  # no driver arena: data lives on the nodes
                 control_store=control_store,

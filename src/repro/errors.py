@@ -92,8 +92,8 @@ class WorkerCrashedError(ReproError):
     lineage replay for the stateless task it was running (the task spec is
     resubmitted to a surviving or replacement worker, up to the task's
     ``max_reconstructions``); this error surfaces at ``get`` time only when
-    replay is disabled (``worker_crash_policy="fail"``) or the replay
-    budget is exhausted.
+    the replay budget is exhausted (at the first crash of a task with
+    ``max_reconstructions=0``).
 
     Attributes
     ----------
@@ -141,11 +141,10 @@ class NodeLostError(ReproError):
     The ``dist`` backend's node-level analogue of
     :class:`WorkerCrashedError`: raised at ``get`` time for objects that
     were resident only on the dead node when replay could not rebuild
-    them — the producing task's lineage-replay budget was exhausted,
-    replay is disabled (``worker_crash_policy="fail"``), or the object
-    was a ``put`` with no producing task to replay.  Stateless tasks
-    lost with the node are otherwise transparently re-executed on the
-    survivors, and actor state lost with it surfaces as
+    them — the producing task's lineage-replay budget was exhausted, or
+    the object was a ``put`` with no producing task to replay.  Stateless
+    tasks lost with the node are otherwise transparently re-executed on
+    the survivors, and actor state lost with it surfaces as
     :class:`ActorLostError`, exactly as for a single crashed worker.
 
     Attributes

@@ -461,15 +461,7 @@ class ControlStore:
     def actor_update(
         self, actor_id, *, state: Optional[str] = None, node=None, method_inc: bool = False
     ) -> None:
-        self._apply(*self._actor_update_record(actor_id, state, node, method_inc))
-
-    def async_actor_update(
-        self, actor_id, *, state: Optional[str] = None, node=None, method_inc: bool = False
-    ) -> None:
-        self._enqueue(self._actor_update_record(actor_id, state, node, method_inc))
-
-    def _actor_update_record(self, actor_id, state, node, method_inc) -> tuple:
-        return (
+        self._apply(
             actor_id, "actor_state", self._update_actor, (state, node, method_inc),
             ("state", state or ""), "actor_update",
         )

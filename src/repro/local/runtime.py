@@ -201,7 +201,7 @@ class LocalRuntime:
             key=_free_slots,
         ).node_id
 
-    def _submit_actor_task(self, record, spec: TaskSpec, born_in) -> None:
+    def _submit_actor_task(self, record, spec: TaskSpec) -> None:
         """The ordering dependency on the previous call's result object
         is what serializes the actor's methods."""
         chain_submission(record, spec)

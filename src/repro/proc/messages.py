@@ -3,12 +3,15 @@
 Each worker owns one duplex pipe carrying tuples ``(tag, *payload)``.
 The core is request/reply: while a task runs, the worker may issue any
 number of *requests* (fetch an argument, block in ``get``/``wait``,
-``put`` a value, create or call an actor), each
-answered by exactly one reply from the driver's per-worker service
-thread.  Only the task holding the worker's execution token sends
-requests, and it waits for each reply, so requests never interleave and
-an immediate reply needs no sequence number; the one exception, a
-*parked* ``get``/``wait``, is named by a key (below).  Around that core,
+reserve shared memory for a large value, create or look up an actor,
+cancel), each answered by exactly one reply from the driver's
+per-worker service thread — only what needs the driver's answer is a
+request: what a task makes (nested tasks, actor calls, puts) rides the
+one-way ``SUBMIT_LOCAL`` notice below.  Only the task holding the
+worker's execution token sends requests, and it waits for each reply,
+so requests never interleave and an immediate reply needs no sequence
+number; the one exception, a *parked* ``get``/``wait``, is named by a
+key (below).  Around that core,
 tasks go down in ``TASK`` frames and completions come back in ``DONE``
 frames, which the two-level scheduling plane (:mod:`repro.sched_plane`)
 windows and coalesces, and **one-way messages** flow in both
@@ -35,7 +38,9 @@ it was born, is this one positional tuple, written by
   class_name, resources)`` — on a frame's first entry it also says the
   frame is that actor's *window*, below; an actor entry's
   ``function_hex`` is its method's stable id, which only the driver's
-  estimates read), ``"code"`` (an actor constructor's
+  estimates read; a call a worker made carries ``None`` for the class
+  and resources and its actor's id there, the driver's record having
+  all three), ``"code"`` (an actor constructor's
   class — the one piece of code that is not a registered function) and
   ``"deps"`` (a worker-born entry's ref arguments, by id: the driver
   never unpickles ``call_bytes``, and pins what a task depends on).
@@ -143,21 +148,30 @@ one in each worker for the driver.
   reaching one of them is sent by the worker's reader thread.  The driver
   applies a whole frame under one lock hold.
 
-Worker-born work is announced with one-way ``SUBMIT_LOCAL`` notices,
-batched and flushed before any other outbound message, so the driver
-learns of each entry causally first; it acks a batch with one
-``PLACED``.  A notice carries two lists of entries.  The first holds the
-tasks the worker kept on its own queue; the driver *mirrors* them.  The
-second holds the tasks the worker could not keep — a dependency not
-resident there, a placement hint for another node, resources one slot
-cannot hold, a backlog over the spill threshold — which the driver
-places (*routed*, the paper's spillover): it restores their arguments
-and submits each like one of its own calls, under the ids the worker
-gave it.  Either way creating a task is no round trip: the worker
-checks a task against the :class:`~repro.cluster.spec.ClusterSpec` it
-was spawned with itself, and waits for a ``PLACED`` only when the
-window of unacknowledged entries is full.  Of a mirrored entry the driver keeps the entry and nothing
-more: it *adopts* the task —
+What a task makes on a worker is announced with one-way
+``SUBMIT_LOCAL`` notices, batched and flushed before any other outbound
+message, so the driver learns of each item causally first; it applies
+a notice under one lock hold and acks all of its items with one
+``PLACED``.  A notice carries two lists of entries and a list of puts.
+The first list holds the tasks the worker kept on its own queue; the
+driver *mirrors* them.  The second holds the tasks the worker could not
+keep — a dependency not resident there, a placement hint for another
+node, resources one slot cannot hold, a backlog over the spill
+threshold — which the driver places (*routed*, the paper's spillover),
+and the actor calls the task made, in submission order: it restores
+their arguments and submits each like one of its own calls, under the
+ids the worker gave it (a call joins its actor's lane).  The puts are
+``(object_hex, bytes, parent_hex)`` — the bytes under an id the worker
+minted, or ``None`` for the seal of a shared-memory grant it filled —
+and are applied first, then the kept entries, the escaped ids and the
+routed list.  So creating a task, calling an actor or putting a small
+value is no round trip: the worker checks a task against the
+:class:`~repro.cluster.spec.ClusterSpec` it was spawned with itself,
+and waits for a ``PLACED`` only when the window of unacknowledged items
+is full.  A put or seal the driver cannot apply, or a call to an actor
+it does not know, resolves the object's or the call's returns to an
+error value; the task that made it runs on.  Of a mirrored entry the
+driver keeps the entry and nothing more: it *adopts* the task —
 decodes the spec, pins its arguments and writes its lineage row — only
 when something needs it (a steal, a cancel, the loss of the worker, an
 escape of one of its refs, a failure or a result that is not inline
@@ -195,22 +209,25 @@ was pushed to its mirror.
 nothing it can see still needs it (``proc/runtime.py``, "Object
 lifetime"), so the protocol keeps three promises.  (1) Its own fields
 name objects by id, never by a pickled :class:`ObjectRef`: ``GET``,
-``WAIT`` and ``CANCEL`` carry object ids, ``PUT``/``CALL_ACTOR``/
-``SHM_SEAL`` are answered with ids the worker wraps in refs of its
-own, and the top-level ref arguments of every call are
+``WAIT`` and ``CANCEL`` carry object ids, a notice names the ids a
+worker minted for its tasks, calls and puts (and ``SHM_CREATE``
+answers a large put with its id), which the worker wraps in refs of
+its own, and the top-level ref arguments of every call are
 bare :class:`SlotRef` placeholders (:func:`strip_refs`) — a ref that *is* pickled (nested
 in an argument, in a stored value, captured by a shipped closure) marks
-its object escaped, which pins it until shutdown.  (2) Every request
-that makes the driver mint an id for a worker says which task asked
-(``parent``), and a locally-born entry that has ref arguments names
+its object escaped, which pins it until shutdown.  (2) Every notice item
+says which task made it (an entry's ``extras["parent"]``, a put's
+``parent_hex``), and a locally-born entry that has ref arguments names
 them (``extras["deps"]``): the driver holds ids born in a task until
 that task's ``DONE`` is applied, and pins a task's arguments until its
-own.  (3) A worker reports the ids that escaped through it — refs it
-pickled, and refs it still holds an instance of when the task that
-received or created them ends (actor state) — as a trailing element of
-the ``SUBMIT_LOCAL`` notice, which already goes out ahead of every other
-outbound message: the mark is applied no later than the bytes that
-carry the ref.
+own.  An id a worker mints needs no answer to say whose it is; the one
+id the driver still mints for a worker, a large put's, comes with its
+grant and is held once the seal names its ``parent``.  (3) A worker
+reports the ids that escaped through it — refs it pickled, and refs it
+still holds an instance of when the task that received or created them
+ends (actor state) — as a trailing element of the ``SUBMIT_LOCAL``
+notice, which already goes out ahead of every other outbound message:
+the mark is applied no later than the bytes that carry the ref.
 
 Everything crossing the pipe is picklable by construction: user *code*
 is pre-serialized with
@@ -247,26 +264,23 @@ FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
 GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | ShmDescriptor])
 WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
                                #   -> (OK, [the ready object_ids])
-PUT = "put"                    # (PUT, bytes, parent) -> (OK, object_id)
 CANCEL = "cancel"              # (CANCEL, object_id, recursive, producer_task)
                                #   -> (OK, bool); producer_task: the ref's
                                # (None for a put)
 CREATE_ACTOR = "create_actor"  # (CREATE_ACTOR, payload) -> (OK, ActorHandle)
-CALL_ACTOR = "call_actor"      # (CALL_ACTOR, payload) -> (OK, (task_id, [object_id, ...]))
 GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
 
 # -- worker -> driver (the shared-memory data plane) --------------------
-# The metadata-only variant of PUT and of a large result: large objects
-# cross the pipe as ~100-byte ShmDescriptors; only small ones ship as
-# bytes.  Argument descriptors ship embedded in SlotRef (no round trip).
+# Large puts and results cross the pipe as ~100-byte ShmDescriptors;
+# only small ones ship as bytes.  Argument descriptors ship embedded in
+# SlotRef (no round trip).
 SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
                            #   -> (OK, ShmDescriptor | None): reserve an
                            # unsealed allocation the worker fills through
                            # its own mapping (None: budget full, take the
-                           # pipe); object_id=None allocates a fresh id
-SHM_SEAL = "shm_seal"      # (SHM_SEAL, object_id, parent) -> (OK, None):
-                           # publish a worker-filled allocation (put path;
-                           # result blobs seal implicitly on DONE)
+                           # pipe); object_id=None is a put, allocated a
+                           # fresh id (its seal rides the SUBMIT_LOCAL
+                           # notice; a result's is its DONE)
 SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
                            # a granted-but-unwritable allocation to the
                            # arena (the worker is falling back to bytes)
@@ -276,12 +290,15 @@ SHM_ABORT = "shm_abort"    # (SHM_ABORT, object_id) -> (OK, None): return
 DONE = "done"                  # (DONE, [(task_hex, blobs, failed, exec_s), ...], late)
 SUBMIT_LOCAL = "submit_local"  # (SUBMIT_LOCAL, [entry, ...], {function_hex:
                                # (name, code)}[, [escaped object_hex, ...],
-                               # [routed entry, ...]]): nested tasks, zero
-                               # round-trips — the first list enqueued on the
-                               # worker's own queue, the routed ones for the
-                               # driver to place; the optional tail also
-                               # reports escaped objects (and may be all the
-                               # notice carries: no entries, no PLACED)
+                               # [routed entry, ...][, [(object_hex, bytes |
+                               # None, parent_hex), ...]]]): what a task
+                               # made, zero round-trips — the first list
+                               # enqueued on the worker's own queue, the
+                               # routed tasks and actor calls for the driver
+                               # to place, the puts and seals for it to
+                               # store; the optional tail also reports
+                               # escaped objects (and may be all the notice
+                               # carries: no items, no PLACED)
 STEAL_GRANT = "steal_grant"    # (STEAL_GRANT, [task_hex, ...][, True]): the
                                # worker (sole owner of its queue) gives away
                                # its tail; the driver re-homes the tasks from
@@ -305,10 +322,11 @@ CANCEL_NOTICE = "cancel_notice"  # (CANCEL_NOTICE, task_hex): drop the task
                                  # from the local queue — it must never
                                  # execute
 PLACED = "placed"      # (PLACED, count): a SUBMIT_LOCAL batch of that many
-                       # tasks is mirrored or routed (the loss of this
-                       # worker replays them from here on; a routed one's
-                       # lineage row is written, a mirrored one's when the
-                       # driver adopts it)
+                       # items is applied — tasks mirrored or routed,
+                       # calls in their lanes, puts stored (the loss of
+                       # this worker replays its tasks from here on; a
+                       # routed one's lineage row is written, a mirrored
+                       # one's when the driver adopts it)
 
 # -- driver -> worker (replies) -----------------------------------------
 OK = "ok"    # (OK, value[, key])
@@ -358,8 +376,8 @@ class ShmDescriptor:
 
 def strip_refs(args: tuple, kwargs: dict) -> tuple:
     """``(args, kwargs)`` with every top-level ref replaced by a bare
-    :class:`SlotRef`: how a worker's CALL_ACTOR / CREATE_ACTOR request
-    carries a call, so that naming an argument is not pickling a
+    :class:`SlotRef`: how a worker's CREATE_ACTOR request carries the
+    constructor's call, so that naming an argument is not pickling a
     ref (which would mark the object escaped)."""
 
     def strip(value: Any) -> Any:

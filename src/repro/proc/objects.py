@@ -234,7 +234,6 @@ class ObjectPlane(ObjectStores):
         num_workers: int,
         seed: int,
         inline_threshold: int,
-        crash_policy: str,
         is_cancelled: Callable[[Any], bool],
         arrived: Callable[[ObjectID], None],
         requeue: Callable[[TaskSpec, Optional[tuple]], None],
@@ -293,8 +292,7 @@ class ObjectPlane(ObjectStores):
         #: Objects with a pull in flight (one transfer per object).
         self._pulling: set = set()
         #: Lineage: replays charged per task id, against its
-        #: ``max_reconstructions``; ``"fail"`` turns replay off.
-        self.crash_policy = crash_policy
+        #: ``max_reconstructions``.
         self.replays: dict[Any, int] = {}
         self.lineage_replays = 0
         self._acct_inline = ByteAccountant()
@@ -647,17 +645,35 @@ class ObjectPlane(ObjectStores):
             self.note_pipe_fallback(nbytes)
         return granted
 
-    def seal_put(self, object_id: ObjectID, worker_index: int, born_in: str) -> None:
-        """Publish a worker-filled allocation (the put path's second
-        phase) and wake anything parked on the object."""
-        if self.shm is None or not self.shm.seal(object_id):
-            raise ObjectLostError(
-                f"shm allocation for {object_id} no longer exists"
-            )
+    def worker_put(
+        self, object_hex: str, data: Optional[bytes], worker_index: int,
+        born_in: Optional[str],
+    ) -> None:
+        """A put a worker made, under the id it minted (or, a large one,
+        was granted): ``data`` is its bytes, or None — the seal that
+        publishes the allocation the worker filled.  The object is held
+        for the task it was born in and counted resident on that worker
+        (it keeps a put's bytes in its cache); one that cannot be stored
+        or sealed resolves to an error value instead (the task that made
+        it runs on)."""
+        object_id = ObjectID(object_hex)
         self.hold_born(born_in, (object_id,))
-        size = self.shm.size_of(object_id) or 0
-        self.residency.record(worker_index, object_id.hex, size)
-        self._sealed(object_id, size, worker_index)
+        try:
+            if data is None:
+                if self.shm is None or not self.shm.seal(object_id):
+                    raise ObjectLostError(
+                        f"shm allocation for {object_id} no longer exists"
+                    )
+                size = self.shm.size_of(object_id) or 0
+                self.residency.record(worker_index, object_hex, size)
+                self._sealed(object_id, size, worker_index)
+            else:
+                self.store_bytes(object_id, data)
+                self.residency.record(worker_index, object_hex, len(data))
+        except ReproError as exc:
+            self.store_bytes(object_id, serialize(ErrorValue(
+                None, "put", repr(exc), chain=("put",)
+            )))
 
     def worker_lost(self, worker_index: int) -> None:
         """Nothing is resident in a dead worker, and what it held of the
@@ -936,11 +952,7 @@ class ObjectPlane(ObjectStores):
         if self._is_cancelled(spec.task_id):
             return False
         attempts = self.replays.get(spec.task_id, 0)
-        if (
-            spec.actor_id is None
-            and self.crash_policy == "replace"
-            and attempts < spec.max_reconstructions
-        ):
+        if spec.actor_id is None and attempts < spec.max_reconstructions:
             self.replays[spec.task_id] = attempts + 1
             self.lineage_replays += 1
             if lost_object is not None:
@@ -961,8 +973,6 @@ class ObjectPlane(ObjectStores):
             return True
         if spec.actor_id is not None:
             why = "produced by an actor method: not replayable"
-        elif self.crash_policy == "fail":
-            why = "worker_crash_policy='fail' disables lineage replay"
         else:
             why = (
                 f"lineage replay budget exhausted "

@@ -36,8 +36,8 @@ Architecture (one instance = one pool):
   their spec — lineage replay, up to ``max_reconstructions`` — while
   actor tasks surface :class:`~repro.errors.ActorLostError`, mirroring
   the sim backend's node-death semantics; a replacement worker is spawned
-  either way.  ``worker_crash_policy="fail"`` turns replay off and
-  surfaces :class:`~repro.errors.WorkerCrashedError` instead.
+  either way.  A task with ``max_reconstructions=0`` surfaces
+  :class:`~repro.errors.WorkerCrashedError` at its first crash instead.
 * **Dispatch** is the paper's hybrid two-level scheduler realized on
   real processes, and the only path a task can take.  Every decision of
   it is the :class:`~repro.sched_plane.dispatch.DispatchPlane`'s
@@ -132,9 +132,6 @@ from repro.utils.serialization import (
     serialize_portable,
     should_inline,
 )
-
-#: Valid values of the ``worker_crash_policy`` init option.
-CRASH_POLICIES = ("replace", "fail")
 
 #: Default byte budget of the shared-memory data plane (``shm_capacity``
 #: init option; 0 disables it).  Backed by lazily-committed pages: the
@@ -265,12 +262,6 @@ def _no_wait(predicate: Callable[[], bool], deadline: Optional[float]) -> bool:
     return False
 
 
-def _wire_ids(spec: TaskSpec) -> tuple:
-    """What answers a worker's CALL_ACTOR: the new task's id and return
-    ids — the worker wraps them in refs of its own."""
-    return spec.task_id, list(spec.all_return_ids())
-
-
 class ProcRuntime:
     """Multiprocess implementation of the backend protocol."""
 
@@ -279,7 +270,6 @@ class ProcRuntime:
         cluster: Optional[ClusterSpec] = None,
         seed: int = 0,
         num_workers: Optional[int] = None,
-        worker_crash_policy: str = "replace",
         inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
         shm_capacity: int = DEFAULT_SHM_CAPACITY,
         dispatch_mode: str = "bottom_up",
@@ -304,12 +294,6 @@ class ProcRuntime:
             raise BackendError(
                 f"invalid init option num_workers={num_workers!r} for backend "
                 "'proc'; must be a positive integer"
-            )
-        if worker_crash_policy not in CRASH_POLICIES:
-            raise BackendError(
-                f"invalid init option worker_crash_policy="
-                f"{worker_crash_policy!r} for backend 'proc'; valid values: "
-                f"{list(CRASH_POLICIES)}"
             )
         if inline_threshold < 0:
             raise BackendError(
@@ -377,7 +361,6 @@ class ProcRuntime:
             num_workers=num_workers,
             seed=seed,
             inline_threshold=inline_threshold,
-            crash_policy=worker_crash_policy,
             is_cancelled=self._lifecycle.is_cancelled,
             arrived=self._object_arrived,
             requeue=lambda spec, payload: self._dispatch.requeue(spec, payload),
@@ -480,15 +463,11 @@ class ProcRuntime:
         the constructor runs there and the live instance stays."""
         return self._dispatch.home_for_actor(spec.placement_hint).node_id
 
-    def _submit_actor_task(
-        self, record, spec: TaskSpec, born_in: Optional[str]
-    ) -> None:
+    def _submit_actor_task(self, record, spec: TaskSpec) -> None:
         """Stand the task in its actor's lane (a constructor opens it),
         which is what serializes the actor's methods: there is no
         dependency on the previous call's result, so a call waits for
         its own arguments and for nothing else."""
-        if born_in is not None:
-            self._objects.hold_born(born_in, spec.all_return_ids())
         if spec.actor_method == CREATION_METHOD:
             self._dispatch.open_lane(record, spec)
         else:
@@ -652,7 +631,7 @@ class ProcRuntime:
     def kill_worker(self, index: int) -> None:
         """Fault injection: SIGKILL one worker process (the ``proc``
         analogue of the sim backend's ``kill_node``).  Detection happens
-        on the worker's pipe; recovery follows ``worker_crash_policy``."""
+        on the worker's pipe, and recovery is lineage replay."""
         with self._cond:
             self._check_open()
             if not 0 <= index < len(self._workers):
@@ -1066,24 +1045,29 @@ class ProcRuntime:
 
     def _register_local_submit(
         self, worker: _WorkerHandle, entries: list, table: dict, escaped=(),
-        routed=(),
+        routed=(), puts=(),
     ) -> None:
-        """One SUBMIT_LOCAL notice, acked with one PLACED.  ``entries``
-        are the nested tasks a worker kept on its own queue (the fast
-        path): each is mirrored — its wire tuple, its return ids held
-        for the parent it was born in — and nothing is decoded: the
-        driver adopts a task (:meth:`_adopt`) only when something needs
-        it.  ``routed`` are those the worker could not keep, placed by
-        this tier (:meth:`_submit_routed`).  ``table`` names the
-        functions the worker submits here for the first time,
-        ``escaped`` the objects whose refs the worker pickled or kept
-        past their task (a notice may carry nothing else); an escaped
-        return of a task still queued is adopted, since others may now
-        name it.  Pipe FIFO guarantees this runs before any DONE or
-        STEAL_GRANT mentioning any of the tasks, and before any bytes
-        that carry one of those refs."""
+        """One SUBMIT_LOCAL notice, applied under one lock hold in this
+        order and acked with one PLACED.  ``puts`` are the worker's puts
+        and seals (:meth:`ObjectPlane.worker_put`).  ``entries`` are the
+        nested tasks a worker kept on its own queue (the fast path):
+        each is mirrored — its wire tuple, its return ids held for the
+        parent it was born in — and nothing is decoded: the driver
+        adopts a task (:meth:`_adopt`) only when something needs it.
+        ``escaped`` are the objects whose refs the worker pickled or
+        kept past their task (a notice may carry nothing else); an
+        escaped return of a task still queued is adopted, since others
+        may now name it.  ``routed`` are the tasks the worker could not
+        keep and its actor calls, placed by this tier in submission
+        order (:meth:`_submit_routed`).  ``table`` names the functions
+        the worker submits here for the first time.  Pipe FIFO
+        guarantees this runs before any DONE or STEAL_GRANT mentioning
+        any of the tasks, and before any bytes that carry one of those
+        refs."""
         with self._cond, self._control.async_batch():
             self.functions.learn(table, worker.functions_sent)
+            for object_hex, data, born_in in puts:
+                self._objects.worker_put(object_hex, data, worker.index, born_in)
             for entry in entries:
                 return_ids = tuple([ObjectID(return_hex) for return_hex in entry[2]])
                 self._objects.hold_born(entry[5].get("parent"), return_ids)
@@ -1095,28 +1079,45 @@ class ProcRuntime:
             for entry in routed:
                 self._submit_routed(worker, entry)
             self._cond.notify_all()  # idle thieves may now see a victim
-        if entries or routed:
-            worker.send((msg.PLACED, len(entries) + len(routed)))
+        if entries or routed or puts:
+            worker.send((msg.PLACED, len(entries) + len(routed) + len(puts)))
 
     def _submit_routed(self, worker: _WorkerHandle, entry: tuple) -> None:
-        """A worker-born task its worker could not keep (lock held): the
-        paper's spillover stream into the driver tier.  It keeps the ids
-        its worker stamped, which stay held for the task it was born
-        in; its arguments are restored from the entry and it is
-        submitted like a driver-born call (:meth:`_submit_spec`).  An
-        argument that does not unpickle here fails the task."""
-        spec = msg.decode_entry(entry, self.functions, worker.node_id)
-        self._dispatch.counters.tasks_spilled += 1
-        if self._obs.enabled:
-            self._obs.record("task_spilled", function=spec.function_name)
-        self._objects.hold_born(entry[5].get("parent"), spec.all_return_ids())
+        """A worker-born task its worker could not keep — the paper's
+        spillover stream into the driver tier — or an actor call made
+        on a worker (lock held).  It keeps the ids its worker stamped,
+        which stay held for the task it was born in, and its arguments
+        are restored from the entry.  A task is submitted like a
+        driver-born call (:meth:`_submit_spec`), a call like one made
+        here (``actors.submit_actor_call``).  An argument that does not
+        unpickle here, or an actor this driver does not know, fails its
+        returns."""
+        task_hex, _function, return_hexes, call_bytes, _inline, extras = entry
+        return_ids = tuple([ObjectID(return_hex) for return_hex in return_hexes])
+        actor = extras.get("actor")
+        if actor is None:
+            spec = msg.decode_entry(entry, self.functions, worker.node_id)
+            self._dispatch.counters.tasks_spilled += 1
+            if self._obs.enabled:
+                self._obs.record("task_spilled", function=spec.function_name)
+        self._objects.hold_born(extras.get("parent"), return_ids)
         try:
-            spec.args, spec.kwargs = msg.restore_refs(
-                *deserialize_portable(entry[3])
-            )
+            args, kwargs = msg.restore_refs(*deserialize_portable(call_bytes))
+            if actor is not None:
+                actors.submit_actor_call(
+                    self, actor[0], actor[1], args, kwargs,
+                    stamped=(TaskID(task_hex), return_ids),
+                )
+                return
         except Exception as exc:  # noqa: BLE001 - a user payload
+            if actor is not None:  # named by its method: no spec was made
+                spec = TaskSpec(
+                    TaskID(task_hex), None, actor[1],
+                    return_object_id=return_ids[0], return_object_ids=return_ids,
+                )
             self._objects.store_error(spec, error_value_from(spec, exc))
             return
+        spec.args, spec.kwargs = args, kwargs
         self._submit_spec(spec)
 
     def _adopt(self, entry: tuple, node: Any = None) -> TaskSpec:
@@ -1290,23 +1291,12 @@ class ProcRuntime:
                         self._resident(object_id, deadline, _no_wait, plane.blob_for)
                         for object_id in message[1]
                     ]
-            elif tag == msg.PUT:
-                data, born_in = message[1], message[2]
-                with self._cond:
-                    reply = self.ids.object_id()
-                    plane.hold_born(born_in, (reply,))
-                    plane.store_bytes(reply, data)
-                    # The putting worker keeps a copy in its cache.
-                    plane.residency.record(worker.index, reply.hex, len(data))
             elif tag == msg.SHM_CREATE:
                 # No id named: a put, which gets a fresh one.
                 with self._cond:
                     reply = plane.grant(
                         message[1] or self.ids.object_id(), message[2], worker.index
                     )
-            elif tag == msg.SHM_SEAL:
-                with self._cond:
-                    reply = plane.seal_put(message[1], worker.index, message[2])
             elif tag == msg.SHM_ABORT:
                 with self._cond:
                     reply = plane.abort_grant(message[1])
@@ -1319,18 +1309,6 @@ class ProcRuntime:
                 reply = self.get_actor(message[1])
             elif tag == msg.CREATE_ACTOR:
                 reply = self._create_actor_from_worker(message[1])
-            elif tag == msg.CALL_ACTOR:
-                payload = message[1]
-                args, kwargs = msg.restore_refs(
-                    *deserialize_portable(payload["call_bytes"])
-                )
-                reply = _wire_ids(
-                    actors.submit_actor_call(
-                        self, payload["actor_id"], payload["method"], args,
-                        kwargs, payload.get("num_returns", 1),
-                        born_in=payload["parent"],
-                    )
-                )
             else:
                 raise BackendError(f"unknown worker message {tag!r}")
         except (_Parked, EOFError, OSError):

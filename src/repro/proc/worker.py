@@ -30,7 +30,10 @@ own collision-free namespace — enqueues it to itself, and tells the
 driver with a one-way ``SUBMIT_LOCAL`` notice: **zero driver
 round-trips** on the submission path.  One that cannot stay (a
 dependency not resident here, among others) rides the same notice to
-the driver tier, which places it: a spill is no round trip either.
+the driver tier, which places it: a spill is no round trip either, and
+neither is an actor call or a ``put`` made here — ids minted here, the
+call or the bytes (or the seal of a filled shared-memory grant) on the
+notice.
 Driver-born work arrives in ``TASK`` frames whose tail lands on the
 same queue (shipped ahead of need) — except an actor's window, which is
 run through in frame order without being queued (``_queue_frame``) —
@@ -93,7 +96,7 @@ from repro.proc.transport import ensure_transport
 from repro.scheduling.policies import SpilloverPolicy
 from repro.sched_plane.dispatch import FRAME_BUDGET_S
 from repro.sched_plane.queues import LocalTaskQueue
-from repro.utils.ids import IDGenerator, NodeID, ObjectID
+from repro.utils.ids import FunctionID, IDGenerator, NodeID, ObjectID
 
 #: How long a buffered completion or ``SUBMIT_LOCAL`` notice may wait
 #: for the next task boundary before the reader thread sends it anyway
@@ -107,11 +110,12 @@ _KNOWN_SHM_CAP = 1024
 #: objects it fetched.
 WORKER_CACHE_BYTES = 64 * 1024**2
 
-#: Nested-submission backpressure: the most worker-born tasks whose
-#: notice may be unacknowledged (no PLACED yet) at once.  A ``.remote()``
-#: that would pass it flushes the notices and waits for the PLACED that
-#: brings the window back under it.  Bounds the work that only the
-#: submitting task's own replay could rebuild after a crash.
+#: Backpressure on what a task makes: the most ``SUBMIT_LOCAL`` notice
+#: items — nested tasks, kept or routed, actor calls, puts and seals —
+#: that may be unacknowledged (no PLACED yet) at once.  A ``.remote()``
+#: or ``put`` that would pass it flushes the notices and waits for the
+#: PLACED that brings the window back under it.  Bounds the work that
+#: only the submitting task's own replay could rebuild after a crash.
 MAX_UNACKED_LOCAL = 4096
 
 #: The keep-or-spill decision of the fast path.  The threshold is
@@ -205,19 +209,28 @@ class WorkerRuntime:
         return partition_by_ready(ref_list, lambda ref: ref.object_id in ready)
 
     def put(self, value: Any) -> ObjectRef:
+        """No request but a large value's grant (``SHM_CREATE``, which
+        names its id): the bytes under an id minted here, or the seal of
+        the filled grant, ride the next notice (:meth:`ProcWorker.buffer`)."""
         worker = self._worker
         if worker.shm_enabled:
             serialized = serialize_buffers(value)
             if not should_inline(serialized.total_bytes, worker.inline_threshold):
                 granted = worker._ship_value(None, serialized)
                 if granted is not None:
-                    worker.rpc(msg.SHM_SEAL, granted.object_id, worker.cur_hex())
-                    worker.note_shm(granted)
+                    # Not remembered in _known_shm, like a result's
+                    # grant (_pack_one): the driver seals it when it
+                    # reads the notice, and nothing here may lease it
+                    # before — a nested task on it is routed.
+                    worker.buffer(
+                        (granted.object_id.hex, None, worker.cur_hex()), put=True
+                    )
                     return ObjectRef(granted.object_id)
             data = serialized.joined()
         else:
             data = serialize(value)
-        object_id = worker.rpc(msg.PUT, data, worker.cur_hex())
+        object_id = worker.ids.object_id()
+        worker.buffer((object_id.hex, data, worker.cur_hex()), put=True)
         worker.remember_bytes(object_id, data)
         return ObjectRef(object_id)
 
@@ -237,15 +250,28 @@ class WorkerRuntime:
 
     def call_actor(
         self, actor_id, method_name: str, args, kwargs, num_returns: int = 1
-    ) -> ObjectRef:
-        payload = {
-            "actor_id": actor_id,
-            "method": method_name,
-            "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
-            "num_returns": num_returns,
-            "parent": self._worker.cur_hex(),
-        }
-        return _refs_of(self._worker.rpc(msg.CALL_ACTOR, payload))
+    ) -> Any:
+        """A ``handle.m.remote()`` made here, with no round trip: the
+        call's task and return ids are stamped from this worker's
+        namespace and its wire entry joins the routed list of the next
+        notice, in submission order with the tasks routed there; the
+        driver stands it in its actor's lane under those ids.  The
+        entry's ``"actor"`` extras name the actor and method only (its
+        class and resources are the driver's record's), and its
+        function id is the actor's: the driver keys the method's
+        estimates on its record, not on the entry."""
+        worker, ids = self._worker, self.ids
+        return_ids = tuple([ids.object_id() for _ in range(num_returns)])
+        spec = TaskSpec(
+            ids.task_id(), FunctionID(actor_id.hex), method_name, args=args,
+            kwargs=kwargs, return_object_id=return_ids[0],
+            return_object_ids=return_ids, num_returns=num_returns,
+            root_task_id=worker._cur_root, parent_task_id=worker._cur_task,
+        )
+        worker.buffer(msg.encode_entry(
+            spec, worker._local_slot, actor=(actor_id, method_name, None, None)
+        ))
+        return spec.public_result()
 
     def sleep(self, duration: float) -> None:
         time.sleep(duration)
@@ -259,14 +285,6 @@ class WorkerRuntime:
 
     def shutdown(self) -> None:  # the driver owns the lifecycle
         pass
-
-
-def _refs_of(reply: tuple) -> Any:
-    """The driver's answer to CALL_ACTOR — a task id and its return
-    ids — as what ``.remote()`` hands back: refs made here."""
-    task_id, return_ids = reply
-    refs = tuple([ObjectRef(object_id, task_id) for object_id in return_ids])
-    return refs[0] if len(refs) == 1 else refs
 
 
 class _Waiter(threading.Condition):
@@ -328,14 +346,17 @@ class ProcWorker:
         self.unacked_local = 0
         #: Notices buffered for the next pipe touch — the wire entries
         #: of the tasks kept here and of those routed through the
-        #: driver, and the rows of the functions this worker submits for
-        #: the first time: batching turns a K-task fan-out's control
-        #: traffic into one send (or the reader's,
-        #: ``_DONE_WATCHDOG_S`` later).  The flush-before-every-outbound-
-        #: message discipline (see :meth:`_flush_notices`) keeps the
-        #: causal order the mirror depends on.
+        #: driver (actor calls among them), the puts ``(object_hex,
+        #: bytes or None for a seal, parent_hex)``, and the rows of the
+        #: functions this worker submits for the first time: batching
+        #: turns a K-task fan-out's control traffic into one send (or
+        #: the reader's, ``_DONE_WATCHDOG_S`` later).  The
+        #: flush-before-every-outbound-message discipline (see
+        #: :meth:`_flush_notices`) keeps the causal order the mirror
+        #: depends on.
         self._pending_notices: list = []
         self._pending_routed: list = []
+        self._pending_puts: list = []
         self._pending_rows: list = []  # function hexes
         #: What a function id means here: what TASK frames' tables
         #: delivered, and what this worker submitted itself.
@@ -383,7 +404,7 @@ class ProcWorker:
         self._untimed = False
         self._alarm: Optional[tuple] = None
         #: Shared-memory descriptors this process has seen (attached
-        #: arguments, sealed puts), used for residency checks and to
+        #: arguments and values it read), used for residency checks and to
         #: embed descriptors in locally-built payloads; the latest
         #: ``_KNOWN_SHM_CAP`` of them, or the dict would grow by one
         #: entry per large object this worker ever saw.  An entry can
@@ -488,7 +509,8 @@ class ProcWorker:
         The row is entered and its code serialized now, on the
         submitting thread, where a failure is the caller's; from now on
         it counts as told (who asks, sends: the next notice, which
-        carries the entry too, kept here or routed)."""
+        carries the entry too, kept here or routed).  An actor call
+        names no function, so it has no row to tell."""
         function_hex = template.function_id.hex
         if function_hex in self.functions_sent:
             return {}
@@ -697,7 +719,7 @@ class ProcWorker:
                     if message is not None and not self._receive(message):
                         return
                     message, timeout = None, None
-                    if self._done or self._pending_notices or self._pending_routed:
+                    if self._done or self._held():
                         timeout = self._held_since + _DONE_WATCHDOG_S - time.monotonic()
                         if timeout <= 0:
                             self._flush_done()
@@ -994,7 +1016,7 @@ class ProcWorker:
         if self.shm is not None:
             self.shm.settle_leases()
         with self._lock:
-            if not (self._done or self._pending_notices or self._pending_routed):
+            if not (self._done or self._held()):
                 self._held_since = now
             self._done.append((entry[0], data, failed, now - started))
             if now - self._held_since >= FRAME_BUDGET_S:
@@ -1061,26 +1083,8 @@ class ProcWorker:
             backlog=len(self.local_queue),
             this_node=self.node_id,
         )
-        # The notice is one-way and *buffered*: a fan-out's notices
-        # coalesce into a single send at the next pipe touch (or the
-        # reader's timer), and the driver's (batched) PLACED ack arrives
-        # asynchronously, carrying the lineage guarantee — the window of
-        # unacked entries is the only thing a submission waits for.
-        # _flush_notices() before every other outbound message is what
-        # keeps the mirror causally ahead of any DONE or STEAL_GRANT
-        # that could mention the task.  The first one held starts the
-        # timer: a parent that goes on computing must not hide its
-        # children from idle peers, or from the driver tier (_read).
         with self._lock:
-            while (
-                self.unacked_local + len(self._pending_notices)
-                + len(self._pending_routed) >= MAX_UNACKED_LOCAL
-            ):
-                self._flush_notices()
-                self._placed.wait()
-            first = not (self._pending_notices or self._pending_routed)
-            if first and not self._done:
-                self._held_since = time.monotonic()
+            first = self._make_room()
             self._pending_rows.extend(self.rows_to_tell(template))  # its keys
             if local:
                 self._pending_notices.append(entry)
@@ -1097,10 +1101,52 @@ class ProcWorker:
             obs.task_placed(self.obs, spec, local=True)
         return spec.public_result()
 
+    def _held(self) -> int:
+        """Notice items buffered and not yet sent (lock held)."""
+        return (
+            len(self._pending_notices) + len(self._pending_routed)
+            + len(self._pending_puts)
+        )
+
+    def _make_room(self) -> bool:
+        """Room for one more item of the next ``SUBMIT_LOCAL`` notice
+        (lock held) — a kept entry, a routed one, a put — and whether it
+        is the first one held: its caller, having buffered it, then
+        starts the reader's timer (:meth:`_hold`).
+
+        The notice is one-way and *buffered*: a fan-out's items coalesce
+        into a single send at the next pipe touch (or the reader's
+        timer), and the driver's (batched) PLACED ack arrives
+        asynchronously, carrying the lineage guarantee — the window of
+        unacked items is the only thing a task waits for.
+        :meth:`_flush_notices` before every other outbound message is
+        what keeps the mirror causally ahead of any DONE or STEAL_GRANT
+        that could mention a task, and the driver ahead of any request
+        naming a put.  The timer is there because a parent that goes on
+        computing must not hide its children from idle peers, or from
+        the driver tier (:meth:`_read`)."""
+        while self.unacked_local + self._held() >= MAX_UNACKED_LOCAL:
+            self._flush_notices()
+            self._placed.wait()
+        if self._held():
+            return False
+        if not self._done:
+            self._held_since = time.monotonic()
+        return True
+
+    def buffer(self, item: tuple, put: bool = False) -> None:
+        """Hold an actor call's routed entry, or a put, for the next
+        notice (:meth:`try_submit_local` holds the tasks)."""
+        with self._lock:
+            first = self._make_room()
+            (self._pending_puts if put else self._pending_routed).append(item)
+            if first:
+                self._hold()
+
     def _flush_notices(self) -> None:
         """Ship buffered SUBMIT_LOCAL notices (one message for all: the
         entries kept here, then — with the escaped ids — those the
-        driver places).
+        driver places and the puts it stores).
 
         Called before *every* other outbound pipe message — DONE,
         STEAL_GRANT, and any rpc request — so by pipe FIFO the driver
@@ -1115,19 +1161,20 @@ class ProcWorker:
             if self._escaped:
                 escaped = self._escaped - self._reported
                 self._escaped.clear()
-            if self._pending_notices or self._pending_routed or escaped:
+            if escaped or self._held():
                 batch, self._pending_notices = self._pending_notices, []
                 routed, self._pending_routed = self._pending_routed, []
+                puts, self._pending_puts = self._pending_puts, []
                 told, self._pending_rows = self._pending_rows, []
                 notice = (msg.SUBMIT_LOCAL, batch, self.functions.rows(told))
-                if escaped or routed:
+                if escaped or routed or puts:
                     # Each id is reported once, on a notice that may
                     # carry nothing else: the mark must not arrive after
                     # the bytes that carry the ref.
                     self._reported.update(escaped)
-                    notice += (list(escaped), routed)
+                    notice += (list(escaped), routed) + ((puts,) if puts else ())
                 self.conn.send(notice)
-                self.unacked_local += len(batch) + len(routed)
+                self.unacked_local += len(batch) + len(routed) + len(puts)
 
     def _locally_resident(self, object_id: ObjectID) -> bool:
         """Whether this process can materialize the object without the

@@ -127,7 +127,7 @@ def slow(delay, value):
 
 @repro.remote
 def call_from_task(handle, items):
-    """CALL_ACTOR: actor calls made by a task on a worker."""
+    """Actor calls made by a task on a worker (routed notice entries)."""
     return repro.get([handle.add.remote(item) for item in items], timeout=60.0)
 
 
@@ -383,8 +383,8 @@ def test_multi_return_and_worker_born_calls_ride_the_same_lane(pool):
     assert after["frames_sent"] - before["frames_sent"] < shipped
     items = repro.get(log.dump.remote(), timeout=60.0)[5:]
     assert items == [x for i in range(60) for x in ((i, 0), (i, 1), i)]
-    # Calls made by a task on a worker (CALL_ACTOR) join the lane in the
-    # order the driver served them.
+    # Calls made by a task on a worker (routed entries of its notice)
+    # join the lane in the order the task made them.
     assert repro.get(
         call_from_task.remote(log, list(range(100, 140))), timeout=60.0
     ) == [len(items) + 5 + n for n in range(1, 41)]

@@ -102,6 +102,35 @@ def poke(handle, amount):
     return value
 
 
+@repro.remote
+def describe(small, big):
+    return small["k"], len(big), big[-1]
+
+
+@repro.remote
+class Describer:
+    def describe(self, small, big):
+        return small["k"], len(big), big[-1]
+
+
+@repro.remote
+def puts_into_children(handle):
+    """A task's writes: a small and a large put, passed to a nested child
+    and to an actor method."""
+    small = repro.put({"k": [1, 2, 3]})
+    big = repro.put(list(range(30_000)))
+    return (yield repro.Get([describe.remote(small, big), handle.describe.remote(small, big)]))
+
+
+@repro.remote
+def calls_with_no_returns(handle):
+    try:
+        handle.describe.options(num_returns=0).remote(1)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return "no-error"
+
+
 def slow_tasks(backend, count):
     """``count`` tasks taking ~1s in the backend's own notion of time."""
     if backend == "sim":
@@ -154,6 +183,14 @@ def run_program(backend, **init_kwargs):
         outcome["actor_into_task"] = repro.get(add.remote(acc.total_value.remote(), 1))
         outcome["actor_handle_into_task"] = repro.get(poke.remote(acc, 1000))
         outcome["actor_after_poke"] = repro.get(acc.total_value.remote())
+
+        # What a task writes — puts, nested calls, actor calls — and an
+        # actor call no backend may submit, refused inside the task.
+        describer = Describer.remote()
+        outcome["task_puts"] = repro.get(puts_into_children.remote(describer))
+        outcome["task_actor_no_returns"] = repro.get(
+            calls_with_no_returns.remote(describer)
+        )
 
         # wait: early completion and zero-timeout partial results.
         done_refs = [square.remote(i) for i in range(4)]

@@ -241,18 +241,6 @@ class TestProcWorkerCrash:
         with pytest.raises(WorkerCrashedError, match="budget exhausted"):
             repro.get(ref, timeout=60.0)
 
-    def test_crash_policy_fail_disables_replay(self, tmp_path):
-        runtime = repro.init(backend="proc", num_workers=1, worker_crash_policy="fail")
-        marker = str(tmp_path / "started")
-        ref = hang_once.remote(marker)
-        _await_marker(marker)
-        runtime.kill_worker(0)
-        with pytest.raises(WorkerCrashedError, match="disables lineage replay"):
-            repro.get(ref, timeout=60.0)
-        assert runtime.stats()["lineage_replays"] == 0
-        # The pool still heals (a replacement worker is spawned).
-        assert repro.get(proc_noop.remote(), timeout=60.0) == 1
-
     def test_actor_calls_surface_actor_lost(self, tmp_path):
         """Mirror of the sim backend's node-death semantics: pending and
         future calls on a lost actor raise ActorLostError, while stateless

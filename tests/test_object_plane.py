@@ -64,7 +64,7 @@ class FakeNode:
 
 
 class Harness:
-    def __init__(self, num_nodes=0, crash_policy="replace"):
+    def __init__(self, num_nodes=0):
         self.ids = IDGenerator(namespace="test-object-plane")
         self.cond = threading.Condition(threading.RLock())
         self.control = FakeControl()
@@ -82,7 +82,6 @@ class Harness:
             num_workers=max(1, num_nodes),
             seed=0,
             inline_threshold=1024,
-            crash_policy=crash_policy,
             is_cancelled=self.cancelled.__contains__,
             arrived=self.arrivals.append,
             requeue=lambda spec, payload: self.requeued.append((spec, payload)),
@@ -351,18 +350,11 @@ def test_the_verdict_is_the_same_one_for_a_task_that_died_with_its_worker(harnes
         "node 3 was lost; lineage replay budget exhausted (1/1 reconstructions)"
     )
 
-    strict = harness(crash_policy="fail")
-    spec = strict.spec()
-    ref = ObjectRef(spec.return_object_id)
-    assert strict.plane.replay_or_fail(spec) is False
-    error = deserialize(strict.plane.store.get(ref.object_id))
-    assert error.kind == "worker_crashed"
-    assert error.cause_repr == "worker_crash_policy='fail' disables lineage replay"
-
-    spec = strict.spec()
-    strict.cancelled.add(spec.task_id)  # its marker owns the slots
-    assert strict.plane.replay_or_fail(spec) is False
-    assert not strict.plane.has(spec.return_object_id) and not strict.requeued
+    h = harness()
+    spec = h.spec()
+    h.cancelled.add(spec.task_id)  # its marker owns the slots
+    assert h.plane.replay_or_fail(spec) is False
+    assert not h.plane.has(spec.return_object_id) and not h.requeued
 
 
 def test_a_node_that_no_longer_holds_it_turns_a_pull_into_the_verdict(harness):

@@ -312,8 +312,7 @@ class TestTraceContext:
 
 class TestFailureTrace:
     def test_kill_worker_leaves_replay_chain_in_trace(self, tmp_path):
-        runtime = repro.init(backend="proc", num_workers=1, tracing=True,
-                             worker_crash_policy="replace")
+        runtime = repro.init(backend="proc", num_workers=1, tracing=True)
         marker = str(tmp_path / "started")
         ref = tag_then_linger.remote(marker, 21)
         _await_marker(marker)

@@ -261,7 +261,8 @@ class TestShmDataPlane:
 
     def test_shm_worker_side_put(self):
         """repro.put of a large value *inside* a task takes the
-        SHM_CREATE/SHM_SEAL path; the driver then reads it zero-copy."""
+        SHM_CREATE path (its seal rides the notice); the driver then
+        reads it zero-copy."""
         runtime = repro.init(backend="proc", num_workers=1)
         inner = repro.get(put_blob.remote(LARGE), timeout=60.0)
         assert repro.get(inner, timeout=60.0) == b"P" * LARGE
@@ -455,14 +456,6 @@ def test_invalid_num_workers_rejected():
     assert not repro.is_initialized()
 
 
-def test_invalid_crash_policy_named_with_valid_values():
-    with pytest.raises(BackendError) as excinfo:
-        repro.init(backend="proc", worker_crash_policy="panic")
-    message = str(excinfo.value)
-    assert "worker_crash_policy" in message
-    assert "replace" in message and "fail" in message
-
-
 # ----------------------------------------------------------------------
 # Robustness of the process boundary
 # ----------------------------------------------------------------------
@@ -488,9 +481,10 @@ def test_unpicklable_return_is_a_task_error_not_a_crash():
 
 
 def test_bad_worker_request_does_not_strand_the_worker():
-    """A worker request whose payload blows up on the driver side (here:
-    an ActorCall on a handle forged for an unknown actor) must come back
-    as an error, leaving the worker alive for further tasks."""
+    """A worker's write that blows up on the driver side (here: an
+    ActorCall on a handle forged for an unknown actor) must come back as
+    an error — the call's result, as the call rides the worker's notice
+    — leaving the worker alive for further tasks."""
     repro.init(backend="proc", num_workers=1)
     try:
         from repro.core.actors import ActorHandle
@@ -504,15 +498,16 @@ def test_bad_worker_request_does_not_strand_the_worker():
 
         @repro.remote
         def call_ghost(handle):
+            ref = yield repro.ActorCall(handle, "boo", (), {})
             try:
-                yield repro.ActorCall(handle, "boo", (), {})
-            except BackendError as exc:
-                return f"caught: {type(exc).__name__}"
+                yield repro.Get(ref)
+            except repro.TaskError as exc:
+                return f"caught: {type(exc).__name__}", exc.cause_repr
             return "no-error"
 
-        assert repro.get(call_ghost.remote(forged), timeout=60.0) == (
-            "caught: BackendError"
-        )
+        caught, cause = repro.get(call_ghost.remote(forged), timeout=60.0)
+        assert caught == "caught: TaskError"
+        assert cause.startswith("BackendError('unknown actor")
         # The same worker still serves tasks afterwards.
         assert repro.get(my_pid.remote(), timeout=60.0) != os.getpid()
     finally:
