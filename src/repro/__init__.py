@@ -5,9 +5,10 @@ A distributed execution framework for real-time ML: a futures API
 (``remote`` / ``get`` / ``wait``) plus stateful actors over a
 hybrid-scheduled, centrally coordinated cluster — available as a
 deterministic discrete-event *simulated* cluster (``backend="sim"``), a
-real threaded runtime (``backend="local"``), and a real *multiprocess*
-runtime with true parallelism and crash recovery (``backend="proc"``).
-All are implementations of one backend protocol
+real threaded runtime (``backend="local"``), a real *multiprocess*
+runtime with true parallelism and crash recovery (``backend="proc"``),
+and that runtime's workers spread over node agents on TCP
+(``backend="dist"``).  All are implementations of one backend protocol
 (:mod:`repro.core.backend`), so every program runs unchanged on any.
 
 Quickstart::

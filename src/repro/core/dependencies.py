@@ -1,4 +1,4 @@
-"""Dataflow dependency tracking, shared by both backends.
+"""Dataflow dependency tracking, shared by every backend.
 
 A submitted task whose argument futures (or actor-ordering dependencies)
 are not yet produced must wait; when the last missing object becomes
@@ -6,8 +6,8 @@ ready the task becomes runnable.  Both runtimes used to carry private
 copies of this bookkeeping — a waiting-spec table, a missing-set per
 task, and an inverted index from object to waiting tasks.  This class is
 that logic, once.  It is deliberately unsynchronized: the sim backend is
-single-threaded by construction, the threaded backend calls it under its
-runtime lock.
+single-threaded by construction, the live backends (``local``, ``proc``,
+``dist``) call it under their runtime lock.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
-"""The effect interpreter shared by both backends.
+"""The effect interpreter shared by every backend.
 
 Generator task bodies yield effects (:mod:`repro.core.effects`); a
 backend supplies an :class:`EffectHandler` saying what each effect *does*
 in its world — virtual-time processes on the simulated cluster, real
-blocking calls on the threaded runtime.  The loop itself — stepping the
+blocking calls on the live ones (``local``, and a ``proc``/``dist``
+worker).  The loop itself — stepping the
 user generator, capturing user exceptions as :class:`ErrorValue`s,
 throwing recoverable framework errors back into the body, rejecting
 unknown effects — is backend-invariant and lives here, once.
 
 Mechanically the loop is a generator: when a handler method returns a
 generator (the sim backend's virtual-time processes), the loop delegates
-to it with ``yield from``; when it returns a plain value (the threaded
+to it with ``yield from``; when it returns a plain value (a live
 backend, which blocks for real inside the handler), the loop never
 suspends and can be driven to completion with a single ``next()`` —
 see :func:`run_effect_loop_sync`.

@@ -3,10 +3,10 @@
 Plain remote functions run atomically at a modeled cost.  Tasks that need
 to *block mid-body* — get a future's value, wait on a set of futures with a
 timeout (the paper's ``wait`` primitive), or model a stretch of compute —
-are written as generators yielding these effects.  Both backends interpret
-them: the simulated runtime maps them onto virtual-time processes, the
-threaded runtime onto real blocking calls, so workload code runs unchanged
-on either.  ``ActorCreate`` and ``ActorCall`` extend the vocabulary to the
+are written as generators yielding these effects.  Every backend
+interprets them: the simulated runtime maps them onto virtual-time
+processes, the live ones (``local``, ``proc``, ``dist``) onto real blocking
+calls, so workload code runs unchanged on any.  ``ActorCreate`` and ``ActorCall`` extend the vocabulary to the
 stateful-actor half of the model: task bodies can create actors and invoke
 their methods without blocking, receiving handles and futures back.
 """

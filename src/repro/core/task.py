@@ -223,6 +223,11 @@ class TaskSpec:
     #: runtime that releases dead objects) until no replay of it can
     #: need them; empty once unpinned, and on runtimes that never free.
     pins: tuple = field(default=(), repr=False, compare=False)
+    #: The task's wire entry on ``proc``/``dist``
+    #: (:func:`repro.proc.messages.encode_entry`), built once by the
+    #: process that submitted it: what the driver ships, reships and
+    #: records as lineage.  None elsewhere.
+    wire: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def dependencies(self) -> list[ObjectID]:
         """Object IDs gating this task (argument futures + ordering deps)."""

@@ -235,12 +235,14 @@ class NodeAgent:
             return  # worker died while the message was in flight
         tag = message[0]
         if tag == msg.TASK:
-            # Opportunistic cache of inline args: they are exact copies
-            # of driver-stored bytes, so later FETCHes on this node (any
-            # worker) short-circuit here.
+            # Opportunistic cache of inline args: their bytes are exact
+            # copies of driver-stored ones, so later FETCHes on this node
+            # (any worker) short-circuit here.  (A shared-memory
+            # descriptor in the same table is not bytes to keep.)
             for entry in message[1]:
                 for object_id, data in (entry[msg.ENTRY_INLINE] or {}).items():
-                    self._cache_bytes(object_id, data)
+                    if type(data) is bytes:
+                        self._cache_bytes(object_id, data)
         elif tag in (msg.OK, msg.ERR, msg.PENDING):
             request = slot.pending.pop(message[2] if len(message) > 2 else None, None)
             if tag == msg.PENDING:

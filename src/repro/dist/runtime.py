@@ -15,8 +15,9 @@ changes the *plumbing* but none of the semantics:
   just works when the node is still up.
 * **Descriptor-first data plane.**  Large results seal into the
   *producing node's* shm arena; the driver learns only a
-  :class:`~repro.dist.protocol.NodeBlob` and records residency.  Consumer
-  payloads carry bare ``SlotRef``\\ s; the producing node serves its own
+  :class:`~repro.dist.protocol.NodeBlob` and records residency.  A
+  consumer's entry names such an argument by a bare ``SlotRef`` and
+  nothing in its ``inline`` table; the producing node serves its own
   arena, and a consumer elsewhere triggers exactly one
   ``FETCH_OBJECT`` pull into the driver store, after which that node's
   agent caches the bytes — each object's payload crosses each node

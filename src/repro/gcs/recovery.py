@@ -11,7 +11,7 @@ tasks whose results fit the inline-payload limit:
 * a task is *recovered* (never re-run) iff every one of its return objects
   is ready in the object table with its payload inline;
 * otherwise it is *pending* and gets resubmitted — by spec for driver-born
-  tasks, by retained wire payload for worker-born ones;
+  tasks, by its recorded wire entry for worker-born ones;
 * a worker-born task the dead driver never adopted has no row at all
   (its driver wrote one only when something needed the task — a steal,
   a cancel, the loss of its worker, an escape, a failure or a result

@@ -47,16 +47,18 @@ class ObjectEntry:
 class TaskEntry:
     """Task-table row: the full spec (= lineage) plus execution state.
 
-    ``spec`` is a :class:`~repro.core.task.TaskSpec` for driver-born tasks;
+    ``spec`` is a :class:`~repro.core.task.TaskSpec` for driver-born tasks
+    (on ``proc``/``dist`` it carries the task's wire entry, ``wire``);
     for worker-born (bottom-up) tasks it is ``{"spec": ..., "payload":
     (entry, rows)}`` — the wire entry the worker announced in its
     SUBMIT_LOCAL notice plus ``rows``, ``{function_hex: (name, code)}``
     for the function it names — either form is enough to replay the task
     after a crash, with nothing else in hand.  A worker-born task has a
-    row only once its driver adopted it (``repro.proc``: a steal, a
-    cancel, the loss of its worker, an escape, a failure or a result that
-    is not inline bytes, or its parent ending first); one never adopted
-    is recreated by its parent's replay.
+    row once its worker routed it to the driver, or once its driver
+    adopted it (``repro.proc``: a steal, a cancel, the loss of its
+    worker, an escape, a failure or a result that is not inline bytes,
+    or its parent ending first); one never adopted is recreated by its
+    parent's replay.
 
     Rows are ``slots`` dataclasses: the tables hold one per task and per
     object for the life of the runtime, and an instance without a

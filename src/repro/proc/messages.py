@@ -23,13 +23,26 @@ it was born, is this one positional tuple, written by
 
     (task_hex, function_hex, (return_hex, ...), call_bytes, inline, extras)
 
+* It is built **once**, by the process that submits the task to the
+  driver tier: the driver at ``.remote()`` (its arguments pickled before
+  the driver's lock is taken), or a worker for a task it makes.  The
+  driver keeps it on the task's spec (``TaskSpec.wire``) and nowhere
+  else: the write-ahead lineage record, every ship, a steal, a replay
+  after a worker's or a node's loss and a recovered driver all reuse
+  it.  A shipped entry is the birth entry with a fresh ``inline``.
 * Ids are their hex strings: a tuple of strings pickles at a fraction
   of the cost of id objects, and a frame's repeated ``function_hex`` is
   one memoized reference after its first use.
 * ``call_bytes`` is the pickled ``(args, kwargs)`` with every top-level
-  ref argument replaced by a :class:`SlotRef`; ``inline`` maps the small
-  ones' object ids to their bytes, and is ``None`` when the call has no
-  ref argument at all (the worker then skips slot resolution).
+  ref argument replaced by a bare :class:`SlotRef` (:func:`encode_call`):
+  it names the object, not where it lives, so it is right wherever the
+  entry goes.  ``inline`` is ``None`` when the call has no ref argument
+  at all (the worker then skips slot resolution); otherwise it maps an
+  object id to where the worker finds the value — its bytes when small,
+  its :class:`ShmDescriptor` when it lives in shared memory — filled per
+  ship from the driver's stores (``ObjectPlane.arg_slot``), and at birth
+  on a worker from what that worker has attached.  An id it does not
+  name is fetched on demand.
 * ``extras`` is ``None`` for a plain top-level call of a function under
   its default options; otherwise a dict with only the keys that apply:
   ``"options"`` (a non-default :class:`~repro.core.task.TaskOptions`:
@@ -40,10 +53,12 @@ it was born, is this one positional tuple, written by
   ``function_hex`` is its method's stable id, which only the driver's
   estimates read; a call a worker made carries ``None`` for the class
   and resources and its actor's id there, the driver's record having
-  all three), ``"code"`` (an actor constructor's
-  class — the one piece of code that is not a registered function) and
-  ``"deps"`` (a worker-born entry's ref arguments, by id: the driver
-  never unpickles ``call_bytes``, and pins what a task depends on).
+  all three, and is the one entry the driver encodes again: it
+  restores the call and stamps it as one of its own), ``"code"`` (an
+  actor constructor's class — the one piece of code that is not a
+  registered function) and ``"deps"`` (a worker-born entry's ref
+  arguments, by id: the driver never unpickles ``call_bytes``, and pins
+  what a task depends on).
 
 **What crosses once per (worker, function)** is a row of the
 :class:`FunctionTable` each end keeps: ``{function_hex: (registered
@@ -158,9 +173,10 @@ driver *mirrors* them.  The second holds the tasks the worker could not
 keep — a dependency not resident there, a placement hint for another
 node, resources one slot cannot hold, a backlog over the spill
 threshold — which the driver places (*routed*, the paper's spillover),
-and the actor calls the task made, in submission order: it restores
-their arguments and submits each like one of its own calls, under the
-ids the worker gave it (a call joins its actor's lane).  The puts are
+and the actor calls the task made, in submission order: it submits each
+like one of its own, under the ids the worker gave it — a task with the
+worker's entry (its arguments stay pickled), a call, its arguments
+restored, in its actor's lane.  The puts are
 ``(object_hex, bytes, parent_hex)`` — the bytes under an id the worker
 minted, or ``None`` for the seal of a shared-memory grant it filled —
 and are applied first, then the kept entries, the escaped ids and the
@@ -212,10 +228,12 @@ name objects by id, never by a pickled :class:`ObjectRef`: ``GET``,
 ``WAIT`` and ``CANCEL`` carry object ids, a notice names the ids a
 worker minted for its tasks, calls and puts (and ``SHM_CREATE``
 answers a large put with its id), which the worker wraps in refs of
-its own, and the top-level ref arguments of every call are
-bare :class:`SlotRef` placeholders (:func:`strip_refs`) — a ref that *is* pickled (nested
-in an argument, in a stored value, captured by a shipped closure) marks
-its object escaped, which pins it until shutdown.  (2) Every notice item
+its own, an entry's ``inline`` table is keyed by object id, and the
+top-level ref arguments of every call are bare :class:`SlotRef`
+placeholders in its ``call_bytes`` (:func:`encode_call`), pickled once
+when the task is born — a ref that *is* pickled (nested in an argument,
+in a stored value, captured by a shipped closure) marks its object
+escaped, which pins it until shutdown.  (2) Every notice item
 says which task made it (an entry's ``extras["parent"]``, a put's
 ``parent_hex``), and a locally-born entry that has ref arguments names
 them (``extras["deps"]``): the driver holds ids born in a task until
@@ -272,8 +290,8 @@ GET_ACTOR = "get_actor"        # (GET_ACTOR, name) -> (OK, ActorHandle)
 
 # -- worker -> driver (the shared-memory data plane) --------------------
 # Large puts and results cross the pipe as ~100-byte ShmDescriptors;
-# only small ones ship as bytes.  Argument descriptors ship embedded in
-# SlotRef (no round trip).
+# only small ones ship as bytes.  Argument descriptors ship in the
+# entry's inline table (no round trip).
 SHM_CREATE = "shm_create"  # (SHM_CREATE, object_id | None, nbytes)
                            #   -> (OK, ShmDescriptor | None): reserve an
                            # unsealed allocation the worker fills through
@@ -341,21 +359,21 @@ PENDING = "pending"  # (PENDING, key): a GET/WAIT the driver cannot answer
 class SlotRef:
     """Placeholder for a task argument that was an :class:`ObjectRef`.
 
-    The driver substitutes one of these for every top-level ref argument
-    when building a task message; small objects ride along serialized in
-    the message's ``inline`` table, large ones stay in the driver store
-    and the worker fetches them on demand into its local cache (the
-    inline-vs-store threshold of :mod:`repro.utils.serialization`).
-    Shared-memory-resident objects ship their :class:`ShmDescriptor`
-    *embedded* in ``shm`` — the worker attaches and reads zero-copy with
-    no extra driver round trip (the descriptor stays valid until the
-    task is reported done: a task pins its arguments).  A bare one is
-    also how a worker's request names a call's top-level ref arguments
-    (:func:`strip_refs`).
+    Every top-level ref argument of a call is one of these in its
+    ``call_bytes`` (:func:`encode_call`): it names the object and says
+    nothing of where its value is, so the bytes stay right wherever the
+    entry ships.  Where the value is, is the entry's ``inline`` table,
+    filled per ship: the object's bytes when small, its
+    :class:`ShmDescriptor` when it lives in shared memory (the worker
+    attaches and reads zero-copy with no round trip; the descriptor
+    stays valid until the task is reported done, since a task pins its
+    arguments), nothing when the worker fetches it on demand into its
+    local cache (a large pipe-store object, or one living on a node).  A
+    bare one is also how a worker's request names a call's top-level ref
+    arguments (:func:`strip_refs`).
     """
 
     object_id: ObjectID
-    shm: "ShmDescriptor | None" = None
 
 
 @dataclass(frozen=True)
@@ -376,22 +394,27 @@ class ShmDescriptor:
 
 def strip_refs(args: tuple, kwargs: dict) -> tuple:
     """``(args, kwargs)`` with every top-level ref replaced by a bare
-    :class:`SlotRef`: how a worker's CREATE_ACTOR request carries the
-    constructor's call, so that naming an argument is not pickling a
-    ref (which would mark the object escaped)."""
-
-    def strip(value: Any) -> Any:
-        return SlotRef(value.object_id) if isinstance(value, ObjectRef) else value
+    :class:`SlotRef`: how every entry's ``call_bytes`` and a worker's
+    CREATE_ACTOR request carry a call, so that naming an argument is not
+    pickling a ref (which would mark the object escaped)."""
 
     return (
-        tuple([strip(value) for value in args]),
-        {key: strip(value) for key, value in kwargs.items()},
+        tuple([
+            SlotRef(value.object_id) if isinstance(value, ObjectRef) else value
+            for value in args
+        ]),
+        {
+            key: SlotRef(value.object_id) if isinstance(value, ObjectRef) else value
+            for key, value in kwargs.items()
+        } if kwargs else kwargs,
     )
 
 
 def restore_refs(args: tuple, kwargs: dict) -> tuple:
-    """The driver-side inverse of :func:`strip_refs` (and of a routed
-    entry's slots).  The refs are uncounted: the submission that follows
+    """The driver-side inverse of :func:`strip_refs`, for the calls it
+    still reads: a worker's CREATE_ACTOR request and an actor call a
+    worker made (a stateless task's ``call_bytes`` are never unpickled
+    on the driver).  The refs are uncounted: the submission that follows
     pins what they name."""
 
     def restore(value: Any) -> Any:
@@ -405,34 +428,41 @@ def restore_refs(args: tuple, kwargs: dict) -> tuple:
     )
 
 
+def encode_call(args: tuple, kwargs: dict) -> bytes:
+    """One call's ``call_bytes``: its ``(args, kwargs)`` pickled with
+    every top-level ref argument a bare :class:`SlotRef`.  Raises
+    ``TypeError`` for an argument that does not pickle."""
+    return serialize_call(*strip_refs(args, kwargs))
+
+
 # -- TASK / SUBMIT_LOCAL entries ------------------------------------------
 
-#: Position of the inline-object table in an entry (the dist agent
-#: caches what passes through it).
+#: Position of the inline-object table in an entry (the driver fills a
+#: fresh one per ship; the dist agent caches the bytes it finds there).
 ENTRY_INLINE = 4
 
-def encode_entry(spec: TaskSpec, slot_for: Callable, **extras: Any) -> tuple:
-    """The wire form of one task (module docstring, "Entries").
+def encode_entry(
+    spec: TaskSpec,
+    inline: Optional[dict] = None,
+    call_bytes: Optional[bytes] = None,
+    **extras: Any,
+) -> tuple:
+    """The wire form of one task (module docstring), built once, by the
+    process that submits it to the driver tier.
 
-    ``slot_for(object_id, inline)`` turns one ref argument into its
-    :class:`SlotRef`, adding the object's bytes to ``inline`` if they
-    should ride along — the one thing the driver (its stores) and a
-    submitting worker (its local residency) do differently.  It is not
-    called for a call without ref arguments: that one is its pickled
-    arguments and no slot table.  ``extras`` are the caller's
-    (``actor=``, ``code=``); the option set and the trace context are
-    read off the spec."""
-    args, kwargs, inline = spec.args, spec.kwargs, None
-    if spec.argument_refs():
+    ``call_bytes`` are :func:`encode_call`'s (pickled here from the
+    spec's arguments when not given: a caller that has them pickles
+    them outside its lock).  ``inline`` is None for a call without ref
+    arguments; for one with, the table the worker resolves its slots
+    in — empty at birth, or a submitting worker's descriptors of the
+    shared-memory objects it has attached.  A shipped entry is this one
+    with a fresh table (``ProcRuntime._encode_task``).  ``extras`` are
+    the caller's (``actor=``, ``code=``, ``deps=``); the option set and
+    the trace context are read off the spec."""
+    if call_bytes is None:
+        call_bytes = encode_call(spec.args, spec.kwargs)
+    if inline is None and spec.argument_refs():
         inline = {}
-
-        def slot(value: Any) -> Any:
-            if isinstance(value, ObjectRef):
-                return slot_for(value.object_id, inline)
-            return value
-
-        args = tuple([slot(value) for value in args])
-        kwargs = {key: slot(value) for key, value in kwargs.items()}
     task_id = spec.task_id
     if spec.options is not None:
         extras["options"] = spec.options
@@ -445,7 +475,7 @@ def encode_entry(spec: TaskSpec, slot_for: Callable, **extras: Any) -> tuple:
         task_id.hex,
         spec.function_id.hex,
         tuple([object_id.hex for object_id in spec.all_return_ids()]),
-        serialize_call(args, kwargs),
+        call_bytes,
         inline,
         extras or None,
     )

@@ -9,8 +9,8 @@ accountants, and it answers what the runtime asks — is it here, its
 wire form or its value, these results arrived, this task pins / unpins,
 this id was born in that task, release what nothing holds, ``stats()``
 — speaking back through two callbacks: ``arrived(object_id)`` (wake
-dependents, watchers and the cond) and ``requeue(spec, payload)`` (a
-lost task runs again).
+dependents, watchers and the cond) and ``requeue(spec)`` (a lost task
+runs again, from the wire entry it carries).
 
 **Two data planes.**  Small objects (≤ ``inline_threshold``) ride the
 pipes as bytes, out of the pipe store.  Large ones take the zero-copy
@@ -74,7 +74,7 @@ from repro.core.task import TaskSpec
 from repro.core.worker import ErrorValue, error_value_from
 from repro.errors import ObjectLostError, ReproError
 from repro.objectstore.store import LocalObjectStore, ObjectStoreFullError
-from repro.proc.messages import ShmDescriptor, SlotRef
+from repro.proc.messages import ShmDescriptor
 from repro.sched_plane import ResidencyTracker
 from repro.shm.segment import shm_available, usable_shm_budget
 from repro.shm.store import SharedObjectStore
@@ -236,7 +236,7 @@ class ObjectPlane(ObjectStores):
         inline_threshold: int,
         is_cancelled: Callable[[Any], bool],
         arrived: Callable[[ObjectID], None],
-        requeue: Callable[[TaskSpec, Optional[tuple]], None],
+        requeue: Callable[[TaskSpec], None],
         nodes: Any = (),
         workers_per_node: int = 1,
     ) -> None:
@@ -278,11 +278,9 @@ class ObjectPlane(ObjectStores):
         self._fallback_warned = False
         #: Results living only in a node's arena, by object id:
         #: ``(node_index, size, producing spec)`` — the driver holds the
-        #: description, not the bytes — and, by raw task id, the wire
-        #: entries of worker-born producers (their specs carry no
-        #: arguments), kept while losing the node could replay them.
+        #: description, not the bytes, and the spec its wire entry,
+        #: which is what losing the node would replay.
         self._node_resident: dict[ObjectID, tuple] = {}
-        self._retained_payloads: dict[str, tuple] = {}
         #: Released objects a node may hold (arena slot or cached
         #: bytes), by node, awaiting the next coalesced delete.
         self._doomed: dict[int, list] = {}
@@ -371,25 +369,25 @@ class ObjectPlane(ObjectStores):
         self.residency.record(worker_index, object_id.hex, len(data))
         return data
 
-    def arg_slot(
-        self, object_id: ObjectID, worker_index: int, inline: dict
-    ) -> SlotRef:
-        """The wire form of one ref argument: its bytes join ``inline``
-        when small; large ones stay put for the worker to attach (shm)
-        or fetch.  A node-resident one ships bare — the executing worker
-        resolves it through its node agent (arena hit on the producing
-        node; elsewhere the agent pulls through the driver once and
-        caches)."""
+    def arg_slot(self, object_id: ObjectID, worker_index: int, inline: dict) -> None:
+        """Where the worker finds one ref argument's value, into the
+        shipped entry's ``inline`` table: its bytes when small, its
+        :class:`ShmDescriptor` when it lives in shared memory (attached
+        zero-copy, no round trip), nothing when large in the pipe store
+        (the worker fetches it) or living on a node (the executing
+        worker resolves it through its node agent: an arena hit on the
+        producing node; elsewhere the agent pulls through the driver
+        once and caches).  Raises ``ObjectLostError`` for an argument
+        the driver no longer has."""
         if self._node_resident and self.only_on_node(object_id):
             size = self._node_resident[object_id][1]
             self.residency.record(worker_index, object_id.hex, size)
-            return SlotRef(object_id)
+            return
         descriptor = self.descriptor(object_id)
         if descriptor is not None:
-            # Shared-memory resident: the descriptor itself rides in the
-            # SlotRef — no extra round trip.
+            inline[object_id] = descriptor
             self.residency.record(worker_index, object_id.hex, descriptor.size)
-            return SlotRef(object_id, shm=descriptor)
+            return
         data = self.store.get(object_id)
         if data is None:
             raise ObjectLostError(
@@ -402,7 +400,6 @@ class ObjectPlane(ObjectStores):
         else:
             self._acct_stored.record(len(data))
         self.residency.record(worker_index, object_id.hex, len(data))
-        return SlotRef(object_id)
 
     def read(self, object_id: ObjectID) -> tuple:
         """A resident object for the driver's own ``get``, as ``(view,
@@ -464,18 +461,18 @@ class ObjectPlane(ObjectStores):
         spec: Optional[TaskSpec],
         blobs: list,
         worker_index: int,
-        payload: Optional[tuple] = None,
+        entry: Optional[tuple] = None,
     ) -> None:
         """Publish the returns of a completed task, each in the form its
         worker reported it: bytes into the pipe store, a
         :class:`ShmDescriptor` sealed where the worker wrote it, a node
         descriptor (``dist``'s ``NodeBlob``: ``node_index``, ``size``)
-        recorded as residence on that node.  ``payload`` is the wire
-        entry of a worker-born task; with no ``spec`` (the driver never
-        adopted the task) the entry's return ids are what is published,
-        and every blob is :meth:`inline`."""
+        recorded as residence on that node.  With no ``spec`` (the
+        driver never adopted the worker-born task) the return ids of its
+        wire ``entry`` are what is published, and every blob is
+        :meth:`inline`."""
         if spec is None:
-            for return_hex, blob in zip(payload[2], blobs):
+            for return_hex, blob in zip(entry[2], blobs):
                 self.store_bytes(ObjectID(return_hex), blob)
             self._acct_results.record(sum(map(len, blobs)))
             return
@@ -517,8 +514,6 @@ class ObjectPlane(ObjectStores):
                 self._arrived(object_id)
         self._acct_results.record(shipped)
         if on_node:
-            if payload is not None:
-                self._retained_payloads[spec.task_id.hex] = payload
             self._settle(spec)
         else:
             # Every return is in the driver's own stores: no replay of
@@ -689,12 +684,14 @@ class ObjectPlane(ObjectStores):
         """Pin a task's dependencies from submission, and make the spec
         name them without holding them: a spec lives in the lifecycle
         index, the control store and the WAL for good, and must not
-        keep its arguments alive with it."""
+        keep its arguments alive with it.  It keeps its ref arguments
+        as bare refs (what placement and every ship read); their values
+        are the driver's stores', the rest of its call is its wire
+        entry's."""
         self.pin(spec, spec.dependencies())
         if spec.arg_refs:
-            spec.args = tuple([_bare(value) for value in spec.args])
-            spec.kwargs = {key: _bare(value) for key, value in spec.kwargs.items()}
             spec.arg_refs = tuple([_bare(ref) for ref in spec.arg_refs])
+        spec.args, spec.kwargs = (), {}
         spec.extra_dependencies = tuple(
             [_bare(ref) for ref in spec.extra_dependencies]
         )
@@ -724,12 +721,11 @@ class ObjectPlane(ObjectStores):
         happen: every return that went node-resident has been released
         or has a copy in the driver store.  Until then losing the node
         re-runs the task, arguments and all."""
-        if not spec.pins and spec.task_id.hex not in self._retained_payloads:
+        if not spec.pins:
             return
         for object_id in spec.all_return_ids():
             if self.only_on_node(object_id):
                 return
-        self._retained_payloads.pop(spec.task_id.hex, None)
         self.unpin_task(spec)
 
     def hold_born(self, task_hex: Optional[str], object_ids: tuple) -> None:
@@ -847,10 +843,11 @@ class ObjectPlane(ObjectStores):
             with self._cond:
                 if self.store.contains(object_id):
                     return True
-                if object_id in self._pulling:
-                    self._cond.wait(timeout=0.05)
-                elif object_id in self._reconstructing:
-                    self._cond.wait(timeout=0.1)
+                if object_id in self._pulling or object_id in self._reconstructing:
+                    # Both end with a notify: the racing pull's
+                    # ``finally``, or the arrival (``_arrived``) of the
+                    # rebuilt result or of its error marker.
+                    self._cond.wait(timeout=deadline - time.monotonic())
                 else:
                     claimed = self._node_resident.get(object_id)
                     if claimed is None:
@@ -931,22 +928,19 @@ class ObjectPlane(ObjectStores):
         node_index, _size, spec = entry
         if spec.task_id not in judged:
             judged.add(spec.task_id)
-            self.replay_or_fail(
-                spec, node_index, object_id,
-                self._retained_payloads.get(spec.task_id.hex),
-            )
+            self.replay_or_fail(spec, node_index, object_id)
 
     def replay_or_fail(
         self,
         spec: TaskSpec,
         lost_node: Optional[int] = None,
         lost_object: Optional[ObjectID] = None,
-        payload: Optional[tuple] = None,
     ) -> bool:
         """The verdict on a task whose results must be produced again:
         it died with its worker (with the whole node ``lost_node``), or
         ``lost_object``, a result of it, lived only on ``lost_node``.
-        Within its lineage budget it is requeued (True); otherwise every
+        Within its lineage budget it is requeued, to ship its wire entry
+        again (True); otherwise every
         return it still owes resolves to an error saying why (False).  A
         cancelled task owes nothing: its marker owns the slots."""
         if self._is_cancelled(spec.task_id):
@@ -969,7 +963,7 @@ class ObjectPlane(ObjectStores):
             self._control.async_task_update(
                 spec.task_id, state="replaying", attempt=True
             )
-            self._requeue(spec, payload)
+            self._requeue(spec)
             return True
         if spec.actor_id is not None:
             why = "produced by an actor method: not replayable"

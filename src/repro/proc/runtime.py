@@ -32,8 +32,10 @@ Architecture (one instance = one pool):
   shared-memory arena), where each object lives, and what still holds
   it — so that a dead object gives its memory back.
 * **Crash recovery**: a dead worker process is detected by its service
-  thread (EOF on the pipe).  Stateless in-flight tasks are replayed from
-  their spec — lineage replay, up to ``max_reconstructions`` — while
+  thread (EOF on the pipe).  Stateless in-flight tasks are replayed —
+  lineage replay, up to ``max_reconstructions``, shipping the wire entry
+  each was born with (``TaskSpec.wire``, :mod:`repro.proc.messages`) —
+  while
   actor tasks surface :class:`~repro.errors.ActorLostError`, mirroring
   the sim backend's node-death semantics; a replacement worker is spawned
   either way.  A task with ``max_reconstructions=0`` surfaces
@@ -117,7 +119,6 @@ from repro.errors import (
 )
 from repro.gcs import ControlStore, plan_recovery
 from repro.proc import messages as msg
-from repro.proc.messages import SlotRef
 from repro.proc.objects import ObjectPlane
 from repro.proc.transport import PipeTransport
 from repro.proc.worker import worker_main
@@ -363,7 +364,7 @@ class ProcRuntime:
             inline_threshold=inline_threshold,
             is_cancelled=self._lifecycle.is_cancelled,
             arrived=self._object_arrived,
-            requeue=lambda spec, payload: self._dispatch.requeue(spec, payload),
+            requeue=lambda spec: self._dispatch.requeue(spec),
             nodes=nodes,
             workers_per_node=workers_per_node,
         )
@@ -411,29 +412,47 @@ class ProcRuntime:
         return function_id
 
     def submit_call(self, template: CallTemplate, args: tuple, kwargs: dict) -> Any:
-        """Submit one call of ``template`` (what ``.remote()`` calls): two
-        fresh ids, one argument scan, the write-ahead record and a
-        placement."""
+        """Submit one call of ``template`` (what ``.remote()`` calls): its
+        arguments pickled once, before the lock is taken, into the wire
+        entry the task keeps (``TaskSpec.wire``); then two fresh ids,
+        one argument scan, the write-ahead record and a placement.  An
+        argument that does not pickle resolves the call's refs to that
+        error (nothing raises here)."""
+        try:
+            call = msg.encode_call(args, kwargs)
+        except (TypeError, ReproError) as exc:
+            call = exc
         with self._cond:
             self._check_open()
             template.check_feasible(self.cluster)
             self._objects.drain(batched=True)
             spec = template.stamp(self.ids, args, kwargs, self.head_node_id)
-            self._submit_spec(spec)
+            if isinstance(call, Exception):
+                self._objects.store_error(spec, error_value_from(spec, call))
+            else:
+                spec.wire = msg.encode_entry(spec, call_bytes=call)
+                self._submit_spec(spec)
         return spec.public_result()
 
-    def _submit_spec(self, spec: TaskSpec) -> None:
+    def _submit_spec(self, spec: TaskSpec, row: Any = None) -> None:
         """Gate on unproduced dependencies, else enqueue (lock held).
 
         The control write is the write-ahead lineage record: synchronous,
         and strictly before the task can reach any worker, so a crash at
-        any later point finds the spec in the task table and can replay.
-        The task's pins come first: the record (and everything else
-        that keeps the spec) names its arguments without holding them.
+        any later point finds it in the task table and can replay.  It
+        is the spec, which carries its wire entry — or ``row``, a
+        worker-born task's (:meth:`_row`).  The task's pins come first,
+        and the spec keeps no argument value from here: the record (and
+        everything else that keeps the spec) names its ref arguments
+        without holding them, and its entry holds the rest.
         """
         if spec.argument_refs() or spec.extra_dependencies:
             self._objects.pin_task(spec)
-        self._control.task_put(spec.task_id, spec, node=self.head_node_id)
+        else:
+            spec.args, spec.kwargs = (), {}
+        self._control.task_put(
+            spec.task_id, spec if row is None else row, node=self.head_node_id
+        )
         if self._obs.enabled:
             obs.task_submitted(self._obs, spec, False)
         self._lifecycle.register(spec)
@@ -464,11 +483,29 @@ class ProcRuntime:
         return self._dispatch.home_for_actor(spec.placement_hint).node_id
 
     def _submit_actor_task(self, record, spec: TaskSpec) -> None:
-        """Stand the task in its actor's lane (a constructor opens it),
+        """Encode the task's wire entry — its actor's record names the
+        class and resources, and a constructor carries the class's code
+        — and stand it in its actor's lane (a constructor opens it),
         which is what serializes the actor's methods: there is no
         dependency on the previous call's result, so a call waits for
-        its own arguments and for nothing else."""
-        if spec.actor_method == CREATION_METHOD:
+        its own arguments and for nothing else.  A task that cannot be
+        encoded resolves to that error and never stands in the lane, so
+        the calls behind it go on (a constructor's lane opens empty, and
+        its calls fail their pre-dispatch check)."""
+        creation = spec.actor_method == CREATION_METHOD
+        extras = {
+            "actor": (spec.actor_id, spec.actor_method, record.class_name, spec.resources)
+        }
+        try:
+            if creation:
+                extras["code"] = serialize_portable(spec.function)
+            spec.wire = msg.encode_entry(spec, **extras)
+        except (TypeError, ReproError) as exc:
+            if creation:
+                self._dispatch.open_lane(record, None)
+            self._objects.store_error(spec, error_value_from(spec, exc))
+            return
+        if creation:
             self._dispatch.open_lane(record, spec)
         else:
             self._dispatch.join_lane(record, spec)
@@ -754,23 +791,31 @@ class ProcRuntime:
                         name=entry.name,
                     )
                 )
-            for spec in plan.pending_specs:
-                if spec.actor_id is None:
-                    self._submit_spec(spec)
+            pending = [(spec, None) for spec in plan.pending_specs]
+            for spec, payload in pending + plan.pending_payloads:
+                if spec.actor_id is not None:
+                    record = self.actors.get(spec.actor_id)
+                    plane.store_error(
+                        spec,
+                        actor_lost_error_value(spec, record)
+                        if record is not None
+                        else plan.lost_actor_error(spec),
+                    )
                     continue
-                record = self.actors.get(spec.actor_id)
-                plane.store_error(
-                    spec,
-                    actor_lost_error_value(spec, record)
-                    if record is not None
-                    else plan.lost_actor_error(spec),
-                )
-            for _spec, (entry, functions) in plan.pending_payloads:
-                # Worker-born: the record carries the wire entry and the
-                # row of the function it names, so nothing of the dead
-                # driver's function table is needed to run it again.
-                self.functions.learn(functions)
-                self._dispatch.requeue(self._adopt(entry), entry)
+                # Every stateless row runs again from its wire entry,
+                # through the submission's dependency gate.  Nothing of
+                # the dead driver's function table is needed: a
+                # driver-born spec carries its callable, a worker-born
+                # row the row of the function its entry names.
+                if payload is None:
+                    self.functions.add(
+                        spec.function_id.hex, spec.function_name, spec.function
+                    )
+                    self._submit_spec(spec)
+                else:
+                    self.functions.learn(payload[1])
+                    spec = self._decode(payload[0])
+                    self._submit_spec(spec, self._row(spec))
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -951,34 +996,30 @@ class ProcRuntime:
             )
 
     def _ship_frame(self, worker: _WorkerHandle, specs: list) -> bool:
-        """Encode, register and send one TASK frame; False if nothing was
+        """Register and send one TASK frame — each task's birth entry
+        with a fresh ``inline`` table (:meth:`_encode_task`) — and the
+        rows of the functions this worker lacks; False if nothing was
         left to send.
 
         Until this point the specs were owned by the calling service
         thread alone (popped from every queue, registered nowhere).  A
-        task that cannot be encoded (lost argument, unpicklable code)
-        resolves to an error in every slot; the rest become the worker's
-        (:meth:`DispatchPlane.ship`).  Registration and
-        taking the pipe's send lock happen under one hold of the runtime
-        lock, so a CANCEL_NOTICE for a mirrored task can only ever
-        follow the frame that carries it."""
-        def slot_for(object_id: ObjectID, inline: dict) -> SlotRef:
-            with self._cond:
-                return self._objects.arg_slot(object_id, worker.index, inline)
-
+        task whose argument is gone, or whose function's code does not
+        pickle, resolves to an error in every slot; the rest become the
+        worker's (:meth:`DispatchPlane.ship`).  The tables are filled,
+        the frame registered and the pipe's send lock taken under one
+        hold of the runtime lock, so a CANCEL_NOTICE for a mirrored task
+        can only ever follow the frame that carries it."""
         functions: dict = {}  # the frame's table: rows this worker lacks
-        encoded = []
-        for spec in specs:
-            try:
-                entry = self._encode_task(spec, worker, functions, slot_for)
-                encoded.append((spec, entry))
-            except (TypeError, ReproError) as exc:
-                with self._cond:
-                    self._objects.store_error(spec, error_value_from(spec, exc))
-                    self._dispatch.settle(spec)
         with self._cond:
             if self.closed:
                 return False
+            encoded = []
+            for spec in specs:
+                try:
+                    encoded.append((spec, self._encode_task(spec, worker, functions)))
+                except (TypeError, ReproError) as exc:
+                    self._objects.store_error(spec, error_value_from(spec, exc))
+                    self._dispatch.settle(spec)
             # (A worker that died under us — dist: its node's link — is
             # sent nothing, so nothing is lost: back to the plane.)
             shipped = self._dispatch.ship(worker, encoded)
@@ -1020,20 +1061,20 @@ class ProcRuntime:
                 # given or kept: the spec, or a worker-born task's wire
                 # entry alone (never adopted), or neither — cancelled
                 # while it ran, and the marker owns the result slots.
-                spec, payload = self._dispatch.done(worker, task_hex)
+                spec, entry = self._dispatch.done(worker, task_hex)
                 self._objects.drop_born(task_hex, orphan)
                 if spec is None:
-                    if payload is None:
+                    if entry is None:
                         self._objects.discard(blobs)
                         continue
                     if failed or not self._objects.inline(blobs):
-                        spec = self._dispatch.adopt(worker, payload)
+                        spec = self._dispatch.adopt(worker, entry)
                     else:
-                        self._finish_spec(worker, None, blobs, False, payload)
-                        function_id = self.functions.template(payload[1]).function_id
+                        self._finish_spec(worker, None, blobs, False, entry)
+                        function_id = self.functions.template(entry[1]).function_id
                         times.setdefault(function_id, []).append(exec_seconds)
                         continue
-                self._finish_spec(worker, spec, blobs, failed, payload)
+                self._finish_spec(worker, spec, blobs, failed)
                 if spec.actor_method != CREATION_METHOD:  # never estimated
                     times.setdefault(spec.function_id, []).append(exec_seconds)
             for function_id, samples in times.items():
@@ -1086,57 +1127,71 @@ class ProcRuntime:
         """A worker-born task its worker could not keep — the paper's
         spillover stream into the driver tier — or an actor call made
         on a worker (lock held).  It keeps the ids its worker stamped,
-        which stay held for the task it was born in, and its arguments
-        are restored from the entry.  A task is submitted like a
-        driver-born call (:meth:`_submit_spec`), a call like one made
-        here (``actors.submit_actor_call``).  An argument that does not
+        which stay held for the task it was born in.  A task keeps its
+        worker's entry too, and is submitted like a driver-born call
+        (:meth:`_submit_spec`): the driver never unpickles its
+        arguments.  A call is the one exception: its entry lacks its
+        actor's class name and resources, so its arguments are restored
+        and it is stamped again like a call made here
+        (``actors.submit_actor_call``); an argument that does not
         unpickle here, or an actor this driver does not know, fails its
         returns."""
         task_hex, _function, return_hexes, call_bytes, _inline, extras = entry
         return_ids = tuple([ObjectID(return_hex) for return_hex in return_hexes])
+        self._objects.hold_born(extras.get("parent"), return_ids)
         actor = extras.get("actor")
         if actor is None:
-            spec = msg.decode_entry(entry, self.functions, worker.node_id)
+            spec = self._decode(entry, worker.node_id)
             self._dispatch.counters.tasks_spilled += 1
             if self._obs.enabled:
                 self._obs.record("task_spilled", function=spec.function_name)
-        self._objects.hold_born(extras.get("parent"), return_ids)
+            self._submit_spec(spec, self._row(spec))
+            return
         try:
             args, kwargs = msg.restore_refs(*deserialize_portable(call_bytes))
-            if actor is not None:
-                actors.submit_actor_call(
-                    self, actor[0], actor[1], args, kwargs,
-                    stamped=(TaskID(task_hex), return_ids),
-                )
-                return
+            actors.submit_actor_call(
+                self, actor[0], actor[1], args, kwargs,
+                stamped=(TaskID(task_hex), return_ids),
+            )
         except Exception as exc:  # noqa: BLE001 - a user payload
-            if actor is not None:  # named by its method: no spec was made
-                spec = TaskSpec(
-                    TaskID(task_hex), None, actor[1],
-                    return_object_id=return_ids[0], return_object_ids=return_ids,
-                )
+            spec = TaskSpec(  # named by its method: no spec was made
+                TaskID(task_hex), None, actor[1],
+                return_object_id=return_ids[0], return_object_ids=return_ids,
+            )
             self._objects.store_error(spec, error_value_from(spec, exc))
-            return
-        spec.args, spec.kwargs = args, kwargs
-        self._submit_spec(spec)
+
+    def _decode(self, entry: tuple, node: Any = None) -> TaskSpec:
+        """The spec of a worker-born task's wire entry, born on ``node``:
+        it carries the entry, and names its ref arguments (the entry's
+        ``deps``) as bare refs — what its pins, placement and every ship
+        read."""
+        spec = msg.decode_entry(entry, self.functions, node)
+        spec.wire = entry
+        deps = entry[5].get("deps")
+        spec.arg_refs = (
+            tuple([ObjectRef._uncounted(ObjectID(dep)) for dep in deps])
+            if deps else ()
+        )
+        return spec
+
+    def _row(self, spec: TaskSpec) -> dict:
+        """A worker-born task's lineage record: its spec, and its wire
+        entry with the row of the function it names — what a driver
+        that never saw the worker's table needs to run it again."""
+        rows = self.functions.rows((spec.function_id.hex,))
+        return {"spec": spec, "payload": (spec.wire, rows)}
 
     def _adopt(self, entry: tuple, node: Any = None) -> TaskSpec:
         """A worker-born task becomes this driver's to keep (lock held),
-        its wire entry decoded into a spec: its lifecycle entry, the pins
-        on the ref arguments its entry names, and its lineage record —
-        async by design (the fast path is already acked one-way) and
-        self-contained: the wire entry is the replay form, the function's
-        row what a driver that never saw its table needs with it, the
-        spec the bookkeeping form."""
-        spec = msg.decode_entry(entry, self.functions, submitted_from=node)
+        its wire entry decoded into a spec (:meth:`_decode`): its
+        lifecycle entry, the pins on its ref arguments, and its lineage
+        record (:meth:`_row`) — async by design (the fast path is
+        already acked one-way)."""
+        spec = self._decode(entry, node)
         self._lifecycle.register(spec)
-        deps = entry[5].get("deps")
-        if deps:
-            self._objects.pin(spec, [ObjectID(dep) for dep in deps])
-        rows = self.functions.rows((spec.function_id.hex,))
-        self._control.async_task_put(
-            spec.task_id, {"spec": spec, "payload": (entry, rows)}, node=node
-        )
+        if spec.arg_refs:
+            self._objects.pin_task(spec)
+        self._control.async_task_put(spec.task_id, self._row(spec), node=node)
         return spec
 
     def _apply_steal_grant(
@@ -1156,44 +1211,25 @@ class ProcRuntime:
     # ------------------------------------------------------------------
 
     def _encode_task(
-        self, spec: TaskSpec, worker: _WorkerHandle, functions: dict, slot_for
+        self, spec: TaskSpec, worker: _WorkerHandle, functions: dict
     ) -> tuple:
-        """One frame entry (``messages.encode_entry``, with the frame's
-        ``slot_for`` resolving ref arguments against this driver's
-        stores), and the task's function into ``functions`` — the
-        frame's function table — unless this worker already has it.
-
-        Worker-born tasks (the fast path) already have their
-        entry — built by the submitting worker and mirrored here via
-        SUBMIT_LOCAL — so steal and crash-replay dispatches reuse it
-        verbatim; ref slots resolve through FETCH/shm on the executing
-        worker.  Actor tasks name no registered function: what they run
-        lives on the worker already, except a constructor's class, which
-        rides in the entry."""
-        if spec.actor_id is not None:
-            record = self.actors.get(spec.actor_id)
-            extras = {
-                "actor": (
-                    spec.actor_id,
-                    spec.actor_method,
-                    record.class_name if record else spec.function_name,
-                    spec.resources,
-                )
-            }
-            if spec.actor_method == CREATION_METHOD:
-                extras["code"] = serialize_portable(spec.function)
-            return msg.encode_entry(spec, slot_for, **extras)
-        entry = self._dispatch.wire_entry(spec.task_id.hex)
-        if entry is None:
-            entry = msg.encode_entry(spec, slot_for)
-        function_hex = spec.function_id.hex
-        if function_hex not in worker.functions_sent:
-            with self._cond:
-                # A spec that outlived its registration (replayed by a
-                # recovered driver) or was submitted with an id of the
-                # caller's own is registered by what it carries.
-                self.functions.add(function_hex, spec.function_name, spec.function)
-            functions.update(self.functions.rows((function_hex,)))
+        """One frame entry (lock held): the entry the task was born with
+        (``TaskSpec.wire``, pickled once where it was submitted) — with a
+        fresh ``inline`` table, filled by :meth:`ObjectPlane.arg_slot`
+        for each ref argument, when it has any — and the task's function
+        into ``functions``, the frame's table, unless this worker
+        already has it.  So a steal, a replay and a recovered driver all
+        ship the same ``call_bytes``.  Actor tasks name no registered
+        function: what they run lives on the worker already, except a
+        constructor's class, which rides in the entry."""
+        entry = spec.wire
+        if entry[msg.ENTRY_INLINE] is not None:
+            inline: dict = {}
+            for ref in spec.arg_refs:
+                self._objects.arg_slot(ref.object_id, worker.index, inline)
+            entry = entry[:4] + (inline, entry[5])
+        if spec.actor_id is None and entry[1] not in worker.functions_sent:
+            functions.update(self.functions.rows((entry[1],)))
         return entry
 
     def _finish_spec(
@@ -1202,24 +1238,23 @@ class ProcRuntime:
         spec: Optional[TaskSpec],
         blobs: list,
         failed: bool,
-        payload: Optional[tuple] = None,
+        entry: Optional[tuple] = None,
     ) -> None:
         """Record one completed task and publish its results (lock held;
-        the spec is already off the inflight stack / mirror).  ``payload``
-        is a worker-born task's wire entry, which the object plane keeps
-        while a lost node could still make the task run again.  With no
-        ``spec`` the task was never adopted: it has no row to update, and
-        its inline results are published from the entry."""
+        the spec is already off the inflight stack / mirror).  With no
+        ``spec`` the worker-born task was never adopted: it has no row
+        to update, and its inline results are published from its wire
+        ``entry``."""
         self._tasks_executed += 1
         if spec is None:
-            self._objects.finish(None, blobs, worker.index, payload)
+            self._objects.finish(None, blobs, worker.index, entry)
             if self._obs.enabled:
                 template = self.functions.template(
-                    payload[1], payload[5].get("options")
+                    entry[1], entry[5].get("options")
                 )
                 obs.result_stored(
-                    self._obs, TaskID(payload[0]), template.function_name,
-                    len(payload[2]), False, f"worker-{worker.index}",
+                    self._obs, TaskID(entry[0]), template.function_name,
+                    len(entry[2]), False, f"worker-{worker.index}",
                 )
             return
         self._control.async_task_update(
@@ -1245,7 +1280,7 @@ class ProcRuntime:
             # Cancelled mid-run: the marker owns the slots.
             self._objects.discard(blobs)
             return
-        self._objects.finish(spec, blobs, worker.index, payload)
+        self._objects.finish(spec, blobs, worker.index)
         if self._obs.enabled:
             obs.result_stored(
                 self._obs, spec.task_id, spec.function_name,
@@ -1500,8 +1535,5 @@ class ProcRuntime:
                     spec, actor_lost_error_value(spec, record)
                 )
             return
-        # A worker-born task's wire entry is kept while it can run again:
-        # the replay dispatch reships the exact payload the dead worker
-        # built.
-        if not self._objects.replay_or_fail(spec, lost_node):
-            self._dispatch.forget(spec.task_id.hex)
+        # A replay ships the entry the task was born with.
+        self._objects.replay_or_fail(spec, lost_node)

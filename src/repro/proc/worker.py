@@ -131,7 +131,6 @@ from repro.utils.serialization import (
     deserialize_portable,
     serialize,
     serialize_buffers,
-    serialize_call,
     serialize_portable,
     should_inline,
     write_frame,
@@ -241,7 +240,7 @@ class WorkerRuntime:
         payload = {
             "class_bytes": serialize_portable(actor_class),
             "class_name": class_name,
-            "call_bytes": serialize_call(*msg.strip_refs(args, kwargs)),
+            "call_bytes": msg.encode_call(args, kwargs),
             "resources": resources,
             "placement_hint": placement_hint,
             "name": name,
@@ -268,9 +267,7 @@ class WorkerRuntime:
             return_object_ids=return_ids, num_returns=num_returns,
             root_task_id=worker._cur_root, parent_task_id=worker._cur_task,
         )
-        worker.buffer(msg.encode_entry(
-            spec, worker._local_slot, actor=(actor_id, method_name, None, None)
-        ))
+        worker.buffer(msg.encode_entry(spec, actor=(actor_id, method_name, None, None)))
         return spec.public_result()
 
     def sleep(self, duration: float) -> None:
@@ -1069,13 +1066,18 @@ class ProcWorker:
         refs = spec.arg_refs
         if refs:
             local = all([self._locally_resident(ref.object_id) for ref in refs])
+            known = self._known_shm
             entry = msg.encode_entry(
-                spec, self._local_slot,
+                spec,
+                {
+                    ref.object_id: known[ref.object_id]
+                    for ref in refs if ref.object_id in known
+                },
                 deps=tuple([ref.object_id.hex for ref in refs]),
             )
         else:
             local = True
-            entry = msg.encode_entry(spec, self._local_slot)
+            entry = msg.encode_entry(spec)
         local = local and not _SPILLOVER.should_spill(
             spec,
             node_cpus=1,
@@ -1181,13 +1183,6 @@ class ProcWorker:
         driver: cached bytes or an attachable shm descriptor."""
         return self.cache.contains(object_id) or object_id in self._known_shm
 
-    def _local_slot(self, object_id: ObjectID, inline: dict) -> SlotRef:
-        """A locally-born entry's ref argument, resolved from local
-        residency: a known shm descriptor rides embedded; cached bytes
-        are left for dispatch-time resolution (with a FETCH fallback if
-        the cache evicts them)."""
-        return SlotRef(object_id, shm=self._known_shm.get(object_id))
-
     # ------------------------------------------------------------------
     # Task execution
     # ------------------------------------------------------------------
@@ -1286,7 +1281,9 @@ class ProcWorker:
         return serialize(value)
 
     def _resolve_call(self, call_bytes: bytes, inline: Optional[dict], pinned: list):
-        """Materialize argument slots into values (inline, cache, or fetch).
+        """Materialize argument slots into values: what the entry's
+        ``inline`` table carries (bytes or a shared-memory descriptor),
+        else the cache, else a fetch.
 
         Returns ``(args, kwargs, upstream_error)`` exactly like the other
         backends' workers: an upstream :class:`ErrorValue` skips execution
@@ -1302,15 +1299,16 @@ class ProcWorker:
             nonlocal upstream
             if not isinstance(value, SlotRef):
                 return value
-            if value.shm is not None and self.shm_enabled:
-                # Zero-copy path: the descriptor came embedded in the
-                # SlotRef; materialize() reads the arena directly (with
-                # a byte FETCH fallback for unmappable segments).  No
-                # byte cache — attaching a cached segment costs nothing
-                # and the payload is never copied in the first place.
-                resolved = self.materialize(value.shm)
+            blob = inline.get(value.object_id)
+            if type(blob) is ShmDescriptor:
+                # Zero-copy path: the descriptor came in the entry's
+                # table; materialize() reads the arena directly (with a
+                # byte FETCH fallback for unmappable segments).  No byte
+                # cache — attaching a cached segment costs nothing and
+                # the payload is never copied in the first place.
+                resolved = self.materialize(blob)
             else:
-                resolved = self._resolve_piped(value.object_id, inline, pinned)
+                resolved = self._resolve_piped(value.object_id, blob, pinned)
             if isinstance(resolved, ErrorValue) and upstream is None:
                 upstream = resolved
             return resolved
@@ -1319,9 +1317,9 @@ class ProcWorker:
         kwargs = {key: resolve(value) for key, value in kwargs_template.items()}
         return args, kwargs, upstream
 
-    def _resolve_piped(self, object_id, inline: dict, pinned: list) -> Any:
-        """The byte path: inline table, local LRU cache, or FETCH."""
-        data = inline.get(object_id)
+    def _resolve_piped(self, object_id, data: Optional[bytes], pinned: list) -> Any:
+        """The byte path: the bytes the entry's table carried, else the
+        local LRU cache, else a FETCH."""
         if data is None:
             data = self.cache.get(object_id)
             if data is None:

@@ -5,15 +5,15 @@ One :class:`DispatchPlane` per runtime, called under the runtime's lock
 (``runtime._dispatch``, the sibling of ``runtime._objects``).  It owns
 what the paper's hybrid scheduler (Section 3.2.2) decides on — the
 global spillover queue, every worker's :class:`WorkerSlot`, every
-actor's :class:`ActorLane`, the wire entries of worker-born tasks and the
-execution-time estimates that size a frame — and answers every question
+actor's :class:`ActorLane` and the execution-time estimates that size a
+frame — and answers every question
 asked about them.  **Worker handles go in, specs and decisions come
 out**: the plane never touches a pipe, a thread, a process or a codec
 and imports nothing of ``repro.proc``/``repro.dist``, so all of it can
 be driven with fake handles and no process
 (``tests/test_dispatch_plane.py``).  The runtime keeps the transport: it
-encodes and sends what the plane hands it and reports back what the
-worker said.
+sends the wire entry each task was born with (``TaskSpec.wire``) and
+reports back what the worker said.
 
 **A task's way through.**  ``route`` places a runnable stateless task on
 a worker or the global queue and wakes an actor call's lane; an idle
@@ -36,7 +36,9 @@ its birth worker (``worker_lost``), or the runtime asking for it by a
 return id (``adopt_producer``: a cancel, an escape, its parent ending
 first) or at its completion (``adopt``: a failure, a result that is not
 inline bytes).  A completion of a task never adopted (``done``) hands
-back its entry alone.
+back its entry alone.  The entry is the one its worker built, whatever
+becomes of the task: an adopted spec carries it (``TaskSpec.wire``), and
+a thief or a replay is shipped it again.
 """
 
 from __future__ import annotations
@@ -140,11 +142,6 @@ class DispatchPlane:
         self.by_node: dict[NodeID, WorkerSlot] = {}
         #: Stateless runnable tasks, drained by whichever worker idles first.
         self._queue: deque = deque()
-        #: Worker-born tasks' wire entries by raw task id (from
-        #: SUBMIT_LOCAL notices), kept while the task can still run: what
-        #: a thief executes and what crash replay reships, verbatim.  A
-        #: mirrored item that *is* its entry was never adopted.
-        self._payloads: dict[str, tuple] = {}
         #: Estimated execution seconds per registered function or actor
         #: method — the median of the latest times workers reported for
         #: it in DONE frames: what sizes a frame.
@@ -181,12 +178,13 @@ class DispatchPlane:
             raise BackendError("no live workers to host the actor")
         return home
 
-    def open_lane(self, record: ActorRecord, creation: TaskSpec) -> None:
+    def open_lane(self, record: ActorRecord, creation: Optional[TaskSpec]) -> None:
         """Give a new actor its lane, headed by its constructor — which
         ships alone (nothing estimates it), and no call leaves before it
-        is reported."""
+        is reported.  None: the constructor already failed, unsent, and
+        the lane opens empty."""
         self.by_node[record.node_id].actors_bound += 1
-        record.lane = ActorLane(record, deque([creation]))
+        record.lane = ActorLane(record, deque([creation] if creation else ()))
 
     def join_lane(self, record: ActorRecord, spec: TaskSpec) -> None:
         """A call was submitted: it stands in its actor's lane from now,
@@ -203,7 +201,7 @@ class DispatchPlane:
         """Route a runnable spec to its queue: a stateless one where the
         driver tier places it (:func:`choose_worker`), an actor's call
         before its actor's worker."""
-        if self._dropped_cancelled(spec):
+        if self._is_cancelled(spec.task_id):
             return
         if spec.actor_id is None:
             home = choose_worker(
@@ -223,14 +221,9 @@ class DispatchPlane:
         # runnable, it may be what the lane's head was waiting for.
         self._obs_placed(spec, self._wake_lane(record.lane))
 
-    def requeue(self, spec: TaskSpec, payload: Optional[tuple]) -> None:
-        """A task whose results were lost — or that a recovered driver
-        found unfinished — runs again, through the global queue.  A
-        worker-born one is reshipped as the exact entry its worker
-        built: still kept if it died unreported, handed back here if it
-        had completed."""
-        if payload is not None:
-            self._payloads[spec.task_id.hex] = payload
+    def requeue(self, spec: TaskSpec) -> None:
+        """A task whose results were lost runs again, through the
+        global queue, shipping the entry it was born with."""
         self._queue.append(spec)
 
     def born_on(self, worker: WorkerSlot, entry: tuple, return_ids: tuple) -> None:
@@ -238,7 +231,6 @@ class DispatchPlane:
         fast path): mirror the wire entry it built, findable by the
         task's ``return_ids``, until something adopts it."""
         worker.mirror.push(entry[0], entry, return_ids)
-        self._payloads[entry[0]] = entry
         self.counters.tasks_placed_local += 1
 
     def adopt(self, worker: WorkerSlot, item: Any) -> TaskSpec:
@@ -264,14 +256,6 @@ class DispatchPlane:
                     slot.mirror.replace(task_hex, spec)
                 return spec
         return None
-
-    def wire_entry(self, task_hex: str) -> Optional[tuple]:
-        """The entry a worker-born task's worker built for it, if any."""
-        return self._payloads.get(task_hex)
-
-    def forget(self, task_hex: str) -> None:
-        """The task will never run (again): its wire entry goes."""
-        self._payloads.pop(task_hex, None)
 
     def _wake_lane(self, lane: ActorLane) -> Optional[WorkerSlot]:
         """Put the lane before its actor's worker if it has something to
@@ -366,7 +350,7 @@ class DispatchPlane:
                     return None
                 source = victim.placed
             spec = source[0]
-            if self._dropped_cancelled(spec):
+            if self._is_cancelled(spec.task_id):
                 source.popleft()
                 continue
             if spec.actor_id is not None:
@@ -402,16 +386,6 @@ class DispatchPlane:
                 return spec
             self._fail(spec, error)
         return None
-
-    def _dropped_cancelled(self, spec: TaskSpec) -> bool:
-        """The dispatch-time drop: whether ``spec``, on its way to a
-        queue or a worker, was cancelled in the meantime and goes
-        nowhere.  The marker already owns its return slots; what goes
-        with the task is the wire entry kept for a worker-born one."""
-        if not self._is_cancelled(spec.task_id):
-            return False
-        self._payloads.pop(spec.task_id.hex, None)
-        return True
 
     def _estimate(self, spec: TaskSpec) -> Optional[float]:
         """Estimated execution seconds of one task for frame sizing; None
@@ -466,7 +440,7 @@ class DispatchPlane:
             return []
         shipped = [
             (spec, entry) for spec, entry in frame
-            if not self._dropped_cancelled(spec)
+            if not self._is_cancelled(spec.task_id)
         ]
         if not shipped:
             return shipped
@@ -524,22 +498,21 @@ class DispatchPlane:
         """One completion of a DONE frame: take the task off the
         worker's inflight table (handed over to run) or its mirror
         (queued there: locally-born, or shipped ahead in a frame) and
-        settle it.  Returns ``(spec, payload)`` — the wire entry kept for
-        a worker-born task; ``spec`` is None for one never adopted (the
-        entry is all there is), and both are for a task cancelled (and
-        taken off the mirror) while it ran."""
-        spec = worker.inflight.pop(task_hex, None)
-        if spec is None:
-            spec = worker.mirror.remove(task_hex)
-        payload = self._payloads.pop(task_hex, None)
-        if spec is None:
-            return None, None
+        settle it.  Returns ``(spec, None)``, or ``(None, entry)`` for a
+        worker-born task never adopted (its wire entry is all there is),
+        or ``(None, None)`` for a task cancelled (and taken off the
+        mirror) while it ran."""
+        item = worker.inflight.pop(task_hex, None)
+        if item is None:
+            item = worker.mirror.remove(task_hex)
+            if item is None:
+                return None, None
         worker.tasks_done += 1
-        if spec is payload:
-            return None, payload
-        if spec.actor_id is not None:
-            self.settle(spec)
-        return spec, payload
+        if type(item) is tuple:
+            return None, item
+        if item.actor_id is not None:
+            self.settle(item)
+        return item, None
 
     def idle(self, worker: WorkerSlot) -> None:
         """The worker reported its queue drained (or was sent nothing
@@ -623,7 +596,7 @@ class DispatchPlane:
             if item is None:
                 continue
             spec = self.adopt(victim, item)
-            if self._dropped_cancelled(spec):
+            if self._is_cancelled(spec.task_id):
                 continue
             self._stolen(spec, victim, wire=True, midtask=midtask)
             if midtask:
@@ -637,11 +610,10 @@ class DispatchPlane:
         and return that worker, which is owed a CANCEL_NOTICE so that it
         drops the task before running it.  The driver's own queues
         (global, placed) need nothing: every walk drops what was
-        cancelled (:meth:`_dropped_cancelled`)."""
+        cancelled (the dispatch-time drop: its marker owns its slots)."""
         task_hex = spec.task_id.hex
         for worker in self.workers:
             if worker.alive and worker.mirror.remove(task_hex) is not None:
-                self._payloads.pop(task_hex, None)
                 return worker
         return None
 

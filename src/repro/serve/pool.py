@@ -57,9 +57,6 @@ from repro.sched_plane import spread_replicas
 ROUTING_POLICIES = ("round_robin", "least_loaded", "latency_aware")
 ADMISSION_POLICIES = ("shed", "block")
 
-#: Backstop for the block-admission wait; completions notify the cond.
-_ADMISSION_WAIT_BACKSTOP = 0.1
-
 #: EWMA smoothing factor for ``latency_aware`` routing: one observation
 #: moves the estimate 30% of the way — fast enough to track a replica
 #: that degrades mid-flight, smooth enough that one outlier call does
@@ -381,7 +378,10 @@ class ActorPool:
             if self._closed:
                 raise BackendError("ActorPool closed while blocked on admission")
             if self._event_driven:
-                self._cond.wait(timeout=_ADMISSION_WAIT_BACKSTOP)
+                # Untimed: every release of in-flight depth (``_settle``,
+                # ``_fail_pending_locked`` under it or ``close``) and
+                # ``close`` itself notify the cond.
+                self._cond.wait()
             else:
                 # Sim mirror: drain the oldest outstanding call — the
                 # deterministic equivalent of waiting for a completion.

@@ -323,17 +323,15 @@ def test_entry_is_compact_and_the_function_crosses_once(pool):
     # Already sent with the warm-up call: no table names it again.
     assert all(function_hex not in frame[2] for frame in recorder.frames)
 
-    # A 32-entry frame, built by the runtime's own encoder.
-    worker = pool._workers[0]
+    # A 32-entry frame, of entries built by the encoder every task is
+    # born with.
     template = tick._templates[pool._repro_epoch]
     with pool._cond:
         specs = [
             template.stamp(pool.ids, (i,), {}, pool.head_node_id)
             for i in range(1 << 30, (1 << 30) + 32)
         ]
-    functions = {}
-    frame = [pool._encode_task(spec, worker, functions, None) for spec in specs]
-    assert functions == {}
+    frame = [msg.encode_entry(spec) for spec in specs]
     size = len(encode_message((msg.TASK, frame, {})))
     assert size / 32 <= 130, f"{size / 32:.1f} bytes per entry"
 

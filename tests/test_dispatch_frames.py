@@ -475,16 +475,19 @@ def spawn_and_hold(directory, count, release):
 
 @pools(2)
 def test_cancelled_tail_of_a_rehomed_window_leaves_no_wire_entry(pool, tmp_path):
-    """Worker-born tasks keep their wire entry on the driver
-    (``_payloads``) until they finish.  One that is stolen, re-homed
-    through the global queue and cancelled while it waits there is
-    dropped when a frame is claimed — as the frame's head or from its
-    tail — and its entry has to go with it either way."""
+    """A worker-born task that is stolen, re-homed through the global
+    queue and cancelled while it waits there is dropped when a frame is
+    claimed — as the frame's head or from its tail — and nothing of it
+    (its spec, which carries its wire entry) stays on the driver's
+    queues either way."""
     directory = str(tmp_path)
     gate, release = str(tmp_path / "gate"), str(tmp_path / "release")
     occupy_one_worker(pool, gate)
     parent = spawn_and_hold.remote(directory, 6, release)
-    _await(lambda: len(pool._dispatch._payloads) == 6, "the children being announced")
+    _await(
+        lambda: sum(len(worker.mirror) for worker in pool._workers) == 6,
+        "the children being announced",
+    )
     # Both workers are busy, so nobody asks: play the idle thief.  The
     # holding parent's reader grants half of its queue at once, and the
     # tasks wait in the global queue for a worker to come free.
@@ -495,7 +498,7 @@ def test_cancelled_tail_of_a_rehomed_window_leaves_no_wire_entry(pool, tmp_path)
     with pool._cond:
         stolen = list(pool._dispatch._queue)
         # Sized as one frame: head, one mate, and the cancelled one.
-        function_hex = pool._dispatch._payloads[stolen[0].task_id.hex][1]
+        function_hex = stolen[0].wire[1]
         pool._dispatch._exec_estimate[FunctionID(function_hex)] = 1e-5
     doomed = stolen[-1]
     assert repro.cancel(ObjectRef(doomed.return_object_id)) is True
@@ -509,7 +512,8 @@ def test_cancelled_tail_of_a_rehomed_window_leaves_no_wire_entry(pool, tmp_path)
         repro.get(parent, timeout=60.0)  # it gets its cancelled child
     _await(lambda: not any(w.busy for w in pool._workers), "the pool idling")
     assert sorted(_runs(directory, i) for i in range(6)) == [0, 1, 1, 1, 1, 1]
-    assert len(pool._dispatch._payloads) == 0
+    assert not pool._dispatch._queue
+    assert not any(len(w.mirror) or w.inflight or w.placed for w in pool._workers)
 
 
 @pytest.fixture

@@ -7,11 +7,11 @@ standing in for the lifecycle index and the dependency tracker — so the
 frame rule, the one-window rule of an actor's lane, the dry-victim
 guard and what a lost worker leaves behind are checked in milliseconds,
 and a seeded stream of random operations holds the conservation laws
-after every step: each task in exactly one place, no wire entry
-outliving its task, each task born on a worker mirrored as its entry,
-adopted, or done — one of the three, and adopted at most once — one
-window per lane, everything empty at quiescence.  Four mutants (bugs
-this code has had, or is one check away from) must each break it.
+after every step: each task in exactly one place, each task born on a
+worker mirrored as its entry, adopted, or done — one of the three, and
+adopted at most once — one window per lane, everything empty at
+quiescence.  Three mutants (bugs this code has had, or is one check away
+from) must each break it.
 ``tests/test_dispatch_frames.py`` and ``tests/test_actor_frames.py``
 hold the same rules end to end.
 """
@@ -77,6 +77,7 @@ class Harness:
         spec, birth_node = self.born[entry[0]]
         assert node == birth_node  # what the row records and the spec says
         self.adoptions[entry[0]] += 1
+        spec.wire = entry  # as the runtime's adoption does
         return spec
 
     def born_on(self, worker, spec):
@@ -272,7 +273,7 @@ def test_a_cancelled_task_is_never_claimed_and_leaves_no_wire_entry():
     assert h.ship(victim, h.plane.claim_frame(victim)) == [head]
     born = [h.task() for _ in range(4)]
     entries = [h.born_on(victim, spec) for spec in born]
-    assert len(h.plane._payloads) == 4
+    assert [victim.mirror.get(spec.task_id.hex) for spec in born] == entries
     # One is cancelled while the victim still queues it (looked up by
     # its return id first, which adopts it in place) ...
     assert h.plane.adopt_producer(born[3].return_object_id) is born[3]
@@ -287,10 +288,11 @@ def test_a_cancelled_task_is_never_claimed_and_leaves_no_wire_entry():
     h.cancelled.update((born[0].task_id.hex, born[2].task_id.hex))
     assert h.plane.cancel(born[0]) is None  # no worker queues it
     assert h.ship(thief, h.plane.claim_frame(thief)) == [born[1]]
-    assert not h.plane._queue
-    assert list(h.plane._payloads) == [born[1].task_id.hex]
-    assert h.plane.done(thief, born[1].task_id.hex) == (born[1], entries[1])
-    assert not h.plane._payloads
+    assert not h.plane._queue and not len(victim.mirror)
+    assert list(thief.inflight) == [born[1].task_id.hex]
+    assert born[1].wire is entries[1]  # what was shipped: its birth entry
+    assert h.plane.done(thief, born[1].task_id.hex) == (born[1], None)
+    assert not thief.inflight
     assert h.adoptions == Counter({spec.task_id.hex: 1 for spec in born})
 
 
@@ -383,9 +385,9 @@ def test_worker_lost_returns_each_task_exactly_once():
     lost.placed.extend(frame)
     h.ship(lost, h.plane.claim_frame(lost))
     born, done = h.task(), h.task()
-    h.born_on(lost, born)
+    born_entry = h.born_on(lost, born)
     entry = h.born_on(lost, done)
-    assert lost.mirror.get(born.task_id.hex) is h.plane._payloads[born.task_id.hex]
+    assert lost.mirror.get(born.task_id.hex) is born_entry
     # A task born there that reports done was never adopted: its entry
     # is all the plane hands back.
     assert h.plane.done(lost, done.task_id.hex) == (None, entry)
@@ -401,8 +403,8 @@ def test_worker_lost_returns_each_task_exactly_once():
     assert not (lost.inflight or len(lost.mirror) or lost.placed or lost.pinned)
     assert lost.node_id not in h.plane.by_node
     assert h.plane.workers[lost.index] is replacement
-    # The wire entry stays for the replay the lineage gate may order.
-    assert born.task_id.hex in h.plane._payloads
+    # The adopted spec carries the entry the lineage gate may replay.
+    assert born.wire is born_entry
 
 
 def test_worker_lost_fails_dead_lanes_and_rehomes_live_ones():
@@ -656,12 +658,11 @@ class Fuzz(Harness):
     def unadopted(self):
         """Raw id -> the live worker whose mirror queues it as its wire
         entry: the tasks born on a worker and never adopted."""
-        payloads = self.plane._payloads
         return {
             task_hex: worker
             for worker in self.alive()
             for task_hex in worker.mirror.task_ids()
-            if worker.mirror.get(task_hex) is payloads.get(task_hex)
+            if type(worker.mirror.get(task_hex)) is tuple
         }
 
     def lose(self):
@@ -679,10 +680,9 @@ class Fuzz(Harness):
         for spec in doomed:
             task_hex = spec.task_id.hex
             if task_hex in self.live and spec.actor_id is None and self.rng.random() < 0.8:
-                self.plane.requeue(spec, None)  # a lineage replay
+                self.plane.requeue(spec)  # a lineage replay
             else:
                 self.settle(spec)  # its error (or its cancellation marker)
-                self.plane.forget(task_hex)
         for spec in replaced:
             assert spec.placement_hint != worker.node_id
             self.plane.route(spec)
@@ -759,9 +759,6 @@ class Fuzz(Harness):
         # ... a settled one nowhere (a cancelled one until a walk drops it) ...
         for task_hex, count in where.items():
             assert count == 1 and (task_hex in self.live or task_hex in self.cancelled)
-        # ... no wire entry outlives its task ...
-        for task_hex in plane._payloads:
-            assert where[task_hex] or task_hex in self.gated, task_hex
         # ... and a task born on a worker is queued there as its entry,
         # adopted, or done unadopted: one of the three, adopted at most
         # once.
@@ -802,7 +799,7 @@ class Fuzz(Harness):
         else:
             raise AssertionError("the plane never came to rest")
         assert not self.live, sorted(self.live)
-        assert not plane._queue and not plane._payloads
+        assert not plane._queue
         for worker in plane.workers:
             assert not (worker.inflight or len(worker.mirror) or worker.placed or worker.pinned)
             assert not worker.busy and not worker.steal_outstanding
@@ -847,17 +844,6 @@ def test_mutant_without_the_dry_victim_guard_is_caught(monkeypatch):
     assert caught_within(20) is not None
 
 
-def test_mutant_leaking_a_cancelled_tasks_wire_entry_is_caught(monkeypatch):
-    """A walk drops a cancelled task and keeps its ``_payloads`` entry
-    (found by accident in PR 19, in a frame's tail)."""
-
-    def dropped(self, spec):
-        return self._is_cancelled(spec.task_id)
-
-    monkeypatch.setattr(DispatchPlane, "_dropped_cancelled", dropped)
-    assert caught_within(20) is not None
-
-
 def test_mutant_losing_a_worker_without_adopting_its_born_tasks_is_caught(monkeypatch):
     """``worker_lost`` forgets to adopt what its worker queued unadopted
     (it drops those entries instead): a task born there that never ran
@@ -866,7 +852,7 @@ def test_mutant_losing_a_worker_without_adopting_its_born_tasks_is_caught(monkey
 
     def forgetful(self, worker, successor=None):
         for task_hex in worker.mirror.task_ids():
-            if worker.mirror.get(task_hex) is self._payloads.get(task_hex):
+            if type(worker.mirror.get(task_hex)) is tuple:
                 worker.mirror.remove(task_hex)
         return lost(self, worker, successor)
 

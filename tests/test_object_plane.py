@@ -84,7 +84,7 @@ class Harness:
             inline_threshold=1024,
             is_cancelled=self.cancelled.__contains__,
             arrived=self.arrivals.append,
-            requeue=lambda spec, payload: self.requeued.append((spec, payload)),
+            requeue=self.requeued.append,
             nodes=self.nodes,
             workers_per_node=1,
         )
@@ -102,7 +102,7 @@ class Harness:
         self.plane.store_bytes(ref.object_id, data)
         return ref
 
-    def land_on_node(self, spec, node_index, size=4096, payload=None):
+    def land_on_node(self, spec, node_index, size=4096):
         """``spec`` completed with every return left in a node's arena."""
         blobs = [
             NodeBlob(object_id, node_index, size)
@@ -110,7 +110,7 @@ class Harness:
         ]
         for blob in blobs:
             self.nodes[node_index].arena[blob.object_id] = serialize("big")
-        self.plane.finish(spec, blobs, node_index, payload)
+        self.plane.finish(spec, blobs, node_index)
 
     def live(self):
         gc.collect()
@@ -158,7 +158,8 @@ def test_a_task_pin_keeps_its_argument_until_the_task_is_settled(harness):
     spec = h.spec(ref)
     h.plane.pin_task(spec)
     assert spec.pins == (object_id,)
-    assert spec.args[0]._ledger is None  # the spec names it, uncounted
+    # The spec names it, uncounted, and holds no argument value.
+    assert spec.arg_refs[0]._ledger is None and spec.args == ()
     del ref
     assert h.live()["pinned_by_tasks"] == 1 and h.plane.has(object_id)
     h.plane.finish(spec, [serialize(1)], 0)  # its result is in: no replay
@@ -241,9 +242,11 @@ def test_a_node_resident_result_is_deleted_where_it_is_held_exactly_once(harness
     assert h.plane.has(object_id) and h.plane.only_on_node(object_id)
     assert h.plane.blob_for(object_id) is None  # described here, not held
     assert h.control.object_puts[-1][1]["location"] == "node-0"
-    # A consumer on node 1 gets a bare slot; its agent will cache the bytes.
-    slot = h.plane.arg_slot(object_id, 1, {})
-    assert slot.shm is None and slot.object_id == object_id
+    # A consumer on node 1 is shipped nothing for it: its agent will
+    # pull the bytes once and cache them.
+    inline = {}
+    h.plane.arg_slot(object_id, 1, inline)
+    assert inline == {}
     del ref
     assert h.live()["released"] == 1
     assert [node.deleted for node in h.nodes] == [[object_id], [object_id], []]
@@ -271,12 +274,11 @@ def test_a_task_with_a_node_resident_result_keeps_its_pins_until_a_copy_is_here(
     h.plane.pin_task(spec)
     del arg
     ref = ObjectRef(spec.return_object_id)
-    h.land_on_node(spec, 1, payload=("wire", "entry"))
+    h.land_on_node(spec, 1)
     assert h.live()["pinned_by_tasks"] == 1  # losing node 1 would replay it
     assert h.plane.pull(ref.object_id)
     assert not h.plane.only_on_node(ref.object_id)
     assert h.live()["pinned_by_tasks"] == 0 and not h.plane.has(arg_id)
-    assert not h.plane._retained_payloads
     # The node is lost afterwards: the driver copy survives, nothing replays.
     h.plane.node_lost(1)
     assert not h.requeued and h.plane.has(ref.object_id)
@@ -313,18 +315,18 @@ def test_lost_with_its_node_replays_within_budget_then_errors(harness):
     h = harness(num_nodes=2)
     spec = h.spec(max_reconstructions=2, num_returns=2)
     refs = [ObjectRef(each) for each in spec.all_return_ids()]
-    payload = ("worker-born", "entry")
+    spec.wire = entry = ("worker-born", "entry")
     for attempt, node_index in enumerate((0, 1), start=1):
-        h.land_on_node(spec, node_index, payload=payload)
+        h.land_on_node(spec, node_index)
         h.plane.node_lost(node_index)
         # Two returns lost together: one replay, carrying the wire entry.
-        assert h.requeued == [(spec, payload)] * attempt
+        assert h.requeued == [spec] * attempt and spec.wire is entry
         assert h.plane.replays[spec.task_id] == attempt
         assert not any(h.plane.has(ref.object_id) for ref in refs)
         assert h.control.task_updates[-1] == (
             spec.task_id, {"state": "replaying", "attempt": True}
         )
-    h.land_on_node(spec, 0, payload=payload)
+    h.land_on_node(spec, 0)
     h.plane.node_lost(0)
     assert len(h.requeued) == 2 and h.plane.lineage_replays == 2
     for ref in refs:
@@ -342,7 +344,7 @@ def test_the_verdict_is_the_same_one_for_a_task_that_died_with_its_worker(harnes
     spec = h.spec(max_reconstructions=1)
     ref = ObjectRef(spec.return_object_id)
     assert h.plane.replay_or_fail(spec) is True
-    assert h.requeued == [(spec, None)]
+    assert h.requeued == [spec]
     assert h.plane.replay_or_fail(spec, lost_node=3) is False
     error = deserialize(h.plane.store.get(ref.object_id))
     assert error.kind == "node_lost"
@@ -395,12 +397,12 @@ def test_all_handles_dropped_leaves_every_table_empty(harness):
         handles += [ObjectRef(each) for each in spec.all_return_ids()]
     for spec in done:
         plane.finish(spec, [serialize("r")], 0)
-    h.land_on_node(on_node, 0, payload=("entry",))
+    h.land_on_node(on_node, 0)
     plane.arg_slot(on_node.return_object_id, 1, {})
     assert plane.pull(on_node.return_object_id)
     h.land_on_node(lost, 1)
     plane.node_lost(1)
-    assert h.requeued == [(lost, None)]
+    assert h.requeued == [lost]
     plane.finish(lost, [serialize("again")], 0)
     assert plane.replay_or_fail(crashed) is False
     h.cancelled.add(cancelled.task_id)
@@ -422,7 +424,7 @@ def test_all_handles_dropped_leaves_every_table_empty(harness):
     assert stats["pinned_by_tasks"] == 0
     assert plane._pins == {} and plane._held == set() and plane._born_in == {}
     assert plane._release_on_arrival == set() and plane._ledger.counts == {}
-    assert plane._node_resident == {} and plane._retained_payloads == {}
+    assert plane._node_resident == {}
     assert plane._reconstructing == set() and plane._pulling == set()
     assert plane._doomed == {}
     assert plane.store.num_objects == 1
