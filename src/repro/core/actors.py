@@ -42,7 +42,7 @@ from repro.core.object_ref import ObjectRef
 from repro.core.protocol import check_cluster_feasible
 from repro.core.task import OptionsBase, ResourceRequest, TaskSpec
 from repro.errors import ActorLostError, BackendError
-from repro.utils.ids import ActorID, NodeID
+from repro.utils.ids import ActorID, FunctionID, NodeID, TaskID
 
 #: ``TaskSpec.actor_method`` value marking the constructor task.
 CREATION_METHOD = "__init__"
@@ -127,6 +127,38 @@ class ActorRecord:
     #: ``create_actor``, so every live record there has one); None on
     #: those that order by dataflow.
     lane: Any = field(default=None, repr=False)
+
+    def method_id(self, method_name: str, ids) -> FunctionID:
+        """The method's function id, minted from ``ids`` at its first call."""
+        function_id = self.method_ids.get(method_name)
+        if function_id is None:
+            function_id = self.method_ids[method_name] = ids.function_id()
+        return function_id
+
+    def call_spec(
+        self, method_name: str, function_id: FunctionID, task_id: TaskID,
+        return_ids: tuple, submitted_from: Optional[NodeID] = None,
+        root_task_id: Any = None, parent_task_id: Any = None,
+        args: tuple = (), kwargs: Optional[dict] = None, arg_refs: Any = None,
+    ) -> TaskSpec:
+        """The spec of one of this actor's tasks, whoever builds it — a
+        submission (:func:`build_call_spec`) or a receiver of its wire
+        entry (``repro.proc.messages.decode_entry``): named, sized and
+        hinted by this record, chained on its previous submission if the
+        runtime chains them (``last_call_ref``).  Positional, in
+        :class:`TaskSpec` field order, as ``CallTemplate.instantiate``."""
+        last = self.last_call_ref
+        return TaskSpec(
+            task_id, function_id, f"{self.class_name}.{method_name}", None,
+            args, {} if kwargs is None else kwargs,
+            return_ids[0], return_ids, len(return_ids),  # the returns
+            self.resources, None, submitted_from,
+            self.node_id, 3,                  # placement hint, replays
+            () if last is None else (last,),  # extra_dependencies
+            self.actor_id, method_name,
+            task_id if root_task_id is None else root_task_id,
+            parent_task_id, arg_refs,
+        )
 
 
 class ActorRegistry:
@@ -251,10 +283,10 @@ def build_call_spec(
     kwargs: dict,
     submitted_from: Optional[NodeID],
     num_returns: int = 1,
-    stamped: Optional[tuple] = None,
 ) -> TaskSpec:
-    """One method-call task, chained on the actor's previous submission
-    if the runtime chains them (``record.last_call_ref``).
+    """One method-call task, built by its actor's record
+    (:meth:`ActorRecord.call_spec`) from fresh ids: the method's on its
+    first call, then the return ids, then the task's.
 
     ``num_returns=k`` allocates k return objects exactly like stateless
     multi-return tasks: the method must return a sequence of k values,
@@ -262,32 +294,12 @@ def build_call_spec(
     built on this — one vectorized invocation fans back out into one ref
     per coalesced call.  Chaining stays on the primary (first) ref, so
     the actor's total order is unaffected by how many refs a call has.
-    ``stamped`` is ``(task_id, return_ids)`` a worker already minted for
-    the call (``proc``/``dist``); ``ids`` then mints none of them.
     """
-    extra = (record.last_call_ref,) if record.last_call_ref is not None else ()
-    function_id = record.method_ids.get(method_name)
-    if function_id is None:
-        function_id = record.method_ids[method_name] = ids.function_id()
-    if stamped is None:
-        return_ids = tuple(ids.object_id() for _ in range(num_returns))
-        stamped = (ids.task_id(), return_ids)
-    task_id, return_ids = stamped
-    return TaskSpec(
-        task_id=task_id,
-        function_id=function_id,
-        function_name=f"{record.class_name}.{method_name}",
-        args=tuple(args),
-        kwargs=dict(kwargs),
-        return_object_id=return_ids[0],
-        return_object_ids=return_ids,
-        num_returns=len(return_ids),
-        resources=record.resources,
-        submitted_from=submitted_from,
-        placement_hint=record.node_id,
-        extra_dependencies=extra,
-        actor_id=record.actor_id,
-        actor_method=method_name,
+    function_id = record.method_id(method_name, ids)
+    return_ids = tuple([ids.object_id() for _ in range(num_returns)])
+    return record.call_spec(
+        method_name, function_id, ids.task_id(), return_ids, submitted_from,
+        args=tuple(args), kwargs=dict(kwargs),
     )
 
 
@@ -343,32 +355,6 @@ def create_actor(
     return record.handle
 
 
-def submit_actor_call(
-    runtime,
-    actor_id: ActorID,
-    method_name: str,
-    args: tuple,
-    kwargs: dict,
-    num_returns: int = 1,
-    stamped: Optional[tuple] = None,
-) -> TaskSpec:
-    """Build one method call, count it in the actor's control-store row
-    and submit it in the actor's order; ``stamped`` is the ids of a call
-    a worker made (:func:`build_call_spec`)."""
-    runtime._check_open()
-    with runtime._lifecycle_guard():
-        record = runtime.actors.get(actor_id)
-        if record is None:
-            raise BackendError(f"unknown actor {actor_id}")
-        spec = build_call_spec(
-            runtime.ids, record, method_name, args, kwargs,
-            runtime._current_node_id(), num_returns, stamped,
-        )
-        runtime._control.actor_update(actor_id, method_inc=True)
-        runtime._submit_actor_task(record, spec)
-    return spec
-
-
 def call_actor(
     runtime,
     actor_id: ActorID,
@@ -377,13 +363,23 @@ def call_actor(
     kwargs: dict,
     num_returns: int = 1,
 ) -> Any:
-    """Submit one actor method invocation; returns its future (a tuple
-    of ``num_returns`` futures when more than one).  No per-actor lock
-    exists: the backend's order keeps one actor's methods from
-    interleaving."""
-    return submit_actor_call(
-        runtime, actor_id, method_name, args, kwargs, num_returns
-    ).public_result()
+    """Submit one actor method invocation — built, counted in the
+    actor's control-store row and submitted in the actor's order — and
+    return its future (a tuple of ``num_returns`` futures when more than
+    one).  No per-actor lock exists: the backend's order keeps one
+    actor's methods from interleaving."""
+    runtime._check_open()
+    with runtime._lifecycle_guard():
+        record = runtime.actors.get(actor_id)
+        if record is None:
+            raise BackendError(f"unknown actor {actor_id}")
+        spec = build_call_spec(
+            runtime.ids, record, method_name, args, kwargs,
+            runtime._current_node_id(), num_returns,
+        )
+        runtime._control.actor_update(actor_id, method_inc=True)
+        runtime._submit_actor_task(record, spec)
+    return spec.public_result()
 
 
 def get_actor(runtime, name: str) -> "ActorHandle":
@@ -518,7 +514,7 @@ class ActorMethod:
         ``handle.method.options(num_returns=k).remote(...)`` makes the
         call return a tuple of k independently consumable refs (the
         method must return a sequence of k values).  Checked here, before
-        any runtime is reached: a call made inside a task is stamped
+        any runtime is reached: a call made inside a task gets its ids
         where it is made."""
         if not isinstance(num_returns, int) or num_returns < 1:
             raise ValueError(

@@ -49,16 +49,17 @@ it was born, is this one positional tuple, written by
   display name, ``num_returns``, replay budget), ``"root"``/``"parent"``
   (trace context of a nested task), ``"actor"`` (``(actor_id, method,
   class_name, resources)`` — on a frame's first entry it also says the
-  frame is that actor's *window*, below; an actor entry's
-  ``function_hex`` is its method's stable id, which only the driver's
-  estimates read; a call a worker made carries ``None`` for the class
-  and resources and its actor's id there, the driver's record having
-  all three, and is the one entry the driver encodes again: it
-  restores the call and stamps it as one of its own), ``"code"`` (an
-  actor constructor's class — the one piece of code that is not a
-  registered function) and ``"deps"`` (a worker-born entry's ref
-  arguments, by id: the driver never unpickles ``call_bytes``, and pins
-  what a task depends on).
+  frame is that actor's *window*, below.  A method call's entry names
+  its actor and method only, ``None`` for the rest, wherever it was
+  made: each receiver names the task from its own record of the actor
+  (:func:`decode_entry`), and the driver keys the method's estimates on
+  its record, not on the entry's ``function_hex``.  Only a
+  constructor's entry carries the class name and resources, which is
+  how a worker first hears of its actor), ``"code"`` (an actor
+  constructor's class — the one piece of code that is not a registered
+  function) and ``"deps"`` (a worker-born entry's ref arguments, by id,
+  an actor call's too: the driver never unpickles ``call_bytes``, and
+  pins what a task depends on).
 
 **What crosses once per (worker, function)** is a row of the
 :class:`FunctionTable` each end keeps: ``{function_hex: (registered
@@ -174,21 +175,21 @@ keep — a dependency not resident there, a placement hint for another
 node, resources one slot cannot hold, a backlog over the spill
 threshold — which the driver places (*routed*, the paper's spillover),
 and the actor calls the task made, in submission order: it submits each
-like one of its own, under the ids the worker gave it — a task with the
-worker's entry (its arguments stay pickled), a call, its arguments
-restored, in its actor's lane.  The puts are
-``(object_hex, bytes, parent_hex)`` — the bytes under an id the worker
-minted, or ``None`` for the seal of a shared-memory grant it filled —
-and are applied first, then the kept entries, the escaped ids and the
-routed list.  So creating a task, calling an actor or putting a small
-value is no round trip: the worker checks a task against the
-:class:`~repro.cluster.spec.ClusterSpec` it was spawned with itself,
-and waits for a ``PLACED`` only when the window of unacknowledged items
-is full.  A put or seal the driver cannot apply, or a call to an actor
-it does not know, resolves the object's or the call's returns to an
-error value; the task that made it runs on.  Of a mirrored entry the
-driver keeps the entry and nothing more: it *adopts* the task —
-decodes the spec, pins its arguments and writes its lineage row — only
+like one of its own, under the ids and with the entry the worker gave
+it (its arguments stay pickled) — a call in its actor's lane.  The puts
+are ``(object_hex, bytes, parent_hex)`` — the bytes under an id the
+worker minted, or ``None`` for the seal of a shared-memory grant it
+filled — and are applied first, then the kept entries, the escaped
+ids and the routed list.  So creating a task, calling an actor or
+putting a small value is no round trip: the worker checks a task
+against the :class:`~repro.cluster.spec.ClusterSpec` it was spawned
+with itself, and waits for a ``PLACED`` only when the window of
+unacknowledged items is full.  A put or seal the driver cannot apply,
+or a call to an actor it does not know, resolves the object's or the
+call's returns to an error value; the task that made it runs on.  Of a
+mirrored entry the driver keeps the entry and nothing more: it
+*adopts* the task — decodes the spec, pins its arguments and writes
+its lineage row — only
 when something needs it (a steal, a cancel, the loss of the worker, an
 escape of one of its refs, a failure or a result that is not inline
 bytes, or its parent ending first;
@@ -263,6 +264,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.core.actors import ActorRecord
 from repro.core.object_ref import ObjectRef
 from repro.core.task import CallTemplate, TaskOptions, TaskSpec
 from repro.errors import BackendError
@@ -411,11 +413,10 @@ def strip_refs(args: tuple, kwargs: dict) -> tuple:
 
 
 def restore_refs(args: tuple, kwargs: dict) -> tuple:
-    """The driver-side inverse of :func:`strip_refs`, for the calls it
-    still reads: a worker's CREATE_ACTOR request and an actor call a
-    worker made (a stateless task's ``call_bytes`` are never unpickled
-    on the driver).  The refs are uncounted: the submission that follows
-    pins what they name."""
+    """The driver-side inverse of :func:`strip_refs`, for the one call it
+    still reads: a worker's CREATE_ACTOR request (the ``call_bytes`` of
+    an entry are never unpickled on the driver).  The refs are
+    uncounted: the submission that follows pins what they name."""
 
     def restore(value: Any) -> Any:
         if isinstance(value, SlotRef):
@@ -557,12 +558,22 @@ class FunctionTable:
 
 
 def decode_entry(
-    entry: tuple, functions: FunctionTable, submitted_from: Optional[NodeID] = None
+    entry: tuple,
+    functions: FunctionTable,
+    submitted_from: Optional[NodeID] = None,
+    actors: Any = None,
+    ids: Any = None,
 ) -> TaskSpec:
     """The spec of a received entry, without its arguments (they stay in
     ``call_bytes`` until the task runs; the lineage mirror never reads
     them).  ``functions`` is the receiver's table, which learnt the
-    entry's function from a table that preceded it."""
+    entry's function from a table that preceded it.  An actor's task is
+    named by the receiver's record of its actor in ``actors``
+    (:meth:`~repro.core.actors.ActorRecord.call_spec`) — or, where there
+    is none, by the record its entry describes: a constructor's names
+    its class, which is how a worker first hears of its actor, a call's
+    only the actor.  ``ids`` mints the method's id on the driver, whose
+    estimates read it."""
     task_hex, function_hex, return_hexes, _call, _inline, extras = entry
     task_id = TaskID(task_hex)
     return_ids = tuple([ObjectID(return_hex) for return_hex in return_hexes])
@@ -577,19 +588,12 @@ def decode_entry(
     actor = extras.get("actor")
     if actor is not None:
         actor_id, method, class_name, resources = actor
-        return TaskSpec(
-            task_id=task_id,
-            function_id=FunctionID(function_hex),
-            function_name=f"{class_name}.{method}",
-            return_object_id=return_ids[0],
-            return_object_ids=return_ids,
-            num_returns=len(return_ids),
-            resources=resources,
-            submitted_from=submitted_from,
-            actor_id=actor_id,
-            actor_method=method,
-            root_task_id=root if root is not None else task_id,
-            parent_task_id=parent,
+        record = actors.get(actor_id) or ActorRecord(actor_id, class_name, resources)
+        function_id = (
+            FunctionID(function_hex) if ids is None else record.method_id(method, ids)
+        )
+        return record.call_spec(
+            method, function_id, task_id, return_ids, submitted_from, root, parent
         )
     return functions.template(function_hex, extras.get("options")).instantiate(
         task_id, return_ids, submitted_from, root, parent

@@ -692,9 +692,6 @@ class ObjectPlane(ObjectStores):
         if spec.arg_refs:
             spec.arg_refs = tuple([_bare(ref) for ref in spec.arg_refs])
         spec.args, spec.kwargs = (), {}
-        spec.extra_dependencies = tuple(
-            [_bare(ref) for ref in spec.extra_dependencies]
-        )
 
     def pin(self, spec: TaskSpec, object_ids: list) -> None:
         pins = self._pins

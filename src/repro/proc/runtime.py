@@ -446,7 +446,7 @@ class ProcRuntime:
         everything else that keeps the spec) names its ref arguments
         without holding them, and its entry holds the rest.
         """
-        if spec.argument_refs() or spec.extra_dependencies:
+        if spec.argument_refs():
             self._objects.pin_task(spec)
         else:
             spec.args, spec.kwargs = (), {}
@@ -483,28 +483,29 @@ class ProcRuntime:
         return self._dispatch.home_for_actor(spec.placement_hint).node_id
 
     def _submit_actor_task(self, record, spec: TaskSpec) -> None:
-        """Encode the task's wire entry — its actor's record names the
-        class and resources, and a constructor carries the class's code
-        — and stand it in its actor's lane (a constructor opens it),
+        """Stand the task in its actor's lane (a constructor opens it),
         which is what serializes the actor's methods: there is no
         dependency on the previous call's result, so a call waits for
-        its own arguments and for nothing else.  A task that cannot be
-        encoded resolves to that error and never stands in the lane, so
-        the calls behind it go on (a constructor's lane opens empty, and
-        its calls fail their pre-dispatch check)."""
+        its own arguments and for nothing else.  A call a worker made
+        comes with its worker's entry; any other task's is encoded here
+        — a call's names its actor and method, a constructor's also the
+        class's name, resources and code.  A task that cannot be encoded
+        resolves to that error and never stands in the lane, so the
+        calls behind it go on (a constructor's lane opens empty, and its
+        calls fail their pre-dispatch check)."""
         creation = spec.actor_method == CREATION_METHOD
-        extras = {
-            "actor": (spec.actor_id, spec.actor_method, record.class_name, spec.resources)
-        }
-        try:
-            if creation:
-                extras["code"] = serialize_portable(spec.function)
-            spec.wire = msg.encode_entry(spec, **extras)
-        except (TypeError, ReproError) as exc:
-            if creation:
-                self._dispatch.open_lane(record, None)
-            self._objects.store_error(spec, error_value_from(spec, exc))
-            return
+        if spec.wire is None:
+            actor, extras = (spec.actor_id, spec.actor_method, None, None), {}
+            try:
+                if creation:
+                    actor = actor[:2] + (record.class_name, spec.resources)
+                    extras["code"] = serialize_portable(spec.function)
+                spec.wire = msg.encode_entry(spec, actor=actor, **extras)
+            except (TypeError, ReproError) as exc:
+                if creation:
+                    self._dispatch.open_lane(record, None)
+                self._objects.store_error(spec, error_value_from(spec, exc))
+                return
         if creation:
             self._dispatch.open_lane(record, spec)
         else:
@@ -1125,47 +1126,35 @@ class ProcRuntime:
 
     def _submit_routed(self, worker: _WorkerHandle, entry: tuple) -> None:
         """A worker-born task its worker could not keep — the paper's
-        spillover stream into the driver tier — or an actor call made
-        on a worker (lock held).  It keeps the ids its worker stamped,
-        which stay held for the task it was born in.  A task keeps its
-        worker's entry too, and is submitted like a driver-born call
-        (:meth:`_submit_spec`): the driver never unpickles its
-        arguments.  A call is the one exception: its entry lacks its
-        actor's class name and resources, so its arguments are restored
-        and it is stamped again like a call made here
-        (``actors.submit_actor_call``); an argument that does not
-        unpickle here, or an actor this driver does not know, fails its
-        returns."""
-        task_hex, _function, return_hexes, call_bytes, _inline, extras = entry
-        return_ids = tuple([ObjectID(return_hex) for return_hex in return_hexes])
-        self._objects.hold_born(extras.get("parent"), return_ids)
-        actor = extras.get("actor")
-        if actor is None:
-            spec = self._decode(entry, worker.node_id)
+        spillover stream into the driver tier — or an actor call made on
+        a worker (lock held), submitted like one born here under the ids
+        and with the entry its worker made: the driver never unpickles
+        its arguments, and ships its worker's ``call_bytes``.  Its
+        returns stay held for the task it was born in.  A call counts in
+        its actor's row and stands in its lane; one to an actor this
+        driver does not know fails its returns."""
+        spec = self._decode(entry, worker.node_id)
+        self._objects.hold_born(entry[5].get("parent"), spec.all_return_ids())
+        if spec.actor_id is None:
             self._dispatch.counters.tasks_spilled += 1
             if self._obs.enabled:
                 self._obs.record("task_spilled", function=spec.function_name)
             self._submit_spec(spec, self._row(spec))
             return
-        try:
-            args, kwargs = msg.restore_refs(*deserialize_portable(call_bytes))
-            actors.submit_actor_call(
-                self, actor[0], actor[1], args, kwargs,
-                stamped=(TaskID(task_hex), return_ids),
-            )
-        except Exception as exc:  # noqa: BLE001 - a user payload
-            spec = TaskSpec(  # named by its method: no spec was made
-                TaskID(task_hex), None, actor[1],
-                return_object_id=return_ids[0], return_object_ids=return_ids,
-            )
+        record = self.actors.get(spec.actor_id)
+        if record is None:
+            exc = BackendError(f"unknown actor {spec.actor_id}")
             self._objects.store_error(spec, error_value_from(spec, exc))
+            return
+        self._control.actor_update(spec.actor_id, method_inc=True)
+        self._submit_actor_task(record, spec)
 
     def _decode(self, entry: tuple, node: Any = None) -> TaskSpec:
         """The spec of a worker-born task's wire entry, born on ``node``:
         it carries the entry, and names its ref arguments (the entry's
         ``deps``) as bare refs — what its pins, placement and every ship
         read."""
-        spec = msg.decode_entry(entry, self.functions, node)
+        spec = msg.decode_entry(entry, self.functions, node, self.actors, self.ids)
         spec.wire = entry
         deps = entry[5].get("deps")
         spec.arg_refs = (

@@ -70,7 +70,7 @@ from typing import Any, Optional, Sequence
 
 from repro import obs
 from repro.cluster.spec import ClusterSpec
-from repro.core.actors import CREATION_METHOD, ActorRegistry
+from repro.core.actors import CREATION_METHOD, ActorRecord, ActorRegistry
 from repro.core.effect_driver import BlockingEffectHandler
 from repro.core import object_ref
 from repro.core.object_ref import ObjectRef, RefLedger
@@ -80,7 +80,7 @@ from repro.core.protocol import (
     unwrap_loaded,
     validate_wait_args,
 )
-from repro.core.task import CallTemplate, TaskSpec
+from repro.core.task import CallTemplate, TaskSpec, scan_arg_refs
 from repro.core.worker import (
     ErrorValue,
     error_value_from,
@@ -254,20 +254,23 @@ class WorkerRuntime:
         call's task and return ids are stamped from this worker's
         namespace and its wire entry joins the routed list of the next
         notice, in submission order with the tasks routed there; the
-        driver stands it in its actor's lane under those ids.  The
-        entry's ``"actor"`` extras name the actor and method only (its
-        class and resources are the driver's record's), and its
-        function id is the actor's: the driver keys the method's
-        estimates on its record, not on the entry."""
+        driver stands that entry in its actor's lane under those ids.
+        Like every call's, the entry names its actor and method only —
+        each receiver names the task from its own record of the actor —
+        and, like a routed task's, its ref arguments (``deps``), so the
+        driver never unpickles it.  Built by a record that knows only
+        the actor's id: this process may have none."""
         worker, ids = self._worker, self.ids
         return_ids = tuple([ids.object_id() for _ in range(num_returns)])
-        spec = TaskSpec(
-            ids.task_id(), FunctionID(actor_id.hex), method_name, args=args,
-            kwargs=kwargs, return_object_id=return_ids[0],
-            return_object_ids=return_ids, num_returns=num_returns,
-            root_task_id=worker._cur_root, parent_task_id=worker._cur_task,
+        refs = scan_arg_refs(args, kwargs)
+        spec = ActorRecord(actor_id, None, None).call_spec(
+            method_name, FunctionID(actor_id.hex), ids.task_id(), return_ids,
+            worker.node_id, worker._cur_root, worker._cur_task, args, kwargs, refs,
         )
-        worker.buffer(msg.encode_entry(spec, actor=(actor_id, method_name, None, None)))
+        extras = {"deps": tuple([ref.object_id.hex for ref in refs])} if refs else {}
+        worker.buffer(
+            msg.encode_entry(spec, actor=(actor_id, method_name, None, None), **extras)
+        )
         return spec.public_result()
 
     def sleep(self, duration: float) -> None:
@@ -1196,7 +1199,7 @@ class ProcWorker:
         plus the flag the driver needs for actor bookkeeping — shipped
         alongside so the driver never has to deserialize the payload to
         learn it."""
-        spec = msg.decode_entry(entry, self.functions, self.node_id)
+        spec = msg.decode_entry(entry, self.functions, self.node_id, self.actors)
         _task, _function, _returns, call_bytes, inline, extras = entry
         root_id = spec.root_task_id
         t_start = time.monotonic()

@@ -153,11 +153,7 @@ def choose_worker(
     residency supplies the locality bytes.  A task with no ref argument
     and no hint has no locality to score and takes
     :func:`place_without_locality`: same choice, no candidates."""
-    if (
-        not spec.argument_refs()
-        and not spec.extra_dependencies
-        and spec.placement_hint is None
-    ):
+    if not spec.argument_refs() and spec.placement_hint is None:
         home = place_without_locality(workers, spec.resources)
         if home is not None:
             counters.tasks_placed_global += 1

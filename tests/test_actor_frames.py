@@ -391,6 +391,41 @@ def test_multi_return_and_worker_born_calls_ride_the_same_lane(pool):
     assert repro.get(log.dump.remote(), timeout=60.0)[-40:] == list(range(100, 140))
 
 
+
+class RefusesDriver:
+    """An argument that will not unpickle in one process — the
+    driver's, whose pid it carries — and unpickles as itself elsewhere."""
+
+    def __init__(self, pid):
+        self.pid = pid
+
+    def __reduce__(self):
+        return (_refuse_in, (self.pid,))
+
+
+def _refuse_in(pid):
+    if os.getpid() == pid:
+        raise RuntimeError("unpickled in the driver")
+    return RefusesDriver(pid)
+
+
+@repro.remote
+def call_with(handle, arg):
+    """One actor call made by a task on a worker, on ``arg``."""
+    return repro.get(handle.add.remote(arg), timeout=60.0)
+
+
+@wire
+def test_a_call_made_in_a_task_reaches_its_actor_unread_by_the_driver(pool):
+    """The driver stands a worker's call in the lane as the worker built
+    it: an argument only the driver cannot unpickle reaches the actor,
+    whose value comes back."""
+    log = Log.remote()
+    assert repro.get(log.add.remote("first"), timeout=60.0) == 1
+    assert repro.get(call_with.remote(log, RefusesDriver(os.getpid())), timeout=60.0) == 2
+    assert repro.get(log.add.remote("last"), timeout=60.0) == 3
+
+
 # -- crashes ------------------------------------------------------------------------
 
 

@@ -596,6 +596,40 @@ def test_one_actor_path_and_one_span_shape_on_every_backend():
     assert keys["dist"] == keys["local"]
 
 
+@repro.remote
+class Refuser:
+    def refuse(self, item):
+        raise ValueError(f"refused {item}")
+
+
+@repro.remote
+def refuse_from_task(handle):
+    """Call a raising method from inside a task; hand its ref back boxed."""
+    ref = yield repro.ActorCall(handle, "refuse", (7,), {})
+    return [ref]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_raising_method_fails_alike_from_the_driver_and_from_a_task(backend):
+    """A call made inside a task is named by its actor's record like one
+    made by the driver: the same ``Class.method`` and the same text
+    either way, and it counts in the actor's row."""
+    runtime = repro.init(backend=backend, num_nodes=1, num_cpus=2, seed=5)
+    try:
+        refuser = Refuser.remote()
+        (inner,) = repro.get(refuse_from_task.remote(refuser), timeout=60.0)
+        errors = []
+        for ref in (refuser.refuse.remote(7), inner):
+            with pytest.raises(TaskError) as caught:
+                repro.get(ref, timeout=60.0)
+            errors.append((caught.value.function_name, caught.value.cause_repr))
+        assert errors == [("Refuser.refuse", "ValueError('refused 7')")] * 2
+        rows = [(row.state, row.methods_submitted) for row in runtime._control.actors()]
+        assert rows == [("alive", 2)]
+    finally:
+        repro.shutdown()
+
+
 @pytest.mark.parametrize(
     "backend, lose",
     [("sim", "node"), ("proc", "worker"), ("dist", "node"), ("dist", "worker")],

@@ -7,8 +7,9 @@ The worker mints the ids itself and returns at once: no request is
 sent and no reply read.  The driver applies one notice in one order —
 puts and seals, the kept entries, the escaped ids, the routed list —
 so a kept task may take a put's ref and an actor call both; it stands
-the call in its actor's lane under the worker's ids, and turns what it
-cannot apply into error values.  A full window of unacknowledged items
+the call in its actor's lane as the worker built it, under the worker's
+ids and never unpickled, and turns what it cannot apply into error
+values.  A full window of unacknowledged items
 waits for ``PLACED`` whatever the items are.
 """
 
@@ -23,12 +24,13 @@ from repro.core.object_ref import ObjectRef
 from repro.core.task import ResourceRequest, TaskSpec
 from repro.errors import BackendError, ObjectLostError, TaskError
 from repro.proc import messages as msg
+from repro.proc import runtime as runtime_module
 from repro.proc import worker as worker_module
 from repro.proc.messages import ShmDescriptor, SlotRef
 from repro.proc.runtime import ProcRuntime, _WorkerHandle
 from repro.proc.worker import ProcWorker
 from repro.utils.ids import IDGenerator
-from repro.utils.serialization import deserialize, deserialize_portable
+from repro.utils.serialization import deserialize, deserialize_portable, serialize
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -227,3 +229,58 @@ def test_a_full_window_of_calls_and_puts_waits_for_placed(played, monkeypatch):
     assert worker.unacked_local == 0
     worker._flush_notices()
     assert [item[0] for item in pipe.sent[1][5]] == [third[0].object_id.hex]
+
+
+def test_a_workers_call_ships_in_its_window_as_the_worker_built_it(
+    played, driver, monkeypatch
+):
+    """A call made on a worker is submitted like a routed task: the
+    driver names it from its record of the actor, pins its ref argument
+    from the entry's ``deps`` and ships the worker's own ``call_bytes``
+    in the actor's window — it never unpickles the call."""
+    worker, pipe = played
+    runtime, slot = driver
+    handle = runtime.create_actor(Counter, "Counter", (), {}, ResourceRequest())
+    with runtime._cond:
+        frame = runtime._dispatch.claim_frame(slot)
+    assert runtime._ship_frame(slot, frame)
+    (creation,) = slot.conn.sent[-1][1]
+    runtime._apply_done_frame(
+        slot, (msg.DONE, [(creation[0], [serialize(None)], False, 1e-4)], None)
+    )
+    small = runtime.put(7)
+    call = worker.proxy.call_actor(handle.actor_id, "add", (small, 2), {})
+    worker._flush_notices()
+    (notice,) = pipe.sent
+    (routed,) = notice[4]
+    unpickled = []
+
+    def spy(data):
+        unpickled.append(data)
+        return deserialize_portable(data)
+
+    monkeypatch.setattr(runtime_module, "deserialize_portable", spy)
+    runtime._register_local_submit(slot, *notice[1:])
+    assert unpickled == []
+    assert routed[5]["deps"] == (small.object_id.hex,)
+
+    with runtime._cond:
+        frame = runtime._dispatch.claim_frame(slot)
+    assert runtime._ship_frame(slot, frame)
+    (entry,) = slot.conn.sent[-1][1]
+    assert entry[3] is routed[3] and entry[5] is routed[5] and entry[:3] == routed[:3]
+    assert entry[5]["actor"] == (handle.actor_id, "add", None, None)
+    assert entry[msg.ENTRY_INLINE] == {small.object_id: serialize(7)}
+    (spec,) = slot.inflight.values()
+    record = runtime.actors.get(handle.actor_id)
+    assert (spec.task_id, spec.function_name) == (call.producer_task, "Counter.add")
+    assert spec.function_id == record.method_ids["add"] and spec.wire is routed
+    assert spec.pins == (small.object_id,) and spec.args == ()
+    assert runtime._objects._pins[small.object_id.hex] == 1
+    assert unpickled == []
+    # A call made here has an entry of the same shape.
+    mine = runtime.call_actor(handle.actor_id, "add", (small,), {})
+    extras = runtime._lifecycle.spec_for(mine.object_id).wire[5]
+    assert extras["actor"] == (handle.actor_id, "add", None, None)
+    slot.inflight.clear()  # nothing runs there: nothing to kill
+    slot.busy = False
