@@ -104,12 +104,14 @@ class ErrorValue:
 
 
 def error_value_from(spec: TaskSpec, exc: BaseException) -> ErrorValue:
-    """Capture a user exception raised inside ``spec``'s body."""
+    """Capture a user exception raised inside ``spec``'s body, with
+    its own traceback (it may be captured after its ``except`` block has
+    ended, e.g. a call whose arguments failed to pickle)."""
     return ErrorValue(
         task_id=spec.task_id,
         function_name=spec.function_name,
         cause_repr=repr(exc),
-        traceback_text=traceback.format_exc(),
+        traceback_text="".join(traceback.format_exception(exc)),
         chain=(spec.function_name,),
     )
 

@@ -256,17 +256,18 @@ class NodeAgent:
 
     def _note_reply(self, pending: Optional[tuple], tag: str, value: Any) -> None:
         """Cache the payload of a driver reply that moved object bytes
-        across the node boundary (the pull half of fetch-once-per-node)."""
+        across the node boundary (the pull half of fetch-once-per-node),
+        as it arrived: a pulled frame is a ``bytearray`` nobody writes."""
         if tag != msg.OK or pending is None:
             return
         kind, detail = pending
         if kind == msg.FETCH:
             if isinstance(value, (bytes, bytearray)):
-                self._cache_bytes(detail, bytes(value))
+                self._cache_bytes(detail, value)
         elif kind == msg.GET:
             for object_id, blob in zip(detail, value):
                 if isinstance(blob, (bytes, bytearray)):
-                    self._cache_bytes(object_id, bytes(blob))
+                    self._cache_bytes(object_id, blob)
 
     def _handle_control(self, message: tuple) -> None:
         tag = message[0]
@@ -280,12 +281,14 @@ class NodeAgent:
                 except (OSError, ProcessLookupError):
                     pass
         elif tag == ctl.FETCH_OBJECT:
-            data = self._local_bytes(message[2])
+            # An arena frame leaves as the out-of-band buffer it lies
+            # in, sent before this loop can free its slot.
+            data = self.stores.bytes_of(message[2])
             if self.obs.enabled:
                 self.obs.record(
                     "internode_serve",
                     object_id=str(message[2]),
-                    size=0 if data is None else len(data),
+                    size=0 if data is None else memoryview(data).nbytes,
                 )
             self.link.send(
                 (ctl.CTRL, (ctl.OBJECT_DATA, message[1], data))
@@ -340,15 +343,6 @@ class NodeAgent:
         except Exception:  # noqa: BLE001 - larger than the cache: skip
             pass
 
-    def _local_bytes(self, object_id) -> Optional[bytes]:
-        """This node's copy of an object as plain serialized bytes (the
-        representation FETCH replies and inter-node pulls expect), or
-        None."""
-        try:
-            return self.stores.bytes_of(object_id)
-        except Exception:  # noqa: BLE001 - hostile user __reduce__
-            return None
-
     def _announce_segments(self) -> None:
         """Tell the driver about newly created shm segments, so it can
         unlink survivors if this agent is later SIGKILLed."""
@@ -363,7 +357,7 @@ class NodeAgent:
         possible, else forward (tracking request/reply pairing)."""
         tag = message[0]
         if tag == msg.FETCH:
-            data = self._local_bytes(message[1])
+            data = self.stores.bytes_of(message[1])
             if data is not None:
                 slot.conn.send((msg.OK, data))
                 return

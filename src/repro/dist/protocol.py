@@ -38,9 +38,16 @@ WORKER_DOWN = "worker_down"      # (WORKER_DOWN, channel): EOF on that
                                  # worker's pipe — the agent-mediated
                                  # crash edge the driver's service thread
                                  # turns into worker-crash recovery
-OBJECT_DATA = "object_data"      # (OBJECT_DATA, req_id, bytes | None):
+OBJECT_DATA = "object_data"      # (OBJECT_DATA, req_id, data | None):
                                  # reply to FETCH_OBJECT (None: the node
-                                 # no longer holds the object)
+                                 # no longer holds the object).  An
+                                 # arena-resident object's data is its
+                                 # frame as a pickle.PickleBuffer over
+                                 # the arena, sent out of band (no
+                                 # re-pickle, no copy into the stream);
+                                 # it arrives as a read-only memoryview
+                                 # over the bytearray received into.
+                                 # A cached one's is its bytes.
 SEGMENTS = "segments"            # (SEGMENTS, [name, ...]): shm segment
                                  # names the node store has created so
                                  # far; the driver unlinks survivors of a

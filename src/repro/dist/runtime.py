@@ -252,7 +252,13 @@ class AgentLink:
             with self._lock:
                 entry = self._fetches.pop(message[1], None)
             if entry is not None:
-                entry[1] = message[2]
+                data = message[2]
+                if isinstance(data, memoryview):
+                    # An arena frame, crossed out of band: unpickling
+                    # wraps the read-only view of it around the
+                    # bytearray the transport received it into.
+                    data = data.obj
+                entry[1] = data
                 entry[0].set()
         elif tag == ctl.SEGMENTS:
             self.segments = list(message[1])
@@ -323,9 +329,10 @@ class AgentLink:
 
     def fetch_object(
         self, object_id: Any, timeout: float = PULL_TIMEOUT
-    ) -> Optional[bytes]:
-        """Pull one node-resident object's serialized bytes (None if the
-        node is dead, no longer holds it, or the pull timed out)."""
+    ) -> Any:
+        """Pull one node-resident object: its arena frame, as the
+        ``bytearray`` the transport received it into (None if the node
+        is dead, no longer holds it, or the pull timed out)."""
         with self._lock:
             if self._dead:
                 return None

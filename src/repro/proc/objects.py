@@ -64,6 +64,7 @@ that died with its worker gets.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import warnings
 from typing import Any, Callable, Optional
@@ -81,7 +82,6 @@ from repro.shm.store import SharedObjectStore
 from repro.utils.ids import NodeID, ObjectID
 from repro.utils.serialization import (
     ByteAccountant,
-    deserialize_frame,
     serialize,
     should_inline,
     write_frame,
@@ -161,16 +161,22 @@ class ObjectStores:
         None when this process has neither."""
         return self.descriptor(object_id) or self.store.get(object_id)
 
-    def bytes_of(self, object_id: ObjectID) -> Optional[bytes]:
-        """An object as plain serialized bytes, or None.  For someone
-        who cannot map the segment a shm-resident value is re-joined
-        in-band (the one copy the data plane normally avoids)."""
+    def bytes_of(self, object_id: ObjectID) -> Any:
+        """An object's bytes for someone who cannot map the arena, or
+        None: the pipe store's serialized bytes, or a shm-resident
+        object's frame as it lies in the arena, wrapped in a
+        ``pickle.PickleBuffer`` (nothing is deserialized or copied
+        here).  A pipe copies the frame into its message in-band; a
+        :class:`~repro.proc.transport.TcpTransport` sends it out of band
+        straight from the arena, so it must be sent before the slot can
+        be reused.  :func:`~repro.utils.serialization.deserialize` reads
+        either form."""
         data = self.store.get(object_id)
         if data is None and self.shm is not None:
             view = self.shm.get(object_id)
             if view is not None:
-                data = serialize(deserialize_frame(view))
-                self._acct_shm.record_pipe_fallback(len(data))
+                self._acct_shm.record_pipe_fallback(view.nbytes)
+                return pickle.PickleBuffer(view)
         return data
 
     def grant(
@@ -341,12 +347,16 @@ class ObjectPlane(ObjectStores):
         return blob
 
     def fetch_bytes(self, object_id: ObjectID, worker_index: int) -> bytes:
-        """Serve a worker's fetch of an argument's bytes."""
+        """Serve a worker's fetch of an argument's bytes.  An arena
+        frame is copied out here, under the lock: the reply leaves once
+        the lock is released, when the slot may already be reused."""
         data = self.bytes_of(object_id)
         if data is None:
             raise ObjectLostError(
                 f"object {object_id} is not resident in the driver store"
             )
+        if isinstance(data, pickle.PickleBuffer):
+            data = bytes(data)
         self._acct_fetched.record(len(data))
         if self._nodes:
             # The reply crosses TCP into the consuming node (whose agent
@@ -875,6 +885,8 @@ class ObjectPlane(ObjectStores):
             # error marker was stored.
 
     def _pulled(self, object_id: ObjectID, data: bytes, entry: tuple) -> bool:
+        """Store a pulled object as it arrived (an arena frame stays a
+        frame: ``deserialize`` reads it zero-copy)."""
         self.acct_internode.record_internode(len(data))
         self._obs.record(
             "internode_fetch",

@@ -10,16 +10,31 @@ This module is the seam that makes the channel swappable:
   (``multiprocessing.Pipe``), used between a driver and its local
   workers and between a node agent and the workers it owns.
 * :class:`TcpTransport` — length-prefixed frames over a socket, used
-  between the ``dist`` driver and its node agents.  Frames are padded to
-  the same 64-byte alignment as the shared-memory frame layout of
-  :mod:`repro.utils.serialization`, so a payload copied straight out of
-  a receive buffer lands cache-line aligned.
+  between the ``dist`` driver and its node agents.
 
 Both transports share **one codec** (:func:`encode_message` /
-:func:`decode_message`, pickle protocol 5): a message produced for a
-pipe is byte-identical to the same message produced for a socket, which
-is what lets a node agent relay frames between the two without ever
-interpreting payloads it does not care about.
+:func:`decode_message`, pickle protocol 5).  A message with no
+``pickle.PickleBuffer`` in it crosses a socket as one *in-band* frame
+whose payload is byte-identical to what a pipe carries for it::
+
+    [magic "RW1W" u32][pad u32][payload_len u64][payload][pad × 0x00]
+
+padded to the 64-byte alignment of the shared-memory frame layout of
+:mod:`repro.utils.serialization`.  A message that holds buffers (a node
+agent's reply to a pull holds the object's arena frame) crosses as an
+*out-of-band* frame: the pickle stream refers to each buffer, and the
+buffers follow it raw, each one ``sendmsg`` iovec straight from the
+memory it lies in — nothing joins them into the stream::
+
+    [magic "RW1B" u32][nbuf u32][payload_len u64][buf_len u64 × nbuf]
+    [payload][buffer 0][buffer 1]...
+
+The receiver reads each buffer with ``recv_into`` into one ``bytearray``
+of exactly its size, and unpickling hands that memory to the message as
+it is (a read-only buffer arrives as a read-only ``memoryview`` over its
+``bytearray``).  So the memory a buffer aliases must stay unchanged
+until ``send`` returns; a pipe, whose codec has no out-of-band part,
+copies it into the stream instead.
 """
 
 from __future__ import annotations
@@ -34,15 +49,23 @@ from typing import Any
 #: stdlib-only.
 _PROTOCOL = 5
 
-#: TCP frame header: magic, pad bytes after the payload, payload length.
-#: The whole frame (header + payload + pad) is a multiple of
-#: ``_WIRE_ALIGN`` — the PR-4 shm frame alignment reused on the wire.
+#: TCP frame header: magic, then the pad after the payload (in-band
+#: frame) or the number of buffers after it (out-of-band frame), then
+#: the payload length.  An in-band frame (header + payload + pad) is a
+#: multiple of ``_WIRE_ALIGN`` — the shm frame alignment reused on the
+#: wire.
 _WIRE_MAGIC = 0x52573157  # "RW1W" — repro wire, v1
+_WIRE_OOB_MAGIC = 0x52573142  # "RW1B" — repro wire, v1, buffers follow
 _WIRE_HEAD = struct.Struct("<IIQ")
 _WIRE_ALIGN = 64
 
-#: Socket read granularity.
-_RECV_CHUNK = 256 * 1024
+#: Size of the buffer a transport reads headers and small payloads into;
+#: a longer payload, and every out-of-band buffer, is read into memory
+#: of its own size.
+_RECV_BUFFER = 256 * 1024
+
+#: iovecs per ``sendmsg`` call, under every platform's IOV_MAX.
+_IOV_BATCH = 512
 
 
 def encode_message(message: Any) -> bytes:
@@ -55,13 +78,31 @@ def decode_message(data: bytes) -> Any:
     return pickle.loads(data)
 
 
-def frame_message(message: Any) -> bytes:
-    """One wire frame: header + encoded message + pad to 64-B alignment."""
-    payload = encode_message(message)
-    pad = (-(_WIRE_HEAD.size + len(payload))) % _WIRE_ALIGN
-    return b"".join(
-        (_WIRE_HEAD.pack(_WIRE_MAGIC, pad, len(payload)), payload, b"\x00" * pad)
-    )
+def frame_parts(message: Any) -> list:
+    """One TCP frame as the parts ``sendmsg`` gathers: header, payload
+    and pad, or — when the message holds contiguous
+    ``pickle.PickleBuffer``\\ s — header, buffer lengths, payload and
+    the buffers themselves (module docstring)."""
+    buffers: list = []
+
+    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+        try:
+            buffers.append(buffer.raw())
+        except BufferError:  # non-contiguous: it stays in the stream
+            return True
+        return False
+
+    payload = pickle.dumps(message, protocol=_PROTOCOL, buffer_callback=out_of_band)
+    if not buffers:
+        pad = (-(_WIRE_HEAD.size + len(payload))) % _WIRE_ALIGN
+        return [_WIRE_HEAD.pack(_WIRE_MAGIC, pad, len(payload)), payload, bytes(pad)]
+    lengths = [buffer.nbytes for buffer in buffers]
+    return [
+        _WIRE_HEAD.pack(_WIRE_OOB_MAGIC, len(buffers), len(payload)),
+        struct.pack(f"<{len(lengths)}Q", *lengths),
+        payload,
+        *buffers,
+    ]
 
 
 class Transport:
@@ -145,43 +186,88 @@ class PipeTransport(Transport):
 class TcpTransport(Transport):
     """Length-prefixed message frames over a (connected) TCP socket.
 
-    Reads are buffered; sends are serialized by a lock so multiple
-    threads may share the sending side (the dist driver's link sender
-    and handshake path).  ``recv`` blocks until a whole frame is
-    available and raises ``EOFError`` on a clean peer close, ``OSError``
-    on a broken one — the same edges a pipe gives the crash detector.
+    Sends are serialized by a lock so multiple threads may share the
+    sending side (the dist driver's link sender and handshake path).
+    Reads go into one buffer the transport keeps (``recv_into``; a frame
+    too long for it, and each out-of-band buffer, into memory of its own
+    size).  ``recv`` blocks until a whole frame is available and raises
+    ``EOFError`` on a clean peer close, ``OSError`` on a broken one —
+    the same edges a pipe gives the crash detector.
     """
 
     def __init__(self, sock: Any) -> None:
         sock.setblocking(True)
         self._sock = sock
-        self._buffer = bytearray()
+        #: Bytes read and not yet decoded are ``_inbox[_head:_tail]``.
+        self._inbox = memoryview(bytearray(_RECV_BUFFER))
+        self._head = 0
+        self._tail = 0
         self._send_lock = threading.Lock()
         self._closed = False
 
     def send(self, message: Any) -> None:
-        frame = frame_message(message)
+        parts = frame_parts(message)  # bytes and 1-D byte views: len = size
         with self._send_lock:
-            self._sock.sendall(frame)
+            while parts:
+                sent = self._sock.sendmsg(parts[:_IOV_BATCH])
+                # Drop what went; a partial send resumes mid-part.
+                while parts and sent >= len(parts[0]):
+                    sent -= len(parts.pop(0))
+                if sent:
+                    parts[0] = memoryview(parts[0])[sent:]
 
     def _fill(self, needed: int) -> None:
-        """Grow the read buffer to at least ``needed`` bytes."""
-        while len(self._buffer) < needed:
-            chunk = self._sock.recv(_RECV_CHUNK)
-            if not chunk:
+        """Make the next ``needed`` bytes (at most ``_RECV_BUFFER``)
+        readable at ``_inbox[_head:]``."""
+        if self._head == self._tail:
+            self._head = self._tail = 0
+        elif self._head + needed > _RECV_BUFFER:
+            unread = self._tail - self._head
+            self._inbox[:unread] = self._inbox[self._head:self._tail]
+            self._head, self._tail = 0, unread
+        while self._tail - self._head < needed:
+            got = self._sock.recv_into(self._inbox[self._tail:])
+            if not got:
                 raise EOFError("transport peer closed the connection")
-            self._buffer.extend(chunk)
+            self._tail += got
+
+    def _take(self, length: int) -> bytearray:
+        """The next ``length`` bytes in a ``bytearray`` of their own:
+        what the inbox already holds, the rest straight from the socket
+        (the inbox is not written, so a view into it stays valid)."""
+        out = bytearray(length)
+        view = memoryview(out)
+        have = min(length, self._tail - self._head)
+        view[:have] = self._inbox[self._head:self._head + have]
+        self._head += have
+        while have < length:
+            got = self._sock.recv_into(view[have:])
+            if not got:
+                raise EOFError("transport peer closed the connection")
+            have += got
+        return out
+
+    def _read(self, length: int) -> memoryview:
+        """A view of the next ``length`` bytes, valid until the next
+        :meth:`_fill`."""
+        if length > _RECV_BUFFER:
+            return memoryview(self._take(length))
+        self._fill(length)
+        start = self._head
+        self._head += length
+        return self._inbox[start:self._head]
 
     def recv(self) -> Any:
         self._fill(_WIRE_HEAD.size)
-        magic, pad, length = _WIRE_HEAD.unpack_from(self._buffer, 0)
-        if magic != _WIRE_MAGIC:
+        magic, count, length = _WIRE_HEAD.unpack_from(self._inbox, self._head)
+        self._head += _WIRE_HEAD.size
+        if magic == _WIRE_MAGIC:
+            return decode_message(self._read(length + count)[:length])
+        if magic != _WIRE_OOB_MAGIC:
             raise OSError(f"bad frame magic {magic:#x} on TCP transport")
-        total = _WIRE_HEAD.size + length + pad
-        self._fill(total)
-        payload = bytes(memoryview(self._buffer)[_WIRE_HEAD.size:_WIRE_HEAD.size + length])
-        del self._buffer[:total]
-        return decode_message(payload)
+        lengths = struct.unpack(f"<{count}Q", self._read(8 * count))
+        payload = self._read(length)
+        return pickle.loads(payload, buffers=[self._take(size) for size in lengths])
 
     def poll(self, timeout: float = 0.0) -> bool:
         """Whether bytes are available (buffered or on the socket).
@@ -189,7 +275,7 @@ class TcpTransport(Transport):
         A True result means ``recv`` will make progress; with a partial
         frame in flight it may still briefly block for the remainder —
         senders write whole frames, so the window is the wire latency."""
-        if self._buffer:
+        if self._head < self._tail:
             return True
         if self._closed:
             return True  # recv will raise EOF immediately

@@ -61,7 +61,14 @@ def serialize(value: Any) -> bytes:
 
 
 def deserialize(data: bytes) -> Any:
-    """Inverse of :func:`serialize`."""
+    """Inverse of :func:`serialize`, and of :func:`write_frame` too: a
+    value that crossed as its shared-memory frame (a node-to-driver pull
+    carries the frame as it lies in the node arena) starts with the frame
+    magic and is read zero-copy through a read-only view, so its arrays
+    alias ``data`` and are read-only, as they are when read from the
+    arena itself.  Anything else is unpickled."""
+    if data[:4] == _FRAME_TAG:
+        return deserialize_frame(memoryview(data).toreadonly())
     return pickle.loads(data)
 
 
@@ -194,6 +201,9 @@ _FRAME_MAGIC = 0x5246314F  # "RF1O" — repro frame, out-of-band, v1
 _FRAME_HEAD = struct.Struct("<II")
 _U64 = struct.Struct("<Q")
 _FRAME_ALIGN = 64
+#: The first four bytes of every frame; a pickle stream starts with
+#: ``0x80`` (PROTO) instead.
+_FRAME_TAG = struct.pack("<I", _FRAME_MAGIC)
 
 
 def _frame_align(n: int) -> int:

@@ -9,6 +9,8 @@ and provenance) must match exactly.  Only the clocks — and, on ``proc``,
 the worker PIDs — may differ.
 """
 
+import threading
+
 import pytest
 
 import repro
@@ -626,6 +628,22 @@ def test_a_raising_method_fails_alike_from_the_driver_and_from_a_task(backend):
         assert errors == [("Refuser.refuse", "ValueError('refused 7')")] * 2
         rows = [(row.state, row.methods_submitted) for row in runtime._control.actors()]
         assert rows == [("alive", 2)]
+    finally:
+        repro.shutdown()
+
+
+@pytest.mark.parametrize("backend", ["proc", "dist"])
+def test_an_argument_that_cannot_be_pickled_fails_with_its_own_traceback(backend):
+    """The call's error is made after the pickling ``except`` block has
+    ended; its traceback is still the pickling error's, not
+    ``'NoneType: None'``."""
+    repro.init(backend=backend, num_nodes=1, num_cpus=1, seed=5)
+    try:
+        with pytest.raises(TaskError) as caught:
+            repro.get(square.remote(threading.Lock()), timeout=60.0)
+        text = caught.value.traceback_text
+        assert "TypeError" in text and "cannot pickle" in text
+        assert "NoneType: None" not in text
     finally:
         repro.shutdown()
 
