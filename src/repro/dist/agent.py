@@ -336,7 +336,7 @@ class NodeAgent:
     # The node object plane
     # ------------------------------------------------------------------
 
-    def _cache_bytes(self, object_id, data: bytes) -> None:
+    def _cache_bytes(self, object_id, data: bytes | bytearray) -> None:
         try:
             if not self.cache.contains(object_id):
                 self.cache.put(object_id, data)

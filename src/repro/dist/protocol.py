@@ -47,7 +47,8 @@ OBJECT_DATA = "object_data"      # (OBJECT_DATA, req_id, data | None):
                                  # re-pickle, no copy into the stream);
                                  # it arrives as a read-only memoryview
                                  # over the bytearray received into.
-                                 # A cached one's is its bytes.
+                                 # A cached one's is bytes or a
+                                 # bytearray (a pickle or a frame).
 SEGMENTS = "segments"            # (SEGMENTS, [name, ...]): shm segment
                                  # names the node store has created so
                                  # far; the driver unlinks survivors of a

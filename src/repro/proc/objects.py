@@ -346,7 +346,9 @@ class ObjectPlane(ObjectStores):
             self.acct_internode.record_internode(len(blob))
         return blob
 
-    def fetch_bytes(self, object_id: ObjectID, worker_index: int) -> bytes:
+    def fetch_bytes(
+        self, object_id: ObjectID, worker_index: int
+    ) -> bytes | bytearray:
         """Serve a worker's fetch of an argument's bytes.  An arena
         frame is copied out here, under the lock: the reply leaves once
         the lock is released, when the slot may already be reused."""
@@ -427,8 +429,9 @@ class ObjectPlane(ObjectStores):
     # Arrival
     # ------------------------------------------------------------------
 
-    def store_bytes(self, object_id: ObjectID, data: bytes) -> None:
-        """Insert an object that arrived as bytes and announce it.
+    def store_bytes(self, object_id: ObjectID, data: bytes | bytearray) -> None:
+        """Insert an object that arrived as bytes (or as a pulled frame's
+        ``bytearray``) and announce it.
 
         Results are pinned: the driver store is their only replica, so
         LRU pressure must evict nothing (capacity overflow surfaces as
@@ -884,7 +887,9 @@ class ObjectPlane(ObjectStores):
             # Loop: a reconstruction is in flight (we wait on it) or an
             # error marker was stored.
 
-    def _pulled(self, object_id: ObjectID, data: bytes, entry: tuple) -> bool:
+    def _pulled(
+        self, object_id: ObjectID, data: bytes | bytearray, entry: tuple
+    ) -> bool:
         """Store a pulled object as it arrived (an arena frame stays a
         frame: ``deserialize`` reads it zero-copy)."""
         self.acct_internode.record_internode(len(data))

@@ -13,25 +13,20 @@ This module is the seam that makes the channel swappable:
   between the ``dist`` driver and its node agents.
 
 Both transports share **one codec** (:func:`encode_message` /
-:func:`decode_message`, pickle protocol 5).  A message with no
-``pickle.PickleBuffer`` in it crosses a socket as one *in-band* frame
-whose payload is byte-identical to what a pipe carries for it::
-
-    [magic "RW1W" u32][pad u32][payload_len u64][payload][pad × 0x00]
-
-padded to the 64-byte alignment of the shared-memory frame layout of
-:mod:`repro.utils.serialization`.  A message that holds buffers (a node
-agent's reply to a pull holds the object's arena frame) crosses as an
-*out-of-band* frame: the pickle stream refers to each buffer, and the
-buffers follow it raw, each one ``sendmsg`` iovec straight from the
-memory it lies in — nothing joins them into the stream::
+:func:`decode_message`, pickle protocol 5).  A TCP frame is the pickle
+stream of the message followed by its out-of-band buffers (a node
+agent's reply to a pull holds the object's arena frame as one), each
+sent raw as one ``sendmsg`` iovec straight from the memory it lies in —
+nothing joins them into the stream::
 
     [magic "RW1B" u32][nbuf u32][payload_len u64][buf_len u64 × nbuf]
     [payload][buffer 0][buffer 1]...
 
-The receiver reads each buffer with ``recv_into`` into one ``bytearray``
-of exactly its size, and unpickling hands that memory to the message as
-it is (a read-only buffer arrives as a read-only ``memoryview`` over its
+A message with no ``pickle.PickleBuffer`` in it has ``nbuf`` = 0, and
+its payload is byte-identical to what a pipe carries for it.  The
+receiver reads each buffer with ``recv_into`` into one ``bytearray`` of
+exactly its size, and unpickling hands that memory to the message as it
+is (a read-only buffer arrives as a read-only ``memoryview`` over its
 ``bytearray``).  So the memory a buffer aliases must stay unchanged
 until ``send`` returns; a pipe, whose codec has no out-of-band part,
 copies it into the stream instead.
@@ -45,24 +40,16 @@ import struct
 import threading
 from typing import Any
 
+from repro.utils.serialization import serialize_buffers
+
 #: Protocol 5 matches repro.utils.serialization: out-of-band-capable,
 #: stdlib-only.
 _PROTOCOL = 5
 
-#: TCP frame header: magic, then the pad after the payload (in-band
-#: frame) or the number of buffers after it (out-of-band frame), then
-#: the payload length.  An in-band frame (header + payload + pad) is a
-#: multiple of ``_WIRE_ALIGN`` — the shm frame alignment reused on the
-#: wire.
-_WIRE_MAGIC = 0x52573157  # "RW1W" — repro wire, v1
-_WIRE_OOB_MAGIC = 0x52573142  # "RW1B" — repro wire, v1, buffers follow
+#: TCP frame header: magic, the number of out-of-band buffers, the
+#: length of the pickle stream.
+_WIRE_MAGIC = 0x52573142  # "RW1B" — repro wire, v1, buffers follow
 _WIRE_HEAD = struct.Struct("<IIQ")
-_WIRE_ALIGN = 64
-
-#: Size of the buffer a transport reads headers and small payloads into;
-#: a longer payload, and every out-of-band buffer, is read into memory
-#: of its own size.
-_RECV_BUFFER = 256 * 1024
 
 #: iovecs per ``sendmsg`` call, under every platform's IOV_MAX.
 _IOV_BATCH = 512
@@ -79,29 +66,16 @@ def decode_message(data: bytes) -> Any:
 
 
 def frame_parts(message: Any) -> list:
-    """One TCP frame as the parts ``sendmsg`` gathers: header, payload
-    and pad, or — when the message holds contiguous
-    ``pickle.PickleBuffer``\\ s — header, buffer lengths, payload and
-    the buffers themselves (module docstring)."""
-    buffers: list = []
-
-    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
-        try:
-            buffers.append(buffer.raw())
-        except BufferError:  # non-contiguous: it stays in the stream
-            return True
-        return False
-
-    payload = pickle.dumps(message, protocol=_PROTOCOL, buffer_callback=out_of_band)
-    if not buffers:
-        pad = (-(_WIRE_HEAD.size + len(payload))) % _WIRE_ALIGN
-        return [_WIRE_HEAD.pack(_WIRE_MAGIC, pad, len(payload)), payload, bytes(pad)]
-    lengths = [buffer.nbytes for buffer in buffers]
+    """One TCP frame as the parts ``sendmsg`` gathers: header, buffer
+    lengths, pickle stream and the out-of-band buffers themselves
+    (module docstring)."""
+    serialized = serialize_buffers(message)
+    lengths = [buffer.nbytes for buffer in serialized.buffers]
     return [
-        _WIRE_HEAD.pack(_WIRE_OOB_MAGIC, len(buffers), len(payload)),
+        _WIRE_HEAD.pack(_WIRE_MAGIC, len(lengths), len(serialized.inband)),
         struct.pack(f"<{len(lengths)}Q", *lengths),
-        payload,
-        *buffers,
+        serialized.inband,
+        *serialized.buffers,
     ]
 
 
@@ -188,20 +162,15 @@ class TcpTransport(Transport):
 
     Sends are serialized by a lock so multiple threads may share the
     sending side (the dist driver's link sender and handshake path).
-    Reads go into one buffer the transport keeps (``recv_into``; a frame
-    too long for it, and each out-of-band buffer, into memory of its own
-    size).  ``recv`` blocks until a whole frame is available and raises
-    ``EOFError`` on a clean peer close, ``OSError`` on a broken one —
-    the same edges a pipe gives the crash detector.
+    Each part of a frame is read with ``recv_into`` into a ``bytearray``
+    of exactly its size.  ``recv`` blocks until a whole frame is
+    available and raises ``EOFError`` on a clean peer close, ``OSError``
+    on a broken one — the same edges a pipe gives the crash detector.
     """
 
     def __init__(self, sock: Any) -> None:
         sock.setblocking(True)
         self._sock = sock
-        #: Bytes read and not yet decoded are ``_inbox[_head:_tail]``.
-        self._inbox = memoryview(bytearray(_RECV_BUFFER))
-        self._head = 0
-        self._tail = 0
         self._send_lock = threading.Lock()
         self._closed = False
 
@@ -216,30 +185,11 @@ class TcpTransport(Transport):
                 if sent:
                     parts[0] = memoryview(parts[0])[sent:]
 
-    def _fill(self, needed: int) -> None:
-        """Make the next ``needed`` bytes (at most ``_RECV_BUFFER``)
-        readable at ``_inbox[_head:]``."""
-        if self._head == self._tail:
-            self._head = self._tail = 0
-        elif self._head + needed > _RECV_BUFFER:
-            unread = self._tail - self._head
-            self._inbox[:unread] = self._inbox[self._head:self._tail]
-            self._head, self._tail = 0, unread
-        while self._tail - self._head < needed:
-            got = self._sock.recv_into(self._inbox[self._tail:])
-            if not got:
-                raise EOFError("transport peer closed the connection")
-            self._tail += got
-
     def _take(self, length: int) -> bytearray:
-        """The next ``length`` bytes in a ``bytearray`` of their own:
-        what the inbox already holds, the rest straight from the socket
-        (the inbox is not written, so a view into it stays valid)."""
+        """The next ``length`` bytes off the socket."""
         out = bytearray(length)
         view = memoryview(out)
-        have = min(length, self._tail - self._head)
-        view[:have] = self._inbox[self._head:self._head + have]
-        self._head += have
+        have = 0
         while have < length:
             got = self._sock.recv_into(view[have:])
             if not got:
@@ -247,36 +197,20 @@ class TcpTransport(Transport):
             have += got
         return out
 
-    def _read(self, length: int) -> memoryview:
-        """A view of the next ``length`` bytes, valid until the next
-        :meth:`_fill`."""
-        if length > _RECV_BUFFER:
-            return memoryview(self._take(length))
-        self._fill(length)
-        start = self._head
-        self._head += length
-        return self._inbox[start:self._head]
-
     def recv(self) -> Any:
-        self._fill(_WIRE_HEAD.size)
-        magic, count, length = _WIRE_HEAD.unpack_from(self._inbox, self._head)
-        self._head += _WIRE_HEAD.size
-        if magic == _WIRE_MAGIC:
-            return decode_message(self._read(length + count)[:length])
-        if magic != _WIRE_OOB_MAGIC:
+        magic, count, length = _WIRE_HEAD.unpack(self._take(_WIRE_HEAD.size))
+        if magic != _WIRE_MAGIC:
             raise OSError(f"bad frame magic {magic:#x} on TCP transport")
-        lengths = struct.unpack(f"<{count}Q", self._read(8 * count))
-        payload = self._read(length)
+        lengths = struct.unpack(f"<{count}Q", self._take(8 * count))
+        payload = self._take(length)
         return pickle.loads(payload, buffers=[self._take(size) for size in lengths])
 
     def poll(self, timeout: float = 0.0) -> bool:
-        """Whether bytes are available (buffered or on the socket).
+        """Whether bytes are waiting on the socket.
 
         A True result means ``recv`` will make progress; with a partial
         frame in flight it may still briefly block for the remainder —
         senders write whole frames, so the window is the wire latency."""
-        if self._head < self._tail:
-            return True
         if self._closed:
             return True  # recv will raise EOF immediately
         try:

@@ -3,8 +3,9 @@ no worker process.
 
 A message holding a ``pickle.PickleBuffer`` crosses as an out-of-band
 frame: the buffer goes raw after the pickle stream (``sendmsg``) and is
-read into one ``bytearray`` of its size (``recv_into``).  Any other
-message keeps the in-band frame, whose payload is what a pipe carries.
+read into one ``bytearray`` of its size (``recv_into``).  A message
+without buffers has the same frame with none, and its pickle stream is
+what a pipe carries.
 """
 
 import multiprocessing
@@ -73,10 +74,10 @@ def test_small_and_large_messages_keep_their_order_across_partial_reads(pair):
     rng = random.Random(7)
     messages = []
     for index in range(200):
-        kind = rng.choice(("small", "inband", "buffers"))
+        kind = rng.choice(("small", "large", "buffers"))
         if kind == "small":
             body = (b"s" * rng.randrange(0, 300),)
-        elif kind == "inband":  # longer than the read buffer, some of them
+        elif kind == "large":  # a pickle stream larger than a socket buffer
             body = (bytes([index % 256]) * rng.randrange(1, 600_000),)
         else:
             body = tuple(
@@ -111,15 +112,14 @@ def test_eof_in_the_middle_of_a_frame_raises_eoferror(cut):
     receiver.close()
 
 
-def test_a_message_without_buffers_keeps_the_in_band_frame(pair):
+def test_a_frame_without_buffers_carries_the_pipe_bytes(pair):
     receiver, sender = pair
     message = ("task", 3, {"k": b"v" * 1000}, [1.5, None])
     payload = encode_message(message)
     wire = _wire(message)
-    magic, pad, length = struct.unpack_from("<IIQ", wire)
-    assert magic == 0x52573157 and length == len(payload)
-    assert wire[16:16 + length] == payload
-    assert len(wire) % 64 == 0 and wire[16 + length:] == bytes(pad)
+    magic, nbuf, length = struct.unpack_from("<IIQ", wire)
+    assert (magic, nbuf, length) == (0x52573142, 0, len(payload))
+    assert wire[16:] == payload
     sender.send(message)
     assert receiver.recv() == message
 
