@@ -16,8 +16,9 @@ layer speaks interchangeable transports (:mod:`repro.proc.transport`).
   (the descriptor of a node-resident result).
 * :mod:`repro.dist.agent` — the node agent process: spawns/kills local
   workers on command, relays driver↔worker frames, serves object reads
-  from the node store (descriptor-first; bytes are pulled through the
-  driver at most once per node), and heartbeats.
+  from the node's one store, its arena (descriptor-first; bytes pulled
+  through the driver cross into a node once and land in its arena), and
+  heartbeats.
 * :mod:`repro.dist.runtime` — :class:`~repro.dist.runtime.DistRuntime`,
   the driver: :class:`~repro.proc.runtime.ProcRuntime` with workers
   reached through per-node links, heartbeat-based membership,

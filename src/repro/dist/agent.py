@@ -1,17 +1,16 @@
 """The node agent: the mid-tier process of the ``dist`` backend.
 
 One agent runs per node.  It owns that node's worker processes and its
-local object store (a shared-memory arena when the host supports it,
-plus a byte LRU), and sits on the wire between the driver and the
-workers:
+one object store, the node's shared-memory arena (when the host
+supports it), and sits on the wire between the driver and the workers:
 
 * **Relay.**  Driver↔worker frames cross unmodified — the proc protocol
   is transport-agnostic (:mod:`repro.proc.transport`), so the agent
   forwards encoded messages between the TCP link and the worker pipes
   without re-interpreting anything it does not care about.  Dispatch
-  frames are relayed whole and inspected entry-wise: each ``TASK``
-  entry's inline arguments feed the node cache, each ``DONE``
-  completion's blobs pass through the node-arena rewrite.  Optional
+  frames are relayed whole; each ``DONE`` completion's blobs pass
+  through the node-arena rewrite, and each reply that carries an
+  object's bytes into the node is landed in the arena.  Optional
   trailing elements (``DONE``'s obs blob, ``STEAL_GRANT``'s mid-task
   mark, a late reply's key) ride through untouched, and control
   messages are forwarded the moment they arrive in either direction — a
@@ -20,10 +19,14 @@ workers:
 * **Node data plane.**  The object-plane requests it *does* care about
   are served locally when possible: a worker's ``SHM_CREATE`` for a
   result is granted from the **node's** arena (the driver never sees the
-  bytes), a ``FETCH`` hits the node store or the byte cache before
-  falling through to the driver, and bytes pulled through the driver
-  are cached so each object crosses the node boundary at most once (the
-  fetch-once-per-node half of descriptor-first transfer).  A put's
+  bytes), and a ``FETCH`` of an object in the arena is answered with its
+  descriptor before falling through to the driver.  An object's bytes
+  the driver sends into the node (a ``FETCH`` reply, a blob of a
+  ``GET`` reply: :class:`~repro.proc.messages.ObjectBytes`) are written
+  into an arena slot, sealed, and passed on as a descriptor, so every
+  worker of the node reads them zero-copy and they cross the node
+  boundary once (the fetch-once-per-node half of descriptor-first
+  transfer); with no arena, or no room in it, they pass through.  A put's
   ``SHM_CREATE`` is refused here (the driver has no arena on ``dist``),
   so the put's bytes ride the worker's ``SUBMIT_LOCAL`` notice, which
   this agent forwards untouched.
@@ -43,6 +46,7 @@ ordering the proc protocol's mirror/steal/cancel logic depends on.
 from __future__ import annotations
 
 import os
+import pickle
 import select
 import signal
 import socket
@@ -64,8 +68,7 @@ _LOOP_TIMEOUT = 0.25
 
 
 class _WorkerSlot:
-    """One local worker: its pipe, process, and the requests it has
-    out."""
+    """One local worker: its pipe and process."""
 
     def __init__(self, channel: int, global_index: int) -> None:
         self.channel = channel
@@ -74,13 +77,6 @@ class _WorkerSlot:
         self.process: Any = None
         self.pid: Optional[int] = None
         self.alive = False
-        #: Forwarded requests whose reply moves object bytes the node
-        #: cache keeps, ``(tag, object id(s))``.  Only the task that
-        #: holds the worker's token sends requests, one at a time, so
-        #: the one out is under ``None`` (every reply takes it), and a
-        #: PENDING moves it under the key its late reply (an OK/ERR that
-        #: carries the key) names.
-        self.pending: dict = {}
 
 
 class NodeAgent:
@@ -99,21 +95,18 @@ class NodeAgent:
         self.link = TcpTransport(sock)
         self._mp_ctx = None  # created lazily on first spawn
         self.slots: dict[int, _WorkerSlot] = {}
-        #: The node's object stores, the same pair the driver keeps:
-        #: ``cache``, a byte LRU of objects that crossed this node's
-        #: boundary (pulled fetch replies, inline args — the
-        #: fetch-once-per-node cache), and ``shm``, the node's arena
-        #: (None on shm-less hosts or when disabled), the authority for
-        #: every grant on this node.  The arena's name prefix includes
-        #: this process's pid, so N agents on one host never collide.
+        #: The node's one object store: ``shm``, its arena (None on
+        #: shm-less hosts or when disabled), the authority for every
+        #: grant on this node and where every object its workers read
+        #: lies.  The arena's name prefix includes this process's pid,
+        #: so N agents on one host never collide.
         self.stores = ObjectStores(
             self.node_id,
-            config["store_capacity"],
+            0,  # no pipe store
             config.get("shm_capacity", 0),
             config["total_workers"],
             config["seed"],
         )
-        self.cache = self.stores.store
         self.shm = self.stores.shm
         self._known_segments: set = set()
         #: The tracing plane's agent-side buffer: node-tier events
@@ -194,7 +187,6 @@ class NodeAgent:
         driver, which runs the same crash recovery as for a local
         worker (the agent keeps the slot for the respawn command)."""
         slot.alive = False
-        slot.pending.clear()
         try:
             slot.conn.close()
         except OSError:
@@ -233,41 +225,12 @@ class NodeAgent:
         slot = self.slots.get(channel)
         if slot is None or not slot.alive:
             return  # worker died while the message was in flight
-        tag = message[0]
-        if tag == msg.TASK:
-            # Opportunistic cache of inline args: their bytes are exact
-            # copies of driver-stored ones, so later FETCHes on this node
-            # (any worker) short-circuit here.  (A shared-memory
-            # descriptor in the same table is not bytes to keep.)
-            for entry in message[1]:
-                for object_id, data in (entry[msg.ENTRY_INLINE] or {}).items():
-                    if type(data) is bytes:
-                        self._cache_bytes(object_id, data)
-        elif tag in (msg.OK, msg.ERR, msg.PENDING):
-            request = slot.pending.pop(message[2] if len(message) > 2 else None, None)
-            if tag == msg.PENDING:
-                slot.pending[message[1]] = request
-            else:
-                self._note_reply(request, tag, message[1])
+        if message[0] == msg.OK:
+            message = (msg.OK, self._land(message[1])) + message[2:]
         try:
             slot.conn.send(message)
         except (OSError, EOFError, BrokenPipeError):
             self._worker_died(slot)
-
-    def _note_reply(self, pending: Optional[tuple], tag: str, value: Any) -> None:
-        """Cache the payload of a driver reply that moved object bytes
-        across the node boundary (the pull half of fetch-once-per-node),
-        as it arrived: a pulled frame is a ``bytearray`` nobody writes."""
-        if tag != msg.OK or pending is None:
-            return
-        kind, detail = pending
-        if kind == msg.FETCH:
-            if isinstance(value, (bytes, bytearray)):
-                self._cache_bytes(detail, value)
-        elif kind == msg.GET:
-            for object_id, blob in zip(detail, value):
-                if isinstance(blob, (bytes, bytearray)):
-                    self._cache_bytes(object_id, blob)
 
     def _handle_control(self, message: tuple) -> None:
         tag = message[0]
@@ -294,8 +257,8 @@ class NodeAgent:
                 (ctl.CTRL, (ctl.OBJECT_DATA, message[1], data))
             )
         elif tag == ctl.DELETE_OBJECT:
-            # The driver released these: cached bytes go, and an arena
-            # slot goes back to the arena.
+            # The driver released these: each one's arena slot (a result
+            # made here or a landed copy) goes back to the arena.
             for object_id in message[1]:
                 self.stores.drop(object_id)
         elif tag == ctl.SHUTDOWN_NODE:
@@ -336,12 +299,20 @@ class NodeAgent:
     # The node object plane
     # ------------------------------------------------------------------
 
-    def _cache_bytes(self, object_id, data: bytes | bytearray) -> None:
-        try:
-            if not self.cache.contains(object_id):
-                self.cache.put(object_id, data)
-        except Exception:  # noqa: BLE001 - larger than the cache: skip
-            pass
+    def _land(self, value: Any) -> Any:
+        """A driver reply's value, each object's bytes it carries into
+        the node (:class:`~repro.proc.messages.ObjectBytes`) written
+        into the arena and passed on as its descriptor — or, where the
+        arena has no room, as the bytes themselves."""
+        if type(value) is list:  # a GET's blobs
+            return [self._land(blob) for blob in value]
+        if type(value) is not msg.ObjectBytes:
+            return value
+        descriptor = self.stores.land(value.object_id, value.data)
+        if descriptor is None:
+            return pickle.PickleBuffer(value.data)  # the pipe copies it in
+        self._announce_segments()
+        return descriptor
 
     def _announce_segments(self) -> None:
         """Tell the driver about newly created shm segments, so it can
@@ -354,14 +325,18 @@ class NodeAgent:
 
     def _handle_upstream(self, slot: _WorkerSlot, message: tuple) -> None:
         """One worker→driver message: serve it from the node plane when
-        possible, else forward (tracking request/reply pairing)."""
+        possible, else forward."""
         tag = message[0]
         if tag == msg.FETCH:
-            data = self.stores.bytes_of(message[1])
-            if data is not None:
-                slot.conn.send((msg.OK, data))
+            # From the node's arena: its descriptor, or — for a worker
+            # that cannot map the arena — its frame, copied into the pipe.
+            if len(message) == 2:
+                blob = self.stores.descriptor(message[1])
+            else:
+                blob = self.stores.bytes_of(message[1])
+            if blob is not None:
+                slot.conn.send((msg.OK, blob))
                 return
-            slot.pending[None] = (tag, message[1])
         elif tag == msg.SHM_CREATE:
             # A result write is granted from the NODE arena: the driver
             # is not consulted and the bytes never leave the node until
@@ -384,8 +359,6 @@ class NodeAgent:
             self.stores.abort_grant(message[1])
             slot.conn.send((msg.OK, None))
             return
-        elif tag == msg.GET:
-            slot.pending[None] = (tag, list(message[1]))
         elif tag == msg.DONE and self.shm is not None:
             completions = [
                 (task_hex, self._seal_result_blobs(blobs), failed, exec_seconds)

@@ -6,7 +6,9 @@ Every TCP frame between the driver and a node agent is a 2-tuple
 * ``channel >= 0`` — the message belongs to that worker's conversation
   (the unmodified proc protocol of :mod:`repro.proc.messages`); the
   agent relays it to/from the worker's pipe, intercepting only the
-  object-plane requests it can serve from the node store.
+  object-plane requests it can serve from the node's arena and landing
+  the object bytes a reply carries into the node
+  (:class:`~repro.proc.messages.ObjectBytes`) there.
 * ``channel == CTRL`` — ``message`` is one of the control tuples below,
   spoken between the driver and the agent itself.
 
@@ -47,8 +49,6 @@ OBJECT_DATA = "object_data"      # (OBJECT_DATA, req_id, data | None):
                                  # re-pickle, no copy into the stream);
                                  # it arrives as a read-only memoryview
                                  # over the bytearray received into.
-                                 # A cached one's is bytes or a
-                                 # bytearray (a pickle or a frame).
 SEGMENTS = "segments"            # (SEGMENTS, [name, ...]): shm segment
                                  # names the node store has created so
                                  # far; the driver unlinks survivors of a
@@ -71,7 +71,7 @@ FETCH_OBJECT = "fetch_object"    # (FETCH_OBJECT, req_id, object_id) ->
 DELETE_OBJECT = "delete_object"  # (DELETE_OBJECT, [object_id, ...]): the
                                  # driver released these objects (or
                                  # cancelled their task): drop the node's
-                                 # arena slots and cached bytes of them
+                                 # arena slots of them
 SHUTDOWN_NODE = "shutdown_node"  # (SHUTDOWN_NODE,): kill workers, unlink
                                  # the node store, exit
 
@@ -87,7 +87,9 @@ class NodeBlob:
     consumer elsewhere actually needs it (descriptor-first, pull on
     demand).  The driver records residency (for locality-aware placement
     toward that node's workers) and pulls bytes through ``FETCH_OBJECT``
-    at most once per consuming node.
+    once; a consumer on another node reads the copy its agent landed in
+    that node's arena from the driver's reply, so the bytes cross into
+    each consuming node at most once.
     """
 
     object_id: ObjectID

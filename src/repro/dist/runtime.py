@@ -19,9 +19,11 @@ changes the *plumbing* but none of the semantics:
   consumer's entry names such an argument by a bare ``SlotRef`` and
   nothing in its ``inline`` table; the producing node serves its own
   arena, and a consumer elsewhere triggers exactly one
-  ``FETCH_OBJECT`` pull into the driver store, after which that node's
-  agent caches the bytes — each object's payload crosses each node
-  boundary at most once (counted in ``stats()["cluster"]["internode"]``).
+  ``FETCH_OBJECT`` pull into the driver store, whose reply into the
+  consuming node that node's agent lands in its own arena — each
+  object's payload crosses each node boundary at most once (counted in
+  ``stats()["cluster"]["internode"]``), and every worker of a node
+  reads it from the node's one store.
 * **Membership.**  Agents heartbeat; a monitor thread declares a silent
   node dead (``heartbeat_timeout``) and SIGKILLs it, which collapses the
   silent-failure case onto the crash case: the link EOFs, every channel
@@ -42,8 +44,9 @@ changes the *plumbing* but none of the semantics:
   verdict.
 
 Simplifications (documented, deliberate): node-to-node transfer is
-routed *through the driver* (pull-once-per-node still holds — the agent
-cache absorbs repeats); worker ``put``\\ s of large values ship bytes to
+routed *through the driver* (pull-once-per-node still holds — the copy
+landed in the consuming node's arena serves repeats); worker
+``put``\\ s of large values ship bytes to
 the driver store (only task *results* are node-resident); agents run on
 localhost, so "inter-node" is measured in bytes crossing TCP, not hosts.
 """
@@ -351,8 +354,8 @@ class AgentLink:
         return entry[1]
 
     def delete_objects(self, object_ids: list) -> None:
-        """The driver released these: drop the node's arena slots and
-        cached bytes of them."""
+        """The driver released these: drop the node's arena slots of
+        them."""
         try:
             self.enqueue((ctl.CTRL, (ctl.DELETE_OBJECT, object_ids)))
         except OSError:
@@ -421,7 +424,6 @@ class DistRuntime(ProcRuntime):
             "shm_capacity": per_node_shm,
             "inline_threshold": inline_threshold,
             "total_workers": num_nodes * workers_per_node,
-            "store_capacity": cluster.nodes[0].object_store_capacity,
             "heartbeat_interval": self._heartbeat_interval,
             "tracing": tracing,
             "cluster": cluster,

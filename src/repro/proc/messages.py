@@ -280,7 +280,12 @@ TASK = "task"          # (TASK, [entry, ...], {function_hex: (name, code)})
 SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
 # -- worker -> driver (requests while a task runs) ----------------------
-FETCH = "fetch"                # (FETCH, object_id) -> (OK, bytes)
+FETCH = "fetch"                # (FETCH, object_id[, as_bytes])
+                               #   -> (OK, bytes | ShmDescriptor): a
+                               # descriptor on dist, into the node arena;
+                               # as_bytes (a worker that cannot map the
+                               # arena it was described in): bytes, which
+                               # that node's agent has
 GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | ShmDescriptor])
 WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
                                #   -> (OK, [the ready object_ids])
@@ -369,10 +374,10 @@ class SlotRef:
     :class:`ShmDescriptor` when it lives in shared memory (the worker
     attaches and reads zero-copy with no round trip; the descriptor
     stays valid until the task is reported done, since a task pins its
-    arguments), nothing when the worker fetches it on demand into its
-    local cache (a large pipe-store object, or one living on a node).  A
-    bare one is also how a worker's request names a call's top-level ref
-    arguments (:func:`strip_refs`).
+    arguments), nothing when the worker fetches it on demand (a large
+    pipe-store object, or one living on a node).  A bare one is also
+    how a worker's request names a call's top-level ref arguments
+    (:func:`strip_refs`).
     """
 
     object_id: ObjectID
@@ -392,6 +397,19 @@ class ShmDescriptor:
     segment: str
     slot: int
     size: int
+
+
+@dataclass(frozen=True)
+class ObjectBytes:
+    """A large object's bytes in a ``dist`` driver's FETCH or GET reply
+    into a node with an arena, named: the node agent lands them in the
+    arena and hands its worker a :class:`ShmDescriptor` instead (the
+    bytes themselves when the arena has no room).  ``data`` is a
+    ``pickle.PickleBuffer`` TCP sends out of band; it arrives as the
+    memory it was received into."""
+
+    object_id: ObjectID
+    data: Any
 
 
 def strip_refs(args: tuple, kwargs: dict) -> tuple:
@@ -439,7 +457,7 @@ def encode_call(args: tuple, kwargs: dict) -> bytes:
 # -- TASK / SUBMIT_LOCAL entries ------------------------------------------
 
 #: Position of the inline-object table in an entry (the driver fills a
-#: fresh one per ship; the dist agent caches the bytes it finds there).
+#: fresh one per ship; nothing between it and the worker reads it).
 ENTRY_INLINE = 4
 
 def encode_entry(

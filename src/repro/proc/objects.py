@@ -31,7 +31,8 @@ themselves, around the copy.
 **Object lifetime.**  An object lives exactly as long as something
 the driver can see still needs it, and then gives its memory back —
 the pipe store's bytes, the arena slot (which the next large object
-lands on, warm), the owning node's slot and every node's cached copy.
+lands on, warm), the owning node's slot and every copy landed on a
+node.
 What holds an object, and nothing else does: a live
 :class:`~repro.core.object_ref.ObjectRef` *handle* in this process
 (counted by a :class:`~repro.core.object_ref.RefLedger`); a *task
@@ -52,10 +53,13 @@ place an object is forgotten.
 
 **Residence on a node** is what ``dist`` adds, through three hooks.
 *Pull*: a consumer elsewhere brings one copy into the pipe store
-(``nodes.pull``, deduplicated; :meth:`ObjectPlane.pull`).  *Delete*: a
-release reaches the owning node and every node that cached the bytes,
-one ``nodes.delete`` per node for everything released since the last
-:meth:`ObjectPlane.flush_deletes`.  *Lost with its node*
+(``nodes.pull``, deduplicated; :meth:`ObjectPlane.pull`).  A reply
+that carries an object's bytes on into a node with an arena names
+them, and that node's agent *lands* them in its arena, its one store,
+where each of its workers reads them (:meth:`ObjectPlane._into_node`).
+*Delete*: a release reaches the owning node and every node a copy
+landed on, one ``nodes.delete`` per node for everything released since
+the last :meth:`ObjectPlane.flush_deletes`.  *Lost with its node*
 (:meth:`ObjectPlane.node_lost`): each result without a driver copy
 ends in :meth:`ObjectPlane.replay_or_fail` — the same verdict a task
 that died with its worker gets.
@@ -75,7 +79,7 @@ from repro.core.task import TaskSpec
 from repro.core.worker import ErrorValue, error_value_from
 from repro.errors import ObjectLostError, ReproError
 from repro.objectstore.store import LocalObjectStore, ObjectStoreFullError
-from repro.proc.messages import ShmDescriptor
+from repro.proc.messages import ObjectBytes, ShmDescriptor
 from repro.sched_plane import ResidencyTracker
 from repro.shm.segment import shm_available, usable_shm_budget
 from repro.shm.store import SharedObjectStore
@@ -109,11 +113,12 @@ def _bare(value: Any) -> Any:
 
 
 class ObjectStores:
-    """One process's two data planes (module docstring) and what is
-    served out of them: the pipe store and, where the host has POSIX
-    shm and ``shm_capacity > 0``, the arena.  The driver's
-    :class:`ObjectPlane` is one, with lifetime and residence on top; a
-    ``dist`` node agent keeps a bare one for its node."""
+    """One process's data planes (module docstring) and what is served
+    out of them: the pipe store, unless ``store_capacity`` is 0, and,
+    where the host has POSIX shm and ``shm_capacity > 0``, the arena.
+    The driver's :class:`ObjectPlane` is one, with lifetime and
+    residence on top; a ``dist`` node agent keeps a bare one with no
+    pipe store: its node's one store is the arena."""
 
     def __init__(
         self,
@@ -123,7 +128,9 @@ class ObjectStores:
         num_workers: int,
         seed: int,
     ) -> None:
-        self.store = LocalObjectStore(node_id, capacity=store_capacity)
+        self.store: Optional[LocalObjectStore] = None
+        if store_capacity:
+            self.store = LocalObjectStore(node_id, capacity=store_capacity)
         self.shm: Optional[SharedObjectStore] = None
         if shm_capacity > 0 and shm_available():
             # Clamp to what the host's shm filesystem can actually back
@@ -155,12 +162,6 @@ class ObjectStores:
         self._acct_shm.record_zero_copy(size)
         return ShmDescriptor(object_id, segment, slot, size)
 
-    def blob_for(self, object_id: ObjectID) -> Any:
-        """The pipe representation of an object a worker asked for: a
-        descriptor when it lives in shared memory, its bytes otherwise,
-        None when this process has neither."""
-        return self.descriptor(object_id) or self.store.get(object_id)
-
     def bytes_of(self, object_id: ObjectID) -> Any:
         """An object's bytes for someone who cannot map the arena, or
         None: the pipe store's serialized bytes, or a shm-resident
@@ -171,13 +172,26 @@ class ObjectStores:
         straight from the arena, so it must be sent before the slot can
         be reused.  :func:`~repro.utils.serialization.deserialize` reads
         either form."""
-        data = self.store.get(object_id)
+        data = self.store.get(object_id) if self.store is not None else None
         if data is None and self.shm is not None:
             view = self.shm.get(object_id)
             if view is not None:
                 self._acct_shm.record_pipe_fallback(view.nbytes)
                 return pickle.PickleBuffer(view)
         return data
+
+    def land(self, object_id: ObjectID, data: Any) -> Optional[ShmDescriptor]:
+        """Copy an object's bytes that crossed into this node into an
+        arena slot and seal it (one already there stays as it is): the
+        descriptor its workers read it by, or None when there is no
+        arena or it has no room."""
+        if self.shm is None:
+            return None
+        try:
+            self.shm.put(object_id, data)
+        except ObjectStoreFullError:
+            return None
+        return self.descriptor(object_id)
 
     def grant(
         self, object_id: ObjectID, nbytes: int, worker_index: int
@@ -204,7 +218,8 @@ class ObjectStores:
         """Give back the object's memory in both stores (an arena slot
         at once, or through the zombie list while someone still leases
         it); False if neither had it."""
-        dropped = self.store.delete(object_id)  # the store's pin goes with it
+        # The pipe store's pin goes with its bytes.
+        dropped = self.store is not None and self.store.delete(object_id)
         if self.shm is not None and self.shm.delete(object_id):
             dropped = True
         return dropped
@@ -287,8 +302,11 @@ class ObjectPlane(ObjectStores):
         #: description, not the bytes, and the spec its wire entry,
         #: which is what losing the node would replay.
         self._node_resident: dict[ObjectID, tuple] = {}
-        #: Released objects a node may hold (arena slot or cached
-        #: bytes), by node, awaiting the next coalesced delete.
+        #: Nodes an object's bytes were sent into for their agents to
+        #: land in the arena (a FETCH reply, a blob of a GET reply).
+        self._landed: dict[ObjectID, set] = {}
+        #: Released objects a node may hold in its arena (its own result
+        #: or a landed copy), by node, awaiting the next coalesced delete.
         self._doomed: dict[int, list] = {}
         #: Return ids of replays in flight after a loss — readers of
         #: these wait instead of erroring while lineage re-executes.
@@ -337,21 +355,25 @@ class ObjectPlane(ObjectStores):
             object_id
         )
 
-    def blob_for(self, object_id: ObjectID) -> Any:
-        """The stores' — None meaning it lives on a node alone
-        (:meth:`pull` first)."""
-        blob = super().blob_for(object_id)
-        if self._nodes and isinstance(blob, (bytes, bytearray)):
-            # The reply crosses TCP into the consuming node.
-            self.acct_internode.record_internode(len(blob))
+    def blob_for(
+        self, object_id: ObjectID, worker_index: Optional[int] = None
+    ) -> Any:
+        """What a worker's GET is answered with: a descriptor when it
+        lives in the arena, its bytes otherwise — on ``dist``, large
+        bytes named for its agent to land (:meth:`_into_node`) — None
+        when it lives on a node alone (:meth:`pull` first)."""
+        blob = self.descriptor(object_id) or self.store.get(object_id)
+        if self._nodes and worker_index is not None and blob is not None:
+            # No descriptor: the driver has no arena on ``dist``.
+            return self._into_node(object_id, blob, worker_index)
         return blob
 
-    def fetch_bytes(
-        self, object_id: ObjectID, worker_index: int
-    ) -> bytes | bytearray:
-        """Serve a worker's fetch of an argument's bytes.  An arena
-        frame is copied out here, under the lock: the reply leaves once
-        the lock is released, when the slot may already be reused."""
+    def fetch_bytes(self, object_id: ObjectID, worker_index: int) -> Any:
+        """Serve a worker's fetch of an argument's bytes (on ``dist``,
+        large ones named for its agent to land: :meth:`_into_node`).  An
+        arena frame is copied out here, under the lock: the reply leaves
+        once the lock is released, when the slot may already be
+        reused."""
         data = self.bytes_of(object_id)
         if data is None:
             raise ObjectLostError(
@@ -360,10 +382,6 @@ class ObjectPlane(ObjectStores):
         if isinstance(data, pickle.PickleBuffer):
             data = bytes(data)
         self._acct_fetched.record(len(data))
-        if self._nodes:
-            # The reply crosses TCP into the consuming node (whose agent
-            # caches it — this is the at-most-once-per-node transfer).
-            self.acct_internode.record_internode(len(data))
         if self._obs.enabled:
             span = {"object_id": str(object_id), "size": len(data)}
             self._obs.record(
@@ -379,7 +397,24 @@ class ObjectPlane(ObjectStores):
         # The worker caches what it fetches: from here on the object
         # is locality-resident there.
         self.residency.record(worker_index, object_id.hex, len(data))
+        if self._nodes:
+            return self._into_node(object_id, data, worker_index)
         return data
+
+    def _into_node(self, object_id: ObjectID, data: Any, worker_index: int) -> Any:
+        """A reply's bytes of an object, crossing TCP into the worker's
+        node: large ones, into a node with an arena, as
+        :class:`ObjectBytes` — named, so its agent lands them in the
+        arena and passes its worker a descriptor, and out of band, so
+        nothing re-pickles them — and noted there for the release."""
+        self.acct_internode.record_internode(len(data))
+        node_index = worker_index // self._per_node
+        if not self._nodes[node_index].shm_on or should_inline(
+            len(data), self._inline_threshold
+        ):
+            return data
+        self._landed.setdefault(object_id, set()).add(node_index)
+        return ObjectBytes(object_id, pickle.PickleBuffer(data))
 
     def arg_slot(self, object_id: ObjectID, worker_index: int, inline: dict) -> None:
         """Where the worker finds one ref argument's value, into the
@@ -388,9 +423,9 @@ class ObjectPlane(ObjectStores):
         zero-copy, no round trip), nothing when large in the pipe store
         (the worker fetches it) or living on a node (the executing
         worker resolves it through its node agent: an arena hit on the
-        producing node; elsewhere the agent pulls through the driver
-        once and caches).  Raises ``ObjectLostError`` for an argument
-        the driver no longer has."""
+        producing node; elsewhere a pull through the driver, whose reply
+        the agent lands in its arena).  Raises ``ObjectLostError`` for
+        an argument the driver no longer has."""
         if self._node_resident and self.only_on_node(object_id):
             size = self._node_resident[object_id][1]
             self.residency.record(worker_index, object_id.hex, size)
@@ -811,7 +846,7 @@ class ObjectPlane(ObjectStores):
     def _release(self, object_id: ObjectID) -> bool:
         """Forget an object no one can ask for again: out of every
         per-object map the driver keeps, its memory given back — here,
-        on the node that owns it and on every node that cached it —
+        on the node that owns it and on every node a copy landed on —
         unless it has not arrived anywhere yet (False).  Nothing is
         written to the control store: retiring object rows is
         task-metadata retirement's job."""
@@ -822,6 +857,7 @@ class ObjectPlane(ObjectStores):
         holders = self.residency.forget_object(object_id.hex)
         if self._nodes:
             nodes = {holder // self._per_node for holder in holders}
+            nodes.update(self._landed.pop(object_id, ()))
             if entry is not None:
                 nodes.add(entry[0])
             for node_index in nodes:

@@ -1311,8 +1311,9 @@ class ProcRuntime:
                         raise _Parked
                     reply = [object_id for object_id in message[1] if plane.has(object_id)]
                 if tag == msg.GET:
+                    read = functools.partial(plane.blob_for, worker_index=worker.index)
                     reply = [
-                        self._resident(object_id, deadline, _no_wait, plane.blob_for)
+                        self._resident(object_id, deadline, _no_wait, read)
                         for object_id in message[1]
                     ]
             elif tag == msg.SHM_CREATE:

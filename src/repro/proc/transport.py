@@ -88,7 +88,9 @@ class Transport:
     detection edge.  ``poll`` is a non-blocking (or bounded) readability
     probe.  ``writable`` answers "can a small send complete without
     blocking right now?" — the guard ``_WorkerHandle.send_control``
-    uses to stay non-blocking under the runtime lock.
+    uses to stay non-blocking under the runtime lock, so only what a
+    worker's handle talks through has it: a pipe, or a ``dist``
+    channel (never a bare TCP link).
     """
 
     def send(self, message: Any) -> None:
@@ -120,11 +122,6 @@ class PipeTransport(Transport):
 
     def __init__(self, conn: Any) -> None:
         self._conn = conn
-
-    @property
-    def connection(self) -> Any:
-        """The underlying Connection (process-spawn plumbing)."""
-        return self._conn
 
     def send(self, message: Any) -> None:
         self._conn.send_bytes(encode_message(message))
@@ -217,13 +214,6 @@ class TcpTransport(Transport):
             ready, _, _ = select.select([self._sock], [], [], timeout)
         except (OSError, ValueError):
             return True
-        return bool(ready)
-
-    def writable(self) -> bool:
-        try:
-            _, ready, _ = select.select([], [self._sock], [], 0)
-        except (OSError, ValueError):
-            return False
         return bool(ready)
 
     def close(self) -> None:

@@ -127,7 +127,6 @@ _SPILLOVER = SpilloverPolicy(mode="hybrid", queue_threshold=512.0)
 from repro.utils.serialization import (
     DEFAULT_INLINE_THRESHOLD,
     deserialize,
-    deserialize_frame,
     deserialize_portable,
     serialize,
     serialize_buffers,
@@ -461,16 +460,16 @@ class ProcWorker:
         Descriptors deserialize zero-copy: reconstructed buffers (numpy
         arrays) alias the shared segment and lease its slot, so they
         stay valid for as long as any of them is alive — in actor state
-        long after the task, if the program keeps one.  If the segment
-        cannot be mapped here (exotic namespaces, a client that failed
-        to construct), the driver still has the object — fall back to a
-        one-off byte FETCH."""
+        long after the task, if the program keeps one.  (A slot the
+        ``dist`` agent landed a pickle in, not a frame, is unpickled
+        from it.)  If the segment cannot be mapped here (exotic
+        namespaces, a client that failed to construct), whoever
+        described it still has the object — fall back to a one-off
+        FETCH of its bytes."""
         if isinstance(blob, ShmDescriptor):
             if self.shm is not None:
                 try:
-                    value = deserialize_frame(
-                        self.shm.lease(blob.segment, blob.slot)
-                    )
+                    value = deserialize(self.shm.lease(blob.segment, blob.slot))
                     self.note_shm(blob)
                     if self.obs.enabled:
                         self.obs.record(
@@ -481,7 +480,7 @@ class ProcWorker:
                     return value
                 except OSError:
                     pass
-            blob = self.rpc(msg.FETCH, blob.object_id)
+            blob = self.rpc(msg.FETCH, blob.object_id, True)
         return deserialize(blob)
 
     def note_shm(self, descriptor: ShmDescriptor) -> None:
@@ -1322,11 +1321,14 @@ class ProcWorker:
 
     def _resolve_piped(self, object_id, data: Optional[bytes], pinned: list) -> Any:
         """The byte path: the bytes the entry's table carried, else the
-        local LRU cache, else a FETCH."""
+        local LRU cache, else a FETCH — whose reply on ``dist`` is a
+        descriptor into the node's arena, read there instead."""
         if data is None:
             data = self.cache.get(object_id)
             if data is None:
                 data = self.rpc(msg.FETCH, object_id)
+                if type(data) is ShmDescriptor:
+                    return self.materialize(data)
                 try:
                     self.cache.put(object_id, data)
                 except ReproError:

@@ -23,6 +23,7 @@ from repro.core.object_ref import ObjectRef
 from repro.core.task import CallTemplate, TaskOptions
 from repro.dist.protocol import NodeBlob
 from repro.obs import SpanCollector
+from repro.proc.messages import ObjectBytes
 from repro.proc.objects import ObjectPlane
 from repro.utils.ids import FunctionID, IDGenerator
 from repro.utils.serialization import deserialize, serialize
@@ -282,6 +283,29 @@ def test_a_task_with_a_node_resident_result_keeps_its_pins_until_a_copy_is_here(
     # The node is lost afterwards: the driver copy survives, nothing replays.
     h.plane.node_lost(1)
     assert not h.requeued and h.plane.has(ref.object_id)
+
+
+def test_a_copy_landed_on_a_node_by_a_reply_is_deleted_there(harness):
+    h = harness(num_nodes=3)
+    fetched, got, small = h.put(b"F" * 4096), h.put(b"G" * 4096), h.put(b"s")
+    # A FETCH reply into node 1 and a GET reply's blob into node 2 name
+    # their object for the agent to land; small bytes go as they are.
+    reply = h.plane.fetch_bytes(fetched.object_id, 1)
+    assert type(reply) is ObjectBytes and reply.object_id == fetched.object_id
+    assert bytes(reply.data) == b"F" * 4096
+    blob = h.plane.blob_for(got.object_id, 2)
+    assert type(blob) is ObjectBytes and bytes(blob.data) == b"G" * 4096
+    assert h.plane.blob_for(small.object_id, 2) == b"s"
+    # A node with no arena is sent the bytes.
+    h.nodes[0].shm_on = False
+    assert h.plane.blob_for(fetched.object_id, 0) == b"F" * 4096
+    internode = h.plane.acct_internode.snapshot()
+    assert internode["internode_bytes"] == 3 * 4096 + 1
+    del fetched, got, small
+    assert h.live()["released"] == 3
+    assert h.nodes[1].deleted == [reply.object_id]
+    assert h.nodes[2].deleted == [blob.object_id]
+    assert not h.plane._landed and not h.plane._doomed
 
 
 def test_concurrent_pulls_of_one_object_make_one_transfer(harness):
