@@ -9,7 +9,7 @@ supports it), and sits on the wire between the driver and the workers:
   forwards encoded messages between the TCP link and the worker pipes
   without re-interpreting anything it does not care about.  Dispatch
   frames are relayed whole; each ``DONE`` completion's blobs pass
-  through the node-arena rewrite, and each reply that carries an
+  through the node-arena rewrite, and a ``FETCH`` reply that carries an
   object's bytes into the node is landed in the arena.  Optional
   trailing elements (``DONE``'s obs blob, ``STEAL_GRANT``'s mid-task
   mark, a late reply's key) ride through untouched, and control
@@ -20,13 +20,16 @@ supports it), and sits on the wire between the driver and the workers:
   are served locally when possible: a worker's ``SHM_CREATE`` for a
   result is granted from the **node's** arena (the driver never sees the
   bytes), and a ``FETCH`` of an object in the arena is answered with its
-  descriptor before falling through to the driver.  An object's bytes
-  the driver sends into the node (a ``FETCH`` reply, a blob of a
-  ``GET`` reply: :class:`~repro.proc.messages.ObjectBytes`) are written
-  into an arena slot, sealed, and passed on as a descriptor, so every
-  worker of the node reads them zero-copy and they cross the node
-  boundary once (the fetch-once-per-node half of descriptor-first
-  transfer); with no arena, or no room in it, they pass through.  A put's
+  descriptor before falling through to the driver.  A worker reads a
+  ``get``'s value as it reads an argument: the driver's ``GET`` reply
+  leaves a large or node-resident object's slot empty, and the worker
+  sends a ``FETCH`` for it through here.  An object's bytes the driver
+  sends into the node (a ``FETCH`` reply's
+  :class:`~repro.proc.messages.ObjectBytes`) are written into an arena
+  slot, sealed, and passed on as a descriptor, so every worker of the
+  node reads them zero-copy and they cross the node boundary once (the
+  fetch-once-per-node half of descriptor-first transfer); with no
+  arena, or no room in it, they pass through.  A put's
   ``SHM_CREATE`` is refused here (the driver has no arena on ``dist``),
   so the put's bytes ride the worker's ``SUBMIT_LOCAL`` notice, which
   this agent forwards untouched.
@@ -300,12 +303,10 @@ class NodeAgent:
     # ------------------------------------------------------------------
 
     def _land(self, value: Any) -> Any:
-        """A driver reply's value, each object's bytes it carries into
-        the node (:class:`~repro.proc.messages.ObjectBytes`) written
-        into the arena and passed on as its descriptor — or, where the
-        arena has no room, as the bytes themselves."""
-        if type(value) is list:  # a GET's blobs
-            return [self._land(blob) for blob in value]
+        """A driver reply's value; the object bytes a ``FETCH`` reply
+        carries into the node (:class:`~repro.proc.messages.ObjectBytes`)
+        written into the arena and passed on as their descriptor — or,
+        where the arena has no room, as the bytes themselves."""
         if type(value) is not msg.ObjectBytes:
             return value
         descriptor = self.stores.land(value.object_id, value.data)

@@ -23,7 +23,9 @@ changes the *plumbing* but none of the semantics:
   consuming node that node's agent lands in its own arena — each
   object's payload crosses each node boundary at most once (counted in
   ``stats()["cluster"]["internode"]``), and every worker of a node
-  reads it from the node's one store.
+  reads it from the node's one store.  A worker's ``get`` is answered
+  with the same slots (``ObjectPlane.arg_slot``) and read the same way,
+  so a result in the reader's own node's arena never crosses TCP.
 * **Membership.**  Agents heartbeat; a monitor thread declares a silent
   node dead (``heartbeat_timeout``) and SIGKILLs it, which collapses the
   silent-failure case onto the crash case: the link EOFs, every channel

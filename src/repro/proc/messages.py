@@ -256,7 +256,12 @@ with plain pickle, and framework objects (refs, resource requests,
 user values do not cross the pipe at all when the shared-memory data
 plane is on: FETCH/GET replies and DONE blobs carry a
 :class:`ShmDescriptor` (segment name + slot + size) instead of bytes,
-and the payload moves through :mod:`repro.shm` zero-copy.
+and the payload moves through :mod:`repro.shm` zero-copy.  A GET reply
+is one slot per object, filled and read exactly as an entry's
+``inline`` table is (``ObjectPlane.arg_slot``, ``ProcWorker.read_slot``):
+bytes when small, a descriptor, or nothing — the worker then reads its
+cache or sends a FETCH, which on ``dist`` its node agent answers from
+the node's arena when the object lies there.
 """
 
 from __future__ import annotations
@@ -281,12 +286,16 @@ SHUTDOWN = "shutdown"  # (SHUTDOWN,): exit the worker loop
 
 # -- worker -> driver (requests while a task runs) ----------------------
 FETCH = "fetch"                # (FETCH, object_id[, as_bytes])
-                               #   -> (OK, bytes | ShmDescriptor): a
+                               #   -> (OK, bytes | ShmDescriptor): for an
+                               # empty slot (an argument's or a GET's); a
                                # descriptor on dist, into the node arena;
                                # as_bytes (a worker that cannot map the
                                # arena it was described in): bytes, which
                                # that node's agent has
-GET = "get"                    # (GET, [object_id], timeout) -> (OK, [bytes | ShmDescriptor])
+GET = "get"                    # (GET, [object_id], timeout)
+                               #   -> (OK, [bytes | ShmDescriptor | None]):
+                               # one slot per id, filled as an entry's
+                               # inline table is (None: FETCH it)
 WAIT = "wait"                  # (WAIT, [object_id], num_returns, timeout)
                                #   -> (OK, [the ready object_ids])
 CANCEL = "cancel"              # (CANCEL, object_id, recursive, producer_task)
@@ -401,8 +410,8 @@ class ShmDescriptor:
 
 @dataclass(frozen=True)
 class ObjectBytes:
-    """A large object's bytes in a ``dist`` driver's FETCH or GET reply
-    into a node with an arena, named: the node agent lands them in the
+    """A large object's bytes in a ``dist`` driver's FETCH reply into a
+    node with an arena, named: the node agent lands them in the
     arena and hands its worker a :class:`ShmDescriptor` instead (the
     bytes themselves when the arena has no room).  ``data`` is a
     ``pickle.PickleBuffer`` TCP sends out of band; it arrives as the

@@ -6,11 +6,12 @@ One :class:`ObjectPlane` per runtime.  It owns the driver's two stores
 are only described here (``dist``), the lifetime tables, worker
 residency (what placement scores locality by) and the object byte
 accountants, and it answers what the runtime asks — is it here, its
-wire form or its value, these results arrived, this task pins / unpins,
-this id was born in that task, release what nothing holds, ``stats()``
-— speaking back through two callbacks: ``arrived(object_id)`` (wake
-dependents, watchers and the cond) and ``requeue(spec)`` (a lost task
-runs again, from the wire entry it carries).
+slot in a task's entry or a get's reply, or its value, these results
+arrived, this task pins / unpins, this id was born in that task,
+release what nothing holds, ``stats()`` — speaking back through two
+callbacks: ``arrived(object_id)`` (wake dependents, watchers and the
+cond) and ``requeue(spec)`` (a lost task runs again, from the wire
+entry it carries).
 
 **Two data planes.**  Small objects (≤ ``inline_threshold``) ride the
 pipes as bytes, out of the pipe store.  Large ones take the zero-copy
@@ -303,7 +304,8 @@ class ObjectPlane(ObjectStores):
         #: which is what losing the node would replay.
         self._node_resident: dict[ObjectID, tuple] = {}
         #: Nodes an object's bytes were sent into for their agents to
-        #: land in the arena (a FETCH reply, a blob of a GET reply).
+        #: land in the arena (a FETCH reply: the one reply that carries
+        #: a large object's bytes into a node).
         self._landed: dict[ObjectID, set] = {}
         #: Released objects a node may hold in its arena (its own result
         #: or a landed copy), by node, awaiting the next coalesced delete.
@@ -338,7 +340,7 @@ class ObjectPlane(ObjectStores):
             object_ref.install_ledger(None)
 
     # ------------------------------------------------------------------
-    # Is it here; its wire form; its value
+    # Is it here; its slot; its value
     # ------------------------------------------------------------------
 
     def has(self, object_id: ObjectID) -> bool:
@@ -355,21 +357,9 @@ class ObjectPlane(ObjectStores):
             object_id
         )
 
-    def blob_for(
-        self, object_id: ObjectID, worker_index: Optional[int] = None
-    ) -> Any:
-        """What a worker's GET is answered with: a descriptor when it
-        lives in the arena, its bytes otherwise — on ``dist``, large
-        bytes named for its agent to land (:meth:`_into_node`) — None
-        when it lives on a node alone (:meth:`pull` first)."""
-        blob = self.descriptor(object_id) or self.store.get(object_id)
-        if self._nodes and worker_index is not None and blob is not None:
-            # No descriptor: the driver has no arena on ``dist``.
-            return self._into_node(object_id, blob, worker_index)
-        return blob
-
     def fetch_bytes(self, object_id: ObjectID, worker_index: int) -> Any:
-        """Serve a worker's fetch of an argument's bytes (on ``dist``,
+        """Serve a worker's fetch of an object's bytes, for an empty
+        slot (:meth:`arg_slot`) or a failed attach (on ``dist``,
         large ones named for its agent to land: :meth:`_into_node`).  An
         arena frame is copied out here, under the lock: the reply leaves
         once the lock is released, when the slot may already be
@@ -402,8 +392,8 @@ class ObjectPlane(ObjectStores):
         return data
 
     def _into_node(self, object_id: ObjectID, data: Any, worker_index: int) -> Any:
-        """A reply's bytes of an object, crossing TCP into the worker's
-        node: large ones, into a node with an arena, as
+        """A FETCH reply's bytes of an object, crossing TCP into the
+        worker's node: large ones, into a node with an arena, as
         :class:`ObjectBytes` — named, so its agent lands them in the
         arena and passes its worker a descriptor, and out of band, so
         nothing re-pickles them — and noted there for the release."""
@@ -417,15 +407,17 @@ class ObjectPlane(ObjectStores):
         return ObjectBytes(object_id, pickle.PickleBuffer(data))
 
     def arg_slot(self, object_id: ObjectID, worker_index: int, inline: dict) -> None:
-        """Where the worker finds one ref argument's value, into the
-        shipped entry's ``inline`` table: its bytes when small, its
+        """Where the worker finds one object's value — a ref argument's,
+        into the shipped entry's ``inline`` table, or one a ``GET``
+        reply answers with, read the same way: its bytes when small, its
         :class:`ShmDescriptor` when it lives in shared memory (attached
         zero-copy, no round trip), nothing when large in the pipe store
         (the worker fetches it) or living on a node (the executing
         worker resolves it through its node agent: an arena hit on the
         producing node; elsewhere a pull through the driver, whose reply
-        the agent lands in its arena).  Raises ``ObjectLostError`` for
-        an argument the driver no longer has."""
+        the agent lands in its arena).  ``args_inlined``/``args_stored``
+        in ``stats()`` count these slots, a get's too.  Raises
+        ``ObjectLostError`` for an object the driver no longer has."""
         if self._node_resident and self.only_on_node(object_id):
             size = self._node_resident[object_id][1]
             self.residency.record(worker_index, object_id.hex, size)
@@ -846,7 +838,8 @@ class ObjectPlane(ObjectStores):
     def _release(self, object_id: ObjectID) -> bool:
         """Forget an object no one can ask for again: out of every
         per-object map the driver keeps, its memory given back — here,
-        on the node that owns it and on every node a copy landed on —
+        on the node that owns it and on every node a copy landed on
+        (nowhere else: a worker only given a slot holds no copy) —
         unless it has not arrived anywhere yet (False).  Nothing is
         written to the control store: retiring object rows is
         task-metadata retirement's job."""
@@ -854,10 +847,9 @@ class ObjectPlane(ObjectStores):
         if not self.drop(object_id) and entry is None:
             return False
         self._released += 1
-        holders = self.residency.forget_object(object_id.hex)
+        self.residency.forget_object(object_id.hex)
         if self._nodes:
-            nodes = {holder // self._per_node for holder in holders}
-            nodes.update(self._landed.pop(object_id, ()))
+            nodes = self._landed.pop(object_id, set())
             if entry is not None:
                 nodes.add(entry[0])
             for node_index in nodes:

@@ -254,15 +254,6 @@ class _Parked(Exception):
     (:meth:`ProcRuntime._serve_rpc`)."""
 
 
-def _no_wait(predicate: Callable[[], bool], deadline: Optional[float]) -> bool:
-    """How a worker's due ``GET`` waits for an object that is not here
-    after all (:meth:`ProcRuntime._resident`: a pull failed, or the
-    deadline passed): it does not — it is parked again, or timed out."""
-    if _time_left(deadline, 1.0) > 0:
-        raise _Parked
-    return False
-
-
 class ProcRuntime:
     """Multiprocess implementation of the backend protocol."""
 
@@ -525,9 +516,7 @@ class ProcRuntime:
         deadline = _deadline(timeout)
         values = []
         for ref in ref_list:
-            view, data = self._resident(
-                ref.object_id, deadline, self._wait_idle, self._objects.read
-            )
+            view, data = self._resident(ref.object_id, deadline)
             if view is not None:
                 values.append(unwrap_loaded(deserialize_frame(view)))
             else:
@@ -1310,12 +1299,17 @@ class ProcRuntime:
                     if not self._due(message, deadline):
                         raise _Parked
                     reply = [object_id for object_id in message[1] if plane.has(object_id)]
-                if tag == msg.GET:
-                    read = functools.partial(plane.blob_for, worker_index=worker.index)
-                    reply = [
-                        self._resident(object_id, deadline, _no_wait, read)
-                        for object_id in message[1]
-                    ]
+                    if tag == msg.GET:
+                        # One slot per id, as a shipped entry's ``inline``
+                        # table: bytes, a descriptor, or None (the worker
+                        # resolves it through its cache or a FETCH).
+                        if len(reply) < len(message[1]):
+                            absent = next(i for i in message[1] if not plane.has(i))
+                            raise GetTimeoutError(f"get timed out waiting for {absent}")
+                        slots: dict = {}
+                        for object_id in reply:
+                            plane.arg_slot(object_id, worker.index, slots)
+                        reply = [slots.get(object_id) for object_id in reply]
             elif tag == msg.SHM_CREATE:
                 # No id named: a put, which gets a fresh one.
                 with self._cond:
@@ -1363,35 +1357,25 @@ class ProcRuntime:
             try:
                 reply = self._answer(worker, message, deadline) + (key,)
             except _Parked:
-                continue  # not due yet (or a pull failed: a reconstruction)
+                continue  # not due yet
             with self._cond:
                 worker.waits.pop(key, None)
                 worker.busy, worker.late = True, worker.late + 1
             worker.send(reply)
 
-    def _resident(
-        self,
-        object_id: ObjectID,
-        deadline: Optional[float],
-        wait: Callable[[Callable[[], bool], Optional[float]], bool],
-        read: Callable[[ObjectID], Any],
-    ) -> Any:
-        """Both kinds of ``get``: block until the object is resident
-        *here* and ``read`` it under that hold of the lock — the
-        driver's own as a value to load (:meth:`ObjectPlane.read`), a
-        worker's in its wire form (:meth:`ObjectPlane.blob_for`).
-        ``wait(predicate, deadline)`` is how the caller blocks: a driver
-        thread sleeps on the cond (:meth:`_wait_idle`), a worker's
-        request does not — it is parked instead (:func:`_no_wait`)."""
+    def _resident(self, object_id: ObjectID, deadline: Optional[float]) -> tuple:
+        """The driver's own ``get`` of one object: block until it is
+        resident *here* and read it under that hold of the lock, as a
+        value to load (:meth:`ObjectPlane.read`)."""
         plane = self._objects
         left: Optional[float] = None
         while left is None or left > 0:
             with self._cond:  # (allocates nothing when it is here already)
                 arrived = plane.has(object_id)
                 if arrived and not plane.only_on_node(object_id):
-                    return read(object_id)
+                    return plane.read(object_id)
             if not arrived:
-                if not wait(lambda: plane.has(object_id), deadline):
+                if not self._wait_idle(lambda: plane.has(object_id), deadline):
                     break
             # It lives on a node alone: bring a copy here.  A pull that
             # fails (the node was lost under it) leaves a reconstruction,

@@ -15,10 +15,11 @@ constructor and method, with identical error text),
 :func:`~repro.core.effect_driver.run_effect_loop_sync` drives generator
 bodies, and failures are captured as
 :class:`~repro.core.worker.ErrorValue`\\ s exactly like a thread or a
-simulated worker would.  Large arguments are cached in a per-worker
+simulated worker would.  An argument and a ``get``'s value are read the
+same way, from the slot the driver filled (:meth:`ProcWorker.read_slot`);
+the bytes of one it fetched are cached in a per-worker
 :class:`~repro.objectstore.store.LocalObjectStore` (the same LRU
-byte-store used on every node of the simulated cluster), pinned while the
-task runs.
+byte-store used on every node of the simulated cluster).
 
 The worker also owns the bottom tier of the scheduling plane
 (:mod:`repro.sched_plane`): a
@@ -178,15 +179,20 @@ class WorkerRuntime:
         every requested value, the values are read from their results and
         no ``GET`` is sent (:meth:`ProcWorker.answer` says when that is
         allowed); otherwise one ``GET`` asks the driver for the whole
-        list."""
+        list, and each slot of its reply is read as an argument's is
+        (:meth:`ProcWorker.read_slot`)."""
         worker = self._worker
         ref_list, single = normalize_get_refs(refs)
         ran: dict = {}
         timeout = worker.run_producers(ref_list, timeout, len(ref_list), ran)
         blobs = worker.answer(ref_list, ran) if ran else None
-        if blobs is None:
-            blobs = worker.rpc(msg.GET, [ref.object_id for ref in ref_list], timeout)
-        values = [unwrap_loaded(worker.materialize(blob)) for blob in blobs]
+        if blobs is not None:
+            values = [deserialize(blob) for blob in blobs]
+        else:
+            object_ids = [ref.object_id for ref in ref_list]
+            slots = worker.rpc(msg.GET, object_ids, timeout)
+            values = list(map(worker.read_slot, object_ids, slots))
+        values = [unwrap_loaded(value) for value in values]
         return values[0] if single else values
 
     def wait(
@@ -1204,16 +1210,13 @@ class ProcWorker:
         t_start = time.monotonic()
         if self.obs.enabled:
             obs.task_started(self.obs, spec, t_start, inline=inline_run)
-        pinned: list = []
         # An inline run (a producer its blocked parent runs) must not
         # inherit the outer task's context.
         prev_ctx = (self._cur_task, self._cur_root)
         self._cur_task, self._cur_root = spec.task_id, root_id
         try:
             try:
-                args, kwargs, upstream = self._resolve_call(
-                    call_bytes, inline, pinned
-                )
+                args, kwargs, upstream = self._resolve_call(call_bytes, inline)
             except ReproError as exc:
                 # An argument could not be materialized (e.g. lost in the
                 # driver store): the task must still produce a result.
@@ -1233,8 +1236,6 @@ class ProcWorker:
             return self._finish_obs(spec, t_start, self._pack(spec, result))
         finally:
             self._cur_task, self._cur_root = prev_ctx
-            for object_id in pinned:
-                self.cache.unpin(object_id)
 
     def _finish_obs(self, spec: TaskSpec, t_start: float, packed: tuple) -> tuple:
         if self.obs.enabled:
@@ -1282,10 +1283,8 @@ class ProcWorker:
             return serialized.joined()
         return serialize(value)
 
-    def _resolve_call(self, call_bytes: bytes, inline: Optional[dict], pinned: list):
-        """Materialize argument slots into values: what the entry's
-        ``inline`` table carries (bytes or a shared-memory descriptor),
-        else the cache, else a fetch.
+    def _resolve_call(self, call_bytes: bytes, inline: Optional[dict]):
+        """Materialize argument slots into values (:meth:`read_slot`).
 
         Returns ``(args, kwargs, upstream_error)`` exactly like the other
         backends' workers: an upstream :class:`ErrorValue` skips execution
@@ -1301,16 +1300,7 @@ class ProcWorker:
             nonlocal upstream
             if not isinstance(value, SlotRef):
                 return value
-            blob = inline.get(value.object_id)
-            if type(blob) is ShmDescriptor:
-                # Zero-copy path: the descriptor came in the entry's
-                # table; materialize() reads the arena directly (with a
-                # byte FETCH fallback for unmappable segments).  No byte
-                # cache — attaching a cached segment costs nothing and
-                # the payload is never copied in the first place.
-                resolved = self.materialize(blob)
-            else:
-                resolved = self._resolve_piped(value.object_id, blob, pinned)
+            resolved = self.read_slot(value.object_id, inline.get(value.object_id))
             if isinstance(resolved, ErrorValue) and upstream is None:
                 upstream = resolved
             return resolved
@@ -1319,10 +1309,18 @@ class ProcWorker:
         kwargs = {key: resolve(value) for key, value in kwargs_template.items()}
         return args, kwargs, upstream
 
-    def _resolve_piped(self, object_id, data: Optional[bytes], pinned: list) -> Any:
-        """The byte path: the bytes the entry's table carried, else the
-        local LRU cache, else a FETCH — whose reply on ``dist`` is a
-        descriptor into the node's arena, read there instead."""
+    def read_slot(self, object_id, slot: Any) -> Any:
+        """One object's value from its slot — an argument's in a task
+        entry's ``inline`` table, or a ``GET`` reply's: a shared-memory
+        descriptor is attached zero-copy (:meth:`materialize`; no byte
+        cache — attaching costs nothing and the payload is never
+        copied), bytes are read, and nothing means the local LRU cache,
+        else a FETCH — whose reply on ``dist`` is a descriptor into the
+        node's arena, read there instead.  The value holds what it
+        needs: nothing here stays pinned."""
+        if type(slot) is ShmDescriptor:
+            return self.materialize(slot)
+        data = slot
         if data is None:
             data = self.cache.get(object_id)
             if data is None:
@@ -1333,11 +1331,8 @@ class ProcWorker:
                     self.cache.put(object_id, data)
                 except ReproError:
                     pass  # larger than the whole cache: run uncached
-            if self.cache.contains(object_id):
-                self.cache.pin(object_id)
-                pinned.append(object_id)
         elif not self.cache.contains(object_id):
-            # Inline args are tiny; caching them makes the object count
+            # Slot bytes are tiny; caching them makes the object count
             # as locally resident for the fast path.
             self.remember_bytes(object_id, data)
         return deserialize(data)

@@ -54,14 +54,10 @@ class ResidencyTracker:
         """A worker died or was replaced: nothing is resident there."""
         self._held.pop(holder, None)
 
-    def forget_object(self, object_id: Any) -> list:
-        """The object was released: it is resident nowhere.  Returns the
-        holders that had it (the dist driver tells their nodes)."""
-        return [
-            holder
-            for holder, held in self._held.items()
-            if held.pop(object_id, None) is not None
-        ]
+    def forget_object(self, object_id: Any) -> None:
+        """The object was released: it is resident nowhere."""
+        for held in self._held.values():
+            held.pop(object_id, None)
 
     def holds(self, holder: Any, object_id: Any) -> bool:
         return object_id in self._held.get(holder, ())

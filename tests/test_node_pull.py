@@ -152,6 +152,11 @@ def test_a_worker_reads_a_result_in_its_own_nodes_arena_through_a_descriptor(
         assert repro.get(stage.read.remote(ref), timeout=60.0) == (
             fill * N, False, True
         )
+        # A get is answered with the slot an argument gets: the same
+        # arena hit, no hop through the driver.
+        assert repro.get(stage.read_by_get.remote([ref]), timeout=60.0) == (
+            fill * N, False, True
+        )
     assert _internode(cluster)["internode_bytes"] == before  # never left
 
 

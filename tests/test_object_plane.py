@@ -9,7 +9,9 @@ hooks (pull once, delete exactly once where it is held, lost-with-node
 ends in the one replay-or-error verdict) and the conservation law (all
 handles dropped ⇒ every table empty, ``live == escaped``) are checked
 in milliseconds.  ``tests/test_object_lifetime.py`` holds the same laws
-end to end.
+end to end.  The slots a worker's ``GET`` is answered with are checked
+the same way, plus one driver over a played pipe (a due ``GET`` past its
+deadline) and one live ``proc`` pool (an empty slot read by ``FETCH``).
 """
 
 import gc
@@ -19,12 +21,17 @@ import time
 
 import pytest
 
+import repro
+from played_pipe import PlayedPipe
 from repro.core.object_ref import ObjectRef
 from repro.core.task import CallTemplate, TaskOptions
 from repro.dist.protocol import NodeBlob
+from repro.errors import GetTimeoutError
 from repro.obs import SpanCollector
+from repro.proc import messages as msg
 from repro.proc.messages import ObjectBytes
 from repro.proc.objects import ObjectPlane
+from repro.proc.runtime import ProcRuntime, _Parked, _WorkerHandle
 from repro.utils.ids import FunctionID, IDGenerator
 from repro.utils.serialization import deserialize, serialize
 
@@ -241,19 +248,19 @@ def test_a_node_resident_result_is_deleted_where_it_is_held_exactly_once(harness
     object_id = ref.object_id
     h.land_on_node(spec, 0)
     assert h.plane.has(object_id) and h.plane.only_on_node(object_id)
-    assert h.plane.blob_for(object_id) is None  # described here, not held
+    assert h.plane.bytes_of(object_id) is None  # described here, not held
     assert h.control.object_puts[-1][1]["location"] == "node-0"
-    # A consumer on node 1 is shipped nothing for it: its agent will
-    # pull the bytes once and cache them.
+    # A consumer on node 1 is shipped nothing for it, and never fetched
+    # it: node 1 holds no copy, so the release does not reach it.
     inline = {}
     h.plane.arg_slot(object_id, 1, inline)
     assert inline == {}
     del ref
     assert h.live()["released"] == 1
-    assert [node.deleted for node in h.nodes] == [[object_id], [object_id], []]
+    assert [node.deleted for node in h.nodes] == [[object_id], [], []]
     h.plane.drain()
     h.plane.flush_deletes()
-    assert [len(node.deleted) for node in h.nodes] == [1, 1, 0]
+    assert [len(node.deleted) for node in h.nodes] == [1, 0, 0]
     assert not h.plane._node_resident and not h.plane._doomed
 
 
@@ -288,23 +295,32 @@ def test_a_task_with_a_node_resident_result_keeps_its_pins_until_a_copy_is_here(
 def test_a_copy_landed_on_a_node_by_a_reply_is_deleted_there(harness):
     h = harness(num_nodes=3)
     fetched, got, small = h.put(b"F" * 4096), h.put(b"G" * 4096), h.put(b"s")
-    # A FETCH reply into node 1 and a GET reply's blob into node 2 name
-    # their object for the agent to land; small bytes go as they are.
+    spec = h.spec()
+    resident = ObjectRef(spec.return_object_id)
+    h.land_on_node(spec, 0)
+    # A GET reply into node 2 is slots, as a task entry's table: small
+    # bytes inline, a large object and a node-only one empty (the worker
+    # fetches them).  No bytes cross, so nothing lands.
+    slots = {}
+    for object_id in (got.object_id, small.object_id, resident.object_id):
+        h.plane.arg_slot(object_id, 2, slots)
+    assert slots == {small.object_id: b"s"}
+    assert not h.plane._landed
+    assert h.plane.acct_internode.snapshot()["internode_bytes"] == 0
+    # A FETCH reply into node 1 names its object for the agent to land.
     reply = h.plane.fetch_bytes(fetched.object_id, 1)
     assert type(reply) is ObjectBytes and reply.object_id == fetched.object_id
     assert bytes(reply.data) == b"F" * 4096
-    blob = h.plane.blob_for(got.object_id, 2)
-    assert type(blob) is ObjectBytes and bytes(blob.data) == b"G" * 4096
-    assert h.plane.blob_for(small.object_id, 2) == b"s"
-    # A node with no arena is sent the bytes.
+    assert h.plane._landed == {fetched.object_id: {1}}
+    # A node with no arena is sent the bytes, and lands nothing.
     h.nodes[0].shm_on = False
-    assert h.plane.blob_for(fetched.object_id, 0) == b"F" * 4096
+    assert h.plane.fetch_bytes(fetched.object_id, 0) == b"F" * 4096
     internode = h.plane.acct_internode.snapshot()
-    assert internode["internode_bytes"] == 3 * 4096 + 1
-    del fetched, got, small
-    assert h.live()["released"] == 3
+    assert internode["internode_bytes"] == 2 * 4096
+    del fetched, got, small, resident
+    assert h.live()["released"] == 4
     assert h.nodes[1].deleted == [reply.object_id]
-    assert h.nodes[2].deleted == [blob.object_id]
+    assert h.nodes[0].deleted == [spec.return_object_id] and not h.nodes[2].deleted
     assert not h.plane._landed and not h.plane._doomed
 
 
@@ -393,6 +409,64 @@ def test_a_node_that_no_longer_holds_it_turns_a_pull_into_the_verdict(harness):
     error = deserialize(h.plane.store.get(ref.object_id))
     assert "lineage replay budget exhausted (0/0" in error.cause_repr
     assert not h.plane._pulling
+
+
+# ----------------------------------------------------------------------
+# A worker's get: one slot per object, as a task entry's table
+# ----------------------------------------------------------------------
+
+
+def test_a_due_get_past_its_deadline_with_an_id_absent_times_out(monkeypatch):
+    def spawn_played(runtime, index):
+        slot = _WorkerHandle(index=index, node_id=runtime.ids.node_id(), conn=PlayedPipe())
+        runtime._dispatch.add_worker(slot)
+        return slot
+
+    monkeypatch.setattr(ProcRuntime, "_spawn_worker", spawn_played)
+    runtime = ProcRuntime(num_workers=1, shm_capacity=0)
+    worker = runtime._workers[0]
+    try:
+        here, absent = runtime.put(b"here"), runtime.ids.object_id()
+        assert runtime._answer(worker, (msg.GET, [here.object_id], None), None) == (
+            msg.OK, [serialize(b"here")]
+        )
+        message = (msg.GET, [here.object_id, absent], 0.0)
+        with pytest.raises(_Parked):  # not due yet
+            runtime._answer(worker, message, time.monotonic() + 60.0)
+        tag, error = runtime._answer(worker, message, time.monotonic() - 1.0)
+        assert tag == msg.ERR and type(error) is GetTimeoutError
+        assert str(absent) in str(error)
+    finally:
+        runtime.shutdown()
+        worker.conn.hang_up()
+
+
+@repro.remote
+def _large(n):
+    return b"L" * n
+
+
+@repro.remote
+def _get_inside(refs):
+    value = repro.get(refs[0])
+    return len(value), value[:1], value[-1:]
+
+
+@pytest.mark.timeout(60)
+def test_a_worker_gets_a_large_pipe_store_value_through_fetch():
+    runtime = repro.init(backend="proc", num_workers=1, shm_capacity=0)
+    try:
+        size = 3 * 64 * 1024  # above the default inline threshold
+        ref = _large.remote(size)
+        assert len(repro.get(ref, timeout=30.0)) == size  # stored first
+        fetched = runtime.stats()["args_fetched"]["count"]
+        assert repro.get(_get_inside.remote([ref]), timeout=30.0) == (
+            size, b"L", b"L"
+        )
+        # Its slot was empty: the worker fetched the bytes, once.
+        assert runtime.stats()["args_fetched"]["count"] == fetched + 1
+    finally:
+        repro.shutdown()
 
 
 # ----------------------------------------------------------------------
